@@ -130,9 +130,39 @@ def _scalar_field(data, where: str, scalars_tag: str) -> Scalar:
     return value
 
 
+def _term(term, where: str, n: int, scalars_tag: str, component: bool = True):
+    """(0-based component or None, exponent, coefficient) of one term object."""
+    if not isinstance(term, dict):
+        raise SystemFileError(f"{where}: each term is an object")
+    j = None
+    if component:
+        j = _field(term, "component", int, where)
+        if not 1 <= j <= n:
+            raise SystemFileError(f"{where}: component {j} out of range 1..{n}")
+        j -= 1
+    expo = _field(term, "exponent", list, where)
+    if len(expo) != n or not all(isinstance(e, int) and e >= 0 for e in expo):
+        raise SystemFileError(
+            f"{where}: exponent must be {n} nonnegative integers"
+        )
+    coeff = _scalar_field(_field(term, "coeff", list, where), where, scalars_tag)
+    return j, tuple(expo), coeff
+
+
+def _int_field(doc: dict, name: str, low: int, where: str) -> int:
+    value = _field(doc, name, int, where)
+    if value < low:
+        raise SystemFileError(f"{where}: field '{name}' must be an integer >= {low}")
+    return value
+
+
 def parse_system(path: str) -> SystemFile:
     """Load and validate a system description file."""
-    doc = _load_json(path)
+    return _system_from_doc(_load_json(path), path)
+
+
+def _system_from_doc(doc, path: str) -> SystemFile:
+    """Validate a system description; `path` names it in error messages."""
     if not isinstance(doc, dict):
         raise SystemFileError(f"{path}: top level must be a JSON object")
     kind = _field(doc, "kind", str, path)
@@ -199,24 +229,14 @@ def parse_system(path: str) -> SystemFile:
     max_deg = order
     for i, term in enumerate(terms):
         where = f"{path}:terms[{i}]"
-        if not isinstance(term, dict):
-            raise SystemFileError(f"{where}: each term is an object")
-        j = _field(term, "component", int, where)
-        if not 1 <= j <= n:
-            raise SystemFileError(f"{where}: component {j} out of range 1..{n}")
-        expo = _field(term, "exponent", list, where)
-        if len(expo) != n or not all(isinstance(e, int) and e >= 0 for e in expo):
-            raise SystemFileError(
-                f"{where}: exponent must be {n} nonnegative integers"
-            )
+        j, expo, coeff = _term(term, where, n, scalars)
         if sum(expo) < 2:
             raise SystemFileError(
                 f"{where}: exponent degree {sum(expo)} < 2; constant and linear "
                 "terms belong to the eigen data"
             )
-        coeff = _scalar_field(_field(term, "coeff", list, where), where, scalars)
         max_deg = max(max_deg, sum(expo))
-        triples.append((j - 1, tuple(expo), coeff))
+        triples.append((j, expo, coeff))
     nonlinear = VectorSeries.from_terms(n, max_deg, triples).with_trunc(max(order, max_deg))
     return SystemFile(
         kind=kind, n=n, scalars=scalars, eigen=eigen, nonlinear=nonlinear,
@@ -551,57 +571,55 @@ def _run_embed(sf: SystemFile, D: int, N: int) -> dict:
 # -- verify (report re-checking) ---------------------------------------------------
 
 
-def _series_from_json(terms, n: int, trunc: int) -> ScalarSeries:
+def _terms_list(terms, where: str) -> list:
+    if not isinstance(terms, list):
+        raise SystemFileError(f"{where}: terms must be a list")
+    return terms
+
+
+def _series_from_json(terms, n: int, trunc: int, where: str) -> ScalarSeries:
     coeffs = {}
-    for t in terms:
-        coeffs[tuple(t["exponent"])] = scalar_from_json(t["coeff"])
+    for i, t in enumerate(_terms_list(terms, where)):
+        _, m, c = _term(t, f"{where}[{i}]", n, "gaussian", component=False)
+        coeffs[m] = c
     degs = [sum(m) for m in coeffs]
     return ScalarSeries(n, max([trunc] + degs), coeffs)
 
 
-def _vector_from_json(terms, n: int, trunc: int) -> VectorSeries:
-    triples = []
-    for t in terms:
-        triples.append((t["component"] - 1, tuple(t["exponent"]), scalar_from_json(t["coeff"])))
+def _vector_from_json(terms, n: int, trunc: int, where: str) -> VectorSeries:
+    triples = [
+        _term(t, f"{where}[{i}]", n, "gaussian")
+        for i, t in enumerate(_terms_list(terms, where))
+    ]
     degs = [sum(m) for _, m, _ in triples]
     return VectorSeries.from_terms(n, max([trunc] + degs), triples)
-
-
-def _system_from_echo(doc: dict) -> SystemFile:
-    import tempfile, os
-
-    with tempfile.NamedTemporaryFile(
-        "w", suffix=".json", delete=False, encoding="utf-8"
-    ) as fh:
-        json.dump(doc, fh)
-        path = fh.name
-    try:
-        return parse_system(path)
-    finally:
-        os.unlink(path)
 
 
 def _run_verify(report_path: str) -> dict:
     doc = _load_json(report_path)
     if not isinstance(doc, dict) or "system" not in doc:
         raise SystemFileError(f"{report_path}: not a report file (no system echo)")
-    sf = _system_from_echo(doc["system"])
+    sf = _system_from_doc(doc["system"], f"{report_path}:system")
     system = sf.system()
     checked = []
 
     def fail(what: str):
         raise InternalInvariantError(f"verification failed: {what}")
 
-    norm_doc = None
-    for key in ("normalization",):
-        if key in doc:
-            norm_doc = doc[key]
-    if norm_doc is None and "classification" in doc:
-        norm_doc = doc["classification"].get("normalization")
+    cls = None
+    if "classification" in doc:
+        cls = _field(doc, "classification", dict, report_path)
+    norm_doc = doc.get("normalization")
+    where = f"{report_path}:normalization"
+    if norm_doc is None and cls is not None:
+        norm_doc = cls.get("normalization")
+        where = f"{report_path}:classification.normalization"
     if norm_doc is not None:
-        order = norm_doc["order"]
-        phi = _vector_from_json(norm_doc["phi"], sf.n, order)
-        g = _vector_from_json(norm_doc["g"], sf.n, order)
+        if not isinstance(norm_doc, dict):
+            raise SystemFileError(f"{where}: must be an object")
+        order = _int_field(norm_doc, "order", 2, where)
+        phi = _vector_from_json(_field(norm_doc, "phi", None, where), sf.n, order, f"{where}.phi")
+        g = _vector_from_json(_field(norm_doc, "g", None, where), sf.n, order, f"{where}.g")
         result = NormalizationResult(spec=sf.eigen, phi=phi, g=g, order=order)
         residual = (
             verify_conjugacy_map(system, result)
@@ -620,14 +638,22 @@ def _run_verify(report_path: str) -> dict:
                 if not transformation_resonant(sf.eigen, m, j):
                     fail(f"g carries nonresonant monomial {m} in component {j + 1}")
         checked.append("normalization")
-    if "classification" in doc:
-        cls = doc["classification"]
+    if cls is not None:
         if cls.get("verdict") == "integrable-consistent" and cls.get("p") is not None:
-            order = cls["normalization"]["order"]
+            where = f"{report_path}:classification"
+            order = _int_field(
+                _field(cls, "normalization", dict, where), "order", 2, f"{where}.normalization"
+            )
             p = [
-                _series_from_json(terms, sf.n, order - 1) for terms in cls["p"]
+                _series_from_json(terms, sf.n, order - 1, f"{where}.p[{i}]")
+                for i, terms in enumerate(_field(cls, "p", list, where))
             ]
-            basis = enumerate_lattice(sf.eigen, cls["certified_at"]["degree_D"])
+            if len(p) != sf.n:
+                raise SystemFileError(f"{where}: p must have {sf.n} entries")
+            D = _int_field(
+                _field(cls, "certified_at", dict, where), "degree_D", 2, f"{where}.certified_at"
+            )
+            basis = enumerate_lattice(sf.eigen, D)
             residuals = check_functional_equations(p, basis, order - 1)
             if not all(r.is_zero() for r in residuals):
                 fail("functional-equation residual is nonzero")
@@ -636,8 +662,9 @@ def _run_verify(report_path: str) -> dict:
         for name, sec in doc["integrals"].items():
             if not isinstance(sec, dict) or "integrals" not in sec:
                 continue
-            for terms in sec["integrals"]:
-                V = _series_from_json(terms, sf.n, sf.order)
+            where = f"{report_path}:integrals.{name}"
+            for i, terms in enumerate(_field(sec, "integrals", list, where)):
+                V = _series_from_json(terms, sf.n, sf.order, f"{where}.integrals[{i}]")
                 residual = (
                     verify_integral_map(V, system, sf.order)
                     if sf.kind == "map"
@@ -648,10 +675,14 @@ def _run_verify(report_path: str) -> dict:
                     fail(f"integral in section '{name}' is not invariant")
             checked.append(f"integrals:{name}")
     if "embedding" in doc:
-        emb = doc["embedding"]
-        order = emb["order"]
-        X = _vector_from_json(emb["field"], sf.n, order)
-        vs = [_series_from_json(t, sf.n, order + 1) for t in emb["integrals"]]
+        emb = _field(doc, "embedding", dict, report_path)
+        where = f"{report_path}:embedding"
+        order = _int_field(emb, "order", 1, where)
+        X = _vector_from_json(_field(emb, "field", None, where), sf.n, order, f"{where}.field")
+        vs = [
+            _series_from_json(t, sf.n, order + 1, f"{where}.integrals[{i}]")
+            for i, t in enumerate(_field(emb, "integrals", list, where))
+        ]
         from .series import gradient, scalar_inner
 
         for V in vs:
@@ -662,10 +693,12 @@ def _run_verify(report_path: str) -> dict:
                 fail("claimed equivariance does not hold")
         checked.append("embedding")
     if "lattice" in doc:
-        basis = enumerate_lattice(sf.eigen, doc["lattice"]["bound"])
-        if [list(g) for g in basis.generators] != doc["lattice"]["generators"]:
+        lattice = _field(doc, "lattice", dict, report_path)
+        D = _int_field(lattice, "bound", 2, f"{report_path}:lattice")
+        basis = enumerate_lattice(sf.eigen, D)
+        if [list(g) for g in basis.generators] != lattice.get("generators"):
             fail("lattice generators do not match a recomputation")
-        if basis.rank != doc["lattice"]["rank"]:
+        if basis.rank != lattice.get("rank"):
             fail("lattice rank does not match a recomputation")
         checked.append("lattice")
         bound_doc = doc.get("bound")
@@ -677,7 +710,7 @@ def _run_verify(report_path: str) -> dict:
             )
             if _bound_value_json(bound.value) != bound_doc["value"]:
                 fail("small-divisor bound value does not match a recomputation")
-            ver = verify_bound(sf.eigen, bound, doc["lattice"]["bound"])
+            ver = verify_bound(sf.eigen, bound, D)
             if not ver.passed:
                 fail(f"small-divisor bound violated at {ver.failure}")
             checked.append("bound")
@@ -889,6 +922,9 @@ def main(argv=None) -> int:
             sf = parse_system(args.input)
             D = args.degree if args.degree is not None else sf.lattice_bound
             N = args.order if args.order is not None else sf.order
+            for flag, value in (("--degree", D), ("--order", N)):
+                if value < 2:
+                    raise SystemFileError(f"{flag} must be an integer >= 2, got {value}")
             params = {"degree_D": D, "order_N": N, "seed": args.seed}
             if args.subcommand == "resonance":
                 body = _run_resonance(sf, D)

@@ -18,6 +18,7 @@ from .series import (
     VectorSeries,
     compose_scalar,
     gradient,
+    grlex_key,
     invert,
     scalar_inner,
 )
@@ -120,20 +121,17 @@ def _echelon_kernel_series(
     degree: int,
 ) -> tuple[ScalarSeries, ...]:
     """Kernel of the linear map whose column at y^m is columns[m], expressed
-    as series over the monomial basis in graded-lex order."""
-    row_index: dict[Exponent, int] = {}
-    for col in columns.values():
-        for out_m in col:
-            row_index.setdefault(out_m, len(row_index))
-    rows: list[list[Scalar]] = [
-        [Fraction(0)] * len(monomials) for _ in range(len(row_index))
-    ]
-    for c, m in enumerate(monomials):
-        for out_m, v in columns[m].items():
-            rows[row_index[out_m]][c] = v
-    kernel = kernel_basis(rows, len(monomials))
+    as series over the monomial basis in graded-lex order.  Rows go in graded
+    order too: the operator is block lower triangular with mu^m - 1 (or
+    <m, lambda>) on each column's own monomial, so each nonresonant column is
+    a pivot on its own row and only the resonant columns are ever reduced."""
+    rows = sorted({r for col in columns.values() for r in col}, key=grlex_key)
+    row_index = {r: i for i, r in enumerate(rows)}
+    kernel = kernel_basis(
+        {row_index[r]: v for r, v in columns[m].items()} for m in monomials
+    )
     series = [
-        ScalarSeries(n, degree, {m: v for m, v in zip(monomials, vec) if v != 0})
+        ScalarSeries(n, degree, {monomials[c]: v for c, v in vec.items()})
         for vec in kernel
     ]
     series.sort(key=lambda s: s.terms()[0][0] if not s.is_zero() else ())
@@ -151,7 +149,8 @@ def search_integrals_map(F: MapSystem, degree: int) -> IntegralSet:
     polynomial degree exceeds `degree` contributes nothing, so searching below
     the certification order can legitimately come back empty even for
     integrable systems.  Solved as one exact kernel computation over the
-    monomial basis."""
+    monomial basis by the sparse echelon of `linalg`: the graded-lex column
+    order alone fixes the kernel basis, the row order only sets the cost."""
     if degree > F.order:
         raise HypothesisError(
             f"system data certified to degree {F.order}; cannot search to {degree}"

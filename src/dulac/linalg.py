@@ -1,78 +1,98 @@
-"""Exact linear algebra over Fraction / GaussianRational entries."""
+"""Exact linear algebra over Fraction / GaussianRational entries.
+
+Every elimination in the package goes through `Echelon`, a sparse echelon
+form built one column at a time.  A column (a dict of its nonzero entries by
+integer row) is reduced against the pivots, each keyed by its lowest row,
+carrying its combination of the earlier columns.  A column that reduces to
+zero closes the kernel vector ``e_c - sum_p a_p e_p`` over the earlier pivot
+columns.  That vector depends on the column order alone, so it is exactly
+the kernel basis read off the reduced row echelon form; the row numbering
+only sets the cost.  `kernel_basis`, `rank` and `primitive_integer_kernel`
+are front ends to `Echelon`; `int_det` is a separate determinant.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Sequence
+from math import gcd, lcm
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .scalars import Scalar, sc_div
 
+Column = dict[int, Scalar]
 
-def row_echelon(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced row echelon form; returns (rref rows, pivot column indices)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        m[r] = [sc_div(x, piv) for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+
+def _axpy(target: Column, f: Scalar, source: Column) -> None:
+    """target += f * source, dropping the entries that cancel."""
+    for k, x in source.items():
+        y = target.get(k)
+        if y is None:
+            target[k] = f * x
+        else:
+            s = y + f * x
+            if s == 0:
+                del target[k]
+            else:
+                target[k] = s
+
+
+class Echelon:
+    """Sparse column-incremental echelon form over Q or Q(i)."""
+
+    def __init__(self):
+        # lowest row -> (reduced column, its combination of inserted columns)
+        self.pivots: dict[int, tuple[Column, Column]] = {}
+        self.columns = 0
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def add(self, column: Mapping[int, Scalar]) -> Optional[Column]:
+        """Insert the next column.  Returns None when it is independent of
+        the earlier columns (it becomes a pivot), else the kernel vector it
+        closes: column index -> entry, with 1 at its own index."""
+        v = {r: x for r, x in column.items() if x != 0}
+        comb: Column = {self.columns: Fraction(1)}
+        self.columns += 1
+        while v:
+            low = min(v)
+            pivot = self.pivots.get(low)
+            if pivot is None:
+                self.pivots[low] = (v, comb)
+                return None
+            pv, pcomb = pivot
+            f = -sc_div(v[low], pv[low])
+            _axpy(v, f, pv)
+            _axpy(comb, f, pcomb)
+        return comb
+
+
+def kernel_basis(columns: Iterable[Mapping[int, Scalar]]) -> list[Column]:
+    """Basis of the right kernel of the matrix with these sparse columns: one
+    vector (column index -> entry) per dependent column, in column order."""
+    echelon = Echelon()
+    return [k for k in map(echelon.add, columns) if k is not None]
 
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    reduced, _ = row_echelon([list(r) for r in rows])
-    return len(reduced)
-
-
-def kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Scalar]]:
-    """Basis of the right kernel, from the reduced echelon form."""
-    reduced, pivots = row_echelon([list(r) for r in rows])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v: list[Scalar] = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
-        basis.append(v)
-    return basis
+    """Rank of a dense matrix; its rows enter as columns of the transpose."""
+    return len(rows) - len(kernel_basis(dict(enumerate(row)) for row in rows))
 
 
 def primitive_integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
     """The one-dimensional kernel of an integer matrix of rank ncols-1,
     returned as a primitive integer vector with positive first nonzero entry."""
-    basis = kernel_basis([[Fraction(x) for x in r] for r in rows], ncols)
+    basis = kernel_basis(
+        {r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(ncols)
+    )
     if len(basis) != 1:
         raise ValueError(f"kernel dimension is {len(basis)}, expected 1")
-    v = basis[0]
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
+    v = [Fraction(basis[0].get(c, 0)) for c in range(ncols)]
+    den = lcm(*(x.denominator for x in v))
     ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return ints
+    g = gcd(*ints) if next(x for x in ints if x) > 0 else -gcd(*ints)
+    return [x // g for x in ints]
 
 
 def int_det(matrix: Sequence[Sequence[int]]) -> int:

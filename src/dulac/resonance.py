@@ -20,7 +20,7 @@ from math import gcd
 from typing import Optional, Sequence, Union
 
 from .errors import HypothesisError, InternalInvariantError
-from .linalg import int_det, primitive_integer_kernel
+from .linalg import Echelon, int_det, primitive_integer_kernel
 from .scalars import (
     GaussianRational,
     Scalar,
@@ -221,27 +221,6 @@ def iter_exponents(n: int, low: int, high: int):
         yield from _compositions(s, n)
 
 
-class _IncrementalRank:
-    def __init__(self):
-        self.rows: list[list[Fraction]] = []
-
-    def add(self, vec: Sequence[int]) -> bool:
-        v = [Fraction(x) for x in vec]
-        for row in self.rows:
-            piv = next(i for i, x in enumerate(row) if x != 0)
-            if v[piv] != 0:
-                f = v[piv] / row[piv]
-                v = [a - f * b for a, b in zip(v, row)]
-        if all(x == 0 for x in v):
-            return False
-        self.rows.append(v)
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
 def enumerate_lattice(spec: EigenSpec, bound: int) -> LatticeBasis:
     """All resonant exponents with 2 <= |m| <= bound, their rank, and generators.
 
@@ -252,28 +231,28 @@ def enumerate_lattice(spec: EigenSpec, bound: int) -> LatticeBasis:
         raise ValueError("enumeration bound must be >= 2")
     kind = "field" if spec.kind == "additive" else "map"
     found: list[Exponent] = []
-    full = _IncrementalRank()
+    full = Echelon()
     candidates: list[Exponent] = []
     seen: set[Exponent] = set()
     for m in iter_exponents(spec.n, 2, bound):
         if not lattice_resonant(spec, m):
             continue
         found.append(m)
-        full.add(m)
+        full.add(dict(enumerate(m)))
         cand = _generator_candidate(spec, m)
         if cand not in seen:
             seen.add(cand)
             candidates.append(cand)
     # greedy in graded-lex arrival order, simple candidates first
     gens: list[Exponent] = []
-    gen_rank = _IncrementalRank()
+    gen_rank = Echelon()
     for simple_pass in (True, False):
         for cand in candidates:
             if _is_simple(cand) != simple_pass:
                 continue
             if gen_rank.rank == full.rank:
                 break
-            if gen_rank.add(cand):
+            if gen_rank.add(dict(enumerate(cand))) is None:
                 gens.append(cand)
     return LatticeBasis(
         kind=kind,

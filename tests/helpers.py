@@ -131,3 +131,47 @@ def random_tangent_identity(rng, n, trunc, max_terms=4):
     for (j, m) in rng.sample(pool, min(len(pool), rng.randint(1, max_terms))):
         triples.append((j, m, F(rng.randint(-3, 3), rng.randint(1, 2))))
     return VectorSeries.identity(n, trunc) + VectorSeries.from_terms(n, trunc, triples)
+
+
+# -- dense elimination oracle ---------------------------------------------------------
+
+
+def dense_rref(rows):
+    """Reduced row echelon form by dense Gauss-Jordan over Fraction /
+    GaussianRational entries: (rref rows, pivot column indices)."""
+    from dulac.scalars import sc_div
+
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        piv = m[r][c]
+        m[r] = [sc_div(x, piv) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def dense_kernel(rows, ncols):
+    """Right-kernel basis read off the RREF: one dense vector per free column."""
+    reduced, pivots = dense_rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[fc] = F(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][fc]
+        basis.append(v)
+    return basis

@@ -123,6 +123,54 @@ class TestExitCodes:
         assert run(["verify", "--input", bad]) == 4
 
 
+    @pytest.mark.parametrize("flag", ["--order", "--degree"])
+    @pytest.mark.parametrize("value", [1, 0, -3])
+    def test_flag_below_two_is_2(self, flag, value, capsys):
+        code = run(["classify", "--input", FIXTURES / "halfdouble.json", flag, value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and flag in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "sub,fixture,edit,message",
+        [
+            ("normalize", "ex2_2d.json",
+             lambda d: d["normalization"].pop("order"), "'order'"),
+            ("classify", "ex2_2d.json",
+             lambda d: d["classification"]["normalization"]["phi"][0].update(coeff=99), "'coeff'"),
+            ("normalize", "ex2_2d.json",
+             lambda d: d["normalization"].update(order=1), "'order'"),
+            ("normalize", "ex2_2d.json",
+             lambda d: d["normalization"]["g"][0].update(exponent=[1]), "exponent"),
+            ("normalize", "ex2_2d.json",
+             lambda d: d["normalization"].update(phi={}), "terms must be a list"),
+            ("classify", "ex2_2d.json",
+             lambda d: d["classification"]["p"].pop(), "p must have 2 entries"),
+            ("embed", "ex2_2d.json",
+             lambda d: d["embedding"].pop("order"), "'order'"),
+            ("resonance", "halfdouble.json",
+             lambda d: d["lattice"].update(bound=1), "'bound'"),
+        ],
+    )
+    def test_verify_malformed_report_is_2(self, tmp_path, capsys, sub, fixture, edit, message):
+        rep = tmp_path / "rep.json"
+        assert run([sub, "--input", FIXTURES / fixture, "--output", rep]) == 0
+        doc = load(rep)
+        edit(doc)
+        bad = write(tmp_path, "bad.json", doc)
+        assert run(["verify", "--input", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    def test_verify_malformed_system_echo_is_2(self, tmp_path):
+        rep = tmp_path / "rep.json"
+        assert run(["integrals", "--input", FIXTURES / "center.json", "--output", rep]) == 0
+        doc = load(rep)
+        doc["system"]["eigen"]["form"] = "unknown"
+        bad = write(tmp_path, "bad.json", doc)
+        assert run(["verify", "--input", bad]) == 2
+
+
 class TestSubcommands:
     def test_resonance_halfdouble(self, tmp_path):
         out = tmp_path / "out.json"

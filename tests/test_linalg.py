@@ -1,0 +1,202 @@
+"""The sparse echelon against the dense RREF oracle, on seeded random
+matrices over Q and Q(i), and on the lattice matrices the package builds."""
+
+import random
+from fractions import Fraction as F
+from math import gcd
+
+import pytest
+
+from dulac.linalg import Echelon, kernel_basis, primitive_integer_kernel, rank
+from dulac.resonance import (
+    EigenSpec,
+    _generator_candidate,
+    _is_simple,
+    enumerate_lattice,
+)
+from dulac.scalars import gaussian
+
+from helpers import dense_kernel, dense_rref
+
+
+def columns_of(rows, ncols):
+    return [{r: row[c] for r, row in enumerate(rows) if row[c] != 0} for c in range(ncols)]
+
+
+def dense(vec, ncols):
+    return [vec.get(c, F(0)) for c in range(ncols)]
+
+
+def random_scalar(rng, field):
+    re = F(rng.randint(-5, 5), rng.randint(1, 4))
+    if field == "Q(i)" and rng.random() < 0.5:
+        return gaussian(re, F(rng.randint(-3, 3), rng.randint(1, 3)))
+    return re
+
+
+def random_matrix(rng, shape, field):
+    """Rows x cols matrix of one of the shapes the oracle tests cover."""
+    nrows, ncols = rng.randint(0, 7), rng.randint(0, 9)
+    if shape == "dense":
+        rows = [[random_scalar(rng, field) for _ in range(ncols)] for _ in range(nrows)]
+    elif shape == "sparse":
+        rows = [
+            [random_scalar(rng, field) if rng.random() < 0.25 else F(0) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+    elif shape == "low-rank":
+        k = rng.randint(1, 3)
+        a = [[random_scalar(rng, field) for _ in range(k)] for _ in range(nrows)]
+        b = [[random_scalar(rng, field) for _ in range(ncols)] for _ in range(k)]
+        rows = [
+            [sum((a[i][t] * b[t][j] for t in range(k)), F(0)) for j in range(ncols)]
+            for i in range(nrows)
+        ]
+    else:  # zero and repeated columns mixed into a random matrix
+        base = [[random_scalar(rng, field) for _ in range(ncols)] for _ in range(nrows)]
+        picks = [rng.choice(["zero", "repeat", "own"]) for _ in range(ncols)]
+        rows = []
+        for row in base:
+            out = []
+            for j, pick in enumerate(picks):
+                if pick == "zero" or (pick == "repeat" and j == 0):
+                    out.append(F(0))
+                elif pick == "repeat":
+                    out.append(out[rng.randrange(j)])
+                else:
+                    out.append(row[j])
+            rows.append(out)
+    return rows, ncols
+
+
+CASES = [
+    (field, shape, seed)
+    for field in ("Q", "Q(i)")
+    for shape in ("dense", "sparse", "low-rank", "zero-or-repeated")
+    for seed in range(25)
+]
+
+
+@pytest.mark.parametrize("field,shape,seed", CASES)
+def test_echelon_matches_dense_rref(field, shape, seed):
+    rng = random.Random(f"{field}-{shape}-{seed}")
+    rows, ncols = random_matrix(rng, shape, field)
+    _, oracle_pivots = dense_rref(rows)
+    columns = columns_of(rows, ncols)
+
+    echelon = Echelon()
+    pivots = [c for c, col in enumerate(columns) if echelon.add(col) is None]
+    assert pivots == oracle_pivots
+    assert echelon.rank == rank(rows) == len(oracle_pivots)
+
+    kernel = [dense(v, ncols) for v in kernel_basis(columns)]
+    assert kernel == dense_kernel(rows, ncols)
+
+    # the row numbering sets the cost only: permuted rows, same kernel
+    perm = list(range(len(rows)))
+    rng.shuffle(perm)
+    shuffled = [{perm[r]: x for r, x in col.items()} for col in columns]
+    assert [dense(v, ncols) for v in kernel_basis(shuffled)] == kernel
+
+
+def test_empty_matrices():
+    assert kernel_basis([]) == []
+    assert rank([]) == 0
+    assert rank([[], []]) == 0
+    assert [dense(v, 3) for v in kernel_basis([{}, {}, {}])] == dense_kernel([], 3)
+    assert Echelon().rank == 0
+
+
+def test_kernel_vector_annihilates_columns():
+    rng = random.Random("annihilate")
+    for _ in range(20):
+        rows, ncols = random_matrix(rng, "low-rank", "Q(i)")
+        for v in kernel_basis(columns_of(rows, ncols)):
+            for row in rows:
+                assert sum((row[c] * x for c, x in v.items()), F(0)) == 0
+
+
+def test_input_column_is_not_mutated():
+    col = {0: F(1), 1: F(0), 2: F(3)}
+    echelon = Echelon()
+    echelon.add({0: F(2), 2: F(1)})
+    echelon.add(col)
+    assert col == {0: F(1), 1: F(0), 2: F(3)}
+
+
+# spectra whose resonant lattice has rank n-1 at degree 8
+LATTICE_SPECS = [
+    EigenSpec.multiplicative([F(1, 2), 2]),
+    EigenSpec.multiplicative([F(1, 4), 2]),
+    EigenSpec.multiplicative([8, F(1, 2)]),
+    EigenSpec.multiplicative([F(1, 32), 4, 2]),
+    EigenSpec.multiplicative([F(1, 8), 2, 4]),
+    EigenSpec.multiplicative([F(-1, 2), 2]),
+    EigenSpec.multiplicative([gaussian(0, 2), gaussian(0, F(-1, 2))]),
+    EigenSpec.multiplicative([F(1, 4), 2, 2, 1]),
+    EigenSpec.additive([2, -3]),
+    EigenSpec.additive([F(1, 3), F(-1, 3)]),
+    EigenSpec.additive([1, 2, -3]),
+    EigenSpec.additive([1, 1, -1, -1]),
+    EigenSpec.multiplicative_base([-5, 2, 1]),
+    EigenSpec.multiplicative_base([1, -1], [F(1, 2), F(1, 2)]),
+]
+
+
+def primitive_from_oracle(rows, ncols):
+    (v,) = dense_kernel([[F(x) for x in r] for r in rows], ncols)
+    den = 1
+    for x in v:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in v]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    ints = [x // g for x in ints]
+    return ints if next(x for x in ints if x) > 0 else [-x for x in ints]
+
+
+@pytest.mark.parametrize("spec", LATTICE_SPECS, ids=repr)
+def test_primitive_integer_kernel_on_lattice_matrices(spec):
+    K = enumerate_lattice(spec, 8).matrix()
+    v = primitive_integer_kernel(K, spec.n)
+    assert v == primitive_from_oracle(K, spec.n)
+    assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in K)
+
+
+def test_primitive_integer_kernel_rejects_wrong_dimension():
+    with pytest.raises(ValueError, match="kernel dimension is 2"):
+        primitive_integer_kernel([[1, 2, 3]], 3)
+
+
+def greedy_generators_by_oracle(spec, basis):
+    """enumerate_lattice's generator choice, with ranks from the dense RREF."""
+
+    def oracle_rank(vectors):
+        return len(dense_rref([[F(x) for x in v] for v in vectors])[1])
+
+    candidates = []
+    for m in basis.exponents:
+        cand = _generator_candidate(spec, m)
+        if cand not in candidates:
+            candidates.append(cand)
+    full = oracle_rank(basis.exponents)
+    gens = []
+    for simple_pass in (True, False):
+        for cand in candidates:
+            if _is_simple(cand) != simple_pass or oracle_rank(gens) == full:
+                continue
+            if oracle_rank(gens + [cand]) > oracle_rank(gens):
+                gens.append(cand)
+    return full, tuple(gens)
+
+
+@pytest.mark.parametrize(
+    "spec", LATTICE_SPECS + [EigenSpec.multiplicative([F(1, 6), 2, 3])], ids=repr
+)
+def test_incremental_insertion_keeps_greedy_generators(spec):
+    basis = enumerate_lattice(spec, 8)
+    full, gens = greedy_generators_by_oracle(spec, basis)
+    assert basis.rank == full
+    assert basis.generators == gens
+    assert basis.span_deficit == full - len(gens)
