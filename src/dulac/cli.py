@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Optional
 
 from . import __version__
@@ -60,6 +61,9 @@ DEFAULT_LATTICE_BOUND = 10
 DEFAULT_ORDER = 8
 DEFAULT_TRIALS = 8
 TIME_ONE_TERMS = 12
+# lattice work through degree D scans C(D + n, n) exponents: `resonance` at
+# the limit takes about 3 s on a 2-vCPU VM, and the cost grows without bound
+MAX_LATTICE_EXPONENTS = 20_000
 
 EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3
@@ -156,6 +160,17 @@ def _int_field(doc: dict, name: str, low: int, where: str) -> int:
     return value
 
 
+def _lattice_degree(D: int, n: int, what: str) -> int:
+    """D itself, once its lattice scan is within MAX_LATTICE_EXPONENTS."""
+    count = comb(D + n, n)
+    if count > MAX_LATTICE_EXPONENTS:
+        raise SystemFileError(
+            f"{what} = {D} would scan C(D+n, n) = {count} exponents for n = {n}, "
+            f"over the limit of {MAX_LATTICE_EXPONENTS}"
+        )
+    return D
+
+
 def parse_system(path: str) -> SystemFile:
     """Load and validate a system description file."""
     return _system_from_doc(_load_json(path), path)
@@ -220,6 +235,7 @@ def _system_from_doc(doc, path: str) -> SystemFile:
     order = doc.get("order_N", DEFAULT_ORDER)
     if not isinstance(lattice_bound, int) or lattice_bound < 2:
         raise SystemFileError(f"{path}: degree_D must be an integer >= 2")
+    _lattice_degree(lattice_bound, n, f"{path}: degree_D")
     if not isinstance(order, int) or order < 2:
         raise SystemFileError(f"{path}: order_N must be an integer >= 2")
     terms = doc.get("terms", [])
@@ -650,9 +666,9 @@ def _run_verify(report_path: str) -> dict:
             ]
             if len(p) != sf.n:
                 raise SystemFileError(f"{where}: p must have {sf.n} entries")
-            D = _int_field(
+            D = _lattice_degree(_int_field(
                 _field(cls, "certified_at", dict, where), "degree_D", 2, f"{where}.certified_at"
-            )
+            ), sf.n, f"{where}.certified_at.degree_D")
             basis = enumerate_lattice(sf.eigen, D)
             residuals = check_functional_equations(p, basis, order - 1)
             if not all(r.is_zero() for r in residuals):
@@ -694,7 +710,9 @@ def _run_verify(report_path: str) -> dict:
         checked.append("embedding")
     if "lattice" in doc:
         lattice = _field(doc, "lattice", dict, report_path)
-        D = _int_field(lattice, "bound", 2, f"{report_path}:lattice")
+        D = _lattice_degree(
+            _int_field(lattice, "bound", 2, f"{report_path}:lattice"), sf.n, f"{report_path}:lattice.bound"
+        )
         basis = enumerate_lattice(sf.eigen, D)
         if [list(g) for g in basis.generators] != lattice.get("generators"):
             fail("lattice generators do not match a recomputation")
@@ -925,6 +943,7 @@ def main(argv=None) -> int:
             for flag, value in (("--degree", D), ("--order", N)):
                 if value < 2:
                     raise SystemFileError(f"{flag} must be an integer >= 2, got {value}")
+            _lattice_degree(D, sf.n, "--degree")
             params = {"degree_D": D, "order_N": N, "seed": args.seed}
             if args.subcommand == "resonance":
                 body = _run_resonance(sf, D)

@@ -20,6 +20,7 @@ from .series import (
     gradient,
     grlex_key,
     invert,
+    monomial_powers,
     scalar_inner,
 )
 from .normalizer import FieldSystem, MapSystem
@@ -167,27 +168,9 @@ def search_integrals_map(F: MapSystem, degree: int) -> IntegralSet:
         return IntegralSet(integrals=tuple(found))
     through = F.order
     monomials = list(iter_exponents(n, 1, degree))
-    Fm = F.full_map(through)
-    pows: list[list[ScalarSeries]] = [
-        [ScalarSeries.one(n, through), comp] for comp in Fm.components
-    ]
-
-    def comp_pow(i: int, k: int) -> ScalarSeries:
-        col = pows[i]
-        while len(col) <= k:
-            col.append(col[-1].mul(col[1], through))
-        return col[k]
-
     columns: dict[Exponent, dict[Exponent, Scalar]] = {}
-    for m in monomials:
-        prod: Optional[ScalarSeries] = None
-        for i, e in enumerate(m):
-            if e == 0:
-                continue
-            p = comp_pow(i, e)
-            prod = p if prod is None else prod.mul(p, through)
-        col = prod - ScalarSeries.monomial(n, through, m)
-        columns[m] = dict(col.coeffs)
+    for m, power in zip(monomials, monomial_powers(F.full_map(through), monomials, through)):
+        columns[m] = dict((power - ScalarSeries.monomial(n, through, m)).coeffs)
     return IntegralSet(
         integrals=_echelon_kernel_series(columns, monomials, n, degree)
     )

@@ -1,38 +1,41 @@
 """Distinguished normalization and integrability classification.
 
 A system is a diagonal linear part (given by its exact eigenvalues) plus a
-nonlinear series starting at degree two.  The solver walks the degrees from
-two upward: at each degree the conjugacy equation's right-hand side is known
-from lower-degree data, its resonant part is absorbed into the normal form,
-and the nonresonant part is divided through by the exact homological divisor
-(mu^m - mu_j for maps, <m, lambda> - lambda_j for fields).  The resulting
-normalization contains only nonresonant monomials, the normal form only
-resonant ones, and the pair is unique; exact conjugacy of the output is
-re-verified and recorded, never assumed.
+nonlinear series starting at degree two.  One solver loop serves maps and
+fields: it walks the degrees from two upward, and at degree s the right-hand
+side [f(y + phi(y))]_s minus a correction term ([phi(B y + g(y))]_s for maps,
+[Dphi(y) g(y)]_s for fields) needs phi and g only below degree s.  The
+powers of y + phi (and of B y + g) therefore grow online, one homogeneous
+degree per step, in the composition engine of `series`, and each degree-s
+part is computed once.  A term whose exact homological divisor
+(mu^m - mu_j for maps, <m, lambda> - lambda_j for fields) is zero is
+resonant and goes to the normal form; every other term is divided through
+and goes to the normalization.  The normalization thus contains only
+nonresonant monomials, the normal form only resonant ones, and the pair is
+unique; exact conjugacy of the output is re-verified by full compositions
+and recorded, never assumed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import exp, log
 from typing import Optional, Sequence, Union
 
 from .errors import HypothesisError, InternalInvariantError
 from .linalg import primitive_integer_kernel
-from .resonance import (
-    EigenSpec,
-    LatticeBasis,
-    enumerate_lattice,
-    homological_divisor,
-    transformation_resonant,
-)
+from .resonance import EigenSpec, LatticeBasis, enumerate_lattice, homological_divisor
 from .scalars import Scalar, sc_div, sc_im, sc_re
 from .series import (
     Exponent,
+    Powers,
     ScalarSeries,
     VectorSeries,
     compose,
+    compose_part,
+    derivative_part,
+    graded,
     jacobian,
     mat_vec,
     unit_power,
@@ -42,7 +45,9 @@ from .series import (
 # -- systems -------------------------------------------------------------------
 
 
-def _validate_nonlinear(f: VectorSeries):
+def _init_system(system, spec_name: str, spec: EigenSpec, f: VectorSeries, order: int | None):
+    if spec.n != f.n:
+        raise ValueError("eigenvalue tuple and nonlinear part disagree on dimension")
     for j, comp in enumerate(f.components):
         for m in comp.coeffs:
             if sum(m) < 2:
@@ -50,6 +55,10 @@ def _validate_nonlinear(f: VectorSeries):
                     f"nonlinear part has a term of degree {sum(m)} in component "
                     f"{j + 1}; constant and linear terms belong to the linear part"
                 )
+    order = f.trunc if order is None else order
+    object.__setattr__(system, spec_name, spec)
+    object.__setattr__(system, "nonlinear", f.with_trunc(order))
+    object.__setattr__(system, "order", order)
 
 
 @dataclass(frozen=True)
@@ -63,14 +72,7 @@ class MapSystem:
     def __init__(self, mu: EigenSpec, nonlinear: VectorSeries, order: int | None = None):
         if not mu.is_multiplicative():
             raise ValueError("a map system needs multiplicative eigenvalues")
-        if mu.n != nonlinear.n:
-            raise ValueError("eigenvalue tuple and nonlinear part disagree on dimension")
-        _validate_nonlinear(nonlinear)
-        if order is None:
-            order = nonlinear.trunc
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "nonlinear", nonlinear.with_trunc(order))
-        object.__setattr__(self, "order", order)
+        _init_system(self, "mu", mu, nonlinear, order)
 
     @property
     def n(self) -> int:
@@ -99,14 +101,7 @@ class FieldSystem:
     def __init__(self, lam: EigenSpec, nonlinear: VectorSeries, order: int | None = None):
         if lam.kind != "additive":
             raise ValueError("a field system needs additive eigenvalues")
-        if lam.n != nonlinear.n:
-            raise ValueError("eigenvalue tuple and nonlinear part disagree on dimension")
-        _validate_nonlinear(nonlinear)
-        if order is None:
-            order = nonlinear.trunc
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "nonlinear", nonlinear.with_trunc(order))
-        object.__setattr__(self, "order", order)
+        _init_system(self, "lam", lam, nonlinear, order)
 
     @property
     def n(self) -> int:
@@ -165,127 +160,90 @@ def _require_exact_eigenvalues(spec: EigenSpec):
         )
 
 
-def _split_degree(
-    spec: EigenSpec, rhs_s: VectorSeries, s: int
-) -> tuple[list[tuple[int, Exponent, Scalar]], list[tuple[int, Exponent, Scalar]]]:
-    """Split the degree-s right-hand side into normal-form terms (resonant)
-    and solved transformation terms (nonresonant, divided by the divisor)."""
-    g_terms: list[tuple[int, Exponent, Scalar]] = []
-    phi_terms: list[tuple[int, Exponent, Scalar]] = []
-    for j, comp in enumerate(rhs_s.components):
-        for m, c in comp.terms():
-            if transformation_resonant(spec, m, j):
-                g_terms.append((j, m, c))
+def _split_degree(spec: EigenSpec, rhs: list[dict]) -> tuple[list[dict], list[dict]]:
+    """Split a degree's right-hand side into normal-form terms (divisor zero,
+    i.e. resonant) and transformation terms (divided by the divisor)."""
+    g_s: list[dict] = [{} for _ in rhs]
+    phi_s: list[dict] = [{} for _ in rhs]
+    for j, comp in enumerate(rhs):
+        for m, c in comp.items():
+            if c == 0:
+                continue
+            div = homological_divisor(spec, m, j)
+            if div == 0:
+                g_s[j][m] = c
             else:
-                div = homological_divisor(spec, m, j)
-                if div == 0:
-                    raise InternalInvariantError(
-                        f"zero divisor on a nonresonant slot: component {j + 1}, "
-                        f"monomial {m}"
-                    )
-                phi_terms.append((j, m, sc_div(c, div)))
-    return g_terms, phi_terms
+                phi_s[j][m] = sc_div(c, div)
+    return g_s, phi_s
+
+
+def _solve(system: System, order: int | None) -> NormalizationResult:
+    """The degree loop shared by maps and fields (see the module docstring),
+    through `order` (default: the system's order)."""
+    N = system.order if order is None else order
+    if N < 2:
+        raise ValueError("normalization order must be >= 2")
+    if N > system.nonlinear.trunc:
+        raise HypothesisError(
+            f"system data certified to degree {system.nonlinear.trunc} cannot be "
+            f"normalized to degree {N}"
+        )
+    spec = _eigen_of(system)
+    n = system.n
+    is_map = isinstance(system, MapSystem)
+    f = [graded(c, N) for c in system.nonlinear.components]
+    phi: list[list[dict]] = [[{}, {}] for _ in range(n)]
+    g: list[list[dict]] = [[{}, {}] for _ in range(n)]
+    P = Powers([graded(c, 1) for c in VectorSeries.identity(n, 1).components])  # y + phi
+    Q = Powers([graded(c, 1) for c in system.linear(1).components]) if is_map else None  # B y + g
+    for s in range(2, N + 1):
+        rhs = compose_part(f, P, s)
+        corr = compose_part(phi, Q, s) if is_map else derivative_part(phi, g, s)
+        for acc, part in zip(rhs, corr):
+            for m, c in part.items():
+                acc[m] = acc[m] - c if m in acc else -c
+        g_s, phi_s = _split_degree(spec, rhs)
+        for col, part in zip(phi + g, phi_s + g_s):
+            col.append(part)
+        P.extend(phi_s)
+        if is_map:
+            Q.extend(g_s)
+    return NormalizationResult(
+        spec=spec, phi=VectorSeries._from_parts(phi, N), g=VectorSeries._from_parts(g, N), order=N
+    )
 
 
 def normalize_map(F: MapSystem, order: int | None = None) -> NormalizationResult:
     """Distinguished normalization of a map, degree by degree.
 
-    Solves phi(B y) - B phi(y) = f(y + phi(y)) + phi(B y) - phi(B y + g(y)) - g(y)
-    with g collecting the resonant part and phi the nonresonant part at each
-    degree; the conjugacy F o Phi = Phi o G of the output is verified exactly.
+    Solves phi(B y) - B phi(y) + g(y) = [f(y + phi(y)) - phi(B y + g(y))]_s
+    at each degree s (phi holding the lower degrees on the right), with g
+    collecting the resonant part and phi the nonresonant part; the conjugacy
+    F o Phi = Phi o G of the output is verified exactly.
     """
     _require_exact_eigenvalues(F.mu)
-    N = F.order if order is None else order
-    if N < 2:
-        raise ValueError("normalization order must be >= 2")
-    if N > F.nonlinear.trunc:
-        raise HypothesisError(
-            f"system data certified to degree {F.nonlinear.trunc} cannot be "
-            f"normalized to degree {N}"
-        )
-    n = F.n
-    mu = F.mu
-    f = F.nonlinear
-    phi_terms: list[tuple[int, Exponent, Scalar]] = []
-    g_terms: list[tuple[int, Exponent, Scalar]] = []
-    for s in range(2, N + 1):
-        ident = VectorSeries.identity(n, s)
-        phi_v = VectorSeries.from_terms(n, s, [t for t in phi_terms if sum(t[1]) <= s])
-        g_v = VectorSeries.from_terms(n, s, [t for t in g_terms if sum(t[1]) <= s])
-        lin = VectorSeries.diagonal_linear(mu.values, s)
-        rhs = compose(f.truncate(s).with_trunc(s), ident + phi_v, s)
-        if not phi_v.is_zero():
-            rhs = rhs + compose(phi_v, lin, s) - compose(phi_v, lin + g_v, s)
-        new_g, new_phi = _split_degree(mu, rhs.homogeneous_part(s), s)
-        g_terms.extend(new_g)
-        phi_terms.extend(new_phi)
-    result = NormalizationResult(
-        spec=mu,
-        phi=VectorSeries.from_terms(n, N, phi_terms),
-        g=VectorSeries.from_terms(n, N, g_terms),
-        order=N,
-    )
+    result = _solve(F, order)
     return _attach_residuals(result, verify_conjugacy_map(F, result))
 
 
 def normalize_field(X: FieldSystem, order: int | None = None) -> NormalizationResult:
     """Distinguished normalization of a vector field, degree by degree.
 
-    Solves Dphi(y) A y - A phi(y) = f(y + phi(y)) - g(y) - Dphi(y) g(y); the
-    homological operator acts on a monomial y^m e_j as multiplication by
+    Solves Dphi(y) A y - A phi(y) + g(y) = [f(y + phi(y)) - Dphi(y) g(y)]_s;
+    the homological operator acts on a monomial y^m e_j as multiplication by
     <m, lambda> - lambda_j.
     """
-    N = X.order if order is None else order
-    if N < 2:
-        raise ValueError("normalization order must be >= 2")
-    if N > X.nonlinear.trunc:
-        raise HypothesisError(
-            f"system data certified to degree {X.nonlinear.trunc} cannot be "
-            f"normalized to degree {N}"
-        )
-    n = X.n
-    lam = X.lam
-    f = X.nonlinear
-    phi_terms: list[tuple[int, Exponent, Scalar]] = []
-    g_terms: list[tuple[int, Exponent, Scalar]] = []
-    for s in range(2, N + 1):
-        ident = VectorSeries.identity(n, s)
-        phi_v = VectorSeries.from_terms(n, s, [t for t in phi_terms if sum(t[1]) <= s])
-        g_v = VectorSeries.from_terms(n, s, [t for t in g_terms if sum(t[1]) <= s])
-        rhs = compose(f.truncate(s).with_trunc(s), ident + phi_v, s)
-        if not phi_v.is_zero() and not g_v.is_zero():
-            rhs = rhs - mat_vec(jacobian(phi_v), g_v, s)
-        new_g, new_phi = _split_degree(lam, rhs.homogeneous_part(s), s)
-        g_terms.extend(new_g)
-        phi_terms.extend(new_phi)
-    result = NormalizationResult(
-        spec=lam,
-        phi=VectorSeries.from_terms(n, N, phi_terms),
-        g=VectorSeries.from_terms(n, N, g_terms),
-        order=N,
-    )
+    result = _solve(X, order)
     return _attach_residuals(result, verify_conjugacy_field(X, result))
 
 
-def _attach_residuals(
-    result: NormalizationResult, residual: VectorSeries
-) -> NormalizationResult:
+def _attach_residuals(result: NormalizationResult, residual: VectorSeries) -> NormalizationResult:
     if not residual.is_zero():
-        bad = min(
-            sum(m)
-            for comp in residual.components
-            for m in comp.coeffs
-        )
+        bad = min(sum(m) for comp in residual.components for m in comp.coeffs)
         raise InternalInvariantError(
             f"normalization left a nonzero conjugacy residual at degree {bad}"
         )
-    return NormalizationResult(
-        spec=result.spec,
-        phi=result.phi,
-        g=result.g,
-        order=result.order,
-        residual_zero_degrees=tuple(range(2, result.order + 1)),
-    )
+    return replace(result, residual_zero_degrees=tuple(range(2, result.order + 1)))
 
 
 def verify_conjugacy_map(F: MapSystem, result: NormalizationResult) -> VectorSeries:

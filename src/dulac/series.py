@@ -9,12 +9,24 @@ is a pure function, so sharing across threads is safe.
 Binary operations take an explicit output truncation degree and default to
 the minimum of the operands' degrees, which prevents silently claiming more
 precision than the inputs carry.
+
+The public constructor validates every exponent and coefficient; results the
+package builds itself (sums, products, scalings, truncations, compositions)
+skip that through the trusted ``ScalarSeries._make``.
+
+All composition runs through one engine, `Powers`: for an inner map P known
+through degree s - 1 it yields the degree-s part of every power P^m with
+|m| >= 2, each part computed once from m = m' + e_i and cached.  `compose`
+uses it with P fully known; `invert` and the normalizer's degree loop feed it
+one degree at a time: the relaxed ("online") evaluation of J. van der Hoeven,
+"Relax, but don't be too lazy", J. Symbolic Comput. 34 (2002).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import DulacError
@@ -29,10 +41,6 @@ class SeriesError(DulacError):
 
 def grlex_key(m: Exponent) -> tuple[int, Exponent]:
     return (sum(m), m)
-
-
-def exp_add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def _check_exponent(m, n: int, trunc: int):
@@ -68,6 +76,16 @@ class ScalarSeries:
         self.trunc = trunc
         self.coeffs = clean
 
+    @classmethod
+    def _make(cls, n: int, trunc: int, coeffs: dict) -> "ScalarSeries":
+        """Trusted constructor: `coeffs` maps valid exponents of degree
+        <= trunc to nonzero scalars and is owned by the new series."""
+        self = object.__new__(cls)
+        self.n = n
+        self.trunc = trunc
+        self.coeffs = coeffs
+        return self
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -99,10 +117,6 @@ class ScalarSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree(self) -> int:
-        """Largest total degree present; -1 for the zero series."""
-        return max((sum(m) for m in self.coeffs), default=-1)
-
     def low_degree(self) -> int:
         """Smallest total degree present; -1 for the zero series."""
         return min((sum(m) for m in self.coeffs), default=-1)
@@ -115,7 +129,7 @@ class ScalarSeries:
         return self.coeff((0,) * self.n)
 
     def homogeneous_part(self, s: int) -> "ScalarSeries":
-        return ScalarSeries(
+        return ScalarSeries._make(
             self.n, self.trunc, {m: c for m, c in self.coeffs.items() if sum(m) == s}
         )
 
@@ -129,13 +143,13 @@ class ScalarSeries:
             )
         if trunc == self.trunc:
             return self
-        return ScalarSeries(
+        return ScalarSeries._make(
             self.n, trunc, {m: c for m, c in self.coeffs.items() if sum(m) <= trunc}
         )
 
     def with_trunc(self, trunc: int) -> "ScalarSeries":
         """Re-declare the truncation degree (treats the value as exact)."""
-        return ScalarSeries(self.n, trunc, {m: c for m, c in self.coeffs.items() if sum(m) <= trunc})
+        return ScalarSeries._make(self.n, trunc, {m: c for m, c in self.coeffs.items() if sum(m) <= trunc})
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -159,12 +173,12 @@ class ScalarSeries:
                 out.pop(m, None)
             else:
                 out[m] = v
-        return ScalarSeries(self.n, trunc, out)
+        return ScalarSeries._make(self.n, trunc, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarSeries(self.n, self.trunc, {m: -c for m, c in self.coeffs.items()})
+        return ScalarSeries._make(self.n, self.trunc, {m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -181,7 +195,7 @@ class ScalarSeries:
             c = Fraction(c)
         if c == 0:
             return ScalarSeries.zero(self.n, self.trunc)
-        return ScalarSeries(self.n, self.trunc, {m: c * v for m, v in self.coeffs.items()})
+        return ScalarSeries._make(self.n, self.trunc, {m: c * v for m, v in self.coeffs.items()})
 
     def mul(self, other: "ScalarSeries", trunc: int | None = None) -> "ScalarSeries":
         """Exact truncated product; every kept coefficient is the full convolution."""
@@ -202,12 +216,11 @@ class ScalarSeries:
             for db, mb, cb in bterms:
                 if db > room:
                     break
-                m = exp_add(ma, mb)
+                m = tuple(map(add, ma, mb))
                 v = out.get(m)
                 v = ca * cb if v is None else v + ca * cb
                 out[m] = v
-        out = {m: c for m, c in out.items() if c != 0}
-        return ScalarSeries(self.n, trunc, out)
+        return ScalarSeries._make(self.n, trunc, _nonzero(out))
 
     def __mul__(self, other):
         if isinstance(other, ScalarSeries):
@@ -221,21 +234,6 @@ class ScalarSeries:
             return self.scale(other)
         return NotImplemented
 
-    def pow_int(self, k: int, trunc: int | None = None) -> "ScalarSeries":
-        if k < 0:
-            raise SeriesError("negative power of a plain series; use unit_power")
-        if trunc is None:
-            trunc = self.trunc
-        result = ScalarSeries.one(self.n, trunc)
-        base = self.truncate(trunc)
-        while k:
-            if k & 1:
-                result = result.mul(base, trunc)
-            k >>= 1
-            if k:
-                base = base.mul(base, trunc)
-        return result
-
     # -- calculus ----------------------------------------------------------
 
     def diff(self, i: int) -> "ScalarSeries":
@@ -245,7 +243,7 @@ class ScalarSeries:
                 continue
             dm = m[:i] + (m[i] - 1,) + m[i + 1 :]
             out[dm] = c * m[i]
-        return ScalarSeries(self.n, max(self.trunc - 1, 0), out)
+        return ScalarSeries._make(self.n, max(self.trunc - 1, 0), out)
 
     def eval(self, point: Sequence[Scalar]) -> Scalar:
         """Exact evaluation at a point (the truncation is evaluated as given)."""
@@ -323,6 +321,11 @@ class VectorSeries:
         )
 
     @classmethod
+    def _from_parts(cls, parts: Sequence[Sequence[dict]], trunc: int) -> "VectorSeries":
+        """Trusted: component j has the homogeneous parts parts[j][0], parts[j][1], ..."""
+        return cls([ScalarSeries._make(len(parts), trunc, {m: c for p in col for m, c in p.items()}) for col in parts])
+
+    @classmethod
     def from_terms(
         cls, n: int, trunc: int, terms: Iterable[tuple[int, Exponent, Scalar]]
     ) -> "VectorSeries":
@@ -355,9 +358,6 @@ class VectorSeries:
     def with_trunc(self, trunc: int) -> "VectorSeries":
         return VectorSeries([c.with_trunc(trunc) for c in self.components])
 
-    def map(self, f) -> "VectorSeries":
-        return VectorSeries([f(c) for c in self.components])
-
     def __add__(self, other):
         if not isinstance(other, VectorSeries):
             return NotImplemented
@@ -379,27 +379,15 @@ class VectorSeries:
 
     def linear_matrix(self) -> list[list[Scalar]]:
         """The n x n matrix of degree-1 coefficients."""
-        mat = []
-        for comp in self.components:
-            row = []
-            for j in range(self.n):
-                e = tuple(1 if k == j else 0 for k in range(self.n))
-                row.append(comp.coeff(e))
-            mat.append(row)
-        return mat
+        units = [tuple(int(k == j) for k in range(self.n)) for j in range(self.n)]
+        return [[comp.coeff(e) for e in units] for comp in self.components]
 
     def strip_low(self, min_degree: int) -> "VectorSeries":
         """Drop all terms of total degree < min_degree."""
-        return VectorSeries(
-            [
-                ScalarSeries(
-                    self.n,
-                    self.trunc,
-                    {m: c for m, c in comp.coeffs.items() if sum(m) >= min_degree},
-                )
-                for comp in self.components
-            ]
-        )
+        return VectorSeries([
+            ScalarSeries._make(self.n, self.trunc, {m: c for m, c in comp.coeffs.items() if sum(m) >= min_degree})
+            for comp in self.components
+        ])
 
     def homogeneous_part(self, s: int) -> "VectorSeries":
         return VectorSeries([c.homogeneous_part(s) for c in self.components])
@@ -419,96 +407,166 @@ class VectorSeries:
         return f"VectorSeries(n={self.n}, trunc={self.trunc}, {str(self)})"
 
 
-# -- composition and inversion ----------------------------------------------
+# -- the composition engine --------------------------------------------------
 
 
-class _PowerCache:
-    """Lazy cache of truncated powers of each component of an inner map."""
-
-    def __init__(self, inner: VectorSeries, trunc: int):
-        self.trunc = trunc
-        self.pows: list[list[ScalarSeries]] = [
-            [ScalarSeries.one(inner.n, trunc), comp.truncate(trunc)]
-            for comp in inner.components
-        ]
-
-    def get(self, i: int, k: int) -> ScalarSeries:
-        col = self.pows[i]
-        while len(col) <= k:
-            col.append(col[-1].mul(col[1], self.trunc))
-        return col[k]
-
-    def monomial(self, m: Exponent) -> ScalarSeries:
-        result: ScalarSeries | None = None
-        for i, e in enumerate(m):
-            if e == 0:
-                continue
-            p = self.get(i, e)
-            result = p if result is None else result.mul(p, self.trunc)
-        if result is None:
-            raise SeriesError("constant exponent in composition")
-        return result
-
-
-def compose_scalar(
-    outer: ScalarSeries, inner: VectorSeries, trunc: int | None = None
-) -> ScalarSeries:
-    """Exact truncation of outer(inner(y)); inner must have no constant term."""
-    if outer.n != inner.n:
-        raise SeriesError("composition dimension mismatch")
-    if any(c != 0 for c in inner.constant_part()):
-        raise SeriesError("inner map has a constant term")
-    if trunc is None:
-        trunc = min(outer.trunc, inner.trunc)
-    cache = _PowerCache(inner, trunc)
-    out = ScalarSeries.zero(outer.n, trunc)
-    const = outer.constant_term()
-    if const != 0:
-        out = out + ScalarSeries.const(outer.n, trunc, const)
-    # inner is constant-free, so a degree-d outer term only feeds degrees >= d
-    for m, c in outer.terms():
+def graded(s: ScalarSeries, trunc: int) -> list[dict]:
+    """The homogeneous parts of s through degree trunc: out[d] holds the
+    degree-d terms."""
+    out: list[dict] = [{} for _ in range(trunc + 1)]
+    for m, c in s.coeffs.items():
         d = sum(m)
-        if d == 0:
-            continue
-        if d > trunc:
-            break
-        out = out + cache.monomial(m).scale(c)
+        if d <= trunc:
+            out[d][m] = c
     return out
 
 
-def compose(
-    outer: VectorSeries, inner: VectorSeries, trunc: int | None = None
-) -> VectorSeries:
+def _nonzero(acc: dict) -> dict:
+    return {m: c for m, c in acc.items() if c != 0}
+
+
+def _axpy(acc: dict, c: Scalar, part: dict) -> None:
+    """acc += c * part, zeros left in place."""
+    unit = c == 1
+    for m, v in part.items():
+        x = v if unit else c * v
+        y = acc.get(m)
+        acc[m] = x if y is None else y + x
+
+
+def _mul_into(acc: dict, a: dict, b: dict) -> None:
+    """acc += a * b, zeros left in place."""
+    for mb, cb in b.items():
+        _axpy(acc, cb, {tuple(map(add, ma, mb)): ca for ma, ca in a.items()})
+
+
+class Powers:
+    """Homogeneous parts of the powers P^m of an inner map P, computed online.
+
+    P = (P_1, ..., P_n) has no constant term and may be known only through
+    some degree: ``parts[i][d]`` is the degree-d part of P_i, and `extend`
+    appends the next degree.  With m = m' + e_i (i the last index with
+    m_i > 0), [P^m]_s = sum_k [P^m']_k [P_i]_(s-k) over |m'| <= k < s, so for
+    |m| >= 2 the degree-s part needs P only through degree s - 1.  Each part
+    is computed once and cached; parts below degree |m| are empty.
+    """
+
+    __slots__ = ("parts", "cache")
+
+    def __init__(self, parts: list[list[dict]]):
+        n = len(parts)
+        self.parts = parts
+        self.cache = {tuple(int(k == i) for k in range(n)): parts[i] for i in range(n)}
+
+    @classmethod
+    def of(cls, inner: VectorSeries, trunc: int) -> "Powers":
+        """The powers of a fully known inner map, through degree trunc."""
+        if any(c != 0 for c in inner.constant_part()):
+            raise SeriesError("inner map has a constant term")
+        return cls([graded(c.truncate(trunc), trunc) for c in inner.components])
+
+    def extend(self, new: Sequence[dict]) -> None:
+        """Append the next homogeneous part of every component of P."""
+        for col, part in zip(self.parts, new):
+            col.append(part)
+
+    def part(self, m: Exponent, s: int) -> dict:
+        """[P^m]_s for |m| >= 1."""
+        col = self.cache.setdefault(m, [{}] * sum(m))
+        if len(col) > s:
+            return col[s]
+        i = max(k for k, e in enumerate(m) if e)
+        prev = m[:i] + (m[i] - 1,) + m[i + 1 :]
+        low = sum(prev)
+        if low == 0:
+            raise SeriesError(f"inner map not known through degree {s}")
+        while len(col) <= s:
+            acc: dict = {}
+            for k in range(low, len(col)):
+                _mul_into(acc, self.part(prev, k), self.parts[i][len(col) - k])
+            col.append(_nonzero(acc))
+        return col[s]
+
+
+def _compose_part(outer: Sequence[Sequence[dict]], powers: Powers, s: int) -> list[dict]:
+    out = []
+    for comp in outer:
+        acc: dict = {}
+        for d in range(1, min(s + 1, len(comp))):
+            for m, c in comp[d].items():
+                _axpy(acc, c, powers.part(m, s))
+        out.append(_nonzero(acc))
+    return out
+
+
+# public, unlike _compose_part, so that per-function tracers attribute the
+# normalizer's per-degree work to this module; compose and invert keep theirs
+def compose_part(outer: Sequence[Sequence[dict]], powers: Powers, s: int) -> list[dict]:
+    """The degree-s part of each outer component composed with the inner map
+    of `powers`; outer[j][d] is the degree-d part of component j.  Constant
+    terms of the outer series are ignored, and the inner map must be known
+    through degree s wherever the outer series has linear terms, through
+    degree s - 1 otherwise."""
+    return _compose_part(outer, powers, s)
+
+
+def derivative_part(phi: Sequence[Sequence[dict]], g: Sequence[Sequence[dict]], s: int) -> list[dict]:
+    """The degree-s part of Dphi(y) g(y), both maps given by their
+    homogeneous parts (phi[j][d], g[i][d]); phi and g without linear terms
+    need only their parts below degree s."""
+    out = []
+    for comp in phi:
+        acc: dict = {}
+        for k in range(1, min(s + 1, len(comp))):
+            for m, c in comp[k].items():
+                for i, e in enumerate(m):
+                    if e and s - k + 1 < len(g[i]):
+                        _mul_into(acc, {m[:i] + (e - 1,) + m[i + 1 :]: c * e}, g[i][s - k + 1])
+        out.append(_nonzero(acc))
+    return out
+
+
+def _compose(outers: Sequence[ScalarSeries], inner: VectorSeries, trunc: int) -> list[ScalarSeries]:
+    """outer o inner for each outer series, through one shared power cache."""
+    n = inner.n
+    if any(o.n != n for o in outers):
+        raise SeriesError("composition dimension mismatch")
+    powers = Powers.of(inner, trunc)
+    parts = [graded(o, trunc) for o in outers]
+    coeffs = [dict(p[0]) for p in parts]
+    for s in range(1, trunc + 1):
+        for acc, part in zip(coeffs, _compose_part(parts, powers, s)):
+            acc.update(part)
+    return [ScalarSeries._make(n, trunc, c) for c in coeffs]
+
+
+def compose_scalar(outer: ScalarSeries, inner: VectorSeries, trunc: int | None = None) -> ScalarSeries:
+    """Exact truncation of outer(inner(y)); inner must have no constant term."""
+    if trunc is None:
+        trunc = min(outer.trunc, inner.trunc)
+    return _compose([outer], inner, trunc)[0]
+
+
+def compose(outer: VectorSeries, inner: VectorSeries, trunc: int | None = None) -> VectorSeries:
     """Componentwise exact truncated composition outer o inner."""
     if trunc is None:
         trunc = min(outer.trunc, inner.trunc)
-    if outer.n != inner.n:
-        raise SeriesError("composition dimension mismatch")
-    if any(c != 0 for c in inner.constant_part()):
-        raise SeriesError("inner map has a constant term")
-    cache = _PowerCache(inner, trunc)
-    comps = []
-    for comp in outer.components:
-        out = ScalarSeries.zero(outer.n, trunc)
-        const = comp.constant_term()
-        if const != 0:
-            out = out + ScalarSeries.const(outer.n, trunc, const)
-        for m, c in comp.terms():
-            if sum(m) == 0:
-                continue
-            if sum(m) > trunc:
-                break
-            out = out + cache.monomial(m).scale(c)
-        comps.append(out)
-    return VectorSeries(comps)
+    return VectorSeries(_compose(outer.components, inner, trunc))
+
+
+def monomial_powers(inner: VectorSeries, exponents: Sequence[Exponent], trunc: int) -> list[ScalarSeries]:
+    """The truncated powers inner^m, one per exponent, from one power cache."""
+    return _compose([ScalarSeries.monomial(inner.n, trunc, m) for m in exponents], inner, trunc)
 
 
 def invert(phi: VectorSeries, trunc: int | None = None) -> VectorSeries:
-    """Compositional inverse of a tangent-to-identity map, by back-substitution.
+    """Compositional inverse of a tangent-to-identity map, in one online pass.
 
-    phi must be identity + higher-order terms; the result psi satisfies
-    compose(phi, psi) == compose(psi, phi) == identity through the truncation
-    degree exactly.
+    With phi = id + h, the inverse solves psi = id - h o psi.  h starts at
+    degree two, so the degree-s part of h o psi needs psi only below degree
+    s: each degree of psi is settled once, and its powers grow with it.
+    The result satisfies compose(phi, psi) == compose(psi, phi) == identity
+    through the truncation degree exactly.
     """
     if trunc is None:
         trunc = phi.trunc
@@ -519,12 +577,11 @@ def invert(phi: VectorSeries, trunc: int | None = None) -> VectorSeries:
     lin = phi.linear_matrix()
     if any(lin[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)):
         raise SeriesError("linear part is not the identity; factor it out first")
-    nonlinear = (phi.truncate(trunc) - ident).strip_low(2)
-    psi = ident
-    # each pass settles one more degree: after k passes psi is exact through k+1
-    for _ in range(max(trunc - 1, 0)):
-        psi = ident - compose(nonlinear, psi, trunc)
-    return psi
+    h = [graded(c, trunc) for c in phi.truncate(trunc).strip_low(2).components]
+    powers = Powers([graded(c, 1) for c in ident.components])
+    for s in range(2, trunc + 1):
+        powers.extend([{m: -c for m, c in p.items()} for p in _compose_part(h, powers, s)])
+    return VectorSeries._from_parts(powers.parts, trunc)
 
 
 # -- matrices of series ------------------------------------------------------
@@ -543,15 +600,15 @@ def mat_vec(
     M: Sequence[Sequence[ScalarSeries]], X: VectorSeries, trunc: int | None = None
 ) -> VectorSeries:
     if trunc is None:
-        trunc = min(min(e.trunc for e in row) for row in M)
-        trunc = min(trunc, X.trunc)
-    comps = []
-    for row in M:
-        acc = ScalarSeries.zero(X.n, trunc)
-        for entry, x in zip(row, X.components):
-            acc = acc + entry.mul(x, trunc)
-        comps.append(acc)
-    return VectorSeries(comps)
+        trunc = min(min(min(e.trunc for e in row) for row in M), X.trunc)
+    return VectorSeries([_dot(row, X.components, X.n, trunc) for row in M])
+
+
+def _dot(xs: Sequence[ScalarSeries], ys: Sequence[ScalarSeries], n: int, trunc: int) -> ScalarSeries:
+    acc = ScalarSeries.zero(n, trunc)
+    for x, y in zip(xs, ys):
+        acc = acc + x.mul(y, trunc)
+    return acc
 
 
 def det_series(M: Sequence[Sequence[ScalarSeries]], trunc: int | None = None) -> ScalarSeries:
@@ -642,7 +699,4 @@ def scalar_inner(a: VectorSeries, b: VectorSeries, trunc: int | None = None) -> 
         raise SeriesError("inner product dimension mismatch")
     if trunc is None:
         trunc = min(a.trunc, b.trunc)
-    acc = ScalarSeries.zero(a.n, trunc)
-    for x, y in zip(a.components, b.components):
-        acc = acc + x.mul(y, trunc)
-    return acc
+    return _dot(a.components, b.components, a.n, trunc)

@@ -175,3 +175,100 @@ def dense_kernel(rows, ncols):
             v[pc] = -reduced[r][fc]
         basis.append(v)
     return basis
+
+
+# -- composition and normalization oracles ------------------------------------------
+#
+# The per-degree algorithms the online engine replaced, kept as independent
+# oracles: truncated powers of each inner component multiplied out per
+# monomial, inversion by one full composition per degree, and a normalizer
+# that rebuilds every composition from scratch at each degree.
+
+
+class OraclePowerCache:
+    """Lazy cache of truncated powers of each component of an inner map."""
+
+    def __init__(self, inner, trunc):
+        self.trunc = trunc
+        self.pows = [[ScalarSeries.one(inner.n, trunc), comp.truncate(trunc)] for comp in inner.components]
+
+    def get(self, i, k):
+        col = self.pows[i]
+        while len(col) <= k:
+            col.append(col[-1].mul(col[1], self.trunc))
+        return col[k]
+
+    def monomial(self, m):
+        result = None
+        for i, e in enumerate(m):
+            if e:
+                p = self.get(i, e)
+                result = p if result is None else result.mul(p, self.trunc)
+        return result
+
+
+def oracle_compose_scalar(outer, inner, trunc=None):
+    if trunc is None:
+        trunc = min(outer.trunc, inner.trunc)
+    assert all(c == 0 for c in inner.constant_part())
+    cache = OraclePowerCache(inner, trunc)
+    out = ScalarSeries.const(outer.n, trunc, outer.constant_term())
+    for m, c in outer.terms():
+        if 0 < sum(m) <= trunc:
+            out = out + cache.monomial(m).scale(c)
+    return out
+
+
+def oracle_compose(outer, inner, trunc=None):
+    if trunc is None:
+        trunc = min(outer.trunc, inner.trunc)
+    return VectorSeries([oracle_compose_scalar(c, inner, trunc) for c in outer.components])
+
+
+def oracle_invert(phi, trunc=None):
+    """Inverse of a tangent-to-identity map: after k passes of
+    psi = id - h o psi the result is exact through degree k + 1."""
+    if trunc is None:
+        trunc = phi.trunc
+    ident = VectorSeries.identity(phi.n, trunc)
+    h = (phi.truncate(trunc) - ident).strip_low(2)
+    psi = ident
+    for _ in range(max(trunc - 1, 0)):
+        psi = ident - oracle_compose(h, psi, trunc)
+    return psi
+
+
+def _oracle_split(spec, rhs_s, phi_terms, g_terms):
+    from dulac.resonance import homological_divisor
+    from dulac.scalars import sc_div
+
+    for j, comp in enumerate(rhs_s.components):
+        for m, c in comp.terms():
+            if transformation_resonant(spec, m, j):
+                g_terms.append((j, m, c))
+            else:
+                phi_terms.append((j, m, sc_div(c, homological_divisor(spec, m, j))))
+
+
+def oracle_normalize(system, N):
+    """(phi, g) of the distinguished normalization, every degree's right-hand
+    side rebuilt by full compositions: f o (id + phi) + phi o B - phi o (B + g)
+    for maps, f o (id + phi) - Dphi . g for fields."""
+    from dulac.series import jacobian, mat_vec
+
+    is_map = isinstance(system, MapSystem)
+    spec = system.mu if is_map else system.lam
+    n = system.n
+    phi_terms, g_terms = [], []
+    for s in range(2, N + 1):
+        ident = VectorSeries.identity(n, s)
+        phi_v = VectorSeries.from_terms(n, s, [t for t in phi_terms if sum(t[1]) <= s])
+        g_v = VectorSeries.from_terms(n, s, [t for t in g_terms if sum(t[1]) <= s])
+        rhs = oracle_compose(system.nonlinear.truncate(s), ident + phi_v, s)
+        if is_map:
+            lin = VectorSeries.diagonal_linear(spec.values, s)
+            rhs = rhs + oracle_compose(phi_v, lin, s) - oracle_compose(phi_v, lin + g_v, s)
+        else:
+            rhs = rhs - mat_vec(jacobian(phi_v), g_v, s)
+        _oracle_split(spec, rhs.homogeneous_part(s), phi_terms, g_terms)
+    return VectorSeries.from_terms(n, N, phi_terms), VectorSeries.from_terms(n, N, g_terms)

@@ -1,9 +1,10 @@
 import json
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from dulac.cli import main, parse_system
+from dulac.cli import MAX_LATTICE_EXPONENTS, main, parse_system
 from dulac.errors import SystemFileError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -169,6 +170,75 @@ class TestExitCodes:
         doc["system"]["eigen"]["form"] = "unknown"
         bad = write(tmp_path, "bad.json", doc)
         assert run(["verify", "--input", bad]) == 2
+
+
+def over_limit_degree(n):
+    """The smallest D whose lattice scan C(D+n, n) exceeds the CLI's limit."""
+    D = 2
+    while comb(D + n, n) <= MAX_LATTICE_EXPONENTS:
+        D += 1
+    return D
+
+
+def assert_cost_refused(code, capsys, what, D, n):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and what in err and "Traceback" not in err
+    assert str(comb(D + n, n)) in err and str(MAX_LATTICE_EXPONENTS) in err
+
+
+class TestCostGuard:
+    def test_limit_is_above_fixtures_and_tests(self):
+        assert comb(20 + 3, 3) < MAX_LATTICE_EXPONENTS  # largest benchmark entry
+        for path in FIXTURES.glob("*.json"):
+            doc = load(path)
+            assert comb(doc["degree_D"] + doc["n"], doc["n"]) < MAX_LATTICE_EXPONENTS
+
+    @pytest.mark.parametrize("fixture,n", [("ex2_3d.json", 3), ("halfdouble.json", 2)])
+    def test_degree_flag_over_limit_is_2(self, fixture, n, capsys):
+        D = over_limit_degree(n)
+        code = run(["resonance", "--input", FIXTURES / fixture, "--degree", D])
+        assert_cost_refused(code, capsys, "--degree", D, n)
+
+    def test_degree_200_refused_at_once(self, capsys):
+        code = run(["resonance", "--input", FIXTURES / "ex2_3d.json", "--degree", 200])
+        assert_cost_refused(code, capsys, "--degree", 200, 3)
+
+    def test_system_degree_at_limit_parses(self, tmp_path):
+        D = over_limit_degree(2) - 1
+        path = write(tmp_path, "sys.json", dict(HALF_DOUBLE_DOC, degree_D=D))
+        assert parse_system(path).lattice_bound == D
+        path = write(tmp_path, "sys.json", dict(HALF_DOUBLE_DOC, degree_D=D + 1))
+        with pytest.raises(SystemFileError, match="over the limit"):
+            parse_system(path)
+
+    def test_system_degree_over_limit_is_2(self, tmp_path, capsys):
+        D = over_limit_degree(2)
+        path = write(tmp_path, "sys.json", dict(HALF_DOUBLE_DOC, degree_D=D))
+        code = run(["classify", "--input", path, "--degree", 8])
+        assert_cost_refused(code, capsys, "degree_D", D, 2)
+
+    @pytest.mark.parametrize(
+        "sub,fixture,edit,what",
+        [
+            ("resonance", "halfdouble.json",
+             lambda d, D: d["lattice"].update(bound=D), "lattice.bound"),
+            ("classify", "ex2_2d.json",
+             lambda d, D: d["classification"]["certified_at"].update(degree_D=D),
+             "certified_at.degree_D"),
+            ("classify", "ex2_2d.json",
+             lambda d, D: d["system"].update(degree_D=D), "degree_D"),
+        ],
+    )
+    def test_verify_degree_over_limit_is_2(self, tmp_path, capsys, sub, fixture, edit, what):
+        rep = tmp_path / "rep.json"
+        assert run([sub, "--input", FIXTURES / fixture, "--output", rep]) == 0
+        doc = load(rep)
+        D = over_limit_degree(2)
+        edit(doc, D)
+        bad = write(tmp_path, "bad.json", doc)
+        capsys.readouterr()
+        assert_cost_refused(run(["verify", "--input", bad]), capsys, what, D, 2)
 
 
 class TestSubcommands:
