@@ -10,12 +10,19 @@ Eigenvalue tuples come in three exact forms:
   with rational exponents and phases over a formal real base ``beta > 1``
   that is never evaluated; all resonance queries reduce to exact rational
   arithmetic on the exponents and phases.
+
+The degree-D scans (`enumerate_lattice`, `verify_bound`) read every exponent's
+value from one graded table, `exponent_values`, in which each entry is a
+single product or sum from the entry one degree below; the per-monomial
+queries (`lattice_resonant`, `transformation_resonant`, `homological_divisor`)
+compute their value from scratch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from typing import Optional, Sequence, Union
 
@@ -221,21 +228,67 @@ def iter_exponents(n: int, low: int, high: int):
         yield from _compositions(s, n)
 
 
+def exponent_values(spec: EigenSpec, high: int) -> dict:
+    """The value of every exponent with |m| <= high, keyed in graded-lex
+    (`iter_exponents`) order: mu^m for mult-rational, <m, lambda> for
+    additive, and the pair (a.m, b.m mod 1) for mult-base.
+
+    With m = m' + e_i (i the last index with m_i > 0), each value is one
+    product or sum from the value of m', as in `series.Powers`.
+    """
+    n = spec.n
+    if spec.kind == "mult-base":
+        a, b = spec.exponents, spec.phases
+        table: dict = {(0,) * n: (Fraction(0), Fraction(0))}
+
+        def step(v, i):
+            return v[0] + a[i], (v[1] + b[i]) % 1
+
+    elif spec.kind == "mult-rational":
+        vals = spec.values
+        table = {(0,) * n: Fraction(1)}
+
+        def step(v, i):
+            return v * vals[i]
+
+    else:
+        vals = spec.values
+        table = {(0,) * n: Fraction(0)}
+
+        def step(v, i):
+            return v + vals[i]
+
+    for m in iter_exponents(n, 1, high):
+        i = n - 1
+        while not m[i]:
+            i -= 1
+        table[m] = step(table[m[:i] + (m[i] - 1,) + m[i + 1 :]], i)
+    return table
+
+
+def _nonlinear_values(spec: EigenSpec, high: int):
+    """(m, value) for 2 <= |m| <= high in graded-lex order, from one table."""
+    return islice(exponent_values(spec, high).items(), 1 + spec.n, None)
+
+
 def enumerate_lattice(spec: EigenSpec, bound: int) -> LatticeBasis:
     """All resonant exponents with 2 <= |m| <= bound, their rank, and generators.
 
-    Rank can only be under-reported when the bound is too small; the bound is
-    recorded so every downstream claim is certified "at degree D".
+    Resonance is read off the `exponent_values` table (mu^m = 1, <m, lambda>
+    = 0, or a.m = 0 with b.m = 0 mod 1) in graded-lex order.  Rank can only
+    be under-reported when the bound is too small; the bound is recorded so
+    every downstream claim is certified "at degree D".
     """
     if bound < 2:
         raise ValueError("enumeration bound must be >= 2")
     kind = "field" if spec.kind == "additive" else "map"
+    resonant = {"mult-rational": 1, "additive": 0, "mult-base": (0, 0)}[spec.kind]
     found: list[Exponent] = []
     full = Echelon()
     candidates: list[Exponent] = []
     seen: set[Exponent] = set()
-    for m in iter_exponents(spec.n, 2, bound):
-        if not lattice_resonant(spec, m):
+    for m, value in _nonlinear_values(spec, bound):
+        if value != resonant:
             continue
         found.append(m)
         full.add(dict(enumerate(m)))
@@ -726,19 +779,24 @@ def verify_bound(spec: EigenSpec, bound: SmallDivisorBound, D: int) -> BoundVeri
     """Check every nonzero divisor with 2 <= |m| <= D against the bound.
 
     With exactly representable eigenvalues the minimum gap is found by
-    exhaustive squared-modulus comparison.  For a formal base the proof's
-    case analysis is replayed on the exponent/phase certificate instead;
-    nothing is ever evaluated numerically.
+    exhaustive squared-modulus comparison of the divisors value(m) - mu_j
+    resp. value(m) - lambda_j, read off the `exponent_values` table in
+    graded-lex order; the first pair reaching the minimum is the witness.
+    For a formal base the proof's case analysis is replayed on the
+    exponent/phase certificate instead, on the table of (a.m, b.m mod 1),
+    stopping at the first failing pair; nothing is ever evaluated
+    numerically.
     """
     if spec.kind == "mult-base" or isinstance(bound.value, SymbolicBound):
         return _verify_certificate(spec, bound, D)
     n = spec.n
+    eig = spec.values
     min_sq: Optional[Fraction] = None
     witness = None
     checked = 0
-    for m in iter_exponents(n, 2, D):
+    for m, value in _nonlinear_values(spec, D):
         for j in range(n):
-            div = homological_divisor(spec, m, j)
+            div = value - eig[j]
             if div == 0:
                 continue
             checked += 1
@@ -771,9 +829,8 @@ def _verify_certificate(
     has_phase_term = cert["sigma2"] is not None
     n = spec.n
     checked = 0
-    for m in iter_exponents(n, 2, D):
-        ma = sum(x * e for x, e in zip(a, m))
-        mb = sum(x * e for x, e in zip(b, m)) % 1
+    base = EigenSpec.multiplicative_base(a, b)
+    for m, (ma, mb) in _nonlinear_values(base, D):
         for j in range(n):
             da = ma - a[j]
             db = (mb - b[j]) % 1

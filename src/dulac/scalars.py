@@ -19,8 +19,10 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re, im):
-        re = Fraction(re)
-        im = Fraction(im)
+        if type(re) is not Fraction:
+            re = Fraction(re)
+        if type(im) is not Fraction:
+            im = Fraction(im)
         if im == 0:
             raise ValueError("zero imaginary part; use gaussian() to build scalars")
         self.re = re
@@ -123,8 +125,10 @@ Scalar = Union[Fraction, GaussianRational]
 
 def gaussian(re, im=0) -> Scalar:
     """Canonical scalar constructor: returns Fraction when im == 0."""
-    re = Fraction(re)
-    im = Fraction(im)
+    if type(re) is not Fraction:
+        re = Fraction(re)
+    if type(im) is not Fraction:
+        im = Fraction(im)
     if im == 0:
         return re
     return GaussianRational(re, im)
@@ -146,7 +150,8 @@ def sc_abs2(z: Scalar) -> Fraction:
     """Squared modulus, always an exact rational."""
     if isinstance(z, GaussianRational):
         return z.abs2()
-    z = Fraction(z)
+    if type(z) is not Fraction:
+        z = Fraction(z)
     return z * z
 
 

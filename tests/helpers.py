@@ -272,3 +272,99 @@ def oracle_normalize(system, N):
             rhs = rhs - mat_vec(jacobian(phi_v), g_v, s)
         _oracle_split(spec, rhs.homogeneous_part(s), phi_terms, g_terms)
     return VectorSeries.from_terms(n, N, phi_terms), VectorSeries.from_terms(n, N, g_terms)
+
+
+# -- resonance scan oracles ----------------------------------------------------------
+#
+# The degree-D scans as they were before the graded table of exponent values:
+# every exponent's value is rebuilt from scratch through the per-monomial API
+# (EigenSpec.power / inner, homological_divisor, sums over the exponent).
+
+
+def oracle_enumerate_lattice(spec, bound):
+    from dulac.linalg import Echelon
+    from dulac.resonance import LatticeBasis, _generator_candidate, _is_simple, lattice_resonant
+
+    found, candidates, seen = [], [], set()
+    full = Echelon()
+    for m in iter_exponents(spec.n, 2, bound):
+        if not lattice_resonant(spec, m):
+            continue
+        found.append(m)
+        full.add(dict(enumerate(m)))
+        cand = _generator_candidate(spec, m)
+        if cand not in seen:
+            seen.add(cand)
+            candidates.append(cand)
+    gens = []
+    gen_rank = Echelon()
+    for simple_pass in (True, False):
+        for cand in candidates:
+            if _is_simple(cand) != simple_pass:
+                continue
+            if gen_rank.rank == full.rank:
+                break
+            if gen_rank.add(dict(enumerate(cand))) is None:
+                gens.append(cand)
+    return LatticeBasis(
+        kind="field" if spec.kind == "additive" else "map",
+        n=spec.n,
+        bound=bound,
+        exponents=tuple(found),
+        rank=full.rank,
+        generators=tuple(gens),
+        span_deficit=full.rank - gen_rank.rank,
+        non_simple=tuple(g for g in gens if not _is_simple(g)),
+    )
+
+
+def oracle_verify_bound(spec, bound, D):
+    """Exhaustive mode: one homological_divisor call per pair (m, j)."""
+    from dulac.resonance import BoundVerification, _square_of, homological_divisor, sqrt_value
+    from dulac.scalars import sc_abs2
+
+    min_sq, witness, checked = None, None, 0
+    for m in iter_exponents(spec.n, 2, D):
+        for j in range(spec.n):
+            div = homological_divisor(spec, m, j)
+            if div == 0:
+                continue
+            checked += 1
+            g2 = sc_abs2(div)
+            if min_sq is None or g2 < min_sq:
+                min_sq, witness = g2, (m, j)
+    if min_sq is None:
+        return BoundVerification(passed=True, checked=0, mode="exhaustive")
+    passed = min_sq >= _square_of(bound.value)
+    return BoundVerification(
+        passed=passed, checked=checked, mode="exhaustive", min_gap=sqrt_value(min_sq),
+        witness=witness, failure=None if passed else witness,
+    )
+
+
+def oracle_verify_certificate(spec, bound, D):
+    """Certificate mode: a.m and b.m summed afresh for every exponent."""
+    from dulac.resonance import BoundVerification
+
+    cert = bound.certificate
+    a, b = cert["base_exponents"], cert["phases"]
+    e_alpha, L = cert["alpha_exp"], cert["phase_group_order"]
+    checked = 0
+    for m in iter_exponents(spec.n, 2, D):
+        ma = sum(x * e for x, e in zip(a, m))
+        mb = sum(x * e for x, e in zip(b, m)) % 1
+        for j in range(spec.n):
+            da, db = ma - a[j], (mb - b[j]) % 1
+            if da == 0 and db == 0:
+                continue
+            checked += 1
+            if da != 0:
+                s = da / e_alpha
+                ok = s.denominator == 1 and s != 0
+            else:
+                ok = cert["sigma2"] is not None and min(db, 1 - db) >= F(1, L)
+            if not ok:
+                return BoundVerification(
+                    passed=False, checked=checked, mode="certificate", failure=(m, j)
+                )
+    return BoundVerification(passed=True, checked=checked, mode="certificate")

@@ -388,3 +388,65 @@ class TestDeterminismAndVerify:
                     "--format", "text"]) == 0
         captured = capsys.readouterr().out
         assert "lattice" in captured and "rank" in captured
+
+
+def _empty_lattice(lattice):
+    lattice.update(rank=0, generators=[], non_simple_generators=[], span_deficit=0,
+                   resonant_exponents=[])
+
+
+class TestVerifyRederivesLatticeAndBound:
+    """verify recomputes the lattice and the bound verification from the
+    eigenvalues and compares whole sections, so each edit below exits 4."""
+
+    @pytest.mark.parametrize(
+        "sub,fixture,edit,field",
+        [
+            ("classify", "ex2_2d.json",
+             lambda d: _empty_lattice(d["classification"]["lattice"]), "classification.lattice"),
+            ("classify", "ex2_2d.json",
+             lambda d: d["classification"].update(rank_ok=False), "classification.rank_ok"),
+            ("resonance", "halfdouble.json",
+             lambda d: d["lattice"]["resonant_exponents"].pop(), "lattice.resonant_exponents"),
+            ("resonance", "halfdouble.json",
+             lambda d: d["lattice"].update(span_deficit=1), "lattice.span_deficit"),
+            ("resonance", "halfdouble.json",
+             lambda d: d["lattice"].update(non_simple_generators=[[2, 2]]),
+             "lattice.non_simple_generators"),
+            ("resonance", "halfdouble.json",
+             lambda d: d["bound"]["verification"].update(pairs_checked=1), "bound.verification"),
+            ("resonance", "halfdouble.json",
+             lambda d: d["bound"]["verification"]["witness"].update(component=2),
+             "bound.verification"),
+            ("resonance", "halfdouble.json",
+             lambda d: d["bound"]["verification"].update(
+                 min_gap={"type": "rational", "value": [1, 1]}), "bound.verification"),
+        ],
+    )
+    def test_edit_is_4(self, tmp_path, capsys, sub, fixture, edit, field):
+        rep = tmp_path / "rep.json"
+        assert run([sub, "--input", FIXTURES / fixture, "--output", rep]) == 0
+        doc = load(rep)
+        before = json.dumps(doc, sort_keys=True)
+        edit(doc)
+        assert json.dumps(doc, sort_keys=True) != before
+        bad = write(tmp_path, "bad.json", doc)
+        capsys.readouterr()
+        assert run(["verify", "--input", bad]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err and "Traceback" not in err
+
+    def test_untouched_reports_still_verify(self, tmp_path):
+        for sub, fixture in (("classify", "ex2_3d.json"), ("resonance", "ex2_3d_base.json"),
+                             ("resonance", "center.json"), ("classify", "center.json")):
+            rep = tmp_path / f"{sub}-{fixture}"
+            assert run([sub, "--input", FIXTURES / fixture, "--output", rep]) == 0
+            assert run(["verify", "--input", rep]) == 0, (sub, fixture)
+
+    def test_true_edited_to_one_is_4(self, tmp_path):
+        rep = tmp_path / "rep.json"
+        assert run(["resonance", "--input", FIXTURES / "halfdouble.json", "--output", rep]) == 0
+        doc = load(rep)
+        assert doc["bound"]["verification"]["passed"] is True
+        doc["bound"]["verification"]["passed"] = 1
+        assert run(["verify", "--input", write(tmp_path, "bad.json", doc)]) == 4

@@ -1,0 +1,201 @@
+"""The graded table of exponent values against the per-exponent scans it
+replaced: equal lattices and equal bound verifications (pair counts, minimum
+gaps, witnesses and first failures) on seeded random spectra in all three
+eigenvalue forms."""
+
+import random
+from dataclasses import replace
+from fractions import Fraction as F
+
+import pytest
+
+from dulac.errors import HypothesisError
+from dulac.resonance import (
+    EigenSpec,
+    RootValue,
+    SmallDivisorBound,
+    SymbolicBound,
+    enumerate_lattice,
+    exponent_values,
+    iter_exponents,
+    small_divisor_bound_field,
+    small_divisor_bound_map,
+    verify_bound,
+)
+from dulac.scalars import gaussian, sc_pow
+
+from helpers import oracle_enumerate_lattice, oracle_verify_bound, oracle_verify_certificate
+
+FORMS = ("rational", "gaussian", "additive", "mult-base")
+DEGREES = {1: 20, 2: 20, 3: 12, 4: 7}
+SEEDS = range(3)
+
+
+def _mixed_ints(rng, n):
+    """Integers in [-3, 3], of both signs when n > 1 and the draw allows."""
+    return [rng.choice([-3, -2, -1, 1, 2, 3]) if rng.random() < 0.85 else 0 for _ in range(n)]
+
+
+def random_spec(form, n, seed):
+    """A seeded spectrum: usually a planted rank n-1 relation, sometimes a
+    generic one with few or no resonances."""
+    rng = random.Random(f"table/{form}/{n}/{seed}")
+    planted = seed != 2
+    if form == "rational":
+        if not planted:
+            return EigenSpec.multiplicative([F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)])
+        rho = F(rng.choice([2, 3, 5]))
+        return EigenSpec.multiplicative(
+            [rng.choice([1, -1]) * rho ** k for k in _mixed_ints(rng, n)]
+        )
+    if form == "gaussian":
+        if not planted:
+            return EigenSpec.multiplicative(
+                [gaussian(F(rng.randint(-2, 2), 2), F(rng.randint(1, 2), 3)) for _ in range(n)]
+            )
+        # moduli powers of sqrt 2, phases on the 1/8 grid
+        return EigenSpec.multiplicative(
+            [sc_pow(gaussian(1, 1), k) * sc_pow(gaussian(0, 1), rng.randint(0, 3))
+             for k in _mixed_ints(rng, n)]
+        )
+    if form == "additive":
+        if not planted:
+            return EigenSpec.additive(
+                [gaussian(F(rng.randint(-5, 5), 2), rng.randint(-2, 2)) for _ in range(n)]
+            )
+        t = rng.choice([F(1), F(1, 3), gaussian(1, 1), gaussian(2, F(-1, 2))])
+        return EigenSpec.additive([t * v for v in _mixed_ints(rng, n)])
+    grid = rng.choice([2, 4, 8])
+    t = F(rng.randint(1, 3), rng.randint(1, 3)) if planted else None
+    exps = [t * v if planted else F(rng.randint(-6, 6), rng.randint(1, 4)) for v in _mixed_ints(rng, n)]
+    return EigenSpec.multiplicative_base(exps, [F(rng.randint(0, grid - 1), grid) for _ in range(n)])
+
+
+CASES = [(form, n, seed) for form in FORMS for n in DEGREES for seed in SEEDS]
+
+
+def _bound_for(spec, basis):
+    """The constructed bound, or None when the hypotheses fail."""
+    if basis.rank != spec.n - 1 or len(basis.generators) != spec.n - 1:
+        return None
+    try:
+        if spec.kind == "additive":
+            return small_divisor_bound_field(spec, basis)
+        return small_divisor_bound_map(spec, basis)
+    except HypothesisError:
+        return None
+
+
+class TestExponentValues:
+    @pytest.mark.parametrize("form,n,seed", CASES)
+    def test_each_value_matches_the_per_monomial_api(self, form, n, seed):
+        spec = random_spec(form, n, seed)
+        high = min(DEGREES[n], 8)
+        table = exponent_values(spec, high)
+        assert list(table) == list(iter_exponents(n, 0, high))
+        for m, value in table.items():
+            if spec.kind == "mult-rational":
+                assert value == spec.power(m)
+            elif spec.kind == "additive":
+                assert value == spec.inner(m)
+            else:
+                a, b = spec.exponents, spec.phases
+                ma = sum((x * e for x, e in zip(a, m)), F(0))
+                mb = sum((x * e for x, e in zip(b, m)), F(0)) % 1
+                assert value == (ma, mb)
+                assert 0 <= value[1] < 1
+
+    def test_degree_zero_and_one(self):
+        spec = EigenSpec.multiplicative([F(1, 2), 2])
+        assert exponent_values(spec, 1) == {(0, 0): 1, (1, 0): F(1, 2), (0, 1): 2}
+        spec = EigenSpec.multiplicative_base([1, -2], [F(3, 4), F(1, 2)])
+        table = exponent_values(spec, 2)
+        assert table[(0, 0)] == (0, 0) and table[(2, 0)] == (2, F(1, 2))
+        assert table[(1, 1)] == (-1, F(1, 4))
+
+
+class TestScansAgainstOracle:
+    @pytest.mark.parametrize("form,n,seed", CASES)
+    def test_lattice(self, form, n, seed):
+        spec = random_spec(form, n, seed)
+        for D in (2, 3, DEGREES[n]):
+            assert enumerate_lattice(spec, D) == oracle_enumerate_lattice(spec, D)
+
+    @pytest.mark.parametrize("form,n,seed", [c for c in CASES if c[0] != "mult-base"])
+    def test_exhaustive_bound(self, form, n, seed):
+        spec = random_spec(form, n, seed)
+        D = DEGREES[n]
+        basis = enumerate_lattice(spec, D)
+        bounds = []
+        built = _bound_for(spec, basis)
+        if built is not None and not isinstance(built.value, SymbolicBound):
+            bounds.append(built.value)
+        gap = verify_bound(spec, SmallDivisorBound("map", F(0)), D).min_gap
+        if gap is not None:
+            bounds += [gap, gap * 2]  # the exact minimum passes, twice it fails
+        else:
+            bounds.append(RootValue(F(2)))
+        outcomes = set()
+        for value in bounds:
+            bound = SmallDivisorBound(kind="map", value=value)
+            got = verify_bound(spec, bound, D)
+            assert got == oracle_verify_bound(spec, bound, D)
+            outcomes.add(got.passed)
+        if gap is not None:
+            assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("form,n,seed", [c for c in CASES if c[0] in ("mult-base", "gaussian")])
+    def test_certificate(self, form, n, seed):
+        spec = random_spec(form, n, seed)
+        D = DEGREES[n]
+        built = _bound_for(spec, enumerate_lattice(spec, D))
+        if built is not None and (spec.kind == "mult-base" or isinstance(built.value, SymbolicBound)):
+            cert = built.certificate
+            assert verify_bound(spec, built, D) == oracle_verify_certificate(spec, built, D)
+        else:
+            rng = random.Random(f"table/cert/{form}/{n}/{seed}")
+            a = spec.exponents or tuple(F(rng.randint(-4, 4), 2) for _ in range(n))
+            b = spec.phases or tuple(F(rng.randint(0, 7), 8) for _ in range(n))
+            cert = {"base_exponents": a, "phases": b, "alpha_exp": F(1, 2),
+                    "phase_group_order": 8, "sigma2": "phase-gap"}
+        # inflated certificates: a coarser unit gap, a coarser phase gap, and
+        # no phase term at all, each compared on its first failing pair
+        variants = [
+            cert,
+            dict(cert, alpha_exp=cert["alpha_exp"] * 2),
+            dict(cert, alpha_exp=cert["alpha_exp"] * 3),
+            dict(cert, phase_group_order=1),
+            dict(cert, phase_group_order=2),
+            dict(cert, sigma2=None),
+        ]
+        symbolic = SymbolicBound(terms=())
+        for variant in variants:
+            bound = SmallDivisorBound(kind="map", value=symbolic, certificate=variant)
+            got = verify_bound(spec, bound, D)
+            assert got == oracle_verify_certificate(spec, bound, D)
+            assert got.mode == "certificate" and got.witness is None
+
+    def test_cases_reach_both_modes_and_resonances(self):
+        """The seeded spectra are not all trivial: some carry real bounds in
+        each mode, and some scans find resonances."""
+        modes, resonant = set(), 0
+        for form, n, seed in CASES:
+            spec = random_spec(form, n, seed)
+            basis = enumerate_lattice(spec, min(DEGREES[n], 8))
+            resonant += bool(basis.exponents)
+            built = _bound_for(spec, basis)
+            if built is not None:
+                modes.add(verify_bound(spec, built, min(DEGREES[n], 8)).mode)
+        assert modes == {"exhaustive", "certificate"}
+        assert resonant > len(CASES) // 2
+
+
+def test_verify_bound_failure_is_first_in_graded_order():
+    """An inflated field bound fails at the graded-lex first pair reaching the
+    minimum gap, as the per-exponent scan reports it."""
+    spec = EigenSpec.additive([1, -1])
+    bound = small_divisor_bound_field(spec, enumerate_lattice(spec, 10))
+    inflated = replace(bound, value=F(2))
+    got = verify_bound(spec, inflated, 12)
+    assert not got.passed and got == oracle_verify_bound(spec, inflated, 12)
+    assert got.failure == got.witness == ((0, 2), 1)  # |-2 - (-1)| = 1
