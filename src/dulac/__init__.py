@@ -60,7 +60,6 @@ from .normalizer import (
 )
 from .integrals import (
     IndependenceCertificate,
-    IntegralSet,
     independence_check,
     monomial_integrals,
     pullback_integrals,

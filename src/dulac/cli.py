@@ -457,8 +457,7 @@ def _run_resonance(sf: SystemFile, D: int) -> dict:
     flags = []
     if basis.non_simple:
         flags.append("some generators are not simple (no simple element on their ray)")
-    n = sf.n
-    if basis.rank == n - 1 and len(basis.generators) == n - 1:
+    if basis.rank_ok:
         try:
             if sf.kind == "map":
                 bound = small_divisor_bound_map(sf.eigen, basis)
@@ -480,7 +479,7 @@ def _run_resonance(sf: SystemFile, D: int) -> dict:
     else:
         section["bound"] = {
             "status": "not-applicable",
-            "reason": f"lattice rank {basis.rank} is not n-1 = {n - 1} at degree {D}",
+            "reason": f"lattice rank {basis.rank} is not n-1 = {sf.n - 1} at degree {D}",
         }
     section["flags"] = flags
     return section
@@ -682,8 +681,7 @@ def _run_verify(report_path: str) -> dict:
             ), sf.n, f"{where}.certified_at.degree_D")
             basis = enumerate_lattice(sf.eigen, D)
             _require_match(cls.get("lattice"), _lattice_json(basis), "classification.lattice")
-            rank_ok = basis.rank == sf.n - 1 and len(basis.generators) == sf.n - 1
-            _require_match(cls.get("rank_ok"), rank_ok, "classification.rank_ok")
+            _require_match(cls.get("rank_ok"), basis.rank_ok, "classification.rank_ok")
         if cls.get("verdict") == "integrable-consistent" and cls.get("p") is not None:
             order = _int_field(
                 _field(cls, "normalization", dict, where), "order", 2, f"{where}.normalization"
@@ -699,16 +697,23 @@ def _run_verify(report_path: str) -> dict:
                 fail("functional-equation residual is nonzero")
             checked.append("functional-equations")
     if isinstance(doc.get("integrals"), dict):
+        # integrals are invariant through the order they were solved at
+        where = f"{report_path}:parameters"
+        order = _int_field(_field(doc, "parameters", dict, report_path), "order_N", 2, where)
+        if order > sf.order:
+            raise SystemFileError(
+                f"{where}: order_N = {order} exceeds the system's order_N = {sf.order}"
+            )
         for name, sec in doc["integrals"].items():
             if not isinstance(sec, dict) or "integrals" not in sec:
                 continue
             where = f"{report_path}:integrals.{name}"
             for i, terms in enumerate(_field(sec, "integrals", list, where)):
-                V = _series_from_json(terms, sf.n, sf.order, f"{where}.integrals[{i}]")
+                V = _series_from_json(terms, sf.n, order, f"{where}.integrals[{i}]")
                 residual = (
-                    verify_integral_map(V, system, sf.order)
+                    verify_integral_map(V, system, order)
                     if sf.kind == "map"
-                    else verify_integral_field(V, system, sf.order)
+                    else verify_integral_field(V, system, order)
                 )
                 claimed = sec.get("residual_zero")
                 if claimed and all(claimed) and not residual.is_zero():

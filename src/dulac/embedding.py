@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import HypothesisError
-from .integrals import IntegralSet
 from .normalizer import MapSystem
 from .scalars import sc_div
 from .series import (
@@ -58,7 +57,7 @@ class EmbeddingField:
 
 
 def cross_field(
-    integrals: IntegralSet | Sequence[ScalarSeries], order: int | None = None
+    integrals: Sequence[ScalarSeries], order: int | None = None
 ) -> VectorSeries:
     """Cross product of the integral gradients; each input is a first
     integral of the output by the repeated-row determinant identity."""
@@ -78,7 +77,7 @@ def cross_field(
 
 def embedding_field(
     F: MapSystem,
-    integrals: IntegralSet | Sequence[ScalarSeries],
+    integrals: Sequence[ScalarSeries],
     order: int | None = None,
 ) -> EmbeddingField:
     """det(DF) o F^(-1) times the cross product of the integral gradients.

@@ -1,5 +1,9 @@
 """First integrals of maps and fields: construction, search, pullback,
-exact verification, and randomized-but-exact independence certificates."""
+exact verification, and randomized-but-exact independence certificates.
+
+A set of integrals is a plain tuple of series, each with zero constant term
+and expected to pass its verify_integral check with an exactly zero
+residual."""
 
 from __future__ import annotations
 
@@ -34,53 +38,35 @@ class IndependenceCertificate:
     trials: int
 
 
-@dataclass(frozen=True)
-class IntegralSet:
-    """First integrals (zero constant term) with an optional independence
-    certificate; every member is expected to pass its verify_integral check
-    with an exactly zero residual."""
-
-    integrals: tuple[ScalarSeries, ...]
-    independence: Optional[IndependenceCertificate] = None
-
-    def __len__(self):
-        return len(self.integrals)
-
-    def __iter__(self):
-        return iter(self.integrals)
-
-    def __getitem__(self, i: int) -> ScalarSeries:
-        return self.integrals[i]
-
-
-def monomial_integrals(basis: LatticeBasis, trunc: int | None = None) -> IntegralSet:
+def monomial_integrals(basis: LatticeBasis, trunc: int | None = None) -> tuple[ScalarSeries, ...]:
     """The monomial first integrals y^m of the linear system, one per
-    lattice generator."""
+    lattice generator, through `trunc` (default: the lattice bound, or the
+    largest generator degree above it)."""
     if not basis.generators:
-        return IntegralSet(integrals=())
+        return ()
     if trunc is None:
         trunc = max(basis.bound, max(sum(g) for g in basis.generators))
-    return IntegralSet(
-        integrals=tuple(
-            ScalarSeries.monomial(basis.n, trunc, g) for g in basis.generators
-        )
-    )
+    for g in basis.generators:
+        if sum(g) > trunc:
+            raise HypothesisError(
+                f"lattice generator {g} has degree {sum(g)}, above the order "
+                f"{trunc}: its monomial integral is not representable"
+            )
+    return tuple(ScalarSeries.monomial(basis.n, trunc, g) for g in basis.generators)
 
 
 def pullback_integrals(
-    integrals: IntegralSet | Sequence[ScalarSeries],
+    integrals: Sequence[ScalarSeries],
     phi: VectorSeries,
     order: int | None = None,
-) -> IntegralSet:
+) -> tuple[ScalarSeries, ...]:
     """Transport integrals of the normal form back to the original system
     through the inverse of x = y + phi(y)."""
     vs = tuple(integrals)
     if order is None:
         order = min([phi.trunc] + [v.trunc for v in vs])
     psi = invert(VectorSeries.identity(phi.n, order) + phi.truncate(order), order)
-    return IntegralSet(
-        integrals=tuple(compose_scalar(v.truncate(order), psi, order) for v in vs)
-    )
+    return tuple(compose_scalar(v.truncate(order), psi, order) for v in vs)
 
 
 def verify_integral_map(V: ScalarSeries, F: MapSystem, order: int | None = None) -> ScalarSeries:
@@ -139,7 +125,7 @@ def _echelon_kernel_series(
     return tuple(series)
 
 
-def search_integrals_map(F: MapSystem, degree: int) -> IntegralSet:
+def search_integrals_map(F: MapSystem, degree: int) -> tuple[ScalarSeries, ...]:
     """Spanning set of polynomial W of degree <= `degree` with W o F = W
     exactly through every degree the system data certifies.
 
@@ -160,23 +146,20 @@ def search_integrals_map(F: MapSystem, degree: int) -> IntegralSet:
     if not F.mu.has_exact_values():
         if not F.nonlinear.is_zero():
             raise HypothesisError("formal-base search supports linear maps only")
-        found = [
+        return tuple(
             ScalarSeries.monomial(n, degree, m)
             for m in iter_exponents(n, 1, degree)
             if lattice_resonant(F.mu, m)
-        ]
-        return IntegralSet(integrals=tuple(found))
+        )
     through = F.order
     monomials = list(iter_exponents(n, 1, degree))
     columns: dict[Exponent, dict[Exponent, Scalar]] = {}
     for m, power in zip(monomials, monomial_powers(F.full_map(through), monomials, through)):
         columns[m] = dict((power - ScalarSeries.monomial(n, through, m)).coeffs)
-    return IntegralSet(
-        integrals=_echelon_kernel_series(columns, monomials, n, degree)
-    )
+    return _echelon_kernel_series(columns, monomials, n, degree)
 
 
-def search_integrals_field(X: FieldSystem, degree: int) -> IntegralSet:
+def search_integrals_field(X: FieldSystem, degree: int) -> tuple[ScalarSeries, ...]:
     """Spanning set of polynomial V of degree <= `degree` whose derivative
     along the field vanishes exactly through every certified degree."""
     if degree > X.order:
@@ -206,16 +189,14 @@ def search_integrals_field(X: FieldSystem, degree: int) -> IntegralSet:
                 else:
                     acc[out] = v
         columns[m] = acc
-    return IntegralSet(
-        integrals=_echelon_kernel_series(columns, monomials, n, degree)
-    )
+    return _echelon_kernel_series(columns, monomials, n, degree)
 
 
 # -- independence ------------------------------------------------------------------
 
 
 def independence_check(
-    integrals: IntegralSet | Sequence[ScalarSeries],
+    integrals: Sequence[ScalarSeries],
     trials: int = 8,
     seed: int = 0,
 ) -> IndependenceCertificate:

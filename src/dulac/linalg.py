@@ -7,8 +7,10 @@ carrying its combination of the earlier columns.  A column that reduces to
 zero closes the kernel vector ``e_c - sum_p a_p e_p`` over the earlier pivot
 columns.  That vector depends on the column order alone, so it is exactly
 the kernel basis read off the reduced row echelon form; the row numbering
-only sets the cost.  `kernel_basis`, `rank` and `primitive_integer_kernel`
-are front ends to `Echelon`; `int_det` is a separate determinant.
+only sets the cost.  The pivots also give determinants: the reduced pivot
+columns are the original ones times a unit triangular matrix, and each
+vanishes above its own row.  `kernel_basis`, `rank` and
+`primitive_integer_kernel` are front ends to `Echelon`.
 """
 
 from __future__ import annotations
@@ -48,6 +50,18 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
+    @property
+    def det(self) -> Scalar:
+        """Determinant of the pivot columns, in insertion order, on the rows
+        that hold a pivot: the product of the pivot entries, times the sign
+        of the permutation taking each pivot column to its row."""
+        rows = list(self.pivots)
+        inversions = sum(a > b for i, a in enumerate(rows) for b in rows[i + 1 :])
+        out: Scalar = Fraction(-1 if inversions % 2 else 1)
+        for row, (v, _) in self.pivots.items():
+            out *= v[row]
+        return out
+
     def add(self, column: Mapping[int, Scalar]) -> Optional[Column]:
         """Insert the next column.  Returns None when it is independent of
         the earlier columns (it becomes a pivot), else the kernel vector it
@@ -80,40 +94,20 @@ def rank(rows: Sequence[Sequence[Scalar]]) -> int:
     return len(rows) - len(kernel_basis(dict(enumerate(row)) for row in rows))
 
 
-def primitive_integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
-    """The one-dimensional kernel of an integer matrix of rank ncols-1,
-    returned as a primitive integer vector with positive first nonzero entry."""
-    basis = kernel_basis(
-        {r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(ncols)
-    )
+def primitive_integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[int], int]:
+    """The one-dimensional kernel of an integer matrix of rank ncols-1, from
+    one elimination: (v, Delta).  v is the primitive integer kernel vector
+    with positive first nonzero entry.  Its last nonzero index c is the one
+    column that depends on the earlier ones, and Delta is the determinant of
+    the other columns on the pivot rows: with ncols-1 rows, the determinant
+    of the matrix without column c."""
+    echelon = Echelon()
+    columns = ({r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(ncols))
+    basis = [k for k in map(echelon.add, columns) if k is not None]
     if len(basis) != 1:
         raise ValueError(f"kernel dimension is {len(basis)}, expected 1")
     v = [Fraction(basis[0].get(c, 0)) for c in range(ncols)]
     den = lcm(*(x.denominator for x in v))
     ints = [int(x * den) for x in v]
     g = gcd(*ints) if next(x for x in ints if x) > 0 else -gcd(*ints)
-    return [x // g for x in ints]
-
-
-def int_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix, exact (fraction-free Gauss via Fractions)."""
-    k = len(matrix)
-    if k == 0:
-        return 1
-    m = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for c in range(k):
-        pr = next((i for i in range(c, k) if m[i][c] != 0), None)
-        if pr is None:
-            return 0
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, k):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    assert det.denominator == 1
-    return int(det)
+    return [x // g for x in ints], int(echelon.det)

@@ -354,11 +354,11 @@ def reduce_to_single_function(
     n = len(p)
     if order is None:
         order = min(q.trunc for q in p)
-    if basis.rank != n - 1 or len(basis.generators) != n - 1:
+    if not basis.rank_ok:
         raise HypothesisError("single-function reduction needs a rank n-1 basis")
     if all(q.is_zero() for q in p):
         return ReduceResult(iota=0, exponents=(Fraction(0),) * n, verified_order=order)
-    v = primitive_integer_kernel(basis.matrix(), n)
+    v, _ = primitive_integer_kernel(basis.matrix(), n)
     candidates = [j for j in range(n) if v[j] != 0 and not p[j].is_zero()]
     if not candidates:
         raise HypothesisError(
@@ -560,13 +560,12 @@ def classify(system: System, lattice_bound: int = 10, order: int | None = None) 
     _require_exact_eigenvalues(spec)
 
     basis = enumerate_lattice(spec, lattice_bound)
-    rank_ok = basis.rank == n - 1 and len(basis.generators) == n - 1
     if basis.non_simple:
         flags.append(
             f"generators {list(basis.non_simple)} are not simple; no simple "
             "resonant element spans their ray"
         )
-    if not rank_ok:
+    if not basis.rank_ok:
         return IntegrabilityReport(
             kind=kind, n=n, lattice_bound=lattice_bound, order=N,
             verdict="not-integrable",

@@ -27,7 +27,7 @@ from math import gcd
 from typing import Optional, Sequence, Union
 
 from .errors import HypothesisError, InternalInvariantError
-from .linalg import Echelon, int_det, primitive_integer_kernel
+from .linalg import Echelon, primitive_integer_kernel
 from .scalars import (
     GaussianRational,
     Scalar,
@@ -107,11 +107,6 @@ class EigenSpec:
             if e:
                 out = out + lam * e
         return out
-
-    def base_data(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-        if self.kind != "mult-base":
-            raise HypothesisError("base data only exists for the mult-base form")
-        return self.exponents, self.phases
 
     def describe(self) -> str:
         if self.kind == "mult-base":
@@ -208,6 +203,12 @@ class LatticeBasis:
     generators: tuple[Exponent, ...]
     span_deficit: int = 0
     non_simple: tuple[Exponent, ...] = ()
+
+    @property
+    def rank_ok(self) -> bool:
+        """Rank n-1 with n-1 generators: the hypothesis of the divisor
+        bounds, the single-function reduction and the classification."""
+        return self.rank == self.n - 1 and len(self.generators) == self.n - 1
 
     def matrix(self) -> list[list[int]]:
         return [list(g) for g in self.generators]
@@ -651,36 +652,20 @@ def _rational_to_base(
     return beta, a, b
 
 
-def _pivot_and_deltas(K: list[list[int]], n: int) -> tuple[int, int, list[int]]:
-    """Choose the pivot coordinate and solve the modulus relations by Cramer.
-
-    Returns (pivot index c, Delta, delta) with delta[c] = Delta and, for the
-    one-line kernel relation, a_j * Delta = delta_j * a_c for every j.
-    """
-    for c in range(n - 1, -1, -1):
-        M = [[row[j] for j in range(n) if j != c] for row in K]
-        Delta = int_det(M)
-        if Delta == 0:
-            continue
-        others = [j for j in range(n) if j != c]
-        delta = [0] * n
-        delta[c] = Delta
-        rhs = [-row[c] for row in K]
-        for pos, j in enumerate(others):
-            Mj = [row[:] for row in M]
-            for i in range(len(Mj)):
-                Mj[i][pos] = rhs[i]
-            delta[j] = int_det(Mj)
-        return c, Delta, delta
-    raise InternalInvariantError("no nonsingular generator minor found")
-
-
 def small_divisor_bound_map(mu: EigenSpec, basis: LatticeBasis) -> SmallDivisorBound:
     """Constructive sigma > 0 with |mu^m - mu_j| >= sigma for every nonresonant
-    pair, built from the resonant-lattice generators."""
+    pair, built from the resonant-lattice generators.
+
+    The modulus exponents a lie on the kernel line of the generator matrix:
+    a_j Delta = delta_j a_c, read off one elimination
+    (`linalg.primitive_integer_kernel`).  c is the last index of the
+    primitive kernel vector v with v_c != 0, Delta the generator minor
+    without column c, and delta = (Delta / v_c) v, Cramer's solution with
+    delta_c = Delta.
+    """
     if not mu.is_multiplicative():
         raise HypothesisError("map bound needs multiplicative eigenvalues")
-    if basis.kind != "map" or basis.rank != mu.n - 1 or len(basis.generators) != mu.n - 1:
+    if basis.kind != "map" or not basis.rank_ok:
         raise HypothesisError(
             f"map bound needs a rank n-1 = {mu.n - 1} lattice basis, got rank "
             f"{basis.rank} with {len(basis.generators)} generators"
@@ -692,8 +677,9 @@ def small_divisor_bound_map(mu: EigenSpec, basis: LatticeBasis) -> SmallDivisorB
             raise HypothesisError("all eigenvalue moduli equal 1")
     else:
         beta, a, b = _rational_to_base(mu.values)
-    K = basis.matrix()
-    c, Delta, delta = _pivot_and_deltas(K, mu.n)
+    v, Delta = primitive_integer_kernel(basis.matrix(), mu.n)
+    c = max(j for j in range(mu.n) if v[j] != 0)
+    delta = [Delta // v[c] * x for x in v]
     if a[c] == 0:
         raise InternalInvariantError("pivot coordinate has unit modulus")
     e_alpha = a[c] / Delta
@@ -729,15 +715,14 @@ def small_divisor_bound_field(lam: EigenSpec, basis: LatticeBasis) -> SmallDivis
     if lam.kind != "additive":
         raise HypothesisError("field bound needs additive eigenvalues")
     n = lam.n
-    if basis.kind != "field" or basis.rank != n - 1 or len(basis.generators) != n - 1:
+    if basis.kind != "field" or not basis.rank_ok:
         raise HypothesisError(
             f"field bound needs a rank n-1 = {n - 1} lattice basis, got rank "
             f"{basis.rank} with {len(basis.generators)} generators"
         )
     if all(v == 0 for v in lam.values):
         raise HypothesisError("zero eigenvalue tuple")
-    K = basis.matrix()
-    v = primitive_integer_kernel(K, n)
+    v, _ = primitive_integer_kernel(basis.matrix(), n)
     c = max(j for j in range(n) if v[j] != 0)
     t = lam.values[c] / Fraction(v[c])
     for j in range(n):

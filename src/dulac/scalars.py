@@ -142,10 +142,6 @@ def sc_im(z: Scalar) -> Fraction:
     return z.im if isinstance(z, GaussianRational) else Fraction(0)
 
 
-def sc_conj(z: Scalar) -> Scalar:
-    return z.conjugate() if isinstance(z, GaussianRational) else Fraction(z)
-
-
 def sc_abs2(z: Scalar) -> Fraction:
     """Squared modulus, always an exact rational."""
     if isinstance(z, GaussianRational):
@@ -165,11 +161,6 @@ def sc_pow(z: Scalar, k: int) -> Scalar:
     if isinstance(z, GaussianRational):
         return z ** k
     return Fraction(z) ** k
-
-
-def scalar_sort_key(z: Scalar):
-    """Deterministic total order on scalars, for stable output."""
-    return (sc_re(z), sc_im(z))
 
 
 def exact_sqrt(q: Fraction) -> Fraction | None:

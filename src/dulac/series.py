@@ -198,28 +198,18 @@ class ScalarSeries:
         return ScalarSeries._make(self.n, self.trunc, {m: c * v for m, v in self.coeffs.items()})
 
     def mul(self, other: "ScalarSeries", trunc: int | None = None) -> "ScalarSeries":
-        """Exact truncated product; every kept coefficient is the full convolution."""
+        """Exact truncated product; every kept coefficient is the full
+        convolution, summed over pairs of the operands' homogeneous parts."""
         if trunc is None:
             trunc = self._binary_trunc(other)
         elif self.n != other.n:
             raise SeriesError(f"dimension mismatch: {self.n} vs {other.n}")
-        a, b = self, other
-        if len(a.coeffs) > len(b.coeffs):
-            a, b = b, a
+        a, b = graded(self, trunc), graded(other, trunc)
         out: dict[Exponent, Scalar] = {}
-        bterms = sorted(((sum(m), m, c) for m, c in b.coeffs.items()))
-        for ma, ca in a.coeffs.items():
-            da = sum(ma)
-            room = trunc - da
-            if room < 0:
-                continue
-            for db, mb, cb in bterms:
-                if db > room:
-                    break
-                m = tuple(map(add, ma, mb))
-                v = out.get(m)
-                v = ca * cb if v is None else v + ca * cb
-                out[m] = v
+        for d, part in enumerate(a):
+            if part:
+                for other_part in b[: trunc + 1 - d]:
+                    _mul_into(out, part, other_part)
         return ScalarSeries._make(self.n, trunc, _nonzero(out))
 
     def __mul__(self, other):
@@ -437,7 +427,10 @@ def _axpy(acc: dict, c: Scalar, part: dict) -> None:
 def _mul_into(acc: dict, a: dict, b: dict) -> None:
     """acc += a * b, zeros left in place."""
     for mb, cb in b.items():
-        _axpy(acc, cb, {tuple(map(add, ma, mb)): ca for ma, ca in a.items()})
+        for ma, ca in a.items():
+            m = tuple(map(add, ma, mb))
+            y = acc.get(m)
+            acc[m] = ca * cb if y is None else y + ca * cb
 
 
 class Powers:
@@ -488,7 +481,12 @@ class Powers:
         return col[s]
 
 
-def _compose_part(outer: Sequence[Sequence[dict]], powers: Powers, s: int) -> list[dict]:
+def compose_part(outer: Sequence[Sequence[dict]], powers: Powers, s: int) -> list[dict]:
+    """The degree-s part of each outer component composed with the inner map
+    of `powers`; outer[j][d] is the degree-d part of component j.  Constant
+    terms of the outer series are ignored, and the inner map must be known
+    through degree s wherever the outer series has linear terms, through
+    degree s - 1 otherwise."""
     out = []
     for comp in outer:
         acc: dict = {}
@@ -497,17 +495,6 @@ def _compose_part(outer: Sequence[Sequence[dict]], powers: Powers, s: int) -> li
                 _axpy(acc, c, powers.part(m, s))
         out.append(_nonzero(acc))
     return out
-
-
-# public, unlike _compose_part, so that per-function tracers attribute the
-# normalizer's per-degree work to this module; compose and invert keep theirs
-def compose_part(outer: Sequence[Sequence[dict]], powers: Powers, s: int) -> list[dict]:
-    """The degree-s part of each outer component composed with the inner map
-    of `powers`; outer[j][d] is the degree-d part of component j.  Constant
-    terms of the outer series are ignored, and the inner map must be known
-    through degree s wherever the outer series has linear terms, through
-    degree s - 1 otherwise."""
-    return _compose_part(outer, powers, s)
 
 
 def derivative_part(phi: Sequence[Sequence[dict]], g: Sequence[Sequence[dict]], s: int) -> list[dict]:
@@ -535,7 +522,7 @@ def _compose(outers: Sequence[ScalarSeries], inner: VectorSeries, trunc: int) ->
     parts = [graded(o, trunc) for o in outers]
     coeffs = [dict(p[0]) for p in parts]
     for s in range(1, trunc + 1):
-        for acc, part in zip(coeffs, _compose_part(parts, powers, s)):
+        for acc, part in zip(coeffs, compose_part(parts, powers, s)):
             acc.update(part)
     return [ScalarSeries._make(n, trunc, c) for c in coeffs]
 
@@ -580,7 +567,7 @@ def invert(phi: VectorSeries, trunc: int | None = None) -> VectorSeries:
     h = [graded(c, trunc) for c in phi.truncate(trunc).strip_low(2).components]
     powers = Powers([graded(c, 1) for c in ident.components])
     for s in range(2, trunc + 1):
-        powers.extend([{m: -c for m, c in p.items()} for p in _compose_part(h, powers, s)])
+        powers.extend([{m: -c for m, c in p.items()} for p in compose_part(h, powers, s)])
     return VectorSeries._from_parts(powers.parts, trunc)
 
 

@@ -85,7 +85,7 @@ def random_integrable_case(rng, n, N=6):
         basis = enumerate_lattice(mu, max(N, 6))
         if basis.rank == n - 1 and len(basis.generators) == n - 1:
             break
-    v = primitive_integer_kernel(basis.matrix(), n)
+    v, _ = primitive_integer_kernel(basis.matrix(), n)
     scale = rng.choice([F(1), F(1, 2), F(-1, 2), F(2)])
     lat_mons = [m for m in basis.exponents if sum(m) <= N - 1]
     w_terms = {}
@@ -368,3 +368,78 @@ def oracle_verify_certificate(spec, bound, D):
                     passed=False, checked=checked, mode="certificate", failure=(m, j)
                 )
     return BoundVerification(passed=True, checked=checked, mode="certificate")
+
+
+# -- elimination and product oracles ------------------------------------------------
+#
+# The routines one elimination and one product loop replaced: the dense
+# integer determinant, the map bound's pivot and modulus relations by
+# Cramer's rule over it, and ScalarSeries.mul's own double loop.
+
+
+def oracle_int_det(matrix):
+    """Determinant of an integer matrix by dense Gaussian elimination over
+    Fractions."""
+    k = len(matrix)
+    if k == 0:
+        return 1
+    m = [[F(x) for x in row] for row in matrix]
+    det = F(1)
+    for c in range(k):
+        pr = next((i for i in range(c, k) if m[i][c] != 0), None)
+        if pr is None:
+            return 0
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = 1 / m[c][c]
+        for i in range(c + 1, k):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    assert det.denominator == 1
+    return int(det)
+
+
+def oracle_pivot_and_deltas(K, n):
+    """(c, Delta, delta) of a rank n-1 integer matrix by Cramer's rule: c is
+    the last column whose removal leaves a nonsingular minor Delta, and
+    delta_j (delta_c = Delta) solves the relations a_j Delta = delta_j a_c."""
+    for c in range(n - 1, -1, -1):
+        M = [[row[j] for j in range(n) if j != c] for row in K]
+        Delta = oracle_int_det(M)
+        if Delta == 0:
+            continue
+        others = [j for j in range(n) if j != c]
+        delta = [0] * n
+        delta[c] = Delta
+        rhs = [-row[c] for row in K]
+        for pos, j in enumerate(others):
+            Mj = [row[:] for row in M]
+            for i in range(len(Mj)):
+                Mj[i][pos] = rhs[i]
+            delta[j] = oracle_int_det(Mj)
+        return c, Delta, delta
+    raise ValueError("no nonsingular minor: rank below n-1")
+
+
+def oracle_mul(a, b, trunc=None):
+    """Truncated product by the double loop over both operands' terms, the
+    smaller operand outside."""
+    from operator import add
+
+    if trunc is None:
+        trunc = min(a.trunc, b.trunc)
+    if len(a.coeffs) > len(b.coeffs):
+        a, b = b, a
+    out = {}
+    bterms = sorted((sum(m), m, c) for m, c in b.coeffs.items())
+    for ma, ca in a.coeffs.items():
+        room = trunc - sum(ma)
+        for db, mb, cb in bterms:
+            if db > room:
+                break
+            m = tuple(map(add, ma, mb))
+            out[m] = out[m] + ca * cb if m in out else ca * cb
+    return ScalarSeries(a.n, trunc, {m: c for m, c in out.items() if c != 0})

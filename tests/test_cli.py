@@ -151,6 +151,12 @@ class TestExitCodes:
              lambda d: d["embedding"].pop("order"), "'order'"),
             ("resonance", "halfdouble.json",
              lambda d: d["lattice"].update(bound=1), "'bound'"),
+            ("integrals", "center.json",
+             lambda d: d["parameters"].update(order_N=1), "'order_N'"),
+            ("integrals", "center.json",
+             lambda d: d["parameters"].update(order_N=9), "exceeds the system's order_N = 8"),
+            ("integrals", "center.json",
+             lambda d: d.pop("parameters"), "'parameters'"),
         ],
     )
     def test_verify_malformed_report_is_2(self, tmp_path, capsys, sub, fixture, edit, message):
@@ -170,6 +176,22 @@ class TestExitCodes:
         doc["system"]["eigen"]["form"] = "unknown"
         bad = write(tmp_path, "bad.json", doc)
         assert run(["verify", "--input", bad]) == 2
+
+
+SOLVERS = ("resonance", "normalize", "classify", "integrals", "embed")
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+@pytest.mark.parametrize("sub", SOLVERS)
+@pytest.mark.parametrize("fixture", ["ex2_2d.json", "ex2_3d.json"])
+def test_every_order_exits_0_or_3_and_its_report_verifies(tmp_path, capsys, fixture, sub, order):
+    """An order below a lattice generator's degree is an unmet hypothesis,
+    and a report is verified at the order it was solved at."""
+    rep = tmp_path / "rep.json"
+    code = run([sub, "--input", FIXTURES / fixture, "--order", order, "--output", rep])
+    assert code in (0, 3), capsys.readouterr().err
+    if code == 0:
+        assert run(["verify", "--input", rep]) == 0, capsys.readouterr().err
 
 
 def over_limit_degree(n):

@@ -55,6 +55,12 @@ class TestMonomialIntegrals:
         basis = enumerate_lattice(EigenSpec.multiplicative([2, 3]), 6)
         assert len(monomial_integrals(basis)) == 0
 
+    def test_order_below_a_generator_degree_is_a_hypothesis_error(self):
+        basis = enumerate_lattice(EigenSpec.multiplicative([F(1, 32), 4, 2]), 8)
+        assert len(monomial_integrals(basis, trunc=5)) == 2
+        with pytest.raises(HypothesisError, match=r"generator \(1, 1, 3\) has degree 5.*order 4"):
+            monomial_integrals(basis, trunc=4)
+
 
 class TestVerify:
     def test_linear_map_invariant(self):

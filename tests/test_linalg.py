@@ -16,7 +16,7 @@ from dulac.resonance import (
 )
 from dulac.scalars import gaussian
 
-from helpers import dense_kernel, dense_rref
+from helpers import dense_kernel, dense_rref, oracle_int_det
 
 
 def columns_of(rows, ncols):
@@ -124,6 +124,49 @@ def test_input_column_is_not_mutated():
     assert col == {0: F(1), 1: F(0), 2: F(3)}
 
 
+def echelon_det(rows):
+    """det of a square matrix from one elimination: 0 on a dependent column,
+    else the determinant the pivots give."""
+    echelon = Echelon()
+    if any(echelon.add(col) is not None for col in columns_of(rows, len(rows))):
+        return 0
+    return echelon.det
+
+
+def random_square(rng, k, shape):
+    rows = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k)]
+    if shape == "zero-column":
+        j = rng.randrange(k)
+        for row in rows:
+            row[j] = 0
+    elif shape == "repeated-column" and k > 1:
+        i, j = rng.sample(range(k), 2)
+        for row in rows:
+            row[j] = row[i]
+    elif shape == "sparse":
+        rows = [[x if rng.random() < 0.3 else 0 for x in row] for row in rows]
+    return rows
+
+
+@pytest.mark.parametrize("shape", ["dense", "sparse", "zero-column", "repeated-column"])
+def test_echelon_det_matches_dense_determinant(shape):
+    rng = random.Random(f"det-{shape}")
+    for _ in range(250):
+        k = rng.randint(1, 6)
+        rows = random_square(rng, k, shape)
+        det = oracle_int_det(rows)
+        assert echelon_det(rows) == det
+        # permuted columns: the sign of the permutation, and the same rows
+        perm = list(range(k))
+        rng.shuffle(perm)
+        sign = (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+        assert echelon_det([[row[j] for j in perm] for row in rows]) == sign * det
+
+
+def test_echelon_det_of_no_columns_is_one():
+    assert Echelon().det == 1
+
+
 # spectra whose resonant lattice has rank n-1 at degree 8
 LATTICE_SPECS = [
     EigenSpec.multiplicative([F(1, 2), 2]),
@@ -159,7 +202,7 @@ def primitive_from_oracle(rows, ncols):
 @pytest.mark.parametrize("spec", LATTICE_SPECS, ids=repr)
 def test_primitive_integer_kernel_on_lattice_matrices(spec):
     K = enumerate_lattice(spec, 8).matrix()
-    v = primitive_integer_kernel(K, spec.n)
+    v, _ = primitive_integer_kernel(K, spec.n)
     assert v == primitive_from_oracle(K, spec.n)
     assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in K)
 

@@ -1,10 +1,15 @@
+import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from dulac.cli import _system_from_doc, parse_system
 from dulac.errors import HypothesisError
 from dulac.resonance import (
     EigenSpec,
+    LatticeBasis,
     RootValue,
     SmallDivisorBound,
     SymbolicBound,
@@ -19,6 +24,12 @@ from dulac.resonance import (
 )
 from dulac.scalars import gaussian
 
+from helpers import oracle_pivot_and_deltas
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import workloads  # noqa: E402
 
 HALF_DOUBLE = EigenSpec.multiplicative([F(1, 2), 2])
 SADDLE = EigenSpec.additive([1, -1])
@@ -239,6 +250,67 @@ class TestMapBound:
                 continue
             bound = small_divisor_bound_map(spec, basis)
             assert verify_bound(spec, bound, 9).passed
+
+
+def assert_certificate_matches_cramer(bound, K, n):
+    cert = bound.certificate
+    c, Delta, delta = oracle_pivot_and_deltas(K, n)
+    assert (cert["pivot"], cert["Delta"], cert["delta"]) == (c, Delta, tuple(delta))
+    assert type(cert["Delta"]) is int
+    assert cert["alpha_exp"] == cert["base_exponents"][c] / Delta
+
+
+def map_spectra():
+    """(spectrum, degree D) of every map fixture and every map spectrum of
+    the benchmark's `lattice` catalogue, one pytest param each."""
+    out = []
+    for path in sorted((ROOT / "fixtures").glob("*.json")):
+        sf = parse_system(str(path))
+        if sf.kind == "map":
+            out.append(pytest.param(sf.eigen, sf.lattice_bound, id=path.name))
+    for op in workloads.catalogue("lattice"):
+        sf = _system_from_doc(op.system, op.key)
+        if sf.kind == "map":
+            out.append(pytest.param(sf.eigen, sf.lattice_bound, id=op.key))
+    return out
+
+
+class TestMapBoundKernelRoute:
+    """The map bound reads its pivot c, minor Delta and relations delta off
+    one elimination; Cramer's rule over dense determinants is the oracle."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_random_rank_deficient_matrices(self, n):
+        rng = random.Random(f"cramer-{n}")
+        cases = 0
+        while cases < 250:
+            K = [[rng.choice([0, rng.randint(-4, 4)]) for _ in range(n)] for _ in range(n - 1)]
+            try:
+                _, _, delta = oracle_pivot_and_deltas(K, n)
+            except ValueError:
+                continue  # rank below n-1
+            # exponents on the kernel line, with phases: a mult-base spectrum
+            t = F(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))
+            L = rng.choice([1, 2, 4, 8])
+            spec = EigenSpec.multiplicative_base(
+                [t * d for d in delta], [F(rng.randrange(L), L) for _ in range(n)]
+            )
+            basis = LatticeBasis(
+                kind="map", n=n, bound=2, exponents=(), rank=n - 1,
+                generators=tuple(tuple(row) for row in K),
+            )
+            assert_certificate_matches_cramer(small_divisor_bound_map(spec, basis), K, n)
+            cases += 1
+
+    @pytest.mark.parametrize("spec,D", map_spectra())
+    def test_fixtures_and_lattice_catalogue(self, spec, D):
+        basis = enumerate_lattice(spec, D)
+        if not basis.rank_ok:
+            with pytest.raises(HypothesisError, match="rank n-1"):
+                small_divisor_bound_map(spec, basis)
+            return
+        bound = small_divisor_bound_map(spec, basis)
+        assert_certificate_matches_cramer(bound, basis.matrix(), spec.n)
 
 
 class TestFieldBound:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +19,8 @@ from dulac.series import (
     scalar_inner,
     unit_power,
 )
+
+from helpers import oracle_mul, random_sparse_series
 
 
 def S(n, trunc, terms):
@@ -51,6 +54,29 @@ class TestMul:
         i = gaussian(0, 1)
         a = S(1, 2, {(1,): i})
         assert a.mul(a, 2) == S(1, 2, {(2,): -1})
+
+    @staticmethod
+    def operand(rng, n, field):
+        trunc = rng.randint(0, 6)
+        kind = rng.choice(["random", "random", "empty", "constant"])
+        if kind == "empty":
+            return ScalarSeries.zero(n, trunc)
+        if kind == "constant":
+            return ScalarSeries.const(n, trunc, F(rng.randint(1, 5), rng.randint(1, 3)))
+        return random_sparse_series(rng, n, trunc, max_terms=8, gaussian=field == "Q(i)")
+
+    @pytest.mark.parametrize("field", ["Q", "Q(i)"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_double_loop_oracle(self, field, n):
+        rng = random.Random(f"mul-{field}-{n}")
+        for _ in range(40):
+            a, b = self.operand(rng, n, field), self.operand(rng, n, field)
+            low, high = sorted((a.trunc, b.trunc))
+            # below, at and above the operands' truncations, and the default
+            for trunc in (max(low - 1, 0), low, high, high + 2, None):
+                got, want = a.mul(b, trunc), oracle_mul(a, b, trunc)
+                assert got == want and got.trunc == want.trunc
+                assert all(type(c) is type(want.coeffs[m]) for m, c in got.coeffs.items())
 
 
 class TestCompose:
