@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import __version__
 from .errors import HypothesisError, InternalInvariantError, SystemFileError
@@ -45,6 +45,7 @@ from .normalizer import (
 )
 from .resonance import (
     EigenSpec,
+    ExponentValues,
     LatticeBasis,
     RootValue,
     SmallDivisorBound,
@@ -52,7 +53,6 @@ from .resonance import (
     enumerate_lattice,
     small_divisor_bound_field,
     small_divisor_bound_map,
-    transformation_resonant,
     verify_bound,
 )
 from .scalars import Scalar, scalar_from_json, scalar_to_json
@@ -107,10 +107,18 @@ def _load_json(path: str):
             )
     except OSError as exc:
         raise SystemFileError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SystemFileError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise SystemFileError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
+        ) from exc
+    except ValueError as exc:
+        # int() refuses a decimal literal longer than the interpreter's limit
+        raise SystemFileError(
+            f"{path}: an integer literal has more than {sys.get_int_max_str_digits()} "
+            "digits, the limit of Python's integer parsing"
         ) from exc
 
 
@@ -630,6 +638,16 @@ def _require_match(claimed, recomputed, path: str) -> None:
     )
 
 
+def _require_order(series: Sequence[ScalarSeries], order: int, what: str) -> None:
+    """Exit 4 on a claimed term above the verified order, which would
+    otherwise go unchecked."""
+    top = max((sum(m) for s in series for m in s.coeffs), default=0)
+    if top > order:
+        raise InternalInvariantError(
+            f"verification failed: {what} of degree {top}, above the verified order {order}"
+        )
+
+
 def _run_verify(report_path: str) -> dict:
     doc = _load_json(report_path)
     if not isinstance(doc, dict) or "system" not in doc:
@@ -664,14 +682,14 @@ def _run_verify(report_path: str) -> dict:
         if not residual.is_zero():
             bad = min(sum(m) for comp in residual.components for m in comp.coeffs)
             fail(f"conjugacy residual is nonzero at degree {bad}")
-        for j, comp in enumerate(phi.components):
-            for m in comp.coeffs:
-                if transformation_resonant(sf.eigen, m, j):
-                    fail(f"phi carries resonant monomial {m} in component {j + 1}")
-        for j, comp in enumerate(g.components):
-            for m in comp.coeffs:
-                if not transformation_resonant(sf.eigen, m, j):
-                    fail(f"g carries nonresonant monomial {m} in component {j + 1}")
+        values = ExponentValues(sf.eigen)
+        for name, series, resonant in (("phi", phi, False), ("g", g, True)):
+            _require_order(series.components, order, f"{name} has a term")
+            for j, comp in enumerate(series.components):
+                for m in comp.coeffs:
+                    if (values[m] == sf.eigen.values[j]) != resonant:
+                        kind = "nonresonant" if resonant else "resonant"
+                        fail(f"{name} carries {kind} monomial {m} in component {j + 1}")
         checked.append("normalization")
     if cls is not None:
         where = f"{report_path}:classification"
@@ -710,6 +728,7 @@ def _run_verify(report_path: str) -> dict:
             where = f"{report_path}:integrals.{name}"
             for i, terms in enumerate(_field(sec, "integrals", list, where)):
                 V = _series_from_json(terms, sf.n, order, f"{where}.integrals[{i}]")
+                _require_order([V], order, f"integral {i + 1} in section '{name}' has a term")
                 residual = (
                     verify_integral_map(V, system, order)
                     if sf.kind == "map"

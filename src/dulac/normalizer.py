@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import HypothesisError, InternalInvariantError
 from .linalg import primitive_integer_kernel
-from .resonance import EigenSpec, LatticeBasis, enumerate_lattice, homological_divisor
+from .resonance import EigenSpec, ExponentValues, LatticeBasis, enumerate_lattice
 from .scalars import Scalar, sc_div, sc_im, sc_re
 from .series import (
     Exponent,
@@ -160,16 +160,19 @@ def _require_exact_eigenvalues(spec: EigenSpec):
         )
 
 
-def _split_degree(spec: EigenSpec, rhs: list[dict]) -> tuple[list[dict], list[dict]]:
+def _split_degree(spec: EigenSpec, values: dict, rhs: list[dict]) -> tuple[list[dict], list[dict]]:
     """Split a degree's right-hand side into normal-form terms (divisor zero,
-    i.e. resonant) and transformation terms (divided by the divisor)."""
+    i.e. resonant) and transformation terms (divided by the divisor); the
+    divisor of y^m e_j is values[m] - spec.values[j], from one table of
+    exponent values per solve."""
     g_s: list[dict] = [{} for _ in rhs]
     phi_s: list[dict] = [{} for _ in rhs]
     for j, comp in enumerate(rhs):
+        target = spec.values[j]
         for m, c in comp.items():
             if c == 0:
                 continue
-            div = homological_divisor(spec, m, j)
+            div = values[m] - target
             if div == 0:
                 g_s[j][m] = c
             else:
@@ -194,15 +197,16 @@ def _solve(system: System, order: int | None) -> NormalizationResult:
     f = [graded(c, N) for c in system.nonlinear.components]
     phi: list[list[dict]] = [[{}, {}] for _ in range(n)]
     g: list[list[dict]] = [[{}, {}] for _ in range(n)]
-    P = Powers([graded(c, 1) for c in VectorSeries.identity(n, 1).components])  # y + phi
-    Q = Powers([graded(c, 1) for c in system.linear(1).components]) if is_map else None  # B y + g
+    values = ExponentValues(spec)
+    P = Powers([graded(c, 1) for c in VectorSeries.identity(n, 1).components], N)  # y + phi
+    Q = Powers([graded(c, 1) for c in system.linear(1).components], N) if is_map else None  # B y + g
     for s in range(2, N + 1):
         rhs = compose_part(f, P, s)
         corr = compose_part(phi, Q, s) if is_map else derivative_part(phi, g, s)
         for acc, part in zip(rhs, corr):
             for m, c in part.items():
                 acc[m] = acc[m] - c if m in acc else -c
-        g_s, phi_s = _split_degree(spec, rhs)
+        g_s, phi_s = _split_degree(spec, values, rhs)
         for col, part in zip(phi + g, phi_s + g_s):
             col.append(part)
         P.extend(phi_s)

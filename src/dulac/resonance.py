@@ -11,11 +11,13 @@ Eigenvalue tuples come in three exact forms:
   that is never evaluated; all resonance queries reduce to exact rational
   arithmetic on the exponents and phases.
 
-The degree-D scans (`enumerate_lattice`, `verify_bound`) read every exponent's
-value from one graded table, `exponent_values`, in which each entry is a
-single product or sum from the entry one degree below; the per-monomial
-queries (`lattice_resonant`, `transformation_resonant`, `homological_divisor`)
-compute their value from scratch.
+Exponent values live in one kind of table, `ExponentValues`, in which each
+entry is a single product or sum from an entry one degree below.  The
+degree-D scans (`enumerate_lattice`, `verify_bound`) fill one through degree
+D in graded order (`exponent_values`); the normalizer's divisors and
+`verify`'s resonance checks fill only the exponents they look up; the
+per-monomial queries (`lattice_resonant`, `transformation_resonant`,
+`homological_divisor`) compute their value from scratch.
 """
 
 from __future__ import annotations
@@ -229,41 +231,45 @@ def iter_exponents(n: int, low: int, high: int):
         yield from _compositions(s, n)
 
 
-def exponent_values(spec: EigenSpec, high: int) -> dict:
-    """The value of every exponent with |m| <= high, keyed in graded-lex
-    (`iter_exponents`) order: mu^m for mult-rational, <m, lambda> for
+class ExponentValues(dict):
+    """The value of each exponent m: mu^m for mult-rational, <m, lambda> for
     additive, and the pair (a.m, b.m mod 1) for mult-base.
 
-    With m = m' + e_i (i the last index with m_i > 0), each value is one
-    product or sum from the value of m', as in `series.Powers`.
+    A value is computed on its first lookup: with m = m' + e_i (i the last
+    index with m_i > 0), it is one product or sum from the value of m', as in
+    `series.Powers`.  A sparse series so costs only the chains of its own
+    exponents, not the whole table through its degree.
     """
-    n = spec.n
-    if spec.kind == "mult-base":
-        a, b = spec.exponents, spec.phases
-        table: dict = {(0,) * n: (Fraction(0), Fraction(0))}
 
-        def step(v, i):
-            return v[0] + a[i], (v[1] + b[i]) % 1
+    def __init__(self, spec: EigenSpec):
+        zero = (0,) * spec.n
+        if spec.kind == "mult-base":
+            a, b = spec.exponents, spec.phases
+            super().__init__({zero: (Fraction(0), Fraction(0))})
+            self.step = lambda v, i: (v[0] + a[i], (v[1] + b[i]) % 1)
+        elif spec.kind == "mult-rational":
+            vals = spec.values
+            super().__init__({zero: Fraction(1)})
+            self.step = lambda v, i: v * vals[i]
+        else:
+            vals = spec.values
+            super().__init__({zero: Fraction(0)})
+            self.step = lambda v, i: v + vals[i]
 
-    elif spec.kind == "mult-rational":
-        vals = spec.values
-        table = {(0,) * n: Fraction(1)}
-
-        def step(v, i):
-            return v * vals[i]
-
-    else:
-        vals = spec.values
-        table = {(0,) * n: Fraction(0)}
-
-        def step(v, i):
-            return v + vals[i]
-
-    for m in iter_exponents(n, 1, high):
-        i = n - 1
+    def __missing__(self, m: Exponent):
+        i = len(m) - 1
         while not m[i]:
             i -= 1
-        table[m] = step(table[m[:i] + (m[i] - 1,) + m[i + 1 :]], i)
+        value = self[m] = self.step(self[m[:i] + (m[i] - 1,) + m[i + 1 :]], i)
+        return value
+
+
+def exponent_values(spec: EigenSpec, high: int) -> ExponentValues:
+    """The values of every exponent with |m| <= high, looked up in graded-lex
+    (`iter_exponents`) order, so keyed in that order."""
+    table = ExponentValues(spec)
+    for m in iter_exponents(spec.n, 1, high):
+        table[m]
     return table
 
 

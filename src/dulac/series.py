@@ -20,17 +20,30 @@ through degree s - 1 it yields the degree-s part of every power P^m with
 uses it with P fully known; `invert` and the normalizer's degree loop feed it
 one degree at a time: the relaxed ("online") evaluation of J. van der Hoeven,
 "Relax, but don't be too lazy", J. Symbolic Comput. 34 (2002).
+
+Inside the engine a homogeneous part is packed, as ``(den, re, im)``: one
+positive int denominator, and two dicts from a packed monomial key to an int
+numerator (``im`` is empty over Q).  The key of m is sum m_i * base^i with
+base = trunc + 1 (Monagan and Pearce, CASC 2007).  No exponent of a kept
+product exceeds trunc, so adding two keys multiplies the monomials with no
+carry from one variable into the next.  One integer kernel, `_kmul`, does
+every product; a sum of products is taken over the lcm of its denominators,
+and its content (the gcd of den and every numerator) is divided out once per
+finished part.  Scalars are packed where they enter the engine (`Powers`,
+`mul`) and each output coefficient is unpacked once (`compose_part`,
+`invert`, `mul`), so every public type keeps Fraction / GaussianRational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from operator import add
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DulacError
-from .scalars import Scalar, format_scalar, sc_pow
+from .scalars import GaussianRational, Scalar, format_scalar, sc_pow
 
 Exponent = tuple[int, ...]
 
@@ -204,13 +217,7 @@ class ScalarSeries:
             trunc = self._binary_trunc(other)
         elif self.n != other.n:
             raise SeriesError(f"dimension mismatch: {self.n} vs {other.n}")
-        a, b = graded(self, trunc), graded(other, trunc)
-        out: dict[Exponent, Scalar] = {}
-        for d, part in enumerate(a):
-            if part:
-                for other_part in b[: trunc + 1 - d]:
-                    _mul_into(out, part, other_part)
-        return ScalarSeries._make(self.n, trunc, _nonzero(out))
+        return _dot([self], [other], self.n, trunc)
 
     def __mul__(self, other):
         if isinstance(other, ScalarSeries):
@@ -411,74 +418,158 @@ def graded(s: ScalarSeries, trunc: int) -> list[dict]:
     return out
 
 
-def _nonzero(acc: dict) -> dict:
-    return {m: c for m, c in acc.items() if c != 0}
+def _pack(coeffs: dict, weights: Sequence[int]) -> tuple:
+    """The packed part (den, re, im) of exponent -> scalar terms."""
+    den = 1
+    for c in coeffs.values():
+        if type(c) is GaussianRational:
+            den = lcm(den, c.re.denominator, c.im.denominator)
+        else:
+            den = lcm(den, c.denominator)
+    re: dict[int, int] = {}
+    im: dict[int, int] = {}
+    for m, c in coeffs.items():
+        k = sum(map(mul, m, weights))
+        if type(c) is GaussianRational:
+            im[k] = c.im.numerator * (den // c.im.denominator)
+            c = c.re
+        if c:
+            re[k] = c.numerator * (den // c.denominator)
+    return den, re, im
 
 
-def _axpy(acc: dict, c: Scalar, part: dict) -> None:
-    """acc += c * part, zeros left in place."""
-    unit = c == 1
-    for m, v in part.items():
-        x = v if unit else c * v
-        y = acc.get(m)
-        acc[m] = x if y is None else y + x
+def _scalar(c: Scalar) -> tuple:
+    """The packed constant c."""
+    return _pack({(): c}, ()) if type(c) is GaussianRational else (c.denominator, {0: c.numerator}, {})
 
 
-def _mul_into(acc: dict, a: dict, b: dict) -> None:
-    """acc += a * b, zeros left in place."""
-    for mb, cb in b.items():
-        for ma, ca in a.items():
-            m = tuple(map(add, ma, mb))
-            y = acc.get(m)
-            acc[m] = ca * cb if y is None else y + ca * cb
+def _exponent(k: int, n: int, base: int) -> Exponent:
+    m = []
+    for _ in range(n - 1):
+        k, e = divmod(k, base)
+        m.append(e)
+    m.append(k)
+    return tuple(m)
+
+
+def _unpack(part: tuple, n: int, base: int) -> dict:
+    """Exponent -> scalar terms of a packed part."""
+    den, re, im = part
+    out: dict[Exponent, Scalar] = {}
+    for k, v in re.items():
+        out[_exponent(k, n, base)] = Fraction(v, den)
+    for k, v in im.items():
+        m = _exponent(k, n, base)
+        out[m] = GaussianRational(out.get(m, 0), Fraction(v, den))
+    return out
+
+
+def _kmul(acc: dict, a: dict, b: dict, f: int) -> None:
+    """acc += f * a * b over packed int dicts, zeros left in place."""
+    if len(a) < len(b):
+        a, b = b, a
+    get = acc.get
+    for kb, vb in b.items():
+        fb = f * vb
+        for ka, va in a.items():
+            k = ka + kb
+            acc[k] = get(k, 0) + fb * va
+
+
+def _products(pairs: Sequence[tuple[tuple, tuple]]) -> tuple:
+    """The packed sum of a * b over pairs of packed parts, over the lcm of
+    the pairs' denominators and reduced by its content once."""
+    pairs = [(a, b) for a, b in pairs if (a[1] or a[2]) and (b[1] or b[2])]
+    den = lcm(*(a[0] * b[0] for a, b in pairs))
+    re: dict[int, int] = {}
+    im: dict[int, int] = {}
+    for (da, ar, ai), (db, br, bi) in pairs:
+        f = den // (da * db)
+        _kmul(re, ar, br, f)
+        if ai:
+            _kmul(re, ai, bi, -f)
+            _kmul(im, ai, br, f)
+        if bi:
+            _kmul(im, ar, bi, f)
+    re = {k: v for k, v in re.items() if v}
+    im = {k: v for k, v in im.items() if v}
+    g = gcd(den, *re.values(), *im.values())
+    if g == 1:
+        return den, re, im
+    return den // g, {k: v // g for k, v in re.items()}, {k: v // g for k, v in im.items()}
 
 
 class Powers:
     """Homogeneous parts of the powers P^m of an inner map P, computed online.
 
     P = (P_1, ..., P_n) has no constant term and may be known only through
-    some degree: ``parts[i][d]`` is the degree-d part of P_i, and `extend`
-    appends the next degree.  With m = m' + e_i (i the last index with
-    m_i > 0), [P^m]_s = sum_k [P^m']_k [P_i]_(s-k) over |m'| <= k < s, so for
-    |m| >= 2 the degree-s part needs P only through degree s - 1.  Each part
-    is computed once and cached; parts below degree |m| are empty.
+    some degree: it is given as exponent -> scalar parts, ``parts[i][d]``
+    holds the packed degree-d part of P_i, and `extend` appends the next
+    degree.  With m = m' + e_i (i the last index with m_i > 0), [P^m]_s =
+    sum_k [P^m']_k [P_i]_(s-k) over |m'| <= k < s, so for |m| >= 2 the
+    degree-s part needs P only through degree s - 1.  Each part is computed
+    once and cached; parts below degree |m| are empty.  No degree exceeds
+    ``trunc``, the packing base less one.
     """
 
-    __slots__ = ("parts", "cache")
+    __slots__ = ("n", "base", "weights", "parts", "cache")
 
-    def __init__(self, parts: list[list[dict]]):
-        n = len(parts)
-        self.parts = parts
-        self.cache = {tuple(int(k == i) for k in range(n)): parts[i] for i in range(n)}
+    def __init__(self, parts: Sequence[Sequence[dict]], trunc: int):
+        n = self.n = len(parts)
+        self.base = trunc + 1
+        self.weights = [self.base**i for i in range(n)]
+        self.parts: list[list[tuple]] = [[] for _ in range(n)]
+        self.cache = {tuple(int(k == i) for k in range(n)): self.parts[i] for i in range(n)}
+        for new in zip(*parts):
+            self.extend(new)
 
     @classmethod
     def of(cls, inner: VectorSeries, trunc: int) -> "Powers":
         """The powers of a fully known inner map, through degree trunc."""
         if any(c != 0 for c in inner.constant_part()):
             raise SeriesError("inner map has a constant term")
-        return cls([graded(c.truncate(trunc), trunc) for c in inner.components])
+        return cls([graded(c.truncate(trunc), trunc) for c in inner.components], trunc)
 
     def extend(self, new: Sequence[dict]) -> None:
         """Append the next homogeneous part of every component of P."""
+        if len(self.parts[0]) == self.base:
+            raise SeriesError(f"inner map extended beyond degree {self.base - 1}")
         for col, part in zip(self.parts, new):
-            col.append(part)
+            col.append(_pack(part, self.weights))
 
-    def part(self, m: Exponent, s: int) -> dict:
-        """[P^m]_s for |m| >= 1."""
-        col = self.cache.setdefault(m, [{}] * sum(m))
+    def unpack(self, part: tuple) -> dict:  # exponent -> scalar terms
+        return _unpack(part, self.n, self.base)
+
+    def part(self, m: Exponent, s: int) -> tuple:
+        """[P^m]_s for |m| >= 1, packed."""
+        col = self.cache.get(m)
+        if col is None:
+            col = self.cache[m] = [(1, {}, {})] * sum(m)  # zero parts, never written to
         if len(col) > s:
             return col[s]
-        i = max(k for k, e in enumerate(m) if e)
+        i = len(m) - 1
+        while not m[i]:
+            i -= 1
         prev = m[:i] + (m[i] - 1,) + m[i + 1 :]
         low = sum(prev)
         if low == 0:
             raise SeriesError(f"inner map not known through degree {s}")
+        if s >= self.base:
+            raise SeriesError(f"degree {s} exceeds the powers' degree {self.base - 1}")
+        self.part(prev, s - 1)
+        low_col, Pi = self.cache[prev], self.parts[i]
         while len(col) <= s:
-            acc: dict = {}
-            for k in range(low, len(col)):
-                _mul_into(acc, self.part(prev, k), self.parts[i][len(col) - k])
-            col.append(_nonzero(acc))
+            d = len(col)
+            col.append(_products([(low_col[k], Pi[d - k]) for k in range(low, d)]))
         return col[s]
+
+
+def _compose_packed(outer: Sequence[Sequence[dict]], powers: Powers, s: int) -> list[tuple]:
+    """`compose_part`, packed."""
+    return [
+        _products([(_scalar(c), powers.part(m, s)) for part in comp[1 : s + 1] for m, c in part.items()])
+        for comp in outer
+    ]
 
 
 def compose_part(outer: Sequence[Sequence[dict]], powers: Powers, s: int) -> list[dict]:
@@ -487,30 +578,31 @@ def compose_part(outer: Sequence[Sequence[dict]], powers: Powers, s: int) -> lis
     terms of the outer series are ignored, and the inner map must be known
     through degree s wherever the outer series has linear terms, through
     degree s - 1 otherwise."""
-    out = []
-    for comp in outer:
-        acc: dict = {}
-        for d in range(1, min(s + 1, len(comp))):
-            for m, c in comp[d].items():
-                _axpy(acc, c, powers.part(m, s))
-        out.append(_nonzero(acc))
-    return out
+    return [powers.unpack(p) for p in _compose_packed(outer, powers, s)]
 
 
 def derivative_part(phi: Sequence[Sequence[dict]], g: Sequence[Sequence[dict]], s: int) -> list[dict]:
     """The degree-s part of Dphi(y) g(y), both maps given by their
     homogeneous parts (phi[j][d], g[i][d]); phi and g without linear terms
     need only their parts below degree s."""
+    n, base = len(g), s + 1
+    w = [base**i for i in range(n)]
+    gs = [[_pack(p, w) for p in col[: s + 1]] for col in g]
     out = []
     for comp in phi:
-        acc: dict = {}
+        pairs = []
         for k in range(1, min(s + 1, len(comp))):
-            for m, c in comp[k].items():
-                for i, e in enumerate(m):
-                    if e and s - k + 1 < len(g[i]):
-                        _mul_into(acc, {m[:i] + (e - 1,) + m[i + 1 :]: c * e}, g[i][s - k + 1])
-        out.append(_nonzero(acc))
+            den, re, im = _pack(comp[k], w)
+            for i, col in enumerate(gs):
+                if (re or im) and s - k + 1 < len(col):
+                    pairs.append(((den, _diff(re, w[i], base), _diff(im, w[i], base)), col[s - k + 1]))
+        out.append(_unpack(_products(pairs), n, base))
     return out
+
+
+def _diff(nums: dict, w: int, base: int) -> dict:
+    """The packed numerators of d/dy_i, where w = base^i."""
+    return {k - w: v * e for k, v in nums.items() if (e := k // w % base)}
 
 
 def _compose(outers: Sequence[ScalarSeries], inner: VectorSeries, trunc: int) -> list[ScalarSeries]:
@@ -565,10 +657,11 @@ def invert(phi: VectorSeries, trunc: int | None = None) -> VectorSeries:
     if any(lin[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)):
         raise SeriesError("linear part is not the identity; factor it out first")
     h = [graded(c, trunc) for c in phi.truncate(trunc).strip_low(2).components]
-    powers = Powers([graded(c, 1) for c in ident.components])
+    powers = Powers([graded(c, 1) for c in ident.components], trunc)
     for s in range(2, trunc + 1):
-        powers.extend([{m: -c for m, c in p.items()} for p in compose_part(h, powers, s)])
-    return VectorSeries._from_parts(powers.parts, trunc)
+        for col, (den, re, im) in zip(powers.parts, _compose_packed(h, powers, s)):
+            col.append((den, {k: -v for k, v in re.items()}, {k: -v for k, v in im.items()}))
+    return VectorSeries._from_parts([[powers.unpack(p) for p in col] for col in powers.parts], trunc)
 
 
 # -- matrices of series ------------------------------------------------------
@@ -592,10 +685,25 @@ def mat_vec(
 
 
 def _dot(xs: Sequence[ScalarSeries], ys: Sequence[ScalarSeries], n: int, trunc: int) -> ScalarSeries:
-    acc = ScalarSeries.zero(n, trunc)
+    """sum x_i * y_i through degree trunc, as one sum of packed products."""
+    w = [(trunc + 1) ** i for i in range(n)]
+    pairs = []
     for x, y in zip(xs, ys):
-        acc = acc + x.mul(y, trunc)
-    return acc
+        if x.n != n or y.n != n:
+            raise SeriesError(f"dimension mismatch: {x.n} vs {y.n} in dimension {n}")
+        a, b = _packed_degrees(x, trunc, w), _packed_degrees(y, trunc, w)
+        pairs += [(pa, pb) for da, pa in a for db, pb in b if da + db <= trunc]
+    return ScalarSeries._make(n, trunc, _unpack(_products(pairs), n, trunc + 1))
+
+
+def _packed_degrees(s: ScalarSeries, trunc: int, weights: Sequence[int]) -> list[tuple[int, tuple]]:
+    """(d, packed degree-d part of s) for each degree d <= trunc present in s."""
+    parts: dict[int, dict] = {}
+    for m, c in s.coeffs.items():
+        d = sum(m)
+        if d <= trunc:
+            parts.setdefault(d, {})[m] = c
+    return [(d, _pack(p, weights)) for d, p in parts.items()]
 
 
 def det_series(M: Sequence[Sequence[ScalarSeries]], trunc: int | None = None) -> ScalarSeries:
@@ -616,16 +724,15 @@ def det_series(M: Sequence[Sequence[ScalarSeries]], trunc: int | None = None) ->
         nxt: dict[tuple[int, ...], ScalarSeries] = {}
         row = M[size - 1]
         for cols in combinations(range(k), size):
-            acc = ScalarSeries.zero(n, trunc)
+            entries, subs = [], []
             for pos, j in enumerate(cols):
                 entry = row[j]
                 if entry.is_zero():
                     continue
-                sub = minors[cols[:pos] + cols[pos + 1 :]]
-                term = entry.mul(sub, trunc)
                 # expansion along the last used row: sign (-1)^(row+pos)
-                acc = acc + (term if (size - 1 + pos) % 2 == 0 else -term)
-            nxt[cols] = acc
+                entries.append(entry if (size - 1 + pos) % 2 == 0 else -entry)
+                subs.append(minors[cols[:pos] + cols[pos + 1 :]])
+            nxt[cols] = _dot(entries, subs, n, trunc)
         minors = nxt
     return minors[tuple(range(k))]
 

@@ -443,3 +443,109 @@ def oracle_mul(a, b, trunc=None):
             m = tuple(map(add, ma, mb))
             out[m] = out[m] + ca * cb if m in out else ca * cb
     return ScalarSeries(a.n, trunc, {m: c for m, c in out.items() if c != 0})
+
+
+# -- the Fraction composition engine --------------------------------------------------
+#
+# The engine as it was before packed monomials and integer numerators: every
+# homogeneous part an exponent-tuple -> Fraction / GaussianRational dict,
+# every product and sum a scalar operation.  Same interfaces as the packed
+# engine, except that parts go in and out unpacked.
+
+
+def _nonzero(acc):
+    return {m: c for m, c in acc.items() if c != 0}
+
+
+def _axpy(acc, c, part):
+    """acc += c * part, zeros left in place."""
+    unit = c == 1
+    for m, v in part.items():
+        x = v if unit else c * v
+        y = acc.get(m)
+        acc[m] = x if y is None else y + x
+
+
+def _mul_into(acc, a, b):
+    """acc += a * b, zeros left in place."""
+    from operator import add
+
+    for mb, cb in b.items():
+        for ma, ca in a.items():
+            m = tuple(map(add, ma, mb))
+            y = acc.get(m)
+            acc[m] = ca * cb if y is None else y + ca * cb
+
+
+class FractionPowers:
+    """series.Powers over Fraction dicts: parts[i][d] is the degree-d part
+    of P_i, and part(m, s) is [P^m]_s."""
+
+    def __init__(self, parts):
+        n = len(parts)
+        self.parts = parts
+        self.cache = {tuple(int(k == i) for k in range(n)): parts[i] for i in range(n)}
+
+    @classmethod
+    def of(cls, inner, trunc):
+        from dulac.series import graded
+
+        return cls([graded(c.truncate(trunc), trunc) for c in inner.components])
+
+    def extend(self, new):
+        for col, part in zip(self.parts, new):
+            col.append(part)
+
+    def part(self, m, s):
+        col = self.cache.setdefault(m, [{}] * sum(m))
+        if len(col) > s:
+            return col[s]
+        i = max(k for k, e in enumerate(m) if e)
+        prev = m[:i] + (m[i] - 1,) + m[i + 1 :]
+        low = sum(prev)
+        assert low > 0, "inner map not known through degree s"
+        while len(col) <= s:
+            acc = {}
+            for k in range(low, len(col)):
+                _mul_into(acc, self.part(prev, k), self.parts[i][len(col) - k])
+            col.append(_nonzero(acc))
+        return col[s]
+
+
+def fraction_compose_part(outer, powers, s):
+    out = []
+    for comp in outer:
+        acc = {}
+        for d in range(1, min(s + 1, len(comp))):
+            for m, c in comp[d].items():
+                _axpy(acc, c, powers.part(m, s))
+        out.append(_nonzero(acc))
+    return out
+
+
+def fraction_derivative_part(phi, g, s):
+    out = []
+    for comp in phi:
+        acc = {}
+        for k in range(1, min(s + 1, len(comp))):
+            for m, c in comp[k].items():
+                for i, e in enumerate(m):
+                    if e and s - k + 1 < len(g[i]):
+                        _mul_into(acc, {m[:i] + (e - 1,) + m[i + 1 :]: c * e}, g[i][s - k + 1])
+        out.append(_nonzero(acc))
+    return out
+
+
+def fraction_mul(a, b, trunc=None):
+    """ScalarSeries.mul over pairs of Fraction homogeneous parts."""
+    from dulac.series import graded
+
+    if trunc is None:
+        trunc = min(a.trunc, b.trunc)
+    pa, pb = graded(a, trunc), graded(b, trunc)
+    out = {}
+    for d, part in enumerate(pa):
+        if part:
+            for other in pb[: trunc + 1 - d]:
+                _mul_into(out, part, other)
+    return ScalarSeries(a.n, trunc, _nonzero(out))

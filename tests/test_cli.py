@@ -1,4 +1,5 @@
 import json
+import sys
 from math import comb
 from pathlib import Path
 
@@ -472,3 +473,72 @@ class TestVerifyRederivesLatticeAndBound:
         assert doc["bound"]["verification"]["passed"] is True
         doc["bound"]["verification"]["passed"] = 1
         assert run(["verify", "--input", write(tmp_path, "bad.json", doc)]) == 4
+
+
+class TestTermsAboveTheVerifiedOrder:
+    """A claimed term above the order `verify` checks at is not left
+    unchecked: the report fails verification."""
+
+    @pytest.mark.parametrize(
+        "sub,edit,message",
+        [
+            ("integrals",
+             lambda d: d["integrals"]["search"]["integrals"][0].append({"coeff": [7, 1], "exponent": [5, 4]}),
+             "integral 1 in section 'search' has a term of degree 9"),
+            ("integrals",
+             lambda d: d["integrals"]["pullback"]["integrals"][0].append({"coeff": [1, 3], "exponent": [0, 10]}),
+             "integral 1 in section 'pullback' has a term of degree 10"),
+            ("normalize",
+             lambda d: d["normalization"]["phi"].append({"component": 1, "coeff": [1, 2], "exponent": [9, 0]}),
+             "phi has a term of degree 9"),
+            ("classify",
+             lambda d: d["classification"]["normalization"]["g"].append(
+                 {"component": 2, "coeff": [5, 1], "exponent": [5, 5]}),
+             "g has a term of degree 10"),
+        ],
+    )
+    def test_term_above_order_is_4(self, tmp_path, capsys, sub, edit, message):
+        rep = tmp_path / "rep.json"
+        assert run([sub, "--input", FIXTURES / "ex2_2d.json", "--output", rep]) == 0
+        doc = load(rep)
+        edit(doc)
+        bad = write(tmp_path, "bad.json", doc)
+        capsys.readouterr()
+        assert run(["verify", "--input", bad]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: verification failed:") and message in err
+
+
+class TestUnreadableInputIs2:
+    """Input the JSON reader cannot turn into a document exits 2 with an
+    error line, for system files and for reports alike."""
+
+    @staticmethod
+    def huge_integer(text, sentinel):
+        return text.replace(str(sentinel), "7" * (sys.get_int_max_str_digits() + 1))
+
+    def test_system_integer_over_the_digit_limit(self, tmp_path, capsys):
+        doc = dict(HALF_DOUBLE_DOC, terms=[{"component": 1, "exponent": [0, 2], "coeff": [918273645, 1]}])
+        path = tmp_path / "big.json"
+        path.write_text(self.huge_integer(json.dumps(doc), 918273645))
+        assert run(["normalize", "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(sys.get_int_max_str_digits()) in err
+
+    def test_report_integer_over_the_digit_limit(self, tmp_path, capsys):
+        rep = tmp_path / "rep.json"
+        assert run(["normalize", "--input", FIXTURES / "ex2_2d.json", "--output", rep]) == 0
+        doc = load(rep)
+        doc["normalization"]["phi"][0]["coeff"] = [918273645, 1]
+        path = tmp_path / "big.json"
+        path.write_text(self.huge_integer(json.dumps(doc), 918273645))
+        capsys.readouterr()
+        assert run(["verify", "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(sys.get_int_max_str_digits()) in err
+
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"kind": "map\xe9"}')
+        assert run(["classify", "--input", path]) == 2
+        assert capsys.readouterr().err.startswith("error:")

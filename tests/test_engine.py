@@ -197,16 +197,16 @@ class TestOnlinePowers:
         trunc = 6
         inner = random_inner(rng, n, trunc, True)
         full = [graded(c, trunc) for c in inner.components]
-        online = Powers([col[:2] for col in full])
+        online = Powers([col[:2] for col in full], trunc)
         cache = OraclePowerCache(inner, trunc)
         for s in range(2, trunc + 1):
             for m in iter_exponents(n, 2, s):
                 expected = {k: v for k, v in cache.monomial(m).coeffs.items() if sum(k) == s}
-                assert online.part(m, s) == expected
+                assert online.unpack(online.part(m, s)) == expected
             online.extend([col[s] for col in full])
 
     def test_unknown_degree_rejected(self):
-        online = Powers([graded(c, 1) for c in VectorSeries.identity(2, 1).components])
+        online = Powers([graded(c, 1) for c in VectorSeries.identity(2, 1).components], 2)
         with pytest.raises(SeriesError, match="not known"):
             online.part((1, 0), 2)
 

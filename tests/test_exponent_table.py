@@ -12,6 +12,7 @@ import pytest
 from dulac.errors import HypothesisError
 from dulac.resonance import (
     EigenSpec,
+    ExponentValues,
     RootValue,
     SmallDivisorBound,
     SymbolicBound,
@@ -104,6 +105,17 @@ class TestExponentValues:
                 mb = sum((x * e for x, e in zip(b, m)), F(0)) % 1
                 assert value == (ma, mb)
                 assert 0 <= value[1] < 1
+
+    @pytest.mark.parametrize("form,n,seed", CASES)
+    def test_lazy_values_match_the_table(self, form, n, seed):
+        """Looked up highest degree first, so that every chain m' -> m is
+        built on demand."""
+        spec = random_spec(form, n, seed)
+        table = exponent_values(spec, min(DEGREES[n], 8))
+        lazy = ExponentValues(spec)
+        for m in reversed(list(table)):
+            assert lazy[m] == table[m]
+        assert lazy == table
 
     def test_degree_zero_and_one(self):
         spec = EigenSpec.multiplicative([F(1, 2), 2])
