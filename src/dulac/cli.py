@@ -45,7 +45,6 @@ from .normalizer import (
 )
 from .resonance import (
     EigenSpec,
-    ExponentValues,
     LatticeBasis,
     RootValue,
     SmallDivisorBound,
@@ -682,12 +681,11 @@ def _run_verify(report_path: str) -> dict:
         if not residual.is_zero():
             bad = min(sum(m) for comp in residual.components for m in comp.coeffs)
             fail(f"conjugacy residual is nonzero at degree {bad}")
-        values = ExponentValues(sf.eigen)
         for name, series, resonant in (("phi", phi, False), ("g", g, True)):
             _require_order(series.components, order, f"{name} has a term")
             for j, comp in enumerate(series.components):
                 for m in comp.coeffs:
-                    if (values[m] == sf.eigen.values[j]) != resonant:
+                    if sf.eigen.resonant(m, j) != resonant:
                         kind = "nonresonant" if resonant else "resonant"
                         fail(f"{name} carries {kind} monomial {m} in component {j + 1}")
         checked.append("normalization")
@@ -726,6 +724,7 @@ def _run_verify(report_path: str) -> dict:
             if not isinstance(sec, dict) or "integrals" not in sec:
                 continue
             where = f"{report_path}:integrals.{name}"
+            residual_zero = []
             for i, terms in enumerate(_field(sec, "integrals", list, where)):
                 V = _series_from_json(terms, sf.n, order, f"{where}.integrals[{i}]")
                 _require_order([V], order, f"integral {i + 1} in section '{name}' has a term")
@@ -734,9 +733,8 @@ def _run_verify(report_path: str) -> dict:
                     if sf.kind == "map"
                     else verify_integral_field(V, system, order)
                 )
-                claimed = sec.get("residual_zero")
-                if claimed and all(claimed) and not residual.is_zero():
-                    fail(f"integral in section '{name}' is not invariant")
+                residual_zero.append(residual.is_zero())
+            _require_match(sec.get("residual_zero"), residual_zero, f"integrals.{name}.residual_zero")
             checked.append(f"integrals:{name}")
     if "embedding" in doc:
         emb = _field(doc, "embedding", dict, report_path)
@@ -747,6 +745,8 @@ def _run_verify(report_path: str) -> dict:
             _series_from_json(t, sf.n, order + 1, f"{where}.integrals[{i}]")
             for i, t in enumerate(_field(emb, "integrals", list, where))
         ]
+        if len(vs) != sf.n - 1:
+            fail(f"embedding holds {len(vs)} integrals, not n-1 = {sf.n - 1}")
         from .series import gradient, scalar_inner
 
         for V in vs:
@@ -807,9 +807,11 @@ def _fmt_terms(terms: list) -> str:
     return " + ".join(bits)
 
 
-def _render_text(report: dict, out) -> None:
+def _render_text(report: dict) -> str:
+    lines = []
+
     def emit(line=""):
-        print(line, file=out)
+        lines.append(line)
 
     emit(f"dulac {report['tool']['version']} - {report['subcommand']}")
     params = report.get("parameters", {})
@@ -913,25 +915,28 @@ def _render_text(report: dict, out) -> None:
         emit()
         emit(f"growth diagnostic (advisory): slope {g['log_slope']}, "
              f"ratio {g['ratio']}, super-geometric: {g['super_geometric']}")
+    return "\n".join(lines) + "\n"
 
 
 def _emit(report: dict, args) -> None:
-    text = (
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-        if args.format == "json"
-        else None
-    )
+    """Write the report, rendered whole first so that a report that cannot
+    be written leaves no partial output file."""
+    try:
+        if args.format == "json":
+            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        else:
+            text = _render_text(report)
+    except ValueError as exc:
+        # int -> str refuses integers longer than the interpreter's limit
+        raise HypothesisError(
+            f"the report holds an integer of more than {sys.get_int_max_str_digits()} "
+            "digits, which cannot be written out; lower --order or scale the input"
+        ) from exc
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            if args.format == "json":
-                fh.write(text)
-            else:
-                _render_text(report, fh)
+            fh.write(text)
     else:
-        if args.format == "json":
-            sys.stdout.write(text)
-        else:
-            _render_text(report, sys.stdout)
+        sys.stdout.write(text)
 
 
 # -- entry point --------------------------------------------------------------------

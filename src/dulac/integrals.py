@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .errors import HypothesisError
 from .linalg import kernel_basis, rank as q_rank
-from .resonance import LatticeBasis, iter_exponents, lattice_resonant
+from .resonance import LatticeBasis, iter_exponents
 from .scalars import Scalar
 from .series import (
     Exponent,
@@ -82,7 +82,7 @@ def verify_integral_map(V: ScalarSeries, F: MapSystem, order: int | None = None)
                 "formal-base verification supports linear maps only"
             )
         for m, _ in V.terms():
-            if not lattice_resonant(F.mu, m):
+            if not F.mu.resonant(m):
                 raise HypothesisError(
                     f"residual of monomial {m} is not representable over the "
                     "coefficient field (nonresonant against the formal base)"
@@ -149,7 +149,7 @@ def search_integrals_map(F: MapSystem, degree: int) -> tuple[ScalarSeries, ...]:
         return tuple(
             ScalarSeries.monomial(n, degree, m)
             for m in iter_exponents(n, 1, degree)
-            if lattice_resonant(F.mu, m)
+            if F.mu.resonant(m)
         )
     through = F.order
     monomials = list(iter_exponents(n, 1, degree))

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import exp, log
+from math import exp, inf, log
 from typing import Optional, Sequence, Union
 
 from .errors import HypothesisError, InternalInvariantError
 from .linalg import primitive_integer_kernel
-from .resonance import EigenSpec, ExponentValues, LatticeBasis, enumerate_lattice
+from .resonance import EigenSpec, LatticeBasis, enumerate_lattice
 from .scalars import Scalar, sc_div, sc_im, sc_re
 from .series import (
     Exponent,
@@ -160,11 +160,11 @@ def _require_exact_eigenvalues(spec: EigenSpec):
         )
 
 
-def _split_degree(spec: EigenSpec, values: dict, rhs: list[dict]) -> tuple[list[dict], list[dict]]:
+def _split_degree(spec: EigenSpec, rhs: list[dict]) -> tuple[list[dict], list[dict]]:
     """Split a degree's right-hand side into normal-form terms (divisor zero,
     i.e. resonant) and transformation terms (divided by the divisor); the
-    divisor of y^m e_j is values[m] - spec.values[j], from one table of
-    exponent values per solve."""
+    divisor of y^m e_j is spec.table[m] - spec.values[j]."""
+    values = spec.table
     g_s: list[dict] = [{} for _ in rhs]
     phi_s: list[dict] = [{} for _ in rhs]
     for j, comp in enumerate(rhs):
@@ -197,7 +197,6 @@ def _solve(system: System, order: int | None) -> NormalizationResult:
     f = [graded(c, N) for c in system.nonlinear.components]
     phi: list[list[dict]] = [[{}, {}] for _ in range(n)]
     g: list[list[dict]] = [[{}, {}] for _ in range(n)]
-    values = ExponentValues(spec)
     P = Powers([graded(c, 1) for c in VectorSeries.identity(n, 1).components], N)  # y + phi
     Q = Powers([graded(c, 1) for c in system.linear(1).components], N) if is_map else None  # B y + g
     for s in range(2, N + 1):
@@ -206,7 +205,7 @@ def _solve(system: System, order: int | None) -> NormalizationResult:
         for acc, part in zip(rhs, corr):
             for m, c in part.items():
                 acc[m] = acc[m] - c if m in acc else -c
-        g_s, phi_s = _split_degree(spec, values, rhs)
+        g_s, phi_s = _split_degree(spec, rhs)
         for col, part in zip(phi + g, phi_s + g_s):
             col.append(part)
         P.extend(phi_s)
@@ -491,7 +490,11 @@ def growth_diagnostic(phi: VectorSeries) -> GrowthDiagnostic:
     super_geometric = (
         len(increments) >= 3 and rising and (increments[-1] - increments[0]) > 0.69
     )
-    return GrowthDiagnostic(tuple(rows), slope, exp(slope), super_geometric)
+    try:
+        ratio = exp(slope)
+    except OverflowError:  # a slope past the float range
+        ratio = inf
+    return GrowthDiagnostic(tuple(rows), slope, ratio, super_geometric)
 
 
 # -- classification ----------------------------------------------------------------

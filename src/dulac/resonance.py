@@ -11,20 +11,21 @@ Eigenvalue tuples come in three exact forms:
   that is never evaluated; all resonance queries reduce to exact rational
   arithmetic on the exponents and phases.
 
-Exponent values live in one kind of table, `ExponentValues`, in which each
-entry is a single product or sum from an entry one degree below.  The
-degree-D scans (`enumerate_lattice`, `verify_bound`) fill one through degree
-D in graded order (`exponent_values`); the normalizer's divisors and
-`verify`'s resonance checks fill only the exponents they look up; the
-per-monomial queries (`lattice_resonant`, `transformation_resonant`,
-`homological_divisor`) compute their value from scratch.
+Each spec owns one table of exponent values, `EigenSpec.table`: mu^m,
+<m, lambda> or (a.m, b.m mod 1), each entry computed on its first lookup as
+a single product or sum from an entry one degree below.  Every value query
+reads it: the resonance test `EigenSpec.resonant` (value(m) = value(e_j),
+or value(m) = value(0) for first integrals), the degree-D scans
+(`enumerate_lattice`, `verify_bound`, which look up `iter_exponents` in
+order, so they never depend on who filled the table first), the
+normalizer's homological divisors and `verify`'s resonance checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence, Union
 
@@ -37,7 +38,6 @@ from .scalars import (
     format_scalar,
     sc_abs2,
     sc_im,
-    sc_pow,
     sc_re,
     scalar_to_json,
 )
@@ -90,25 +90,18 @@ class EigenSpec:
         """True when the eigenvalues themselves live in the coefficient field."""
         return self.kind in ("additive", "mult-rational")
 
-    def power(self, m: Exponent) -> Scalar:
-        """The exact multiplier power mu^m."""
-        if self.kind != "mult-rational":
-            raise HypothesisError("exact multiplier powers need the mult-rational form")
-        out: Scalar = Fraction(1)
-        for mu, e in zip(self.values, m):
-            if e:
-                out = out * sc_pow(mu, e)
-        return out
+    @cached_property
+    def table(self) -> "ExponentValues":
+        """The values of the exponents looked up so far (not a field: the
+        spec still compares and hashes by its eigenvalues)."""
+        return ExponentValues(self)
 
-    def inner(self, m: Exponent) -> Scalar:
-        """<m, lambda> for the additive kind."""
-        if self.kind != "additive":
-            raise HypothesisError("inner products need the additive form")
-        out: Scalar = Fraction(0)
-        for lam, e in zip(self.values, m):
-            if e:
-                out = out + lam * e
-        return out
+    def resonant(self, m: Exponent, j: Optional[int] = None) -> bool:
+        """y^m e_j is resonant: value(m) = value(e_j), i.e. mu^m = mu_j,
+        <m, lambda> = lambda_j or (a.m, b.m) = (a_j, b_j) mod 1; with j None,
+        y^m is a first-integral monomial: value(m) = value(0)."""
+        table = self.table
+        return table[tuple(m)] == table[tuple(int(i == j) for i in range(self.n))]
 
     def describe(self) -> str:
         if self.kind == "mult-base":
@@ -133,51 +126,14 @@ def is_resonant_map(mu: EigenSpec, m: Exponent, j: Optional[int] = None) -> bool
     """mu^m == mu_j, or mu^m == 1 when j is None (first-integral resonance)."""
     if not mu.is_multiplicative():
         raise HypothesisError("is_resonant_map needs a multiplicative eigen spec")
-    m = tuple(m)
-    if mu.kind == "mult-rational":
-        target: Scalar = Fraction(1) if j is None else mu.values[j]
-        return mu.power(m) == target
-    a, b = mu.exponents, mu.phases
-    ta = Fraction(0) if j is None else a[j]
-    tb = Fraction(0) if j is None else b[j]
-    da = sum(ai * e for ai, e in zip(a, m)) - ta
-    db = (sum(bi * e for bi, e in zip(b, m)) - tb) % 1
-    return da == 0 and db == 0
+    return mu.resonant(m, j)
 
 
 def is_resonant_field(lam: EigenSpec, m: Exponent, j: Optional[int] = None) -> bool:
     """<m, lambda> == lambda_j, or == 0 when j is None."""
     if lam.kind != "additive":
         raise HypothesisError("is_resonant_field needs an additive eigen spec")
-    m = tuple(m)
-    target: Scalar = Fraction(0) if j is None else lam.values[j]
-    return lam.inner(m) == target
-
-
-def transformation_resonant(spec: EigenSpec, m: Exponent, j: int) -> bool:
-    """Resonance in the normalization sense for a monomial y^m e_j."""
-    if spec.kind == "additive":
-        return is_resonant_field(spec, m, j)
-    return is_resonant_map(spec, m, j)
-
-
-def lattice_resonant(spec: EigenSpec, m: Exponent) -> bool:
-    """Resonance in the first-integral sense (mu^m = 1 resp. <m, lambda> = 0)."""
-    if spec.kind == "additive":
-        return is_resonant_field(spec, m, None)
-    return is_resonant_map(spec, m, None)
-
-
-def homological_divisor(spec: EigenSpec, m: Exponent, j: int) -> Scalar:
-    """The exact divisor mu^m - mu_j (maps) or <m, lambda> - lambda_j (fields)."""
-    if spec.kind == "additive":
-        return spec.inner(m) - spec.values[j]
-    if spec.kind == "mult-rational":
-        return spec.power(m) - spec.values[j]
-    raise HypothesisError(
-        "homological divisors are not in the coefficient field for a formal base; "
-        "supply mult-rational eigenvalues"
-    )
+    return lam.resonant(m, j)
 
 
 # -- resonant lattice ---------------------------------------------------------
@@ -238,7 +194,8 @@ class ExponentValues(dict):
     A value is computed on its first lookup: with m = m' + e_i (i the last
     index with m_i > 0), it is one product or sum from the value of m', as in
     `series.Powers`.  A sparse series so costs only the chains of its own
-    exponents, not the whole table through its degree.
+    exponents, not the whole table through its degree.  Build it through
+    `EigenSpec.table`, so that one spec keeps one table.
     """
 
     def __init__(self, spec: EigenSpec):
@@ -264,38 +221,25 @@ class ExponentValues(dict):
         return value
 
 
-def exponent_values(spec: EigenSpec, high: int) -> ExponentValues:
-    """The values of every exponent with |m| <= high, looked up in graded-lex
-    (`iter_exponents`) order, so keyed in that order."""
-    table = ExponentValues(spec)
-    for m in iter_exponents(spec.n, 1, high):
-        table[m]
-    return table
-
-
-def _nonlinear_values(spec: EigenSpec, high: int):
-    """(m, value) for 2 <= |m| <= high in graded-lex order, from one table."""
-    return islice(exponent_values(spec, high).items(), 1 + spec.n, None)
-
-
 def enumerate_lattice(spec: EigenSpec, bound: int) -> LatticeBasis:
     """All resonant exponents with 2 <= |m| <= bound, their rank, and generators.
 
-    Resonance is read off the `exponent_values` table (mu^m = 1, <m, lambda>
-    = 0, or a.m = 0 with b.m = 0 mod 1) in graded-lex order.  Rank can only
+    Resonance is read off the spec's table (mu^m = 1, <m, lambda> = 0, or
+    a.m = 0 with b.m = 0 mod 1) in graded-lex order.  Rank can only
     be under-reported when the bound is too small; the bound is recorded so
     every downstream claim is certified "at degree D".
     """
     if bound < 2:
         raise ValueError("enumeration bound must be >= 2")
     kind = "field" if spec.kind == "additive" else "map"
-    resonant = {"mult-rational": 1, "additive": 0, "mult-base": (0, 0)}[spec.kind]
+    table = spec.table
+    resonant = table[(0,) * spec.n]
     found: list[Exponent] = []
     full = Echelon()
     candidates: list[Exponent] = []
     seen: set[Exponent] = set()
-    for m, value in _nonlinear_values(spec, bound):
-        if value != resonant:
+    for m in iter_exponents(spec.n, 2, bound):
+        if table[m] != resonant:
             continue
         found.append(m)
         full.add(dict(enumerate(m)))
@@ -327,10 +271,7 @@ def enumerate_lattice(spec: EigenSpec, bound: int) -> LatticeBasis:
 
 
 def _is_simple(m: Exponent) -> bool:
-    g = 0
-    for e in m:
-        g = gcd(g, e)
-    return g == 1
+    return gcd(*m) == 1
 
 
 def _generator_candidate(spec: EigenSpec, m: Exponent) -> Exponent:
@@ -338,27 +279,13 @@ def _generator_candidate(spec: EigenSpec, m: Exponent) -> Exponent:
     m/d for the largest divisor d of the entry gcd keeping m/d resonant.
     For fields any d works, so the result is always simple; multiplicative
     torsion can force d < gcd."""
-    g = 0
-    for e in m:
-        g = gcd(g, e)
-    if g == 1:
-        return m
-    for d in sorted(_divisors(g), reverse=True):
-        reduced = tuple(e // d for e in m)
-        if d == 1 or lattice_resonant(spec, reduced):
-            return reduced
-    return m
-
-
-def _divisors(g: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= g:
+    g = gcd(*m)
+    for d in range(g, 1, -1):
         if g % d == 0:
-            out.append(d)
-            out.append(g // d)
-        d += 1
-    return sorted(set(out))
+            reduced = tuple(e // d for e in m)
+            if spec.resonant(reduced):
+                return reduced
+    return m
 
 
 # -- exact value forms for bounds --------------------------------------------
@@ -771,8 +698,8 @@ def verify_bound(spec: EigenSpec, bound: SmallDivisorBound, D: int) -> BoundVeri
 
     With exactly representable eigenvalues the minimum gap is found by
     exhaustive squared-modulus comparison of the divisors value(m) - mu_j
-    resp. value(m) - lambda_j, read off the `exponent_values` table in
-    graded-lex order; the first pair reaching the minimum is the witness.
+    resp. value(m) - lambda_j, read off the spec's table in graded-lex
+    order; the first pair reaching the minimum is the witness.
     For a formal base the proof's case analysis is replayed on the
     exponent/phase certificate instead, on the table of (a.m, b.m mod 1),
     stopping at the first failing pair; nothing is ever evaluated
@@ -782,10 +709,12 @@ def verify_bound(spec: EigenSpec, bound: SmallDivisorBound, D: int) -> BoundVeri
         return _verify_certificate(spec, bound, D)
     n = spec.n
     eig = spec.values
+    table = spec.table
     min_sq: Optional[Fraction] = None
     witness = None
     checked = 0
-    for m, value in _nonlinear_values(spec, D):
+    for m in iter_exponents(n, 2, D):
+        value = table[m]
         for j in range(n):
             div = value - eig[j]
             if div == 0:
@@ -820,8 +749,11 @@ def _verify_certificate(
     has_phase_term = cert["sigma2"] is not None
     n = spec.n
     checked = 0
-    base = EigenSpec.multiplicative_base(a, b)
-    for m, (ma, mb) in _nonlinear_values(base, D):
+    # a mult-base spec is its own certificate base
+    base = spec if spec.kind == "mult-base" else EigenSpec.multiplicative_base(a, b)
+    table = base.table
+    for m in iter_exponents(n, 2, D):
+        ma, mb = table[m]
         for j in range(n):
             da = ma - a[j]
             db = (mb - b[j]) % 1

@@ -2,16 +2,57 @@
 primitives only, so solver outputs can be checked against exact expectations."""
 
 from fractions import Fraction as F
+from math import gcd
 
 from dulac.linalg import primitive_integer_kernel
 from dulac.normalizer import MapSystem
-from dulac.resonance import (
-    EigenSpec,
-    enumerate_lattice,
-    iter_exponents,
-    transformation_resonant,
-)
+from dulac.resonance import EigenSpec, enumerate_lattice, iter_exponents
+from dulac.scalars import sc_pow
 from dulac.series import ScalarSeries, VectorSeries, compose, invert, unit_power
+
+
+# -- per-monomial value oracles ------------------------------------------------------
+#
+# Exponent values, homological divisors and resonance computed from scratch for
+# each exponent, independently of the lazily filled `EigenSpec.table`.
+
+
+def oracle_power(spec, m):
+    """mu^m as a product of powers (mult-rational)."""
+    out = F(1)
+    for mu, e in zip(spec.values, m):
+        if e:
+            out = out * sc_pow(mu, e)
+    return out
+
+
+def oracle_inner(spec, m):
+    """<m, lambda> as a sum of products (additive)."""
+    out = F(0)
+    for lam, e in zip(spec.values, m):
+        if e:
+            out = out + lam * e
+    return out
+
+
+def oracle_divisor(spec, m, j):
+    """The homological divisor mu^m - mu_j (maps) or <m, lambda> - lambda_j
+    (fields) of an exact spec."""
+    value = oracle_inner(spec, m) if spec.kind == "additive" else oracle_power(spec, m)
+    return value - spec.values[j]
+
+
+def oracle_resonant(spec, m, j=None):
+    """y^m e_j is resonant (mu^m = mu_j, <m, lambda> = lambda_j, or a.m = a_j
+    with b.m = b_j mod 1); with j None, y^m is a first-integral monomial."""
+    if spec.kind == "mult-base":
+        a, b = spec.exponents, spec.phases
+        da = sum(x * e for x, e in zip(a, m)) - (0 if j is None else a[j])
+        db = (sum(x * e for x, e in zip(b, m)) - (0 if j is None else b[j])) % 1
+        return da == 0 and db == 0
+    if spec.kind == "additive":
+        return oracle_inner(spec, m) == (0 if j is None else spec.values[j])
+    return oracle_power(spec, m) == (1 if j is None else spec.values[j])
 
 
 def normal_form_from_units(mu_vals, p_list, N):
@@ -100,7 +141,7 @@ def random_integrable_case(rng, n, N=6):
         (j, m)
         for m in iter_exponents(n, 2, N)
         for j in range(n)
-        if not transformation_resonant(mu, m, j)
+        if not oracle_resonant(mu, m, j)
     ]
     phi_triples = []
     for (j, m) in rng.sample(pool, min(len(pool), rng.randint(1, 3))):
@@ -239,15 +280,14 @@ def oracle_invert(phi, trunc=None):
 
 
 def _oracle_split(spec, rhs_s, phi_terms, g_terms):
-    from dulac.resonance import homological_divisor
     from dulac.scalars import sc_div
 
     for j, comp in enumerate(rhs_s.components):
         for m, c in comp.terms():
-            if transformation_resonant(spec, m, j):
+            if oracle_resonant(spec, m, j):
                 g_terms.append((j, m, c))
             else:
-                phi_terms.append((j, m, sc_div(c, homological_divisor(spec, m, j))))
+                phi_terms.append((j, m, sc_div(c, oracle_divisor(spec, m, j))))
 
 
 def oracle_normalize(system, N):
@@ -277,22 +317,31 @@ def oracle_normalize(system, N):
 # -- resonance scan oracles ----------------------------------------------------------
 #
 # The degree-D scans as they were before the graded table of exponent values:
-# every exponent's value is rebuilt from scratch through the per-monomial API
-# (EigenSpec.power / inner, homological_divisor, sums over the exponent).
+# every exponent's value is rebuilt from scratch by the per-monomial oracles
+# above (oracle_resonant, oracle_divisor, sums over the exponent).
+
+
+def _oracle_generator_candidate(spec, m):
+    """m/d for the largest divisor d of the entry gcd keeping m/d resonant."""
+    g = gcd(*m)
+    for d in range(g, 0, -1):
+        reduced = tuple(e // d for e in m)
+        if g % d == 0 and (d == 1 or oracle_resonant(spec, reduced)):
+            return reduced
 
 
 def oracle_enumerate_lattice(spec, bound):
     from dulac.linalg import Echelon
-    from dulac.resonance import LatticeBasis, _generator_candidate, _is_simple, lattice_resonant
+    from dulac.resonance import LatticeBasis, _is_simple
 
     found, candidates, seen = [], [], set()
     full = Echelon()
     for m in iter_exponents(spec.n, 2, bound):
-        if not lattice_resonant(spec, m):
+        if not oracle_resonant(spec, m):
             continue
         found.append(m)
         full.add(dict(enumerate(m)))
-        cand = _generator_candidate(spec, m)
+        cand = _oracle_generator_candidate(spec, m)
         if cand not in seen:
             seen.add(cand)
             candidates.append(cand)
@@ -319,14 +368,14 @@ def oracle_enumerate_lattice(spec, bound):
 
 
 def oracle_verify_bound(spec, bound, D):
-    """Exhaustive mode: one homological_divisor call per pair (m, j)."""
-    from dulac.resonance import BoundVerification, _square_of, homological_divisor, sqrt_value
+    """Exhaustive mode: one oracle_divisor call per pair (m, j)."""
+    from dulac.resonance import BoundVerification, _square_of, sqrt_value
     from dulac.scalars import sc_abs2
 
     min_sq, witness, checked = None, None, 0
     for m in iter_exponents(spec.n, 2, D):
         for j in range(spec.n):
-            div = homological_divisor(spec, m, j)
+            div = oracle_divisor(spec, m, j)
             if div == 0:
                 continue
             checked += 1

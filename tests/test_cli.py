@@ -542,3 +542,79 @@ class TestUnreadableInputIs2:
         path.write_bytes(b'{"kind": "map\xe9"}')
         assert run(["classify", "--input", path]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+def big_coefficient_map(c, order):
+    """mu = (1/2, 2), f = c*y1^2 e1 + (c/3)*y2^2 e2: coefficients of phi grow
+    like powers of c."""
+    return dict(HALF_DOUBLE_DOC, degree_D=4, order_N=order, terms=[
+        {"component": 1, "exponent": [2, 0], "coeff": [c, 1]},
+        {"component": 2, "exponent": [0, 2], "coeff": [c, 3]},
+    ])
+
+
+class TestLargeCoefficients:
+    def test_growth_ratio_past_the_float_range_is_inf(self, tmp_path, capsys):
+        path = write(tmp_path, "big.json", big_coefficient_map(10**400 + 7, 5))
+        for sub in ("normalize", "classify"):
+            rep = tmp_path / f"{sub}.json"
+            assert run([sub, "--input", path, "--output", rep]) == 0
+            doc = load(rep)
+            growth = doc["growth"] if sub == "normalize" else doc["classification"]["growth"]
+            assert growth["ratio"] == "inf" and float(growth["log_slope"]) > 709
+            assert run(["verify", "--input", rep]) == 0
+        assert run(["normalize", "--input", path, "--format", "text"]) == 0
+        assert "ratio inf" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_output_integer_over_the_digit_limit_is_3(self, tmp_path, capsys, fmt):
+        path = write(tmp_path, "big.json", big_coefficient_map(10**300 + 7, 18))
+        rep = tmp_path / "rep.out"
+        capsys.readouterr()
+        assert run(["normalize", "--input", path, "--format", fmt, "--output", rep]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(sys.get_int_max_str_digits()) in err
+        assert "Traceback" not in err
+        assert not rep.exists()
+        assert run(["normalize", "--input", path, "--format", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+
+def _pop_residual_zero(section):
+    section.pop("residual_zero")
+
+
+class TestVerifyRederivesIntegralClaims:
+    """`residual_zero` is compared whole with the recomputed residuals, and an
+    embedding carries exactly n-1 integrals."""
+
+    @pytest.mark.parametrize(
+        "sub,edit,field",
+        [
+            ("integrals", lambda d: d["integrals"]["search"]["residual_zero"].__setitem__(0, False),
+             "integrals.search.residual_zero"),
+            ("integrals", lambda d: d["integrals"]["pullback"]["residual_zero"].__setitem__(0, False),
+             "integrals.pullback.residual_zero"),
+            ("integrals", lambda d: _pop_residual_zero(d["integrals"]["search"]),
+             "integrals.search.residual_zero"),
+            ("integrals", lambda d: _pop_residual_zero(d["integrals"]["pullback"]),
+             "integrals.pullback.residual_zero"),
+            ("integrals", lambda d: d["integrals"]["search"]["integrals"].clear(),
+             "integrals.search.residual_zero"),
+            ("embed", lambda d: d["embedding"]["integrals"].clear(), "0 integrals, not n-1 = 1"),
+            ("embed", lambda d: d["embedding"]["integrals"].append(d["embedding"]["integrals"][0]),
+             "2 integrals, not n-1 = 1"),
+        ],
+    )
+    def test_edit_is_4(self, tmp_path, capsys, sub, edit, field):
+        rep = tmp_path / "rep.json"
+        assert run([sub, "--input", FIXTURES / "ex2_2d.json", "--output", rep]) == 0
+        assert run(["verify", "--input", rep]) == 0
+        doc = load(rep)
+        edit(doc)
+        bad = write(tmp_path, "bad.json", doc)
+        capsys.readouterr()
+        assert run(["verify", "--input", bad]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: verification failed:") and field in err

@@ -12,11 +12,12 @@ from helpers import (
     oracle_compose_scalar,
     oracle_invert,
     oracle_normalize,
+    oracle_resonant,
     random_sparse_series,
 )
 
 from dulac.normalizer import FieldSystem, MapSystem, normalize_field, normalize_map
-from dulac.resonance import EigenSpec, iter_exponents, transformation_resonant
+from dulac.resonance import EigenSpec, iter_exponents
 from dulac.scalars import gaussian
 from dulac.series import (
     Powers,
@@ -89,7 +90,7 @@ def build_system(kind, k, N):
     rng = random.Random(f"engine/{kind}/{k}/{N}")
     gaussian_ok = any(not isinstance(v, F) for v in values)
     f = random_nonlinear(rng, n, N, 8 if n < 4 else 6, gaussian_ok)
-    resonant = [(j, m) for m in iter_exponents(n, 2, N) for j in range(n) if transformation_resonant(spec, m, j)]
+    resonant = [(j, m) for m in iter_exponents(n, 2, N) for j in range(n) if oracle_resonant(spec, m, j)]
     if resonant:
         j, m = rng.choice(resonant)
         f = f + VectorSeries.from_terms(n, N, [(j, m, random_coeff(rng, gaussian_ok))])

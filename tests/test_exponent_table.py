@@ -1,7 +1,7 @@
-"""The graded table of exponent values against the per-exponent scans it
-replaced: equal lattices and equal bound verifications (pair counts, minimum
-gaps, witnesses and first failures) on seeded random spectra in all three
-eigenvalue forms."""
+"""Each spec's table of exponent values against the per-exponent scans it
+replaced: equal values, equal lattices and equal bound verifications (pair
+counts, minimum gaps, witnesses and first failures) on seeded random spectra
+in all three eigenvalue forms, whatever lookups filled the table first."""
 
 import random
 from dataclasses import replace
@@ -12,12 +12,12 @@ import pytest
 from dulac.errors import HypothesisError
 from dulac.resonance import (
     EigenSpec,
-    ExponentValues,
     RootValue,
     SmallDivisorBound,
     SymbolicBound,
     enumerate_lattice,
-    exponent_values,
+    is_resonant_field,
+    is_resonant_map,
     iter_exponents,
     small_divisor_bound_field,
     small_divisor_bound_map,
@@ -25,7 +25,14 @@ from dulac.resonance import (
 )
 from dulac.scalars import gaussian, sc_pow
 
-from helpers import oracle_enumerate_lattice, oracle_verify_bound, oracle_verify_certificate
+from helpers import (
+    oracle_enumerate_lattice,
+    oracle_inner,
+    oracle_power,
+    oracle_resonant,
+    oracle_verify_bound,
+    oracle_verify_certificate,
+)
 
 FORMS = ("rational", "gaussian", "additive", "mult-base")
 DEGREES = {1: 20, 2: 20, 3: 12, 4: 7}
@@ -92,13 +99,15 @@ class TestExponentValues:
     def test_each_value_matches_the_per_monomial_api(self, form, n, seed):
         spec = random_spec(form, n, seed)
         high = min(DEGREES[n], 8)
-        table = exponent_values(spec, high)
+        table = spec.table
+        for m in iter_exponents(n, 0, high):
+            table[m]
         assert list(table) == list(iter_exponents(n, 0, high))
         for m, value in table.items():
             if spec.kind == "mult-rational":
-                assert value == spec.power(m)
+                assert value == oracle_power(spec, m)
             elif spec.kind == "additive":
-                assert value == spec.inner(m)
+                assert value == oracle_inner(spec, m)
             else:
                 a, b = spec.exponents, spec.phases
                 ma = sum((x * e for x, e in zip(a, m)), F(0))
@@ -110,18 +119,22 @@ class TestExponentValues:
     def test_lazy_values_match_the_table(self, form, n, seed):
         """Looked up highest degree first, so that every chain m' -> m is
         built on demand."""
-        spec = random_spec(form, n, seed)
-        table = exponent_values(spec, min(DEGREES[n], 8))
-        lazy = ExponentValues(spec)
-        for m in reversed(list(table)):
+        exponents = list(iter_exponents(n, 0, min(DEGREES[n], 8)))
+        table = random_spec(form, n, seed).table
+        for m in exponents:
+            table[m]
+        lazy = random_spec(form, n, seed).table
+        for m in reversed(exponents):
             assert lazy[m] == table[m]
         assert lazy == table
 
     def test_degree_zero_and_one(self):
         spec = EigenSpec.multiplicative([F(1, 2), 2])
-        assert exponent_values(spec, 1) == {(0, 0): 1, (1, 0): F(1, 2), (0, 1): 2}
+        for m in iter_exponents(2, 0, 1):
+            spec.table[m]
+        assert spec.table == {(0, 0): 1, (1, 0): F(1, 2), (0, 1): 2}
         spec = EigenSpec.multiplicative_base([1, -2], [F(3, 4), F(1, 2)])
-        table = exponent_values(spec, 2)
+        table = spec.table
         assert table[(0, 0)] == (0, 0) and table[(2, 0)] == (2, F(1, 2))
         assert table[(1, 1)] == (-1, F(1, 4))
 
@@ -211,3 +224,80 @@ def test_verify_bound_failure_is_first_in_graded_order():
     got = verify_bound(spec, inflated, 12)
     assert not got.passed and got == oracle_verify_bound(spec, inflated, 12)
     assert got.failure == got.witness == ((0, 2), 1)  # |-2 - (-1)| = 1
+
+
+# -- one table per spec, filled in any order ---------------------------------------
+
+ORDER_CASES = [(form, n, seed) for form in FORMS for n in (2, 3, 4) for seed in SEEDS]
+
+
+def scattered(form, n, seed):
+    """A seeded spec whose table already holds sparse lookups in random
+    order, some above the scan degree, as a normalizer solve or `verify`'s
+    resonance check leaves it."""
+    spec = random_spec(form, n, seed)
+    rng = random.Random(f"table/scatter/{form}/{n}/{seed}")
+    pool = list(iter_exponents(n, 2, DEGREES[n] + 2))
+    for m in rng.sample(pool, 40):
+        spec.table[m]
+    return spec
+
+
+def _order_bounds(spec, basis, D):
+    """The constructed bound if any; for exact spectra also a zero bound
+    (passes, with the exact minimum gap) and twice the minimum gap (fails at
+    the witness); for a formal base without a bound, a certificate on the
+    spec's own exponents and phases."""
+    built = _bound_for(spec, basis)
+    bounds = [] if built is None else [built]
+    if spec.kind != "mult-base":
+        zero = SmallDivisorBound("map", F(0))
+        bounds.append(zero)
+        gap = verify_bound(spec, zero, D).min_gap
+        if gap is not None:
+            bounds.append(SmallDivisorBound("map", gap * 2))
+    elif built is None:
+        cert = {"base_exponents": spec.exponents, "phases": spec.phases, "alpha_exp": F(1, 2),
+                "phase_group_order": 8, "sigma2": "phase-gap"}
+        bounds.append(SmallDivisorBound("map", SymbolicBound(terms=()), cert))
+    return bounds
+
+
+class TestTableOrderIndependence:
+    @pytest.mark.parametrize("form,n,seed", ORDER_CASES)
+    def test_scans_after_scattered_lookups(self, form, n, seed):
+        D = DEGREES[n]
+        spec = scattered(form, n, seed)
+        basis = enumerate_lattice(spec, D)
+        assert basis == enumerate_lattice(random_spec(form, n, seed), D)
+        assert basis == oracle_enumerate_lattice(random_spec(form, n, seed), D)
+        for bound in _order_bounds(random_spec(form, n, seed), basis, D):
+            got = verify_bound(spec, bound, D)
+            assert got == verify_bound(random_spec(form, n, seed), bound, D)
+            oracle = (
+                oracle_verify_certificate if got.mode == "certificate" else oracle_verify_bound
+            )
+            assert got == oracle(random_spec(form, n, seed), bound, D)
+
+    @pytest.mark.parametrize("form,n,seed", ORDER_CASES)
+    def test_resonance_after_scattered_lookups(self, form, n, seed):
+        spec = scattered(form, n, seed)
+        public, other = (
+            (is_resonant_field, is_resonant_map) if spec.kind == "additive"
+            else (is_resonant_map, is_resonant_field)
+        )
+        for m in iter_exponents(n, 0, 6):
+            for j in (None, *range(n)):
+                want = oracle_resonant(spec, m, j)
+                assert spec.resonant(m, j) == want, (m, j)
+                assert public(spec, m, j) == want, (m, j)
+        with pytest.raises(HypothesisError):
+            other(spec, (1,) * n, None)
+        with pytest.raises(HypothesisError):
+            other(spec, (1,) * n, 0)
+
+    def test_spec_compares_and_hashes_by_its_fields(self):
+        spec, fresh = scattered("gaussian", 3, 0), random_spec("gaussian", 3, 0)
+        assert spec == fresh and hash(spec) == hash(fresh)
+        assert "table" not in repr(spec)
+        assert spec.table is spec.table and fresh.table is not spec.table
