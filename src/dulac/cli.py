@@ -64,6 +64,12 @@ TIME_ONE_TERMS = 12
 # lattice work through degree D scans C(D + n, n) exponents: `resonance` at
 # the limit takes 0.6-1.2 s on a 2-vCPU VM, and the cost grows without bound
 MAX_LATTICE_EXPONENTS = 20_000
+# a series through order N has C(N + n, n) monomials per component.  The
+# limit bounds that work, not the time, which follows coefficient growth:
+# `normalize` of a dense map (bench.workloads.dense_map, seed
+# "scale/n/N/False") at the limit took 8.6 s for n = 2, N = 30, 0.9 s for
+# n = 3, N = 12 and 0.4 s for n = 4, N = 8 on a 2-vCPU VM
+MAX_ORDER_MONOMIALS = 500
 
 EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3
@@ -170,13 +176,27 @@ def _int_field(doc: dict, name: str, low: int, where: str) -> int:
 
 def _lattice_degree(D: int, n: int, what: str) -> int:
     """D itself, once its lattice scan is within MAX_LATTICE_EXPONENTS."""
-    count = comb(D + n, n)
-    if count > MAX_LATTICE_EXPONENTS:
+    return _within(D, n, what, "scan C(D+n, n)", "exponents", MAX_LATTICE_EXPONENTS)
+
+
+def _series_order(N: int, n: int, what: str) -> int:
+    """N itself, once its series are within MAX_ORDER_MONOMIALS."""
+    return _within(N, n, what, "solve for C(N+n, n)", "monomials per component", MAX_ORDER_MONOMIALS)
+
+
+def _within(value: int, n: int, what: str, work: str, unit: str, limit: int) -> int:
+    # C(m, k) <= m^k is computed and named only when m^k < 2^330: past that
+    # it could have millions of digits, and it exceeds 2^16, above either
+    # limit (C(m, k) >= 2^k for k >= 17, and m >= 2^20 for k <= 16)
+    k, m = min(value, n), value + n
+    count = comb(m, k) if k * m.bit_length() <= 330 else None
+    if count is None or count > limit:
+        size = f"> {limit}" if count is None else f"= {count}"
         raise SystemFileError(
-            f"{what} = {D} would scan C(D+n, n) = {count} exponents for n = {n}, "
-            f"over the limit of {MAX_LATTICE_EXPONENTS}"
+            f"{what} = {value} would {work} {size} {unit} for n = {n}, "
+            f"over the limit of {limit}"
         )
-    return D
+    return value
 
 
 def parse_system(path: str) -> SystemFile:
@@ -246,6 +266,7 @@ def _system_from_doc(doc, path: str) -> SystemFile:
     _lattice_degree(lattice_bound, n, f"{path}: degree_D")
     if not isinstance(order, int) or order < 2:
         raise SystemFileError(f"{path}: order_N must be an integer >= 2")
+    _series_order(order, n, f"{path}: order_N")
     terms = doc.get("terms", [])
     if not isinstance(terms, list):
         raise SystemFileError(f"{path}: terms must be a list")
@@ -669,7 +690,7 @@ def _run_verify(report_path: str) -> dict:
     if norm_doc is not None:
         if not isinstance(norm_doc, dict):
             raise SystemFileError(f"{where}: must be an object")
-        order = _int_field(norm_doc, "order", 2, where)
+        order = _series_order(_int_field(norm_doc, "order", 2, where), sf.n, f"{where}.order")
         phi = _vector_from_json(_field(norm_doc, "phi", None, where), sf.n, order, f"{where}.phi")
         g = _vector_from_json(_field(norm_doc, "g", None, where), sf.n, order, f"{where}.g")
         result = NormalizationResult(spec=sf.eigen, phi=phi, g=g, order=order)
@@ -699,9 +720,9 @@ def _run_verify(report_path: str) -> dict:
             _require_match(cls.get("lattice"), _lattice_json(basis), "classification.lattice")
             _require_match(cls.get("rank_ok"), basis.rank_ok, "classification.rank_ok")
         if cls.get("verdict") == "integrable-consistent" and cls.get("p") is not None:
-            order = _int_field(
+            order = _series_order(_int_field(
                 _field(cls, "normalization", dict, where), "order", 2, f"{where}.normalization"
-            )
+            ), sf.n, f"{where}.normalization.order")
             p = [
                 _series_from_json(terms, sf.n, order - 1, f"{where}.p[{i}]")
                 for i, terms in enumerate(_field(cls, "p", list, where))
@@ -739,7 +760,7 @@ def _run_verify(report_path: str) -> dict:
     if "embedding" in doc:
         emb = _field(doc, "embedding", dict, report_path)
         where = f"{report_path}:embedding"
-        order = _int_field(emb, "order", 1, where)
+        order = _series_order(_int_field(emb, "order", 1, where), sf.n, f"{where}.order")
         X = _vector_from_json(_field(emb, "field", None, where), sf.n, order, f"{where}.field")
         vs = [
             _series_from_json(t, sf.n, order + 1, f"{where}.integrals[{i}]")
@@ -987,6 +1008,7 @@ def main(argv=None) -> int:
                 if value < 2:
                     raise SystemFileError(f"{flag} must be an integer >= 2, got {value}")
             _lattice_degree(D, sf.n, "--degree")
+            _series_order(N, sf.n, "--order")
             params = {"degree_D": D, "order_N": N, "seed": args.seed}
             if args.subcommand == "resonance":
                 body = _run_resonance(sf, D)

@@ -466,16 +466,13 @@ def _ln_fraction(q: Fraction) -> float:
 def growth_diagnostic(phi: VectorSeries) -> GrowthDiagnostic:
     """Largest coefficient magnitude per degree and the least-squares slope of
     its logarithm against the degree; flags super-geometric growth."""
-    rows = []
-    for s in range(2, phi.trunc + 1):
-        mags = [
-            _magnitude(c)
-            for comp in phi.components
-            for m, c in comp.coeffs.items()
-            if sum(m) == s
-        ]
-        if mags:
-            rows.append((s, max(mags)))
+    top: dict[int, Fraction] = {}
+    for comp in phi.components:
+        for m, c in comp.coeffs.items():
+            s, mag = sum(m), _magnitude(c)
+            if mag > top.get(s, -1):
+                top[s] = mag
+    rows = [(s, top[s]) for s in range(2, phi.trunc + 1) if s in top]
     if len(rows) < 2:
         return GrowthDiagnostic(tuple(rows), None, None, False)
     xs = [s for s, _ in rows]

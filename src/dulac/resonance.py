@@ -365,11 +365,6 @@ def _square_of(x) -> Fraction:
     return x * x
 
 
-def value_le(a: ExactValue, b: ExactValue) -> bool:
-    """a <= b for nonnegative exact values, decided on squares."""
-    return _square_of(a) <= _square_of(b)
-
-
 # -- small-divisor bounds ------------------------------------------------------
 
 
@@ -422,44 +417,12 @@ class SmallDivisorBound:
         return str(self.value)
 
 
-def _factor_positive_rational(q: Fraction) -> dict[int, int]:
-    """Prime -> exponent map of a positive rational (trial division)."""
-    if q <= 0:
-        raise ValueError("factorization needs a positive rational")
-    out: dict[int, int] = {}
-
-    def absorb(n: int, sign: int):
-        d = 2
-        while d * d <= n:
-            while n % d == 0:
-                out[d] = out.get(d, 0) + sign
-                n //= d
-            d += 1 if d == 2 else 2
-        if n > 1:
-            out[n] = out.get(n, 0) + sign
-
-    absorb(q.numerator, 1)
-    absorb(q.denominator, -1)
-    return {p: e for p, e in out.items() if e != 0}
-
-
-def _beta_power(beta_factors: dict[int, int], q: Fraction) -> Optional[ExactValue]:
-    """beta^q exactly, when it is a rational or the root of one."""
-    for scale, root in ((1, False), (2, True)):
-        exps = {}
-        ok = True
-        for p, e in beta_factors.items():
-            t = Fraction(e) * q * scale
-            if t.denominator != 1:
-                ok = False
-                break
-            exps[p] = int(t)
-        if ok:
-            val = Fraction(1)
-            for p, e in exps.items():
-                val *= Fraction(p) ** e
-            return sqrt_value(val) if root else val
-    return None
+def _beta_power(beta: Fraction, q: Fraction) -> Optional[ExactValue]:
+    """beta^q exactly, when it is a rational or the root of one: for a base
+    that is no perfect power, exactly when q resp. 2q is an integer."""
+    if q.denominator == 1:
+        return beta ** q.numerator
+    return sqrt_value(beta ** q.numerator) if q.denominator == 2 else None
 
 
 _PHASE_GAP_EXACT = {
@@ -473,12 +436,11 @@ _PHASE_GAP_EXACT = {
 def _eval_term(term: BoundTerm, beta: Optional[Fraction]) -> Optional[ExactValue]:
     if beta is None:
         return None
-    factors = _factor_positive_rational(beta)
-    pre = _beta_power(factors, term.beta_exp)
+    pre = _beta_power(beta, term.beta_exp)
     if pre is None:
         return None
     if term.kind == "unit-gap":
-        inner = _beta_power(factors, -term.param)
+        inner = _beta_power(beta, -term.param)
         if not isinstance(inner, Fraction):
             return None
         return pre * (1 - inner)
@@ -493,116 +455,128 @@ def _finish_bound(
 ) -> SmallDivisorBound:
     values = [_eval_term(t, beta) for t in terms]
     if all(v is not None for v in values):
-        best = values[0]
-        for v in values[1:]:
-            if value_le(v, best):
-                best = v
+        # exact values are canonical (`sqrt_value`): equal squares, equal values
+        best = min(values, key=_square_of)
         return SmallDivisorBound(kind=kind, value=best, certificate=certificate)
     sym = SymbolicBound(terms=tuple(terms), beta=beta)
     return SmallDivisorBound(kind=kind, value=sym, certificate=certificate)
 
 
-# signs of (cos 2*pi*b, sin 2*pi*b) for the eighth-of-a-turn phases
-_EIGHTH_SIGNS = {
-    Fraction(0): (1, 0),
-    Fraction(1, 8): (1, 1),
-    Fraction(1, 4): (0, 1),
-    Fraction(3, 8): (-1, 1),
-    Fraction(1, 2): (-1, 0),
-    Fraction(5, 8): (-1, -1),
-    Fraction(3, 4): (0, -1),
-    Fraction(7, 8): (1, -1),
-}
-
-
-def _phases_of_gaussian(mu: Scalar, r2: Fraction) -> Fraction:
-    """The phase b in [0,1) with mu = |mu| e^(2 pi i b), when b is a multiple
-    of 1/8 (the only rational phases a Gaussian rational can have)."""
-    d = (mu * mu) / r2  # e^(4 pi i b), a Gaussian rational on the unit circle
-    table = {
-        (1, 0): (Fraction(0), Fraction(1, 2)),
-        (-1, 0): (Fraction(1, 4), Fraction(3, 4)),
-        (0, 1): (Fraction(1, 8), Fraction(5, 8)),
-        (0, -1): (Fraction(3, 8), Fraction(7, 8)),
-    }
-    key = (sc_re(d), sc_im(d))
-    if key not in table:
+def _phase(mu: Scalar) -> Fraction:
+    """The phase b in [0, 1) of mu: rational only on an axis or a diagonal
+    (mu^2/|mu|^2 a root of unity in Q(i)), where the signs fix it in 1/8s."""
+    x, y = sc_re(mu), sc_im(mu)
+    if x and y and abs(x) != abs(y):
         raise HypothesisError(
             "eigenvalue phase is not a rational turn representable over the "
             "Gaussian rationals; supply the mult-base form instead"
         )
-    cands = table[key]  # two phases half a turn apart
-
-    def sign(x: Fraction) -> int:
-        return (x > 0) - (x < 0)
-
-    signs = (sign(sc_re(mu)), sign(sc_im(mu)))
-    for b in cands:
-        if _EIGHTH_SIGNS[b] == signs:
-            return b
-    raise InternalInvariantError(f"phase quadrant resolution failed for {mu}")
+    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+    return Fraction((2 - sx) * sy % 8 if sy else 2 - 2 * sx, 8)
 
 
-def _rational_to_base(
-    mus: tuple[Scalar, ...]
-) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Write exact multipliers as beta^(a_i) e^(2 pi i b_i) with a known
-    rational base beta > 1.  Requires the moduli to be multiplicatively
-    dependent of rank one, which the rank-(n-1) resonance hypothesis grants."""
-    r2 = [sc_abs2(mu) for mu in mus]
-    if all(x == 1 for x in r2):
-        raise HypothesisError("all eigenvalue moduli equal 1")
-    valuations = [_factor_positive_rational(x) if x != 1 else {} for x in r2]
-    primes = sorted({p for v in valuations for p in v})
-    vecs = [[v.get(p, 0) for p in primes] for v in valuations]
-    pivot = next(v for v in vecs if any(v))
-    g = 0
-    for x in pivot:
-        g = gcd(g, x)
-    w = [x // g for x in pivot]
-    coeffs = []
-    for v in vecs:
-        if not any(v):
-            coeffs.append(Fraction(0))
+def _iroot(x: int, k: int) -> int:
+    """floor(x^(1/k)) for x >= 1, without floats: by bisection for a root of
+    at most 2 bitlen(k) + 1 bits, else by Newton's method from the root of x
+    shifted down by k*s bits, s half the root's bits (a start within a
+    factor 1 + 1/k above the root, where Newton converges quadratically)."""
+    b = x.bit_length()
+    hi = 1 << -(-b // k)  # x < 2^b, so the root is below 2^ceil(b/k)
+    s = (hi.bit_length() - 1) // 2
+    if s <= k.bit_length():
+        lo = 1 << (b - 1) // k  # x >= 2^(b-1)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if mid ** k <= x else (lo, mid)
+        return lo
+    y = (_iroot(x >> (k * s), k) + 1) << s
+    while True:
+        t = ((k - 1) * y + x // y ** (k - 1)) // k
+        if t >= y:
+            return y
+        y = t
+
+
+def _primitive_root(q: Fraction) -> Fraction:
+    """The x with q = x^k for the largest k, for a positive rational q != 1
+    (Bernstein, "Detecting perfect powers in essentially linear time", 1998).
+    q is a p-th power when its coprime parts are, and x^p has more than p
+    bits for x >= 2: so only primes p below the bit length of each part
+    other than 1 are tried, each again after it gave a root."""
+    num, den = q.numerator, q.denominator
+    top = max(num, den).bit_length()
+    sieve = bytearray([0, 0]) + bytearray([1]) * (top - 2)
+    for p in range(2, top):
+        if not sieve[p]:
             continue
-        j = next(i for i, x in enumerate(w) if x != 0)
-        c = Fraction(v[j], w[j])
-        if any(Fraction(x) != c * y for x, y in zip(v, w)):
-            raise HypothesisError(
-                "eigenvalue moduli are not powers of a common base; the "
-                "resonant rank hypothesis fails for this spectrum"
-            )
-        coeffs.append(c)
-    beta = Fraction(1)
-    for p, e in zip(primes, w):
-        beta *= Fraction(p) ** e
+        sieve[p * p :: p] = bytes(len(sieve[p * p :: p]))
+        while all(p < x.bit_length() for x in (num, den) if x > 1):
+            rn, rd = _iroot(num, p), _iroot(den, p)
+            if rn ** p != num or rd ** p != den:
+                break
+            num, den = rn, rd
+    return Fraction(num, den)
+
+
+def _log_exact(beta: Fraction, r: Fraction) -> Optional[int]:
+    """The integer c with beta^c = r, for beta > 1, or None."""
+    n, b = max(r, 1 / r).numerator, beta.numerator
+    lo, hi = 0, (n.bit_length() - 1) // (b.bit_length() - 1)
+    while lo < hi:  # the largest c >= 0 with b^c <= n
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if b ** mid <= n else (lo, mid - 1)
+    c = lo if r >= 1 else -lo
+    return c if beta ** c == r else None
+
+
+def _rational_to_base(mus: tuple[Scalar, ...]) -> tuple[Fraction, tuple, tuple]:
+    """Write exact multipliers as beta^(a_i) e^(2 pi i b_i), beta > 1 rational,
+    by exact roots and powers, without factoring.  beta is the primitive root
+    of the first squared modulus R != 1 (R = beta^k, k largest), inverted
+    below 1.  The rank-(n-1) hypothesis makes the moduli powers of one base,
+    and a rational power of a primitive beta has an integer exponent: so each
+    R_i = |mu_i|^2 must be beta^(c_i), c_i an integer, and a_i = c_i / 2."""
+    r2 = [sc_abs2(mu) for mu in mus]
+    R = next((x for x in r2 if x != 1), None)
+    if R is None:
+        raise HypothesisError("all eigenvalue moduli equal 1")
+    beta = _primitive_root(R)
     if beta < 1:
         beta = 1 / beta
-        coeffs = [-c for c in coeffs]
-    # R_i = |mu_i|^2 = beta^(c_i), so |mu_i| = beta^(c_i / 2)
-    a = tuple(c / 2 for c in coeffs)
-    b = tuple(_phases_of_gaussian(mu, ri) for mu, ri in zip(mus, r2))
-    return beta, a, b
+    coeffs = [_log_exact(beta, x) for x in r2]
+    if None in coeffs:
+        raise HypothesisError(
+            "eigenvalue moduli are not powers of a common base; the "
+            "resonant rank hypothesis fails for this spectrum"
+        )
+    return beta, tuple(Fraction(c, 2) for c in coeffs), tuple(map(_phase, mus))
+
+
+def _kernel_line(spec: EigenSpec, basis: LatticeBasis, kind: str) -> tuple[list[int], int, int]:
+    """(v, Delta, c) of a rank n-1 basis: its primitive kernel vector, the
+    minor without column c, and c = the last index with v_c != 0."""
+    if basis.kind != kind or not basis.rank_ok:
+        raise HypothesisError(
+            f"{kind} bound needs a rank n-1 = {spec.n - 1} lattice basis, got rank "
+            f"{basis.rank} with {len(basis.generators)} generators"
+        )
+    v, Delta = primitive_integer_kernel(basis.matrix(), spec.n)
+    return v, Delta, max(j for j in range(spec.n) if v[j] != 0)
 
 
 def small_divisor_bound_map(mu: EigenSpec, basis: LatticeBasis) -> SmallDivisorBound:
     """Constructive sigma > 0 with |mu^m - mu_j| >= sigma for every nonresonant
     pair, built from the resonant-lattice generators.
 
-    The modulus exponents a lie on the kernel line of the generator matrix:
-    a_j Delta = delta_j a_c, read off one elimination
-    (`linalg.primitive_integer_kernel`).  c is the last index of the
-    primitive kernel vector v with v_c != 0, Delta the generator minor
-    without column c, and delta = (Delta / v_c) v, Cramer's solution with
-    delta_c = Delta.
+    The moduli are powers of one base: a mult-base spectrum's formal beta,
+    or the rational beta > 1 of `_rational_to_base`, an exact perfect-power
+    root (no factoring).  Their exponents a lie on the kernel line of the
+    generators: a_j Delta = delta_j a_c, with v, Delta and c from
+    `_kernel_line` and delta = (Delta / v_c) v, Cramer's solution.
     """
     if not mu.is_multiplicative():
         raise HypothesisError("map bound needs multiplicative eigenvalues")
-    if basis.kind != "map" or not basis.rank_ok:
-        raise HypothesisError(
-            f"map bound needs a rank n-1 = {mu.n - 1} lattice basis, got rank "
-            f"{basis.rank} with {len(basis.generators)} generators"
-        )
+    v, Delta, c = _kernel_line(mu, basis, "map")
     if mu.kind == "mult-base":
         beta: Optional[Fraction] = None
         a, b = mu.exponents, mu.phases
@@ -610,8 +584,6 @@ def small_divisor_bound_map(mu: EigenSpec, basis: LatticeBasis) -> SmallDivisorB
             raise HypothesisError("all eigenvalue moduli equal 1")
     else:
         beta, a, b = _rational_to_base(mu.values)
-    v, Delta = primitive_integer_kernel(basis.matrix(), mu.n)
-    c = max(j for j in range(mu.n) if v[j] != 0)
     delta = [Delta // v[c] * x for x in v]
     if a[c] == 0:
         raise InternalInvariantError("pivot coordinate has unit modulus")
@@ -648,15 +620,9 @@ def small_divisor_bound_field(lam: EigenSpec, basis: LatticeBasis) -> SmallDivis
     if lam.kind != "additive":
         raise HypothesisError("field bound needs additive eigenvalues")
     n = lam.n
-    if basis.kind != "field" or not basis.rank_ok:
-        raise HypothesisError(
-            f"field bound needs a rank n-1 = {n - 1} lattice basis, got rank "
-            f"{basis.rank} with {len(basis.generators)} generators"
-        )
-    if all(v == 0 for v in lam.values):
+    v, _, c = _kernel_line(lam, basis, "field")
+    if all(x == 0 for x in lam.values):
         raise HypothesisError("zero eigenvalue tuple")
-    v, _ = primitive_integer_kernel(basis.matrix(), n)
-    c = max(j for j in range(n) if v[j] != 0)
     t = lam.values[c] / Fraction(v[c])
     for j in range(n):
         if lam.values[j] != t * v[j]:

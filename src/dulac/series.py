@@ -181,9 +181,12 @@ class ScalarSeries:
         for m, c in other.coeffs.items():
             if sum(m) > trunc:
                 continue
-            v = out.get(m, Fraction(0)) + c
+            if m not in out:
+                out[m] = c
+                continue
+            v = out[m] + c
             if v == 0:
-                out.pop(m, None)
+                del out[m]
             else:
                 out[m] = v
         return ScalarSeries._make(self.n, trunc, out)
@@ -332,8 +335,7 @@ class VectorSeries:
             if not 0 <= j < n:
                 raise SeriesError(f"component index {j} out of range")
             m = tuple(m)
-            prev = maps[j].get(m, Fraction(0))
-            maps[j][m] = prev + c
+            maps[j][m] = maps[j][m] + c if m in maps[j] else c
         return cls([ScalarSeries(n, trunc, mp) for mp in maps])
 
     def __getitem__(self, i: int) -> ScalarSeries:

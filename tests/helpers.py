@@ -419,6 +419,115 @@ def oracle_verify_certificate(spec, bound, D):
     return BoundVerification(passed=True, checked=checked, mode="certificate")
 
 
+# -- factoring oracles of the map bound's base ---------------------------------------
+#
+# The map bound once wrote the moduli as powers of one base by trial-division
+# factoring of every squared modulus, evaluated beta^q from beta's prime
+# exponents, and read phases off a table of mu^2 / |mu|^2.
+
+
+def oracle_factor_positive_rational(q):
+    """Prime -> exponent map of a positive rational (trial division)."""
+    if q <= 0:
+        raise ValueError("factorization needs a positive rational")
+    out = {}
+
+    def absorb(n, sign):
+        d = 2
+        while d * d <= n:
+            while n % d == 0:
+                out[d] = out.get(d, 0) + sign
+                n //= d
+            d += 1 if d == 2 else 2
+        if n > 1:
+            out[n] = out.get(n, 0) + sign
+
+    absorb(q.numerator, 1)
+    absorb(q.denominator, -1)
+    return {p: e for p, e in out.items() if e != 0}
+
+
+def oracle_beta_power(beta_factors, q):
+    """beta^q from beta's prime exponents, when it is a rational or the
+    root of one."""
+    from dulac.resonance import sqrt_value
+
+    for scale, root in ((1, False), (2, True)):
+        ts = [F(e) * q * scale for e in beta_factors.values()]
+        if all(t.denominator == 1 for t in ts):
+            val = F(1)
+            for p, t in zip(beta_factors, ts):
+                val *= F(p) ** int(t)
+            return sqrt_value(val) if root else val
+    return None
+
+
+# signs of (cos 2*pi*b, sin 2*pi*b) for the eighth-of-a-turn phases
+_EIGHTH_SIGNS = {
+    F(0): (1, 0), F(1, 8): (1, 1), F(1, 4): (0, 1), F(3, 8): (-1, 1),
+    F(1, 2): (-1, 0), F(5, 8): (-1, -1), F(3, 4): (0, -1), F(7, 8): (1, -1),
+}
+
+
+def oracle_phases_of_gaussian(mu, r2):
+    """The phase b in [0,1) of mu, from d = mu^2 / |mu|^2 = e^(4 pi i b) and
+    the quadrant of mu."""
+    from dulac.errors import HypothesisError
+    from dulac.scalars import sc_im, sc_re
+
+    d = (mu * mu) / r2
+    table = {
+        (1, 0): (F(0), F(1, 2)),
+        (-1, 0): (F(1, 4), F(3, 4)),
+        (0, 1): (F(1, 8), F(5, 8)),
+        (0, -1): (F(3, 8), F(7, 8)),
+    }
+    key = (sc_re(d), sc_im(d))
+    if key not in table:
+        raise HypothesisError(
+            "eigenvalue phase is not a rational turn representable over the "
+            "Gaussian rationals; supply the mult-base form instead"
+        )
+    signs = tuple((x > 0) - (x < 0) for x in (sc_re(mu), sc_im(mu)))
+    return next(b for b in table[key] if _EIGHTH_SIGNS[b] == signs)
+
+
+def oracle_rational_to_base(mus):
+    """(beta, a, b) from the prime valuations of the squared moduli: beta is
+    the product of primes to the primitive valuation vector of the first
+    modulus != 1, each other vector a multiple c_i of it, a_i = c_i / 2."""
+    from dulac.errors import HypothesisError
+    from dulac.scalars import sc_abs2
+
+    r2 = [sc_abs2(mu) for mu in mus]
+    if all(x == 1 for x in r2):
+        raise HypothesisError("all eigenvalue moduli equal 1")
+    valuations = [oracle_factor_positive_rational(x) if x != 1 else {} for x in r2]
+    primes = sorted({p for v in valuations for p in v})
+    vecs = [[v.get(p, 0) for p in primes] for v in valuations]
+    pivot = next(v for v in vecs if any(v))
+    g = gcd(*pivot)
+    w = [x // g for x in pivot]
+    coeffs = []
+    for v in vecs:
+        j = next(i for i, x in enumerate(w) if x != 0)
+        c = F(v[j], w[j])
+        if any(F(x) != c * y for x, y in zip(v, w)):
+            raise HypothesisError(
+                "eigenvalue moduli are not powers of a common base; the "
+                "resonant rank hypothesis fails for this spectrum"
+            )
+        coeffs.append(c)
+    beta = F(1)
+    for p, e in zip(primes, w):
+        beta *= F(p) ** e
+    if beta < 1:
+        beta, coeffs = 1 / beta, [-c for c in coeffs]
+    a = tuple(c / 2 for c in coeffs)
+    b = tuple(oracle_phases_of_gaussian(mu, ri) for mu, ri in zip(mus, r2))
+    return beta, a, b
+
+
 # -- elimination and product oracles ------------------------------------------------
 #
 # The routines one elimination and one product loop replaced: the dense

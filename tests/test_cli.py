@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from dulac.cli import MAX_LATTICE_EXPONENTS, main, parse_system
+from dulac.cli import MAX_LATTICE_EXPONENTS, MAX_ORDER_MONOMIALS, main, parse_system
 from dulac.errors import SystemFileError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -262,6 +262,80 @@ class TestCostGuard:
         bad = write(tmp_path, "bad.json", doc)
         capsys.readouterr()
         assert_cost_refused(run(["verify", "--input", bad]), capsys, what, D, 2)
+
+
+def over_limit_order(n):
+    """The smallest N whose series have more than MAX_ORDER_MONOMIALS
+    monomials per component."""
+    N = 2
+    while comb(N + n, n) <= MAX_ORDER_MONOMIALS:
+        N += 1
+    return N
+
+
+def assert_order_refused(code, capsys, what, N, n):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and what in err and "Traceback" not in err
+    assert str(comb(N + n, n)) in err and str(MAX_ORDER_MONOMIALS) in err
+
+
+class TestOrderGuard:
+    def test_limit_is_above_fixtures_catalogue_and_tests(self):
+        sys.path.insert(0, str(FIXTURES.parent / "bench"))
+        import workloads
+
+        orders = [(load(path)["order_N"], load(path)["n"]) for path in FIXTURES.glob("*.json")]
+        orders += [
+            (op.system["order_N"], op.system["n"])
+            for name in workloads.WORKLOADS for op in workloads.catalogue(name)
+        ]
+        orders.append((18, 2))  # the largest order a test runs the CLI at
+        assert max(comb(N + n, n) for N, n in orders) < MAX_ORDER_MONOMIALS
+
+    def test_order_flag_over_limit_is_2(self, capsys):
+        N = over_limit_order(2)
+        code = run(["normalize", "--input", FIXTURES / "ex2_2d.json", "--order", N])
+        assert_order_refused(code, capsys, "--order", N, 2)
+
+    def test_system_order_at_limit_parses(self, tmp_path):
+        N = over_limit_order(2) - 1
+        assert parse_system(write(tmp_path, "sys.json", dict(HALF_DOUBLE_DOC, order_N=N))).order == N
+        with pytest.raises(SystemFileError, match="over the limit"):
+            parse_system(write(tmp_path, "sys.json", dict(HALF_DOUBLE_DOC, order_N=N + 1)))
+
+    def test_order_100000_refused_at_once(self, tmp_path, capsys):
+        doc = dict(load(FIXTURES / "ex2_2d.json"), order_N=100000)
+        code = run(["normalize", "--input", write(tmp_path, "sys.json", doc)])
+        assert_order_refused(code, capsys, "order_N", 100000, 2)
+
+    @pytest.mark.parametrize(
+        "sub,edit,what",
+        [
+            ("normalize", lambda d, N: d["normalization"].update(order=N), "normalization.order"),
+            ("classify", lambda d, N: d["classification"]["normalization"].update(order=N),
+             "classification.normalization.order"),
+            ("embed", lambda d, N: d["embedding"].update(order=N), "embedding.order"),
+        ],
+    )
+    def test_verify_order_over_limit_is_2(self, tmp_path, capsys, sub, edit, what):
+        rep = tmp_path / "rep.json"
+        assert run([sub, "--input", FIXTURES / "ex2_2d.json", "--output", rep]) == 0
+        doc = load(rep)
+        edit(doc, 100000)
+        bad = write(tmp_path, "bad.json", doc)
+        capsys.readouterr()
+        assert_order_refused(run(["verify", "--input", bad]), capsys, what, 100000, 2)
+
+    @pytest.mark.parametrize("key", ["order_N", "degree_D"])
+    def test_count_too_long_to_print_is_2(self, tmp_path, capsys, key):
+        """A 4300-digit order or degree: its count is not computed or named,
+        only said to be over the limit."""
+        doc = dict(load(FIXTURES / "ex2_2d.json"), **{key: 10**4299})
+        assert run(["normalize", "--input", write(tmp_path, "sys.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and "over the limit" in err
+        assert "Traceback" not in err
 
 
 class TestSubcommands:

@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     oracle_resonant,
     random_integrable_case,
+    random_sparse_series,
     three_dim_fixture,
     two_dim_fixture,
 )
@@ -331,3 +332,23 @@ class TestGrowth:
         diag = growth_diagnostic(phi)
         assert not diag.super_geometric
         assert abs(diag.ratio - 3.0) < 1e-6
+
+
+def test_growth_rows_equal_the_per_degree_rescan():
+    """growth_diagnostic keeps the largest magnitude per degree in one pass;
+    the rows match a rescan of every coefficient per degree."""
+    from dulac.normalizer import _magnitude
+
+    rng = random.Random("growth-rows")
+    for _ in range(200):
+        n, trunc = rng.randint(1, 3), rng.randint(2, 8)
+        phi = VectorSeries([
+            random_sparse_series(rng, n, trunc, 10, rng.random() < 0.5) for _ in range(n)
+        ])
+        rows = []
+        for s in range(2, trunc + 1):
+            mags = [_magnitude(c) for comp in phi.components
+                    for m, c in comp.coeffs.items() if sum(m) == s]
+            if mags:
+                rows.append((s, max(mags)))
+        assert growth_diagnostic(phi).rows == tuple(rows)

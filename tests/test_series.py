@@ -317,3 +317,33 @@ class TestStructure:
     def test_eval_exact(self):
         s = S(2, 4, {(1, 1): F(1, 3), (0, 2): -1})
         assert s.eval((F(3), F(2))) == F(1, 3) * 6 - 4
+
+
+class TestSums:
+    """`+` and `from_terms` store a coefficient whose exponent is new as it
+    is; the sums still match a term-by-term Fraction(0)-seeded total."""
+
+    def test_add_matches_termwise_sum(self):
+        rng = random.Random("sums")
+        for _ in range(300):
+            n, gauss = rng.randint(1, 3), rng.random() < 0.5
+            a = random_sparse_series(rng, n, rng.randint(1, 5), 8, gauss)
+            b = random_sparse_series(rng, n, rng.randint(1, 5), 8, gauss)
+            trunc = min(a.trunc, b.trunc)
+            want = {}
+            for m, c in list(a.coeffs.items()) + list(b.coeffs.items()):
+                if sum(m) <= trunc:
+                    want[m] = want.get(m, F(0)) + c
+            got = a + b
+            assert got.trunc == trunc
+            assert got.coeffs == {m: c for m, c in want.items() if c != 0}
+            assert all(type(c) is type(want[m]) for m, c in got.coeffs.items())
+            assert (a - a).is_zero()
+
+    def test_from_terms_sums_repeated_terms(self):
+        v = VectorSeries.from_terms(2, 3, [
+            (0, (2, 0), F(1, 2)), (0, (2, 0), F(-1, 2)), (1, (1, 1), 3),
+            (1, (1, 1), gaussian(0, 1)), (1, (0, 2), F(2)),
+        ])
+        assert v[0].is_zero()
+        assert v[1].coeffs == {(1, 1): gaussian(3, 1), (0, 2): F(2)}
