@@ -55,7 +55,7 @@ from .resonance import (
     verify_bound,
 )
 from .scalars import Scalar, scalar_from_json, scalar_to_json
-from .series import ScalarSeries, SeriesError, VectorSeries
+from .series import ScalarSeries, SeriesError, VectorSeries, gradient, scalar_inner
 
 DEFAULT_LATTICE_BOUND = 10
 DEFAULT_ORDER = 8
@@ -180,8 +180,10 @@ def _lattice_degree(D: int, n: int, what: str) -> int:
 
 
 def _series_order(N: int, n: int, what: str) -> int:
-    """N itself, once its series are within MAX_ORDER_MONOMIALS."""
-    return _within(N, n, what, "solve for C(N+n, n)", "monomials per component", MAX_ORDER_MONOMIALS)
+    """N itself, once its series are within MAX_ORDER_MONOMIALS; n = 1 counts
+    as n = 2, since coefficient growth, not its N + 1 monomials, sets the time."""
+    return _within(N, max(n, 2), what, "solve for C(N+n, n), n at least 2,", "monomials per component",
+                   MAX_ORDER_MONOMIALS)
 
 
 def _within(value: int, n: int, what: str, work: str, unit: str, limit: int) -> int:
@@ -546,31 +548,34 @@ def _integral_set_json(vs, residual_zero: list[bool], cert=None) -> dict:
     return out
 
 
+def _residual_zero(system, vs: Sequence[ScalarSeries], order: int) -> list[bool]:
+    """Whether each integral's exact residual (V o F - V for a map, <grad V,
+    X> for a field) vanishes through the order."""
+    verify = verify_integral_map if isinstance(system, MapSystem) else verify_integral_field
+    return [verify(v, system, order).is_zero() for v in vs]
+
+
+def _has_pullback(eigen: EigenSpec, basis: LatticeBasis) -> bool:
+    """Whether `integrals` pulls back the lattice monomials."""
+    return bool(basis.generators) and eigen.has_exact_values()
+
+
 def _run_integrals(sf: SystemFile, D: int, N: int, seed: int) -> dict:
     system = sf.system()
-    if sf.kind == "map":
-        found = search_integrals_map(system, N)
-        residuals = [verify_integral_map(v, system, N).is_zero() for v in found]
-    else:
-        found = search_integrals_field(system, N)
-        residuals = [verify_integral_field(v, system, N).is_zero() for v in found]
+    found = search_integrals_map(system, N) if sf.kind == "map" else search_integrals_field(system, N)
     cert = (
         independence_check(found, trials=DEFAULT_TRIALS, seed=seed) if len(found) else None
     )
-    section = {"search": _integral_set_json(found, residuals, cert)}
+    section = {"search": _integral_set_json(found, _residual_zero(system, found, N), cert)}
     basis = enumerate_lattice(sf.eigen, D)
-    if basis.generators and sf.eigen.has_exact_values():
+    if _has_pullback(sf.eigen, basis):
         result = (
             normalize_map(system, N) if sf.kind == "map" else normalize_field(system, N)
         )
         monomials = monomial_integrals(basis, trunc=N)
         pulled = pullback_integrals(monomials, result.phi, N)
-        if sf.kind == "map":
-            pres = [verify_integral_map(v, system, N).is_zero() for v in pulled]
-        else:
-            pres = [verify_integral_field(v, system, N).is_zero() for v in pulled]
         pcert = independence_check(pulled, trials=DEFAULT_TRIALS, seed=seed)
-        section["pullback"] = _integral_set_json(pulled, pres, pcert)
+        section["pullback"] = _integral_set_json(pulled, _residual_zero(system, pulled, N), pcert)
         section["pullback"]["generators"] = [list(g) for g in basis.generators]
     return {"integrals": section}
 
@@ -734,32 +739,40 @@ def _run_verify(report_path: str) -> dict:
                 fail("functional-equation residual is nonzero")
             checked.append("functional-equations")
     if isinstance(doc.get("integrals"), dict):
-        # integrals are invariant through the order they were solved at
+        # integrals are invariant through the order they were solved at, and
+        # the sections are the ones the lattice at degree_D gives
         where = f"{report_path}:parameters"
-        order = _int_field(_field(doc, "parameters", dict, report_path), "order_N", 2, where)
+        params = _field(doc, "parameters", dict, report_path)
+        order = _int_field(params, "order_N", 2, where)
         if order > sf.order:
             raise SystemFileError(
                 f"{where}: order_N = {order} exceeds the system's order_N = {sf.order}"
             )
-        for name, sec in doc["integrals"].items():
-            if not isinstance(sec, dict) or "integrals" not in sec:
-                continue
+        D = _lattice_degree(_int_field(params, "degree_D", 2, where), sf.n, f"{where}.degree_D")
+        basis = enumerate_lattice(sf.eigen, D)
+        sections = doc["integrals"]
+        expected = ["pullback", "search"] if _has_pullback(sf.eigen, basis) else ["search"]
+        _require_match(sorted(sections), expected, "integrals (its sections)")
+        for name in sections:
+            sec = _field(sections, name, dict, f"{report_path}:integrals")
+            if name == "pullback":
+                generators = [list(g) for g in basis.generators]
+                _require_match(sec.get("generators"), generators, "integrals.pullback.generators")
             where = f"{report_path}:integrals.{name}"
-            residual_zero = []
-            for i, terms in enumerate(_field(sec, "integrals", list, where)):
-                V = _series_from_json(terms, sf.n, order, f"{where}.integrals[{i}]")
+            vs = [
+                _series_from_json(terms, sf.n, order, f"{where}.integrals[{i}]")
+                for i, terms in enumerate(_field(sec, "integrals", list, where))
+            ]
+            for i, V in enumerate(vs):
                 _require_order([V], order, f"integral {i + 1} in section '{name}' has a term")
-                residual = (
-                    verify_integral_map(V, system, order)
-                    if sf.kind == "map"
-                    else verify_integral_field(V, system, order)
-                )
-                residual_zero.append(residual.is_zero())
+            residual_zero = _residual_zero(system, vs, order)
             _require_match(sec.get("residual_zero"), residual_zero, f"integrals.{name}.residual_zero")
             checked.append(f"integrals:{name}")
     if "embedding" in doc:
         emb = _field(doc, "embedding", dict, report_path)
         where = f"{report_path}:embedding"
+        if sf.kind != "map":
+            raise SystemFileError(f"{where}: an embedding belongs to a map system, not a field")
         order = _series_order(_int_field(emb, "order", 1, where), sf.n, f"{where}.order")
         X = _vector_from_json(_field(emb, "field", None, where), sf.n, order, f"{where}.field")
         vs = [
@@ -768,11 +781,16 @@ def _run_verify(report_path: str) -> dict:
         ]
         if len(vs) != sf.n - 1:
             fail(f"embedding holds {len(vs)} integrals, not n-1 = {sf.n - 1}")
-        from .series import gradient, scalar_inner
-
-        for V in vs:
-            if not scalar_inner(gradient(V), X, order).is_zero():
-                fail("embedding field is not tangent to an integral level set")
+        # the integrals were pulled back at order + 1, which the system data
+        # must certify; each is then an integral of the map through it
+        if order + 1 > sf.order:
+            raise SystemFileError(f"{where}.order: order + 1 = {order + 1} exceeds the system's order_N = {sf.order}")
+        _require_order(X.components, order, "the embedding field has a term")
+        _require_order(vs, order + 1, "an embedding integral has a term")
+        if not all(_residual_zero(system, vs, order + 1)):
+            fail("an embedding integral is not an integral of the map")
+        tangency = [scalar_inner(gradient(V), X, order).is_zero() for V in vs]
+        _require_match(emb.get("tangency_zero"), tangency, "embedding.tangency_zero")
         if emb.get("equivariance_zero"):
             if not verify_equivariance(system, X, order).is_zero():
                 fail("claimed equivariance does not hold")

@@ -101,8 +101,7 @@ def embedding_field(
         order = min([F.order - 1] + [v.trunc - 1 for v in vs])
     if order < 1:
         raise ValueError("embedding order must be >= 1")
-    Fm = F.full_map(F.order)
-    DF = jacobian(Fm)
+    DF = jacobian(F.full_map())
     det = det_series(DF, order)
     # F^(-1) = (id + B^(-1) f)^(-1) o B^(-1)
     b_inv = [sc_div(Fraction(1), v) for v in F.mu.values]
@@ -145,10 +144,7 @@ def verify_equivariance(F: MapSystem, X: VectorSeries, order: int | None = None)
             "X has constant terms; the residual is only certified one degree "
             "below the system order"
         )
-    Fm = F.full_map(F.order)
-    lhs = mat_vec(jacobian(Fm), X, order)
-    rhs = compose(X, Fm.truncate(order), order)
-    return lhs - rhs
+    return mat_vec(jacobian(F.full_map()), X, order) - VectorSeries(F.powers.compose(X.components, order))
 
 
 def time_one_map(X: VectorSeries, lie_order: int, order: int | None = None) -> VectorSeries:

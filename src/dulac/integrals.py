@@ -18,13 +18,12 @@ from .resonance import LatticeBasis, iter_exponents
 from .scalars import Scalar
 from .series import (
     Exponent,
+    Powers,
     ScalarSeries,
     VectorSeries,
-    compose_scalar,
     gradient,
     grlex_key,
     invert,
-    monomial_powers,
     scalar_inner,
 )
 from .normalizer import FieldSystem, MapSystem
@@ -61,18 +60,20 @@ def pullback_integrals(
     order: int | None = None,
 ) -> tuple[ScalarSeries, ...]:
     """Transport integrals of the normal form back to the original system
-    through the inverse of x = y + phi(y)."""
+    through the inverse psi of x = y + phi(y), all through one table of psi."""
     vs = tuple(integrals)
     if order is None:
         order = min([phi.trunc] + [v.trunc for v in vs])
     psi = invert(VectorSeries.identity(phi.n, order) + phi.truncate(order), order)
-    return tuple(compose_scalar(v.truncate(order), psi, order) for v in vs)
+    return tuple(Powers.of(psi, order).compose([v.truncate(order) for v in vs], order))
 
 
 def verify_integral_map(V: ScalarSeries, F: MapSystem, order: int | None = None) -> ScalarSeries:
     """Exact residual V o F - V through the order (zero iff V is invariant)."""
     if order is None:
         order = min(V.trunc, F.order)
+    if order > F.order:
+        raise HypothesisError(f"system data certified to degree {F.order}; cannot verify to {order}")
     if not F.mu.has_exact_values():
         # formal base: only the linear map is representable, and the residual
         # of a monomial y^m is (mu^m - 1) y^m, so invariance is decided on the
@@ -88,7 +89,7 @@ def verify_integral_map(V: ScalarSeries, F: MapSystem, order: int | None = None)
                     "coefficient field (nonresonant against the formal base)"
                 )
         return ScalarSeries.zero(V.n, order)
-    return compose_scalar(V.truncate(order), F.full_map(order), order) - V.truncate(order)
+    return F.powers.compose([V.truncate(order)], order)[0] - V.truncate(order)
 
 
 def verify_integral_field(V: ScalarSeries, X: FieldSystem, order: int | None = None) -> ScalarSeries:
@@ -151,11 +152,10 @@ def search_integrals_map(F: MapSystem, degree: int) -> tuple[ScalarSeries, ...]:
             for m in iter_exponents(n, 1, degree)
             if F.mu.resonant(m)
         )
-    through = F.order
     monomials = list(iter_exponents(n, 1, degree))
-    columns: dict[Exponent, dict[Exponent, Scalar]] = {}
-    for m, power in zip(monomials, monomial_powers(F.full_map(through), monomials, through)):
-        columns[m] = dict((power - ScalarSeries.monomial(n, through, m)).coeffs)
+    outers = [ScalarSeries.monomial(n, F.order, m) for m in monomials]
+    powers = F.powers.compose(outers, F.order)
+    columns = {m: dict((p - o).coeffs) for m, o, p in zip(monomials, outers, powers)}
     return _echelon_kernel_series(columns, monomials, n, degree)
 
 

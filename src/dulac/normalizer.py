@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import exp, inf, log
 from typing import Optional, Sequence, Union
 
@@ -88,6 +89,11 @@ class MapSystem:
     def full_map(self, trunc: int | None = None) -> VectorSeries:
         t = self.order if trunc is None else trunc
         return self.linear(t) + (self.nonlinear.truncate(t) if t <= self.order else self.nonlinear.with_trunc(t))
+
+    @cached_property
+    def powers(self) -> Powers:
+        """F's one table of powers (not a field, like EigenSpec.table)."""
+        return Powers.of(self.full_map(), self.order)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 A series knows its dimension ``n`` and truncation degree ``trunc``; only
 monomials of total degree <= trunc are representable and explicit zeros are
 never stored.  All arithmetic is exact over Fraction / GaussianRational
-coefficients.  Values are immutable after construction and every operation
-is a pure function, so sharing across threads is safe.
+coefficients.  Series are immutable and every operation is a pure function,
+so sharing a series across threads is safe; a `Powers` table fills as it is
+read, so one (and a `MapSystem` holding one) is read from one thread.
 
 Binary operations take an explicit output truncation degree and default to
 the minimum of the operands' degrees, which prevents silently claiming more
@@ -16,10 +17,11 @@ skip that through the trusted ``ScalarSeries._make``.
 
 All composition runs through one engine, `Powers`: for an inner map P known
 through degree s - 1 it yields the degree-s part of every power P^m with
-|m| >= 2, each part computed once from m = m' + e_i and cached.  `compose`
-uses it with P fully known; `invert` and the normalizer's degree loop feed it
-one degree at a time: the relaxed ("online") evaluation of J. van der Hoeven,
-"Relax, but don't be too lazy", J. Symbolic Comput. 34 (2002).
+|m| >= 2, each part computed once from m = m' + e_i and cached.  A table of a
+fully known P composes through any degree up to its own (`Powers.compose`; a
+map keeps one, `MapSystem.powers`); `invert` and the normalizer's degree loop
+feed one a degree at a time: the relaxed ("online") evaluation of J. van der
+Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput. 34 (2002).
 
 Inside the engine a homogeneous part is packed, as ``(den, re, im)``: one
 positive int denominator, and two dicts from a packed monomial key to an int
@@ -565,6 +567,19 @@ class Powers:
             col.append(_products([(low_col[k], Pi[d - k]) for k in range(low, d)]))
         return col[s]
 
+    def compose(self, outers: Sequence[ScalarSeries], trunc: int) -> list[ScalarSeries]:
+        """outer o P through degree trunc for each outer series; their constant terms pass through."""
+        if any(o.n != self.n for o in outers):
+            raise SeriesError("composition dimension mismatch")
+        if trunc >= len(self.parts[0]):
+            raise SeriesError(f"inner map not known through degree {trunc}")
+        parts = [graded(o, trunc) for o in outers]
+        coeffs = [dict(p[0]) for p in parts]
+        for s in range(1, trunc + 1):
+            for acc, part in zip(coeffs, compose_part(parts, self, s)):
+                acc.update(part)
+        return [ScalarSeries._make(self.n, trunc, c) for c in coeffs]
+
 
 def _compose_packed(outer: Sequence[Sequence[dict]], powers: Powers, s: int) -> list[tuple]:
     """`compose_part`, packed."""
@@ -607,37 +622,18 @@ def _diff(nums: dict, w: int, base: int) -> dict:
     return {k - w: v * e for k, v in nums.items() if (e := k // w % base)}
 
 
-def _compose(outers: Sequence[ScalarSeries], inner: VectorSeries, trunc: int) -> list[ScalarSeries]:
-    """outer o inner for each outer series, through one shared power cache."""
-    n = inner.n
-    if any(o.n != n for o in outers):
-        raise SeriesError("composition dimension mismatch")
-    powers = Powers.of(inner, trunc)
-    parts = [graded(o, trunc) for o in outers]
-    coeffs = [dict(p[0]) for p in parts]
-    for s in range(1, trunc + 1):
-        for acc, part in zip(coeffs, compose_part(parts, powers, s)):
-            acc.update(part)
-    return [ScalarSeries._make(n, trunc, c) for c in coeffs]
-
-
 def compose_scalar(outer: ScalarSeries, inner: VectorSeries, trunc: int | None = None) -> ScalarSeries:
     """Exact truncation of outer(inner(y)); inner must have no constant term."""
     if trunc is None:
         trunc = min(outer.trunc, inner.trunc)
-    return _compose([outer], inner, trunc)[0]
+    return Powers.of(inner, trunc).compose([outer], trunc)[0]
 
 
 def compose(outer: VectorSeries, inner: VectorSeries, trunc: int | None = None) -> VectorSeries:
     """Componentwise exact truncated composition outer o inner."""
     if trunc is None:
         trunc = min(outer.trunc, inner.trunc)
-    return VectorSeries(_compose(outer.components, inner, trunc))
-
-
-def monomial_powers(inner: VectorSeries, exponents: Sequence[Exponent], trunc: int) -> list[ScalarSeries]:
-    """The truncated powers inner^m, one per exponent, from one power cache."""
-    return _compose([ScalarSeries.monomial(inner.n, trunc, m) for m in exponents], inner, trunc)
+    return VectorSeries(Powers.of(inner, trunc).compose(outer.components, trunc))
 
 
 def invert(phi: VectorSeries, trunc: int | None = None) -> VectorSeries:

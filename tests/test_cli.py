@@ -158,6 +158,13 @@ class TestExitCodes:
              lambda d: d["parameters"].update(order_N=9), "exceeds the system's order_N = 8"),
             ("integrals", "center.json",
              lambda d: d.pop("parameters"), "'parameters'"),
+            ("integrals", "ex2_2d.json",
+             lambda d: d["integrals"].update(pullback=5), "field 'pullback' has the wrong type"),
+            ("embed", "ex2_2d.json",
+             lambda d: d["embedding"].update(order=8), "order + 1 = 9 exceeds the system's order_N = 8"),
+            ("embed", "ex2_2d.json",
+             lambda d: d["system"].update(kind="field", eigen=dict(d["system"]["eigen"], form="additive")),
+             "an embedding belongs to a map system"),
         ],
     )
     def test_verify_malformed_report_is_2(self, tmp_path, capsys, sub, fixture, edit, message):
@@ -327,6 +334,18 @@ class TestOrderGuard:
         capsys.readouterr()
         assert_order_refused(run(["verify", "--input", bad]), capsys, what, 100000, 2)
 
+    def test_one_dimension_counts_as_two(self, tmp_path, capsys):
+        """A dense one-dimensional map runs at the largest order n = 2 admits
+        and is refused one above it, as for n = 2 (not at N = 500)."""
+        N = over_limit_order(2)
+        terms = [{"component": 1, "exponent": [d], "coeff": [(-1) ** d * 3, 4]} for d in range(2, N + 1)]
+        doc = {"kind": "map", "n": 1, "eigen": {"form": "mult-rational", "values": [[1, 2]]},
+               "terms": terms[:-1], "order_N": N - 1}
+        assert run(["normalize", "--input", write(tmp_path, "sys.json", doc)]) == 0
+        capsys.readouterr()
+        code = run(["normalize", "--input", write(tmp_path, "sys.json", dict(doc, terms=terms, order_N=N))])
+        assert_order_refused(code, capsys, "order_N", N, 2)
+
     @pytest.mark.parametrize("key", ["order_N", "degree_D"])
     def test_count_too_long_to_print_is_2(self, tmp_path, capsys, key):
         """A 4300-digit order or degree: its count is not computed or named,
@@ -336,6 +355,26 @@ class TestOrderGuard:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err and "over the limit" in err
         assert "Traceback" not in err
+
+
+class TestOnePowerTablePerMap:
+    def test_integrals_and_verify_table_each_inner_map_once(self, tmp_path, monkeypatch):
+        """The search, every V o F residual and the pullback compose through
+        one table per inner map: F's own, and one of psi for all integrals."""
+        from dulac.series import Powers
+
+        of, tabled = Powers.of.__func__, []
+
+        def recording(cls, inner, trunc):
+            tabled.append(inner)
+            return of(cls, inner, trunc)
+
+        monkeypatch.setattr(Powers, "of", classmethod(recording))
+        rep = tmp_path / "rep.json"
+        for args in (["integrals", "--input", FIXTURES / "ex2_3d.json", "--output", rep], ["verify", "--input", rep]):
+            tabled.clear()
+            assert run(args) == 0
+            assert tabled and len(set(tabled)) == len(tabled)
 
 
 class TestSubcommands:
@@ -565,6 +604,12 @@ class TestTermsAboveTheVerifiedOrder:
             ("normalize",
              lambda d: d["normalization"]["phi"].append({"component": 1, "coeff": [1, 2], "exponent": [9, 0]}),
              "phi has a term of degree 9"),
+            ("embed",
+             lambda d: d["embedding"]["field"].append({"component": 1, "coeff": [5, 1], "exponent": [9, 0]}),
+             "the embedding field has a term of degree 9"),
+            ("embed",
+             lambda d: d["embedding"]["integrals"][0].append({"coeff": [5, 1], "exponent": [0, 9]}),
+             "an embedding integral has a term of degree 9"),
             ("classify",
              lambda d: d["classification"]["normalization"]["g"].append(
                  {"component": 2, "coeff": [5, 1], "exponent": [5, 5]}),
@@ -659,9 +704,22 @@ def _pop_residual_zero(section):
     section.pop("residual_zero")
 
 
+def _hyperbola_embedding(emb):
+    """y1*y2 with the field (y1, -y2) it is a level set of: tangent, but
+    not an integral of the map."""
+    emb.update(
+        integrals=[[{"exponent": [1, 1], "coeff": [1, 1]}]],
+        field=[{"component": 1, "exponent": [1, 0], "coeff": [1, 1]},
+               {"component": 2, "exponent": [0, 1], "coeff": [-1, 1]}],
+        equivariance_zero=False,
+    )
+
+
 class TestVerifyRederivesIntegralClaims:
-    """`residual_zero` is compared whole with the recomputed residuals, and an
-    embedding carries exactly n-1 integrals."""
+    """`residual_zero` and `tangency_zero` are compared whole with the
+    recomputed residuals, the integrals sections and `pullback.generators`
+    with the lattice, and an embedding carries exactly n-1 integrals of the
+    map."""
 
     @pytest.mark.parametrize(
         "sub,edit,field",
@@ -679,6 +737,15 @@ class TestVerifyRederivesIntegralClaims:
             ("embed", lambda d: d["embedding"]["integrals"].clear(), "0 integrals, not n-1 = 1"),
             ("embed", lambda d: d["embedding"]["integrals"].append(d["embedding"]["integrals"][0]),
              "2 integrals, not n-1 = 1"),
+            ("embed", lambda d: d["embedding"].update(tangency_zero=[False]), "embedding.tangency_zero"),
+            ("embed", lambda d: _hyperbola_embedding(d["embedding"]), "not an integral of the map"),
+            ("integrals", lambda d: d["integrals"]["pullback"].update(generators=[[9, 9]]),
+             "integrals.pullback.generators"),
+            ("integrals", lambda d: d["integrals"]["pullback"].pop("generators"),
+             "integrals.pullback.generators"),
+            ("integrals", lambda d: d["integrals"].pop("pullback"), "integrals (its sections)"),
+            ("integrals", lambda d: d["integrals"].update(extra={"integrals": [], "residual_zero": []}),
+             "integrals (its sections)"),
         ],
     )
     def test_edit_is_4(self, tmp_path, capsys, sub, edit, field):

@@ -32,7 +32,6 @@ from dulac.series import (
     invert,
     jacobian,
     mat_vec,
-    monomial_powers,
 )
 
 I = gaussian(0, 1)
@@ -185,8 +184,23 @@ class TestComposeAgainstOracle:
         inner = random_inner(rng, n, trunc, True)
         exps = list(iter_exponents(n, 1, trunc))
         cache = OraclePowerCache(inner, trunc)
-        for m, p in zip(exps, monomial_powers(inner, exps, trunc)):
+        monomials = [ScalarSeries.monomial(n, trunc, m) for m in exps]
+        for m, p in zip(exps, Powers.of(inner, trunc).compose(monomials, trunc)):
             assert p == cache.monomial(m)
+
+    @pytest.mark.parametrize("n,trunc,gq,seed", COMPOSE_CASES[::3])
+    def test_table_above_trunc(self, n, trunc, gq, seed):
+        """One table of the inner map composes through every degree up to
+        its own, whichever degree filled it first (a map's one table)."""
+        rng = random.Random(f"table/{n}/{trunc}/{gq}/{seed}")
+        top = trunc + 2
+        outer, inner = random_outer(rng, n, top, gq), random_inner(rng, n, top, gq)
+        table = Powers.of(inner, top)
+        for t in (trunc, 1, top, 0, trunc - 1):
+            got = table.compose(outer.components, t)
+            assert got == list(oracle_compose(outer, inner, t)) and all(c.trunc == t for c in got)
+        with pytest.raises(SeriesError, match="not known"):
+            table.compose(outer.components, top + 1)
 
 
 class TestOnlinePowers:

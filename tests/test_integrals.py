@@ -72,6 +72,13 @@ class TestVerify:
         r = verify_integral_map(ScalarSeries.variable(2, 0, 6), Fm)
         assert r.coeff((1, 0)) == F(-1, 2)
 
+    def test_order_above_the_system_refused(self):
+        """F's data is certified only through its order: V o F above it would
+        treat the truncated map as exact."""
+        Fm = MapSystem(HALF_DOUBLE, VectorSeries.zero(2, 6), 6)
+        with pytest.raises(HypothesisError, match="certified to degree 6; cannot verify to 8"):
+            verify_integral_map(ScalarSeries.monomial(2, 10, (1, 1)), Fm, 8)
+
     def test_formal_base_certification(self):
         spec = EigenSpec.multiplicative_base([-5, 2])
         Fm = MapSystem(spec, VectorSeries.zero(2, 8), 8)

@@ -1,7 +1,7 @@
 """Reports stay byte-identical to the ones bench/reference.json records.
 
 Every fixture goes through the five solvers and `verify`, and so does
-entry 0 of every `normal-form` size class of the benchmark; each report's
+entry 0 of every size class of every benchmark workload; each report's
 sha256 is compared with the reference under the benchmark harness's key
 sha256(input)[:16]/subcommand.  Reports are written under tmp_path only.
 """
@@ -25,9 +25,10 @@ FIXTURE_CASES = [
     pytest.param(path, sub, id=f"{Path(path).stem}/{sub}")
     for path, sub in harness.fixture_inputs(harness.Checkout(str(ROOT)))
 ]
-NORMAL_FORM_CASES = [
+CATALOGUE_CASES = [
     pytest.param(op.system, op.subcommand, id=op.key)
-    for op in (workloads.catalogue_entry("normal-form", klass, 0) for klass in workloads.WORKLOADS["normal-form"])
+    for name, classes in workloads.WORKLOADS.items()
+    for op in (workloads.catalogue_entry(name, klass, 0) for klass in classes)
 ]
 
 
@@ -38,7 +39,7 @@ def checkout(tmp_path):
     return co
 
 
-@pytest.mark.parametrize("source,sub", FIXTURE_CASES + NORMAL_FORM_CASES)
+@pytest.mark.parametrize("source,sub", FIXTURE_CASES + CATALOGUE_CASES)
 def test_report_matches_reference(checkout, source, sub):
     path = source
     if isinstance(source, dict):
