@@ -791,9 +791,8 @@ def _run_verify(report_path: str) -> dict:
             fail("an embedding integral is not an integral of the map")
         tangency = [scalar_inner(gradient(V), X, order).is_zero() for V in vs]
         _require_match(emb.get("tangency_zero"), tangency, "embedding.tangency_zero")
-        if emb.get("equivariance_zero"):
-            if not verify_equivariance(system, X, order).is_zero():
-                fail("claimed equivariance does not hold")
+        equivariance = verify_equivariance(system, X, order).is_zero()
+        _require_match(emb.get("equivariance_zero"), equivariance, "embedding.equivariance_zero")
         checked.append("embedding")
     if "lattice" in doc:
         lattice = _field(doc, "lattice", dict, report_path)

@@ -15,14 +15,17 @@ Each spec owns one table of exponent values, `EigenSpec.table`: mu^m,
 <m, lambda> or (a.m, b.m mod 1), each entry computed on its first lookup as
 a single product or sum from an entry one degree below.  Every value query
 reads it: the resonance test `EigenSpec.resonant` (value(m) = value(e_j),
-or value(m) = value(0) for first integrals), the degree-D scans
-(`enumerate_lattice`, `verify_bound`, which look up `iter_exponents` in
-order, so they never depend on who filled the table first), the
-normalizer's homological divisors and `verify`'s resonance checks.
+or value(m) = value(0) for first integrals), the normalizer's homological
+divisors and `verify`'s resonance checks.  The degree-D scans
+(`enumerate_lattice`, `verify_bound`) read `EigenSpec.classes`, the
+exponents grouped by value in graded-lex order, and do their arithmetic
+once per distinct value; the grouping never depends on who filled the table
+first.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -95,6 +98,18 @@ class EigenSpec:
         """The values of the exponents looked up so far (not a field: the
         spec still compares and hashes by its eigenvalues)."""
         return ExponentValues(self)
+
+    def classes(self, D: int) -> dict:
+        """The exponents with 2 <= |m| <= D grouped by value: each value, in
+        order of first arrival, maps to its exponents in graded-lex order.
+        Built once per degree from `table`, in one scan."""
+        table = self.table
+        groups = table.classes.get(D)
+        if groups is None:
+            groups = table.classes[D] = {}
+            for m in iter_exponents(self.n, 2, D):
+                groups.setdefault(table[m], []).append(m)
+        return groups
 
     def resonant(self, m: Exponent, j: Optional[int] = None) -> bool:
         """y^m e_j is resonant: value(m) = value(e_j), i.e. mu^m = mu_j,
@@ -195,10 +210,12 @@ class ExponentValues(dict):
     index with m_i > 0), it is one product or sum from the value of m', as in
     `series.Powers`.  A sparse series so costs only the chains of its own
     exponents, not the whole table through its degree.  Build it through
-    `EigenSpec.table`, so that one spec keeps one table.
+    `EigenSpec.table`, so that one spec keeps one table; `classes` holds
+    `EigenSpec.classes` by degree.
     """
 
     def __init__(self, spec: EigenSpec):
+        self.classes: dict[int, dict] = {}
         zero = (0,) * spec.n
         if spec.kind == "mult-base":
             a, b = spec.exponents, spec.phases
@@ -224,24 +241,19 @@ class ExponentValues(dict):
 def enumerate_lattice(spec: EigenSpec, bound: int) -> LatticeBasis:
     """All resonant exponents with 2 <= |m| <= bound, their rank, and generators.
 
-    Resonance is read off the spec's table (mu^m = 1, <m, lambda> = 0, or
-    a.m = 0 with b.m = 0 mod 1) in graded-lex order.  Rank can only
-    be under-reported when the bound is too small; the bound is recorded so
-    every downstream claim is certified "at degree D".
+    Resonant exponents are the class of value(0) in `EigenSpec.classes`
+    (mu^m = 1, <m, lambda> = 0, or a.m = 0 with b.m = 0 mod 1), in graded-lex
+    order.  Rank can only be under-reported when the bound is too small; the
+    bound is recorded so every downstream claim is certified "at degree D".
     """
     if bound < 2:
         raise ValueError("enumeration bound must be >= 2")
     kind = "field" if spec.kind == "additive" else "map"
-    table = spec.table
-    resonant = table[(0,) * spec.n]
-    found: list[Exponent] = []
+    found = spec.classes(bound).get(spec.table[(0,) * spec.n], [])
     full = Echelon()
     candidates: list[Exponent] = []
     seen: set[Exponent] = set()
-    for m in iter_exponents(spec.n, 2, bound):
-        if table[m] != resonant:
-            continue
-        found.append(m)
+    for m in found:
         full.add(dict(enumerate(m)))
         cand = _generator_candidate(spec, m)
         if cand not in seen:
@@ -662,82 +674,74 @@ class BoundVerification:
 def verify_bound(spec: EigenSpec, bound: SmallDivisorBound, D: int) -> BoundVerification:
     """Check every nonzero divisor with 2 <= |m| <= D against the bound.
 
-    With exactly representable eigenvalues the minimum gap is found by
-    exhaustive squared-modulus comparison of the divisors value(m) - mu_j
-    resp. value(m) - lambda_j, read off the spec's table in graded-lex
-    order; the first pair reaching the minimum is the witness.
+    A pair's divisor depends only on value(m) and j, so each scan computes
+    it once per value class of `EigenSpec.classes` and counts the class's
+    exponents; classes arrive in graded-lex order of their first exponent,
+    so the first pair of a class stands for it.  With exactly representable
+    eigenvalues the minimum gap is found by exhaustive squared-modulus
+    comparison of the divisors value(m) - mu_j resp. value(m) - lambda_j;
+    the first pair reaching the minimum is the witness.
     For a formal base the proof's case analysis is replayed on the
-    exponent/phase certificate instead, on the table of (a.m, b.m mod 1),
+    exponent/phase certificate instead, on the classes of (a.m, b.m mod 1),
     stopping at the first failing pair; nothing is ever evaluated
     numerically.
     """
     if spec.kind == "mult-base" or isinstance(bound.value, SymbolicBound):
         return _verify_certificate(spec, bound, D)
-    n = spec.n
-    eig = spec.values
-    table = spec.table
-    min_sq: Optional[Fraction] = None
-    witness = None
-    checked = 0
-    for m in iter_exponents(n, 2, D):
-        value = table[m]
-        for j in range(n):
-            div = value - eig[j]
+    min_sq, witness, checked = None, None, 0
+    for value, members in spec.classes(D).items():
+        for j, eig in enumerate(spec.values):
+            div = value - eig
             if div == 0:
                 continue
-            checked += 1
+            checked += len(members)
             g2 = sc_abs2(div)
             if min_sq is None or g2 < min_sq:
-                min_sq = g2
-                witness = (m, j)
+                min_sq, witness = g2, (members[0], j)
     if min_sq is None:
         return BoundVerification(passed=True, checked=0, mode="exhaustive")
-    bound_sq = _square_of(bound.value)
-    passed = min_sq >= bound_sq
+    passed = min_sq >= _square_of(bound.value)
     return BoundVerification(
-        passed=passed,
-        checked=checked,
-        mode="exhaustive",
-        min_gap=sqrt_value(min_sq),
-        witness=witness,
-        failure=None if passed else witness,
+        passed=passed, checked=checked, mode="exhaustive", min_gap=sqrt_value(min_sq),
+        witness=witness, failure=None if passed else witness,
     )
 
 
-def _verify_certificate(
-    spec: EigenSpec, bound: SmallDivisorBound, D: int
-) -> BoundVerification:
+def _grlex(m: Exponent) -> tuple:
+    return sum(m), m
+
+
+def _verify_certificate(spec: EigenSpec, bound: SmallDivisorBound, D: int) -> BoundVerification:
     cert = bound.certificate
-    a = cert["base_exponents"]
-    b = cert["phases"]
+    a, b = cert["base_exponents"], cert["phases"]
     e_alpha = cert["alpha_exp"]
-    L = cert["phase_group_order"]
+    phase_gap = Fraction(1, cert["phase_group_order"])
     has_phase_term = cert["sigma2"] is not None
-    n = spec.n
-    checked = 0
     # a mult-base spec is its own certificate base
     base = spec if spec.kind == "mult-base" else EigenSpec.multiplicative_base(a, b)
-    table = base.table
-    for m in iter_exponents(n, 2, D):
-        ma, mb = table[m]
-        for j in range(n):
+    scanned: list[tuple[list[Exponent], int]] = []  # (members, nonresonant js)
+    for (ma, mb), members in base.classes(D).items():
+        count = 0
+        for j in range(spec.n):
             da = ma - a[j]
             db = (mb - b[j]) % 1
             if da == 0 and db == 0:
                 continue  # resonant
-            checked += 1
+            count += 1
             if da != 0:
                 s = da / e_alpha
-                if s.denominator != 1 or s == 0:
-                    return BoundVerification(
-                        passed=False, checked=checked, mode="certificate",
-                        failure=(m, j),
-                    )
+                ok = s.denominator == 1 and s != 0
             else:
-                dist = min(db, 1 - db)
-                if not has_phase_term or dist < Fraction(1, L):
-                    return BoundVerification(
-                        passed=False, checked=checked, mode="certificate",
-                        failure=(m, j),
-                    )
+                ok = has_phase_term and min(db, 1 - db) >= phase_gap
+            if not ok:
+                # the pairs before (m, j) in graded-lex order: the earlier
+                # classes' exponents below m, and m's own js through j
+                m = members[0]
+                key = _grlex(m)
+                checked = count + sum(k * bisect_left(ms, key, key=_grlex) for ms, k in scanned)
+                return BoundVerification(
+                    passed=False, checked=checked, mode="certificate", failure=(m, j)
+                )
+        scanned.append((members, count))
+    checked = sum(len(ms) * k for ms, k in scanned)
     return BoundVerification(passed=True, checked=checked, mode="certificate")

@@ -2,7 +2,7 @@
 primitives only, so solver outputs can be checked against exact expectations."""
 
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 from dulac.linalg import primitive_integer_kernel
 from dulac.normalizer import MapSystem
@@ -417,6 +417,31 @@ def oracle_verify_certificate(spec, bound, D):
                     passed=False, checked=checked, mode="certificate", failure=(m, j)
                 )
     return BoundVerification(passed=True, checked=checked, mode="certificate")
+
+
+def oracle_algebraic_rank(spec):
+    """The rank of the whole resonant lattice {m in Z^n : value(m) = value(0)}
+    of an additive or mult-base spec, for every degree and every sign of m:
+    n minus the rank, from one Echelon, of the integer matrix of <m, lambda>
+    (its real and imaginary rows) or of a.m, each row scaled to integers.
+    The phase condition b.m = 0 mod 1 only cuts a sublattice of finite index
+    (it holds on L Z^n, L the phases' common denominator), so it leaves the
+    rank alone.  The enumerated lattice, of exponents m >= 0 up to a degree,
+    can only have a smaller rank."""
+    from dulac.linalg import Echelon
+    from dulac.scalars import sc_im, sc_re
+
+    if spec.kind == "additive":
+        rows = [[sc_re(v) for v in spec.values], [sc_im(v) for v in spec.values]]
+    elif spec.kind == "mult-base":
+        rows = [list(spec.exponents)]
+    else:
+        raise ValueError("the algebraic rank oracle covers the additive and mult-base forms")
+    echelon = Echelon()
+    for row in rows:
+        den = lcm(*(F(x).denominator for x in row))
+        echelon.add({i: int(x * den) for i, x in enumerate(row) if x})
+    return spec.n - echelon.rank
 
 
 # -- factoring oracles of the map bound's base ---------------------------------------

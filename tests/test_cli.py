@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+import time
 from math import comb
 from pathlib import Path
 
@@ -700,6 +703,23 @@ class TestLargeCoefficients:
         assert captured.out == "" and captured.err.startswith("error:")
 
 
+    def test_huge_multiplier_resonance_is_3_within_budget(self, tmp_path, capsys):
+        """mu = (x, 1/x, x) with a 4300-digit x: 286 exponents at D = 10 but
+        only 21 values, so the scans cost 21 divisor comparisons per j, not
+        286; the report's integers are too long to write out."""
+        x = 10**4299 + 7
+        path = write(tmp_path, "huge.json", dict(
+            HALF_DOUBLE_DOC, n=3, degree_D=10, order_N=4,
+            eigen={"form": "mult-rational", "values": [[x, 1], [1, x], [x, 1]]},
+        ))
+        start = time.perf_counter()
+        code = run(["resonance", "--input", path])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 3 and str(sys.get_int_max_str_digits()) in err
+        assert elapsed < 4.0, f"resonance took {elapsed:.2f} s"
+
+
 def _pop_residual_zero(section):
     section.pop("residual_zero")
 
@@ -716,10 +736,10 @@ def _hyperbola_embedding(emb):
 
 
 class TestVerifyRederivesIntegralClaims:
-    """`residual_zero` and `tangency_zero` are compared whole with the
-    recomputed residuals, the integrals sections and `pullback.generators`
-    with the lattice, and an embedding carries exactly n-1 integrals of the
-    map."""
+    """`residual_zero`, `tangency_zero` and `equivariance_zero` are compared
+    whole with the recomputed residuals, the integrals sections and
+    `pullback.generators` with the lattice, and an embedding carries exactly
+    n-1 integrals of the map."""
 
     @pytest.mark.parametrize(
         "sub,edit,field",
@@ -738,6 +758,8 @@ class TestVerifyRederivesIntegralClaims:
             ("embed", lambda d: d["embedding"]["integrals"].append(d["embedding"]["integrals"][0]),
              "2 integrals, not n-1 = 1"),
             ("embed", lambda d: d["embedding"].update(tangency_zero=[False]), "embedding.tangency_zero"),
+            ("embed", lambda d: d["embedding"].update(equivariance_zero=False),
+             "embedding.equivariance_zero"),
             ("embed", lambda d: _hyperbola_embedding(d["embedding"]), "not an integral of the map"),
             ("integrals", lambda d: d["integrals"]["pullback"].update(generators=[[9, 9]]),
              "integrals.pullback.generators"),
@@ -759,3 +781,16 @@ class TestVerifyRederivesIntegralClaims:
         assert run(["verify", "--input", bad]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: verification failed:") and field in err
+
+
+def test_python_m_dulac_writes_the_cli_report(tmp_path):
+    """`python -m dulac` runs `cli.main`: same exit code, same report bytes."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    rep = tmp_path / "rep.json"
+    assert run(["resonance", "--input", FIXTURES / "halfdouble.json", "--output", rep]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "dulac", "resonance", "--input", str(FIXTURES / "halfdouble.json")],
+        capture_output=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == rep.read_bytes()

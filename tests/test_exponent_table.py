@@ -1,14 +1,18 @@
-"""Each spec's table of exponent values against the per-exponent scans it
-replaced: equal values, equal lattices and equal bound verifications (pair
-counts, minimum gaps, witnesses and first failures) on seeded random spectra
-in all three eigenvalue forms, whatever lookups filled the table first."""
+"""Each spec's table of exponent values and its grouping by value against
+the per-exponent scans they replaced: equal values, equal lattices and equal
+bound verifications (pair counts, minimum gaps, witnesses and first failures)
+on seeded random spectra in all three eigenvalue forms, whatever lookups
+filled the table first, and on spectra whose values repeat heavily."""
 
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from math import lcm
+from pathlib import Path
 
 import pytest
 
+from dulac.cli import parse_system
 from dulac.errors import HypothesisError
 from dulac.resonance import (
     EigenSpec,
@@ -22,10 +26,13 @@ from dulac.resonance import (
     small_divisor_bound_field,
     small_divisor_bound_map,
     verify_bound,
+    _phase,
+    _rational_to_base,
 )
 from dulac.scalars import gaussian, sc_pow
 
 from helpers import (
+    oracle_algebraic_rank,
     oracle_enumerate_lattice,
     oracle_inner,
     oracle_power,
@@ -301,3 +308,136 @@ class TestTableOrderIndependence:
         assert spec == fresh and hash(spec) == hash(fresh)
         assert "table" not in repr(spec)
         assert spec.table is spec.table and fresh.table is not spec.table
+
+
+# -- value classes where values repeat heavily ---------------------------------------
+
+I = gaussian(0, 1)
+REPEATING = {
+    # roots of unity: at most four values
+    "units-i": EigenSpec.multiplicative([I, -1, -I]),
+    "units-minus": EigenSpec.multiplicative([-1, -1]),
+    "units-4": EigenSpec.multiplicative([I, I, -1, -I]),
+    # moduli powers of sqrt 2, phases 1/8-turns
+    "gauss-8": EigenSpec.multiplicative([gaussian(1, 1), gaussian(1, -1) / 2, I]),
+    "gauss-8-2": EigenSpec.multiplicative([gaussian(1, 1), gaussian(1, -1) / 2]),
+    "gauss-8-4": EigenSpec.multiplicative([gaussian(1, 1), gaussian(1, -1) / 2, -1, I]),
+    # formal base, phases of common denominator L = 8
+    "base-8": EigenSpec.multiplicative_base([1, -1, 0], [F(1, 8), F(3, 8), F(1, 2)]),
+    "base-8-2": EigenSpec.multiplicative_base([1, -1], [F(1, 8), F(3, 8)]),
+    "base-8-4": EigenSpec.multiplicative_base([1, -1, 1, -2], [F(1, 8), F(7, 8), F(1, 4), F(1, 2)]),
+    # additive with a zero eigenvalue
+    "zero-add": EigenSpec.additive([0, 1, -1]),
+    "zero-add-2": EigenSpec.additive([F(1, 2), 0]),
+    "zero-only": EigenSpec.additive([0, 0]),
+    "zero-add-4": EigenSpec.additive([0, I, -I, 2]),
+}
+
+
+def _base_of(spec):
+    """(a, b): a formal base's own exponents and phases, else those of the
+    exact multipliers (a = 0 when every modulus is 1)."""
+    if spec.kind == "mult-base":
+        return spec.exponents, spec.phases
+    try:
+        return _rational_to_base(spec.values)[1:]
+    except HypothesisError:
+        return (F(0),) * spec.n, tuple(map(_phase, spec.values))
+
+
+def _certificates(spec):
+    """Certificates on the spec's base: one with the finest unit and phase
+    gaps (it passes every pair), then a doubled unit gap, a whole-turn phase
+    gap and no phase term (each fails at its first offending pair)."""
+    a, b = _base_of(spec)
+    unit = F(1, lcm(*(x.denominator for x in a)))
+    cert = {"base_exponents": a, "phases": b, "alpha_exp": unit,
+            "phase_group_order": lcm(*(x.denominator for x in b)), "sigma2": "phase-gap"}
+    variants = [cert, dict(cert, alpha_exp=2 * unit), dict(cert, phase_group_order=1),
+                dict(cert, sigma2=None)]
+    return [SmallDivisorBound("map", SymbolicBound(terms=()), c) for c in variants]
+
+
+class TestRepeatedValues:
+    @pytest.mark.parametrize("name", REPEATING)
+    def test_classes_partition_the_scan(self, name):
+        spec = REPEATING[name]
+        D = DEGREES[spec.n]
+        groups = spec.classes(D)
+        exponents = list(iter_exponents(spec.n, 2, D))
+        assert 2 * len(groups) <= len(exponents)  # the values do repeat
+        assert sorted(m for ms in groups.values() for m in ms) == sorted(exponents)
+        position = {m: i for i, m in enumerate(exponents)}
+        firsts = [position[ms[0]] for ms in groups.values()]
+        assert firsts == sorted(firsts)
+        for value, members in groups.items():
+            assert [position[m] for m in members] == sorted(position[m] for m in members)
+            assert all(spec.table[m] == value for m in members)
+        assert spec.classes(D) is groups
+
+    @pytest.mark.parametrize("name", REPEATING)
+    def test_lattice(self, name):
+        spec = REPEATING[name]
+        for D in (2, 3, DEGREES[spec.n]):
+            assert enumerate_lattice(spec, D) == oracle_enumerate_lattice(spec, D)
+
+    @pytest.mark.parametrize("name", [k for k, s in REPEATING.items() if s.kind != "mult-base"])
+    def test_exhaustive_zero_and_twice_the_gap(self, name):
+        spec = REPEATING[name]
+        D = DEGREES[spec.n]
+        zero = SmallDivisorBound("map", F(0))
+        got = verify_bound(spec, zero, D)
+        assert got.passed and got == oracle_verify_bound(spec, zero, D)
+        if got.min_gap is None:  # every divisor vanishes
+            assert got.checked == 0 and name == "zero-only"
+            return
+        twice = SmallDivisorBound("map", got.min_gap * 2)
+        failed = verify_bound(spec, twice, D)
+        assert failed == oracle_verify_bound(spec, twice, D)
+        assert not failed.passed and failed.failure == failed.witness == got.witness
+
+    @pytest.mark.parametrize("name", [k for k, s in REPEATING.items() if s.kind != "additive"])
+    def test_certificate_pass_and_failures(self, name):
+        spec = REPEATING[name]
+        D = DEGREES[spec.n]
+        outcomes = []
+        for bound in _certificates(spec):
+            got = verify_bound(spec, bound, D)
+            assert got.mode == "certificate"
+            assert got == oracle_verify_certificate(spec, bound, D)
+            outcomes.append(got.passed)
+        assert outcomes[0] and not all(outcomes)
+
+    @pytest.mark.parametrize(
+        "name", ["gauss-8", "gauss-8-2", "gauss-8-4", "base-8", "base-8-2", "zero-add", "zero-add-2"]
+    )
+    def test_constructed_bound(self, name):
+        spec = REPEATING[name]
+        D = DEGREES[spec.n]
+        bound = _bound_for(spec, enumerate_lattice(spec, D))
+        got = verify_bound(spec, bound, D)
+        oracle = oracle_verify_certificate if got.mode == "certificate" else oracle_verify_bound
+        assert got.passed and got == oracle(spec, bound, D)
+
+
+# -- the enumerated rank against the algebraic rank ----------------------------------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+class TestAlgebraicRank:
+    @pytest.mark.parametrize(
+        "form,n,seed", [c for c in CASES if c[0] in ("additive", "mult-base") and c[1] > 1]
+    )
+    def test_enumerated_rank_is_at_most_the_algebraic(self, form, n, seed):
+        spec = random_spec(form, n, seed)
+        assert enumerate_lattice(spec, DEGREES[n]).rank <= oracle_algebraic_rank(spec)
+
+    @pytest.mark.parametrize(
+        "fixture,rank",
+        [("center.json", 1), ("degenerate_field.json", 1), ("ex2_3d_base.json", 2)],
+    )
+    def test_fixtures_reach_the_algebraic_rank(self, fixture, rank):
+        sf = parse_system(str(FIXTURES / fixture))
+        assert enumerate_lattice(sf.eigen, sf.lattice_bound).rank == rank
+        assert oracle_algebraic_rank(sf.eigen) == rank
