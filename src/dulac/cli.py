@@ -687,11 +687,10 @@ def _run_verify(report_path: str) -> dict:
     cls = None
     if "classification" in doc:
         cls = _field(doc, "classification", dict, report_path)
-    norm_doc = doc.get("normalization")
-    where = f"{report_path}:normalization"
+    norm_doc, norm_path = doc.get("normalization"), "normalization"
     if norm_doc is None and cls is not None:
-        norm_doc = cls.get("normalization")
-        where = f"{report_path}:classification.normalization"
+        norm_doc, norm_path = cls.get("normalization"), "classification.normalization"
+    where = f"{report_path}:{norm_path}"
     if norm_doc is not None:
         if not isinstance(norm_doc, dict):
             raise SystemFileError(f"{where}: must be an object")
@@ -707,6 +706,10 @@ def _run_verify(report_path: str) -> dict:
         if not residual.is_zero():
             bad = min(sum(m) for comp in residual.components for m in comp.coeffs)
             fail(f"conjugacy residual is nonzero at degree {bad}")
+        # the solver writes residual_zero_through = order once the residual is zero
+        _require_match(
+            norm_doc.get("residual_zero_through"), order, f"{norm_path}.residual_zero_through"
+        )
         for name, series, resonant in (("phi", phi, False), ("g", g, True)):
             _require_order(series.components, order, f"{name} has a term")
             for j, comp in enumerate(series.components):
@@ -810,6 +813,17 @@ def _run_verify(report_path: str) -> dict:
         raise SystemFileError(
             f"{report_path}: nothing to verify (no recognized sections)"
         )
+    # the parameters name the order and degree the sections were built at
+    params = doc.get("parameters")
+    certified = cls.get("certified_at") if cls is not None else None
+    if isinstance(params, dict):
+        for key, name, inner in (
+            ("order_N", "normalization", "order"), ("degree_D", "lattice", "bound")
+        ):
+            if isinstance(doc.get(name), dict):
+                _require_match(params.get(key), doc[name].get(inner), f"parameters.{key}")
+            elif isinstance(certified, dict):
+                _require_match(params.get(key), certified.get(key), f"parameters.{key}")
     return {"verify": {"checked": checked, "all_zero": True}}
 
 

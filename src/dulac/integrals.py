@@ -1,5 +1,7 @@
 """First integrals of maps and fields: construction, search, pullback,
-exact verification, and randomized-but-exact independence certificates.
+exact verification, and an exact independence check of the jets at seeded
+sample points (it holds for the jets as polynomials, not for series with
+these jets).
 
 A set of integrals is a plain tuple of series, each with zero constant term
 and expected to pass its verify_integral check with an exactly zero
@@ -200,10 +202,13 @@ def independence_check(
     trials: int = 8,
     seed: int = 0,
 ) -> IndependenceCertificate:
-    """Exact-rank test of the gradients at pseudo-random rational points.
+    """Exact-rank test of the truncated gradients at pseudo-random rational
+    points.
 
-    A full-rank evaluation is a certificate of functional independence (the
-    witness point is recorded); failing every trial only reports "not
+    A full-rank evaluation shows that the jets, as polynomials, are
+    functionally independent (the witness point is recorded); it shows
+    nothing for series with these jets, whose terms above the order can
+    change the Jacobian anywhere.  Failing every trial only reports "not
     certified", since rank deficiency at sample points proves nothing."""
     vs = tuple(integrals)
     if not vs:

@@ -19,8 +19,10 @@ or value(m) = value(0) for first integrals), the normalizer's homological
 divisors and `verify`'s resonance checks.  The degree-D scans
 (`enumerate_lattice`, `verify_bound`) read `EigenSpec.classes`, the
 exponents grouped by value in graded-lex order, and do their arithmetic
-once per distinct value; the grouping never depends on who filled the table
-first.
+once per class, on its first exponent.  The grouping looks up no value: it
+packs the integer coordinates `EigenSpec.keys` of each value, linear in m
+(<m, lambda> or a.m and b.m mod 1 over a common denominator, or valuations
+over a coprime base of Z[i] and a unit exponent), into one int.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .errors import HypothesisError, InternalInvariantError
@@ -37,8 +40,13 @@ from .linalg import Echelon, primitive_integer_kernel
 from .scalars import (
     GaussianRational,
     Scalar,
+    coprime_base,
+    exact_log,
     exact_sqrt,
     format_scalar,
+    gauss_parts,
+    gauss_valuations,
+    primitive_root,
     sc_abs2,
     sc_im,
     sc_re,
@@ -99,16 +107,44 @@ class EigenSpec:
         spec still compares and hashes by its eigenvalues)."""
         return ExponentValues(self)
 
+    @cached_property
+    def keys(self) -> tuple[list[list[int]], list[int], int]:
+        """(rows, t, T), all integers, with value(m) = value(m') exactly when
+        rows.m = rows.m' and t.m = t.m' mod T: <m, lambda>'s real and
+        imaginary parts, or a.m with b.m (T = L, the phases' common
+        denominator), scaled to integers; see `_valuation_rows` for mu^m."""
+        if self.kind == "mult-rational":
+            return _valuation_rows(self.values)
+        if self.kind == "additive":
+            parts = [[sc_re(v) for v in self.values], [sc_im(v) for v in self.values]]
+            return [_integer_row(r) for r in parts], [0] * self.n, 1
+        L = lcm(*(b.denominator for b in self.phases))
+        return [_integer_row(self.exponents)], _integer_row(self.phases, L), L
+
+    @cached_property
+    def _classes(self) -> dict:
+        return {}
+
     def classes(self, D: int) -> dict:
-        """The exponents with 2 <= |m| <= D grouped by value: each value, in
-        order of first arrival, maps to its exponents in graded-lex order.
-        Built once per degree from `table`, in one scan."""
-        table = self.table
-        groups = table.classes.get(D)
+        """The exponents with 2 <= |m| <= D grouped by value: each class, in
+        order of first arrival, lists its exponents in graded-lex order under
+        an integer key (value(0)'s is 0).  Built once per degree, in one scan
+        that adds and hashes ints only."""
+        groups = self._classes.get(D)
         if groups is None:
-            groups = table.classes[D] = {}
-            for m in iter_exponents(self.n, 2, D):
-                groups.setdefault(table[m], []).append(m)
+            rows, t, T = self.keys
+            # key(m) = sum_r (r.m) M_r + (t.m) M, mod T M: |r.m| <= D max|r|
+            # for |m| <= D, so each row is a balanced digit of odd width
+            # 2 D max|r| + 1 that never carries into the next, and the rows
+            # stay below M/2 in size, so reducing mod T M keeps them whole
+            kappa, M = [0] * self.n, 1
+            for r, width in [(r, 2 * D * max(map(abs, r)) + 1) for r in rows] + [(t, T)]:
+                kappa = [k + M * x for k, x in zip(kappa, r)]
+                M *= width
+            groups = self._classes[D] = {}
+            for level in _graded(kappa, M, D)[2:]:
+                for m, key in level:
+                    groups.setdefault(key, []).append(m)
         return groups
 
     def resonant(self, m: Exponent, j: Optional[int] = None) -> bool:
@@ -132,6 +168,32 @@ def _as_scalar(v) -> Scalar:
     if isinstance(v, GaussianRational):
         return v
     return Fraction(v)
+
+
+# -- integer value keys --------------------------------------------------------
+
+
+def _integer_row(row: Sequence[Fraction], den: int = 0) -> list[int]:
+    """The row times `den`, by default its entries' common denominator."""
+    den = den or lcm(*(x.denominator for x in row))
+    return [int(x * den) for x in row]
+
+
+def _valuation_rows(mus: Sequence[Scalar]) -> tuple[list[list[int]], list[int], int]:
+    """`EigenSpec.keys` of exact multipliers mu_i = w_i / d_i: over one coprime
+    base of Z[i], w_i and d_i are units i^t times products of base powers,
+    and a unit times powers of pairwise coprime non-units is 1 only when
+    every power is 0.  Row k lists v_k(w_i) - v_k(d_i); t_i is taken mod 4,
+    or mod 2 when every multiplier is real."""
+    parts = [gauss_parts(mu) for mu in mus]
+    base = coprime_base([x for w, d in parts for x in (w, (d, 0))])
+    rows, t = [], []
+    for w, d in parts:
+        (vw, kw), (vd, kd) = gauss_valuations(w, base), gauss_valuations((d, 0), base)
+        rows.append([x - y for x, y in zip(vw, vd)])
+        t.append((kw - kd) % 4)
+    g = gcd(4, *t)
+    return [list(r) for r in zip(*rows)], [x // g for x in t], 4 // g
 
 
 # -- resonance tests ----------------------------------------------------------
@@ -187,19 +249,22 @@ class LatticeBasis:
         return [list(g) for g in self.generators]
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _graded(kappa: Sequence[int], mod: int, D: int) -> list[list[tuple[Exponent, int]]]:
+    """For each degree s <= D, every (m, kappa.m mod `mod`) with |m| = s, m in
+    lex order: the suffixes of each length are listed once, shortest first."""
+    *head, last = kappa
+    level = [[((s,), s * last % mod)] for s in range(D + 1)]
+    for k in reversed(head):
+        level = [
+            [((f,) + m, (f * k + key) % mod) for f in range(s + 1) for m, key in level[s - f]]
+            for s in range(D + 1)
+        ]
+    return level
 
 
 def iter_exponents(n: int, low: int, high: int):
     """All exponent tuples with low <= |m| <= high, in graded-lex order."""
-    for s in range(low, high + 1):
-        yield from _compositions(s, n)
+    return (m for level in _graded((0,) * n, 1, high)[low:] for m, _ in level)
 
 
 class ExponentValues(dict):
@@ -208,14 +273,11 @@ class ExponentValues(dict):
 
     A value is computed on its first lookup: with m = m' + e_i (i the last
     index with m_i > 0), it is one product or sum from the value of m', as in
-    `series.Powers`.  A sparse series so costs only the chains of its own
-    exponents, not the whole table through its degree.  Build it through
-    `EigenSpec.table`, so that one spec keeps one table; `classes` holds
-    `EigenSpec.classes` by degree.
+    `series.Powers`, so a lookup costs only the chain of its own exponent.
+    Build it through `EigenSpec.table`, so that one spec keeps one table.
     """
 
     def __init__(self, spec: EigenSpec):
-        self.classes: dict[int, dict] = {}
         zero = (0,) * spec.n
         if spec.kind == "mult-base":
             a, b = spec.exponents, spec.phases
@@ -249,7 +311,7 @@ def enumerate_lattice(spec: EigenSpec, bound: int) -> LatticeBasis:
     if bound < 2:
         raise ValueError("enumeration bound must be >= 2")
     kind = "field" if spec.kind == "additive" else "map"
-    found = spec.classes(bound).get(spec.table[(0,) * spec.n], [])
+    found = spec.classes(bound).get(0, [])
     full = Echelon()
     candidates: list[Exponent] = []
     seen: set[Exponent] = set()
@@ -487,60 +549,6 @@ def _phase(mu: Scalar) -> Fraction:
     return Fraction((2 - sx) * sy % 8 if sy else 2 - 2 * sx, 8)
 
 
-def _iroot(x: int, k: int) -> int:
-    """floor(x^(1/k)) for x >= 1, without floats: by bisection for a root of
-    at most 2 bitlen(k) + 1 bits, else by Newton's method from the root of x
-    shifted down by k*s bits, s half the root's bits (a start within a
-    factor 1 + 1/k above the root, where Newton converges quadratically)."""
-    b = x.bit_length()
-    hi = 1 << -(-b // k)  # x < 2^b, so the root is below 2^ceil(b/k)
-    s = (hi.bit_length() - 1) // 2
-    if s <= k.bit_length():
-        lo = 1 << (b - 1) // k  # x >= 2^(b-1)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if mid ** k <= x else (lo, mid)
-        return lo
-    y = (_iroot(x >> (k * s), k) + 1) << s
-    while True:
-        t = ((k - 1) * y + x // y ** (k - 1)) // k
-        if t >= y:
-            return y
-        y = t
-
-
-def _primitive_root(q: Fraction) -> Fraction:
-    """The x with q = x^k for the largest k, for a positive rational q != 1
-    (Bernstein, "Detecting perfect powers in essentially linear time", 1998).
-    q is a p-th power when its coprime parts are, and x^p has more than p
-    bits for x >= 2: so only primes p below the bit length of each part
-    other than 1 are tried, each again after it gave a root."""
-    num, den = q.numerator, q.denominator
-    top = max(num, den).bit_length()
-    sieve = bytearray([0, 0]) + bytearray([1]) * (top - 2)
-    for p in range(2, top):
-        if not sieve[p]:
-            continue
-        sieve[p * p :: p] = bytes(len(sieve[p * p :: p]))
-        while all(p < x.bit_length() for x in (num, den) if x > 1):
-            rn, rd = _iroot(num, p), _iroot(den, p)
-            if rn ** p != num or rd ** p != den:
-                break
-            num, den = rn, rd
-    return Fraction(num, den)
-
-
-def _log_exact(beta: Fraction, r: Fraction) -> Optional[int]:
-    """The integer c with beta^c = r, for beta > 1, or None."""
-    n, b = max(r, 1 / r).numerator, beta.numerator
-    lo, hi = 0, (n.bit_length() - 1) // (b.bit_length() - 1)
-    while lo < hi:  # the largest c >= 0 with b^c <= n
-        mid = (lo + hi + 1) // 2
-        lo, hi = (mid, hi) if b ** mid <= n else (lo, mid - 1)
-    c = lo if r >= 1 else -lo
-    return c if beta ** c == r else None
-
-
 def _rational_to_base(mus: tuple[Scalar, ...]) -> tuple[Fraction, tuple, tuple]:
     """Write exact multipliers as beta^(a_i) e^(2 pi i b_i), beta > 1 rational,
     by exact roots and powers, without factoring.  beta is the primitive root
@@ -552,10 +560,10 @@ def _rational_to_base(mus: tuple[Scalar, ...]) -> tuple[Fraction, tuple, tuple]:
     R = next((x for x in r2 if x != 1), None)
     if R is None:
         raise HypothesisError("all eigenvalue moduli equal 1")
-    beta = _primitive_root(R)
+    beta = primitive_root(R)
     if beta < 1:
         beta = 1 / beta
-    coeffs = [_log_exact(beta, x) for x in r2]
+    coeffs = [exact_log(beta, x) for x in r2]
     if None in coeffs:
         raise HypothesisError(
             "eigenvalue moduli are not powers of a common base; the "
@@ -675,21 +683,21 @@ def verify_bound(spec: EigenSpec, bound: SmallDivisorBound, D: int) -> BoundVeri
     """Check every nonzero divisor with 2 <= |m| <= D against the bound.
 
     A pair's divisor depends only on value(m) and j, so each scan computes
-    it once per value class of `EigenSpec.classes` and counts the class's
-    exponents; classes arrive in graded-lex order of their first exponent,
-    so the first pair of a class stands for it.  With exactly representable
-    eigenvalues the minimum gap is found by exhaustive squared-modulus
-    comparison of the divisors value(m) - mu_j resp. value(m) - lambda_j;
-    the first pair reaching the minimum is the witness.
-    For a formal base the proof's case analysis is replayed on the
-    exponent/phase certificate instead, on the classes of (a.m, b.m mod 1),
-    stopping at the first failing pair; nothing is ever evaluated
-    numerically.
+    it once per class of `EigenSpec.classes`, on the class's first exponent
+    (classes arrive in graded-lex order of it), and counts its exponents.
+    With exactly representable eigenvalues the minimum gap is found by
+    exhaustive squared-modulus comparison of the divisors value(m) - mu_j
+    resp. value(m) - lambda_j; the first pair reaching the minimum is the
+    witness.  For a formal base or a symbolic bound the proof's case
+    analysis is replayed in integers on the certificate's (a.m, b.m mod 1),
+    which must be the spectrum's own (as `small_divisor_bound_map` builds
+    it), stopping at the first failing pair.
     """
     if spec.kind == "mult-base" or isinstance(bound.value, SymbolicBound):
         return _verify_certificate(spec, bound, D)
     min_sq, witness, checked = None, None, 0
-    for value, members in spec.classes(D).items():
+    for members in spec.classes(D).values():
+        value = spec.table[members[0]]
         for j, eig in enumerate(spec.values):
             div = value - eig
             if div == 0:
@@ -713,30 +721,31 @@ def _grlex(m: Exponent) -> tuple:
 
 def _verify_certificate(spec: EigenSpec, bound: SmallDivisorBound, D: int) -> BoundVerification:
     cert = bound.certificate
-    a, b = cert["base_exponents"], cert["phases"]
-    e_alpha = cert["alpha_exp"]
-    phase_gap = Fraction(1, cert["phase_group_order"])
+    # in integers: A = a den, E = alpha_exp den and B = b L, so that a.m -
+    # a_j is a nonzero multiple of alpha_exp when (A.m - A_j) % E == 0, and
+    # the phase gap min(db, 1 - db) >= 1/order when min(dB, L - dB) order >= L
+    den = lcm(*(x.denominator for x in cert["base_exponents"]), cert["alpha_exp"].denominator)
+    A, E = _integer_row(cert["base_exponents"], den), int(cert["alpha_exp"] * den)
+    L = lcm(*(x.denominator for x in cert["phases"]))
+    B, order = _integer_row(cert["phases"], L), cert["phase_group_order"]
     has_phase_term = cert["sigma2"] is not None
-    # a mult-base spec is its own certificate base
-    base = spec if spec.kind == "mult-base" else EigenSpec.multiplicative_base(a, b)
     scanned: list[tuple[list[Exponent], int]] = []  # (members, nonresonant js)
-    for (ma, mb), members in base.classes(D).items():
+    for members in spec.classes(D).values():
+        m = members[0]
+        ma, mb = sum(map(mul, A, m)), sum(map(mul, B, m))
         count = 0
         for j in range(spec.n):
-            da = ma - a[j]
-            db = (mb - b[j]) % 1
+            da, db = ma - A[j], (mb - B[j]) % L
             if da == 0 and db == 0:
                 continue  # resonant
             count += 1
             if da != 0:
-                s = da / e_alpha
-                ok = s.denominator == 1 and s != 0
+                ok = da % E == 0
             else:
-                ok = has_phase_term and min(db, 1 - db) >= phase_gap
+                ok = has_phase_term and min(db, L - db) * order >= L
             if not ok:
                 # the pairs before (m, j) in graded-lex order: the earlier
                 # classes' exponents below m, and m's own js through j
-                m = members[0]
                 key = _grlex(m)
                 checked = count + sum(k * bisect_left(ms, key, key=_grlex) for ms, k in scanned)
                 return BoundVerification(

@@ -321,6 +321,17 @@ def oracle_normalize(system, N):
 # above (oracle_resonant, oracle_divisor, sums over the exponent).
 
 
+def oracle_classes(spec, D):
+    """`EigenSpec.classes` as it was: the exponents with 2 <= |m| <= D grouped
+    by their value from `spec.table` (a Fraction, GaussianRational or
+    (a.m, b.m mod 1) pair, hashed per exponent), values in order of first
+    arrival, each class in graded-lex order."""
+    groups = {}
+    for m in iter_exponents(spec.n, 2, D):
+        groups.setdefault(spec.table[m], []).append(m)
+    return groups
+
+
 def _oracle_generator_candidate(spec, m):
     """m/d for the largest divisor d of the entry gcd keeping m/d resonant."""
     g = gcd(*m)
@@ -420,14 +431,16 @@ def oracle_verify_certificate(spec, bound, D):
 
 
 def oracle_algebraic_rank(spec):
-    """The rank of the whole resonant lattice {m in Z^n : value(m) = value(0)}
-    of an additive or mult-base spec, for every degree and every sign of m:
-    n minus the rank, from one Echelon, of the integer matrix of <m, lambda>
-    (its real and imaginary rows) or of a.m, each row scaled to integers.
-    The phase condition b.m = 0 mod 1 only cuts a sublattice of finite index
-    (it holds on L Z^n, L the phases' common denominator), so it leaves the
-    rank alone.  The enumerated lattice, of exponents m >= 0 up to a degree,
-    can only have a smaller rank."""
+    """The rank of the whole resonant lattice {m in Z^n : value(m) = value(0)},
+    for every degree and every sign of m: n minus the rank, from one
+    Echelon, of the integer matrix of <m, lambda> (its real and imaginary
+    rows), of a.m, or of the valuations of mu^m over the coprime base of
+    `EigenSpec.keys`, each row scaled to integers.  The phase condition
+    b.m = 0 mod 1 and the unit condition on mu^m only cut a sublattice of
+    finite index (b.m = 0 mod 1 holds on L Z^n, L the phases' common
+    denominator, and a unit's exponent is taken mod 4), so they leave the
+    rank alone.  The enumerated lattice, of exponents m >= 0 up to a
+    degree, can only have a smaller rank."""
     from dulac.linalg import Echelon
     from dulac.scalars import sc_im, sc_re
 
@@ -436,7 +449,7 @@ def oracle_algebraic_rank(spec):
     elif spec.kind == "mult-base":
         rows = [list(spec.exponents)]
     else:
-        raise ValueError("the algebraic rank oracle covers the additive and mult-base forms")
+        rows = spec.keys[0]
     echelon = Echelon()
     for row in rows:
         den = lcm(*(F(x).denominator for x in row))

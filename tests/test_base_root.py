@@ -4,7 +4,8 @@ code it replaced (`oracle_rational_to_base`, `oracle_beta_power` and
 HypothesisError text on seeded spectra, the same beta^q, and the same bound
 JSON on every map fixture and map spectrum of the `lattice` catalogue.  Then
 `resonance` on multipliers far past what trial division could factor: it
-exits in bounded time, and in {0, 2, 3, 4} on any generated spectrum."""
+exits in bounded time, and in {0, 2, 3, 4} on any generated spectrum, whose
+grouping by integer keys is the grouping by value."""
 
 import json
 import random
@@ -17,23 +18,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dulac import resonance
-from dulac.cli import _bound_json, main
+from dulac.cli import _bound_json, _system_from_doc, main
 from dulac.errors import HypothesisError
 from dulac.resonance import (
     _beta_power,
-    _iroot,
     _phase,
-    _primitive_root,
     _rational_to_base,
     enumerate_lattice,
     small_divisor_bound_map,
 )
-from dulac.scalars import gaussian
+from dulac.scalars import gaussian, iroot, primitive_root
 
 from test_resonance import map_spectra
 
 from helpers import (
     oracle_beta_power,
+    oracle_classes,
     oracle_factor_positive_rational,
     oracle_phases_of_gaussian,
     oracle_rational_to_base,
@@ -140,16 +140,16 @@ class TestRoots:
         for _ in range(3000):
             k = rng.choice([2, 3, 5, 7, 13, rng.randint(2, 300)])
             x = rng.getrandbits(rng.randint(1, 2000)) + 1
-            r = _iroot(x, k)
+            r = iroot(x, k)
             assert r ** k <= x < (r + 1) ** k
             y = rng.getrandbits(rng.randint(1, 80)) + 1
-            assert _iroot(y ** k, k) == y
+            assert iroot(y ** k, k) == y
 
     @pytest.mark.parametrize("root,k", [(F(2), 12), (F(12), 35), (F(10, 3), 6), (F(2, 5), 7),
                                         (F(10**30 + 57), 2), (F(2**127 - 1, 6), 30)])
     def test_primitive_root(self, root, k):
-        assert _primitive_root(root ** k) == root
-        assert _primitive_root(1 / root ** k) == 1 / root
+        assert primitive_root(root ** k) == root
+        assert primitive_root(1 / root ** k) == 1 / root
 
 
 def write_system(directory, values, D=10):
@@ -238,4 +238,8 @@ def test_resonance_exits_0_2_3_or_4(doc):
         path.write_text(json.dumps(doc))
         code = main(["resonance", "--input", str(path), "--output", str(Path(directory) / "rep")])
     assert code in (0, 2, 3, 4)
+    # the grouping by integer keys is the grouping by value, at D = 8
+    if code != 2:
+        spec = _system_from_doc(doc, "spectrum").eigen
+        assert list(spec.classes(8).values()) == list(oracle_classes(spec, 8).values())
 

@@ -591,6 +591,62 @@ class TestVerifyRederivesLatticeAndBound:
         assert run(["verify", "--input", write(tmp_path, "bad.json", doc)]) == 4
 
 
+class TestVerifyChecksParametersAndResidualOrder:
+    """`parameters.order_N` and `parameters.degree_D` are the order and degree
+    the sections were built at (`normalization.order` or
+    `classification.certified_at.order_N`, `lattice.bound` or
+    `certified_at.degree_D`), and `residual_zero_through` is the order once
+    the conjugacy residual is zero, so each edit below exits 4."""
+
+    @pytest.mark.parametrize(
+        "sub,fixture,edit,field",
+        [
+            ("normalize", "ex2_2d.json",
+             lambda d: d["normalization"].update(residual_zero_through=7),
+             "normalization.residual_zero_through"),
+            ("normalize", "ex2_3d.json",
+             lambda d: d["normalization"].update(residual_zero_through=None),
+             "normalization.residual_zero_through"),
+            ("classify", "ex2_2d.json",
+             lambda d: d["classification"]["normalization"].update(residual_zero_through=9),
+             "classification.normalization.residual_zero_through"),
+            ("normalize", "ex2_2d.json", lambda d: d["parameters"].update(order_N=9),
+             "parameters.order_N"),
+            ("classify", "ex2_2d.json", lambda d: d["parameters"].update(order_N=7),
+             "parameters.order_N"),
+            ("classify", "ex2_3d.json",
+             lambda d: d["classification"]["certified_at"].update(order_N=9), "parameters.order_N"),
+            ("resonance", "halfdouble.json", lambda d: d["parameters"].update(degree_D=11),
+             "parameters.degree_D"),
+            ("classify", "ex2_2d.json", lambda d: d["parameters"].update(degree_D=11),
+             "parameters.degree_D"),
+            ("classify", "center.json", lambda d: d["parameters"].update(degree_D=9),
+             "parameters.degree_D"),
+        ],
+    )
+    def test_edit_is_4(self, tmp_path, capsys, sub, fixture, edit, field):
+        rep = tmp_path / "rep.json"
+        assert run([sub, "--input", FIXTURES / fixture, "--output", rep]) == 0
+        assert run(["verify", "--input", rep]) == 0
+        doc = load(rep)
+        edit(doc)
+        bad = write(tmp_path, "bad.json", doc)
+        capsys.readouterr()
+        assert run(["verify", "--input", bad]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: verification failed:") and field in err
+
+    @pytest.mark.parametrize("sub", ["resonance", "normalize", "classify", "integrals", "embed"])
+    def test_unedited_reports_verify_0(self, tmp_path, sub):
+        for fixture in ("ex2_2d.json", "ex2_3d.json", "center.json"):
+            if sub == "embed" and fixture == "center.json":
+                continue  # an embedding belongs to a map
+            rep = tmp_path / f"{sub}-{fixture}"
+            assert run([sub, "--input", FIXTURES / fixture, "--output", rep, "--degree", "9",
+                        "--order", "6"]) == 0
+            assert run(["verify", "--input", rep]) == 0, (sub, fixture)
+
+
 class TestTermsAboveTheVerifiedOrder:
     """A claimed term above the order `verify` checks at is not left
     unchecked: the report fails verification."""

@@ -2,7 +2,10 @@
 the per-exponent scans they replaced: equal values, equal lattices and equal
 bound verifications (pair counts, minimum gaps, witnesses and first failures)
 on seeded random spectra in all three eigenvalue forms, whatever lookups
-filled the table first, and on spectra whose values repeat heavily."""
+filled the table first, and on spectra whose values repeat heavily.  The
+grouping by integer keys against the grouping by hashed values it replaced
+(`helpers.oracle_classes`), and the enumerated rank against the rank of the
+whole lattice."""
 
 import random
 from dataclasses import replace
@@ -14,6 +17,7 @@ import pytest
 
 from dulac.cli import parse_system
 from dulac.errors import HypothesisError
+from dulac.linalg import Echelon
 from dulac.resonance import (
     EigenSpec,
     RootValue,
@@ -33,7 +37,9 @@ from dulac.scalars import gaussian, sc_pow
 
 from helpers import (
     oracle_algebraic_rank,
+    oracle_classes,
     oracle_enumerate_lattice,
+    oracle_factor_positive_rational,
     oracle_inner,
     oracle_power,
     oracle_resonant,
@@ -188,6 +194,9 @@ class TestScansAgainstOracle:
             rng = random.Random(f"table/cert/{form}/{n}/{seed}")
             a = spec.exponents or tuple(F(rng.randint(-4, 4), 2) for _ in range(n))
             b = spec.phases or tuple(F(rng.randint(0, 7), 8) for _ in range(n))
+            # the replay scans the classes of the spectrum the certificate
+            # describes: here the formal-base spectrum of (a, b)
+            spec = EigenSpec.multiplicative_base(a, b)
             cert = {"base_exponents": a, "phases": b, "alpha_exp": F(1, 2),
                     "phase_group_order": 8, "sigma2": "phase-gap"}
         # inflated certificates: a coarser unit gap, a coarser phase gap, and
@@ -370,9 +379,10 @@ class TestRepeatedValues:
         position = {m: i for i, m in enumerate(exponents)}
         firsts = [position[ms[0]] for ms in groups.values()]
         assert firsts == sorted(firsts)
-        for value, members in groups.items():
+        for members in groups.values():
             assert [position[m] for m in members] == sorted(position[m] for m in members)
-            assert all(spec.table[m] == value for m in members)
+            assert all(spec.table[m] == spec.table[members[0]] for m in members)
+        assert len({spec.table[ms[0]] for ms in groups.values()}) == len(groups)
         assert spec.classes(D) is groups
 
     @pytest.mark.parametrize("name", REPEATING)
@@ -420,22 +430,114 @@ class TestRepeatedValues:
         assert got.passed and got == oracle(spec, bound, D)
 
 
+# -- integer keys against the grouping by hashed values ------------------------------
+
+KEY_CORNERS = {
+    # torsion: roots of unity, 1/8-turn Gaussian phases, phases of order L = 8
+    "roots-of-unity": EigenSpec.multiplicative([I, -1, -I, 1]),
+    "eighth-turns": EigenSpec.multiplicative([gaussian(1, 1), gaussian(-1, 1) / 2, gaussian(0, F(1, 4))]),
+    "phases-8": EigenSpec.multiplicative_base([1, -1, 2], [F(1, 8), F(5, 8), F(3, 4)]),
+    # coprime bases: shared factors, perfect powers, 1 and -1, equal
+    # multipliers, the split primes 2 + i and 2 - i (1 + 2i is an associate of
+    # 2 - i) beside 5 = (2 + i)(2 - i), and the ramified 1 + i beside 2
+    "shared-factors": EigenSpec.multiplicative([6, F(10, 3), F(1, 15)]),
+    "perfect-powers": EigenSpec.multiplicative([4, F(1, 8), 2, F(16, 81)]),
+    "one-and-minus-one": EigenSpec.multiplicative([1, -1, F(-2, 3)]),
+    "equal-multipliers": EigenSpec.multiplicative([F(3, 2), F(3, 2), F(2, 3)]),
+    "split-primes": EigenSpec.multiplicative([gaussian(2, 1), gaussian(2, -1), 5]),
+    "associates": EigenSpec.multiplicative([gaussian(1, 2), gaussian(2, -1) / 5, gaussian(-2, 1)]),
+    "ramified": EigenSpec.multiplicative([gaussian(2, 1) / gaussian(1, 1), gaussian(1, 1), F(1, 2)]),
+    # an additive spectrum with a zero eigenvalue
+    "zero-eigenvalue": EigenSpec.additive([0, gaussian(1, 1), -1, gaussian(0, -1)]),
+}
+
+# (spec, D) at the degree where a key slot first needs its full width
+# 2 D max|r| + 1: with one less, two different values get one key there
+FULL_WIDTH = {
+    "additive": (EigenSpec.additive([1, -1, -1]), 2),
+    "additive-gaussian": (EigenSpec.additive([gaussian(-2, -1), gaussian(0, 2), gaussian(0, -2)]), 2),
+    "mult-base": (EigenSpec.multiplicative_base([-3, 3], [F(1, 2), F(1, 8)]), 3),
+    "rational": (EigenSpec.multiplicative([6, F(1, 3), 3]), 2),
+    "gaussian": (EigenSpec.multiplicative([gaussian(-1, F(1, 2)), F(1, 2), gaussian(0, -2)]), 3),
+}
+
+
+def _same_classes(spec, D):
+    """The key-built classes equal the value grouping as lists: the same
+    partition, members in the same order and classes in the same order."""
+    return list(spec.classes(D).values()) == list(oracle_classes(spec, D).values())
+
+
+class TestValueKeys:
+    @pytest.mark.parametrize("form,n,seed", [c for c in CASES if c[1] > 1])
+    def test_seeded(self, form, n, seed):
+        spec = random_spec(form, n, seed)
+        for D in (2, 3, DEGREES[n]):
+            assert _same_classes(spec, D)
+
+    @pytest.mark.parametrize("name", [*KEY_CORNERS, *REPEATING])
+    def test_corners(self, name):
+        spec = KEY_CORNERS.get(name) or REPEATING[name]
+        for D in (2, 3, DEGREES[spec.n]):
+            assert _same_classes(spec, D)
+
+    @pytest.mark.parametrize("name", FULL_WIDTH)
+    def test_full_slot_width(self, name):
+        spec, D = FULL_WIDTH[name]
+        assert _same_classes(spec, D) and _same_classes(spec, D + 1)
+
+    def test_keys(self):
+        """The integer coordinates: valuations over 2, 3 and 5; over the split
+        primes 2 + i and 1 + 2i of 5, with 2 - i = i^3 (1 + 2i) and 5 =
+        i^3 (2 + i)(1 + 2i); -1 is torsion of order 2 over Q."""
+        rows, t, T = KEY_CORNERS["shared-factors"].keys
+        assert sorted(rows) == sorted([[1, 1, 0], [1, -1, -1], [0, 1, -1]]) and T == 1
+        rows, t, T = KEY_CORNERS["split-primes"].keys
+        assert sorted(rows) == sorted([[1, 0, 1], [0, 1, 1]]) and (t, T) == ([0, 3, 3], 4)
+        rows, t, T = KEY_CORNERS["associates"].keys
+        assert len(rows) == 2 and T == 4 and t[0] != t[2]
+        assert KEY_CORNERS["one-and-minus-one"].keys[1:] == ([0, 1, 1], 2)
+        assert KEY_CORNERS["roots-of-unity"].keys == ([], [1, 2, 3, 0], 4)
+        assert KEY_CORNERS["phases-8"].keys == ([[1, -1, 2]], [1, 5, 6], 8)
+
+    def test_zero_key_is_the_resonant_class(self):
+        for spec in KEY_CORNERS.values():
+            found = spec.classes(DEGREES[spec.n]).get(0, [])
+            assert found == [m for m in iter_exponents(spec.n, 2, DEGREES[spec.n])
+                             if oracle_resonant(spec, m)]
+
+
 # -- the enumerated rank against the algebraic rank ----------------------------------
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestAlgebraicRank:
-    @pytest.mark.parametrize(
-        "form,n,seed", [c for c in CASES if c[0] in ("additive", "mult-base") and c[1] > 1]
-    )
+    @pytest.mark.parametrize("form,n,seed", [c for c in CASES if c[1] > 1])
     def test_enumerated_rank_is_at_most_the_algebraic(self, form, n, seed):
         spec = random_spec(form, n, seed)
         assert enumerate_lattice(spec, DEGREES[n]).rank <= oracle_algebraic_rank(spec)
 
+    @pytest.mark.parametrize("name", KEY_CORNERS)
+    def test_corners_rank_is_at_most_the_algebraic(self, name):
+        spec = KEY_CORNERS[name]
+        assert enumerate_lattice(spec, DEGREES[spec.n]).rank <= oracle_algebraic_rank(spec)
+
+    @pytest.mark.parametrize("n,seed", [(n, seed) for n in (2, 3, 4) for seed in SEEDS])
+    def test_valuation_rank_is_the_prime_rank(self, n, seed):
+        """Over Q the coprime base's valuation rows have the rank of the prime
+        valuations of |mu_i| found by trial division."""
+        spec = random_spec("rational", n, seed)
+        factors = [oracle_factor_positive_rational(abs(F(mu))) for mu in spec.values]
+        echelon = Echelon()
+        for p in {p for f in factors for p in f}:
+            echelon.add({i: f[p] for i, f in enumerate(factors) if p in f})
+        assert oracle_algebraic_rank(spec) == n - echelon.rank
+
     @pytest.mark.parametrize(
         "fixture,rank",
-        [("center.json", 1), ("degenerate_field.json", 1), ("ex2_3d_base.json", 2)],
+        [("center.json", 1), ("degenerate_field.json", 1), ("ex2_3d_base.json", 2),
+         ("ex2_2d.json", 1), ("ex2_3d.json", 2), ("halfdouble.json", 1)],
     )
     def test_fixtures_reach_the_algebraic_rank(self, fixture, rank):
         sf = parse_system(str(FIXTURES / fixture))
