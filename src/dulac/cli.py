@@ -970,12 +970,35 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for
+    values whose objects have string keys.  The standard encoder runs in pure
+    Python whenever indent is set; this one joins each container's items in
+    one call and leaves only scalars other than ints and strings to json."""
+    t = type(value)
+    if t is int:
+        return int.__repr__(value)
+    if t is str:
+        return _ESCAPE(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)) and value:
+        items = [_json_text(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(value, dict) and value:
+        items = [_ESCAPE(k) + ": " + _json_text(value[k], inner) for k in sorted(value)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    return json.dumps(value)  # empty containers, None, bools and floats
+
+
 def _emit(report: dict, args) -> None:
     """Write the report, rendered whole first so that a report that cannot
     be written leaves no partial output file."""
     try:
         if args.format == "json":
-            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+            text = _json_text(report) + "\n"
         else:
             text = _render_text(report)
     except ValueError as exc:

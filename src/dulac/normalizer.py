@@ -10,10 +10,13 @@ degree per step, in the composition engine of `series`, and each degree-s
 part is computed once.  A term whose exact homological divisor
 (mu^m - mu_j for maps, <m, lambda> - lambda_j for fields) is zero is
 resonant and goes to the normal form; every other term is divided through
-and goes to the normalization.  The normalization thus contains only
-nonresonant monomials, the normal form only resonant ones, and the pair is
-unique; exact conjugacy of the output is re-verified by full compositions
-and recorded, never assumed.
+and goes to the normalization.  Each degree's right-hand side, its split
+and its division stay packed, and each finished part is unpacked once.  The
+normalization thus contains only nonresonant monomials, the normal form only
+resonant ones, and the pair is unique; exact conjugacy of the output is
+re-verified, summed afresh through the loop's own power tables, and
+recorded, never assumed.  `verify` checks a claimed pair through tables it
+builds from that pair alone.
 """
 
 from __future__ import annotations
@@ -21,24 +24,24 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import exp, inf, log
+from math import exp, inf, lcm, log
 from typing import Optional, Sequence, Union
 
 from .errors import HypothesisError, InternalInvariantError
 from .linalg import primitive_integer_kernel
 from .resonance import EigenSpec, LatticeBasis, enumerate_lattice
-from .scalars import Scalar, sc_div, sc_im, sc_re
+from .scalars import GaussianRational, Scalar, sc_div, sc_im, sc_re
 from .series import (
     Exponent,
     Powers,
     ScalarSeries,
     VectorSeries,
-    compose,
-    compose_part,
-    derivative_part,
+    _derivative_pairs,
+    _exponent,
+    _pairs,
+    _products,
+    _reduced,
     graded,
-    jacobian,
-    mat_vec,
     unit_power,
 )
 
@@ -166,29 +169,54 @@ def _require_exact_eigenvalues(spec: EigenSpec):
         )
 
 
-def _split_degree(spec: EigenSpec, rhs: list[dict]) -> tuple[list[dict], list[dict]]:
-    """Split a degree's right-hand side into normal-form terms (divisor zero,
-    i.e. resonant) and transformation terms (divided by the divisor); the
-    divisor of y^m e_j is spec.table[m] - spec.values[j]."""
+def _inverse(div: Scalar) -> tuple[int, int, int]:
+    """(d, x, y) in ints with 1/div = (x + i y) / d and d > 0."""
+    if type(div) is GaussianRational:
+        a, b = div.re, div.im
+        d = lcm(a.denominator, b.denominator)
+        x, y = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+        return x * x + y * y, d * x, -d * y
+    p, q = div.numerator, div.denominator
+    return (p, q, 0) if p > 0 else (-p, -q, 0)
+
+
+def _split_degree(spec: EigenSpec, rhs: list[tuple], n: int, base: int) -> tuple[list[tuple], list[tuple]]:
+    """Split a degree's packed right-hand side into normal-form terms (divisor
+    zero, i.e. resonant) and transformation terms (divided by the divisor),
+    both packed; the divisor of y^m e_j is spec.table[m] - spec.values[j]."""
     values = spec.table
-    g_s: list[dict] = [{} for _ in rhs]
-    phi_s: list[dict] = [{} for _ in rhs]
-    for j, comp in enumerate(rhs):
-        target = spec.values[j]
-        for m, c in comp.items():
-            if c == 0:
-                continue
-            div = values[m] - target
+    g_s: list[tuple] = []
+    phi_s: list[tuple] = []
+    for (den, re, im), target in zip(rhs, spec.values):
+        g_re, g_im, quotients = {}, {}, []
+        for k in re.keys() | im.keys() if im else re:
+            a, b = re.get(k, 0), im.get(k, 0)
+            div = values[_exponent(k, n, base)] - target
             if div == 0:
-                g_s[j][m] = c
+                if a:
+                    g_re[k] = a
+                if b:
+                    g_im[k] = b
             else:
-                phi_s[j][m] = sc_div(c, div)
+                quotients.append((k, a, b, *_inverse(div)))
+        g_s.append(_reduced(den, g_re, g_im))
+        common = lcm(*(q[3] for q in quotients))
+        phi_re, phi_im = {}, {}
+        for k, a, b, d, x, y in quotients:
+            f = common // d
+            if v := (a * x - b * y) * f:
+                phi_re[k] = v
+            if v := (a * y + b * x) * f:
+                phi_im[k] = v
+        phi_s.append(_reduced(den * common, phi_re, phi_im))
     return g_s, phi_s
 
 
-def _solve(system: System, order: int | None) -> NormalizationResult:
+def _solve(system: System, order: int | None) -> tuple[NormalizationResult, Powers, Powers]:
     """The degree loop shared by maps and fields (see the module docstring),
-    through `order` (default: the system's order)."""
+    through `order` (default: the system's order).  Also returns its tables:
+    P of Phi = y + phi, and Q of the normal form By + g (lambda y + g for a
+    field, whose loop reads only Q's parts)."""
     N = system.order if order is None else order
     if N < 2:
         raise ValueError("normalization order must be >= 2")
@@ -200,26 +228,24 @@ def _solve(system: System, order: int | None) -> NormalizationResult:
     spec = _eigen_of(system)
     n = system.n
     is_map = isinstance(system, MapSystem)
-    f = [graded(c, N) for c in system.nonlinear.components]
-    phi: list[list[dict]] = [[{}, {}] for _ in range(n)]
-    g: list[list[dict]] = [[{}, {}] for _ in range(n)]
-    P = Powers([graded(c, 1) for c in VectorSeries.identity(n, 1).components], N)  # y + phi
-    Q = Powers([graded(c, 1) for c in system.linear(1).components], N) if is_map else None  # B y + g
+    P = Powers([graded(c, 1) for c in VectorSeries.identity(n, 1).components], N)
+    Q = Powers([graded(c, 1) for c in system.linear(1).components], N)
+    f = [P.pack(c) for c in system.nonlinear.components]
     for s in range(2, N + 1):
-        rhs = compose_part(f, P, s)
-        corr = compose_part(phi, Q, s) if is_map else derivative_part(phi, g, s)
-        for acc, part in zip(rhs, corr):
-            for m, c in part.items():
-                acc[m] = acc[m] - c if m in acc else -c
-        g_s, phi_s = _split_degree(spec, rhs)
-        for col, part in zip(phi + g, phi_s + g_s):
-            col.append(part)
+        corr = (
+            [_pairs(col, Q, s, 2, -1) for col in P.parts]  # phi(B y + g), phi below degree s
+            if is_map
+            else _derivative_pairs(P, Q, s, 2, -1)  # Dphi(y) g(y), both below degree s
+        )
+        rhs = [_products(_pairs(comp, P, s, 2) + c) for comp, c in zip(f, corr)]
+        g_s, phi_s = _split_degree(spec, rhs, n, P.base)
         P.extend(phi_s)
-        if is_map:
-            Q.extend(g_s)
-    return NormalizationResult(
-        spec=spec, phi=VectorSeries._from_parts(phi, N), g=VectorSeries._from_parts(g, N), order=N
+        Q.extend(g_s)
+    phi, g = (
+        VectorSeries._from_parts([[{}, {}] + [T.unpack(p) for p in col[2:]] for col in T.parts], N)
+        for T in (P, Q)
     )
+    return NormalizationResult(spec=spec, phi=phi, g=g, order=N), P, Q
 
 
 def normalize_map(F: MapSystem, order: int | None = None) -> NormalizationResult:
@@ -228,11 +254,12 @@ def normalize_map(F: MapSystem, order: int | None = None) -> NormalizationResult
     Solves phi(B y) - B phi(y) + g(y) = [f(y + phi(y)) - phi(B y + g(y))]_s
     at each degree s (phi holding the lower degrees on the right), with g
     collecting the resonant part and phi the nonresonant part; the conjugacy
-    F o Phi = Phi o G of the output is verified exactly.
+    F o Phi = Phi o G of the output is verified exactly, through the loop's
+    own tables.
     """
     _require_exact_eigenvalues(F.mu)
-    result = _solve(F, order)
-    return _attach_residuals(result, verify_conjugacy_map(F, result))
+    result, P, Q = _solve(F, order)
+    return _attach_residuals(result, _residual(F, P, Q))
 
 
 def normalize_field(X: FieldSystem, order: int | None = None) -> NormalizationResult:
@@ -242,8 +269,8 @@ def normalize_field(X: FieldSystem, order: int | None = None) -> NormalizationRe
     the homological operator acts on a monomial y^m e_j as multiplication by
     <m, lambda> - lambda_j.
     """
-    result = _solve(X, order)
-    return _attach_residuals(result, verify_conjugacy_field(X, result))
+    result, P, Q = _solve(X, order)
+    return _attach_residuals(result, _residual(X, P, Q))
 
 
 def _attach_residuals(result: NormalizationResult, residual: VectorSeries) -> NormalizationResult:
@@ -255,25 +282,44 @@ def _attach_residuals(result: NormalizationResult, residual: VectorSeries) -> No
     return replace(result, residual_zero_degrees=tuple(range(2, result.order + 1)))
 
 
+def _residual(system: System, P: Powers, Q: Powers) -> VectorSeries:
+    """The exact conjugacy residual through the tables' degree N, given P,
+    the powers of Phi = y + phi, and Q, those of the normal form G: F o Phi -
+    Phi o G for a map, DPhi * G - (A + f) o Phi for a field.  Each degree of
+    each component is one packed sum, unpacked only when it is nonzero; the
+    compositions read the tables' caches, so a table the degree loop filled
+    is not filled again."""
+    N = P.base - 1
+    whole = system.full_map(N) if isinstance(system, MapSystem) else system.full_field(N)
+    outer = [P.pack(c) for c in whole.components]
+    parts: list[list[dict]] = [[{}] for _ in outer]
+    for s in range(1, N + 1):
+        if isinstance(system, MapSystem):
+            sums = [_pairs(o, P, s) + _pairs(col, Q, s, 1, -1) for o, col in zip(outer, P.parts)]
+        else:
+            sums = [d + _pairs(o, P, s, 1, -1) for o, d in zip(outer, _derivative_pairs(P, Q, s, 1))]
+        for col, pairs in zip(parts, sums):
+            den, re, im = _products(pairs)
+            col.append(P.unpack((den, re, im)) if re or im else {})
+    return VectorSeries._from_parts(parts, N)
+
+
+def _tables(result: NormalizationResult) -> tuple[Powers, Powers]:
+    """Fresh tables of the claimed pair: Phi = y + phi and the normal form."""
+    return Powers.of(result.normalization(), result.order), Powers.of(result.normal_form(), result.order)
+
+
 def verify_conjugacy_map(F: MapSystem, result: NormalizationResult) -> VectorSeries:
     """Exact residual F o Phi - Phi o G through the solved order (zero iff
-    the pair conjugates the map to the normal form)."""
-    N = result.order
-    Phi = result.normalization()
-    G = result.normal_form()
-    lhs = compose(F.full_map(N), Phi, N)
-    rhs = compose(Phi, G, N)
-    return lhs - rhs
+    the pair conjugates the map to the normal form), through tables built
+    from the claimed pair alone."""
+    return _residual(F, *_tables(result))
 
 
 def verify_conjugacy_field(X: FieldSystem, result: NormalizationResult) -> VectorSeries:
-    """Exact residual DPhi * Y - (A + f) o Phi through the solved order."""
-    N = result.order
-    Phi = result.normalization()
-    Y = result.normal_form()  # lambda y + g
-    lhs = mat_vec(jacobian(Phi), Y, N)
-    rhs = compose(X.full_field(N), Phi, N)
-    return lhs - rhs
+    """Exact residual DPhi * Y - (A + f) o Phi through the solved order,
+    through tables built from the claimed pair alone."""
+    return _residual(X, *_tables(result))
 
 
 # -- structure of integrable normal forms ---------------------------------------
@@ -454,11 +500,8 @@ class GrowthDiagnostic:
 
 
 def _magnitude(c: Scalar) -> Fraction:
-    re, im = sc_re(c), sc_im(c)
-    return max(
-        Fraction(abs(re.numerator), re.denominator),
-        Fraction(abs(im.numerator), im.denominator),
-    )
+    """max(|Re c|, |Im c|), from the parts' own coprime numerators."""
+    return max(abs(c.re), abs(c.im)) if type(c) is GaussianRational else abs(c)
 
 
 def _ln_fraction(q: Fraction) -> float:

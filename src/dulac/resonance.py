@@ -312,15 +312,13 @@ def enumerate_lattice(spec: EigenSpec, bound: int) -> LatticeBasis:
         raise ValueError("enumeration bound must be >= 2")
     kind = "field" if spec.kind == "additive" else "map"
     found = spec.classes(bound).get(0, [])
+    # m/d spans the ray of m, so the distinct candidates span what found does
+    candidates = list(dict.fromkeys(_generator_candidate(spec, m) for m in found))
     full = Echelon()
-    candidates: list[Exponent] = []
-    seen: set[Exponent] = set()
-    for m in found:
-        full.add(dict(enumerate(m)))
-        cand = _generator_candidate(spec, m)
-        if cand not in seen:
-            seen.add(cand)
-            candidates.append(cand)
+    for cand in candidates:
+        if full.rank == spec.n:
+            break
+        full.add(dict(enumerate(cand)))
     # greedy in graded-lex arrival order, simple candidates first
     gens: list[Exponent] = []
     gen_rank = Echelon()

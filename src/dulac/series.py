@@ -26,18 +26,19 @@ Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput. 34 (2002).
 Inside the engine a homogeneous part is packed, as ``(den, re, im)``: one
 positive int denominator, and two dicts from a packed monomial key to an int
 numerator (``im`` is empty over Q).  The key of m is sum m_i * base^i with
-base = trunc + 1 (Monagan and Pearce, CASC 2007).  No exponent of a kept
+base = trunc + 1 (Monagan and Pearce, CASC 2007); no exponent of a kept
 product exceeds trunc, so adding two keys multiplies the monomials with no
-carry from one variable into the next.  One integer kernel, `_kmul`, does
-every product; a sum of products is taken over the lcm of its denominators,
-and its content (the gcd of den and every numerator) is divided out once per
-finished part.  Scalars are packed where they enter the engine (`Powers`,
-`mul`) and each output coefficient is unpacked once (`compose_part`,
-`invert`, `mul`), so every public type keeps Fraction / GaussianRational.
+carry, and a table caches its powers under these keys.  One integer kernel,
+`_kmul`, does every product; a sum of the products of the pairs `_pairs` and
+`_derivative_pairs` list is taken over the lcm of its denominators, and its
+content is divided out once.  Scalars are packed where they enter the engine
+and unpacked once where they leave it, so every public type keeps Fraction /
+GaussianRational.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -412,8 +413,7 @@ class VectorSeries:
 
 
 def graded(s: ScalarSeries, trunc: int) -> list[dict]:
-    """The homogeneous parts of s through degree trunc: out[d] holds the
-    degree-d terms."""
+    """The homogeneous parts of s through degree trunc: out[d] holds the degree-d terms."""
     out: list[dict] = [{} for _ in range(trunc + 1)]
     for m, c in s.coeffs.items():
         d = sum(m)
@@ -440,11 +440,6 @@ def _pack(coeffs: dict, weights: Sequence[int]) -> tuple:
         if c:
             re[k] = c.numerator * (den // c.denominator)
     return den, re, im
-
-
-def _scalar(c: Scalar) -> tuple:
-    """The packed constant c."""
-    return _pack({(): c}, ()) if type(c) is GaussianRational else (c.denominator, {0: c.numerator}, {})
 
 
 def _exponent(k: int, n: int, base: int) -> Exponent:
@@ -495,8 +490,11 @@ def _products(pairs: Sequence[tuple[tuple, tuple]]) -> tuple:
             _kmul(im, ai, br, f)
         if bi:
             _kmul(im, ar, bi, f)
-    re = {k: v for k, v in re.items() if v}
-    im = {k: v for k, v in im.items() if v}
+    return _reduced(den, {k: v for k, v in re.items() if v}, {k: v for k, v in im.items() if v})
+
+
+def _reduced(den: int, re: dict, im: dict) -> tuple:
+    """(den, re, im), free of zero numerators, with its content divided out."""
     g = gcd(den, *re.values(), *im.values())
     if g == 1:
         return den, re, im
@@ -507,23 +505,23 @@ class Powers:
     """Homogeneous parts of the powers P^m of an inner map P, computed online.
 
     P = (P_1, ..., P_n) has no constant term and may be known only through
-    some degree: it is given as exponent -> scalar parts, ``parts[i][d]``
-    holds the packed degree-d part of P_i, and `extend` appends the next
-    degree.  With m = m' + e_i (i the last index with m_i > 0), [P^m]_s =
-    sum_k [P^m']_k [P_i]_(s-k) over |m'| <= k < s, so for |m| >= 2 the
-    degree-s part needs P only through degree s - 1.  Each part is computed
-    once and cached; parts below degree |m| are empty.  No degree exceeds
-    ``trunc``, the packing base less one.
+    some degree: ``parts[i][d]`` holds the packed degree-d part of P_i, and
+    `extend` adds the next degree.  With m = m' + e_i (i the last index with
+    m_i > 0), [P^m]_s = sum_k [P^m']_k [P_i]_(s-k) over |m'| <= k < s, so for
+    |m| >= 2 the degree-s part needs P only through degree s - 1.  Each part
+    is computed once and cached under the packed key of m; parts below degree
+    |m| are empty.  No degree exceeds ``trunc``, the packing base less one.
     """
 
-    __slots__ = ("n", "base", "weights", "parts", "cache")
+    __slots__ = ("n", "base", "weights", "parts", "cache", "degrees")
 
     def __init__(self, parts: Sequence[Sequence[dict]], trunc: int):
         n = self.n = len(parts)
         self.base = trunc + 1
         self.weights = [self.base**i for i in range(n)]
         self.parts: list[list[tuple]] = [[] for _ in range(n)]
-        self.cache = {tuple(int(k == i) for k in range(n)): self.parts[i] for i in range(n)}
+        self.cache = dict(zip(self.weights, self.parts))
+        self.degrees = dict.fromkeys(self.weights, 1)  # key -> |m|
         for new in zip(*parts):
             self.extend(new)
 
@@ -534,37 +532,42 @@ class Powers:
             raise SeriesError("inner map has a constant term")
         return cls([graded(c.truncate(trunc), trunc) for c in inner.components], trunc)
 
-    def extend(self, new: Sequence[dict]) -> None:
-        """Append the next homogeneous part of every component of P."""
+    def extend(self, new: Sequence[dict | tuple]) -> None:
+        """Append the next homogeneous part of every component of P, given
+        as exponent -> scalar terms or packed."""
         if len(self.parts[0]) == self.base:
             raise SeriesError(f"inner map extended beyond degree {self.base - 1}")
         for col, part in zip(self.parts, new):
-            col.append(_pack(part, self.weights))
+            col.append(part if type(part) is tuple else _pack(part, self.weights))
+
+    def pack(self, s: ScalarSeries) -> list[tuple]:
+        """The packed homogeneous parts of s through this table's degree."""
+        return [_pack(part, self.weights) if part else (1, {}, {}) for part in graded(s, self.base - 1)]
 
     def unpack(self, part: tuple) -> dict:  # exponent -> scalar terms
         return _unpack(part, self.n, self.base)
 
-    def part(self, m: Exponent, s: int) -> tuple:
-        """[P^m]_s for |m| >= 1, packed."""
-        col = self.cache.get(m)
-        if col is None:
-            col = self.cache[m] = [(1, {}, {})] * sum(m)  # zero parts, never written to
+    def part(self, k: Exponent | int, s: int) -> tuple:
+        """[P^m]_s for |m| >= 1, packed; k is m or its packed key."""
+        if type(k) is not int:
+            k = sum(map(mul, k, self.weights))
+        col = self.cache.get(k)
+        if col is None:  # zero parts below degree |m|, never written to
+            d = self.degrees[k] = sum(_exponent(k, self.n, self.base))
+            col = self.cache[k] = [(1, {}, {})] * d
         if len(col) > s:
             return col[s]
-        i = len(m) - 1
-        while not m[i]:
-            i -= 1
-        prev = m[:i] + (m[i] - 1,) + m[i + 1 :]
-        low = sum(prev)
-        if low == 0:
+        i = bisect_right(self.weights, k) - 1  # the last variable of m
+        prev = k - self.weights[i]
+        if not prev:
             raise SeriesError(f"inner map not known through degree {s}")
         if s >= self.base:
             raise SeriesError(f"degree {s} exceeds the powers' degree {self.base - 1}")
         self.part(prev, s - 1)
-        low_col, Pi = self.cache[prev], self.parts[i]
+        low, low_col, Pi = self.degrees[prev], self.cache[prev], self.parts[i]
         while len(col) <= s:
-            d = len(col)
-            col.append(_products([(low_col[k], Pi[d - k]) for k in range(low, d)]))
+            t = len(col)
+            col.append(_products([(low_col[j], Pi[t - j]) for j in range(low, t)]))
         return col[s]
 
     def compose(self, outers: Sequence[ScalarSeries], trunc: int) -> list[ScalarSeries]:
@@ -573,53 +576,52 @@ class Powers:
             raise SeriesError("composition dimension mismatch")
         if trunc >= len(self.parts[0]):
             raise SeriesError(f"inner map not known through degree {trunc}")
-        parts = [graded(o, trunc) for o in outers]
-        coeffs = [dict(p[0]) for p in parts]
-        for s in range(1, trunc + 1):
-            for acc, part in zip(coeffs, compose_part(parts, self, s)):
-                acc.update(part)
-        return [ScalarSeries._make(self.n, trunc, c) for c in coeffs]
+        out = []
+        for o in outers:
+            coeffs = {m: c for m, c in o.coeffs.items() if not any(m)}
+            packed = self.pack(o)
+            for s in range(1, trunc + 1):
+                coeffs.update(self.unpack(_products(_pairs(packed, self, s))))
+            out.append(ScalarSeries._make(self.n, trunc, coeffs))
+        return out
 
 
-def _compose_packed(outer: Sequence[Sequence[dict]], powers: Powers, s: int) -> list[tuple]:
-    """`compose_part`, packed."""
-    return [
-        _products([(_scalar(c), powers.part(m, s)) for part in comp[1 : s + 1] for m, c in part.items()])
-        for comp in outer
-    ]
-
-
-def compose_part(outer: Sequence[Sequence[dict]], powers: Powers, s: int) -> list[dict]:
-    """The degree-s part of each outer component composed with the inner map
-    of `powers`; outer[j][d] is the degree-d part of component j.  Constant
-    terms of the outer series are ignored, and the inner map must be known
-    through degree s wherever the outer series has linear terms, through
-    degree s - 1 otherwise."""
-    return [powers.unpack(p) for p in _compose_packed(outer, powers, s)]
-
-
-def derivative_part(phi: Sequence[Sequence[dict]], g: Sequence[Sequence[dict]], s: int) -> list[dict]:
-    """The degree-s part of Dphi(y) g(y), both maps given by their
-    homogeneous parts (phi[j][d], g[i][d]); phi and g without linear terms
-    need only their parts below degree s."""
-    n, base = len(g), s + 1
-    w = [base**i for i in range(n)]
-    gs = [[_pack(p, w) for p in col[: s + 1]] for col in g]
+def _pairs(outer: Sequence[tuple], powers: Powers, s: int, low: int = 1, sign: int = 1) -> list:
+    """The (coefficient, [P^m]_s) pairs whose packed products sum to sign times
+    the degree-s part of outer o P, where outer[d] is the packed degree-d part
+    of one outer series (keyed as in `powers`) and its parts below degree low
+    are left out."""
+    part = powers.part
     out = []
-    for comp in phi:
-        pairs = []
-        for k in range(1, min(s + 1, len(comp))):
-            den, re, im = _pack(comp[k], w)
-            for i, col in enumerate(gs):
-                if (re or im) and s - k + 1 < len(col):
-                    pairs.append(((den, _diff(re, w[i], base), _diff(im, w[i], base)), col[s - k + 1]))
-        out.append(_unpack(_products(pairs), n, base))
+    for den, re, im in outer[low : s + 1]:
+        if im:
+            out += [((den, {0: sign * re[k]} if k in re else {}, {0: sign * im[k]} if k in im else {}), part(k, s))
+                    for k in re.keys() | im.keys()]
+        else:
+            out += [((den, {0: sign * v}, {}), part(k, s)) for k, v in re.items()]
     return out
 
 
-def _diff(nums: dict, w: int, base: int) -> dict:
-    """The packed numerators of d/dy_i, where w = base^i."""
-    return {k - w: v * e for k, v in nums.items() if (e := k // w % base)}
+def _derivative_pairs(P: Powers, Q: Powers, s: int, low: int, sign: int = 1) -> list[list]:
+    """For each component j, the packed pairs whose products sum to sign
+    times the degree-s part of DP_j(y) Q(y), over the parts the two tables
+    hold and leaving out the parts of P and of Q below degree low."""
+    w, base = P.weights, P.base
+    out = []
+    for comp in P.parts:
+        pairs = []
+        for k in range(low, min(s + 2 - low, len(comp))):
+            den, re, im = comp[k]
+            for i, col in enumerate(Q.parts):
+                if (re or im) and s - k + 1 < len(col):
+                    pairs.append(((den, _diff(re, w[i], base, sign), _diff(im, w[i], base, sign)), col[s - k + 1]))
+        out.append(pairs)
+    return out
+
+
+def _diff(nums: dict, w: int, base: int, sign: int) -> dict:
+    """The packed numerators of sign times d/dy_i, where w = base^i."""
+    return {k - w: sign * v * e for k, v in nums.items() if (e := k // w % base)}
 
 
 def compose_scalar(outer: ScalarSeries, inner: VectorSeries, trunc: int | None = None) -> ScalarSeries:
@@ -648,17 +650,15 @@ def invert(phi: VectorSeries, trunc: int | None = None) -> VectorSeries:
     if trunc is None:
         trunc = phi.trunc
     n = phi.n
-    ident = VectorSeries.identity(n, trunc)
     if any(c != 0 for c in phi.constant_part()):
         raise SeriesError("map to invert has a constant term")
     lin = phi.linear_matrix()
     if any(lin[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)):
         raise SeriesError("linear part is not the identity; factor it out first")
-    h = [graded(c, trunc) for c in phi.truncate(trunc).strip_low(2).components]
-    powers = Powers([graded(c, 1) for c in ident.components], trunc)
+    powers = Powers([graded(c, 1) for c in VectorSeries.identity(n, 1).components], trunc)
+    h = [powers.pack(c) for c in phi.truncate(trunc).components]
     for s in range(2, trunc + 1):
-        for col, (den, re, im) in zip(powers.parts, _compose_packed(h, powers, s)):
-            col.append((den, {k: -v for k, v in re.items()}, {k: -v for k, v in im.items()}))
+        powers.extend([_products(_pairs(c, powers, s, 2, -1)) for c in h])
     return VectorSeries._from_parts([[powers.unpack(p) for p in col] for col in powers.parts], trunc)
 
 

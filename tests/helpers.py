@@ -314,6 +314,24 @@ def oracle_normalize(system, N):
     return VectorSeries.from_terms(n, N, phi_terms), VectorSeries.from_terms(n, N, g_terms)
 
 
+def oracle_conjugacy_map(F, result):
+    """The map's conjugacy residual F o Phi - Phi o G as `verify_conjugacy_map`
+    computed it before the residual read packed tables: two full compositions
+    through fresh tables and a Fraction subtraction."""
+    N = result.order
+    Phi, G = result.normalization(), result.normal_form()
+    return compose(F.full_map(N), Phi, N) - compose(Phi, G, N)
+
+
+def oracle_conjugacy_field(X, result):
+    """The field's conjugacy residual DPhi * Y - (A + f) o Phi, as before."""
+    from dulac.series import jacobian, mat_vec
+
+    N = result.order
+    Phi, Y = result.normalization(), result.normal_form()
+    return mat_vec(jacobian(Phi), Y, N) - compose(X.full_field(N), Phi, N)
+
+
 # -- resonance scan oracles ----------------------------------------------------------
 #
 # The degree-D scans as they were before the graded table of exponent values:
@@ -342,6 +360,8 @@ def _oracle_generator_candidate(spec, m):
 
 
 def oracle_enumerate_lattice(spec, bound):
+    """`enumerate_lattice` as it was: every resonant exponent goes into the
+    rank's echelon, not only the distinct generator candidates."""
     from dulac.linalg import Echelon
     from dulac.resonance import LatticeBasis, _is_simple
 
@@ -730,6 +750,36 @@ def fraction_derivative_part(phi, g, s):
                         _mul_into(acc, {m[:i] + (e - 1,) + m[i + 1 :]: c * e}, g[i][s - k + 1])
         out.append(_nonzero(acc))
     return out
+
+
+# -- the packed engine per degree ------------------------------------------------------
+#
+# The degree loop and the conjugacy residual sum the engine's packed pairs
+# themselves; these two read one degree out through the same pairs, for tests.
+
+
+def compose_part(outer, powers, s):
+    """The degree-s part of each outer component composed with the inner map
+    of `powers`; outer[j][d] is the degree-d part of component j.  Constant
+    terms of the outer series are ignored, and the inner map must be known
+    through degree s wherever the outer series has linear terms, through
+    degree s - 1 otherwise."""
+    from dulac.series import _pack, _pairs, _products
+
+    return [
+        powers.unpack(_products(_pairs([_pack(p, powers.weights) for p in comp[: s + 1]], powers, s)))
+        for comp in outer
+    ]
+
+
+def derivative_part(phi, g, s):
+    """The degree-s part of Dphi(y) g(y), both maps given by their
+    homogeneous parts (phi[j][d], g[i][d]); phi and g without linear terms
+    need only their parts below degree s."""
+    from dulac.series import Powers, _derivative_pairs, _products
+
+    P, Q = (Powers([col[: s + 1] for col in cols], s) for cols in (phi, g))
+    return [P.unpack(_products(pairs)) for pairs in _derivative_pairs(P, Q, s, 1)]
 
 
 def fraction_mul(a, b, trunc=None):

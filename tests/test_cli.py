@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,11 +10,26 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dulac.cli import MAX_LATTICE_EXPONENTS, MAX_ORDER_MONOMIALS, main, parse_system
+from dulac.cli import MAX_LATTICE_EXPONENTS, MAX_ORDER_MONOMIALS, _emit, _json_text, main, parse_system
 from dulac.errors import SystemFileError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# strings with non-ASCII, control, quote, backslash and surrogate characters
+JSON_TEXT = st.text(st.characters(blacklist_categories=()), max_size=8) | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "\U0001f600", ""]
+)
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.sampled_from([0, 1, -1, 10**4299 - 1, -(10**4299 - 1)])
+    | st.integers() | st.floats() | JSON_TEXT
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
 
 
 def write(tmp_path, name, doc):
@@ -850,3 +868,48 @@ def test_python_m_dulac_writes_the_cli_report(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == rep.read_bytes()
+
+
+SOLVERS = ("resonance", "normalize", "classify", "integrals", "embed")
+
+
+class TestReportWriter:
+    """`_emit` writes json.dumps(report, indent=2, sort_keys=True) + "\\n" byte
+    for byte, through its own writer."""
+
+    @pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.json")))
+    def test_every_fixture_report_is_json_dumps(self, tmp_path, monkeypatch, fixture):
+        from dulac import cli
+
+        emitted, emit = [], cli._emit
+
+        def recording(report, args):
+            emitted.append(report)
+            emit(report, args)
+
+        monkeypatch.setattr(cli, "_emit", recording)
+        written = 0
+        for sub in SOLVERS:
+            rep, ver = tmp_path / f"{sub}.json", tmp_path / f"{sub}-verify.json"
+            emitted.clear()
+            if run([sub, "--input", FIXTURES / fixture, "--output", rep]) != 0:
+                assert not emitted
+                continue
+            assert run(["verify", "--input", rep, "--output", ver]) == 0
+            for report, path in zip(emitted, (rep, ver)):
+                assert path.read_text(encoding="utf-8") == json.dumps(report, indent=2, sort_keys=True) + "\n"
+                written += 1
+        assert written >= 4
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(JSON_VALUES)
+    def test_any_json_value_is_json_dumps(self, value):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _emit(value, argparse.Namespace(format="json", output=None))
+        assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    def test_writer_covers_the_edge_cases(self):
+        edge = {"": [], "é ": {}, '"\\\x00\x1f': [True, 1, None, False, 0, -1],
+                "z": [[{}], [[]], 10**4299 - 1, -(10**4299 - 1)], "a": "\ud800 \U0001f600"}
+        assert _json_text(edge) == json.dumps(edge, indent=2, sort_keys=True)

@@ -2,21 +2,35 @@
 replaced (kept as oracles in helpers), on seeded random inputs."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from helpers import (
     OraclePowerCache,
+    compose_part,
+    derivative_part,
     oracle_compose,
     oracle_compose_scalar,
+    oracle_conjugacy_field,
+    oracle_conjugacy_map,
     oracle_invert,
     oracle_normalize,
     oracle_resonant,
     random_sparse_series,
 )
 
-from dulac.normalizer import FieldSystem, MapSystem, normalize_field, normalize_map
+from dulac.normalizer import (
+    FieldSystem,
+    MapSystem,
+    _residual,
+    _solve,
+    normalize_field,
+    normalize_map,
+    verify_conjugacy_field,
+    verify_conjugacy_map,
+)
 from dulac.resonance import EigenSpec, iter_exponents
 from dulac.scalars import gaussian
 from dulac.series import (
@@ -24,10 +38,9 @@ from dulac.series import (
     ScalarSeries,
     SeriesError,
     VectorSeries,
+    _pairs,
     compose,
-    compose_part,
     compose_scalar,
-    derivative_part,
     graded,
     invert,
     jacobian,
@@ -124,6 +137,69 @@ class TestNormalizerAgainstOracle:
         result = normalize_map(system, 4)
         phi, g = oracle_normalize(system, 4)
         assert result.order == 4 and result.phi == phi and result.g == g
+
+
+def loop_tables(system, result):
+    """Tables of the pair (phi, g) grown as the degree loop grows its own:
+    one degree at a time, each cache filled by that degree's compositions."""
+    N = result.order
+    Phi, G = ([graded(c, N) for c in v.components] for v in (result.normalization(), result.normal_form()))
+    P, Q = Powers([col[:2] for col in Phi], N), Powers([col[:2] for col in G], N)
+    f = [P.pack(c) for c in system.nonlinear.components]
+    for s in range(2, N + 1):
+        for comp in f:
+            _pairs(comp, P, s, 2)
+        if isinstance(system, MapSystem):
+            for col in P.parts:
+                _pairs(col, Q, s, 2)
+        P.extend([col[s] for col in Phi])
+        Q.extend([col[s] for col in G])
+    return P, Q
+
+
+def oracle_conjugacy(system, result):
+    if isinstance(system, MapSystem):
+        return oracle_conjugacy_map(system, result)
+    return oracle_conjugacy_field(system, result)
+
+
+def perturbed(system, result, which):
+    """The pair with one coefficient of phi (on a nonresonant monomial, so
+    that the residual moves) or of g, of any degree from 1, added or changed."""
+    n, N = system.n, result.order
+    spec = result.spec
+    rng = random.Random(f"perturb/{spec.values}/{N}/{which}")
+    pool = [(j, m) for m in iter_exponents(n, 1, N) for j in range(n)
+            if which == "g" or not oracle_resonant(spec, m, j)]
+    j, m = rng.choice(pool)
+    bump = VectorSeries.from_terms(n, N, [(j, m, random_coeff(rng, True))])
+    return replace(result, **{which: getattr(result, which) + bump})
+
+
+class TestSharedTableResidual:
+    """The conjugacy residual through the degree loop's own tables, and
+    through the fresh tables `verify` builds from a claimed pair, against the
+    two full compositions it replaced (helpers), exactly."""
+
+    @pytest.mark.parametrize("kind,k,N,resonant", system_cases("map") + system_cases("field"))
+    def test_solver_pair_is_zero_through_its_tables(self, kind, k, N, resonant):
+        system = build_system(kind, k, N)
+        result, P, Q = _solve(system, None)
+        shared = _residual(system, P, Q)
+        assert shared.is_zero() and shared == oracle_conjugacy(system, result)
+        assert shared.trunc == N
+
+    @pytest.mark.parametrize("which", ["phi", "g"])
+    @pytest.mark.parametrize("kind,k,N,resonant", system_cases("map") + system_cases("field"))
+    def test_perturbed_pair_matches_term_by_term(self, kind, k, N, resonant, which):
+        system = build_system(kind, k, N)
+        result, _, _ = _solve(system, None)
+        claimed = perturbed(system, result, which)
+        want = oracle_conjugacy(system, claimed)
+        assert not want.is_zero()
+        assert _residual(system, *loop_tables(system, claimed)) == want
+        verify = verify_conjugacy_map if kind == "map" else verify_conjugacy_field
+        assert verify(system, claimed) == want
 
 
 def random_inner(rng, n, trunc, gaussian_ok=False, max_terms=6):

@@ -14,6 +14,8 @@ import pytest
 
 from helpers import (
     FractionPowers,
+    compose_part,
+    derivative_part,
     fraction_compose_part,
     fraction_derivative_part,
     fraction_mul,
@@ -26,8 +28,6 @@ from dulac.series import (
     ScalarSeries,
     SeriesError,
     VectorSeries,
-    compose_part,
-    derivative_part,
     graded,
 )
 

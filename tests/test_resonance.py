@@ -23,7 +23,7 @@ from dulac.resonance import (
 )
 from dulac.scalars import gaussian
 
-from helpers import oracle_divisor, oracle_pivot_and_deltas, oracle_resonant
+from helpers import oracle_divisor, oracle_enumerate_lattice, oracle_pivot_and_deltas, oracle_resonant
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -271,6 +271,28 @@ def map_spectra():
         if sf.kind == "map":
             out.append(pytest.param(sf.eigen, sf.lattice_bound, id=op.key))
     return out
+
+
+def lattice_catalogue_spectra():
+    """(spectrum, degree D) of entry 0 of every class of the benchmark's
+    `lattice` catalogue: all three forms, at the degrees it runs."""
+    out = []
+    for klass in workloads.WORKLOADS["lattice"]:
+        op = workloads.catalogue_entry("lattice", klass, 0)
+        sf = _system_from_doc(op.system, op.key)
+        out.append(pytest.param(sf.eigen, sf.lattice_bound, id=op.key))
+    return out
+
+
+class TestLatticeRankFromCandidates:
+    """The rank comes from the distinct generator candidates alone; the old
+    loop put every resonant exponent into the echelon (helpers)."""
+
+    @pytest.mark.parametrize("spec,D", lattice_catalogue_spectra())
+    def test_rank_and_span_deficit_as_before(self, spec, D):
+        got, want = enumerate_lattice(spec, D), oracle_enumerate_lattice(spec, D)
+        assert (got.rank, got.span_deficit) == (want.rank, want.span_deficit)
+        assert got == want
 
 
 class TestMapBoundKernelRoute:
