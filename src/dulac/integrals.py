@@ -5,26 +5,40 @@ these jets).
 
 A set of integrals is a plain tuple of series, each with zero constant term
 and expected to pass its verify_integral check with an exactly zero
-residual."""
+residual.
+
+The searches, the map residual and the independence check stay in the
+packed integers of `series` until their output: a search column is read
+from the parts of F's power table (maps) or summed from packed derivative
+pairs (fields), the residual V o F - V is one packed sum per degree, and the
+gradients are evaluated homogenised, in integers, at each sample point."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
+from operator import getitem, mul
 from typing import Optional, Sequence
 
 from .errors import HypothesisError
 from .linalg import kernel_basis, rank as q_rank
 from .resonance import LatticeBasis, iter_exponents
-from .scalars import Scalar
+from .scalars import Scalar, gaussian
 from .series import (
     Exponent,
     Powers,
     ScalarSeries,
     VectorSeries,
+    _diff,
+    _exponent,
+    _pack,
+    _pairs,
+    _products,
+    _scalars,
     gradient,
-    grlex_key,
+    graded,
     invert,
     scalar_inner,
 )
@@ -70,8 +84,13 @@ def pullback_integrals(
     return tuple(Powers.of(psi, order).compose([v.truncate(order) for v in vs], order))
 
 
+_UNIT = (1, {0: 1}, {})  # the packed constant 1
+
+
 def verify_integral_map(V: ScalarSeries, F: MapSystem, order: int | None = None) -> ScalarSeries:
-    """Exact residual V o F - V through the order (zero iff V is invariant)."""
+    """Exact residual V o F - V through the order (zero iff V is invariant).
+    Each degree s is one packed sum over F's table: the pairs of V o F and
+    -V_s times the packed unit, unpacked only when it is nonzero."""
     if order is None:
         order = min(V.trunc, F.order)
     if order > F.order:
@@ -91,7 +110,16 @@ def verify_integral_map(V: ScalarSeries, F: MapSystem, order: int | None = None)
                     "coefficient field (nonresonant against the formal base)"
                 )
         return ScalarSeries.zero(V.n, order)
-    return F.powers.compose([V.truncate(order)], order)[0] - V.truncate(order)
+    P = F.powers
+    outer = P.pack(V.truncate(order))
+    coeffs: dict[Exponent, Scalar] = {}
+    for s in range(1, order + 1):
+        den, re, im = outer[s]
+        minus_V = (den, {k: -v for k, v in re.items()}, {k: -v for k, v in im.items()})
+        part = _products(_pairs(outer, P, s) + [(minus_V, _UNIT)])
+        if part[1] or part[2]:
+            coeffs.update(P.unpack(part))
+    return ScalarSeries._make(V.n, order, coeffs)
 
 
 def verify_integral_field(V: ScalarSeries, X: FieldSystem, order: int | None = None) -> ScalarSeries:
@@ -102,27 +130,29 @@ def verify_integral_field(V: ScalarSeries, X: FieldSystem, order: int | None = N
 
 
 # -- search -----------------------------------------------------------------------
+#
+# Both searches solve for the kernel of one linear operator on the monomials
+# y^m with 1 <= |m| <= degree.  Column m holds the operator's image of y^m
+# through the certified order, entered straight from packed parts: the row of
+# the term y^r of degree s is s * base^n + (packed key of r), so the rows go
+# degree by degree.  The operator is block lower triangular with mu^m - 1 (or
+# <m, lambda>) on each column's own monomial, so each nonresonant column is a
+# pivot on its own row and only the resonant columns are ever reduced.
 
 
-def _echelon_kernel_series(
-    columns: dict[Exponent, dict[Exponent, Scalar]],
+def _kernel_series(
+    columns: list[dict[int, Scalar]],
     monomials: list[Exponent],
     n: int,
     degree: int,
 ) -> tuple[ScalarSeries, ...]:
-    """Kernel of the linear map whose column at y^m is columns[m], expressed
-    as series over the monomial basis in graded-lex order.  Rows go in graded
-    order too: the operator is block lower triangular with mu^m - 1 (or
-    <m, lambda>) on each column's own monomial, so each nonresonant column is
-    a pivot on its own row and only the resonant columns are ever reduced."""
-    rows = sorted({r for col in columns.values() for r in col}, key=grlex_key)
-    row_index = {r: i for i, r in enumerate(rows)}
-    kernel = kernel_basis(
-        {row_index[r]: v for r, v in columns[m].items()} for m in monomials
-    )
+    """Kernel of the linear map whose column at monomials[c] is columns[c],
+    as series over the monomial basis, sorted by leading term.  The kernel
+    basis depends on the column order alone (see `linalg`); the row order
+    only sets the cost."""
     series = [
         ScalarSeries(n, degree, {monomials[c]: v for c, v in vec.items()})
-        for vec in kernel
+        for vec in kernel_basis(columns)
     ]
     series.sort(key=lambda s: s.terms()[0][0] if not s.is_zero() else ())
     return tuple(series)
@@ -139,8 +169,10 @@ def search_integrals_map(F: MapSystem, degree: int) -> tuple[ScalarSeries, ...]:
     polynomial degree exceeds `degree` contributes nothing, so searching below
     the certification order can legitimately come back empty even for
     integrable systems.  Solved as one exact kernel computation over the
-    monomial basis by the sparse echelon of `linalg`: the graded-lex column
-    order alone fixes the kernel basis, the row order only sets the cost."""
+    monomial basis by the sparse echelon of `linalg`, in graded-lex column
+    order.  The column of y^m is y^m o F - y^m, read degree by degree from
+    the parts [F^m]_s of F's power table, with y^m subtracted on its own row
+    (the degree-|m| part of F^m is mu^m y^m)."""
     if degree > F.order:
         raise HypothesisError(
             f"system data certified to degree {F.order}; cannot search to {degree}"
@@ -154,47 +186,57 @@ def search_integrals_map(F: MapSystem, degree: int) -> tuple[ScalarSeries, ...]:
             for m in iter_exponents(n, 1, degree)
             if F.mu.resonant(m)
         )
+    P = F.powers
+    shift = P.base**n
     monomials = list(iter_exponents(n, 1, degree))
-    outers = [ScalarSeries.monomial(n, F.order, m) for m in monomials]
-    powers = F.powers.compose(outers, F.order)
-    columns = {m: dict((p - o).coeffs) for m, o, p in zip(monomials, outers, powers)}
-    return _echelon_kernel_series(columns, monomials, n, degree)
+    columns = []
+    for m in monomials:
+        k, d = sum(map(mul, m, P.weights)), sum(m)
+        col: dict[int, Scalar] = {}
+        for s in range(d, F.order + 1):
+            col.update(_scalars(P.part(k, s), s * shift))
+        own = d * shift + k
+        c = col.pop(own) - 1
+        if c:
+            col[own] = c
+        columns.append(col)
+    return _kernel_series(columns, monomials, n, degree)
 
 
 def search_integrals_field(X: FieldSystem, degree: int) -> tuple[ScalarSeries, ...]:
     """Spanning set of polynomial V of degree <= `degree` whose derivative
-    along the field vanishes exactly through every certified degree."""
+    along the field vanishes exactly through every certified degree.  The
+    column of y^m is <grad y^m, X>, each degree of it one packed sum of the
+    pairs (d/dy_i y^m, a degree part of X_i); columns go in graded-lex order
+    as in `search_integrals_map`."""
     if degree > X.order:
         raise HypothesisError(
             f"system data certified to degree {X.order}; cannot search to {degree}"
         )
-    n = X.n
-    through = X.order
-    Xf = X.full_field(through)
+    n, N = X.n, X.order
+    base = N + 1
+    w = [base**i for i in range(n)]
+    shift = base**n
+    parts = [[_pack(p, w) for p in graded(c, N)] for c in X.full_field(N).components]
     monomials = list(iter_exponents(n, 1, degree))
-    columns: dict[Exponent, dict[Exponent, Scalar]] = {}
+    columns = []
     for m in monomials:
-        acc: dict[Exponent, Scalar] = {}
-        for i, e in enumerate(m):
-            if e == 0:
-                continue
-            shifted = m[:i] + (e - 1,) + m[i + 1 :]
-            base = sum(shifted)
-            for mm, c in Xf.components[i].coeffs.items():
-                if base + sum(mm) > through:
-                    continue
-                out = tuple(a + b for a, b in zip(shifted, mm))
-                prev = acc.get(out, Fraction(0))
-                v = prev + c * e
-                if v == 0:
-                    acc.pop(out, None)
-                else:
-                    acc[out] = v
-        columns[m] = acc
-    return _echelon_kernel_series(columns, monomials, n, degree)
+        k, d = sum(map(mul, m, w)), sum(m)
+        grad = [(1, _diff({k: 1}, wi, base, 1), {}) for wi in w]
+        col: dict[int, Scalar] = {}
+        for s in range(d, N + 1):
+            pairs = [(g, Xi[s - d + 1]) for g, Xi in zip(grad, parts)]
+            col.update(_scalars(_products(pairs), s * shift))
+        columns.append(col)
+    return _kernel_series(columns, monomials, n, degree)
 
 
 # -- independence ------------------------------------------------------------------
+
+
+def _value(terms: list[tuple[Exponent, int]], pw: list[list[int]]) -> int:
+    """sum c prod_i pw[i][e_i] over the terms (e, c)."""
+    return sum(c * prod(map(getitem, pw, e)) for e, c in terms)
 
 
 def independence_check(
@@ -209,13 +251,31 @@ def independence_check(
     functionally independent (the witness point is recorded); it shows
     nothing for series with these jets, whose terms above the order can
     change the Jacobian anywhere.  Failing every trial only reports "not
-    certified", since rank deficiency at sample points proves nothing."""
+    certified", since rank deficiency at sample points proves nothing.
+
+    The evaluation is in integers.  With T the largest truncation degree and
+    the point p_i / q_i, the row of V is its gradient at the point times
+    den(V) * prod_i q_i^T, where den(V) is the lcm of V's denominators: the
+    sum of den(V) c_m m_j prod_i p_i^e_i q_i^(T - e_i) over the terms
+    c_m y^m of V, with e = m - e_j.  Scaling a row by a nonzero constant
+    keeps the rank, so the certificate is the one the rational rows give."""
     vs = tuple(integrals)
     if not vs:
         raise ValueError("independence check needs at least one integral")
     n = vs[0].n
     k = len(vs)
-    grads = [gradient(v) for v in vs]
+    T = max(v.trunc for v in vs)
+    base = T + 1
+    w = [base**i for i in range(n)]
+    # each gradient component times den(V): (exponent, numerator) terms of
+    # its real and imaginary parts
+    grads = []
+    for v in vs:
+        _, re, im = _pack(v.coeffs, w)
+        grads.append([
+            [[(_exponent(key, n, base), c) for key, c in _diff(nums, wj, base, 1).items()] for nums in (re, im)]
+            for wj in w
+        ])
     rng = random.Random(seed)
     best = 0
     for t in range(trials):
@@ -223,7 +283,11 @@ def independence_check(
         point = tuple(
             Fraction(rng.randint(1, 40), rng.randint(1, 8)) for _ in range(n)
         )
-        rows = [[comp.eval(point) for comp in g.components] for g in grads]
+        pw = [[x.numerator**e * x.denominator ** (T - e) for e in range(T + 1)] for x in point]
+        rows = [
+            [gaussian(_value(re, pw), _value(im, pw)) if im else _value(re, pw) for re, im in g]
+            for g in grads
+        ]
         r = q_rank(rows)
         best = max(best, r)
         if r == k:

@@ -46,7 +46,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DulacError
-from .scalars import GaussianRational, Scalar, format_scalar, sc_pow
+from .scalars import GaussianRational, Scalar, format_scalar
 
 Exponent = tuple[int, ...]
 
@@ -248,19 +248,6 @@ class ScalarSeries:
             out[dm] = c * m[i]
         return ScalarSeries._make(self.n, max(self.trunc - 1, 0), out)
 
-    def eval(self, point: Sequence[Scalar]) -> Scalar:
-        """Exact evaluation at a point (the truncation is evaluated as given)."""
-        if len(point) != self.n:
-            raise SeriesError("point dimension mismatch")
-        total: Scalar = Fraction(0)
-        for m, c in self.coeffs.items():
-            v: Scalar = c
-            for p, e in zip(point, m):
-                if e:
-                    v = v * sc_pow(p, e)
-            total = total + v
-        return total
-
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other):
@@ -451,16 +438,18 @@ def _exponent(k: int, n: int, base: int) -> Exponent:
     return tuple(m)
 
 
+def _scalars(part: tuple, offset: int = 0) -> dict[int, Scalar]:
+    """offset + packed key -> scalar, for the terms of a packed part."""
+    den, re, im = part
+    out: dict[int, Scalar] = {offset + k: Fraction(v, den) for k, v in re.items()}
+    for k, v in im.items():
+        out[offset + k] = GaussianRational(out.get(offset + k, 0), Fraction(v, den))
+    return out
+
+
 def _unpack(part: tuple, n: int, base: int) -> dict:
     """Exponent -> scalar terms of a packed part."""
-    den, re, im = part
-    out: dict[Exponent, Scalar] = {}
-    for k, v in re.items():
-        out[_exponent(k, n, base)] = Fraction(v, den)
-    for k, v in im.items():
-        m = _exponent(k, n, base)
-        out[m] = GaussianRational(out.get(m, 0), Fraction(v, den))
-    return out
+    return {_exponent(k, n, base): c for k, c in _scalars(part).items()}
 
 
 def _kmul(acc: dict, a: dict, b: dict, f: int) -> None:

@@ -795,3 +795,117 @@ def fraction_mul(a, b, trunc=None):
             for other in pb[: trunc + 1 - d]:
                 _mul_into(out, part, other)
     return ScalarSeries(a.n, trunc, _nonzero(out))
+
+
+# -- integrals through Fraction series ------------------------------------------------
+#
+# The integral searches, the map residual and the independence check as they
+# were before they read packed parts: each column a composition of one
+# monomial, unpacked and subtracted as series, its rows in graded-lex order,
+# and the gradients evaluated term by term in Fractions.
+
+
+def oracle_eval(s, point):
+    """Exact evaluation of a series at a point (the truncation as given)."""
+    assert len(point) == s.n
+    total = F(0)
+    for m, c in s.coeffs.items():
+        v = c
+        for p, e in zip(point, m):
+            if e:
+                v = v * sc_pow(p, e)
+        total = total + v
+    return total
+
+
+def oracle_verify_integral_map(V, Fm, order=None):
+    """V o F - V through the order, as a series composition and difference."""
+    if order is None:
+        order = min(V.trunc, Fm.order)
+    return oracle_compose_scalar(V.truncate(order), Fm.full_map(order), order) - V.truncate(order)
+
+
+def _oracle_echelon_kernel_series(columns, monomials, n, degree):
+    from dulac.linalg import kernel_basis
+    from dulac.series import grlex_key
+
+    rows = sorted({r for col in columns.values() for r in col}, key=grlex_key)
+    row_index = {r: i for i, r in enumerate(rows)}
+    kernel = kernel_basis(
+        {row_index[r]: v for r, v in columns[m].items()} for m in monomials
+    )
+    series = [
+        ScalarSeries(n, degree, {monomials[c]: v for c, v in vec.items()})
+        for vec in kernel
+    ]
+    series.sort(key=lambda s: s.terms()[0][0] if not s.is_zero() else ())
+    return tuple(series)
+
+
+def oracle_search_integrals_map(Fm, degree):
+    """search_integrals_map with each column V o F - V of V = y^m composed
+    and subtracted as series."""
+    n = Fm.n
+    if not Fm.mu.has_exact_values():
+        assert Fm.nonlinear.is_zero()
+        return tuple(
+            ScalarSeries.monomial(n, degree, m)
+            for m in iter_exponents(n, 1, degree)
+            if Fm.mu.resonant(m)
+        )
+    monomials = list(iter_exponents(n, 1, degree))
+    outers = [ScalarSeries.monomial(n, Fm.order, m) for m in monomials]
+    powers = Fm.powers.compose(outers, Fm.order)
+    columns = {m: dict((p - o).coeffs) for m, o, p in zip(monomials, outers, powers)}
+    return _oracle_echelon_kernel_series(columns, monomials, n, degree)
+
+
+def oracle_search_integrals_field(X, degree):
+    """search_integrals_field with each column <grad y^m, X> summed term by
+    term in Fractions."""
+    n = X.n
+    through = X.order
+    Xf = X.full_field(through)
+    monomials = list(iter_exponents(n, 1, degree))
+    columns = {}
+    for m in monomials:
+        acc = {}
+        for i, e in enumerate(m):
+            if e == 0:
+                continue
+            shifted = m[:i] + (e - 1,) + m[i + 1 :]
+            base = sum(shifted)
+            for mm, c in Xf.components[i].coeffs.items():
+                if base + sum(mm) > through:
+                    continue
+                out = tuple(a + b for a, b in zip(shifted, mm))
+                v = acc.get(out, F(0)) + c * e
+                if v == 0:
+                    acc.pop(out, None)
+                else:
+                    acc[out] = v
+        columns[m] = acc
+    return _oracle_echelon_kernel_series(columns, monomials, n, degree)
+
+
+def oracle_independence_check(integrals, trials=8, seed=0):
+    """independence_check with the gradients evaluated in Fractions at each
+    sample point."""
+    import random
+
+    from dulac.integrals import IndependenceCertificate
+    from dulac.linalg import rank
+    from dulac.series import gradient
+
+    vs = tuple(integrals)
+    n, k = vs[0].n, len(vs)
+    grads = [gradient(v) for v in vs]
+    rng = random.Random(seed)
+    best = 0
+    for t in range(trials):
+        point = tuple(F(rng.randint(1, 40), rng.randint(1, 8)) for _ in range(n))
+        r = rank([[oracle_eval(comp, point) for comp in g.components] for g in grads])
+        best = max(best, r)
+        if r == k:
+            return IndependenceCertificate(True, k, point, t + 1)
+    return IndependenceCertificate(False, best, None, trials)

@@ -1,9 +1,20 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from helpers import oracle_resonant, two_dim_fixture, three_dim_fixture
+from helpers import (
+    oracle_independence_check,
+    oracle_resonant,
+    oracle_search_integrals_field,
+    oracle_search_integrals_map,
+    oracle_verify_integral_map,
+    random_integrable_case,
+    random_sparse_series,
+    three_dim_fixture,
+    two_dim_fixture,
+)
 
 from dulac.errors import HypothesisError
 from dulac.integrals import (
@@ -17,7 +28,10 @@ from dulac.integrals import (
 )
 from dulac.normalizer import FieldSystem, MapSystem, normalize_map
 from dulac.resonance import EigenSpec, enumerate_lattice
+from dulac.scalars import gaussian
 from dulac.series import ScalarSeries, VectorSeries
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 HALF_DOUBLE = EigenSpec.multiplicative([F(1, 2), 2])
 SADDLE = EigenSpec.additive([1, -1])
@@ -237,3 +251,168 @@ class TestIndependence:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             independence_check([])
+
+
+# -- the packed searches, residual and independence check against their oracles
+
+
+def _nonlinear(rng, n, N, gauss):
+    """A dense-ish nonlinear part: a few random terms of degree 2..N per component."""
+    comps = []
+    for _ in range(n):
+        s = random_sparse_series(rng, n, N, 6, gauss)
+        comps.append(ScalarSeries(n, N, {m: c for m, c in s.coeffs.items() if sum(m) >= 2}))
+    return VectorSeries(comps)
+
+
+def _resonant_exponents(rng, n):
+    """Integer exponents of both signs, so that the spectrum has resonances."""
+    a = [rng.randint(1, 2), -rng.randint(1, 2)] + [rng.randint(-2, 2) for _ in range(n - 2)]
+    rng.shuffle(a)
+    return a
+
+
+def _dense_map(rng, n, N, gauss):
+    base = gaussian(1, 1) if gauss else F(rng.choice([2, 3]))
+    mu = EigenSpec.multiplicative([base**e for e in _resonant_exponents(rng, n)])
+    return MapSystem(mu, _nonlinear(rng, n, N, gauss), N)
+
+
+def _dense_field(rng, n, N, gauss):
+    lam = [F(e) for e in _resonant_exponents(rng, n)]
+    if gauss:
+        lam = [gaussian(e, e) for e in lam]
+    return FieldSystem(EigenSpec.additive(lam), _nonlinear(rng, n, N, gauss), N)
+
+
+def _maps(seed):
+    rng = random.Random(seed)
+    out = [two_dim_fixture(N=7)[0], three_dim_fixture(N=6)[0]]
+    out += [random_integrable_case(rng, n, N)[0] for n, N in ((2, 7), (3, 5))]
+    out += [_dense_map(rng, n, N, g) for n, N in ((2, 6), (3, 5), (4, 4)) for g in (False, True)]
+    return out
+
+
+def _fields(seed):
+    rng = random.Random(seed)
+    out = [FieldSystem(EigenSpec.additive([1, -1, 2]), VectorSeries.zero(3, 5), 5)]
+    out += [_dense_field(rng, n, N, g) for n, N in ((2, 6), (3, 5), (4, 4)) for g in (False, True)]
+    return out
+
+
+def _same(got, want):
+    assert got == want
+    assert [v.trunc for v in got] == [v.trunc for v in want]
+
+
+class TestPackedSearch:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_map_search_equals_oracle(self, seed):
+        for Fm in _maps(seed):
+            for degree in (Fm.order - 2, Fm.order):
+                _same(search_integrals_map(Fm, degree), oracle_search_integrals_map(Fm, degree))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_field_search_equals_oracle(self, seed):
+        for X in _fields(seed):
+            for degree in (X.order - 2, X.order):
+                _same(search_integrals_field(X, degree), oracle_search_integrals_field(X, degree))
+
+    def test_zero_nonlinearity_resonant_field(self):
+        X = FieldSystem(EigenSpec.additive([1, -1, 2]), VectorSeries.zero(3, 5), 5)
+        got = search_integrals_field(X, 5)
+        assert got == oracle_search_integrals_field(X, 5)
+        assert got and all(len(v.coeffs) == 1 for v in got)
+
+    def test_formal_base_map_path(self):
+        Fm = MapSystem(EigenSpec.multiplicative_base([-5, 2]), VectorSeries.zero(2, 8), 8)
+        for degree in (7, 8):
+            got = search_integrals_map(Fm, degree)
+            assert got == oracle_search_integrals_map(Fm, degree)
+            assert ScalarSeries.monomial(2, degree, (2, 5)) in got
+
+
+class TestPackedResidual:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_map_residual_equals_oracle(self, seed):
+        rng = random.Random(seed)
+        for Fm in _maps(seed):
+            gauss = any(hasattr(c, "abs2") for comp in Fm.nonlinear for c in comp.coeffs.values())
+            candidates = [random_sparse_series(rng, Fm.n, Fm.order, 6, gauss) for _ in range(3)]
+            candidates += list(search_integrals_map(Fm, Fm.order))
+            for V in candidates:
+                for order in (Fm.order - 1, Fm.order):
+                    got = verify_integral_map(V, Fm, order)
+                    assert got == oracle_verify_integral_map(V, Fm, order)
+                    assert got.trunc == order
+
+    def test_search_results_have_zero_residual(self):
+        for Fm in _maps(3):
+            for V in search_integrals_map(Fm, Fm.order):
+                assert verify_integral_map(V, Fm).is_zero()
+
+
+def _fixture_sets(name):
+    """Every `search` and `pullback` set `dulac integrals` checks for a fixture."""
+    from dulac.cli import parse_system
+
+    sf = parse_system(str(FIXTURES / name))
+    system, N = sf.system(), sf.order
+    sets = [search_integrals_map(system, N)]
+    basis = enumerate_lattice(sf.eigen, sf.lattice_bound)
+    phi = normalize_map(system, N).phi
+    sets.append(pullback_integrals(monomial_integrals(basis, trunc=N), phi, N))
+    return [vs for vs in sets if vs]
+
+
+class TestPackedIndependence:
+    def _check(self, vs, seeds=(0, 1, 5)):
+        for seed in seeds:
+            assert independence_check(vs, seed=seed) == oracle_independence_check(vs, seed=seed)
+
+    def test_fewer_integrals_than_variables(self):
+        rng = random.Random(11)
+        for gauss in (False, True):
+            for n in (2, 3, 4):
+                vs = [random_sparse_series(rng, n, rng.randint(3, 6), 5, gauss) for _ in range(n - 1)]
+                self._check([v for v in vs if not v.is_zero()] or [ScalarSeries.variable(n, 0, 3)])
+
+    def test_rank_deficient_square_set(self):
+        rng = random.Random(12)
+        for gauss in (False, True):
+            # V has degree 3, so V^2 through degree 6 is exactly a function of V
+            V = (random_sparse_series(rng, 3, 3, 4, gauss) + ScalarSeries.variable(3, 0, 3)).with_trunc(6)
+            W = random_sparse_series(rng, 3, 5, 4, gauss) + ScalarSeries.variable(3, 1, 5)
+            vs = [V, W, V.mul(V, 6)]
+            cert = independence_check(vs)
+            assert not cert.independent and cert.trials == 8
+            self._check(vs)
+
+    def test_more_integrals_than_variables(self):
+        rng = random.Random(13)
+        for gauss in (False, True):
+            vs = [random_sparse_series(rng, 2, d, 5, gauss) + ScalarSeries.variable(2, d % 2, d) for d in (3, 4, 5)]
+            cert = independence_check(vs)
+            assert not cert.independent and cert.trials == 8
+            self._check(vs)
+
+    def test_imaginary_parts_count(self):
+        # the real parts of the gradients are dependent, the gradients are not
+        V = ScalarSeries(2, 4, {(1, 0): 1, (0, 2): gaussian(0, 1)})
+        vs = [V, ScalarSeries.variable(2, 0, 3)]
+        assert independence_check(vs).independent
+        self._check(vs)
+
+    def test_mixed_truncations_and_seeds(self):
+        rng = random.Random(14)
+        for _ in range(6):
+            n = rng.randint(2, 4)
+            vs = [random_sparse_series(rng, n, rng.randint(2, 7), 6, rng.random() < 0.5) for _ in range(rng.randint(1, n))]
+            vs = [v for v in vs if not v.is_zero()]
+            if vs:
+                self._check(vs, seeds=range(4))
+
+    @pytest.mark.parametrize("name", ["ex2_2d.json", "ex2_3d.json"])
+    def test_fixture_sets(self, name):
+        for vs in _fixture_sets(name):
+            self._check(vs)
