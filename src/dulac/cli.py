@@ -13,10 +13,10 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence
+from typing import NoReturn, Sequence
 
 from . import __version__
 from .errors import HypothesisError, InternalInvariantError, SystemFileError
@@ -35,7 +35,6 @@ from .normalizer import (
     IntegrabilityReport,
     MapSystem,
     NormalizationResult,
-    check_functional_equations,
     classify,
     growth_diagnostic,
     normalize_field,
@@ -419,9 +418,7 @@ def _normalization_json(result: NormalizationResult) -> dict:
     }
 
 
-def _growth_json(growth) -> Optional[dict]:
-    if growth is None:
-        return None
+def _growth_json(growth) -> dict:
     return {
         "table": [
             [s, [mag.numerator, mag.denominator]] for s, mag in growth.rows
@@ -515,16 +512,17 @@ def _run_resonance(sf: SystemFile, D: int) -> dict:
     return section
 
 
-def _run_normalize(sf: SystemFile, N: int) -> dict:
-    system = sf.system()
-    result = (
-        normalize_map(system, N) if sf.kind == "map" else normalize_field(system, N)
-    )
-    growth = growth_diagnostic(result.phi)
+def _normalize_body(result: NormalizationResult) -> dict:
+    """A normalize report's body; `verify` re-derives it from the claimed pair."""
     return {
         "normalization": _normalization_json(result),
-        "growth": _growth_json(growth),
+        "growth": _growth_json(growth_diagnostic(result.phi)),
     }
+
+
+def _run_normalize(sf: SystemFile, N: int) -> dict:
+    system = sf.system()
+    return _normalize_body(normalize_map(system, N) if sf.kind == "map" else normalize_field(system, N))
 
 
 def _run_classify(sf: SystemFile, D: int, N: int) -> dict:
@@ -644,23 +642,29 @@ def _vector_from_json(terms, n: int, trunc: int, where: str) -> VectorSeries:
     return VectorSeries.from_terms(n, max([trunc] + degs), triples)
 
 
+def _fail(what: str) -> NoReturn:
+    raise InternalInvariantError(f"verification failed: {what}")
+
+
 def _require_match(claimed, recomputed, path: str) -> None:
     """Exit 4 unless a report entry equals its recomputation as JSON (so
-    true is not 1); names the first differing key of an object."""
+    true is not 1); names the first differing key of an object, and so on
+    down through nested objects to the deepest one."""
 
-    def same(a, b) -> bool:
-        return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    def text(value) -> str:
+        # report values are trees, so json's cycle check would only cost time
+        return json.dumps(value, sort_keys=True, check_circular=False)
 
-    if same(claimed, recomputed):
+    if text(claimed) == text(recomputed):
         return
-    if isinstance(claimed, dict) and isinstance(recomputed, dict):
-        path += "." + next(
+    while isinstance(claimed, dict) and isinstance(recomputed, dict):
+        key = next(
             k for k in sorted(set(claimed) | set(recomputed))
-            if not same(claimed.get(k), recomputed.get(k))
+            if k not in claimed or k not in recomputed or text(claimed[k]) != text(recomputed[k])
         )
-    raise InternalInvariantError(
-        f"verification failed: {path} does not match a recomputation"
-    )
+        path += "." + key
+        claimed, recomputed = claimed.get(key), recomputed.get(key)
+    _fail(f"{path} does not match a recomputation")
 
 
 def _require_order(series: Sequence[ScalarSeries], order: int, what: str) -> None:
@@ -668,9 +672,34 @@ def _require_order(series: Sequence[ScalarSeries], order: int, what: str) -> Non
     otherwise go unchecked."""
     top = max((sum(m) for s in series for m in s.coeffs), default=0)
     if top > order:
-        raise InternalInvariantError(
-            f"verification failed: {what} of degree {top}, above the verified order {order}"
-        )
+        _fail(f"{what} of degree {top}, above the verified order {order}")
+
+
+def _claimed_normalization(sf: SystemFile, system, norm_doc, where: str) -> NormalizationResult:
+    """The pair a report claims, once it is shown to be the distinguished
+    one: its conjugacy residual is zero through its order, which the system
+    data certifies, phi is nonresonant and g resonant."""
+    if not isinstance(norm_doc, dict):
+        raise SystemFileError(f"{where}: must be an object")
+    order = _series_order(_int_field(norm_doc, "order", 2, where), sf.n, f"{where}.order")
+    if order > system.order:
+        raise SystemFileError(f"{where}.order: order = {order} exceeds the system's order_N = {system.order}")
+    phi = _vector_from_json(_field(norm_doc, "phi", None, where), sf.n, order, f"{where}.phi")
+    g = _vector_from_json(_field(norm_doc, "g", None, where), sf.n, order, f"{where}.g")
+    result = NormalizationResult(spec=sf.eigen, phi=phi, g=g, order=order)
+    verify = verify_conjugacy_map if sf.kind == "map" else verify_conjugacy_field
+    residual = verify(system, result)
+    if not residual.is_zero():
+        bad = min(sum(m) for comp in residual.components for m in comp.coeffs)
+        _fail(f"conjugacy residual is nonzero at degree {bad}")
+    for name, series, resonant in (("phi", phi, False), ("g", g, True)):
+        _require_order(series.components, order, f"{name} has a term")
+        for j, comp in enumerate(series.components):
+            for m in comp.coeffs:
+                if sf.eigen.resonant(m, j) != resonant:
+                    kind = "nonresonant" if resonant else "resonant"
+                    _fail(f"{name} carries {kind} monomial {m} in component {j + 1}")
+    return replace(result, residual_zero_degrees=tuple(range(2, order + 1)))
 
 
 def _run_verify(report_path: str) -> dict:
@@ -680,72 +709,48 @@ def _run_verify(report_path: str) -> dict:
     sf = _system_from_doc(doc["system"], f"{report_path}:system")
     system = sf.system()
     checked = []
+    params = doc.get("parameters")
 
-    def fail(what: str):
-        raise InternalInvariantError(f"verification failed: {what}")
+    def match_parameter(key: str, value) -> None:
+        # the parameters name the order and degree the sections were built at
+        if isinstance(params, dict):
+            _require_match(params.get(key), value, f"parameters.{key}")
 
-    cls = None
+    if doc.get("normalization") is not None:
+        result = _claimed_normalization(sf, system, doc["normalization"], f"{report_path}:normalization")
+        # the whole body is re-derived from the claimed pair
+        for key, value in _normalize_body(result).items():
+            _require_match(doc.get(key), value, key)
+        match_parameter("order_N", result.order)
+        checked.append("normalization")
     if "classification" in doc:
         cls = _field(doc, "classification", dict, report_path)
-    norm_doc, norm_path = doc.get("normalization"), "normalization"
-    if norm_doc is None and cls is not None:
-        norm_doc, norm_path = cls.get("normalization"), "classification.normalization"
-    where = f"{report_path}:{norm_path}"
-    if norm_doc is not None:
-        if not isinstance(norm_doc, dict):
-            raise SystemFileError(f"{where}: must be an object")
-        order = _series_order(_int_field(norm_doc, "order", 2, where), sf.n, f"{where}.order")
-        phi = _vector_from_json(_field(norm_doc, "phi", None, where), sf.n, order, f"{where}.phi")
-        g = _vector_from_json(_field(norm_doc, "g", None, where), sf.n, order, f"{where}.g")
-        result = NormalizationResult(spec=sf.eigen, phi=phi, g=g, order=order)
-        residual = (
-            verify_conjugacy_map(system, result)
-            if sf.kind == "map"
-            else verify_conjugacy_field(system, result)
-        )
-        if not residual.is_zero():
-            bad = min(sum(m) for comp in residual.components for m in comp.coeffs)
-            fail(f"conjugacy residual is nonzero at degree {bad}")
-        # the solver writes residual_zero_through = order once the residual is zero
-        _require_match(
-            norm_doc.get("residual_zero_through"), order, f"{norm_path}.residual_zero_through"
-        )
-        for name, series, resonant in (("phi", phi, False), ("g", g, True)):
-            _require_order(series.components, order, f"{name} has a term")
-            for j, comp in enumerate(series.components):
-                for m in comp.coeffs:
-                    if sf.eigen.resonant(m, j) != resonant:
-                        kind = "nonresonant" if resonant else "resonant"
-                        fail(f"{name} carries {kind} monomial {m} in component {j + 1}")
-        checked.append("normalization")
-    if cls is not None:
         where = f"{report_path}:classification"
-        if cls.get("verdict") != "hypotheses-not-met":
-            D = _lattice_degree(_int_field(
-                _field(cls, "certified_at", dict, where), "degree_D", 2, f"{where}.certified_at"
-            ), sf.n, f"{where}.certified_at.degree_D")
-            basis = enumerate_lattice(sf.eigen, D)
-            _require_match(cls.get("lattice"), _lattice_json(basis), "classification.lattice")
-            _require_match(cls.get("rank_ok"), basis.rank_ok, "classification.rank_ok")
-        if cls.get("verdict") == "integrable-consistent" and cls.get("p") is not None:
-            order = _series_order(_int_field(
-                _field(cls, "normalization", dict, where), "order", 2, f"{where}.normalization"
-            ), sf.n, f"{where}.normalization.order")
-            p = [
-                _series_from_json(terms, sf.n, order - 1, f"{where}.p[{i}]")
-                for i, terms in enumerate(_field(cls, "p", list, where))
-            ]
-            if len(p) != sf.n:
-                raise SystemFileError(f"{where}: p must have {sf.n} entries")
-            residuals = check_functional_equations(p, basis, order - 1)
-            if not all(r.is_zero() for r in residuals):
-                fail("functional-equation residual is nonzero")
+        certified = _field(cls, "certified_at", dict, where)
+        at = f"{where}.certified_at"
+        D = _lattice_degree(_int_field(certified, "degree_D", 2, at), sf.n, f"{at}.degree_D")
+        claimed = None
+        if cls.get("normalization") is not None:
+            claimed = _claimed_normalization(sf, system, cls["normalization"], f"{where}.normalization")
+            checked.append("normalization")
+        N = claimed.order if claimed else _series_order(_int_field(certified, "order_N", 2, at), sf.n, f"{at}.order_N")
+        if cls.get("p") is not None and len(_field(cls, "p", list, where)) != sf.n:
+            raise SystemFileError(f"{where}: p must have {sf.n} entries")
+        match_parameter("order_N", certified.get("order_N"))
+        match_parameter("degree_D", D)
+        # the distinguished pair is unique, so the whole classification is
+        # re-derived from the claimed one
+        report = classify(system, D, N, claimed)
+        _require_match(cls, _classification_json(report), "classification")
+        if claimed is None:
+            checked.append("classification")
+        elif report.p is not None and report.verdict == "integrable-consistent":
             checked.append("functional-equations")
     if isinstance(doc.get("integrals"), dict):
         # integrals are invariant through the order they were solved at, and
         # the sections are the ones the lattice at degree_D gives
         where = f"{report_path}:parameters"
-        params = _field(doc, "parameters", dict, report_path)
+        _field(doc, "parameters", dict, report_path)
         order = _int_field(params, "order_N", 2, where)
         if order > sf.order:
             raise SystemFileError(
@@ -783,7 +788,7 @@ def _run_verify(report_path: str) -> dict:
             for i, t in enumerate(_field(emb, "integrals", list, where))
         ]
         if len(vs) != sf.n - 1:
-            fail(f"embedding holds {len(vs)} integrals, not n-1 = {sf.n - 1}")
+            _fail(f"embedding holds {len(vs)} integrals, not n-1 = {sf.n - 1}")
         # the integrals were pulled back at order + 1, which the system data
         # must certify; each is then an integral of the map through it
         if order + 1 > sf.order:
@@ -791,7 +796,7 @@ def _run_verify(report_path: str) -> dict:
         _require_order(X.components, order, "the embedding field has a term")
         _require_order(vs, order + 1, "an embedding integral has a term")
         if not all(_residual_zero(system, vs, order + 1)):
-            fail("an embedding integral is not an integral of the map")
+            _fail("an embedding integral is not an integral of the map")
         tangency = [scalar_inner(gradient(V), X, order).is_zero() for V in vs]
         _require_match(emb.get("tangency_zero"), tangency, "embedding.tangency_zero")
         equivariance = verify_equivariance(system, X, order).is_zero()
@@ -806,6 +811,7 @@ def _run_verify(report_path: str) -> dict:
         # verification (or the reason it does not apply), and the flags
         for key, value in _run_resonance(sf, D).items():
             _require_match(doc.get(key), value, key)
+        match_parameter("degree_D", D)
         checked.append("lattice")
         if "value" in doc["bound"]:
             checked.append("bound")
@@ -813,17 +819,6 @@ def _run_verify(report_path: str) -> dict:
         raise SystemFileError(
             f"{report_path}: nothing to verify (no recognized sections)"
         )
-    # the parameters name the order and degree the sections were built at
-    params = doc.get("parameters")
-    certified = cls.get("certified_at") if cls is not None else None
-    if isinstance(params, dict):
-        for key, name, inner in (
-            ("order_N", "normalization", "order"), ("degree_D", "lattice", "bound")
-        ):
-            if isinstance(doc.get(name), dict):
-                _require_match(params.get(key), doc[name].get(inner), f"parameters.{key}")
-            elif isinstance(certified, dict):
-                _require_match(params.get(key), certified.get(key), f"parameters.{key}")
     return {"verify": {"checked": checked, "all_zero": True}}
 
 

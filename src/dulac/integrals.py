@@ -7,11 +7,12 @@ A set of integrals is a plain tuple of series, each with zero constant term
 and expected to pass its verify_integral check with an exactly zero
 residual.
 
-The searches, the map residual and the independence check stay in the
-packed integers of `series` until their output: a search column is read
-from the parts of F's power table (maps) or summed from packed derivative
-pairs (fields), the residual V o F - V is one packed sum per degree, and the
-gradients are evaluated homogenised, in integers, at each sample point."""
+The searches, the residuals and the independence check stay in the packed
+integers of `series` until their output: a search column is read from the
+parts of F's power table (maps) or summed from packed derivative pairs over
+X's table (fields), each degree of V o F - V or <grad V, X> is one packed
+sum, and the gradients are evaluated homogenised, in integers, at each
+sample point."""
 
 from __future__ import annotations
 
@@ -37,10 +38,7 @@ from .series import (
     _pairs,
     _products,
     _scalars,
-    gradient,
-    graded,
     invert,
-    scalar_inner,
 )
 from .normalizer import FieldSystem, MapSystem
 
@@ -123,10 +121,26 @@ def verify_integral_map(V: ScalarSeries, F: MapSystem, order: int | None = None)
 
 
 def verify_integral_field(V: ScalarSeries, X: FieldSystem, order: int | None = None) -> ScalarSeries:
-    """Exact residual <grad V, A x + f(x)> through the order."""
+    """Exact residual <grad V, A x + f(x)> through the order.  Each degree s
+    is one packed sum over X's table: the pairs (d/dy_i V_e, [X_i]_(s-e+1)),
+    unpacked only when it is nonzero."""
     if order is None:
         order = min(V.trunc, X.order)
-    return scalar_inner(gradient(V), X.full_field(order), order)
+    if order > X.order:
+        raise HypothesisError(f"system data certified to degree {X.order}; cannot verify to {order}")
+    P = X.powers
+    grads = [
+        [(den, _diff(re, w, P.base, 1), _diff(im, w, P.base, 1)) for w in P.weights]
+        for den, re, im in P.pack(V.truncate(order))
+    ]
+    coeffs: dict[Exponent, Scalar] = {}
+    for s in range(1, order + 1):
+        part = _products([
+            (g, Xi[s - e + 1]) for e in range(1, s + 1) for g, Xi in zip(grads[e], P.parts)
+        ])
+        if part[1] or part[2]:
+            coeffs.update(P.unpack(part))
+    return ScalarSeries._make(V.n, order, coeffs)
 
 
 # -- search -----------------------------------------------------------------------
@@ -214,18 +228,16 @@ def search_integrals_field(X: FieldSystem, degree: int) -> tuple[ScalarSeries, .
             f"system data certified to degree {X.order}; cannot search to {degree}"
         )
     n, N = X.n, X.order
-    base = N + 1
-    w = [base**i for i in range(n)]
-    shift = base**n
-    parts = [[_pack(p, w) for p in graded(c, N)] for c in X.full_field(N).components]
+    P = X.powers
+    shift = P.base**n
     monomials = list(iter_exponents(n, 1, degree))
     columns = []
     for m in monomials:
-        k, d = sum(map(mul, m, w)), sum(m)
-        grad = [(1, _diff({k: 1}, wi, base, 1), {}) for wi in w]
+        k, d = sum(map(mul, m, P.weights)), sum(m)
+        grad = [(1, _diff({k: 1}, w, P.base, 1), {}) for w in P.weights]
         col: dict[int, Scalar] = {}
         for s in range(d, N + 1):
-            pairs = [(g, Xi[s - d + 1]) for g, Xi in zip(grad, parts)]
+            pairs = [(g, Xi[s - d + 1]) for g, Xi in zip(grad, P.parts)]
             col.update(_scalars(_products(pairs), s * shift))
         columns.append(col)
     return _kernel_series(columns, monomials, n, degree)

@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Union
 from .errors import HypothesisError, InternalInvariantError
 from .linalg import primitive_integer_kernel
 from .resonance import EigenSpec, LatticeBasis, enumerate_lattice
-from .scalars import GaussianRational, Scalar, sc_div, sc_im, sc_re
+from .scalars import GaussianRational, Scalar, sc_abs2, sc_div, sc_im, sc_re
 from .series import (
     Exponent,
     Powers,
@@ -122,6 +122,12 @@ class FieldSystem:
     def full_field(self, trunc: int | None = None) -> VectorSeries:
         t = self.order if trunc is None else trunc
         return self.linear(t) + (self.nonlinear.truncate(t) if t <= self.order else self.nonlinear.with_trunc(t))
+
+    @cached_property
+    def powers(self) -> Powers:
+        """X's one packed table (the counterpart of MapSystem.powers): only
+        its parts, parts[i][d] the degree-d part of X_i, are read."""
+        return Powers.of(self.full_field(), self.order)
 
 
 System = Union[MapSystem, FieldSystem]
@@ -499,11 +505,6 @@ class GrowthDiagnostic:
     super_geometric: bool
 
 
-def _magnitude(c: Scalar) -> Fraction:
-    """max(|Re c|, |Im c|), from the parts' own coprime numerators."""
-    return max(abs(c.re), abs(c.im)) if type(c) is GaussianRational else abs(c)
-
-
 def _ln_fraction(q: Fraction) -> float:
     # big integers can overflow float conversion; scale by powers of two
     n, d = q.numerator, q.denominator
@@ -515,13 +516,16 @@ def _ln_fraction(q: Fraction) -> float:
 def growth_diagnostic(phi: VectorSeries) -> GrowthDiagnostic:
     """Largest coefficient magnitude per degree and the least-squares slope of
     its logarithm against the degree; flags super-geometric growth."""
-    top: dict[int, Fraction] = {}
+    top: dict[int, tuple[int, int]] = {}  # degree -> (|num|, den) of the largest max(|Re c|, |Im c|)
     for comp in phi.components:
         for m, c in comp.coeffs.items():
-            s, mag = sum(m), _magnitude(c)
-            if mag > top.get(s, -1):
-                top[s] = mag
-    rows = [(s, top[s]) for s in range(2, phi.trunc + 1) if s in top]
+            s = sum(m)
+            for q in (c.re, c.im) if type(c) is GaussianRational else (c,):
+                a, b = abs(q.numerator), q.denominator
+                t = top.get(s)
+                if t is None or a * t[1] > t[0] * b:
+                    top[s] = a, b
+    rows = [(s, Fraction(*top[s])) for s in range(2, phi.trunc + 1) if s in top]
     if len(rows) < 2:
         return GrowthDiagnostic(tuple(rows), None, None, False)
     xs = [s for s, _ in rows]
@@ -575,112 +579,97 @@ class IntegrabilityReport:
 def _map_hypothesis_ok(mu: EigenSpec) -> bool:
     if mu.kind == "mult-base":
         return any(a != 0 for a in mu.exponents)
-    from .scalars import sc_abs2
-
     return any(sc_abs2(v) != 1 for v in mu.values)
 
 
-def classify(system: System, lattice_bound: int = 10, order: int | None = None) -> IntegrabilityReport:
+def classify(
+    system: System,
+    lattice_bound: int = 10,
+    order: int | None = None,
+    normal_form: NormalizationResult | None = None,
+) -> IntegrabilityReport:
     """Integrability verdict for a map or field, certified at (D, N).
 
-    Pipeline: resonant-lattice rank test at the bound D, distinguished
-    normalization to order N, normal-form shape factorization, and (maps)
-    the generator functional equations.  A failed necessary condition yields
-    "not-integrable" with a witness; "integrable-consistent" asserts exactly
-    that every computed obstruction vanished at the stated degrees.
+    One pass over the necessary conditions, up to the first that fails: the
+    hypotheses, the resonant-lattice rank at the bound D, normalization to
+    order N, the shape (maps) or common factor (fields) of the normal form,
+    and for maps the generator functional equations.  A failed condition
+    yields its verdict with a witness; "integrable-consistent" asserts
+    exactly that every computed obstruction vanished at the stated degrees.
+    `normal_form`, an already-verified distinguished pair at order N (unique
+    once conjugacy holds with phi nonresonant and g resonant), is used
+    instead of solving when given.
     """
-    is_map = isinstance(system, MapSystem)
-    kind = "map" if is_map else "field"
-    n = system.n
     N = system.order if order is None else order
-    spec = _eigen_of(system)
-    flags: list[str] = []
+    found: dict = {"flags": []}
+    verdict, witness = _conditions(system, lattice_bound, N, normal_form, found)
+    return IntegrabilityReport(
+        kind="map" if isinstance(system, MapSystem) else "field", n=system.n,
+        lattice_bound=lattice_bound, order=N, verdict=verdict, witness=witness,
+        flags=tuple(found.pop("flags")), **found,
+    )
 
-    if is_map and not _map_hypothesis_ok(system.mu):
-        return IntegrabilityReport(
-            kind=kind, n=n, lattice_bound=lattice_bound, order=N,
-            verdict="hypotheses-not-met",
-            witness="every eigenvalue has modulus one; the classification "
-                    "needs at least one off the unit circle",
+
+def _conditions(
+    system: System, D: int, N: int, normal_form: NormalizationResult | None, found: dict
+) -> tuple[str, Optional[str]]:
+    """The conditions of `classify` in order: (verdict, witness) at the first
+    that fails, with what was computed on the way put into `found` under the
+    field names of IntegrabilityReport."""
+    is_map = isinstance(system, MapSystem)
+    spec = _eigen_of(system)
+    flags = found["flags"]
+    if is_map and not _map_hypothesis_ok(spec):
+        return "hypotheses-not-met", (
+            "every eigenvalue has modulus one; the classification needs at "
+            "least one off the unit circle"
         )
-    if not is_map and all(v == 0 for v in system.lam.values):
-        return IntegrabilityReport(
-            kind=kind, n=n, lattice_bound=lattice_bound, order=N,
-            verdict="hypotheses-not-met",
-            witness="all eigenvalues vanish; systems with nilpotent linear part "
-                    "can be integrable without reaching this normal form",
+    if not is_map and all(v == 0 for v in spec.values):
+        return "hypotheses-not-met", (
+            "all eigenvalues vanish; systems with nilpotent linear part can be "
+            "integrable without reaching this normal form"
         )
     _require_exact_eigenvalues(spec)
 
-    basis = enumerate_lattice(spec, lattice_bound)
+    basis = found["lattice"] = enumerate_lattice(spec, D)
+    found["rank_ok"] = basis.rank_ok
     if basis.non_simple:
         flags.append(
             f"generators {list(basis.non_simple)} are not simple; no simple "
             "resonant element spans their ray"
         )
     if not basis.rank_ok:
-        return IntegrabilityReport(
-            kind=kind, n=n, lattice_bound=lattice_bound, order=N,
-            verdict="not-integrable",
-            lattice=basis, rank_ok=False,
-            witness=f"resonant lattice rank is {basis.rank}, not n-1 = {n - 1}, "
-                    f"for every degree up to {lattice_bound}",
-            flags=tuple(flags),
+        return "not-integrable", (
+            f"resonant lattice rank is {basis.rank}, not n-1 = {system.n - 1}, "
+            f"for every degree up to {D}"
         )
 
-    if is_map:
-        result = normalize_map(system, N)
-    else:
-        result = normalize_field(system, N)
-    growth = growth_diagnostic(result.phi)
+    if normal_form is None:
+        normal_form = (normalize_map if is_map else normalize_field)(system, N)
+    found["normalization"] = normal_form
+    growth = found["growth"] = growth_diagnostic(normal_form.phi)
     if growth.super_geometric:
         flags.append("transformation coefficients grow super-geometrically")
 
-    if is_map:
-        shape = extract_integrable_shape_map(result)
-        if not shape.ok:
-            return IntegrabilityReport(
-                kind=kind, n=n, lattice_bound=lattice_bound, order=N,
-                verdict="not-integrable",
-                lattice=basis, rank_ok=True, normalization=result, shape=shape,
-                growth=growth, witness=shape.describe(), flags=tuple(flags),
-            )
-        residuals = check_functional_equations(shape.p, basis, N - 1)
-        bad = next((k for k, r in enumerate(residuals) if not r.is_zero()), None)
-        if bad is not None:
-            return IntegrabilityReport(
-                kind=kind, n=n, lattice_bound=lattice_bound, order=N,
-                verdict="not-integrable",
-                lattice=basis, rank_ok=True, normalization=result, shape=shape,
-                functional_residuals=residuals, p=shape.p, growth=growth,
-                witness=f"functional equation of generator {basis.generators[bad]} "
-                        "has a nonzero residual",
-                flags=tuple(flags),
-            )
-        reduction = None
-        try:
-            reduction = reduce_to_single_function(shape.p, basis, N - 1)
-        except HypothesisError as exc:  # inconsistent p would have failed above
-            flags.append(str(exc))
-        return IntegrabilityReport(
-            kind=kind, n=n, lattice_bound=lattice_bound, order=N,
-            verdict="integrable-consistent",
-            lattice=basis, rank_ok=True, normalization=result, shape=shape,
-            functional_residuals=residuals, p=shape.p, reduction=reduction,
-            growth=growth, flags=tuple(flags),
-        )
+    if not is_map:
+        factor = extract_common_factor_field(normal_form)
+        if not factor.ok:
+            return "not-integrable", factor.describe()
+        found["h"] = factor.h
+        return "integrable-consistent", None
 
-    factor = extract_common_factor_field(result)
-    if not factor.ok:
-        return IntegrabilityReport(
-            kind=kind, n=n, lattice_bound=lattice_bound, order=N,
-            verdict="not-integrable",
-            lattice=basis, rank_ok=True, normalization=result, growth=growth,
-            witness=factor.describe(), flags=tuple(flags),
+    shape = found["shape"] = extract_integrable_shape_map(normal_form)
+    if not shape.ok:
+        return "not-integrable", shape.describe()
+    p = found["p"] = shape.p
+    residuals = found["functional_residuals"] = check_functional_equations(p, basis, N - 1)
+    bad = next((k for k, r in enumerate(residuals) if not r.is_zero()), None)
+    if bad is not None:
+        return "not-integrable", (
+            f"functional equation of generator {basis.generators[bad]} has a nonzero residual"
         )
-    return IntegrabilityReport(
-        kind=kind, n=n, lattice_bound=lattice_bound, order=N,
-        verdict="integrable-consistent",
-        lattice=basis, rank_ok=True, normalization=result, h=factor.h,
-        growth=growth, flags=tuple(flags),
-    )
+    try:
+        found["reduction"] = reduce_to_single_function(p, basis, N - 1)
+    except HypothesisError as exc:  # inconsistent p would have failed above
+        flags.append(str(exc))
+    return "integrable-consistent", None

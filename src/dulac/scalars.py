@@ -244,7 +244,6 @@ def scalar_to_json(z: Scalar) -> list[int]:
     """[num, den] for rationals, [re_num, re_den, im_num, im_den] otherwise."""
     if isinstance(z, GaussianRational):
         return [z.re.numerator, z.re.denominator, z.im.numerator, z.im.denominator]
-    z = Fraction(z)
     return [z.numerator, z.denominator]
 
 
@@ -256,7 +255,7 @@ def scalar_from_json(data) -> Scalar:
             "scalars must be integer pairs [num, den] or quadruples "
             "[re_num, re_den, im_num, im_den]"
         )
-    if any(data[i] == 0 for i in (1, 3) if i < len(data)):
+    if data[1] == 0 or data[-1] == 0:
         raise ValueError("zero denominator in scalar")
     if len(data) == 2:
         return Fraction(data[0], data[1])

@@ -1,6 +1,7 @@
 """Shared fixture builders: integrable systems constructed from series-core
 primitives only, so solver outputs can be checked against exact expectations."""
 
+import json
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -825,6 +826,15 @@ def oracle_verify_integral_map(V, Fm, order=None):
     return oracle_compose_scalar(V.truncate(order), Fm.full_map(order), order) - V.truncate(order)
 
 
+def oracle_verify_integral_field(V, X, order=None):
+    """<grad V, X> through the order, as a gradient and a series inner product."""
+    from dulac.series import gradient, scalar_inner
+
+    if order is None:
+        order = min(V.trunc, X.order)
+    return scalar_inner(gradient(V), X.full_field(order), order)
+
+
 def _oracle_echelon_kernel_series(columns, monomials, n, degree):
     from dulac.linalg import kernel_basis
     from dulac.series import grlex_key
@@ -909,3 +919,32 @@ def oracle_independence_check(integrals, trials=8, seed=0):
         if r == k:
             return IndependenceCertificate(True, k, point, t + 1)
     return IndependenceCertificate(False, best, None, trials)
+
+
+# -- report edits ----------------------------------------------------------------------
+
+
+def leaf_edits(doc, path=()):
+    """(path, edited copy) for each leaf of a JSON document, edited by one
+    rule: an int + 1, a bool flipped, a string extended, None -> 0.  An edit
+    that leaves the JSON text unchanged is skipped."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        for key, value in items:
+            for sub, edited in leaf_edits(value, path + (key,)):
+                copy = json.loads(json.dumps(doc))
+                copy[key] = edited
+                yield sub, copy
+        return
+    if isinstance(doc, bool):
+        edited = not doc
+    elif isinstance(doc, int):
+        edited = doc + 1
+    elif isinstance(doc, str):
+        edited = doc + "x"
+    elif doc is None:
+        edited = 0
+    else:
+        return
+    if json.dumps(edited) != json.dumps(doc):
+        yield path, edited

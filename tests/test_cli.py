@@ -397,6 +397,24 @@ class TestOnePowerTablePerMap:
             assert run(args) == 0
             assert tabled and len(set(tabled)) == len(tabled)
 
+    def test_field_integrals_and_verify_table_the_field_once(self, tmp_path, monkeypatch):
+        """The field search and every <grad V, X> residual read X's one packed table."""
+        from dulac.series import Powers
+
+        field = parse_system(str(FIXTURES / "center.json")).system().full_field()
+        of, tabled = Powers.of.__func__, []
+
+        def recording(cls, inner, trunc):
+            tabled.append(inner)
+            return of(cls, inner, trunc)
+
+        monkeypatch.setattr(Powers, "of", classmethod(recording))
+        rep = tmp_path / "rep.json"
+        for args in (["integrals", "--input", FIXTURES / "center.json", "--output", rep], ["verify", "--input", rep]):
+            tabled.clear()
+            assert run(args) == 0
+            assert tabled.count(field) == 1 and len(set(tabled)) == len(tabled)
+
 
 class TestSubcommands:
     def test_resonance_halfdouble(self, tmp_path):
@@ -855,6 +873,95 @@ class TestVerifyRederivesIntegralClaims:
         assert run(["verify", "--input", bad]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: verification failed:") and field in err
+
+
+EARLY_VERDICT_SYSTEMS = {
+    # no multiplier resonance: the lattice has rank 0, not n-1 = 1
+    "rank-0": dict(HALF_DOUBLE_DOC, eigen={"form": "mult-rational", "values": [[2, 1], [3, 1]]},
+                   terms=[{"component": 1, "exponent": [1, 1], "coeff": [1, 1]}]),
+    "unit-circle": dict(HALF_DOUBLE_DOC, eigen={"form": "mult-rational", "values": [[1, 1], [-1, 1]]}),
+    "nilpotent": {"kind": "field", "n": 2, "eigen": {"form": "additive", "values": [[0, 1], [0, 1]]},
+                  "terms": [{"component": 1, "exponent": [0, 2], "coeff": [1, 1]}]},
+}
+
+
+class TestVerifyRederivesClassification:
+    """`verify` re-derives a classify report's whole `classification` body
+    through `classify`, from the claimed distinguished pair, and a normalize
+    report's `normalization` and `growth` from the claimed pair; a mismatch
+    names the deepest key that differs."""
+
+    @pytest.mark.parametrize("sub", ["classify", "normalize"])
+    @pytest.mark.parametrize("fixture", ["ex2_2d.json", "ex2_3d.json", "center.json"])
+    def test_every_leaf_edit_fails(self, tmp_path, capsys, fixture, sub):
+        from helpers import leaf_edits
+
+        rep = tmp_path / "rep.json"
+        assert run([sub, "--input", FIXTURES / fixture, "--output", rep]) == 0
+        doc = load(rep)
+        edits = [
+            (path, edited) for path, edited in leaf_edits(doc)
+            if path[0] in ("classification", "normalization", "growth")
+        ]
+        assert len(edits) > 10
+        passed = []
+        for path, edited in edits:
+            if run(["verify", "--input", write(tmp_path, "bad.json", edited)]) not in (2, 4):
+                passed.append(path)
+        capsys.readouterr()
+        assert passed == []
+
+    @pytest.mark.parametrize("name", sorted(EARLY_VERDICT_SYSTEMS))
+    def test_verdict_before_normalizing_verifies(self, tmp_path, capsys, name):
+        rep, out = tmp_path / "rep.json", tmp_path / "out.json"
+        assert run(["classify", "--input", write(tmp_path, "sys.json", EARLY_VERDICT_SYSTEMS[name]),
+                    "--output", rep]) == 0
+        doc = load(rep)
+        assert "normalization" not in doc["classification"] and doc["classification"]["witness"]
+        assert run(["verify", "--input", rep, "--output", out]) == 0
+        assert load(out)["verify"]["checked"] == ["classification"]
+        for key in ("verdict", "witness"):
+            bad = json.loads(json.dumps(doc))
+            bad["classification"][key] += "x"
+            capsys.readouterr()
+            assert run(["verify", "--input", write(tmp_path, "bad.json", bad)]) == 4
+            assert f"classification.{key} does not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub,where", [("normalize", "normalization"),
+                                           ("classify", "classification.normalization")])
+    def test_pair_above_the_system_order_is_2(self, tmp_path, capsys, sub, where):
+        """A claimed pair is checked against system data only through the
+        system's order_N: above it the linear halfdouble map would pass."""
+        rep = tmp_path / "rep.json"
+        assert run([sub, "--input", FIXTURES / "halfdouble.json", "--output", rep]) == 0
+        doc = load(rep)
+        doc["system"]["order_N"] = 4
+        capsys.readouterr()
+        assert run(["verify", "--input", write(tmp_path, "bad.json", doc)]) == 2
+        assert f"{where}.order: order = 8 exceeds the system's order_N = 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sub,fixture,edit,field",
+        [
+            ("classify", "ex2_2d.json", lambda c: c["shape"].update(ok=False), "classification.shape.ok"),
+            ("classify", "ex2_3d.json", lambda c: c["single_function_reduction"].update(base_component=1),
+             "classification.single_function_reduction.base_component"),
+            ("classify", "center.json", lambda c: c["growth"].update(super_geometric=True),
+             "classification.growth.super_geometric"),
+            ("classify", "center.json", lambda c: c.pop("h"), "classification.h"),
+            ("classify", "ex2_2d.json", lambda c: c.pop("witness"), "classification.witness"),
+            ("normalize", "ex2_3d.json", lambda d: d["growth"].update(log_slope="0.000000"),
+             "growth.log_slope"),
+        ],
+    )
+    def test_edit_names_the_leaf(self, tmp_path, capsys, sub, fixture, edit, field):
+        rep = tmp_path / "rep.json"
+        assert run([sub, "--input", FIXTURES / fixture, "--output", rep]) == 0
+        doc = load(rep)
+        edit(doc["classification"] if sub == "classify" else doc)
+        capsys.readouterr()
+        assert run(["verify", "--input", write(tmp_path, "bad.json", doc)]) == 4
+        assert capsys.readouterr().err == f"error: verification failed: {field} does not match a recomputation\n"
 
 
 def test_python_m_dulac_writes_the_cli_report(tmp_path):

@@ -9,6 +9,7 @@ from helpers import (
     oracle_resonant,
     oracle_search_integrals_field,
     oracle_search_integrals_map,
+    oracle_verify_integral_field,
     oracle_verify_integral_map,
     random_integrable_case,
     random_sparse_series,
@@ -92,6 +93,11 @@ class TestVerify:
         Fm = MapSystem(HALF_DOUBLE, VectorSeries.zero(2, 6), 6)
         with pytest.raises(HypothesisError, match="certified to degree 6; cannot verify to 8"):
             verify_integral_map(ScalarSeries.monomial(2, 10, (1, 1)), Fm, 8)
+
+    def test_field_order_above_the_system_refused(self):
+        X = FieldSystem(SADDLE, VectorSeries.zero(2, 6), 6)
+        with pytest.raises(HypothesisError, match="certified to degree 6; cannot verify to 8"):
+            verify_integral_field(ScalarSeries.monomial(2, 10, (1, 1)), X, 8)
 
     def test_formal_base_certification(self):
         spec = EigenSpec.multiplicative_base([-5, 2])
@@ -350,6 +356,23 @@ class TestPackedResidual:
         for Fm in _maps(3):
             for V in search_integrals_map(Fm, Fm.order):
                 assert verify_integral_map(V, Fm).is_zero()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_field_residual_equals_oracle(self, seed):
+        rng = random.Random(seed)
+        for X in _fields(seed):
+            candidates = [random_sparse_series(rng, X.n, X.order, 6, gauss) for gauss in (False, True)]
+            candidates += list(search_integrals_field(X, X.order))
+            for V in candidates:
+                for order in (X.order - 1, X.order):
+                    got = verify_integral_field(V, X, order)
+                    assert got == oracle_verify_integral_field(V, X, order)
+                    assert got.trunc == order
+
+    def test_field_search_results_have_zero_residual(self):
+        for X in _fields(3):
+            for V in search_integrals_field(X, X.order):
+                assert verify_integral_field(V, X).is_zero()
 
 
 def _fixture_sets(name):
