@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import marshal
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -53,7 +54,7 @@ from .resonance import (
     small_divisor_bound_map,
     verify_bound,
 )
-from .scalars import Scalar, scalar_from_json, scalar_to_json
+from .scalars import Scalar, is_int, scalar_from_json, scalar_to_json
 from .series import ScalarSeries, SeriesError, VectorSeries, gradient, scalar_inner
 
 DEFAULT_LATTICE_BOUND = 10
@@ -130,7 +131,7 @@ def _field(doc: dict, name: str, kinds, where: str):
     if name not in doc:
         raise SystemFileError(f"{where}: missing field '{name}'")
     value = doc[name]
-    if kinds is not None and not isinstance(value, kinds):
+    if kinds is not None and not (is_int(value) if kinds is int else isinstance(value, kinds)):
         raise SystemFileError(f"{where}: field '{name}' has the wrong type")
     return value
 
@@ -158,7 +159,7 @@ def _term(term, where: str, n: int, scalars_tag: str, component: bool = True):
             raise SystemFileError(f"{where}: component {j} out of range 1..{n}")
         j -= 1
     expo = _field(term, "exponent", list, where)
-    if len(expo) != n or not all(isinstance(e, int) and e >= 0 for e in expo):
+    if len(expo) != n or not all(is_int(e) and e >= 0 for e in expo):
         raise SystemFileError(
             f"{where}: exponent must be {n} nonnegative integers"
         )
@@ -243,7 +244,7 @@ def _system_from_doc(doc, path: str) -> SystemFile:
         exps = _field(eigen_doc, "exponents", list, f"{path}:eigen")
         phases = eigen_doc.get("phases")
         def frac(data, where):
-            if not (isinstance(data, list) and len(data) == 2 and all(isinstance(x, int) for x in data)):
+            if not (isinstance(data, list) and len(data) == 2 and all(map(is_int, data))):
                 raise SystemFileError(f"{where}: rationals are integer pairs [num, den]")
             if data[1] == 0:
                 raise SystemFileError(f"{where}: zero denominator")
@@ -262,10 +263,10 @@ def _system_from_doc(doc, path: str) -> SystemFile:
         )
     lattice_bound = doc.get("degree_D", DEFAULT_LATTICE_BOUND)
     order = doc.get("order_N", DEFAULT_ORDER)
-    if not isinstance(lattice_bound, int) or lattice_bound < 2:
+    if not is_int(lattice_bound) or lattice_bound < 2:
         raise SystemFileError(f"{path}: degree_D must be an integer >= 2")
     _lattice_degree(lattice_bound, n, f"{path}: degree_D")
-    if not isinstance(order, int) or order < 2:
+    if not is_int(order) or order < 2:
         raise SystemFileError(f"{path}: order_N must be an integer >= 2")
     _series_order(order, n, f"{path}: order_N")
     terms = doc.get("terms", [])
@@ -293,9 +294,11 @@ def _system_from_doc(doc, path: str) -> SystemFile:
 # -- serialization ------------------------------------------------------------------
 
 
+# term keys in sorted order, as reports write them, so that `_same` matches
+# a claimed term list with its recomputation in one marshalled compare
 def _scalar_series_json(s: ScalarSeries) -> list:
     return [
-        {"exponent": list(m), "coeff": scalar_to_json(c)} for m, c in s.terms()
+        {"coeff": scalar_to_json(c), "exponent": list(m)} for m, c in s.terms()
     ]
 
 
@@ -304,7 +307,7 @@ def _vector_series_json(v: VectorSeries) -> list:
     for j, comp in enumerate(v.components):
         for m, c in comp.terms():
             out.append(
-                {"component": j + 1, "exponent": list(m), "coeff": scalar_to_json(c)}
+                {"coeff": scalar_to_json(c), "component": j + 1, "exponent": list(m)}
             )
     return out
 
@@ -646,21 +649,28 @@ def _fail(what: str) -> NoReturn:
     raise InternalInvariantError(f"verification failed: {what}")
 
 
+def _same(a, b) -> bool:
+    """Equal as JSON values, types kept (true is not 1, floats by repr, lists
+    and tuples alike); equal marshal v2 bytes (typed, no refs) settle a list."""
+    t = type(a)
+    if t is dict:
+        return type(b) is dict and a.keys() == b.keys() and all(map(_same, a.values(), map(b.__getitem__, a)))
+    if t is list or t is tuple:
+        return type(b) in (list, tuple) and len(a) == len(b) and (
+            marshal.dumps(a, 2) == marshal.dumps(b, 2) or all(map(_same, a, b)))
+    return t is type(b) and (repr(a) == repr(b) if t is float else a == b)
+
+
 def _require_match(claimed, recomputed, path: str) -> None:
     """Exit 4 unless a report entry equals its recomputation as JSON (so
     true is not 1); names the first differing key of an object, and so on
     down through nested objects to the deepest one."""
-
-    def text(value) -> str:
-        # report values are trees, so json's cycle check would only cost time
-        return json.dumps(value, sort_keys=True, check_circular=False)
-
-    if text(claimed) == text(recomputed):
+    if _same(claimed, recomputed):
         return
     while isinstance(claimed, dict) and isinstance(recomputed, dict):
         key = next(
             k for k in sorted(set(claimed) | set(recomputed))
-            if k not in claimed or k not in recomputed or text(claimed[k]) != text(recomputed[k])
+            if k not in claimed or k not in recomputed or not _same(claimed[k], recomputed[k])
         )
         path += "." + key
         claimed, recomputed = claimed.get(key), recomputed.get(key)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import exp, inf, lcm, log
+from math import exp, gcd, inf, lcm, log
 from typing import Optional, Sequence, Union
 
 from .errors import HypothesisError, InternalInvariantError
@@ -175,36 +175,34 @@ def _require_exact_eigenvalues(spec: EigenSpec):
         )
 
 
-def _inverse(div: Scalar) -> tuple[int, int, int]:
-    """(d, x, y) in ints with 1/div = (x + i y) / d and d > 0."""
-    if type(div) is GaussianRational:
-        a, b = div.re, div.im
-        d = lcm(a.denominator, b.denominator)
-        x, y = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
-        return x * x + y * y, d * x, -d * y
-    p, q = div.numerator, div.denominator
-    return (p, q, 0) if p > 0 else (-p, -q, 0)
-
-
 def _split_degree(spec: EigenSpec, rhs: list[tuple], n: int, base: int) -> tuple[list[tuple], list[tuple]]:
     """Split a degree's packed right-hand side into normal-form terms (divisor
     zero, i.e. resonant) and transformation terms (divided by the divisor),
-    both packed; the divisor of y^m e_j is spec.table[m] - spec.values[j]."""
+    both packed.  In ints: the divisor of y^m e_j is value(m) - value(e_j) =
+    (u + iv) / w over `EigenSpec.table`'s triples, made coprime, and its
+    inverse w (u - iv) / (u^2 + v^2), or w / u when v = 0."""
     values = spec.table
     g_s: list[tuple] = []
     phi_s: list[tuple] = []
-    for (den, re, im), target in zip(rhs, spec.values):
+    for j, (den, re, im) in enumerate(rhs):
+        xj, yj, dj = values[tuple(int(i == j) for i in range(n))]
         g_re, g_im, quotients = {}, {}, []
         for k in re.keys() | im.keys() if im else re:
             a, b = re.get(k, 0), im.get(k, 0)
-            div = values[_exponent(k, n, base)] - target
-            if div == 0:
+            x, y, d = values[_exponent(k, n, base)]
+            u, v, w = x * dj - xj * d, y * dj - yj * d, d * dj
+            if not (u or v):
                 if a:
                     g_re[k] = a
                 if b:
                     g_im[k] = b
+                continue
+            c = gcd(u, v, w)
+            u, v, w = u // c, v // c, w // c
+            if v:
+                quotients.append((k, a, b, u * u + v * v, w * u, -w * v))
             else:
-                quotients.append((k, a, b, *_inverse(div)))
+                quotients.append((k, a, b, abs(u), w if u > 0 else -w, 0))
         g_s.append(_reduced(den, g_re, g_im))
         common = lcm(*(q[3] for q in quotients))
         phi_re, phi_im = {}, {}

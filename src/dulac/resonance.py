@@ -11,18 +11,15 @@ Eigenvalue tuples come in three exact forms:
   that is never evaluated; all resonance queries reduce to exact rational
   arithmetic on the exponents and phases.
 
-Each spec owns one table of exponent values, `EigenSpec.table`: mu^m,
-<m, lambda> or (a.m, b.m mod 1), each entry computed on its first lookup as
-a single product or sum from an entry one degree below.  Every value query
-reads it: the resonance test `EigenSpec.resonant` (value(m) = value(e_j),
-or value(m) = value(0) for first integrals), the normalizer's homological
-divisors and `verify`'s resonance checks.  The degree-D scans
-(`enumerate_lattice`, `verify_bound`) read `EigenSpec.classes`, the
-exponents grouped by value in graded-lex order, and do their arithmetic
-once per class, on its first exponent.  The grouping looks up no value: it
-packs the integer coordinates `EigenSpec.keys` of each value, linear in m
-(<m, lambda> or a.m and b.m mod 1 over a common denominator, or valuations
-over a coprime base of Z[i] and a unit exponent), into one int.
+Every value query runs in integers.  `EigenSpec.keys` are integer
+coordinates of the value, linear in m (<m, lambda> or a.m and b.m mod 1
+over a common denominator, or valuations over a coprime base of Z[i] and a
+unit exponent): `EigenSpec.resonant` tests them on m - e_j, and the degree-D
+scans (`enumerate_lattice`, `verify_bound`) read `EigenSpec.classes`, the
+exponents grouped by one packed key int in graded-lex order, doing their
+arithmetic once per class.  An exact spectrum's values mu^m or <m, lambda>
+are the int triples of `EigenSpec.table`, which the exhaustive divisor scan
+and the normalizer's homological divisors read.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from operator import mul
 from typing import Optional, Sequence, Union
 
 from .errors import HypothesisError, InternalInvariantError
-from .linalg import Echelon, primitive_integer_kernel
+from .linalg import Echelon, primitive_integer_kernel, rank
 from .scalars import (
     GaussianRational,
     Scalar,
@@ -103,8 +100,8 @@ class EigenSpec:
 
     @cached_property
     def table(self) -> "ExponentValues":
-        """The values of the exponents looked up so far (not a field: the
-        spec still compares and hashes by its eigenvalues)."""
+        """The values of the exponents looked up so far, as int triples (not
+        a field: the spec still compares and hashes by its eigenvalues)."""
         return ExponentValues(self)
 
     @cached_property
@@ -147,12 +144,21 @@ class EigenSpec:
                     groups.setdefault(key, []).append(m)
         return groups
 
+    @cached_property
+    def kernel_rank(self) -> int:
+        """n minus the key rows' rank: the rank of the whole relation lattice
+        {e in Z^n : value(e) = value(0)}, as t.e = 0 mod T only cuts a
+        sublattice of finite index, so it bounds every enumerated rank."""
+        return self.n - rank(self.keys[0])
+
     def resonant(self, m: Exponent, j: Optional[int] = None) -> bool:
         """y^m e_j is resonant: value(m) = value(e_j), i.e. mu^m = mu_j,
         <m, lambda> = lambda_j or (a.m, b.m) = (a_j, b_j) mod 1; with j None,
-        y^m is a first-integral monomial: value(m) = value(0)."""
-        table = self.table
-        return table[tuple(m)] == table[tuple(int(i == j) for i in range(self.n))]
+        y^m is a first-integral monomial: value(m) = value(0).  Read off the
+        linear keys: rows.e = 0 and t.e = 0 mod T for e = m - e_j."""
+        rows, t, T = self.keys
+        e = [x - (i == j) for i, x in enumerate(m)]
+        return not any(sum(map(mul, r, e)) for r in rows) and sum(map(mul, t, e)) % T == 0
 
     def describe(self) -> str:
         if self.kind == "mult-base":
@@ -268,35 +274,28 @@ def iter_exponents(n: int, low: int, high: int):
 
 
 class ExponentValues(dict):
-    """The value of each exponent m: mu^m for mult-rational, <m, lambda> for
-    additive, and the pair (a.m, b.m mod 1) for mult-base.
-
-    A value is computed on its first lookup: with m = m' + e_i (i the last
-    index with m_i > 0), it is one product or sum from the value of m', as in
-    `series.Powers`, so a lookup costs only the chain of its own exponent.
-    Build it through `EigenSpec.table`, so that one spec keeps one table.
-    """
+    """value(m) = (x + iy) / d, d > 0, of an exact spectrum (mu^m or <m,
+    lambda>) as int triples, each computed on its first lookup from m - e_i
+    (i the last index with m_i > 0) as one Gaussian-integer product by mu_i
+    = w_i / d_i (`gauss_parts`) or one sum over the common denominator, as
+    in `series.Powers`.  Build it through `EigenSpec.table`."""
 
     def __init__(self, spec: EigenSpec):
-        zero = (0,) * spec.n
-        if spec.kind == "mult-base":
-            a, b = spec.exponents, spec.phases
-            super().__init__({zero: (Fraction(0), Fraction(0))})
-            self.step = lambda v, i: (v[0] + a[i], (v[1] + b[i]) % 1)
-        elif spec.kind == "mult-rational":
-            vals = spec.values
-            super().__init__({zero: Fraction(1)})
-            self.step = lambda v, i: v * vals[i]
-        else:
-            vals = spec.values
-            super().__init__({zero: Fraction(0)})
-            self.step = lambda v, i: v + vals[i]
+        if not spec.has_exact_values():
+            raise HypothesisError("a formal-base spectrum has no exact exponent values")
+        parts = [gauss_parts(v) for v in spec.values]
+        self.product = spec.kind == "mult-rational"
+        d = 1 if self.product else lcm(*(e for _, e in parts))
+        self.steps = [(x, y, e) if self.product else (x * d // e, y * d // e, 1) for (x, y), e in parts]
+        super().__init__({(0,) * spec.n: (1, 0, 1) if self.product else (0, 0, d)})
 
     def __missing__(self, m: Exponent):
         i = len(m) - 1
         while not m[i]:
             i -= 1
-        value = self[m] = self.step(self[m[:i] + (m[i] - 1,) + m[i + 1 :]], i)
+        x, y, d = self[m[:i] + (m[i] - 1,) + m[i + 1 :]]
+        a, b, c = self.steps[i]
+        value = self[m] = (x * a - y * b, x * b + y * a, d * c) if self.product else (x + a, y + b, d)
         return value
 
 
@@ -312,11 +311,12 @@ def enumerate_lattice(spec: EigenSpec, bound: int) -> LatticeBasis:
         raise ValueError("enumeration bound must be >= 2")
     kind = "field" if spec.kind == "additive" else "map"
     found = spec.classes(bound).get(0, [])
-    # m/d spans the ray of m, so the distinct candidates span what found does
+    # m/d spans the ray of m, so the distinct candidates span what found does,
+    # and their rank stops at the whole lattice's, `EigenSpec.kernel_rank`
     candidates = list(dict.fromkeys(_generator_candidate(spec, m) for m in found))
     full = Echelon()
     for cand in candidates:
-        if full.rank == spec.n:
+        if full.rank == spec.kernel_rank:
             break
         full.add(dict(enumerate(cand)))
     # greedy in graded-lex arrival order, simple candidates first
@@ -684,28 +684,32 @@ def verify_bound(spec: EigenSpec, bound: SmallDivisorBound, D: int) -> BoundVeri
     it once per class of `EigenSpec.classes`, on the class's first exponent
     (classes arrive in graded-lex order of it), and counts its exponents.
     With exactly representable eigenvalues the minimum gap is found by
-    exhaustive squared-modulus comparison of the divisors value(m) - mu_j
-    resp. value(m) - lambda_j; the first pair reaching the minimum is the
-    witness.  For a formal base or a symbolic bound the proof's case
-    analysis is replayed in integers on the certificate's (a.m, b.m mod 1),
-    which must be the spectrum's own (as `small_divisor_bound_map` builds
-    it), stopping at the first failing pair.
+    exhaustive comparison of the squared moduli of the divisors value(m) -
+    mu_j resp. value(m) - lambda_j, in integers: over the triples of
+    `EigenSpec.table`, |(x, y) d_j - (x_j, y_j) d|^2 / (d d_j)^2 against the
+    running minimum by cross-multiplication; the first pair reaching the
+    minimum is the witness.  For a formal base or a symbolic bound the
+    proof's case analysis is replayed in integers on the certificate's
+    (a.m, b.m mod 1), which must be the spectrum's own (as
+    `small_divisor_bound_map` builds it), stopping at the first failing pair.
     """
     if spec.kind == "mult-base" or isinstance(bound.value, SymbolicBound):
         return _verify_certificate(spec, bound, D)
-    min_sq, witness, checked = None, None, 0
+    eigs = [spec.table[tuple(int(i == j) for i in range(spec.n))] for j in range(spec.n)]
+    num, den, witness, checked = 0, 0, None, 0  # min |divisor|^2 = num / den
     for members in spec.classes(D).values():
-        value = spec.table[members[0]]
-        for j, eig in enumerate(spec.values):
-            div = value - eig
-            if div == 0:
+        x, y, d = spec.table[members[0]]
+        for j, (xj, yj, dj) in enumerate(eigs):
+            u, v = x * dj - xj * d, y * dj - yj * d
+            if not (u or v):
                 continue
             checked += len(members)
-            g2 = sc_abs2(div)
-            if min_sq is None or g2 < min_sq:
-                min_sq, witness = g2, (members[0], j)
-    if min_sq is None:
+            g2, w2 = u * u + v * v, (d * dj) ** 2
+            if witness is None or g2 * den < num * w2:
+                num, den, witness = g2, w2, (members[0], j)
+    if witness is None:
         return BoundVerification(passed=True, checked=0, mode="exhaustive")
+    min_sq = Fraction(num, den)
     passed = min_sq >= _square_of(bound.value)
     return BoundVerification(
         passed=passed, checked=checked, mode="exhaustive", min_gap=sqrt_value(min_sq),

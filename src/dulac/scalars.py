@@ -247,10 +247,13 @@ def scalar_to_json(z: Scalar) -> list[int]:
     return [z.numerator, z.denominator]
 
 
+def is_int(x) -> bool:
+    """x is an integer as JSON input gives one: true and false are not 1, 0."""
+    return type(x) is int
+
+
 def scalar_from_json(data) -> Scalar:
-    if not isinstance(data, list) or len(data) not in (2, 4) or not all(
-        isinstance(x, int) for x in data
-    ):
+    if not isinstance(data, list) or len(data) not in (2, 4) or not all(map(is_int, data)):
         raise ValueError(
             "scalars must be integer pairs [num, den] or quadruples "
             "[re_num, re_den, im_num, im_den]"

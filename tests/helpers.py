@@ -8,14 +8,15 @@ from math import gcd, lcm
 from dulac.linalg import primitive_integer_kernel
 from dulac.normalizer import MapSystem
 from dulac.resonance import EigenSpec, enumerate_lattice, iter_exponents
-from dulac.scalars import sc_pow
+from dulac.scalars import gaussian, sc_pow
 from dulac.series import ScalarSeries, VectorSeries, compose, invert, unit_power
 
 
 # -- per-monomial value oracles ------------------------------------------------------
 #
 # Exponent values, homological divisors and resonance computed from scratch for
-# each exponent, independently of the lazily filled `EigenSpec.table`.
+# each exponent, independently of the lazily filled `EigenSpec.table`, and the
+# `Fraction` table that `EigenSpec.table` replaced by int triples.
 
 
 def oracle_power(spec, m):
@@ -54,6 +55,47 @@ def oracle_resonant(spec, m, j=None):
     if spec.kind == "additive":
         return oracle_inner(spec, m) == (0 if j is None else spec.values[j])
     return oracle_power(spec, m) == (1 if j is None else spec.values[j])
+
+
+class OracleValues(dict):
+    """The value of each exponent m as the `Fraction` table kept it before the
+    table moved to int triples: mu^m for mult-rational, <m, lambda> for
+    additive, and the pair (a.m, b.m mod 1) for mult-base, each computed on
+    its first lookup as one product or sum from the value of m - e_i (i the
+    last index with m_i > 0)."""
+
+    def __init__(self, spec):
+        zero = (0,) * spec.n
+        if spec.kind == "mult-base":
+            a, b = spec.exponents, spec.phases
+            super().__init__({zero: (F(0), F(0))})
+            self.step = lambda v, i: (v[0] + a[i], (v[1] + b[i]) % 1)
+        elif spec.kind == "mult-rational":
+            vals = spec.values
+            super().__init__({zero: F(1)})
+            self.step = lambda v, i: v * vals[i]
+        else:
+            vals = spec.values
+            super().__init__({zero: F(0)})
+            self.step = lambda v, i: v + vals[i]
+
+    def __missing__(self, m):
+        i = len(m) - 1
+        while not m[i]:
+            i -= 1
+        value = self[m] = self.step(self[m[:i] + (m[i] - 1,) + m[i + 1 :]], i)
+        return value
+
+
+def oracle_values(spec):
+    """A fresh `Fraction`/Gaussian table of the spec's exponent values."""
+    return OracleValues(spec)
+
+
+def triple_value(triple):
+    """The value (x + iy) / d of an int triple of `EigenSpec.table`."""
+    x, y, d = triple
+    return gaussian(F(x, d), F(y, d))
 
 
 def normal_form_from_units(mu_vals, p_list, N):
@@ -291,6 +333,52 @@ def _oracle_split(spec, rhs_s, phi_terms, g_terms):
                 phi_terms.append((j, m, sc_div(c, oracle_divisor(spec, m, j))))
 
 
+def _oracle_inverse(div):
+    """(d, x, y) in ints with 1/div = (x + i y) / d and d > 0."""
+    from dulac.scalars import GaussianRational
+
+    if type(div) is GaussianRational:
+        a, b = div.re, div.im
+        d = lcm(a.denominator, b.denominator)
+        x, y = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+        return x * x + y * y, d * x, -d * y
+    p, q = div.numerator, div.denominator
+    return (p, q, 0) if p > 0 else (-p, -q, 0)
+
+
+def oracle_split_degree(spec, rhs, n, base):
+    """`normalizer._split_degree` as it was: each divisor a `Fraction` or
+    Gaussian difference read off the `Fraction` table (`oracle_values`),
+    inverted by `_oracle_inverse`."""
+    from dulac.series import _exponent, _reduced
+
+    values = oracle_values(spec)
+    g_s, phi_s = [], []
+    for (den, re, im), target in zip(rhs, spec.values):
+        g_re, g_im, quotients = {}, {}, []
+        for k in re.keys() | im.keys() if im else re:
+            a, b = re.get(k, 0), im.get(k, 0)
+            div = values[_exponent(k, n, base)] - target
+            if div == 0:
+                if a:
+                    g_re[k] = a
+                if b:
+                    g_im[k] = b
+            else:
+                quotients.append((k, a, b, *_oracle_inverse(div)))
+        g_s.append(_reduced(den, g_re, g_im))
+        common = lcm(*(q[3] for q in quotients))
+        phi_re, phi_im = {}, {}
+        for k, a, b, d, x, y in quotients:
+            f = common // d
+            if v := (a * x - b * y) * f:
+                phi_re[k] = v
+            if v := (a * y + b * x) * f:
+                phi_im[k] = v
+        phi_s.append(_reduced(den * common, phi_re, phi_im))
+    return g_s, phi_s
+
+
 def oracle_normalize(system, N):
     """(phi, g) of the distinguished normalization, every degree's right-hand
     side rebuilt by full compositions: f o (id + phi) + phi o B - phi o (B + g)
@@ -342,12 +430,12 @@ def oracle_conjugacy_field(X, result):
 
 def oracle_classes(spec, D):
     """`EigenSpec.classes` as it was: the exponents with 2 <= |m| <= D grouped
-    by their value from `spec.table` (a Fraction, GaussianRational or
-    (a.m, b.m mod 1) pair, hashed per exponent), values in order of first
+    by their value from the `Fraction` table (a Fraction, GaussianRational
+    or (a.m, b.m mod 1) pair, hashed per exponent), values in order of first
     arrival, each class in graded-lex order."""
-    groups = {}
+    groups, values = {}, oracle_values(spec)
     for m in iter_exponents(spec.n, 2, D):
-        groups.setdefault(spec.table[m], []).append(m)
+        groups.setdefault(values[m], []).append(m)
     return groups
 
 
@@ -400,7 +488,8 @@ def oracle_enumerate_lattice(spec, bound):
 
 
 def oracle_verify_bound(spec, bound, D):
-    """Exhaustive mode: one oracle_divisor call per pair (m, j)."""
+    """Exhaustive mode in `Fraction`s, as the scan was before it ran on int
+    triples: one oracle_divisor call per pair (m, j), compared by sc_abs2."""
     from dulac.resonance import BoundVerification, _square_of, sqrt_value
     from dulac.scalars import sc_abs2
 

@@ -5,7 +5,8 @@ HypothesisError text on seeded spectra, the same beta^q, and the same bound
 JSON on every map fixture and map spectrum of the `lattice` catalogue.  Then
 `resonance` on multipliers far past what trial division could factor: it
 exits in bounded time, and in {0, 2, 3, 4} on any generated spectrum, whose
-grouping by integer keys is the grouping by value."""
+grouping by integer keys is the grouping by value and whose key test of
+resonance is the value test."""
 
 import json
 import random
@@ -25,6 +26,7 @@ from dulac.resonance import (
     _phase,
     _rational_to_base,
     enumerate_lattice,
+    iter_exponents,
     small_divisor_bound_map,
 )
 from dulac.scalars import gaussian, iroot, primitive_root
@@ -37,6 +39,7 @@ from helpers import (
     oracle_factor_positive_rational,
     oracle_phases_of_gaussian,
     oracle_rational_to_base,
+    oracle_resonant,
 )
 
 BASES = [F(2), F(3), F(3, 2), F(4), F(9, 4), F(6), F(10, 3), F(8, 27), F(12), F(2, 5)]
@@ -238,8 +241,12 @@ def test_resonance_exits_0_2_3_or_4(doc):
         path.write_text(json.dumps(doc))
         code = main(["resonance", "--input", str(path), "--output", str(Path(directory) / "rep")])
     assert code in (0, 2, 3, 4)
-    # the grouping by integer keys is the grouping by value, at D = 8
+    # the grouping by integer keys is the grouping by value, and the key test
+    # of resonance is the value test, at D = 8
     if code != 2:
         spec = _system_from_doc(doc, "spectrum").eigen
         assert list(spec.classes(8).values()) == list(oracle_classes(spec, 8).values())
+        for m in iter_exponents(spec.n, 0, 8):
+            for j in (None, *range(spec.n)):
+                assert spec.resonant(m, j) == oracle_resonant(spec, m, j), (m, j)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dulac.cli import MAX_LATTICE_EXPONENTS, MAX_ORDER_MONOMIALS, _emit, _json_text, main, parse_system
+from dulac.cli import MAX_LATTICE_EXPONENTS, MAX_ORDER_MONOMIALS, _emit, _json_text, _same, main, parse_system
 from dulac.errors import SystemFileError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -1020,3 +1020,72 @@ class TestReportWriter:
         edge = {"": [], "é ": {}, '"\\\x00\x1f': [True, 1, None, False, 0, -1],
                 "z": [[{}], [[]], 10**4299 - 1, -(10**4299 - 1)], "a": "\ud800 \U0001f600"}
         assert _json_text(edge) == json.dumps(edge, indent=2, sort_keys=True)
+
+
+class TestBooleansAreNotIntegers:
+    """JSON true and false are refused wherever the input format asks for an
+    integer (exit 2); at the parent most of these inputs ran as 1 and 0."""
+
+    TERM = {"component": 1, "exponent": [1, 1], "coeff": [1, 3]}
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda d: d.update(n=True, eigen={"form": "mult-rational", "values": [[2, 1]]}, terms=[]),
+             "field 'n' has the wrong type"),
+            (lambda d: d["terms"][0].update(component=True), "field 'component' has the wrong type"),
+            (lambda d: d["terms"][0].update(exponent=[True, 1]), "exponent must be 2 nonnegative integers"),
+            (lambda d: d["terms"][0].update(coeff=[True, 3]), "scalars must be integer pairs"),
+            (lambda d: d["eigen"].update(values=[[1, True], [2, 1]]), "scalars must be integer pairs"),
+            (lambda d: d.update(eigen={"form": "mult-base", "exponents": [[True, 1], [-1, 1]]}),
+             "rationals are integer pairs"),
+            (lambda d: d.update(eigen={"form": "mult-base", "exponents": [[1, 1], [-1, 1]],
+                                       "phases": [[0, 1], [False, 2]]}),
+             "rationals are integer pairs"),
+            (lambda d: d.update(degree_D=True), "degree_D must be an integer >= 2"),
+            (lambda d: d.update(order_N=True), "order_N must be an integer >= 2"),
+            (lambda d: d["terms"].__setitem__(0, {"component": True, "exponent": [True, 1], "coeff": [True, 3]}),
+             "field 'component' has the wrong type"),
+        ],
+    )
+    def test_boolean_is_2(self, tmp_path, capsys, edit, message):
+        doc = json.loads(json.dumps(dict(HALF_DOUBLE_DOC, terms=[self.TERM])))
+        assert run(["normalize", "--input", write(tmp_path, "ok.json", doc), "--output", tmp_path / "ok"]) == 0
+        edit(doc)
+        assert run(["normalize", "--input", write(tmp_path, "bad.json", doc), "--output", tmp_path / "rep"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    def test_boolean_in_a_report_is_2(self, tmp_path, capsys):
+        rep = tmp_path / "rep.json"
+        assert run(["normalize", "--input", FIXTURES / "ex2_2d.json", "--output", rep]) == 0
+        doc = load(rep)
+        doc["normalization"]["phi"][0]["exponent"][0] = bool(doc["normalization"]["phi"][0]["exponent"][0])
+        assert run(["verify", "--input", write(tmp_path, "bad.json", doc)]) == 2
+        assert "exponent must be 2 nonnegative integers" in capsys.readouterr().err
+
+
+class TestTypeFaithfulMatch:
+    """`cli._same`, the equality `_require_match` compares with, against the
+    JSON text comparison it replaced."""
+
+    @staticmethod
+    def text(value):
+        return json.dumps(value, sort_keys=True)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(JSON_VALUES, JSON_VALUES)
+    def test_same_is_equal_json_text(self, a, b):
+        from helpers import leaf_edits
+
+        assert _same(a, b) == (self.text(a) == self.text(b))
+        assert _same(a, json.loads(json.dumps(a)))
+        for _, edited in leaf_edits(a):
+            assert not _same(a, edited) and not _same(edited, a)
+
+    def test_types_are_kept(self):
+        assert not _same(True, 1) and not _same(0, False) and not _same(1, 1.0)
+        assert not _same(0.0, -0.0) and _same(float("nan"), float("nan"))
+        assert _same([1, (2, [3])], [1, [2, (3,)]]) and not _same([1], [1, None])
+        assert not _same({"a": 1}, {"a": 1, "b": None}) and not _same({"a": [True]}, {"a": [1]})
+        assert _same({"a": 1, "b": {"c": "x"}}, {"b": {"c": "x"}, "a": 1})

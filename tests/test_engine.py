@@ -18,6 +18,7 @@ from helpers import (
     oracle_invert,
     oracle_normalize,
     oracle_resonant,
+    oracle_split_degree,
     random_sparse_series,
 )
 
@@ -26,6 +27,7 @@ from dulac.normalizer import (
     MapSystem,
     _residual,
     _solve,
+    _split_degree,
     normalize_field,
     normalize_map,
     verify_conjugacy_field,
@@ -174,6 +176,44 @@ def perturbed(system, result, which):
     j, m = rng.choice(pool)
     bump = VectorSeries.from_terms(n, N, [(j, m, random_coeff(rng, True))])
     return replace(result, **{which: getattr(result, which) + bump})
+
+
+class TestIntegerSplit:
+    """`_split_degree` takes each divisor and its inverse from the int
+    triples of `EigenSpec.table`; the split it replaced, with `Fraction`
+    divisors and `_inverse`, is `helpers.oracle_split_degree`."""
+
+    @pytest.mark.parametrize("kind,k,N,resonant", system_cases("map") + system_cases("field"))
+    def test_every_degree_of_the_loop(self, kind, k, N, resonant, monkeypatch):
+        from dulac import normalizer
+
+        split, seen = normalizer._split_degree, []
+
+        def checked(spec, rhs, n, base):
+            got = split(spec, rhs, n, base)
+            assert got == oracle_split_degree(spec, rhs, n, base)
+            seen.append(any(part[1] or part[2] for part in got[0]))
+            return got
+
+        monkeypatch.setattr(normalizer, "_split_degree", checked)
+        system = build_system(kind, k, N)
+        normalize_map(system) if kind == "map" else normalize_field(system)
+        assert len(seen) == N - 1 and any(seen) == resonant
+
+    @pytest.mark.parametrize("values,kind", [
+        ([0, F(1, 2), -1], "field"), ([0, 0], "field"), ([I, -I, 2 * I], "field"),
+        ([I, -1, -I], "map"), ([1 + I, (1 - I) / 2, I], "map"), ([F(-3, 2), F(2, 3), 1], "map"),
+    ])
+    def test_every_monomial_of_a_degree(self, values, kind):
+        """Rational and Gaussian coefficients on every (m, j) of degrees 2..4,
+        over spectra with zero eigenvalues, units and real multipliers."""
+        spec = EigenSpec.multiplicative(values) if kind == "map" else EigenSpec.additive(values)
+        n, rng = len(values), random.Random(f"split/{values}")
+        P = Powers([graded(c, 1) for c in VectorSeries.identity(n, 1).components], 4)
+        for s in range(2, 5):
+            terms = [(j, m, random_coeff(rng, True)) for m in iter_exponents(n, s, s) for j in range(n)]
+            rhs = [P.pack(c)[s] for c in VectorSeries.from_terms(n, 4, terms).components]
+            assert _split_degree(spec, rhs, n, P.base) == oracle_split_degree(spec, rhs, n, P.base)
 
 
 class TestSharedTableResidual:

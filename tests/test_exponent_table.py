@@ -33,18 +33,21 @@ from dulac.resonance import (
     _phase,
     _rational_to_base,
 )
-from dulac.scalars import gaussian, sc_pow
+from dulac.scalars import gaussian, sc_abs2, sc_pow
 
 from helpers import (
     oracle_algebraic_rank,
     oracle_classes,
+    oracle_divisor,
     oracle_enumerate_lattice,
     oracle_factor_positive_rational,
     oracle_inner,
     oracle_power,
     oracle_resonant,
     oracle_verify_bound,
+    oracle_values,
     oracle_verify_certificate,
+    triple_value,
 )
 
 FORMS = ("rational", "gaussian", "additive", "mult-base")
@@ -112,7 +115,7 @@ class TestExponentValues:
     def test_each_value_matches_the_per_monomial_api(self, form, n, seed):
         spec = random_spec(form, n, seed)
         high = min(DEGREES[n], 8)
-        table = spec.table
+        table = oracle_values(spec)
         for m in iter_exponents(n, 0, high):
             table[m]
         assert list(table) == list(iter_exponents(n, 0, high))
@@ -133,21 +136,20 @@ class TestExponentValues:
         """Looked up highest degree first, so that every chain m' -> m is
         built on demand."""
         exponents = list(iter_exponents(n, 0, min(DEGREES[n], 8)))
-        table = random_spec(form, n, seed).table
+        table = oracle_values(random_spec(form, n, seed))
         for m in exponents:
             table[m]
-        lazy = random_spec(form, n, seed).table
+        lazy = oracle_values(random_spec(form, n, seed))
         for m in reversed(exponents):
             assert lazy[m] == table[m]
         assert lazy == table
 
     def test_degree_zero_and_one(self):
-        spec = EigenSpec.multiplicative([F(1, 2), 2])
+        table = oracle_values(EigenSpec.multiplicative([F(1, 2), 2]))
         for m in iter_exponents(2, 0, 1):
-            spec.table[m]
-        assert spec.table == {(0, 0): 1, (1, 0): F(1, 2), (0, 1): 2}
-        spec = EigenSpec.multiplicative_base([1, -2], [F(3, 4), F(1, 2)])
-        table = spec.table
+            table[m]
+        assert table == {(0, 0): 1, (1, 0): F(1, 2), (0, 1): 2}
+        table = oracle_values(EigenSpec.multiplicative_base([1, -2], [F(3, 4), F(1, 2)]))
         assert table[(0, 0)] == (0, 0) and table[(2, 0)] == (2, F(1, 2))
         assert table[(1, 1)] == (-1, F(1, 4))
 
@@ -249,13 +251,14 @@ ORDER_CASES = [(form, n, seed) for form in FORMS for n in (2, 3, 4) for seed in 
 
 def scattered(form, n, seed):
     """A seeded spec whose table already holds sparse lookups in random
-    order, some above the scan degree, as a normalizer solve or `verify`'s
-    resonance check leaves it."""
+    order, some above the scan degree, as a normalizer solve leaves it (a
+    formal base has no table: its scans and resonance tests read the keys)."""
     spec = random_spec(form, n, seed)
     rng = random.Random(f"table/scatter/{form}/{n}/{seed}")
     pool = list(iter_exponents(n, 2, DEGREES[n] + 2))
     for m in rng.sample(pool, 40):
-        spec.table[m]
+        if spec.has_exact_values():
+            spec.table[m]
     return spec
 
 
@@ -372,7 +375,7 @@ class TestRepeatedValues:
     def test_classes_partition_the_scan(self, name):
         spec = REPEATING[name]
         D = DEGREES[spec.n]
-        groups = spec.classes(D)
+        groups, values = spec.classes(D), oracle_values(spec)
         exponents = list(iter_exponents(spec.n, 2, D))
         assert 2 * len(groups) <= len(exponents)  # the values do repeat
         assert sorted(m for ms in groups.values() for m in ms) == sorted(exponents)
@@ -381,8 +384,8 @@ class TestRepeatedValues:
         assert firsts == sorted(firsts)
         for members in groups.values():
             assert [position[m] for m in members] == sorted(position[m] for m in members)
-            assert all(spec.table[m] == spec.table[members[0]] for m in members)
-        assert len({spec.table[ms[0]] for ms in groups.values()}) == len(groups)
+            assert all(values[m] == values[members[0]] for m in members)
+        assert len({values[ms[0]] for ms in groups.values()}) == len(groups)
         assert spec.classes(D) is groups
 
     @pytest.mark.parametrize("name", REPEATING)
@@ -518,6 +521,21 @@ class TestAlgebraicRank:
         spec = random_spec(form, n, seed)
         assert enumerate_lattice(spec, DEGREES[n]).rank <= oracle_algebraic_rank(spec)
 
+    @pytest.mark.parametrize("form,n,seed", CASES)
+    def test_kernel_rank_is_the_algebraic_rank(self, form, n, seed):
+        """`EigenSpec.kernel_rank`, where the lattice rank's echelon stops, is
+        the whole lattice's rank, at least the rank enumerated at any D."""
+        spec = random_spec(form, n, seed)
+        assert spec.kernel_rank == oracle_algebraic_rank(spec)
+        for D in (2, 3, DEGREES[n]):
+            assert enumerate_lattice(spec, D).rank <= spec.kernel_rank
+
+    @pytest.mark.parametrize("name", [*KEY_CORNERS, *REPEATING])
+    def test_corners_kernel_rank_is_the_algebraic_rank(self, name):
+        spec = KEY_CORNERS.get(name) or REPEATING[name]
+        assert spec.kernel_rank == oracle_algebraic_rank(spec)
+        assert enumerate_lattice(spec, DEGREES[spec.n]).rank <= spec.kernel_rank
+
     @pytest.mark.parametrize("name", KEY_CORNERS)
     def test_corners_rank_is_at_most_the_algebraic(self, name):
         spec = KEY_CORNERS[name]
@@ -543,3 +561,86 @@ class TestAlgebraicRank:
         sf = parse_system(str(FIXTURES / fixture))
         assert enumerate_lattice(sf.eigen, sf.lattice_bound).rank == rank
         assert oracle_algebraic_rank(sf.eigen) == rank
+
+
+# -- int triples and the integer scan against the Fraction table -------------------
+
+EXACT_CASES = [c for c in CASES if c[0] != "mult-base"]
+
+
+def _exhaustive_against_oracle(spec, D):
+    """verify_bound equals the Fraction scan whole for a zero bound, for the
+    exact minimum gap (a tie with the bound: passes), and for a bound just
+    above it (fails at the witness)."""
+    zero = SmallDivisorBound("map", F(0))
+    got = verify_bound(spec, zero, D)
+    assert got == oracle_verify_bound(spec, zero, D)
+    if got.min_gap is None:
+        return
+    for value in (got.min_gap, got.min_gap * F(1001, 1000)):
+        bound = SmallDivisorBound("map", value)
+        checked = verify_bound(spec, bound, D)
+        assert checked == oracle_verify_bound(spec, bound, D)
+        assert checked.passed == (value == got.min_gap)
+
+
+class TestIntegerTable:
+    @pytest.mark.parametrize("form,n,seed", EXACT_CASES)
+    def test_triples_are_the_fraction_values(self, form, n, seed):
+        """(x + iy) / d is the oracle's value for every |m| <= D, with d > 0,
+        and lookups in reverse order build the same triples."""
+        spec, fresh = random_spec(form, n, seed), random_spec(form, n, seed)
+        oracle = oracle_values(spec)
+        exponents = list(iter_exponents(n, 0, DEGREES[n]))
+        for m in exponents:
+            assert spec.table[m][2] > 0 and triple_value(spec.table[m]) == oracle[m], m
+        for m in reversed(exponents):
+            assert fresh.table[m] == spec.table[m]
+
+    @pytest.mark.parametrize("name", [k for k, s in {**KEY_CORNERS, **REPEATING}.items()
+                                      if s.kind != "mult-base"])
+    def test_corner_triples(self, name):
+        spec = KEY_CORNERS.get(name) or REPEATING[name]
+        oracle = oracle_values(spec)
+        for m in iter_exponents(spec.n, 0, DEGREES[spec.n]):
+            assert spec.table[m][2] > 0 and triple_value(spec.table[m]) == oracle[m], m
+
+    def test_formal_base_has_no_table(self):
+        with pytest.raises(HypothesisError):
+            EigenSpec.multiplicative_base([1, -1], [F(1, 2), 0]).table
+
+    @pytest.mark.parametrize("form,n,seed", EXACT_CASES)
+    def test_exhaustive_scan_at_several_degrees(self, form, n, seed):
+        spec = random_spec(form, n, seed)
+        for D in sorted({2, 3, DEGREES[n] // 2, DEGREES[n]}):
+            _exhaustive_against_oracle(spec, D)
+
+    @pytest.mark.parametrize("name", [k for k, s in {**KEY_CORNERS, **REPEATING}.items()
+                                      if s.kind != "mult-base"])
+    def test_exhaustive_scan_on_corners(self, name):
+        spec = KEY_CORNERS.get(name) or REPEATING[name]
+        for D in (2, 3, DEGREES[spec.n]):
+            _exhaustive_against_oracle(spec, D)
+
+    @pytest.mark.parametrize("values", [[1, -1], [I, 1], [0, F(1, 2), -1]])
+    def test_tied_minimum_keeps_the_first_witness(self, values):
+        """Several pairs reach the minimum gap: the witness is the first of
+        them in graded-lex order, as the Fraction scan finds it."""
+        spec = EigenSpec.additive(values)
+        D = DEGREES[spec.n]
+        got = verify_bound(spec, SmallDivisorBound("map", F(0)), D)
+        gaps = [sc_abs2(oracle_divisor(spec, m, j)) for m in iter_exponents(spec.n, 2, D)
+                for j in range(spec.n)]
+        assert gaps.count(got.min_gap * got.min_gap) > 1
+        _exhaustive_against_oracle(spec, D)
+
+    @pytest.mark.parametrize("name", ["units-i", "gauss-8", "units-4"])
+    def test_tied_minimum_on_multipliers(self, name):
+        spec = REPEATING[name]
+        D = DEGREES[spec.n]
+        got = verify_bound(spec, SmallDivisorBound("map", F(0)), D)
+        square = got.min_gap.square if isinstance(got.min_gap, RootValue) else got.min_gap ** 2
+        gaps = [sc_abs2(oracle_divisor(spec, m, j)) for m in iter_exponents(spec.n, 2, D)
+                for j in range(spec.n) if oracle_divisor(spec, m, j) != 0]
+        assert gaps.count(square) > 1
+        _exhaustive_against_oracle(spec, D)

@@ -23,7 +23,14 @@ from dulac.resonance import (
 )
 from dulac.scalars import gaussian
 
-from helpers import oracle_divisor, oracle_enumerate_lattice, oracle_pivot_and_deltas, oracle_resonant
+from helpers import (
+    oracle_divisor,
+    oracle_enumerate_lattice,
+    oracle_pivot_and_deltas,
+    oracle_resonant,
+    oracle_values,
+    triple_value,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -69,8 +76,10 @@ class TestResonanceTests:
         assert is_resonant_map(spec, (2, 2), None)
 
     def test_divisor_values(self):
-        assert HALF_DOUBLE.table[(0, 2)] - HALF_DOUBLE.values[0] == F(7, 2)
-        assert SADDLE.table[(0, 2)] - SADDLE.values[0] == -3
+        assert oracle_values(HALF_DOUBLE)[(0, 2)] - HALF_DOUBLE.values[0] == F(7, 2)
+        assert oracle_values(SADDLE)[(0, 2)] - SADDLE.values[0] == -3
+        assert triple_value(HALF_DOUBLE.table[(0, 2)]) - HALF_DOUBLE.values[0] == F(7, 2)
+        assert triple_value(SADDLE.table[(0, 2)]) - SADDLE.values[0] == -3
         assert oracle_divisor(HALF_DOUBLE, (0, 2), 0) == F(7, 2)
 
 
