@@ -36,8 +36,6 @@ from .resonance import (
     SmallDivisorBound,
     SymbolicBound,
     enumerate_lattice,
-    is_resonant_field,
-    is_resonant_map,
     small_divisor_bound_field,
     small_divisor_bound_map,
     verify_bound,
@@ -52,21 +50,17 @@ from .normalizer import (
     extract_common_factor_field,
     extract_integrable_shape_map,
     growth_diagnostic,
-    normalize_field,
-    normalize_map,
+    normalize,
     reduce_to_single_function,
-    verify_conjugacy_field,
-    verify_conjugacy_map,
+    verify_conjugacy,
 )
 from .integrals import (
     IndependenceCertificate,
     independence_check,
     monomial_integrals,
     pullback_integrals,
-    search_integrals_field,
-    search_integrals_map,
-    verify_integral_field,
-    verify_integral_map,
+    search_integrals,
+    verify_integral,
 )
 from .embedding import (
     EmbeddingField,

@@ -26,22 +26,19 @@ from .integrals import (
     independence_check,
     monomial_integrals,
     pullback_integrals,
-    search_integrals_field,
-    search_integrals_map,
-    verify_integral_field,
-    verify_integral_map,
+    search_integrals,
+    verify_integral,
 )
 from .normalizer import (
     FieldSystem,
     IntegrabilityReport,
     MapSystem,
     NormalizationResult,
+    System,
     classify,
     growth_diagnostic,
-    normalize_field,
-    normalize_map,
-    verify_conjugacy_field,
-    verify_conjugacy_map,
+    normalize,
+    verify_conjugacy,
 )
 from .resonance import (
     EigenSpec,
@@ -89,10 +86,8 @@ class SystemFile:
     lattice_bound: int
     order: int
 
-    def system(self):
-        if self.kind == "map":
-            return MapSystem(self.eigen, self.nonlinear, self.order)
-        return FieldSystem(self.eigen, self.nonlinear, self.order)
+    def system(self) -> System:
+        return (MapSystem if self.kind == "map" else FieldSystem)(self.eigen, self.nonlinear, self.order)
 
 
 def _reject_float(value):
@@ -124,6 +119,10 @@ def _load_json(path: str):
         raise SystemFileError(
             f"{path}: an integer literal has more than {sys.get_int_max_str_digits()} "
             "digits, the limit of Python's integer parsing"
+        ) from exc
+    except RecursionError as exc:
+        raise SystemFileError(
+            f"{path}: JSON nested deeper than Python's recursion limit of {sys.getrecursionlimit()}"
         ) from exc
 
 
@@ -525,7 +524,7 @@ def _normalize_body(result: NormalizationResult) -> dict:
 
 def _run_normalize(sf: SystemFile, N: int) -> dict:
     system = sf.system()
-    return _normalize_body(normalize_map(system, N) if sf.kind == "map" else normalize_field(system, N))
+    return _normalize_body(normalize(system, N))
 
 
 def _run_classify(sf: SystemFile, D: int, N: int) -> dict:
@@ -552,8 +551,7 @@ def _integral_set_json(vs, residual_zero: list[bool], cert=None) -> dict:
 def _residual_zero(system, vs: Sequence[ScalarSeries], order: int) -> list[bool]:
     """Whether each integral's exact residual (V o F - V for a map, <grad V,
     X> for a field) vanishes through the order."""
-    verify = verify_integral_map if isinstance(system, MapSystem) else verify_integral_field
-    return [verify(v, system, order).is_zero() for v in vs]
+    return [verify_integral(v, system, order).is_zero() for v in vs]
 
 
 def _has_pullback(eigen: EigenSpec, basis: LatticeBasis) -> bool:
@@ -563,18 +561,15 @@ def _has_pullback(eigen: EigenSpec, basis: LatticeBasis) -> bool:
 
 def _run_integrals(sf: SystemFile, D: int, N: int, seed: int) -> dict:
     system = sf.system()
-    found = search_integrals_map(system, N) if sf.kind == "map" else search_integrals_field(system, N)
+    found = search_integrals(system, N)
     cert = (
         independence_check(found, trials=DEFAULT_TRIALS, seed=seed) if len(found) else None
     )
     section = {"search": _integral_set_json(found, _residual_zero(system, found, N), cert)}
     basis = enumerate_lattice(sf.eigen, D)
     if _has_pullback(sf.eigen, basis):
-        result = (
-            normalize_map(system, N) if sf.kind == "map" else normalize_field(system, N)
-        )
         monomials = monomial_integrals(basis, trunc=N)
-        pulled = pullback_integrals(monomials, result.phi, N)
+        pulled = pullback_integrals(monomials, normalize(system, N).phi, N)
         pcert = independence_check(pulled, trials=DEFAULT_TRIALS, seed=seed)
         section["pullback"] = _integral_set_json(pulled, _residual_zero(system, pulled, N), pcert)
         section["pullback"]["generators"] = [list(g) for g in basis.generators]
@@ -598,7 +593,7 @@ def _run_embed(sf: SystemFile, D: int, N: int) -> dict:
     emb = embedding_field(system, pulled, N - 1)
     flags = list(emb.flags)
     phi_one = time_one_map(emb.field, TIME_ONE_TERMS, emb.order)
-    time_one_matches = phi_one == system.full_map(emb.order).truncate(emb.order)
+    time_one_matches = phi_one == system.full(emb.order).truncate(emb.order)
     if not time_one_matches:
         flags.append(
             "the truncated time-one map of the field differs from the map: the "
@@ -697,8 +692,7 @@ def _claimed_normalization(sf: SystemFile, system, norm_doc, where: str) -> Norm
     phi = _vector_from_json(_field(norm_doc, "phi", None, where), sf.n, order, f"{where}.phi")
     g = _vector_from_json(_field(norm_doc, "g", None, where), sf.n, order, f"{where}.g")
     result = NormalizationResult(spec=sf.eigen, phi=phi, g=g, order=order)
-    verify = verify_conjugacy_map if sf.kind == "map" else verify_conjugacy_field
-    residual = verify(system, result)
+    residual = verify_conjugacy(system, result)
     if not residual.is_zero():
         bad = min(sum(m) for comp in residual.components for m in comp.coeffs)
         _fail(f"conjugacy residual is nonzero at degree {bad}")

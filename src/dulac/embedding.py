@@ -95,16 +95,16 @@ def embedding_field(
         raise HypothesisError(
             f"dimension {n} needs exactly {n - 1} integrals, got {len(vs)}"
         )
-    if not F.mu.has_exact_values():
+    if not F.spec.has_exact_values():
         raise HypothesisError("embedding needs exactly representable eigenvalues")
     if order is None:
         order = min([F.order - 1] + [v.trunc - 1 for v in vs])
     if order < 1:
         raise ValueError("embedding order must be >= 1")
-    DF = jacobian(F.full_map())
+    DF = jacobian(F.full())
     det = det_series(DF, order)
     # F^(-1) = (id + B^(-1) f)^(-1) o B^(-1)
-    b_inv = [sc_div(Fraction(1), v) for v in F.mu.values]
+    b_inv = [sc_div(Fraction(1), v) for v in F.spec.values]
     unit = VectorSeries.identity(n, order) + VectorSeries(
         [comp.truncate(order).scale(b_inv[j]) for j, comp in enumerate(F.nonlinear.components)]
     )
@@ -144,7 +144,7 @@ def verify_equivariance(F: MapSystem, X: VectorSeries, order: int | None = None)
             "X has constant terms; the residual is only certified one degree "
             "below the system order"
         )
-    return mat_vec(jacobian(F.full_map()), X, order) - VectorSeries(F.powers.compose(X.components, order))
+    return mat_vec(jacobian(F.full()), X, order) - VectorSeries(F.powers.compose(X.components, order))
 
 
 def time_one_map(X: VectorSeries, lie_order: int, order: int | None = None) -> VectorSeries:

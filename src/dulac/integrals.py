@@ -1,13 +1,15 @@
 """First integrals of maps and fields: construction, search, pullback,
 exact verification, and an exact independence check of the jets at seeded
 sample points (it holds for the jets as polynomials, not for series with
-these jets).
+these jets).  The search and the verification each have one entry point for
+both kinds of system, `search_integrals` and `verify_integral`, with the
+map/field difference in one branch.
 
 A set of integrals is a plain tuple of series, each with zero constant term
 and expected to pass its verify_integral check with an exactly zero
 residual.
 
-The searches, the residuals and the independence check stay in the packed
+The search, the residuals and the independence check stay in the packed
 integers of `series` until their output: a search column is read from the
 parts of F's power table (maps) or summed from packed derivative pairs over
 X's table (fields), each degree of V o F - V or <grad V, X> is one packed
@@ -40,7 +42,7 @@ from .series import (
     _scalars,
     invert,
 )
-from .normalizer import FieldSystem, MapSystem
+from .normalizer import MapSystem, System
 
 
 @dataclass(frozen=True)
@@ -82,62 +84,46 @@ def pullback_integrals(
     return tuple(Powers.of(psi, order).compose([v.truncate(order) for v in vs], order))
 
 
-_UNIT = (1, {0: 1}, {})  # the packed constant 1
+_MINUS_ONE = (1, {0: -1}, {})  # the packed constant -1
 
 
-def verify_integral_map(V: ScalarSeries, F: MapSystem, order: int | None = None) -> ScalarSeries:
-    """Exact residual V o F - V through the order (zero iff V is invariant).
-    Each degree s is one packed sum over F's table: the pairs of V o F and
-    -V_s times the packed unit, unpacked only when it is nonzero."""
+def verify_integral(V: ScalarSeries, system: System, order: int | None = None) -> ScalarSeries:
+    """Exact residual through the order, zero iff V is a first integral:
+    V o F - V for a map, <grad V, A x + f(x)> for a field.  Each degree s is
+    one packed sum over the system's table, unpacked only when it is
+    nonzero: the pairs of V o F and (V_s, -1) for a map, the pairs
+    (d/dy_i V_e, [X_i]_(s-e+1)) for a field."""
     if order is None:
-        order = min(V.trunc, F.order)
-    if order > F.order:
-        raise HypothesisError(f"system data certified to degree {F.order}; cannot verify to {order}")
-    if not F.mu.has_exact_values():
-        # formal base: only the linear map is representable, and the residual
-        # of a monomial y^m is (mu^m - 1) y^m, so invariance is decided on the
-        # exponent certificate alone
-        if not F.nonlinear.is_zero():
+        order = min(V.trunc, system.order)
+    if order > system.order:
+        raise HypothesisError(f"system data certified to degree {system.order}; cannot verify to {order}")
+    if not system.spec.has_exact_values():
+        # formal base (maps only): only the linear map is representable, and
+        # the residual of a monomial y^m is (mu^m - 1) y^m, so invariance is
+        # decided on the exponent certificate alone
+        if not system.nonlinear.is_zero():
             raise HypothesisError(
                 "formal-base verification supports linear maps only"
             )
         for m, _ in V.terms():
-            if not F.mu.resonant(m):
+            if not system.spec.resonant(m):
                 raise HypothesisError(
                     f"residual of monomial {m} is not representable over the "
                     "coefficient field (nonresonant against the formal base)"
                 )
         return ScalarSeries.zero(V.n, order)
-    P = F.powers
-    outer = P.pack(V.truncate(order))
+    P = system.powers
+    packed = P.pack(V.truncate(order))
+    is_map = isinstance(system, MapSystem)
+    if not is_map:  # the packed d/dy_i V_e, for each degree e and each i
+        grads = [[(den, _diff(re, w, P.base, 1), _diff(im, w, P.base, 1)) for w in P.weights] for den, re, im in packed]
     coeffs: dict[Exponent, Scalar] = {}
     for s in range(1, order + 1):
-        den, re, im = outer[s]
-        minus_V = (den, {k: -v for k, v in re.items()}, {k: -v for k, v in im.items()})
-        part = _products(_pairs(outer, P, s) + [(minus_V, _UNIT)])
-        if part[1] or part[2]:
-            coeffs.update(P.unpack(part))
-    return ScalarSeries._make(V.n, order, coeffs)
-
-
-def verify_integral_field(V: ScalarSeries, X: FieldSystem, order: int | None = None) -> ScalarSeries:
-    """Exact residual <grad V, A x + f(x)> through the order.  Each degree s
-    is one packed sum over X's table: the pairs (d/dy_i V_e, [X_i]_(s-e+1)),
-    unpacked only when it is nonzero."""
-    if order is None:
-        order = min(V.trunc, X.order)
-    if order > X.order:
-        raise HypothesisError(f"system data certified to degree {X.order}; cannot verify to {order}")
-    P = X.powers
-    grads = [
-        [(den, _diff(re, w, P.base, 1), _diff(im, w, P.base, 1)) for w in P.weights]
-        for den, re, im in P.pack(V.truncate(order))
-    ]
-    coeffs: dict[Exponent, Scalar] = {}
-    for s in range(1, order + 1):
-        part = _products([
-            (g, Xi[s - e + 1]) for e in range(1, s + 1) for g, Xi in zip(grads[e], P.parts)
-        ])
+        if is_map:
+            pairs = _pairs(packed, P, s) + [(packed[s], _MINUS_ONE)]
+        else:
+            pairs = [(g, Xi[s - e + 1]) for e in range(1, s + 1) for g, Xi in zip(grads[e], P.parts)]
+        part = _products(pairs)
         if part[1] or part[2]:
             coeffs.update(P.unpack(part))
     return ScalarSeries._make(V.n, order, coeffs)
@@ -145,7 +131,7 @@ def verify_integral_field(V: ScalarSeries, X: FieldSystem, order: int | None = N
 
 # -- search -----------------------------------------------------------------------
 #
-# Both searches solve for the kernel of one linear operator on the monomials
+# The search solves for the kernel of one linear operator on the monomials
 # y^m with 1 <= |m| <= degree.  Column m holds the operator's image of y^m
 # through the certified order, entered straight from packed parts: the row of
 # the term y^r of degree s is s * base^n + (packed key of r), so the rows go
@@ -172,9 +158,10 @@ def _kernel_series(
     return tuple(series)
 
 
-def search_integrals_map(F: MapSystem, degree: int) -> tuple[ScalarSeries, ...]:
-    """Spanning set of polynomial W of degree <= `degree` with W o F = W
-    exactly through every degree the system data certifies.
+def search_integrals(system: System, degree: int) -> tuple[ScalarSeries, ...]:
+    """Spanning set of polynomial W of degree <= `degree` that are first
+    integrals (W o F = W for a map, <grad W, X> = 0 for a field) exactly
+    through every degree the system data certifies.
 
     The free parameters sit on the resonant monomials; nonresonant slots are
     forced, and the higher-order compatibility conditions (through the full
@@ -184,61 +171,42 @@ def search_integrals_map(F: MapSystem, degree: int) -> tuple[ScalarSeries, ...]:
     the certification order can legitimately come back empty even for
     integrable systems.  Solved as one exact kernel computation over the
     monomial basis by the sparse echelon of `linalg`, in graded-lex column
-    order.  The column of y^m is y^m o F - y^m, read degree by degree from
-    the parts [F^m]_s of F's power table, with y^m subtracted on its own row
-    (the degree-|m| part of F^m is mu^m y^m)."""
-    if degree > F.order:
+    order.  For a map the column of y^m is y^m o F - y^m, read degree by
+    degree from the parts [F^m]_s of F's power table, with y^m subtracted on
+    its own row (the degree-|m| part of F^m is mu^m y^m); for a field it is
+    <grad y^m, X>, each degree of it one packed sum of the pairs
+    (d/dy_i y^m, a degree part of X_i)."""
+    n, N = system.n, system.order
+    if degree > N:
         raise HypothesisError(
-            f"system data certified to degree {F.order}; cannot search to {degree}"
+            f"system data certified to degree {N}; cannot search to {degree}"
         )
-    n = F.n
-    if not F.mu.has_exact_values():
-        if not F.nonlinear.is_zero():
+    if not system.spec.has_exact_values():  # a formal base: maps only
+        if not system.nonlinear.is_zero():
             raise HypothesisError("formal-base search supports linear maps only")
         return tuple(
             ScalarSeries.monomial(n, degree, m)
             for m in iter_exponents(n, 1, degree)
-            if F.mu.resonant(m)
+            if system.spec.resonant(m)
         )
-    P = F.powers
+    is_map = isinstance(system, MapSystem)
+    P = system.powers
     shift = P.base**n
     monomials = list(iter_exponents(n, 1, degree))
     columns = []
     for m in monomials:
         k, d = sum(map(mul, m, P.weights)), sum(m)
         col: dict[int, Scalar] = {}
-        for s in range(d, F.order + 1):
-            col.update(_scalars(P.part(k, s), s * shift))
-        own = d * shift + k
-        c = col.pop(own) - 1
-        if c:
-            col[own] = c
-        columns.append(col)
-    return _kernel_series(columns, monomials, n, degree)
-
-
-def search_integrals_field(X: FieldSystem, degree: int) -> tuple[ScalarSeries, ...]:
-    """Spanning set of polynomial V of degree <= `degree` whose derivative
-    along the field vanishes exactly through every certified degree.  The
-    column of y^m is <grad y^m, X>, each degree of it one packed sum of the
-    pairs (d/dy_i y^m, a degree part of X_i); columns go in graded-lex order
-    as in `search_integrals_map`."""
-    if degree > X.order:
-        raise HypothesisError(
-            f"system data certified to degree {X.order}; cannot search to {degree}"
-        )
-    n, N = X.n, X.order
-    P = X.powers
-    shift = P.base**n
-    monomials = list(iter_exponents(n, 1, degree))
-    columns = []
-    for m in monomials:
-        k, d = sum(map(mul, m, P.weights)), sum(m)
-        grad = [(1, _diff({k: 1}, w, P.base, 1), {}) for w in P.weights]
-        col: dict[int, Scalar] = {}
-        for s in range(d, N + 1):
-            pairs = [(g, Xi[s - d + 1]) for g, Xi in zip(grad, P.parts)]
-            col.update(_scalars(_products(pairs), s * shift))
+        if is_map:
+            for s in range(d, N + 1):
+                col.update(_scalars(P.part(k, s), s * shift))
+            own = d * shift + k
+            if c := col.pop(own) - 1:
+                col[own] = c
+        else:
+            grad = [(1, _diff({k: 1}, w, P.base, 1), {}) for w in P.weights]
+            for s in range(d, N + 1):
+                col.update(_scalars(_products([(g, Xi[s - d + 1]) for g, Xi in zip(grad, P.parts)]), s * shift))
         columns.append(col)
     return _kernel_series(columns, monomials, n, degree)
 

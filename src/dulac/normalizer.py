@@ -1,13 +1,16 @@
 """Distinguished normalization and integrability classification.
 
 A system is a diagonal linear part (given by its exact eigenvalues) plus a
-nonlinear series starting at degree two.  One solver loop serves maps and
-fields: it walks the degrees from two upward, and at degree s the right-hand
-side [f(y + phi(y))]_s minus a correction term ([phi(B y + g(y))]_s for maps,
-[Dphi(y) g(y)]_s for fields) needs phi and g only below degree s.  The
-powers of y + phi (and of B y + g) therefore grow online, one homogeneous
-degree per step, in the composition engine of `series`, and each degree-s
-part is computed once.  A term whose exact homological divisor
+nonlinear series starting at degree two: a `MapSystem` (multiplicative
+eigenvalues) or a `FieldSystem` (additive ones), the two kinds of one
+`System` type.  Each operation has one entry point for both kinds
+(`normalize`, `verify_conjugacy`, `classify`).  One solver loop serves
+maps and fields: it walks the degrees from two upward, and at degree s the
+right-hand side [f(y + phi(y))]_s minus a correction term ([phi(B y +
+g(y))]_s for maps, [Dphi(y) g(y)]_s for fields) needs phi and g only below
+degree s.  The powers of y + phi (and of B y + g) therefore grow online,
+one homogeneous degree per step, in the composition engine of `series`, and
+each degree-s part is computed once.  A term whose exact homological divisor
 (mu^m - mu_j for maps, <m, lambda> - lambda_j for fields) is zero is
 resonant and goes to the normal form; every other term is divided through
 and goes to the normalization.  Each degree's right-hand side, its split
@@ -25,7 +28,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import exp, gcd, inf, lcm, log
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import HypothesisError, InternalInvariantError
 from .linalg import primitive_integer_kernel
@@ -49,92 +52,73 @@ from .series import (
 # -- systems -------------------------------------------------------------------
 
 
-def _init_system(system, spec_name: str, spec: EigenSpec, f: VectorSeries, order: int | None):
-    if spec.n != f.n:
-        raise ValueError("eigenvalue tuple and nonlinear part disagree on dimension")
-    for j, comp in enumerate(f.components):
-        for m in comp.coeffs:
-            if sum(m) < 2:
-                raise ValueError(
-                    f"nonlinear part has a term of degree {sum(m)} in component "
-                    f"{j + 1}; constant and linear terms belong to the linear part"
-                )
-    order = f.trunc if order is None else order
-    object.__setattr__(system, spec_name, spec)
-    object.__setattr__(system, "nonlinear", f.with_trunc(order))
-    object.__setattr__(system, "order", order)
-
-
 @dataclass(frozen=True)
-class MapSystem:
-    """A local diffeomorphism x -> B x + f(x) with diagonal B = diag(mu)."""
+class System:
+    """A diagonal linear part diag(spec.values) plus a nonlinear series from
+    degree two, through `order` (default: the series' own truncation).  Only
+    its two kinds are built: a MapSystem or a FieldSystem."""
 
-    mu: EigenSpec
+    spec: EigenSpec
     nonlinear: VectorSeries
-    order: int
+    order: Optional[int] = None
 
-    def __init__(self, mu: EigenSpec, nonlinear: VectorSeries, order: int | None = None):
-        if not mu.is_multiplicative():
-            raise ValueError("a map system needs multiplicative eigenvalues")
-        _init_system(self, "mu", mu, nonlinear, order)
+    def __post_init__(self):
+        if type(self) is System:
+            raise TypeError("a system is built as a MapSystem or a FieldSystem")
+        f = self.nonlinear
+        if self.spec.n != f.n:
+            raise ValueError("eigenvalue tuple and nonlinear part disagree on dimension")
+        for j, comp in enumerate(f.components):
+            for m in comp.coeffs:
+                if sum(m) < 2:
+                    raise ValueError(
+                        f"nonlinear part has a term of degree {sum(m)} in component "
+                        f"{j + 1}; constant and linear terms belong to the linear part"
+                    )
+        order = f.trunc if self.order is None else self.order
+        object.__setattr__(self, "nonlinear", f.with_trunc(order))
+        object.__setattr__(self, "order", order)
 
     @property
     def n(self) -> int:
-        return self.mu.n
+        return self.spec.n
 
     def linear(self, trunc: int | None = None) -> VectorSeries:
-        if not self.mu.has_exact_values():
+        if not self.spec.has_exact_values():
             raise HypothesisError(
                 "the linear part is not exactly representable for a formal base"
             )
-        return VectorSeries.diagonal_linear(self.mu.values, self.order if trunc is None else trunc)
+        return VectorSeries.diagonal_linear(self.spec.values, self.order if trunc is None else trunc)
 
-    def full_map(self, trunc: int | None = None) -> VectorSeries:
+    def full(self, trunc: int | None = None) -> VectorSeries:
+        """The whole system, linear part included: B x + f(x) or A x + f(x)."""
         t = self.order if trunc is None else trunc
         return self.linear(t) + (self.nonlinear.truncate(t) if t <= self.order else self.nonlinear.with_trunc(t))
 
     @cached_property
     def powers(self) -> Powers:
-        """F's one table of powers (not a field, like EigenSpec.table)."""
-        return Powers.of(self.full_map(), self.order)
+        """The one table of powers of `full()` (not a field, like
+        EigenSpec.table); a field's loops read only its parts, parts[i][d]
+        the degree-d part of X_i."""
+        return Powers.of(self.full(), self.order)
 
 
-@dataclass(frozen=True)
-class FieldSystem:
+class MapSystem(System):
+    """A local diffeomorphism x -> B x + f(x) with diagonal B = diag(mu)."""
+
+    def __post_init__(self):
+        if not self.spec.is_multiplicative():
+            raise ValueError("a map system needs multiplicative eigenvalues")
+        super().__post_init__()
+
+
+class FieldSystem(System):
     """A vector field x' = A x + f(x) with diagonal A = diag(lambda)."""
 
-    lam: EigenSpec
-    nonlinear: VectorSeries
-    order: int
-
-    def __init__(self, lam: EigenSpec, nonlinear: VectorSeries, order: int | None = None):
-        if lam.kind != "additive":
+    def __post_init__(self):
+        if self.spec.kind != "additive":
             raise ValueError("a field system needs additive eigenvalues")
-        _init_system(self, "lam", lam, nonlinear, order)
-
-    @property
-    def n(self) -> int:
-        return self.lam.n
-
-    def linear(self, trunc: int | None = None) -> VectorSeries:
-        return VectorSeries.diagonal_linear(self.lam.values, self.order if trunc is None else trunc)
-
-    def full_field(self, trunc: int | None = None) -> VectorSeries:
-        t = self.order if trunc is None else trunc
-        return self.linear(t) + (self.nonlinear.truncate(t) if t <= self.order else self.nonlinear.with_trunc(t))
-
-    @cached_property
-    def powers(self) -> Powers:
-        """X's one packed table (the counterpart of MapSystem.powers): only
-        its parts, parts[i][d] the degree-d part of X_i, are read."""
-        return Powers.of(self.full_field(), self.order)
-
-
-System = Union[MapSystem, FieldSystem]
-
-
-def _eigen_of(system: System) -> EigenSpec:
-    return system.mu if isinstance(system, MapSystem) else system.lam
+        super().__post_init__()
 
 
 # -- normalization result --------------------------------------------------------
@@ -229,7 +213,7 @@ def _solve(system: System, order: int | None) -> tuple[NormalizationResult, Powe
             f"system data certified to degree {system.nonlinear.trunc} cannot be "
             f"normalized to degree {N}"
         )
-    spec = _eigen_of(system)
+    spec = system.spec
     n = system.n
     is_map = isinstance(system, MapSystem)
     P = Powers([graded(c, 1) for c in VectorSeries.identity(n, 1).components], N)
@@ -252,32 +236,19 @@ def _solve(system: System, order: int | None) -> tuple[NormalizationResult, Powe
     return NormalizationResult(spec=spec, phi=phi, g=g, order=N), P, Q
 
 
-def normalize_map(F: MapSystem, order: int | None = None) -> NormalizationResult:
-    """Distinguished normalization of a map, degree by degree.
+def normalize(system: System, order: int | None = None) -> NormalizationResult:
+    """Distinguished normalization of a map or field, degree by degree.
 
-    Solves phi(B y) - B phi(y) + g(y) = [f(y + phi(y)) - phi(B y + g(y))]_s
-    at each degree s (phi holding the lower degrees on the right), with g
-    collecting the resonant part and phi the nonresonant part; the conjugacy
-    F o Phi = Phi o G of the output is verified exactly, through the loop's
-    own tables.
+    For a map it solves phi(B y) - B phi(y) + g(y) = [f(y + phi(y)) -
+    phi(B y + g(y))]_s, for a field Dphi(y) A y - A phi(y) + g(y) =
+    [f(y + phi(y)) - Dphi(y) g(y)]_s, at each degree s (phi holding the lower
+    degrees on the right), with g collecting the resonant part and phi the
+    nonresonant part.  The conjugacy of the output (F o Phi = Phi o G, or
+    DPhi * G = X o Phi) is verified exactly, through the loop's own tables.
     """
-    _require_exact_eigenvalues(F.mu)
-    result, P, Q = _solve(F, order)
-    return _attach_residuals(result, _residual(F, P, Q))
-
-
-def normalize_field(X: FieldSystem, order: int | None = None) -> NormalizationResult:
-    """Distinguished normalization of a vector field, degree by degree.
-
-    Solves Dphi(y) A y - A phi(y) + g(y) = [f(y + phi(y)) - Dphi(y) g(y)]_s;
-    the homological operator acts on a monomial y^m e_j as multiplication by
-    <m, lambda> - lambda_j.
-    """
-    result, P, Q = _solve(X, order)
-    return _attach_residuals(result, _residual(X, P, Q))
-
-
-def _attach_residuals(result: NormalizationResult, residual: VectorSeries) -> NormalizationResult:
+    _require_exact_eigenvalues(system.spec)
+    result, P, Q = _solve(system, order)
+    residual = _residual(system, P, Q)
     if not residual.is_zero():
         bad = min(sum(m) for comp in residual.components for m in comp.coeffs)
         raise InternalInvariantError(
@@ -294,8 +265,7 @@ def _residual(system: System, P: Powers, Q: Powers) -> VectorSeries:
     compositions read the tables' caches, so a table the degree loop filled
     is not filled again."""
     N = P.base - 1
-    whole = system.full_map(N) if isinstance(system, MapSystem) else system.full_field(N)
-    outer = [P.pack(c) for c in whole.components]
+    outer = [P.pack(c) for c in system.full(N).components]
     parts: list[list[dict]] = [[{}] for _ in outer]
     for s in range(1, N + 1):
         if isinstance(system, MapSystem):
@@ -308,22 +278,13 @@ def _residual(system: System, P: Powers, Q: Powers) -> VectorSeries:
     return VectorSeries._from_parts(parts, N)
 
 
-def _tables(result: NormalizationResult) -> tuple[Powers, Powers]:
-    """Fresh tables of the claimed pair: Phi = y + phi and the normal form."""
-    return Powers.of(result.normalization(), result.order), Powers.of(result.normal_form(), result.order)
-
-
-def verify_conjugacy_map(F: MapSystem, result: NormalizationResult) -> VectorSeries:
-    """Exact residual F o Phi - Phi o G through the solved order (zero iff
-    the pair conjugates the map to the normal form), through tables built
-    from the claimed pair alone."""
-    return _residual(F, *_tables(result))
-
-
-def verify_conjugacy_field(X: FieldSystem, result: NormalizationResult) -> VectorSeries:
-    """Exact residual DPhi * Y - (A + f) o Phi through the solved order,
-    through tables built from the claimed pair alone."""
-    return _residual(X, *_tables(result))
+def verify_conjugacy(system: System, result: NormalizationResult) -> VectorSeries:
+    """Exact conjugacy residual through the solved order, F o Phi - Phi o G
+    for a map or DPhi * G - (A + f) o Phi for a field (zero iff the pair
+    conjugates the system to the normal form), through tables built from the
+    claimed pair alone."""
+    N = result.order
+    return _residual(system, Powers.of(result.normalization(), N), Powers.of(result.normal_form(), N))
 
 
 # -- structure of integrable normal forms ---------------------------------------
@@ -344,21 +305,29 @@ class ShapeResult:
         return f"component {j + 1} contains monomial {m} not divisible by y{j + 1}"
 
 
+def _over_own_coordinate(result: NormalizationResult, j: int) -> tuple[Optional[Exponent], Optional[ScalarSeries]]:
+    """g_j / (v_j y_j) through order N - 1, as (None, quotient), or (m, None)
+    with m the first monomial of g_j that v_j y_j does not divide (any term
+    when the eigenvalue v_j is zero)."""
+    v = result.spec.values[j]
+    shifted: dict[Exponent, Scalar] = {}
+    for m, c in result.g.components[j].terms():
+        if m[j] == 0 or v == 0:
+            return m, None
+        shifted[m[:j] + (m[j] - 1,) + m[j + 1 :]] = sc_div(c, v)
+    return None, ScalarSeries(result.n, result.order - 1, shifted)
+
+
 def extract_integrable_shape_map(result: NormalizationResult) -> ShapeResult:
     """Factor the normal form as G_j = mu_j y_j (1 + p_j(y)), or name the first
     monomial that blocks the factorization (the map is then not integrable)."""
-    mu = result.spec
-    _require_exact_eigenvalues(mu)
-    N = result.order
+    _require_exact_eigenvalues(result.spec)
     ps = []
-    for j, comp in enumerate(result.g.components):
-        shifted: dict[Exponent, Scalar] = {}
-        for m, c in comp.terms():
-            if m[j] == 0:
-                return ShapeResult(ok=False, witness=(j, m))
-            dm = m[:j] + (m[j] - 1,) + m[j + 1 :]
-            shifted[dm] = sc_div(c, mu.values[j])
-        ps.append(ScalarSeries(result.n, N - 1, shifted))
+    for j in range(result.n):
+        m, p = _over_own_coordinate(result, j)
+        if p is None:
+            return ShapeResult(ok=False, witness=(j, m))
+        ps.append(p)
     return ShapeResult(ok=True, p=tuple(ps))
 
 
@@ -459,32 +428,19 @@ def extract_common_factor_field(result: NormalizationResult) -> CommonFactorResu
 
     Components with lambda_j = 0 must vanish identically in this strict
     shape; any deviation is returned as a witness instead of an error."""
-    lam = result.spec
-    N = result.order
-    n = result.n
     h: Optional[ScalarSeries] = None
-    h_from = None
-    for j, comp in enumerate(result.g.components):
-        if lam.values[j] == 0:
-            if not comp.is_zero():
-                m = comp.terms()[0][0]
-                return CommonFactorResult(ok=False, witness=(j, m))
+    for j in range(result.n):
+        m, hj = _over_own_coordinate(result, j)
+        if hj is None:
+            return CommonFactorResult(ok=False, witness=(j, m))
+        if result.spec.values[j] == 0:
             continue
-        shifted: dict[Exponent, Scalar] = {}
-        for m, c in comp.terms():
-            if m[j] == 0:
-                return CommonFactorResult(ok=False, witness=(j, m))
-            dm = m[:j] + (m[j] - 1,) + m[j + 1 :]
-            shifted[dm] = sc_div(c, lam.values[j])
-        hj = ScalarSeries(n, N - 1, shifted)
         if h is None:
-            h, h_from = hj, j
+            h = hj
         elif h != hj:
             return CommonFactorResult(ok=False, witness=(j, None))
-    if h is None:
-        # every component with a nonzero eigenvalue was zero
-        h = ScalarSeries.zero(n, N - 1)
-    return CommonFactorResult(ok=True, h=h)
+    # h stays None when every component with a nonzero eigenvalue was zero
+    return CommonFactorResult(ok=True, h=ScalarSeries.zero(result.n, result.order - 1) if h is None else h)
 
 
 # -- growth diagnostic -----------------------------------------------------------
@@ -615,7 +571,7 @@ def _conditions(
     that fails, with what was computed on the way put into `found` under the
     field names of IntegrabilityReport."""
     is_map = isinstance(system, MapSystem)
-    spec = _eigen_of(system)
+    spec = system.spec
     flags = found["flags"]
     if is_map and not _map_hypothesis_ok(spec):
         return "hypotheses-not-met", (
@@ -643,7 +599,7 @@ def _conditions(
         )
 
     if normal_form is None:
-        normal_form = (normalize_map if is_map else normalize_field)(system, N)
+        normal_form = normalize(system, N)
     found["normalization"] = normal_form
     growth = found["growth"] = growth_diagnostic(normal_form.phi)
     if growth.super_geometric:

@@ -202,23 +202,6 @@ def _valuation_rows(mus: Sequence[Scalar]) -> tuple[list[list[int]], list[int], 
     return [list(r) for r in zip(*rows)], [x // g for x in t], 4 // g
 
 
-# -- resonance tests ----------------------------------------------------------
-
-
-def is_resonant_map(mu: EigenSpec, m: Exponent, j: Optional[int] = None) -> bool:
-    """mu^m == mu_j, or mu^m == 1 when j is None (first-integral resonance)."""
-    if not mu.is_multiplicative():
-        raise HypothesisError("is_resonant_map needs a multiplicative eigen spec")
-    return mu.resonant(m, j)
-
-
-def is_resonant_field(lam: EigenSpec, m: Exponent, j: Optional[int] = None) -> bool:
-    """<m, lambda> == lambda_j, or == 0 when j is None."""
-    if lam.kind != "additive":
-        raise HypothesisError("is_resonant_field needs an additive eigen spec")
-    return lam.resonant(m, j)
-
-
 # -- resonant lattice ---------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ monomials of total degree <= trunc are representable and explicit zeros are
 never stored.  All arithmetic is exact over Fraction / GaussianRational
 coefficients.  Series are immutable and every operation is a pure function,
 so sharing a series across threads is safe; a `Powers` table fills as it is
-read, so one (and a `MapSystem` holding one) is read from one thread.
+read, so one (and a system holding one) is read from one thread.
 
 Binary operations take an explicit output truncation degree and default to
 the minimum of the operands' degrees, which prevents silently claiming more
@@ -46,7 +46,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DulacError
-from .scalars import GaussianRational, Scalar, format_scalar
+from .scalars import GaussianRational, Scalar, format_scalar, is_int
 
 Exponent = tuple[int, ...]
 
@@ -62,7 +62,7 @@ def grlex_key(m: Exponent) -> tuple[int, Exponent]:
 def _check_exponent(m, n: int, trunc: int):
     if len(m) != n:
         raise SeriesError(f"exponent {m} has length {len(m)}, expected {n}")
-    if any(e < 0 or not isinstance(e, int) for e in m):
+    if any(not is_int(e) or e < 0 for e in m):
         raise SeriesError(f"exponent {m} has negative or non-integer entries")
     if sum(m) > trunc:
         raise SeriesError(f"exponent {m} exceeds truncation degree {trunc}")
@@ -83,8 +83,10 @@ class ScalarSeries:
             for m, c in coeffs.items():
                 m = tuple(m)
                 _check_exponent(m, n, trunc)
-                if isinstance(c, int):
+                if is_int(c):
                     c = Fraction(c)
+                elif not isinstance(c, (Fraction, GaussianRational)):
+                    raise SeriesError(f"coefficient {c!r} of {m} is not an int, Fraction or GaussianRational")
                 if c == 0:
                     continue
                 clean[m] = c
@@ -175,7 +177,7 @@ class ScalarSeries:
         return min(self.trunc, other.trunc)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, GaussianRational)):
             other = ScalarSeries.const(self.n, self.trunc, other)
         if not isinstance(other, ScalarSeries):
             return NotImplemented
@@ -200,7 +202,7 @@ class ScalarSeries:
         return ScalarSeries._make(self.n, self.trunc, {m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, GaussianRational)):
             other = ScalarSeries.const(self.n, self.trunc, other)
         if not isinstance(other, ScalarSeries):
             return NotImplemented

@@ -386,7 +386,7 @@ def oracle_normalize(system, N):
     from dulac.series import jacobian, mat_vec
 
     is_map = isinstance(system, MapSystem)
-    spec = system.mu if is_map else system.lam
+    spec = system.spec
     n = system.n
     phi_terms, g_terms = [], []
     for s in range(2, N + 1):
@@ -404,12 +404,12 @@ def oracle_normalize(system, N):
 
 
 def oracle_conjugacy_map(F, result):
-    """The map's conjugacy residual F o Phi - Phi o G as `verify_conjugacy_map`
+    """The map's conjugacy residual F o Phi - Phi o G as `verify_conjugacy`
     computed it before the residual read packed tables: two full compositions
     through fresh tables and a Fraction subtraction."""
     N = result.order
     Phi, G = result.normalization(), result.normal_form()
-    return compose(F.full_map(N), Phi, N) - compose(Phi, G, N)
+    return compose(F.full(N), Phi, N) - compose(Phi, G, N)
 
 
 def oracle_conjugacy_field(X, result):
@@ -418,7 +418,7 @@ def oracle_conjugacy_field(X, result):
 
     N = result.order
     Phi, Y = result.normalization(), result.normal_form()
-    return mat_vec(jacobian(Phi), Y, N) - compose(X.full_field(N), Phi, N)
+    return mat_vec(jacobian(Phi), Y, N) - compose(X.full(N), Phi, N)
 
 
 # -- resonance scan oracles ----------------------------------------------------------
@@ -912,7 +912,7 @@ def oracle_verify_integral_map(V, Fm, order=None):
     """V o F - V through the order, as a series composition and difference."""
     if order is None:
         order = min(V.trunc, Fm.order)
-    return oracle_compose_scalar(V.truncate(order), Fm.full_map(order), order) - V.truncate(order)
+    return oracle_compose_scalar(V.truncate(order), Fm.full(order), order) - V.truncate(order)
 
 
 def oracle_verify_integral_field(V, X, order=None):
@@ -921,7 +921,7 @@ def oracle_verify_integral_field(V, X, order=None):
 
     if order is None:
         order = min(V.trunc, X.order)
-    return scalar_inner(gradient(V), X.full_field(order), order)
+    return scalar_inner(gradient(V), X.full(order), order)
 
 
 def _oracle_echelon_kernel_series(columns, monomials, n, degree):
@@ -942,15 +942,15 @@ def _oracle_echelon_kernel_series(columns, monomials, n, degree):
 
 
 def oracle_search_integrals_map(Fm, degree):
-    """search_integrals_map with each column V o F - V of V = y^m composed
+    """search_integrals on a map, with each column V o F - V of V = y^m composed
     and subtracted as series."""
     n = Fm.n
-    if not Fm.mu.has_exact_values():
+    if not Fm.spec.has_exact_values():
         assert Fm.nonlinear.is_zero()
         return tuple(
             ScalarSeries.monomial(n, degree, m)
             for m in iter_exponents(n, 1, degree)
-            if Fm.mu.resonant(m)
+            if Fm.spec.resonant(m)
         )
     monomials = list(iter_exponents(n, 1, degree))
     outers = [ScalarSeries.monomial(n, Fm.order, m) for m in monomials]
@@ -960,11 +960,11 @@ def oracle_search_integrals_map(Fm, degree):
 
 
 def oracle_search_integrals_field(X, degree):
-    """search_integrals_field with each column <grad y^m, X> summed term by
+    """search_integrals on a field, with each column <grad y^m, X> summed term by
     term in Fractions."""
     n = X.n
     through = X.order
-    Xf = X.full_field(through)
+    Xf = X.full(through)
     monomials = list(iter_exponents(n, 1, degree))
     columns = {}
     for m in monomials:

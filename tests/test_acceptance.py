@@ -26,9 +26,8 @@ from dulac.embedding import embedding_field, time_one_map
 from dulac.integrals import (
     monomial_integrals,
     pullback_integrals,
-    search_integrals_field,
-    search_integrals_map,
-    verify_integral_field,
+    search_integrals,
+    verify_integral,
 )
 from dulac.normalizer import (
     FieldSystem,
@@ -36,10 +35,9 @@ from dulac.normalizer import (
     classify,
     extract_common_factor_field,
     extract_integrable_shape_map,
-    normalize_field,
-    normalize_map,
+    normalize,
     reduce_to_single_function,
-    verify_conjugacy_map,
+    verify_conjugacy,
 )
 from dulac.resonance import (
     EigenSpec,
@@ -86,10 +84,10 @@ class _Budget:
 def test_criterion_1_two_dim_reproduction(tmp_path):
     with _Budget("criterion 1: 2D reproduction at N=8", 5.0):
         system, phi, g = two_dim_fixture(N=8)
-        result = normalize_map(system, 8)
+        result = normalize(system, 8)
         assert result.phi == phi
         assert result.g == g
-        assert verify_conjugacy_map(system, result).is_zero()
+        assert verify_conjugacy(system, result).is_zero()
         report = classify(system, 10, 8)
         assert report.verdict == "integrable-consistent"
         assert report.lattice.rank == 1
@@ -151,18 +149,18 @@ def test_criterion_4_planar_center_normal_form():
             ScalarSeries(2, 8, {(1, 2): -1}),
         ])
         system = FieldSystem(SADDLE, f, 8)
-        result = normalize_field(system, 8)
+        result = normalize(system, 8)
         assert result.phi.is_zero()
         assert result.g == f
         factor = extract_common_factor_field(result)
         assert factor.ok
         assert factor.h == ScalarSeries.monomial(2, 7, (1, 1))
-        found = search_integrals_field(system, 4)
+        found = search_integrals(system, 4)
         assert [v.terms()[0][0] for v in found] == [(1, 1), (2, 2)]
         assert found[0] == ScalarSeries.monomial(2, 4, (1, 1))
         assert found[1] == ScalarSeries.monomial(2, 4, (2, 2))
         for v in found:
-            assert verify_integral_field(v, system, 4).is_zero()
+            assert verify_integral(v, system, 4).is_zero()
 
 
 def test_criterion_5_round_trip_property_suite():
@@ -171,16 +169,16 @@ def test_criterion_5_round_trip_property_suite():
         for case in range(200):
             n = 2 if case % 2 == 0 else 3
             system, phi, g = random_integrable_case(rng, n, N=6)
-            result = normalize_map(system, 6)
+            result = normalize(system, 6)
             assert result.phi == phi, f"case {case}: transformation differs"
             assert result.g == g, f"case {case}: normal form differs"
             assert result.residual_zero_degrees == tuple(range(2, 7))
             for j, comp in enumerate(result.phi.components):
                 for m in comp.coeffs:
-                    assert not oracle_resonant(system.mu, m, j)
+                    assert not oracle_resonant(system.spec, m, j)
             for j, comp in enumerate(result.g.components):
                 for m in comp.coeffs:
-                    assert oracle_resonant(system.mu, m, j)
+                    assert oracle_resonant(system.spec, m, j)
 
 
 def test_criterion_6_embedding_suite(tmp_path):
@@ -194,7 +192,7 @@ def test_criterion_6_embedding_suite(tmp_path):
         ])
         assert emb_lin.tangent and emb_lin.equivariant
         phi_one = time_one_map(emb_lin.field, 12, 8)
-        assert phi_one != lin.full_map(8).truncate(8)
+        assert phi_one != lin.full(8).truncate(8)
         # the 2D integrable fixture, certified through degree 8
         system, phi, _ = two_dim_fixture(N=10)
         pulled = pullback_integrals(
@@ -235,7 +233,7 @@ def test_criterion_7_negative_controls():
         # shape violation with a named witness (direct)
         mu = EigenSpec.multiplicative([8, 2])
         f = VectorSeries([ScalarSeries(2, 4, {(0, 3): 1}), ScalarSeries.zero(2, 4)])
-        shape = extract_integrable_shape_map(normalize_map(MapSystem(mu, f, 4)))
+        shape = extract_integrable_shape_map(normalize(MapSystem(mu, f, 4)))
         assert not shape.ok
         assert shape.witness == (0, (0, 3))
         # shape violation through the full pipeline (rank n-1 spectrum)
@@ -249,11 +247,11 @@ def test_criterion_7_negative_controls():
         assert rep3.verdict == "not-integrable"
         assert "not divisible" in rep3.witness
         # nonresonant spectra: searches come back empty through degree 8
-        empty_map = search_integrals_map(
+        empty_map = search_integrals(
             MapSystem(EigenSpec.multiplicative([2, 3]), VectorSeries.zero(2, 8), 8), 8
         )
         assert len(empty_map) == 0
-        empty_field = search_integrals_field(
+        empty_field = search_integrals(
             FieldSystem(EigenSpec.additive([1, 2]), VectorSeries.zero(2, 8), 8), 8
         )
         assert len(empty_field) == 0

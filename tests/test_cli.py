@@ -109,7 +109,7 @@ class TestFixtureFiles:
 
         sf = parse_system(str(FIXTURES / "ex2_2d.json"))
         system, _, _ = two_dim_fixture(N=8)
-        assert sf.eigen.values == system.mu.values
+        assert sf.eigen.values == system.spec.values
         assert sf.nonlinear == system.nonlinear
 
     def test_three_dim_fixture_file_matches_builder(self):
@@ -117,7 +117,7 @@ class TestFixtureFiles:
 
         sf = parse_system(str(FIXTURES / "ex2_3d.json"))
         system, _, _, _ = three_dim_fixture(N=8)
-        assert sf.eigen.values == system.mu.values
+        assert sf.eigen.values == system.spec.values
         assert sf.nonlinear == system.nonlinear
 
 
@@ -401,7 +401,7 @@ class TestOnePowerTablePerMap:
         """The field search and every <grad V, X> residual read X's one packed table."""
         from dulac.series import Powers
 
-        field = parse_system(str(FIXTURES / "center.json")).system().full_field()
+        field = parse_system(str(FIXTURES / "center.json")).system().full()
         of, tabled = Powers.of.__func__, []
 
         def recording(cls, inner, trunc):
@@ -750,6 +750,30 @@ class TestUnreadableInputIs2:
         assert run(["verify", "--input", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(sys.get_int_max_str_digits()) in err
+
+    @staticmethod
+    def too_deep(path, text, sentinel):
+        """Write `text` with the sentinel string replaced by 100 000 nested
+        empty lists, past the interpreter's recursion limit."""
+        path.write_text(text.replace(json.dumps(sentinel), "[" * 100_000 + "]" * 100_000))
+        return path
+
+    def test_system_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        path = self.too_deep(tmp_path / "deep.json", json.dumps(dict(HALF_DOUBLE_DOC, terms="deep")), "deep")
+        assert run(["resonance", "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "recursion limit" in err and "Traceback" not in err
+
+    def test_report_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        rep = tmp_path / "rep.json"
+        assert run(["normalize", "--input", FIXTURES / "ex2_2d.json", "--output", rep]) == 0
+        doc = load(rep)
+        doc["normalization"]["phi"] = "deep"
+        path = self.too_deep(tmp_path / "deep.json", json.dumps(doc), "deep")
+        capsys.readouterr()
+        assert run(["verify", "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "recursion limit" in err and "Traceback" not in err
 
     def test_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"

@@ -6,7 +6,7 @@ from helpers import conjugate_map, normal_form_from_units, two_dim_fixture, thre
 
 from dulac.embedding import cross_field, embedding_field, time_one_map, verify_equivariance
 from dulac.errors import HypothesisError
-from dulac.integrals import monomial_integrals, pullback_integrals, verify_integral_map
+from dulac.integrals import monomial_integrals, pullback_integrals, verify_integral
 from dulac.normalizer import MapSystem
 from dulac.resonance import EigenSpec, enumerate_lattice
 from dulac.series import (
@@ -60,7 +60,7 @@ class TestEmbeddingField:
         pulled = pullback_integrals(
             monomial_integrals(enumerate_lattice(HALF_DOUBLE, 8), trunc=10), phi, 10
         )
-        assert verify_integral_map(pulled[0], system, 10).is_zero()
+        assert verify_integral(pulled[0], system, 10).is_zero()
         emb = embedding_field(system, pulled, 8)
         assert emb.tangent
         assert emb.equivariant
@@ -78,7 +78,7 @@ class TestEmbeddingField:
         phi = VectorSeries([S(2, N, {(1, 2): 1}), ScalarSeries.zero(2, N)])
         system = conjugate_map(mu_vals, G, phi, N)
         pulled = pullback_integrals([ScalarSeries.monomial(2, N, (1, 1))], phi, N)
-        assert verify_integral_map(pulled[0], system, N).is_zero()
+        assert verify_integral(pulled[0], system, N).is_zero()
         emb = embedding_field(system, pulled, 8)
         assert emb.tangent
         assert not emb.equivariant
@@ -137,7 +137,7 @@ class TestTimeOne:
         X = VectorSeries([S(2, 8, {(1, 0): 1}), S(2, 8, {(0, 1): -1})])
         assert verify_equivariance(Fm, X, 8).is_zero()
         phi_one = time_one_map(X, 12, 8)
-        assert phi_one != Fm.full_map(8)
+        assert phi_one != Fm.full(8)
 
     def test_constant_term_rejected(self):
         bad = VectorSeries([ScalarSeries.one(2, 3), ScalarSeries.zero(2, 3)])

@@ -28,10 +28,8 @@ from dulac.normalizer import (
     _residual,
     _solve,
     _split_degree,
-    normalize_field,
-    normalize_map,
-    verify_conjugacy_field,
-    verify_conjugacy_map,
+    normalize,
+    verify_conjugacy,
 )
 from dulac.resonance import EigenSpec, iter_exponents
 from dulac.scalars import gaussian
@@ -115,7 +113,7 @@ class TestNormalizerAgainstOracle:
     @pytest.mark.parametrize("kind,k,N,resonant", system_cases("map") + system_cases("field"))
     def test_same_phi_and_g(self, kind, k, N, resonant):
         system = build_system(kind, k, N)
-        result = normalize_map(system) if kind == "map" else normalize_field(system)
+        result = normalize(system)
         phi, g = oracle_normalize(system, N)
         assert result.phi == phi and result.g == g
         assert result.phi.trunc == N and result.g.trunc == N
@@ -128,15 +126,15 @@ class TestNormalizerAgainstOracle:
         n = len(values)
         zero = VectorSeries.zero(n, 5)
         if kind == "map":
-            result = normalize_map(MapSystem(EigenSpec.multiplicative(values), zero, 5))
+            result = normalize(MapSystem(EigenSpec.multiplicative(values), zero, 5))
         else:
-            result = normalize_field(FieldSystem(EigenSpec.additive(values), zero, 5))
+            result = normalize(FieldSystem(EigenSpec.additive(values), zero, 5))
         assert result.phi.is_zero() and result.g.is_zero()
         assert result.residual_zero_degrees == (2, 3, 4, 5)
 
     def test_order_below_system_order(self):
         system = build_system("map", 0, 7)
-        result = normalize_map(system, 4)
+        result = normalize(system, 4)
         phi, g = oracle_normalize(system, 4)
         assert result.order == 4 and result.phi == phi and result.g == g
 
@@ -197,7 +195,7 @@ class TestIntegerSplit:
 
         monkeypatch.setattr(normalizer, "_split_degree", checked)
         system = build_system(kind, k, N)
-        normalize_map(system) if kind == "map" else normalize_field(system)
+        normalize(system)
         assert len(seen) == N - 1 and any(seen) == resonant
 
     @pytest.mark.parametrize("values,kind", [
@@ -238,8 +236,7 @@ class TestSharedTableResidual:
         want = oracle_conjugacy(system, claimed)
         assert not want.is_zero()
         assert _residual(system, *loop_tables(system, claimed)) == want
-        verify = verify_conjugacy_map if kind == "map" else verify_conjugacy_field
-        assert verify(system, claimed) == want
+        assert verify_conjugacy(system, claimed) == want
 
 
 def random_inner(rng, n, trunc, gaussian_ok=False, max_terms=6):

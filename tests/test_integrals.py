@@ -22,12 +22,10 @@ from dulac.integrals import (
     independence_check,
     monomial_integrals,
     pullback_integrals,
-    search_integrals_field,
-    search_integrals_map,
-    verify_integral_field,
-    verify_integral_map,
+    search_integrals,
+    verify_integral,
 )
-from dulac.normalizer import FieldSystem, MapSystem, normalize_map
+from dulac.normalizer import FieldSystem, MapSystem, normalize
 from dulac.resonance import EigenSpec, enumerate_lattice
 from dulac.scalars import gaussian
 from dulac.series import ScalarSeries, VectorSeries
@@ -80,31 +78,27 @@ class TestMonomialIntegrals:
 class TestVerify:
     def test_linear_map_invariant(self):
         Fm = MapSystem(HALF_DOUBLE, VectorSeries.zero(2, 10), 10)
-        assert verify_integral_map(ScalarSeries.monomial(2, 10, (1, 1)), Fm).is_zero()
+        assert verify_integral(ScalarSeries.monomial(2, 10, (1, 1)), Fm).is_zero()
 
     def test_linear_map_witness(self):
         Fm = MapSystem(HALF_DOUBLE, VectorSeries.zero(2, 6), 6)
-        r = verify_integral_map(ScalarSeries.variable(2, 0, 6), Fm)
+        r = verify_integral(ScalarSeries.variable(2, 0, 6), Fm)
         assert r.coeff((1, 0)) == F(-1, 2)
 
-    def test_order_above_the_system_refused(self):
-        """F's data is certified only through its order: V o F above it would
-        treat the truncated map as exact."""
-        Fm = MapSystem(HALF_DOUBLE, VectorSeries.zero(2, 6), 6)
+    @pytest.mark.parametrize("kind,spec", [(MapSystem, HALF_DOUBLE), (FieldSystem, SADDLE)], ids=["map", "field"])
+    def test_order_above_the_system_refused(self, kind, spec):
+        """The system's data is certified only through its order: V o F (or
+        <grad V, X>) above it would treat the truncated system as exact."""
+        system = kind(spec, VectorSeries.zero(2, 6), 6)
         with pytest.raises(HypothesisError, match="certified to degree 6; cannot verify to 8"):
-            verify_integral_map(ScalarSeries.monomial(2, 10, (1, 1)), Fm, 8)
-
-    def test_field_order_above_the_system_refused(self):
-        X = FieldSystem(SADDLE, VectorSeries.zero(2, 6), 6)
-        with pytest.raises(HypothesisError, match="certified to degree 6; cannot verify to 8"):
-            verify_integral_field(ScalarSeries.monomial(2, 10, (1, 1)), X, 8)
+            verify_integral(ScalarSeries.monomial(2, 10, (1, 1)), system, 8)
 
     def test_formal_base_certification(self):
         spec = EigenSpec.multiplicative_base([-5, 2])
         Fm = MapSystem(spec, VectorSeries.zero(2, 8), 8)
-        assert verify_integral_map(ScalarSeries.monomial(2, 8, (2, 5)), Fm).is_zero()
+        assert verify_integral(ScalarSeries.monomial(2, 8, (2, 5)), Fm).is_zero()
         with pytest.raises(HypothesisError):
-            verify_integral_map(ScalarSeries.monomial(2, 8, (1, 1)), Fm)
+            verify_integral(ScalarSeries.monomial(2, 8, (1, 1)), Fm)
 
     def test_nilpotent_polynomial_first_integral(self):
         # x' = y^(p+1), y' = -x^(q+1) with p = q = 0: H = x^2/2 + y^2/2
@@ -117,8 +111,8 @@ class TestVerify:
     def test_center_field(self):
         f = VectorSeries([S(2, 6, {(2, 1): 1}), S(2, 6, {(1, 2): -1})])
         X = FieldSystem(SADDLE, f, 6)
-        assert verify_integral_field(ScalarSeries.monomial(2, 6, (1, 1)), X).is_zero()
-        assert not verify_integral_field(ScalarSeries.variable(2, 0, 6), X).is_zero()
+        assert verify_integral(ScalarSeries.monomial(2, 6, (1, 1)), X).is_zero()
+        assert not verify_integral(ScalarSeries.variable(2, 0, 6), X).is_zero()
 
 
 class TestPullback:
@@ -137,30 +131,30 @@ class TestPullback:
         H = monomial_integrals(enumerate_lattice(HALF_DOUBLE, 8), trunc=8)
         pulled = pullback_integrals(H, phi, 8)
         for V in pulled:
-            assert verify_integral_map(V, system, 8).is_zero()
+            assert verify_integral(V, system, 8).is_zero()
 
     def test_three_dim_pullbacks(self):
         system, phi, _, _ = three_dim_fixture(N=8)
         basis = enumerate_lattice(EigenSpec.multiplicative([F(1, 32), 4, 2]), 8)
         pulled = pullback_integrals(monomial_integrals(basis, trunc=8), phi, 8)
         for V in pulled:
-            assert verify_integral_map(V, system, 8).is_zero()
+            assert verify_integral(V, system, 8).is_zero()
 
 
 class TestSearchMap:
     def test_linear_half_double(self):
         Fm = MapSystem(HALF_DOUBLE, VectorSeries.zero(2, 2), 2)
-        got = search_integrals_map(Fm, 2)
+        got = search_integrals(Fm, 2)
         assert len(got) == 1
         assert got[0] == ScalarSeries.monomial(2, 2, (1, 1))
 
     def test_no_resonances_empty(self):
         Fm = MapSystem(EigenSpec.multiplicative([2, 3]), VectorSeries.zero(2, 6), 6)
-        assert len(search_integrals_map(Fm, 6)) == 0
+        assert len(search_integrals(Fm, 6)) == 0
 
     def test_fixture_search_is_the_pullback_line(self):
         system, phi, _ = two_dim_fixture(N=8)
-        got = search_integrals_map(system, 4)
+        got = search_integrals(system, 4)
         assert len(got) == 1
         pulled = pullback_integrals(
             monomial_integrals(enumerate_lattice(HALF_DOUBLE, 8), trunc=4), phi.truncate(4), 4
@@ -172,7 +166,7 @@ class TestSearchMap:
 
     def test_search_at_full_order_contains_pullbacks(self):
         system, phi, _ = two_dim_fixture(N=8)
-        got = search_integrals_map(system, 8)
+        got = search_integrals(system, 8)
         pulled = pullback_integrals(
             monomial_integrals(enumerate_lattice(HALF_DOUBLE, 8), trunc=8), phi, 8
         )
@@ -180,16 +174,16 @@ class TestSearchMap:
 
     def test_search_results_verify(self):
         system, _, _ = two_dim_fixture(N=8)
-        for V in search_integrals_map(system, 6):
-            assert verify_integral_map(V, system, 6).is_zero()
+        for V in search_integrals(system, 6):
+            assert verify_integral(V, system, 6).is_zero()
 
     def test_map_resonance_structure(self):
         system, _, _ = two_dim_fixture(N=8)
         basis_spec = HALF_DOUBLE
         # searched integrals of the normal form consist of resonant monomials
-        res = normalize_map(system)
+        res = normalize(system)
         Gsys = MapSystem(HALF_DOUBLE, res.g, 8)
-        for W in search_integrals_map(Gsys, 6):
+        for W in search_integrals(Gsys, 6):
             for m, _ in W.terms():
                 assert oracle_resonant(basis_spec, m)
 
@@ -197,24 +191,24 @@ class TestSearchMap:
 class TestSearchField:
     def test_linear_saddle(self):
         X = FieldSystem(SADDLE, VectorSeries.zero(2, 4), 4)
-        got = search_integrals_field(X, 4)
+        got = search_integrals(X, 4)
         assert [v.terms()[0][0] for v in got] == [(1, 1), (2, 2)]
 
     def test_center_same_integrals(self):
         f = VectorSeries([S(2, 4, {(2, 1): 1}), S(2, 4, {(1, 2): -1})])
         X = FieldSystem(SADDLE, f, 4)
-        got = search_integrals_field(X, 4)
+        got = search_integrals(X, 4)
         assert [v.terms()[0][0] for v in got] == [(1, 1), (2, 2)]
         for V in got:
-            assert verify_integral_field(V, X, 4).is_zero()
+            assert verify_integral(V, X, 4).is_zero()
 
     def test_poincare_domain_empty(self):
         X = FieldSystem(EigenSpec.additive([1, 2]), VectorSeries.zero(2, 6), 6)
-        assert len(search_integrals_field(X, 6)) == 0
+        assert len(search_integrals(X, 6)) == 0
 
     def test_degenerate_eigenvalue_linear_integral(self):
         X = FieldSystem(EigenSpec.additive([1, 0]), VectorSeries.zero(2, 4), 4)
-        got = search_integrals_field(X, 4)
+        got = search_integrals(X, 4)
         assert got[0] == ScalarSeries.variable(2, 1, 4)
 
     def test_count_never_exceeds_rank(self):
@@ -225,7 +219,7 @@ class TestSearchField:
                 continue
             X = FieldSystem(lam, VectorSeries.zero(2, 5), 5)
             basis = enumerate_lattice(lam, 5)
-            found = search_integrals_field(X, 5)
+            found = search_integrals(X, 5)
             # spanning sets can repeat powers; independent count is bounded by rank
             if found:
                 cert = independence_check(found, trials=6, seed=1)
@@ -311,68 +305,65 @@ def _same(got, want):
     assert [v.trunc for v in got] == [v.trunc for v in want]
 
 
-class TestPackedSearch:
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_map_search_equals_oracle(self, seed):
-        for Fm in _maps(seed):
-            for degree in (Fm.order - 2, Fm.order):
-                _same(search_integrals_map(Fm, degree), oracle_search_integrals_map(Fm, degree))
+# per kind: the systems of a seed, the oracle search and the oracle residual
+KINDS = {
+    "map": (_maps, oracle_search_integrals_map, oracle_verify_integral_map),
+    "field": (_fields, oracle_search_integrals_field, oracle_verify_integral_field),
+}
 
+
+class TestPackedSearch:
+    @pytest.mark.parametrize("kind", ["map", "field"])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_field_search_equals_oracle(self, seed):
-        for X in _fields(seed):
-            for degree in (X.order - 2, X.order):
-                _same(search_integrals_field(X, degree), oracle_search_integrals_field(X, degree))
+    def test_search_equals_oracle(self, kind, seed):
+        systems, oracle, _ = KINDS[kind]
+        for system in systems(seed):
+            for degree in (system.order - 2, system.order):
+                _same(search_integrals(system, degree), oracle(system, degree))
 
     def test_zero_nonlinearity_resonant_field(self):
         X = FieldSystem(EigenSpec.additive([1, -1, 2]), VectorSeries.zero(3, 5), 5)
-        got = search_integrals_field(X, 5)
+        got = search_integrals(X, 5)
         assert got == oracle_search_integrals_field(X, 5)
         assert got and all(len(v.coeffs) == 1 for v in got)
 
     def test_formal_base_map_path(self):
         Fm = MapSystem(EigenSpec.multiplicative_base([-5, 2]), VectorSeries.zero(2, 8), 8)
         for degree in (7, 8):
-            got = search_integrals_map(Fm, degree)
+            got = search_integrals(Fm, degree)
             assert got == oracle_search_integrals_map(Fm, degree)
             assert ScalarSeries.monomial(2, degree, (2, 5)) in got
 
 
+def _candidates(rng, system):
+    """Random series to verify: three over the system's own scalars for a
+    map, one rational and one Gaussian for a field."""
+    if isinstance(system, FieldSystem):
+        return [random_sparse_series(rng, system.n, system.order, 6, gauss) for gauss in (False, True)]
+    gauss = any(hasattr(c, "abs2") for comp in system.nonlinear for c in comp.coeffs.values())
+    return [random_sparse_series(rng, system.n, system.order, 6, gauss) for _ in range(3)]
+
+
 class TestPackedResidual:
+    @pytest.mark.parametrize("kind", ["map", "field"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_map_residual_equals_oracle(self, seed):
+    def test_residual_equals_oracle(self, kind, seed):
+        systems, _, oracle = KINDS[kind]
         rng = random.Random(seed)
-        for Fm in _maps(seed):
-            gauss = any(hasattr(c, "abs2") for comp in Fm.nonlinear for c in comp.coeffs.values())
-            candidates = [random_sparse_series(rng, Fm.n, Fm.order, 6, gauss) for _ in range(3)]
-            candidates += list(search_integrals_map(Fm, Fm.order))
+        for system in systems(seed):
+            candidates = _candidates(rng, system) + list(search_integrals(system, system.order))
             for V in candidates:
-                for order in (Fm.order - 1, Fm.order):
-                    got = verify_integral_map(V, Fm, order)
-                    assert got == oracle_verify_integral_map(V, Fm, order)
+                for order in (system.order - 1, system.order):
+                    got = verify_integral(V, system, order)
+                    assert got == oracle(V, system, order)
                     assert got.trunc == order
 
-    def test_search_results_have_zero_residual(self):
-        for Fm in _maps(3):
-            for V in search_integrals_map(Fm, Fm.order):
-                assert verify_integral_map(V, Fm).is_zero()
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_field_residual_equals_oracle(self, seed):
-        rng = random.Random(seed)
-        for X in _fields(seed):
-            candidates = [random_sparse_series(rng, X.n, X.order, 6, gauss) for gauss in (False, True)]
-            candidates += list(search_integrals_field(X, X.order))
-            for V in candidates:
-                for order in (X.order - 1, X.order):
-                    got = verify_integral_field(V, X, order)
-                    assert got == oracle_verify_integral_field(V, X, order)
-                    assert got.trunc == order
-
-    def test_field_search_results_have_zero_residual(self):
-        for X in _fields(3):
-            for V in search_integrals_field(X, X.order):
-                assert verify_integral_field(V, X).is_zero()
+    @pytest.mark.parametrize("kind", ["map", "field"])
+    def test_search_results_have_zero_residual(self, kind):
+        systems, _, _ = KINDS[kind]
+        for system in systems(3):
+            for V in search_integrals(system, system.order):
+                assert verify_integral(V, system).is_zero()
 
 
 def _fixture_sets(name):
@@ -381,9 +372,9 @@ def _fixture_sets(name):
 
     sf = parse_system(str(FIXTURES / name))
     system, N = sf.system(), sf.order
-    sets = [search_integrals_map(system, N)]
+    sets = [search_integrals(system, N)]
     basis = enumerate_lattice(sf.eigen, sf.lattice_bound)
-    phi = normalize_map(system, N).phi
+    phi = normalize(system, N).phi
     sets.append(pullback_integrals(monomial_integrals(basis, trunc=N), phi, N))
     return [vs for vs in sets if vs]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -16,16 +17,15 @@ from dulac.normalizer import (
     FieldSystem,
     MapSystem,
     NormalizationResult,
+    System,
     check_functional_equations,
     classify,
     extract_common_factor_field,
     extract_integrable_shape_map,
     growth_diagnostic,
-    normalize_field,
-    normalize_map,
+    normalize,
     reduce_to_single_function,
-    verify_conjugacy_field,
-    verify_conjugacy_map,
+    verify_conjugacy,
 )
 from dulac.resonance import EigenSpec, enumerate_lattice
 from dulac.series import ScalarSeries, VectorSeries
@@ -38,27 +38,86 @@ def S(n, trunc, terms):
     return ScalarSeries(n, trunc, terms)
 
 
-class TestNormalizeMap:
-    def test_zero_nonlinearity(self):
-        res = normalize_map(MapSystem(HALF_DOUBLE, VectorSeries.zero(2, 4), 4))
+KINDS = pytest.mark.parametrize("kind,spec", [(MapSystem, HALF_DOUBLE), (FieldSystem, SADDLE)], ids=["map", "field"])
+
+
+class TestNormalize:
+    @KINDS
+    def test_zero_nonlinearity(self, kind, spec):
+        res = normalize(kind(spec, VectorSeries.zero(2, 4), 4))
         assert res.phi.is_zero() and res.g.is_zero()
 
-    def test_single_homological_division(self):
+    @pytest.mark.parametrize("kind,spec,divided,g_zero_to", [
+        (MapSystem, HALF_DOUBLE, F(2, 7), 3), (FieldSystem, SADDLE, F(-1, 3), 2),
+    ], ids=["map", "field"])
+    def test_single_homological_division(self, kind, spec, divided, g_zero_to):
+        # y2^2 e_1 over mu^(0,2) - mu_1 = 7/2, or <(0,2), lambda> - lambda_1 = -3
         f = VectorSeries([S(2, 3, {(0, 2): 1}), ScalarSeries.zero(2, 3)])
-        res = normalize_map(MapSystem(HALF_DOUBLE, f, 3))
-        assert res.phi.components[0].coeff((0, 2)) == F(2, 7)
-        assert res.g.is_zero()
+        res = normalize(kind(spec, f, 3))
+        assert res.phi.components[0].coeff((0, 2)) == divided
+        assert res.g.truncate(g_zero_to).is_zero()
 
+
+class TestSystemType:
+    """MapSystem and FieldSystem are the two kinds of one System: it compares
+    and hashes by (spec, nonlinear, order) within a kind, never across, and
+    its cached power table enters neither."""
+
+    def f(self, trunc=4):
+        return VectorSeries([S(2, trunc, {(0, 2): 1, (1, 1): F(1, 3)}), S(2, trunc, {(2, 1): -1})])
+
+    @KINDS
+    def test_equal_systems_hash_equal(self, kind, spec):
+        a, b = kind(spec, self.f(), 4), kind(spec, self.f(6), 4)
+        assert a == b and hash(a) == hash(b)
+        assert a == kind(spec, self.f())  # order defaults to the series' truncation
+        assert a != kind(spec, self.f(), 3)
+
+    @KINDS
+    def test_power_table_enters_neither(self, kind, spec):
+        a, b = kind(spec, self.f(), 4), kind(spec, self.f(), 4)
+        before = hash(a)
+        assert a.powers.parts is a.powers.parts  # filled once, then cached
+        assert a == b and hash(a) == before == hash(b)
+        assert [f.name for f in dataclasses.fields(a)] == ["spec", "nonlinear", "order"]
+
+    def test_kinds_from_identical_data_stay_unequal(self):
+        m = MapSystem(HALF_DOUBLE, self.f(), 4)
+        # the spectrum checks keep a field from multiplicative eigenvalues,
+        # so the twin is built past them
+        twin = object.__new__(FieldSystem)
+        for f in dataclasses.fields(m):
+            object.__setattr__(twin, f.name, getattr(m, f.name))
+        assert m != twin and twin != m
+        assert m == MapSystem(HALF_DOUBLE, self.f(), 4)
+
+    def test_only_the_two_kinds_are_built(self):
+        with pytest.raises(TypeError):
+            System(HALF_DOUBLE, self.f(), 4)
+        with pytest.raises(ValueError, match="multiplicative"):
+            MapSystem(SADDLE, self.f(), 4)
+        with pytest.raises(ValueError, match="additive"):
+            FieldSystem(HALF_DOUBLE, self.f(), 4)
+
+    @KINDS
+    def test_full_is_linear_plus_nonlinear(self, kind, spec):
+        system = kind(spec, self.f(), 4)
+        assert system.full() == system.linear() + system.nonlinear
+        assert system.full(6) == system.linear(6) + system.nonlinear.with_trunc(6)
+        assert system.full(3) == system.linear(3) + system.nonlinear.truncate(3)
+
+
+class TestNormalizeMap:
     def test_round_trip_two_dim_fixture(self):
         system, phi, g = two_dim_fixture(N=8)
-        res = normalize_map(system)
+        res = normalize(system)
         assert res.phi == phi
         assert res.g == g
         assert res.residual_zero_degrees == tuple(range(2, 9))
 
     def test_distinguished_splitting(self):
         system, _, _ = two_dim_fixture(N=6)
-        res = normalize_map(system, 6)
+        res = normalize(system, 6)
         for j, comp in enumerate(res.phi.components):
             for m in comp.coeffs:
                 assert not oracle_resonant(HALF_DOUBLE, m, j)
@@ -68,16 +127,16 @@ class TestNormalizeMap:
 
     def test_conjugacy_residual_detects_perturbation(self):
         system, phi, g = two_dim_fixture(N=6)
-        res = normalize_map(system, 6)
+        res = normalize(system, 6)
         bumped = res.phi + VectorSeries([S(2, 6, {(0, 2): 1}), ScalarSeries.zero(2, 6)])
         fake = NormalizationResult(spec=res.spec, phi=bumped, g=res.g, order=6)
-        assert not verify_conjugacy_map(system, fake).is_zero()
+        assert not verify_conjugacy(system, fake).is_zero()
 
     def test_formal_base_rejected(self):
         spec = EigenSpec.multiplicative_base([-5, 2, 1])
         sys3 = MapSystem(spec, VectorSeries.zero(3, 4), 4)
         with pytest.raises(HypothesisError):
-            normalize_map(sys3)
+            normalize(sys3)
 
     def test_gaussian_coefficients_flow_through(self):
         from dulac.scalars import gaussian
@@ -85,35 +144,25 @@ class TestNormalizeMap:
         i = gaussian(0, 1)
         f = VectorSeries([S(2, 4, {(0, 2): i}), ScalarSeries.zero(2, 4)])
         system = MapSystem(HALF_DOUBLE, f, 4)
-        res = normalize_map(system)
+        res = normalize(system)
         assert res.phi.components[0].coeff((0, 2)) == i * F(2, 7)
-        assert verify_conjugacy_map(system, res).is_zero()
+        assert verify_conjugacy(system, res).is_zero()
 
 
 class TestNormalizeField:
-    def test_zero_nonlinearity(self):
-        res = normalize_field(FieldSystem(SADDLE, VectorSeries.zero(2, 4), 4))
-        assert res.phi.is_zero() and res.g.is_zero()
-
     def test_resonant_term_stays(self):
         f = VectorSeries([S(2, 3, {(2, 1): 1}), ScalarSeries.zero(2, 3)])
-        res = normalize_field(FieldSystem(SADDLE, f, 3))
+        res = normalize(FieldSystem(SADDLE, f, 3))
         assert res.phi.is_zero()
         assert res.g == f
-
-    def test_single_homological_division(self):
-        f = VectorSeries([S(2, 3, {(0, 2): 1}), ScalarSeries.zero(2, 3)])
-        res = normalize_field(FieldSystem(SADDLE, f, 3))
-        assert res.phi.components[0].coeff((0, 2)) == F(-1, 3)
-        assert res.g.homogeneous_part(2).is_zero()
 
     def test_center_normal_form_unchanged(self):
         f = VectorSeries([S(2, 8, {(2, 1): 1}), S(2, 8, {(1, 2): -1})])
         system = FieldSystem(SADDLE, f, 8)
-        res = normalize_field(system)
+        res = normalize(system)
         assert res.phi.is_zero()
         assert res.g == f
-        assert verify_conjugacy_field(system, res).is_zero()
+        assert verify_conjugacy(system, res).is_zero()
 
     def test_field_round_trip(self):
         # Y = (y1 (1 + u), -y2 (1 + u)), u = y1 y2, conjugated by a shift
@@ -136,7 +185,7 @@ class TestNormalizeField:
         Xfull = compose(lhs, Psi, N)
         f = (Xfull - VectorSeries.diagonal_linear([1, -1], N)).strip_low(2)
         system = FieldSystem(SADDLE, f, N)
-        res = normalize_field(system)
+        res = normalize(system)
         assert res.phi == phi
         assert res.g == g
 
@@ -144,7 +193,7 @@ class TestNormalizeField:
 class TestShape:
     def test_two_dim_shape_and_equations(self):
         system, _, _ = two_dim_fixture(N=8)
-        res = normalize_map(system)
+        res = normalize(system)
         shape = extract_integrable_shape_map(res)
         assert shape.ok
         u = ScalarSeries.monomial(2, 7, (1, 1))
@@ -157,14 +206,14 @@ class TestShape:
         # mu = (8, 2): y2^3 e_1 is resonant but not divisible by y1
         mu = EigenSpec.multiplicative([8, 2])
         f = VectorSeries([S(2, 4, {(0, 3): 1}), ScalarSeries.zero(2, 4)])
-        res = normalize_map(MapSystem(mu, f, 4))
+        res = normalize(MapSystem(mu, f, 4))
         assert res.g.components[0].coeff((0, 3)) == 1
         shape = extract_integrable_shape_map(res)
         assert not shape.ok
         assert shape.witness == (0, (0, 3))
 
     def test_zero_normal_form(self):
-        res = normalize_map(MapSystem(HALF_DOUBLE, VectorSeries.zero(2, 4), 4))
+        res = normalize(MapSystem(HALF_DOUBLE, VectorSeries.zero(2, 4), 4))
         shape = extract_integrable_shape_map(res)
         assert shape.ok and all(p.is_zero() for p in shape.p)
 
@@ -179,7 +228,7 @@ class TestReduce:
 
     def test_two_dim(self):
         system, _, _ = two_dim_fixture(N=8)
-        res = normalize_map(system)
+        res = normalize(system)
         shape = extract_integrable_shape_map(res)
         basis = enumerate_lattice(HALF_DOUBLE, 10)
         red = reduce_to_single_function(shape.p, basis, 7)
@@ -202,26 +251,26 @@ class TestReduce:
 class TestCommonFactor:
     def test_center(self):
         f = VectorSeries([S(2, 6, {(2, 1): 1}), S(2, 6, {(1, 2): -1})])
-        res = normalize_field(FieldSystem(SADDLE, f, 6))
+        res = normalize(FieldSystem(SADDLE, f, 6))
         out = extract_common_factor_field(res)
         assert out.ok and out.h == ScalarSeries.monomial(2, 5, (1, 1))
 
     def test_zero(self):
-        res = normalize_field(FieldSystem(SADDLE, VectorSeries.zero(2, 4), 4))
+        res = normalize(FieldSystem(SADDLE, VectorSeries.zero(2, 4), 4))
         out = extract_common_factor_field(res)
         assert out.ok and out.h.is_zero()
 
     def test_degenerate_eigenvalue(self):
         lam = EigenSpec.additive([1, 0])
         f = VectorSeries([S(2, 4, {(1, 1): 1}), ScalarSeries.zero(2, 4)])
-        res = normalize_field(FieldSystem(lam, f, 4))
+        res = normalize(FieldSystem(lam, f, 4))
         out = extract_common_factor_field(res)
         assert out.ok and out.h == ScalarSeries.monomial(2, 3, (0, 1))
 
     def test_mismatched_factor_witnessed(self):
         # resonant normal form lacking a common factor: g = (x(2u), -y(3u))
         f = VectorSeries([S(2, 5, {(2, 1): 2}), S(2, 5, {(1, 2): -3})])
-        res = normalize_field(FieldSystem(SADDLE, f, 5))
+        res = normalize(FieldSystem(SADDLE, f, 5))
         out = extract_common_factor_field(res)
         assert not out.ok
         assert out.witness == (1, None)
@@ -230,7 +279,7 @@ class TestCommonFactor:
         lam = EigenSpec.additive([1, 0])
         # (0,2) e_2 is resonant (<m,lam> = 0 = lam_2) but breaks the strict shape
         f = VectorSeries([ScalarSeries.zero(2, 4), S(2, 4, {(0, 2): 1})])
-        res = normalize_field(FieldSystem(lam, f, 4))
+        res = normalize(FieldSystem(lam, f, 4))
         out = extract_common_factor_field(res)
         assert not out.ok and out.witness == (1, (0, 2))
 
@@ -300,7 +349,7 @@ class TestRandomRoundTrips:
         for case in range(25):
             n = 2 if case % 2 == 0 else 3
             system, phi, g = random_integrable_case(rng, n, N=6)
-            res = normalize_map(system, 6)
+            res = normalize(system, 6)
             assert res.phi == phi, f"case {case}: phi mismatch"
             assert res.g == g, f"case {case}: g mismatch"
 
@@ -312,7 +361,7 @@ class TestGrowth:
 
     def test_bounded_fixture_not_flagged(self):
         system, _, _ = two_dim_fixture(N=8)
-        res = normalize_map(system)
+        res = normalize(system)
         diag = growth_diagnostic(res.phi)
         assert not diag.super_geometric
 

@@ -14,8 +14,6 @@ from dulac.resonance import (
     SmallDivisorBound,
     SymbolicBound,
     enumerate_lattice,
-    is_resonant_field,
-    is_resonant_map,
     small_divisor_bound_field,
     small_divisor_bound_map,
     sqrt_value,
@@ -43,37 +41,31 @@ SADDLE = EigenSpec.additive([1, -1])
 
 class TestResonanceTests:
     def test_map_first_integral_resonance(self):
-        assert is_resonant_map(HALF_DOUBLE, (1, 1), None)
-        assert not is_resonant_map(HALF_DOUBLE, (2, 1), None)
+        assert HALF_DOUBLE.resonant((1, 1), None)
+        assert not HALF_DOUBLE.resonant((2, 1), None)
 
     def test_map_transformation_resonance(self):
         # component indices are 0-based
-        assert is_resonant_map(HALF_DOUBLE, (2, 1), 0)
-        assert not is_resonant_map(HALF_DOUBLE, (2, 0), 0)
+        assert HALF_DOUBLE.resonant((2, 1), 0)
+        assert not HALF_DOUBLE.resonant((2, 0), 0)
 
     def test_field_resonance(self):
-        assert is_resonant_field(SADDLE, (1, 1), None)
-        assert is_resonant_field(SADDLE, (2, 1), 0)
-        assert is_resonant_field(EigenSpec.additive([1, 0]), (0, 5), None)
-
-    def test_kind_mismatch_raises(self):
-        with pytest.raises(HypothesisError):
-            is_resonant_map(SADDLE, (1, 1), None)
-        with pytest.raises(HypothesisError):
-            is_resonant_field(HALF_DOUBLE, (1, 1), None)
+        assert SADDLE.resonant((1, 1), None)
+        assert SADDLE.resonant((2, 1), 0)
+        assert EigenSpec.additive([1, 0]).resonant((0, 5), None)
 
     def test_base_form_resonance(self):
         spec = EigenSpec.multiplicative_base([-5, 2, 1])
-        assert is_resonant_map(spec, (1, 2, 1), None)
-        assert is_resonant_map(spec, (2, 5, 0), None)
-        assert not is_resonant_map(spec, (1, 1, 1), None)
+        assert spec.resonant((1, 2, 1), None)
+        assert spec.resonant((2, 5, 0), None)
+        assert not spec.resonant((1, 1, 1), None)
 
     def test_base_form_with_phases(self):
         # mu = (beta^1 * e^(pi i), beta^-1 * e^(pi i)): product resonant
         spec = EigenSpec.multiplicative_base([1, -1], [F(1, 2), F(1, 2)])
-        assert is_resonant_map(spec, (1, 1), None)
-        assert not is_resonant_map(spec, (2, 1), None)
-        assert is_resonant_map(spec, (2, 2), None)
+        assert spec.resonant((1, 1), None)
+        assert not spec.resonant((2, 1), None)
+        assert spec.resonant((2, 2), None)
 
     def test_divisor_values(self):
         assert oracle_values(HALF_DOUBLE)[(0, 2)] - HALF_DOUBLE.values[0] == F(7, 2)

@@ -79,7 +79,18 @@ class TestMul:
                 assert all(type(c) is type(want.coeffs[m]) for m, c in got.coeffs.items())
 
 
-class TestCompose:
+class TestConstants:
+    """A scalar operand of + and - is the constant series of that scalar,
+    Gaussian rationals included, on either side."""
+
+    @pytest.mark.parametrize("c", [3, F(1, 2), gaussian(1, 2), gaussian(0, -1)])
+    def test_scalar_is_its_constant_series(self, c):
+        x = ScalarSeries.variable(2, 0, 3)
+        const = ScalarSeries.const(2, 3, c)
+        assert x + c == c + x == x + const
+        assert x - c == x - const
+        assert c - x == const - x
+
     def test_worked_example(self):
         outer = VectorSeries([S(2, 4, {(1, 0): 1, (0, 2): 1}), S(2, 4, {(0, 1): 1})])
         inner = VectorSeries([S(2, 4, {(1, 0): 2}), S(2, 4, {(0, 1): 1, (2, 0): 1})])

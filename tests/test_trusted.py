@@ -28,6 +28,16 @@ class TestPublicConstructor:
         assert s.coeffs == {(1, 0): F(3), (0, 2): F(1, 2)}
         assert type(s.coeffs[(1, 0)]) is F
 
+    @pytest.mark.parametrize("coeff", [0.5, 1.0, "1", None, True, 1j])
+    def test_coefficient_of_another_type(self, coeff):
+        with pytest.raises(SeriesError, match="coefficient"):
+            ScalarSeries(2, 3, {(1, 0): coeff})
+
+    @pytest.mark.parametrize("m", [(True, 0), (0, False), (1.0, 0), ("1", 0)])
+    def test_exponent_entry_of_another_type(self, m):
+        with pytest.raises(SeriesError, match="non-integer"):
+            ScalarSeries(2, 3, {m: 1})
+
     def test_trusted_constructor_keeps_its_dict(self):
         coeffs = {(1, 0): F(1)}
         assert ScalarSeries._make(2, 3, coeffs).coeffs is coeffs
