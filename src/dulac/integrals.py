@@ -14,21 +14,23 @@ integers of `series` until their output: a search column is read from the
 parts of F's power table (maps) or summed from packed derivative pairs over
 X's table (fields), each degree of V o F - V or <grad V, X> is one packed
 sum, and the gradients are evaluated homogenised, in integers, at each
-sample point."""
+sample point.  Both eliminations, the search's kernel and the sample
+points' ranks, run in the integer `linalg.Echelon`; only the kernel vectors
+become `Fraction`s."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from operator import getitem, mul
 from typing import Optional, Sequence
 
 from .errors import HypothesisError
-from .linalg import kernel_basis, rank as q_rank
+from .linalg import Echelon, kernel_basis
 from .resonance import LatticeBasis, iter_exponents
-from .scalars import Scalar, gaussian
+from .scalars import Scalar
 from .series import (
     Exponent,
     Powers,
@@ -39,7 +41,6 @@ from .series import (
     _pack,
     _pairs,
     _products,
-    _scalars,
     invert,
 )
 from .normalizer import MapSystem, System
@@ -137,25 +138,9 @@ def verify_integral(V: ScalarSeries, system: System, order: int | None = None) -
 # the term y^r of degree s is s * base^n + (packed key of r), so the rows go
 # degree by degree.  The operator is block lower triangular with mu^m - 1 (or
 # <m, lambda>) on each column's own monomial, so each nonresonant column is a
-# pivot on its own row and only the resonant columns are ever reduced.
-
-
-def _kernel_series(
-    columns: list[dict[int, Scalar]],
-    monomials: list[Exponent],
-    n: int,
-    degree: int,
-) -> tuple[ScalarSeries, ...]:
-    """Kernel of the linear map whose column at monomials[c] is columns[c],
-    as series over the monomial basis, sorted by leading term.  The kernel
-    basis depends on the column order alone (see `linalg`); the row order
-    only sets the cost."""
-    series = [
-        ScalarSeries(n, degree, {monomials[c]: v for c, v in vec.items()})
-        for vec in kernel_basis(columns)
-    ]
-    series.sort(key=lambda s: s.terms()[0][0] if not s.is_zero() else ())
-    return tuple(series)
+# pivot on its own row and only the resonant columns are ever reduced.  The
+# kernel basis depends on the column order alone (see `linalg`); the row
+# order only sets the cost.
 
 
 def search_integrals(system: System, degree: int) -> tuple[ScalarSeries, ...]:
@@ -170,8 +155,9 @@ def search_integrals(system: System, degree: int) -> tuple[ScalarSeries, ...]:
     polynomial degree exceeds `degree` contributes nothing, so searching below
     the certification order can legitimately come back empty even for
     integrable systems.  Solved as one exact kernel computation over the
-    monomial basis by the sparse echelon of `linalg`, in graded-lex column
-    order.  For a map the column of y^m is y^m o F - y^m, read degree by
+    monomial basis by the integer echelon of `linalg`, in graded-lex column
+    order, each column the packed parts of its degrees merged over their
+    lcm.  For a map the column of y^m is y^m o F - y^m, read degree by
     degree from the parts [F^m]_s of F's power table, with y^m subtracted on
     its own row (the degree-|m| part of F^m is mu^m y^m); for a field it is
     <grad y^m, X>, each degree of it one packed sum of the pairs
@@ -196,19 +182,23 @@ def search_integrals(system: System, degree: int) -> tuple[ScalarSeries, ...]:
     columns = []
     for m in monomials:
         k, d = sum(map(mul, m, P.weights)), sum(m)
-        col: dict[int, Scalar] = {}
         if is_map:
-            for s in range(d, N + 1):
-                col.update(_scalars(P.part(k, s), s * shift))
-            own = d * shift + k
-            if c := col.pop(own) - 1:
-                col[own] = c
+            parts = [P.part(k, s) for s in range(d, N + 1)]
         else:
             grad = [(1, _diff({k: 1}, w, P.base, 1), {}) for w in P.weights]
-            for s in range(d, N + 1):
-                col.update(_scalars(_products([(g, Xi[s - d + 1]) for g, Xi in zip(grad, P.parts)]), s * shift))
-        columns.append(col)
-    return _kernel_series(columns, monomials, n, degree)
+            parts = [_products([(g, Xi[s - d + 1]) for g, Xi in zip(grad, P.parts)]) for s in range(d, N + 1)]
+        # the parts of degrees d..N merged over their lcm, row s*shift + key
+        den = lcm(*(part[0] for part in parts))
+        re, im = (
+            {s * shift + key: den // part[0] * x for s, part in enumerate(parts, d) for key, x in part[i].items()}
+            for i in (1, 2)
+        )
+        if is_map:  # y^m o F - y^m
+            re[d * shift + k] = re.get(d * shift + k, 0) - den
+        columns.append((den, re, im))
+    # each kernel vector is 1 on its own monomial, so no series is zero
+    series = [ScalarSeries(n, degree, {monomials[c]: v for c, v in vec.items()}) for vec in kernel_basis(columns)]
+    return tuple(sorted(series, key=lambda s: s.terms()[0][0]))
 
 
 # -- independence ------------------------------------------------------------------
@@ -238,7 +228,11 @@ def independence_check(
     den(V) * prod_i q_i^T, where den(V) is the lcm of V's denominators: the
     sum of den(V) c_m m_j prod_i p_i^e_i q_i^(T - e_i) over the terms
     c_m y^m of V, with e = m - e_j.  Scaling a row by a nonzero constant
-    keeps the rank, so the certificate is the one the rational rows give."""
+    keeps the rank, so the certificate is the one the rational rows give.
+    The rows enter the integer echelon of `linalg` as they are.  A rank of n
+    (possible below k only when k > n) is the largest any point can give,
+    so sampling stops there, with the same certificate as after all the
+    trials."""
     vs = tuple(integrals)
     if not vs:
         raise ValueError("independence check needs at least one integral")
@@ -264,16 +258,17 @@ def independence_check(
             Fraction(rng.randint(1, 40), rng.randint(1, 8)) for _ in range(n)
         )
         pw = [[x.numerator**e * x.denominator ** (T - e) for e in range(T + 1)] for x in point]
-        rows = [
-            [gaussian(_value(re, pw), _value(im, pw)) if im else _value(re, pw) for re, im in g]
-            for g in grads
-        ]
-        r = q_rank(rows)
+        echelon = Echelon()  # each row enters as a column of the transpose
+        for g in grads:  # the real and the imaginary numerators of the row
+            echelon.add(*({j: _value(terms, pw) for j, terms in enumerate(part)} for part in zip(*g)))
+        r = echelon.rank
         best = max(best, r)
         if r == k:
             return IndependenceCertificate(
                 independent=True, rank_found=k, witness=point, trials=t + 1
             )
+        if r == n:  # k > n, and no point gives a rank above n
+            break
     return IndependenceCertificate(
         independent=False, rank_found=best, witness=None, trials=trials
     )

@@ -33,7 +33,7 @@ from operator import mul
 from typing import Optional, Sequence, Union
 
 from .errors import HypothesisError, InternalInvariantError
-from .linalg import Echelon, primitive_integer_kernel, rank
+from .linalg import Echelon, primitive_integer_kernel
 from .scalars import (
     GaussianRational,
     Scalar,
@@ -149,7 +149,10 @@ class EigenSpec:
         """n minus the key rows' rank: the rank of the whole relation lattice
         {e in Z^n : value(e) = value(0)}, as t.e = 0 mod T only cuts a
         sublattice of finite index, so it bounds every enumerated rank."""
-        return self.n - rank(self.keys[0])
+        echelon = Echelon()
+        for row in self.keys[0]:
+            echelon.add(dict(enumerate(row)))
+        return self.n - echelon.rank
 
     def resonant(self, m: Exponent, j: Optional[int] = None) -> bool:
         """y^m e_j is resonant: value(m) = value(e_j), i.e. mu^m = mu_j,

@@ -212,8 +212,10 @@ class ScalarSeries:
         return (-self) + other
 
     def scale(self, c) -> "ScalarSeries":
-        if isinstance(c, int):
+        if is_int(c):
             c = Fraction(c)
+        elif not isinstance(c, (Fraction, GaussianRational)):
+            raise SeriesError(f"scalar {c!r} is not an int, Fraction or GaussianRational")
         if c == 0:
             return ScalarSeries.zero(self.n, self.trunc)
         return ScalarSeries._make(self.n, self.trunc, {m: c * v for m, v in self.coeffs.items()})

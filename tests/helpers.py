@@ -261,6 +261,88 @@ def dense_kernel(rows, ncols):
     return basis
 
 
+# -- Fraction echelon oracle -----------------------------------------------------------
+#
+# The sparse echelon as it was before it ran on integer columns: each column a
+# dict of Fraction / GaussianRational entries by row, reduced by dividing by
+# the pivot entry, its combination accumulated in scalars.
+
+
+def _oracle_axpy(target, f, source):
+    """target += f * source, dropping the entries that cancel."""
+    for k, x in source.items():
+        s = target.get(k, 0) + f * x
+        if s == 0:
+            target.pop(k, None)
+        else:
+            target[k] = s
+
+
+class OracleEchelon:
+    """Sparse column-incremental echelon form over Q or Q(i), in scalars."""
+
+    def __init__(self):
+        # lowest row -> (reduced column, its combination of inserted columns)
+        self.pivots = {}
+        self.columns = 0
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    @property
+    def det(self):
+        rows = list(self.pivots)
+        inversions = sum(a > b for i, a in enumerate(rows) for b in rows[i + 1 :])
+        out = F(-1 if inversions % 2 else 1)
+        for row, (v, _) in self.pivots.items():
+            out *= v[row]
+        return out
+
+    def add(self, column):
+        """None when the column is independent of the earlier ones, else the
+        kernel vector it closes, with 1 at its own index."""
+        from dulac.scalars import sc_div
+
+        v = {r: x for r, x in column.items() if x != 0}
+        comb = {self.columns: F(1)}
+        self.columns += 1
+        while v:
+            low = min(v)
+            pivot = self.pivots.get(low)
+            if pivot is None:
+                self.pivots[low] = (v, comb)
+                return None
+            pv, pcomb = pivot
+            f = -sc_div(v[low], pv[low])
+            _oracle_axpy(v, f, pv)
+            _oracle_axpy(comb, f, pcomb)
+        return comb
+
+
+def oracle_kernel_basis(columns):
+    """Right-kernel basis of the matrix with these scalar columns (dicts by
+    row): one vector per dependent column, in column order."""
+    echelon = OracleEchelon()
+    return [k for k in map(echelon.add, columns) if k is not None]
+
+
+def oracle_rank(rows):
+    """Rank of a dense scalar matrix; its rows enter as columns of the transpose."""
+    return len(rows) - len(oracle_kernel_basis(dict(enumerate(row)) for row in rows))
+
+
+def packed_column(column):
+    """(den, re, im): a column of Fraction / GaussianRational entries as int
+    numerators over one positive denominator, the input of `linalg.Echelon`."""
+    from dulac.scalars import sc_im, sc_re
+
+    den = lcm(1, *(F(part(x)).denominator for x in column.values() for part in (sc_re, sc_im)))
+    re = {r: int(sc_re(x) * den) for r, x in column.items() if sc_re(x)}
+    im = {r: int(sc_im(x) * den) for r, x in column.items() if sc_im(x)}
+    return den, re, im
+
+
 # -- composition and normalization oracles ------------------------------------------
 #
 # The per-degree algorithms the online engine replaced, kept as independent
@@ -451,11 +533,10 @@ def _oracle_generator_candidate(spec, m):
 def oracle_enumerate_lattice(spec, bound):
     """`enumerate_lattice` as it was: every resonant exponent goes into the
     rank's echelon, not only the distinct generator candidates."""
-    from dulac.linalg import Echelon
     from dulac.resonance import LatticeBasis, _is_simple
 
     found, candidates, seen = [], [], set()
-    full = Echelon()
+    full = OracleEchelon()
     for m in iter_exponents(spec.n, 2, bound):
         if not oracle_resonant(spec, m):
             continue
@@ -466,7 +547,7 @@ def oracle_enumerate_lattice(spec, bound):
             seen.add(cand)
             candidates.append(cand)
     gens = []
-    gen_rank = Echelon()
+    gen_rank = OracleEchelon()
     for simple_pass in (True, False):
         for cand in candidates:
             if _is_simple(cand) != simple_pass:
@@ -551,7 +632,6 @@ def oracle_algebraic_rank(spec):
     denominator, and a unit's exponent is taken mod 4), so they leave the
     rank alone.  The enumerated lattice, of exponents m >= 0 up to a
     degree, can only have a smaller rank."""
-    from dulac.linalg import Echelon
     from dulac.scalars import sc_im, sc_re
 
     if spec.kind == "additive":
@@ -560,7 +640,7 @@ def oracle_algebraic_rank(spec):
         rows = [list(spec.exponents)]
     else:
         rows = spec.keys[0]
-    echelon = Echelon()
+    echelon = OracleEchelon()
     for row in rows:
         den = lcm(*(F(x).denominator for x in row))
         echelon.add({i: int(x * den) for i, x in enumerate(row) if x})
@@ -925,12 +1005,11 @@ def oracle_verify_integral_field(V, X, order=None):
 
 
 def _oracle_echelon_kernel_series(columns, monomials, n, degree):
-    from dulac.linalg import kernel_basis
     from dulac.series import grlex_key
 
     rows = sorted({r for col in columns.values() for r in col}, key=grlex_key)
     row_index = {r: i for i, r in enumerate(rows)}
-    kernel = kernel_basis(
+    kernel = oracle_kernel_basis(
         {row_index[r]: v for r, v in columns[m].items()} for m in monomials
     )
     series = [
@@ -993,7 +1072,6 @@ def oracle_independence_check(integrals, trials=8, seed=0):
     import random
 
     from dulac.integrals import IndependenceCertificate
-    from dulac.linalg import rank
     from dulac.series import gradient
 
     vs = tuple(integrals)
@@ -1003,7 +1081,7 @@ def oracle_independence_check(integrals, trials=8, seed=0):
     best = 0
     for t in range(trials):
         point = tuple(F(rng.randint(1, 40), rng.randint(1, 8)) for _ in range(n))
-        r = rank([[oracle_eval(comp, point) for comp in g.components] for g in grads])
+        r = oracle_rank([[oracle_eval(comp, point) for comp in g.components] for g in grads])
         best = max(best, r)
         if r == k:
             return IndependenceCertificate(True, k, point, t + 1)

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     oracle_independence_check,
+    oracle_rank,
     oracle_resonant,
     oracle_search_integrals_field,
     oracle_search_integrals_map,
@@ -42,13 +43,11 @@ def S(n, trunc, terms):
 
 def _in_span(V, basis):
     """Exact membership of V in the linear span of the basis series."""
-    from dulac.linalg import rank
-
     monomials = sorted(
         {m for s in list(basis) + [V] for m in s.coeffs}, key=lambda m: (sum(m), m)
     )
     rows = [[s.coeff(m) for m in monomials] for s in basis]
-    return rank(rows) == rank(rows + [[V.coeff(m) for m in monomials]])
+    return oracle_rank(rows) == oracle_rank(rows + [[V.coeff(m) for m in monomials]])
 
 
 class TestMonomialIntegrals:
@@ -379,6 +378,22 @@ def _fixture_sets(name):
     return [vs for vs in sets if vs]
 
 
+def _rank_computations(monkeypatch):
+    """The echelons independence_check builds, one per sample point, kept
+    in order so their ranks can be read after the check."""
+    import dulac.integrals
+
+    made = []
+
+    class Counted(dulac.integrals.Echelon):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(dulac.integrals, "Echelon", Counted)
+    return made
+
+
 class TestPackedIndependence:
     def _check(self, vs, seeds=(0, 1, 5)):
         for seed in seeds:
@@ -391,15 +406,19 @@ class TestPackedIndependence:
                 vs = [random_sparse_series(rng, n, rng.randint(3, 6), 5, gauss) for _ in range(n - 1)]
                 self._check([v for v in vs if not v.is_zero()] or [ScalarSeries.variable(n, 0, 3)])
 
-    def test_rank_deficient_square_set(self):
+    def test_rank_deficient_square_set(self, monkeypatch):
         rng = random.Random(12)
+        made = _rank_computations(monkeypatch)
         for gauss in (False, True):
             # V has degree 3, so V^2 through degree 6 is exactly a function of V
             V = (random_sparse_series(rng, 3, 3, 4, gauss) + ScalarSeries.variable(3, 0, 3)).with_trunc(6)
             W = random_sparse_series(rng, 3, 5, 4, gauss) + ScalarSeries.variable(3, 1, 5)
             vs = [V, W, V.mul(V, 6)]
+            made.clear()
             cert = independence_check(vs)
             assert not cert.independent and cert.trials == 8
+            # k = n never stops early: every point has rank n - 1 at most
+            assert len(made) == 8 and max(e.rank for e in made) == cert.rank_found < 3
             self._check(vs)
 
     def test_more_integrals_than_variables(self):
@@ -409,6 +428,20 @@ class TestPackedIndependence:
             cert = independence_check(vs)
             assert not cert.independent and cert.trials == 8
             self._check(vs)
+
+    @pytest.mark.parametrize("unit", [1, gaussian(0, 1)], ids=["rational", "gaussian"])
+    def test_more_integrals_than_variables_stop_at_rank_n(self, monkeypatch, unit):
+        # rank 2 exactly off the diagonal y1 = y2, where seed 157 puts its
+        # first point: the check stops after the second point
+        y1, y2 = ScalarSeries.variable(2, 0, 4), ScalarSeries.variable(2, 1, 4)
+        vs = [y1, (y2 - y1).mul(y2 - y1, 4).scale(unit), y1.mul(y1, 4)]
+        made = _rank_computations(monkeypatch)
+        for seed, ranks in [(157, [1, 2]), (0, [2])]:
+            made.clear()
+            cert = independence_check(vs, seed=seed)
+            assert cert == oracle_independence_check(vs, seed=seed)
+            assert (cert.independent, cert.rank_found, cert.witness, cert.trials) == (False, 2, None, 8)
+            assert [e.rank for e in made] == ranks
 
     def test_imaginary_parts_count(self):
         # the real parts of the gradients are dependent, the gradients are not

@@ -1,13 +1,17 @@
-"""The sparse echelon against the dense RREF oracle, on seeded random
-matrices over Q and Q(i), and on the lattice matrices the package builds."""
+"""The integer sparse echelon against the dense RREF oracle and the Fraction
+echelon it replaced, on seeded random matrices over Q and Q(i), and on the
+lattice matrices the package builds."""
 
+import ast
 import random
 from fractions import Fraction as F
 from math import gcd
+from pathlib import Path
 
 import pytest
 
-from dulac.linalg import Echelon, kernel_basis, primitive_integer_kernel, rank
+import dulac.linalg
+from dulac.linalg import Echelon, kernel_basis, primitive_integer_kernel
 from dulac.resonance import (
     EigenSpec,
     _generator_candidate,
@@ -16,7 +20,15 @@ from dulac.resonance import (
 )
 from dulac.scalars import gaussian
 
-from helpers import dense_kernel, dense_rref, oracle_int_det
+from helpers import (
+    OracleEchelon,
+    dense_kernel,
+    dense_rref,
+    oracle_int_det,
+    oracle_kernel_basis,
+    oracle_rank,
+    packed_column,
+)
 
 
 def columns_of(rows, ncols):
@@ -82,12 +94,12 @@ def test_echelon_matches_dense_rref(field, shape, seed):
     rng = random.Random(f"{field}-{shape}-{seed}")
     rows, ncols = random_matrix(rng, shape, field)
     _, oracle_pivots = dense_rref(rows)
-    columns = columns_of(rows, ncols)
+    columns = [packed_column(col) for col in columns_of(rows, ncols)]
 
     echelon = Echelon()
-    pivots = [c for c, col in enumerate(columns) if echelon.add(col) is None]
+    pivots = [c for c, (den, re, im) in enumerate(columns) if echelon.add(re, im, den) is None]
     assert pivots == oracle_pivots
-    assert echelon.rank == rank(rows) == len(oracle_pivots)
+    assert echelon.rank == oracle_rank(rows) == len(oracle_pivots)
 
     kernel = [dense(v, ncols) for v in kernel_basis(columns)]
     assert kernel == dense_kernel(rows, ncols)
@@ -95,15 +107,13 @@ def test_echelon_matches_dense_rref(field, shape, seed):
     # the row numbering sets the cost only: permuted rows, same kernel
     perm = list(range(len(rows)))
     rng.shuffle(perm)
-    shuffled = [{perm[r]: x for r, x in col.items()} for col in columns]
+    shuffled = [(den, *({perm[r]: x for r, x in d.items()} for d in (re, im))) for den, re, im in columns]
     assert [dense(v, ncols) for v in kernel_basis(shuffled)] == kernel
 
 
 def test_empty_matrices():
     assert kernel_basis([]) == []
-    assert rank([]) == 0
-    assert rank([[], []]) == 0
-    assert [dense(v, 3) for v in kernel_basis([{}, {}, {}])] == dense_kernel([], 3)
+    assert [dense(v, 3) for v in kernel_basis([(1, {}, {})] * 3)] == dense_kernel([], 3)
     assert Echelon().rank == 0
 
 
@@ -111,17 +121,86 @@ def test_kernel_vector_annihilates_columns():
     rng = random.Random("annihilate")
     for _ in range(20):
         rows, ncols = random_matrix(rng, "low-rank", "Q(i)")
-        for v in kernel_basis(columns_of(rows, ncols)):
+        for v in kernel_basis(packed_column(col) for col in columns_of(rows, ncols)):
             for row in rows:
                 assert sum((row[c] * x for c, x in v.items()), F(0)) == 0
 
 
 def test_input_column_is_not_mutated():
-    col = {0: F(1), 1: F(0), 2: F(3)}
+    re, im = {0: 1, 1: 0, 2: 3}, {1: 2, 2: 0}
     echelon = Echelon()
-    echelon.add({0: F(2), 2: F(1)})
-    echelon.add(col)
-    assert col == {0: F(1), 1: F(0), 2: F(3)}
+    echelon.add({0: 2, 2: 1}, {0: 1})
+    echelon.add(re, im, 5)
+    assert (re, im) == ({0: 1, 1: 0, 2: 3}, {1: 2, 2: 0})
+
+
+# -- the integer echelon against the Fraction echelon it replaced -------------------
+
+
+def random_sparse_columns(rng, field):
+    """Sparse scalar columns on a few rows, with empty columns and columns
+    that repeat, scale or add earlier ones mixed in."""
+    nrows = rng.randint(1, 8)
+    columns = []
+    for _ in range(rng.randint(1, 10)):
+        pick = rng.random()
+        if pick < 0.15:
+            col = {}
+        elif pick < 0.45 and columns:
+            a, b = rng.choice(columns), rng.choice(columns)
+            s, t = random_scalar(rng, field), random_scalar(rng, field)
+            col = {r: s * a.get(r, 0) + t * b.get(r, 0) for r in a.keys() | b.keys()}
+        else:
+            col = {r: random_scalar(rng, field) for r in range(nrows) if rng.random() < 0.4}
+        columns.append({r: x for r, x in col.items() if x != 0})
+    return columns
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(i)"])
+@pytest.mark.parametrize("seed", range(40))
+def test_integer_echelon_matches_fraction_oracle(field, seed):
+    rng = random.Random(f"oracle-{field}-{seed}")
+    columns = random_sparse_columns(rng, field)
+    echelon, oracle = Echelon(), OracleEchelon()
+    for col in columns:
+        den, re, im = packed_column(col)
+        comb = echelon.add(re, im, den)
+        expected = oracle.add(col)
+        assert (comb is None) == (expected is None)
+        if comb is not None:
+            assert echelon.kernel_vector(comb) == expected
+        assert echelon.rank == oracle.rank
+        assert echelon.det == oracle.det
+    assert kernel_basis(map(packed_column, columns)) == oracle_kernel_basis(columns)
+
+
+def random_corank_one(rng, n, nrows):
+    """An integer matrix of rank n - 1 with nrows >= n - 1 rows: n - 1
+    random rows made independent, then integer combinations of them."""
+    while True:
+        basis = [[rng.randint(-6, 6) if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(n - 1)]
+        if oracle_rank([[F(x) for x in row] for row in basis]) == n - 1:
+            break
+    for _ in range(nrows - n + 1):
+        coeffs = [rng.randint(-2, 2) for _ in basis]
+        basis.append([sum(a * row[j] for a, row in zip(coeffs, basis)) for j in range(n)])
+    return basis
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_primitive_integer_kernel_matches_oracles(seed):
+    rng = random.Random(f"corank-{seed}")
+    n = rng.randint(2, 6)
+    rows = random_corank_one(rng, n, rng.randint(n - 1, n + 2))
+    v, Delta = primitive_integer_kernel(rows, n)
+    assert v == primitive_from_oracle(rows, n)
+    oracle = OracleEchelon()
+    for col in columns_of(rows, n):
+        oracle.add(col)
+    assert Delta == oracle.det
+    if len(rows) == n - 1:
+        c = max(j for j in range(n) if v[j])
+        assert Delta == oracle_int_det([[x for j, x in enumerate(row) if j != c] for row in rows])
 
 
 def echelon_det(rows):
@@ -215,7 +294,7 @@ def test_primitive_integer_kernel_rejects_wrong_dimension():
 def greedy_generators_by_oracle(spec, basis):
     """enumerate_lattice's generator choice, with ranks from the dense RREF."""
 
-    def oracle_rank(vectors):
+    def dense_rank(vectors):
         return len(dense_rref([[F(x) for x in v] for v in vectors])[1])
 
     candidates = []
@@ -223,13 +302,13 @@ def greedy_generators_by_oracle(spec, basis):
         cand = _generator_candidate(spec, m)
         if cand not in candidates:
             candidates.append(cand)
-    full = oracle_rank(basis.exponents)
+    full = dense_rank(basis.exponents)
     gens = []
     for simple_pass in (True, False):
         for cand in candidates:
-            if _is_simple(cand) != simple_pass or oracle_rank(gens) == full:
+            if _is_simple(cand) != simple_pass or dense_rank(gens) == full:
                 continue
-            if oracle_rank(gens + [cand]) > oracle_rank(gens):
+            if dense_rank(gens + [cand]) > dense_rank(gens):
                 gens.append(cand)
     return full, tuple(gens)
 
@@ -243,3 +322,26 @@ def test_incremental_insertion_keeps_greedy_generators(spec):
     assert basis.rank == full
     assert basis.generators == gens
     assert basis.span_deficit == full - len(gens)
+
+
+# -- the reduction stays in integers -------------------------------------------------
+
+SCALARS = {"Fraction", "GaussianRational", "sc_div"}
+
+
+def test_scalars_are_built_only_at_the_output():
+    """In linalg.py the scalar types and sc_div are named only by `_quotient`,
+    which only `Echelon.det` and `Echelon.kernel_vector` call; outside the
+    functions only the imports name them."""
+    tree = ast.parse(Path(dulac.linalg.__file__).read_text())
+    functions = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            functions.update({f"{node.name}.{f.name}": f for f in node.body if isinstance(f, ast.FunctionDef)})
+        elif isinstance(node, ast.FunctionDef):
+            functions[node.name] = node
+    names = {q: {x.id for x in ast.walk(f) if isinstance(x, ast.Name)} for q, f in functions.items()}
+    assert {q for q, ids in names.items() if ids & SCALARS} == {"_quotient"}
+    assert {q for q, ids in names.items() if "_quotient" in ids} == {"Echelon.det", "Echelon.kernel_vector"}
+    rest = [n for n in tree.body if not isinstance(n, (ast.ClassDef, ast.FunctionDef, ast.Import, ast.ImportFrom))]
+    assert not {x.id for n in rest for x in ast.walk(n) if isinstance(x, ast.Name)} & SCALARS

@@ -1,6 +1,7 @@
 """The boundary between the validating public ScalarSeries constructor and
 the trusted one the package uses for its own results."""
 
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -37,6 +38,22 @@ class TestPublicConstructor:
     def test_exponent_entry_of_another_type(self, m):
         with pytest.raises(SeriesError, match="non-integer"):
             ScalarSeries(2, 3, {m: 1})
+
+    @pytest.mark.parametrize("c", [0.5, 2.0, True, False, Decimal("0.5"), Decimal(2)])
+    def test_scale_refuses_a_scalar_of_another_type(self, c):
+        with pytest.raises(SeriesError, match="scalar"):
+            ScalarSeries.variable(2, 0, 3).scale(c)
+        with pytest.raises(SeriesError, match="scalar"):
+            VectorSeries.identity(2, 3).scale(c)
+        with pytest.raises(SeriesError, match="scalar"):
+            VectorSeries.diagonal_linear([c, 2], 3)
+
+    def test_scale_takes_exact_scalars(self):
+        y = ScalarSeries.variable(2, 0, 3)
+        assert y.scale(2).coeffs == {(1, 0): F(2)} and type(y.scale(2).coeffs[(1, 0)]) is F
+        assert y.scale(F(1, 2)).mul(ScalarSeries.one(2, 3)) == ScalarSeries(2, 3, {(1, 0): F(1, 2)})
+        assert y.scale(gaussian(0, 1)).coeffs == {(1, 0): gaussian(0, 1)}
+        assert VectorSeries.diagonal_linear([F(1, 2), 2], 3).linear_matrix() == [[F(1, 2), 0], [0, 2]]
 
     def test_trusted_constructor_keeps_its_dict(self):
         coeffs = {(1, 0): F(1)}
