@@ -242,16 +242,21 @@ def _system_from_doc(doc, path: str) -> SystemFile:
             raise SystemFileError(f"{path}: mult-base eigenvalues need kind=map")
         exps = _field(eigen_doc, "exponents", list, f"{path}:eigen")
         phases = eigen_doc.get("phases")
+        if phases is not None and not isinstance(phases, list):
+            raise SystemFileError(f"{path}:eigen: field 'phases' has the wrong type")
         def frac(data, where):
             if not (isinstance(data, list) and len(data) == 2 and all(map(is_int, data))):
                 raise SystemFileError(f"{where}: rationals are integer pairs [num, den]")
             if data[1] == 0:
                 raise SystemFileError(f"{where}: zero denominator")
             return Fraction(data[0], data[1])
-        eigen = EigenSpec.multiplicative_base(
-            [frac(a, f"{path}:eigen.exponents[{i}]") for i, a in enumerate(exps)],
-            None if phases is None else [frac(b, f"{path}:eigen.phases[{i}]") for i, b in enumerate(phases)],
-        )
+        try:
+            eigen = EigenSpec.multiplicative_base(
+                [frac(a, f"{path}:eigen.exponents[{i}]") for i, a in enumerate(exps)],
+                None if phases is None else [frac(b, f"{path}:eigen.phases[{i}]") for i, b in enumerate(phases)],
+            )
+        except ValueError as exc:
+            raise SystemFileError(f"{path}:eigen: {exc}") from exc
     else:
         raise SystemFileError(
             f"{path}: eigen form must be additive, mult-rational or mult-base"
@@ -675,7 +680,7 @@ def _require_match(claimed, recomputed, path: str) -> None:
 def _require_order(series: Sequence[ScalarSeries], order: int, what: str) -> None:
     """Exit 4 on a claimed term above the verified order, which would
     otherwise go unchecked."""
-    top = max((sum(m) for s in series for m in s.coeffs), default=0)
+    top = max((len(s.parts) - 1 for s in series), default=0)
     if top > order:
         _fail(f"{what} of degree {top}, above the verified order {order}")
 
@@ -694,12 +699,11 @@ def _claimed_normalization(sf: SystemFile, system, norm_doc, where: str) -> Norm
     result = NormalizationResult(spec=sf.eigen, phi=phi, g=g, order=order)
     residual = verify_conjugacy(system, result)
     if not residual.is_zero():
-        bad = min(sum(m) for comp in residual.components for m in comp.coeffs)
-        _fail(f"conjugacy residual is nonzero at degree {bad}")
+        _fail(f"conjugacy residual is nonzero at degree {residual.low_degree()}")
     for name, series, resonant in (("phi", phi, False), ("g", g, True)):
         _require_order(series.components, order, f"{name} has a term")
         for j, comp in enumerate(series.components):
-            for m in comp.coeffs:
+            for m in comp.exponents():
                 if sf.eigen.resonant(m, j) != resonant:
                     kind = "nonresonant" if resonant else "resonant"
                     _fail(f"{name} carries {kind} monomial {m} in component {j + 1}")

@@ -9,22 +9,22 @@ A set of integrals is a plain tuple of series, each with zero constant term
 and expected to pass its verify_integral check with an exactly zero
 residual.
 
-The search, the residuals and the independence check stay in the packed
-integers of `series` until their output: a search column is read from the
-parts of F's power table (maps) or summed from packed derivative pairs over
-X's table (fields), each degree of V o F - V or <grad V, X> is one packed
-sum, and the gradients are evaluated homogenised, in integers, at each
-sample point.  Both eliminations, the search's kernel and the sample
-points' ranks, run in the integer `linalg.Echelon`; only the kernel vectors
-become `Fraction`s."""
+The search, the residuals and the independence check read the packed
+parts of `series` directly: a search column is read from the parts of F's
+power table (maps) or summed from packed derivative pairs over X's table
+(fields), each degree of V o F - V or <grad V, X> is one packed sum that
+becomes that part of the residual, and the gradients are evaluated
+homogenised, in integers, at each sample point.  Both eliminations, the
+search's kernel and the sample points' ranks, run in the integer
+`linalg.Echelon`; only the kernel vectors become `Fraction`s."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
-from operator import getitem, mul
+from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import HypothesisError
@@ -32,15 +32,14 @@ from .linalg import Echelon, kernel_basis
 from .resonance import LatticeBasis, iter_exponents
 from .scalars import Scalar
 from .series import (
-    Exponent,
     Powers,
     ScalarSeries,
     VectorSeries,
+    _ZERO,
     _diff,
-    _exponent,
-    _pack,
     _pairs,
     _products,
+    _rekeyed,
     invert,
 )
 from .normalizer import MapSystem, System
@@ -91,8 +90,8 @@ _MINUS_ONE = (1, {0: -1}, {})  # the packed constant -1
 def verify_integral(V: ScalarSeries, system: System, order: int | None = None) -> ScalarSeries:
     """Exact residual through the order, zero iff V is a first integral:
     V o F - V for a map, <grad V, A x + f(x)> for a field.  Each degree s is
-    one packed sum over the system's table, unpacked only when it is
-    nonzero: the pairs of V o F and (V_s, -1) for a map, the pairs
+    one packed sum over the system's table, kept as that part of the
+    residual: the pairs of V o F and (V_s, -1) for a map, the pairs
     (d/dy_i V_e, [X_i]_(s-e+1)) for a field."""
     if order is None:
         order = min(V.trunc, system.order)
@@ -106,7 +105,7 @@ def verify_integral(V: ScalarSeries, system: System, order: int | None = None) -
             raise HypothesisError(
                 "formal-base verification supports linear maps only"
             )
-        for m, _ in V.terms():
+        for m in V.exponents():
             if not system.spec.resonant(m):
                 raise HypothesisError(
                     f"residual of monomial {m} is not representable over the "
@@ -114,20 +113,18 @@ def verify_integral(V: ScalarSeries, system: System, order: int | None = None) -
                 )
         return ScalarSeries.zero(V.n, order)
     P = system.powers
-    packed = P.pack(V.truncate(order))
+    packed = V._keyed(order, P.base)
     is_map = isinstance(system, MapSystem)
     if not is_map:  # the packed d/dy_i V_e, for each degree e and each i
         grads = [[(den, _diff(re, w, P.base, 1), _diff(im, w, P.base, 1)) for w in P.weights] for den, re, im in packed]
-    coeffs: dict[Exponent, Scalar] = {}
+    parts = [_ZERO]
     for s in range(1, order + 1):
         if is_map:
-            pairs = _pairs(packed, P, s) + [(packed[s], _MINUS_ONE)]
+            pairs = _pairs(packed, P, s) + [(p, _MINUS_ONE) for p in packed[s : s + 1]]
         else:
-            pairs = [(g, Xi[s - e + 1]) for e in range(1, s + 1) for g, Xi in zip(grads[e], P.parts)]
-        part = _products(pairs)
-        if part[1] or part[2]:
-            coeffs.update(P.unpack(part))
-    return ScalarSeries._make(V.n, order, coeffs)
+            pairs = [(g, Xi[s - e + 1]) for e, gs in enumerate(grads[1 : s + 1], 1) for g, Xi in zip(gs, P.parts)]
+        parts.append(_products(pairs))
+    return ScalarSeries._make(V.n, order, _rekeyed(parts, V.n, P.base, order, order + 1))
 
 
 # -- search -----------------------------------------------------------------------
@@ -196,17 +193,27 @@ def search_integrals(system: System, degree: int) -> tuple[ScalarSeries, ...]:
         if is_map:  # y^m o F - y^m
             re[d * shift + k] = re.get(d * shift + k, 0) - den
         columns.append((den, re, im))
-    # each kernel vector is 1 on its own monomial, so no series is zero
-    series = [ScalarSeries(n, degree, {monomials[c]: v for c, v in vec.items()}) for vec in kernel_basis(columns)]
-    return tuple(sorted(series, key=lambda s: s.terms()[0][0]))
+    # each kernel vector is 1 on its own monomial, so no series is zero; the
+    # monomials are in graded-lex order, so its first column is its first
+    # term, and the series go in the order of their first terms' exponents
+    return tuple(
+        ScalarSeries(n, degree, {monomials[c]: v for c, v in vec.items()})
+        for vec in sorted(kernel_basis(columns), key=lambda vec: monomials[min(vec)])
+    )
 
 
 # -- independence ------------------------------------------------------------------
 
 
-def _value(terms: list[tuple[Exponent, int]], pw: list[list[int]]) -> int:
-    """sum c prod_i pw[i][e_i] over the terms (e, c)."""
-    return sum(c * prod(map(getitem, pw, e)) for e, c in terms)
+def _value(nums: dict[int, int], pw: list[list[int]], base: int) -> int:
+    """sum c prod_i pw[i][e_i] over the packed terms c y^e, keyed with base."""
+    total = 0
+    for k, c in nums.items():
+        for row in pw:
+            k, e = divmod(k, base)
+            c *= row[e]
+        total += c
+    return total
 
 
 def independence_check(
@@ -241,13 +248,14 @@ def independence_check(
     T = max(v.trunc for v in vs)
     base = T + 1
     w = [base**i for i in range(n)]
-    # each gradient component times den(V): (exponent, numerator) terms of
-    # its real and imaginary parts
+    # each gradient component times den(V): the packed numerators of its
+    # real and imaginary parts, keyed with base
     grads = []
     for v in vs:
-        _, re, im = _pack(v.coeffs, w)
+        parts = v._keyed(T)
+        den = lcm(*(p[0] for p in parts))
         grads.append([
-            [[(_exponent(key, n, base), c) for key, c in _diff(nums, wj, base, 1).items()] for nums in (re, im)]
+            [{k: x * (den // p[0]) for p in parts for k, x in _diff(p[i], wj, base, 1).items()} for i in (1, 2)]
             for wj in w
         ])
     rng = random.Random(seed)
@@ -260,7 +268,7 @@ def independence_check(
         pw = [[x.numerator**e * x.denominator ** (T - e) for e in range(T + 1)] for x in point]
         echelon = Echelon()  # each row enters as a column of the transpose
         for g in grads:  # the real and the imaginary numerators of the row
-            echelon.add(*({j: _value(terms, pw) for j, terms in enumerate(part)} for part in zip(*g)))
+            echelon.add(*({j: _value(nums, pw, base) for j, nums in enumerate(part)} for part in zip(*g)))
         r = echelon.rank
         best = max(best, r)
         if r == k:

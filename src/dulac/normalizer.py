@@ -14,7 +14,8 @@ each degree-s part is computed once.  A term whose exact homological divisor
 (mu^m - mu_j for maps, <m, lambda> - lambda_j for fields) is zero is
 resonant and goes to the normal form; every other term is divided through
 and goes to the normalization.  Each degree's right-hand side, its split
-and its division stay packed, and each finished part is unpacked once.  The
+and its division stay packed, and each finished part becomes a part of the
+result as it is, since a series stores packed parts too.  The
 normalization thus contains only nonresonant monomials, the normal form only
 resonant ones, and the pair is unique; exact conjugacy of the output is
 re-verified, summed afresh through the loop's own power tables, and
@@ -27,24 +28,24 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import exp, gcd, inf, lcm, log
 from typing import Optional, Sequence
 
 from .errors import HypothesisError, InternalInvariantError
 from .linalg import primitive_integer_kernel
 from .resonance import EigenSpec, LatticeBasis, enumerate_lattice
-from .scalars import GaussianRational, Scalar, sc_abs2, sc_div, sc_im, sc_re
+from .scalars import Scalar, sc_abs2, sc_div, sc_im, sc_re
 from .series import (
     Exponent,
     Powers,
     ScalarSeries,
     VectorSeries,
+    _ZERO,
     _derivative_pairs,
-    _exponent,
     _pairs,
     _products,
     _reduced,
-    graded,
     unit_power,
 )
 
@@ -69,12 +70,11 @@ class System:
         if self.spec.n != f.n:
             raise ValueError("eigenvalue tuple and nonlinear part disagree on dimension")
         for j, comp in enumerate(f.components):
-            for m in comp.coeffs:
-                if sum(m) < 2:
-                    raise ValueError(
-                        f"nonlinear part has a term of degree {sum(m)} in component "
-                        f"{j + 1}; constant and linear terms belong to the linear part"
-                    )
+            if 0 <= comp.low_degree() < 2:
+                raise ValueError(
+                    f"nonlinear part has a term of degree {comp.low_degree()} in component "
+                    f"{j + 1}; constant and linear terms belong to the linear part"
+                )
         order = f.trunc if self.order is None else self.order
         object.__setattr__(self, "nonlinear", f.with_trunc(order))
         object.__setattr__(self, "order", order)
@@ -159,21 +159,21 @@ def _require_exact_eigenvalues(spec: EigenSpec):
         )
 
 
-def _split_degree(spec: EigenSpec, rhs: list[tuple], n: int, base: int) -> tuple[list[tuple], list[tuple]]:
-    """Split a degree's packed right-hand side into normal-form terms (divisor
-    zero, i.e. resonant) and transformation terms (divided by the divisor),
-    both packed.  In ints: the divisor of y^m e_j is value(m) - value(e_j) =
-    (u + iv) / w over `EigenSpec.table`'s triples, made coprime, and its
-    inverse w (u - iv) / (u^2 + v^2), or w / u when v = 0."""
+def _split_degree(spec: EigenSpec, rhs: list[tuple], P: Powers) -> tuple[list[tuple], list[tuple]]:
+    """Split a degree's packed right-hand side, keyed as in P, into normal-form
+    terms (divisor zero, i.e. resonant) and transformation terms (divided by
+    the divisor), both packed.  In ints: the divisor of y^m e_j is value(m) -
+    value(e_j) = (u + iv) / w over `EigenSpec.table`'s triples, made coprime,
+    and its inverse w (u - iv) / (u^2 + v^2), or w / u when v = 0."""
     values = spec.table
     g_s: list[tuple] = []
     phi_s: list[tuple] = []
     for j, (den, re, im) in enumerate(rhs):
-        xj, yj, dj = values[tuple(int(i == j) for i in range(n))]
+        xj, yj, dj = values[tuple(int(i == j) for i in range(P.n))]
         g_re, g_im, quotients = {}, {}, []
         for k in re.keys() | im.keys() if im else re:
             a, b = re.get(k, 0), im.get(k, 0)
-            x, y, d = values[_exponent(k, n, base)]
+            x, y, d = values[P.exponent(k)]
             u, v, w = x * dj - xj * d, y * dj - yj * d, d * dj
             if not (u or v):
                 if a:
@@ -216,9 +216,9 @@ def _solve(system: System, order: int | None) -> tuple[NormalizationResult, Powe
     spec = system.spec
     n = system.n
     is_map = isinstance(system, MapSystem)
-    P = Powers([graded(c, 1) for c in VectorSeries.identity(n, 1).components], N)
-    Q = Powers([graded(c, 1) for c in system.linear(1).components], N)
-    f = [P.pack(c) for c in system.nonlinear.components]
+    P = Powers(VectorSeries.identity(n, N), N, 1)
+    Q = Powers(system.linear(N), N, 1)
+    f = [c.parts for c in system.nonlinear.truncate(N)]
     for s in range(2, N + 1):
         corr = (
             [_pairs(col, Q, s, 2, -1) for col in P.parts]  # phi(B y + g), phi below degree s
@@ -226,13 +226,10 @@ def _solve(system: System, order: int | None) -> tuple[NormalizationResult, Powe
             else _derivative_pairs(P, Q, s, 2, -1)  # Dphi(y) g(y), both below degree s
         )
         rhs = [_products(_pairs(comp, P, s, 2) + c) for comp, c in zip(f, corr)]
-        g_s, phi_s = _split_degree(spec, rhs, n, P.base)
+        g_s, phi_s = _split_degree(spec, rhs, P)
         P.extend(phi_s)
         Q.extend(g_s)
-    phi, g = (
-        VectorSeries._from_parts([[{}, {}] + [T.unpack(p) for p in col[2:]] for col in T.parts], N)
-        for T in (P, Q)
-    )
+    phi, g = (VectorSeries([ScalarSeries._make(n, N, [_ZERO, _ZERO] + col[2:]) for col in T.parts]) for T in (P, Q))
     return NormalizationResult(spec=spec, phi=phi, g=g, order=N), P, Q
 
 
@@ -250,9 +247,8 @@ def normalize(system: System, order: int | None = None) -> NormalizationResult:
     result, P, Q = _solve(system, order)
     residual = _residual(system, P, Q)
     if not residual.is_zero():
-        bad = min(sum(m) for comp in residual.components for m in comp.coeffs)
         raise InternalInvariantError(
-            f"normalization left a nonzero conjugacy residual at degree {bad}"
+            f"normalization left a nonzero conjugacy residual at degree {residual.low_degree()}"
         )
     return replace(result, residual_zero_degrees=tuple(range(2, result.order + 1)))
 
@@ -261,21 +257,20 @@ def _residual(system: System, P: Powers, Q: Powers) -> VectorSeries:
     """The exact conjugacy residual through the tables' degree N, given P,
     the powers of Phi = y + phi, and Q, those of the normal form G: F o Phi -
     Phi o G for a map, DPhi * G - (A + f) o Phi for a field.  Each degree of
-    each component is one packed sum, unpacked only when it is nonzero; the
+    each component is one packed sum, kept as that part of the residual; the
     compositions read the tables' caches, so a table the degree loop filled
     is not filled again."""
     N = P.base - 1
-    outer = [P.pack(c) for c in system.full(N).components]
-    parts: list[list[dict]] = [[{}] for _ in outer]
+    outer = [c.parts for c in system.full(N)]
+    parts: list[list[tuple]] = [[_ZERO] for _ in outer]
     for s in range(1, N + 1):
         if isinstance(system, MapSystem):
             sums = [_pairs(o, P, s) + _pairs(col, Q, s, 1, -1) for o, col in zip(outer, P.parts)]
         else:
             sums = [d + _pairs(o, P, s, 1, -1) for o, d in zip(outer, _derivative_pairs(P, Q, s, 1))]
         for col, pairs in zip(parts, sums):
-            den, re, im = _products(pairs)
-            col.append(P.unpack((den, re, im)) if re or im else {})
-    return VectorSeries._from_parts(parts, N)
+            col.append(_products(pairs))
+    return VectorSeries([ScalarSeries._make(P.n, N, col) for col in parts])
 
 
 def verify_conjugacy(system: System, result: NormalizationResult) -> VectorSeries:
@@ -472,13 +467,12 @@ def growth_diagnostic(phi: VectorSeries) -> GrowthDiagnostic:
     its logarithm against the degree; flags super-geometric growth."""
     top: dict[int, tuple[int, int]] = {}  # degree -> (|num|, den) of the largest max(|Re c|, |Im c|)
     for comp in phi.components:
-        for m, c in comp.coeffs.items():
-            s = sum(m)
-            for q in (c.re, c.im) if type(c) is GaussianRational else (c,):
-                a, b = abs(q.numerator), q.denominator
+        for s, (den, re, im) in enumerate(comp.parts):
+            if re or im:
+                a = max(map(abs, chain(re.values(), im.values())))
                 t = top.get(s)
-                if t is None or a * t[1] > t[0] * b:
-                    top[s] = a, b
+                if t is None or a * t[1] > t[0] * den:
+                    top[s] = a, den
     rows = [(s, Fraction(*top[s])) for s in range(2, phi.trunc + 1) if s in top]
     if len(rows) < 2:
         return GrowthDiagnostic(tuple(rows), None, None, False)

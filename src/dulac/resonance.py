@@ -43,6 +43,7 @@ from .scalars import (
     format_scalar,
     gauss_parts,
     gauss_valuations,
+    is_int,
     primitive_root,
     sc_abs2,
     sc_im,
@@ -82,11 +83,11 @@ class EigenSpec:
     def multiplicative_base(
         cls, exponents: Sequence, phases: Sequence | None = None
     ) -> "EigenSpec":
-        exps = tuple(Fraction(a) for a in exponents)
+        exps = tuple(map(_as_rational, exponents))
         if phases is None:
             phs = (Fraction(0),) * len(exps)
         else:
-            phs = tuple(Fraction(b) % 1 for b in phases)
+            phs = tuple(_as_rational(b) % 1 for b in phases)
         if len(phs) != len(exps):
             raise ValueError("exponent and phase tuples differ in length")
         return cls(kind="mult-base", n=len(exps), exponents=exps, phases=phs)
@@ -174,9 +175,17 @@ class EigenSpec:
 
 
 def _as_scalar(v) -> Scalar:
-    if isinstance(v, GaussianRational):
+    if isinstance(v, (Fraction, GaussianRational)):
         return v
-    return Fraction(v)
+    if is_int(v):
+        return Fraction(v)
+    raise ValueError(f"eigenvalue {v!r} is not an int, Fraction or GaussianRational")
+
+
+def _as_rational(v) -> Fraction:
+    if isinstance(v, Fraction) or is_int(v):
+        return Fraction(v)
+    raise ValueError(f"exponent or phase {v!r} is not an int or Fraction")
 
 
 # -- integer value keys --------------------------------------------------------

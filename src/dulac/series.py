@@ -2,45 +2,46 @@
 
 A series knows its dimension ``n`` and truncation degree ``trunc``; only
 monomials of total degree <= trunc are representable and explicit zeros are
-never stored.  All arithmetic is exact over Fraction / GaussianRational
-coefficients.  Series are immutable and every operation is a pure function,
-so sharing a series across threads is safe; a `Powers` table fills as it is
-read, so one (and a system holding one) is read from one thread.
+never stored.  All arithmetic is exact over Q and Q(i).  Series are
+immutable and every operation is a pure function, so sharing a series across
+threads is safe; a `Powers` table fills as it is read, so one (and a system
+holding one) is read from one thread.
 
 Binary operations take an explicit output truncation degree and default to
 the minimum of the operands' degrees, which prevents silently claiming more
 precision than the inputs carry.
 
-The public constructor validates every exponent and coefficient; results the
-package builds itself (sums, products, scalings, truncations, compositions)
-skip that through the trusted ``ScalarSeries._make``.
+A series is stored as its homogeneous parts, each packed, as ``(den, re,
+im)``: one positive int denominator, and two dicts from a packed monomial key
+to a nonzero int numerator (``im`` is empty over Q), with a content of one,
+so equal series have equal parts; trailing zero parts are not kept, so a
+large ``trunc`` stays sparse.  The key of m is sum m_i * base^i with base =
+trunc + 1 (Monagan and Pearce, CASC 2007); no exponent of a kept product
+exceeds trunc, so adding two keys multiplies the monomials with no carry.
+Operands of different truncation degrees meet in one base through
+`_rekeyed`, the only code that moves keys.  The public constructor validates
+every exponent and coefficient and packs them; results the package builds
+itself skip that through the trusted ``ScalarSeries._make``.  Fractions and
+Gaussian rationals are built only where a series is read: `coeff`, `terms`
+and `coeffs`.
 
-All composition runs through one engine, `Powers`: for an inner map P known
-through degree s - 1 it yields the degree-s part of every power P^m with
-|m| >= 2, each part computed once from m = m' + e_i and cached.  A table of a
-fully known P composes through any degree up to its own (`Powers.compose`; a
-map keeps one, `MapSystem.powers`); `invert` and the normalizer's degree loop
-feed one a degree at a time: the relaxed ("online") evaluation of J. van der
-Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput. 34 (2002).
-
-Inside the engine a homogeneous part is packed, as ``(den, re, im)``: one
-positive int denominator, and two dicts from a packed monomial key to an int
-numerator (``im`` is empty over Q).  The key of m is sum m_i * base^i with
-base = trunc + 1 (Monagan and Pearce, CASC 2007); no exponent of a kept
-product exceeds trunc, so adding two keys multiplies the monomials with no
-carry, and a table caches its powers under these keys.  One integer kernel,
-`_kmul`, does every product; a sum of the products of the pairs `_pairs` and
-`_derivative_pairs` list is taken over the lcm of its denominators, and its
-content is divided out once.  Scalars are packed where they enter the engine
-and unpacked once where they leave it, so every public type keeps Fraction /
-GaussianRational.
+One integer kernel, `_kmul`, does every product; a sum of the products of a
+list of pairs of parts is taken over the lcm of their denominators, and its
+content is divided out once (`_products`).  All composition runs through one
+engine, `Powers`: for an inner map P known through degree s - 1 it yields
+the degree-s part of every power P^m with |m| >= 2, each part computed once
+from m = m' + e_i and cached under the key of m.  A table of a fully known P
+composes through any degree up to its own (`Powers.compose`; a map keeps
+one, `System.powers`); `invert` and the normalizer's degree loop feed one a
+degree at a time: the relaxed ("online") evaluation of J. van der Hoeven,
+"Relax, but don't be too lazy", J. Symbolic Comput. 34 (2002).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -59,50 +60,61 @@ def grlex_key(m: Exponent) -> tuple[int, Exponent]:
     return (sum(m), m)
 
 
-def _check_exponent(m, n: int, trunc: int):
+def _check_exponent(m, n: int, trunc: int) -> int:
+    """The degree of a valid exponent m."""
     if len(m) != n:
         raise SeriesError(f"exponent {m} has length {len(m)}, expected {n}")
     if any(not is_int(e) or e < 0 for e in m):
         raise SeriesError(f"exponent {m} has negative or non-integer entries")
-    if sum(m) > trunc:
+    if (d := sum(m)) > trunc:
         raise SeriesError(f"exponent {m} exceeds truncation degree {trunc}")
+    return d
 
 
 class ScalarSeries:
-    """A scalar-valued series, stored as a sparse exponent -> coefficient map."""
+    """A scalar-valued series, stored as its packed homogeneous parts:
+    ``parts[d]`` is the degree-d part (den, re, im), keyed with base trunc +
+    1, for d through the last nonzero part."""
 
-    __slots__ = ("n", "trunc", "coeffs")
+    __slots__ = ("n", "trunc", "parts")
 
     def __init__(self, n: int, trunc: int, coeffs: dict | None = None):
         if n < 1:
             raise SeriesError("dimension must be >= 1")
         if trunc < 0:
             raise SeriesError("truncation degree must be >= 0")
-        clean: dict[Exponent, Scalar] = {}
-        if coeffs:
-            for m, c in coeffs.items():
-                m = tuple(m)
-                _check_exponent(m, n, trunc)
-                if is_int(c):
-                    c = Fraction(c)
-                elif not isinstance(c, (Fraction, GaussianRational)):
-                    raise SeriesError(f"coefficient {c!r} of {m} is not an int, Fraction or GaussianRational")
-                if c == 0:
-                    continue
-                clean[m] = c
+        w = [(trunc + 1) ** i for i in range(n)]
+        degrees: dict[int, list] = {}
+        for m, c in (coeffs or {}).items():
+            m = tuple(m)
+            d = _check_exponent(m, n, trunc)
+            if not (is_int(c) or isinstance(c, (Fraction, GaussianRational))):
+                raise SeriesError(f"coefficient {c!r} of {m} is not an int, Fraction or GaussianRational")
+            if c:
+                degrees.setdefault(d, []).append((sum(map(mul, m, w)), c))
+        parts = [_ZERO] * (max(degrees, default=-1) + 1)
+        for d, terms in degrees.items():
+            parts[d] = _packed(terms)
         self.n = n
         self.trunc = trunc
-        self.coeffs = clean
+        self.parts = parts
 
     @classmethod
-    def _make(cls, n: int, trunc: int, coeffs: dict) -> "ScalarSeries":
-        """Trusted constructor: `coeffs` maps valid exponents of degree
-        <= trunc to nonzero scalars and is owned by the new series."""
+    def _make(cls, n: int, trunc: int, parts: list) -> "ScalarSeries":
+        """Trusted constructor: `parts` are canonical packed parts keyed with
+        base trunc + 1, through degree <= trunc, and are owned by the new
+        series; its trailing zero parts are dropped."""
+        while parts and not (parts[-1][1] or parts[-1][2]):
+            parts.pop()
         self = object.__new__(cls)
         self.n = n
         self.trunc = trunc
-        self.coeffs = coeffs
+        self.parts = parts
         return self
+
+    def _keyed(self, top: int, base: int | None = None) -> list[tuple]:
+        """The parts through degree top, keyed with base (default top + 1)."""
+        return _rekeyed(self.parts, self.n, self.trunc + 1, top, base or top + 1)
 
     # -- constructors ------------------------------------------------------
 
@@ -127,29 +139,46 @@ class ScalarSeries:
     def monomial(cls, n: int, trunc: int, m, c=1) -> "ScalarSeries":
         return cls(n, trunc, {tuple(m): c})
 
-    # -- inspection --------------------------------------------------------
+    # -- inspection: the only places scalars are built ----------------------
 
     def coeff(self, m) -> Scalar:
         return self.coeffs.get(tuple(m), Fraction(0))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _items(self):
+        """(exponent, scalar) for every term, degree by degree."""
+        n, base = self.n, self.trunc + 1
+        for den, re, im in self.parts:
+            for k in re.keys() | im.keys() if im else re:
+                r = Fraction(re.get(k, 0), den)
+                yield _exponent(k, n, base), GaussianRational(r, Fraction(im[k], den)) if k in im else r
 
-    def low_degree(self) -> int:
-        """Smallest total degree present; -1 for the zero series."""
-        return min((sum(m) for m in self.coeffs), default=-1)
+    @property
+    def coeffs(self) -> dict[Exponent, Scalar]:
+        """A new exponent -> scalar dict of the terms."""
+        return dict(self._items())
 
     def terms(self) -> list[tuple[Exponent, Scalar]]:
         """Terms in graded lexicographic order (canonical)."""
-        return sorted(self.coeffs.items(), key=lambda t: grlex_key(t[0]))
+        return sorted(self._items(), key=lambda t: grlex_key(t[0]))
+
+    def exponents(self) -> list[Exponent]:
+        """The exponents of the terms in graded lexicographic order, read
+        without building their scalars."""
+        keys = (k for _, re, im in self.parts for k in (re.keys() | im.keys() if im else re))
+        return sorted((_exponent(k, self.n, self.trunc + 1) for k in keys), key=grlex_key)
 
     def constant_term(self) -> Scalar:
         return self.coeff((0,) * self.n)
 
+    def is_zero(self) -> bool:
+        return not self.parts
+
+    def low_degree(self) -> int:
+        """Smallest total degree present; -1 for the zero series."""
+        return next((d for d, (_, re, im) in enumerate(self.parts) if re or im), -1)
+
     def homogeneous_part(self, s: int) -> "ScalarSeries":
-        return ScalarSeries._make(
-            self.n, self.trunc, {m: c for m, c in self.coeffs.items() if sum(m) == s}
-        )
+        return ScalarSeries._make(self.n, self.trunc, [_ZERO] * s + self.parts[s : s + 1])
 
     # -- structure ---------------------------------------------------------
 
@@ -161,13 +190,11 @@ class ScalarSeries:
             )
         if trunc == self.trunc:
             return self
-        return ScalarSeries._make(
-            self.n, trunc, {m: c for m, c in self.coeffs.items() if sum(m) <= trunc}
-        )
+        return self.with_trunc(trunc)
 
     def with_trunc(self, trunc: int) -> "ScalarSeries":
         """Re-declare the truncation degree (treats the value as exact)."""
-        return ScalarSeries._make(self.n, trunc, {m: c for m, c in self.coeffs.items() if sum(m) <= trunc})
+        return ScalarSeries._make(self.n, trunc, self._keyed(trunc))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -176,49 +203,37 @@ class ScalarSeries:
             raise SeriesError(f"dimension mismatch: {self.n} vs {other.n}")
         return min(self.trunc, other.trunc)
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        """self + sign * other, part by part."""
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = ScalarSeries.const(self.n, self.trunc, other)
         if not isinstance(other, ScalarSeries):
             return NotImplemented
         trunc = self._binary_trunc(other)
-        out = {m: c for m, c in self.coeffs.items() if sum(m) <= trunc}
-        for m, c in other.coeffs.items():
-            if sum(m) > trunc:
-                continue
-            if m not in out:
-                out[m] = c
-                continue
-            v = out[m] + c
-            if v == 0:
-                del out[m]
-            else:
-                out[m] = v
-        return ScalarSeries._make(self.n, trunc, out)
+        parts = [_sum(p, q, sign) for p, q in zip_longest(self._keyed(trunc), other._keyed(trunc), fillvalue=_ZERO)]
+        return ScalarSeries._make(self.n, trunc, parts)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return ScalarSeries._make(self.n, self.trunc, {m: -c for m, c in self.coeffs.items()})
-
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = ScalarSeries.const(self.n, self.trunc, other)
-        if not isinstance(other, ScalarSeries):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def __neg__(self):
+        return self.scale(-1)
+
     def scale(self, c) -> "ScalarSeries":
-        if is_int(c):
-            c = Fraction(c)
-        elif not isinstance(c, (Fraction, GaussianRational)):
+        if not (is_int(c) or isinstance(c, (Fraction, GaussianRational))):
             raise SeriesError(f"scalar {c!r} is not an int, Fraction or GaussianRational")
         if c == 0:
             return ScalarSeries.zero(self.n, self.trunc)
-        return ScalarSeries._make(self.n, self.trunc, {m: c * v for m, v in self.coeffs.items()})
+        f = _packed([(0, c)])
+        return ScalarSeries._make(self.n, self.trunc, [_products([(p, f)]) for p in self.parts])
 
     def mul(self, other: "ScalarSeries", trunc: int | None = None) -> "ScalarSeries":
         """Exact truncated product; every kept coefficient is the full
@@ -229,52 +244,33 @@ class ScalarSeries:
             raise SeriesError(f"dimension mismatch: {self.n} vs {other.n}")
         return _dot([self], [other], self.n, trunc)
 
-    def __mul__(self, other):
-        if isinstance(other, ScalarSeries):
-            return self.mul(other)
-        if isinstance(other, (int, Fraction)) or hasattr(other, "abs2"):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)) or hasattr(other, "abs2"):
-            return self.scale(other)
-        return NotImplemented
-
     # -- calculus ----------------------------------------------------------
 
     def diff(self, i: int) -> "ScalarSeries":
-        out: dict[Exponent, Scalar] = {}
-        for m, c in self.coeffs.items():
-            if m[i] == 0:
-                continue
-            dm = m[:i] + (m[i] - 1,) + m[i + 1 :]
-            out[dm] = c * m[i]
-        return ScalarSeries._make(self.n, max(self.trunc - 1, 0), out)
+        base = self.trunc + 1
+        w = base**i
+        parts = [_reduced(den, _diff(re, w, base, 1), _diff(im, w, base, 1)) for den, re, im in self.parts[1:]]
+        trunc = max(self.trunc - 1, 0)
+        return ScalarSeries._make(self.n, trunc, _rekeyed(parts, self.n, base, trunc, trunc + 1))
 
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, ScalarSeries):
             return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        if self.n != other.n:
+            return False
+        a, b = (self, other) if self.trunc >= other.trunc else (other, self)
+        return a.parts == b._keyed(b.trunc, a.trunc + 1)
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.coeffs.items())))
+        # blind to trunc, as == is: the numerators without their keys
+        return hash((self.n, tuple((den, frozenset(re.values()), frozenset(im.values())) for den, re, im in self.parts)))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for m, c in self.terms():
-            mono = "*".join(
-                f"y{i+1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(m)
-                if e > 0
-            )
-            cs = format_scalar(c)
-            bits.append(f"({cs})" + (f"*{mono}" if mono else ""))
-        return " + ".join(bits)
+        bits = (f"({format_scalar(c)})" + "".join(f"*y{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(m) if e)
+                for m, c in self.terms())
+        return " + ".join(bits) or "0"
 
     def __repr__(self):
         return f"ScalarSeries(n={self.n}, trunc={self.trunc}, {str(self)})"
@@ -313,11 +309,6 @@ class VectorSeries:
         return cls(
             [ScalarSeries.variable(n, i, trunc).scale(diag[i]) for i in range(n)]
         )
-
-    @classmethod
-    def _from_parts(cls, parts: Sequence[Sequence[dict]], trunc: int) -> "VectorSeries":
-        """Trusted: component j has the homogeneous parts parts[j][0], parts[j][1], ..."""
-        return cls([ScalarSeries._make(len(parts), trunc, {m: c for p in col for m, c in p.items()}) for col in parts])
 
     @classmethod
     def from_terms(
@@ -367,18 +358,10 @@ class VectorSeries:
     def scale(self, c) -> "VectorSeries":
         return VectorSeries([comp.scale(c) for comp in self.components])
 
-    def constant_part(self) -> tuple[Scalar, ...]:
-        return tuple(c.constant_term() for c in self.components)
-
-    def linear_matrix(self) -> list[list[Scalar]]:
-        """The n x n matrix of degree-1 coefficients."""
-        units = [tuple(int(k == j) for k in range(self.n)) for j in range(self.n)]
-        return [[comp.coeff(e) for e in units] for comp in self.components]
-
     def strip_low(self, min_degree: int) -> "VectorSeries":
         """Drop all terms of total degree < min_degree."""
         return VectorSeries([
-            ScalarSeries._make(self.n, self.trunc, {m: c for m, c in comp.coeffs.items() if sum(m) >= min_degree})
+            ScalarSeries._make(self.n, self.trunc, [_ZERO] * min_degree + comp.parts[min_degree:])
             for comp in self.components
         ])
 
@@ -400,32 +383,27 @@ class VectorSeries:
         return f"VectorSeries(n={self.n}, trunc={self.trunc}, {str(self)})"
 
 
-# -- the composition engine --------------------------------------------------
+# -- packed parts --------------------------------------------------------------
 
 
-def graded(s: ScalarSeries, trunc: int) -> list[dict]:
-    """The homogeneous parts of s through degree trunc: out[d] holds the degree-d terms."""
-    out: list[dict] = [{} for _ in range(trunc + 1)]
-    for m, c in s.coeffs.items():
-        d = sum(m)
-        if d <= trunc:
-            out[d][m] = c
-    return out
+_ZERO = (1, {}, {})  # the packed zero part, shared and never written to
+_ONE = (1, {0: 1}, {})
 
 
-def _pack(coeffs: dict, weights: Sequence[int]) -> tuple:
-    """The packed part (den, re, im) of exponent -> scalar terms."""
+def _packed(terms: Sequence[tuple[int, Scalar]]) -> tuple:
+    """The canonical packed part (den, re, im) of (key, scalar) terms, the
+    scalars nonzero: den is the lcm of their denominators, so the content is
+    one."""
     den = 1
-    for c in coeffs.values():
-        if type(c) is GaussianRational:
+    for _, c in terms:
+        if isinstance(c, GaussianRational):
             den = lcm(den, c.re.denominator, c.im.denominator)
         else:
             den = lcm(den, c.denominator)
     re: dict[int, int] = {}
     im: dict[int, int] = {}
-    for m, c in coeffs.items():
-        k = sum(map(mul, m, weights))
-        if type(c) is GaussianRational:
+    for k, c in terms:
+        if isinstance(c, GaussianRational):
             im[k] = c.im.numerator * (den // c.im.denominator)
             c = c.re
         if c:
@@ -442,18 +420,19 @@ def _exponent(k: int, n: int, base: int) -> Exponent:
     return tuple(m)
 
 
-def _scalars(part: tuple, offset: int = 0) -> dict[int, Scalar]:
-    """offset + packed key -> scalar, for the terms of a packed part."""
-    den, re, im = part
-    out: dict[int, Scalar] = {offset + k: Fraction(v, den) for k, v in re.items()}
-    for k, v in im.items():
-        out[offset + k] = GaussianRational(out.get(offset + k, 0), Fraction(v, den))
-    return out
+def _rekeyed(parts: list, n: int, base: int, top: int, new_base: int) -> list:
+    """The parts through degree top, their keys moved from base to new_base
+    (both above top): the one place where keys change base."""
+    if top + 1 < len(parts):
+        parts = parts[: top + 1]
+    if new_base == base or n == 1:
+        return parts
+    w = [new_base**i for i in range(n)]
+    return [(den, *({sum(map(mul, _exponent(k, n, base), w)): v for k, v in nums.items()} for nums in (re, im)))
+            for den, re, im in parts]
 
 
-def _unpack(part: tuple, n: int, base: int) -> dict:
-    """Exponent -> scalar terms of a packed part."""
-    return {_exponent(k, n, base): c for k, c in _scalars(part).items()}
+# -- the composition engine --------------------------------------------------
 
 
 def _kmul(acc: dict, a: dict, b: dict, f: int) -> None:
@@ -486,6 +465,15 @@ def _products(pairs: Sequence[tuple[tuple, tuple]]) -> tuple:
     return _reduced(den, {k: v for k, v in re.items() if v}, {k: v for k, v in im.items() if v})
 
 
+def _sum(p: tuple, q: tuple, sign: int) -> tuple:
+    """The packed part p + sign * q."""
+    if not (q[1] or q[2]):
+        return p
+    if not (p[1] or p[2]) and sign == 1:
+        return q
+    return _products([(p, _ONE), (q, (1, {0: sign}, {}))])
+
+
 def _reduced(den: int, re: dict, im: dict) -> tuple:
     """(den, re, im), free of zero numerators, with its content divided out."""
     g = gcd(den, *re.values(), *im.values())
@@ -508,37 +496,36 @@ class Powers:
 
     __slots__ = ("n", "base", "weights", "parts", "cache", "degrees")
 
-    def __init__(self, parts: Sequence[Sequence[dict]], trunc: int):
-        n = self.n = len(parts)
+    def __init__(self, inner: Iterable[ScalarSeries], trunc: int, known: int):
+        """The table of the powers of P = inner through degree trunc, with P
+        known through degree `known`; `extend` adds its later parts."""
+        cols = [c._keyed(known, trunc + 1) for c in inner]
+        n = self.n = len(cols)
         self.base = trunc + 1
         self.weights = [self.base**i for i in range(n)]
         self.parts: list[list[tuple]] = [[] for _ in range(n)]
         self.cache = dict(zip(self.weights, self.parts))
         self.degrees = dict.fromkeys(self.weights, 1)  # key -> |m|
-        for new in zip(*parts):
-            self.extend(new)
+        for d in range(known + 1):
+            self.extend([col[d] if d < len(col) else _ZERO for col in cols])
 
     @classmethod
     def of(cls, inner: VectorSeries, trunc: int) -> "Powers":
         """The powers of a fully known inner map, through degree trunc."""
-        if any(c != 0 for c in inner.constant_part()):
+        if any(c.low_degree() == 0 for c in inner):
             raise SeriesError("inner map has a constant term")
-        return cls([graded(c.truncate(trunc), trunc) for c in inner.components], trunc)
+        return cls(inner.truncate(trunc), trunc, trunc)
 
-    def extend(self, new: Sequence[dict | tuple]) -> None:
-        """Append the next homogeneous part of every component of P, given
-        as exponent -> scalar terms or packed."""
+    def extend(self, new: Sequence[tuple]) -> None:
+        """Append the next packed homogeneous part of every component of P."""
         if len(self.parts[0]) == self.base:
             raise SeriesError(f"inner map extended beyond degree {self.base - 1}")
         for col, part in zip(self.parts, new):
-            col.append(part if type(part) is tuple else _pack(part, self.weights))
+            col.append(part)
 
-    def pack(self, s: ScalarSeries) -> list[tuple]:
-        """The packed homogeneous parts of s through this table's degree."""
-        return [_pack(part, self.weights) if part else (1, {}, {}) for part in graded(s, self.base - 1)]
-
-    def unpack(self, part: tuple) -> dict:  # exponent -> scalar terms
-        return _unpack(part, self.n, self.base)
+    def exponent(self, k: int) -> Exponent:
+        """The exponent m of a packed key of this table."""
+        return _exponent(k, self.n, self.base)
 
     def part(self, k: Exponent | int, s: int) -> tuple:
         """[P^m]_s for |m| >= 1, packed; k is m or its packed key."""
@@ -546,8 +533,8 @@ class Powers:
             k = sum(map(mul, k, self.weights))
         col = self.cache.get(k)
         if col is None:  # zero parts below degree |m|, never written to
-            d = self.degrees[k] = sum(_exponent(k, self.n, self.base))
-            col = self.cache[k] = [(1, {}, {})] * d
+            d = self.degrees[k] = sum(self.exponent(k))
+            col = self.cache[k] = [_ZERO] * d
         if len(col) > s:
             return col[s]
         i = bisect_right(self.weights, k) - 1  # the last variable of m
@@ -571,11 +558,9 @@ class Powers:
             raise SeriesError(f"inner map not known through degree {trunc}")
         out = []
         for o in outers:
-            coeffs = {m: c for m, c in o.coeffs.items() if not any(m)}
-            packed = self.pack(o)
-            for s in range(1, trunc + 1):
-                coeffs.update(self.unpack(_products(_pairs(packed, self, s))))
-            out.append(ScalarSeries._make(self.n, trunc, coeffs))
+            parts = o._keyed(trunc, self.base)
+            new = (parts[:1] or [_ZERO]) + [_products(_pairs(parts, self, s)) for s in range(1, trunc + 1)]
+            out.append(ScalarSeries._make(self.n, trunc, _rekeyed(new, self.n, self.base, trunc, trunc + 1)))
         return out
 
 
@@ -643,16 +628,15 @@ def invert(phi: VectorSeries, trunc: int | None = None) -> VectorSeries:
     if trunc is None:
         trunc = phi.trunc
     n = phi.n
-    if any(c != 0 for c in phi.constant_part()):
+    h, ident = phi.truncate(trunc), VectorSeries.identity(n, trunc)
+    if any(c.low_degree() == 0 for c in h):
         raise SeriesError("map to invert has a constant term")
-    lin = phi.linear_matrix()
-    if any(lin[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)):
+    if any(c.parts[1:2] != e.parts[1:] for c, e in zip(h, ident)):
         raise SeriesError("linear part is not the identity; factor it out first")
-    powers = Powers([graded(c, 1) for c in VectorSeries.identity(n, 1).components], trunc)
-    h = [powers.pack(c) for c in phi.truncate(trunc).components]
+    powers = Powers(ident, trunc, 1)
     for s in range(2, trunc + 1):
-        powers.extend([_products(_pairs(c, powers, s, 2, -1)) for c in h])
-    return VectorSeries._from_parts([[powers.unpack(p) for p in col] for col in powers.parts], trunc)
+        powers.extend([_products(_pairs(c.parts, powers, s, 2, -1)) for c in h])
+    return VectorSeries([ScalarSeries._make(n, trunc, col[:]) for col in powers.parts])
 
 
 # -- matrices of series ------------------------------------------------------
@@ -676,25 +660,16 @@ def mat_vec(
 
 
 def _dot(xs: Sequence[ScalarSeries], ys: Sequence[ScalarSeries], n: int, trunc: int) -> ScalarSeries:
-    """sum x_i * y_i through degree trunc, as one sum of packed products."""
-    w = [(trunc + 1) ** i for i in range(n)]
-    pairs = []
+    """sum x_i * y_i through degree trunc, each degree one sum of packed products."""
+    sums: list[list] = [[] for _ in range(trunc + 1)]
     for x, y in zip(xs, ys):
         if x.n != n or y.n != n:
             raise SeriesError(f"dimension mismatch: {x.n} vs {y.n} in dimension {n}")
-        a, b = _packed_degrees(x, trunc, w), _packed_degrees(y, trunc, w)
-        pairs += [(pa, pb) for da, pa in a for db, pb in b if da + db <= trunc]
-    return ScalarSeries._make(n, trunc, _unpack(_products(pairs), n, trunc + 1))
-
-
-def _packed_degrees(s: ScalarSeries, trunc: int, weights: Sequence[int]) -> list[tuple[int, tuple]]:
-    """(d, packed degree-d part of s) for each degree d <= trunc present in s."""
-    parts: dict[int, dict] = {}
-    for m, c in s.coeffs.items():
-        d = sum(m)
-        if d <= trunc:
-            parts.setdefault(d, {})[m] = c
-    return [(d, _pack(p, weights)) for d, p in parts.items()]
+        a, b = x._keyed(trunc), y._keyed(trunc)
+        for da, pa in enumerate(a):
+            for db, pb in enumerate(b[: trunc + 1 - da]):
+                sums[da + db].append((pa, pb))
+    return ScalarSeries._make(n, trunc, [_products(pairs) for pairs in sums])
 
 
 def det_series(M: Sequence[Sequence[ScalarSeries]], trunc: int | None = None) -> ScalarSeries:
@@ -754,8 +729,10 @@ def cross(vs: Sequence[VectorSeries], trunc: int | None = None) -> VectorSeries:
 
 def unit_power(u: ScalarSeries, r, trunc: int | None = None) -> ScalarSeries:
     """Exact truncation of (1 + u)^r for rational r; u must have no constant term."""
-    if u.constant_term() != 0:
+    if u.low_degree() == 0:
         raise SeriesError("unit_power needs a series without constant term")
+    if not (is_int(r) or isinstance(r, Fraction)):
+        raise SeriesError(f"exponent {r!r} is not an int or Fraction")
     r = Fraction(r)
     if trunc is None:
         trunc = u.trunc

@@ -376,7 +376,7 @@ class OraclePowerCache:
 def oracle_compose_scalar(outer, inner, trunc=None):
     if trunc is None:
         trunc = min(outer.trunc, inner.trunc)
-    assert all(c == 0 for c in inner.constant_part())
+    assert all(c.constant_term() == 0 for c in inner)
     cache = OraclePowerCache(inner, trunc)
     out = ScalarSeries.const(outer.n, trunc, outer.constant_term())
     for m, c in outer.terms():
@@ -428,11 +428,11 @@ def _oracle_inverse(div):
     return (p, q, 0) if p > 0 else (-p, -q, 0)
 
 
-def oracle_split_degree(spec, rhs, n, base):
+def oracle_split_degree(spec, rhs, P):
     """`normalizer._split_degree` as it was: each divisor a `Fraction` or
     Gaussian difference read off the `Fraction` table (`oracle_values`),
     inverted by `_oracle_inverse`."""
-    from dulac.series import _exponent, _reduced
+    from dulac.series import _reduced
 
     values = oracle_values(spec)
     g_s, phi_s = [], []
@@ -440,7 +440,7 @@ def oracle_split_degree(spec, rhs, n, base):
         g_re, g_im, quotients = {}, {}, []
         for k in re.keys() | im.keys() if im else re:
             a, b = re.get(k, 0), im.get(k, 0)
-            div = values[_exponent(k, n, base)] - target
+            div = values[P.exponent(k)] - target
             if div == 0:
                 if a:
                     g_re[k] = a
@@ -811,24 +811,114 @@ def oracle_pivot_and_deltas(K, n):
 
 
 def oracle_mul(a, b, trunc=None):
-    """Truncated product by the double loop over both operands' terms, the
-    smaller operand outside."""
-    from operator import add
-
+    """Truncated product by the double loop over both operands' terms."""
     if trunc is None:
         trunc = min(a.trunc, b.trunc)
-    if len(a.coeffs) > len(b.coeffs):
-        a, b = b, a
+    return ScalarSeries(a.n, trunc, dict_mul(a.coeffs, b.coeffs, trunc))
+
+
+# -- the Fraction-dict series arithmetic ----------------------------------------------
+#
+# ScalarSeries as it was before it stored packed homogeneous parts: an
+# exponent -> scalar dict without zeros, every operation a loop over its
+# terms in scalar arithmetic.  The oracle of every public series operation;
+# each takes the output truncation degree explicitly.
+
+
+def _dict_nonzero(d):
+    return {m: c for m, c in d.items() if c != 0}
+
+
+def dict_truncate(a, trunc):
+    return {m: c for m, c in a.items() if sum(m) <= trunc}
+
+
+def dict_add(a, b, trunc, sign=1):
+    """a + sign * b through degree trunc."""
+    out = dict_truncate(a, trunc)
+    for m, c in dict_truncate(b, trunc).items():
+        out[m] = out[m] + sign * c if m in out else sign * c
+    return _dict_nonzero(out)
+
+
+def dict_scale(a, c):
+    return _dict_nonzero({m: c * v for m, v in a.items()})
+
+
+def dict_mul(a, b, trunc):
+    from operator import add
+
     out = {}
-    bterms = sorted((sum(m), m, c) for m, c in b.coeffs.items())
-    for ma, ca in a.coeffs.items():
-        room = trunc - sum(ma)
-        for db, mb, cb in bterms:
-            if db > room:
-                break
+    for ma, ca in a.items():
+        for mb, cb in b.items():
             m = tuple(map(add, ma, mb))
-            out[m] = out[m] + ca * cb if m in out else ca * cb
-    return ScalarSeries(a.n, trunc, {m: c for m, c in out.items() if c != 0})
+            if sum(m) <= trunc:
+                out[m] = out[m] + ca * cb if m in out else ca * cb
+    return _dict_nonzero(out)
+
+
+def dict_diff(a, i):
+    return {m[:i] + (m[i] - 1,) + m[i + 1 :]: c * m[i] for m, c in a.items() if m[i]}
+
+
+def dict_compose(outer, inner, trunc):
+    """outer(inner(y)) through degree trunc; inner is a list of dicts
+    without constant terms, and every power of it is multiplied out."""
+    out = {}
+    for m, c in dict_truncate(outer, trunc).items():
+        term = {(0,) * len(inner): c}
+        for i, e in enumerate(m):
+            for _ in range(e):
+                term = dict_mul(term, inner[i], trunc)
+        out = dict_add(out, term, trunc)
+    return out
+
+
+def dict_invert(phi, trunc):
+    """The inverse of the tangent-to-identity map phi (a list of dicts):
+    after k passes of psi = id - h o psi it is exact through degree k + 1."""
+    n = len(phi)
+    ident = [{tuple(int(k == i) for k in range(n)): F(1)} for i in range(n)]
+    h = [{m: c for m, c in dict_add(p, e, trunc, -1).items() if sum(m) >= 2} for p, e in zip(phi, ident)]
+    psi = ident
+    for _ in range(max(trunc - 1, 0)):
+        psi = [dict_add(e, dict_compose(hj, psi, trunc), trunc, -1) for e, hj in zip(ident, h)]
+    return psi
+
+
+def dict_det(M, n, trunc):
+    """The determinant of a square matrix of dicts, by Laplace expansion
+    along the first row."""
+    if not M:
+        return {(0,) * n: F(1)}
+    out = {}
+    for j, entry in enumerate(M[0]):
+        minor = [row[:j] + row[j + 1 :] for row in M[1:]]
+        out = dict_add(out, dict_mul(entry, dict_det(minor, n, trunc), trunc), trunc, (-1) ** j)
+    return out
+
+
+def dict_mat_vec(M, X, trunc):
+    out = []
+    for row in M:
+        acc = {}
+        for e, x in zip(row, X):
+            acc = dict_add(acc, dict_mul(e, x, trunc), trunc)
+        out.append(acc)
+    return out
+
+
+def dict_unit_power(u, r, n, trunc):
+    """(1 + u)^r through degree trunc, as the binomial series sum_k
+    binom(r, k) u^k; u has no constant term."""
+    out = term = {(0,) * n: F(1)}
+    k = 0
+    while True:
+        k += 1
+        term = dict_scale(dict_mul(term, u, trunc), F(r - (k - 1), k))
+        if not term:
+            return out
+        out = dict_add(out, term, trunc)
 
 
 # -- the Fraction composition engine --------------------------------------------------
@@ -874,8 +964,6 @@ class FractionPowers:
 
     @classmethod
     def of(cls, inner, trunc):
-        from dulac.series import graded
-
         return cls([graded(c.truncate(trunc), trunc) for c in inner.components])
 
     def extend(self, new):
@@ -928,34 +1016,47 @@ def fraction_derivative_part(phi, g, s):
 # themselves; these two read one degree out through the same pairs, for tests.
 
 
-def compose_part(outer, powers, s):
-    """The degree-s part of each outer component composed with the inner map
-    of `powers`; outer[j][d] is the degree-d part of component j.  Constant
-    terms of the outer series are ignored, and the inner map must be known
-    through degree s wherever the outer series has linear terms, through
-    degree s - 1 otherwise."""
-    from dulac.series import _pack, _pairs, _products
+def _part_terms(part, n, s, trunc):
+    """The exponent -> scalar terms of a packed degree-s part keyed with base
+    trunc + 1, read through the public series."""
+    from dulac.series import _ZERO
 
-    return [
-        powers.unpack(_products(_pairs([_pack(p, powers.weights) for p in comp[: s + 1]], powers, s)))
-        for comp in outer
-    ]
+    return ScalarSeries._make(n, trunc, [_ZERO] * s + [part]).coeffs
+
+
+def compose_part(outer, powers, s):
+    """The degree-s part of each outer series composed with the inner map of
+    `powers`.  Constant terms of the outer series are ignored, and the inner
+    map must be known through degree s wherever the outer series has linear
+    terms, through degree s - 1 otherwise."""
+    from dulac.series import _pairs, _products
+
+    trunc = powers.base - 1
+    return [_part_terms(_products(_pairs(o._keyed(s, powers.base), powers, s)), o.n, s, trunc) for o in outer]
 
 
 def derivative_part(phi, g, s):
-    """The degree-s part of Dphi(y) g(y), both maps given by their
-    homogeneous parts (phi[j][d], g[i][d]); phi and g without linear terms
-    need only their parts below degree s."""
+    """The degree-s part of Dphi(y) g(y), for maps phi and g given as
+    sequences of series; phi and g without linear terms need only their parts
+    below degree s."""
     from dulac.series import Powers, _derivative_pairs, _products
 
-    P, Q = (Powers([col[: s + 1] for col in cols], s) for cols in (phi, g))
-    return [P.unpack(_products(pairs)) for pairs in _derivative_pairs(P, Q, s, 1)]
+    P, Q = (Powers(v, s, s) for v in (phi, g))
+    return [_part_terms(_products(pairs), P.n, s, s) for pairs in _derivative_pairs(P, Q, s, 1)]
+
+
+def graded(s, trunc):
+    """The homogeneous parts of s through degree trunc, as exponent ->
+    scalar dicts: out[d] holds the degree-d terms."""
+    out = [{} for _ in range(trunc + 1)]
+    for m, c in s.coeffs.items():
+        if sum(m) <= trunc:
+            out[sum(m)][m] = c
+    return out
 
 
 def fraction_mul(a, b, trunc=None):
     """ScalarSeries.mul over pairs of Fraction homogeneous parts."""
-    from dulac.series import graded
-
     if trunc is None:
         trunc = min(a.trunc, b.trunc)
     pa, pb = graded(a, trunc), graded(b, trunc)

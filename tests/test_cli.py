@@ -206,6 +206,29 @@ class TestExitCodes:
         bad = write(tmp_path, "bad.json", doc)
         assert run(["verify", "--input", bad]) == 2
 
+    @pytest.mark.parametrize(
+        "phases,message",
+        [(-1, "field 'phases' has the wrong type"),
+         ({"0": [0, 1]}, "field 'phases' has the wrong type"),
+         ([[0, 1], [1, 2]], "exponent and phase tuples differ in length")],
+    )
+    @pytest.mark.parametrize("where", ["system", "verify"])
+    def test_malformed_mult_base_phases_is_2(self, tmp_path, capsys, phases, message, where):
+        """Phases that are not a list, or not one per exponent, in a system
+        file or in the system a report echoes."""
+        rep = tmp_path / "rep.json"
+        if where == "system":
+            doc = load(FIXTURES / "ex2_3d_base.json")
+            doc["eigen"]["phases"] = phases
+            code = run(["resonance", "--input", write(tmp_path, "bad.json", doc), "--output", rep])
+        else:
+            assert run(["resonance", "--input", FIXTURES / "ex2_3d_base.json", "--output", rep]) == 0
+            doc = load(rep)
+            doc["system"]["eigen"]["phases"] = phases
+            code = run(["verify", "--input", write(tmp_path, "bad.json", doc)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error:") and message in err
+
 
 SOLVERS = ("resonance", "normalize", "classify", "integrals", "embed")
 

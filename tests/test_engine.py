@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     OraclePowerCache,
+    _part_terms,
     compose_part,
     derivative_part,
     oracle_compose,
@@ -38,10 +39,10 @@ from dulac.series import (
     ScalarSeries,
     SeriesError,
     VectorSeries,
+    _ZERO,
     _pairs,
     compose,
     compose_scalar,
-    graded,
     invert,
     jacobian,
     mat_vec,
@@ -139,21 +140,26 @@ class TestNormalizerAgainstOracle:
         assert result.order == 4 and result.phi == phi and result.g == g
 
 
+def part(c, s):
+    """The packed degree-s part of a series, keyed with its own base."""
+    return c.parts[s] if s < len(c.parts) else _ZERO
+
+
 def loop_tables(system, result):
     """Tables of the pair (phi, g) grown as the degree loop grows its own:
     one degree at a time, each cache filled by that degree's compositions."""
     N = result.order
-    Phi, G = ([graded(c, N) for c in v.components] for v in (result.normalization(), result.normal_form()))
-    P, Q = Powers([col[:2] for col in Phi], N), Powers([col[:2] for col in G], N)
-    f = [P.pack(c) for c in system.nonlinear.components]
+    Phi, G = result.normalization(), result.normal_form()
+    P, Q = Powers(Phi, N, 1), Powers(G, N, 1)
+    f = [c.parts for c in system.nonlinear.truncate(N)]
     for s in range(2, N + 1):
         for comp in f:
             _pairs(comp, P, s, 2)
         if isinstance(system, MapSystem):
             for col in P.parts:
                 _pairs(col, Q, s, 2)
-        P.extend([col[s] for col in Phi])
-        Q.extend([col[s] for col in G])
+        P.extend([part(c, s) for c in Phi])
+        Q.extend([part(c, s) for c in G])
     return P, Q
 
 
@@ -187,9 +193,9 @@ class TestIntegerSplit:
 
         split, seen = normalizer._split_degree, []
 
-        def checked(spec, rhs, n, base):
-            got = split(spec, rhs, n, base)
-            assert got == oracle_split_degree(spec, rhs, n, base)
+        def checked(spec, rhs, P):
+            got = split(spec, rhs, P)
+            assert got == oracle_split_degree(spec, rhs, P)
             seen.append(any(part[1] or part[2] for part in got[0]))
             return got
 
@@ -207,11 +213,11 @@ class TestIntegerSplit:
         over spectra with zero eigenvalues, units and real multipliers."""
         spec = EigenSpec.multiplicative(values) if kind == "map" else EigenSpec.additive(values)
         n, rng = len(values), random.Random(f"split/{values}")
-        P = Powers([graded(c, 1) for c in VectorSeries.identity(n, 1).components], 4)
+        P = Powers(VectorSeries.identity(n, 4), 4, 1)
         for s in range(2, 5):
             terms = [(j, m, random_coeff(rng, True)) for m in iter_exponents(n, s, s) for j in range(n)]
-            rhs = [P.pack(c)[s] for c in VectorSeries.from_terms(n, 4, terms).components]
-            assert _split_degree(spec, rhs, n, P.base) == oracle_split_degree(spec, rhs, n, P.base)
+            rhs = [part(c, s) for c in VectorSeries.from_terms(n, 4, terms)]
+            assert _split_degree(spec, rhs, P) == oracle_split_degree(spec, rhs, P)
 
 
 class TestSharedTableResidual:
@@ -324,17 +330,16 @@ class TestOnlinePowers:
         rng = random.Random(f"online/{n}/{seed}")
         trunc = 6
         inner = random_inner(rng, n, trunc, True)
-        full = [graded(c, trunc) for c in inner.components]
-        online = Powers([col[:2] for col in full], trunc)
+        online = Powers(inner, trunc, 1)
         cache = OraclePowerCache(inner, trunc)
         for s in range(2, trunc + 1):
             for m in iter_exponents(n, 2, s):
                 expected = {k: v for k, v in cache.monomial(m).coeffs.items() if sum(k) == s}
-                assert online.unpack(online.part(m, s)) == expected
-            online.extend([col[s] for col in full])
+                assert _part_terms(online.part(m, s), n, s, trunc) == expected
+            online.extend([part(c, s) for c in inner])
 
     def test_unknown_degree_rejected(self):
-        online = Powers([graded(c, 1) for c in VectorSeries.identity(2, 1).components], 2)
+        online = Powers(VectorSeries.identity(2, 2), 2, 1)
         with pytest.raises(SeriesError, match="not known"):
             online.part((1, 0), 2)
 
@@ -347,11 +352,9 @@ class TestOnlinePowers:
         powers = Powers.of(inner, trunc)
         whole = oracle_compose(phi, inner)
         dphi_g = mat_vec(jacobian(phi), g, trunc)
-        phi_parts = [graded(c, trunc) for c in phi]
-        g_parts = [graded(c, trunc) for c in g]
         for s in range(2, trunc + 1):
-            assert compose_part(phi_parts, powers, s) == [c.homogeneous_part(s).coeffs for c in whole]
-            assert derivative_part(phi_parts, g_parts, s) == [c.homogeneous_part(s).coeffs for c in dphi_g]
+            assert compose_part(phi, powers, s) == [c.homogeneous_part(s).coeffs for c in whole]
+            assert derivative_part(phi, g, s) == [c.homogeneous_part(s).coeffs for c in dphi_g]
 
 
 def random_tangent_identity(rng, n, trunc, gaussian_ok):

@@ -1,14 +1,29 @@
 """The boundary between the validating public ScalarSeries constructor and
-the trusted one the package uses for its own results."""
+the trusted one the package uses for its own results, and the boundary
+between packed parts and scalars."""
 
 from decimal import Decimal
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dulac import series as series_module
+from dulac.integrals import pullback_integrals, search_integrals, verify_integral
+from dulac.normalizer import FieldSystem, MapSystem, normalize, verify_conjugacy
+from dulac.resonance import EigenSpec
 from dulac.scalars import GaussianRational, gaussian
-from dulac.series import ScalarSeries, SeriesError, VectorSeries, compose, compose_scalar, invert
+from dulac.series import (
+    ScalarSeries,
+    SeriesError,
+    VectorSeries,
+    _ZERO,
+    compose,
+    compose_scalar,
+    invert,
+    unit_power,
+)
 
 
 class TestPublicConstructor:
@@ -53,11 +68,33 @@ class TestPublicConstructor:
         assert y.scale(2).coeffs == {(1, 0): F(2)} and type(y.scale(2).coeffs[(1, 0)]) is F
         assert y.scale(F(1, 2)).mul(ScalarSeries.one(2, 3)) == ScalarSeries(2, 3, {(1, 0): F(1, 2)})
         assert y.scale(gaussian(0, 1)).coeffs == {(1, 0): gaussian(0, 1)}
-        assert VectorSeries.diagonal_linear([F(1, 2), 2], 3).linear_matrix() == [[F(1, 2), 0], [0, 2]]
+        assert VectorSeries.diagonal_linear([F(1, 2), 2], 3) == VectorSeries([y.scale(F(1, 2)), ScalarSeries.variable(2, 1, 3).scale(2)])
 
-    def test_trusted_constructor_keeps_its_dict(self):
-        coeffs = {(1, 0): F(1)}
-        assert ScalarSeries._make(2, 3, coeffs).coeffs is coeffs
+    @pytest.mark.parametrize("c", [0.1, 2.0, True, False, Decimal("0.5"), Decimal(2)])
+    def test_eigenvalues_and_exponents_refuse_a_scalar_of_another_type(self, c):
+        with pytest.raises(ValueError, match="eigenvalue"):
+            EigenSpec.additive([c, 1])
+        with pytest.raises(ValueError, match="eigenvalue"):
+            EigenSpec.multiplicative([2, c])
+        with pytest.raises(ValueError, match="exponent or phase"):
+            EigenSpec.multiplicative_base([c, 1])
+        with pytest.raises(ValueError, match="exponent or phase"):
+            EigenSpec.multiplicative_base([1, -1], [0, c])
+        with pytest.raises(SeriesError, match="exponent"):
+            unit_power(ScalarSeries.variable(2, 0, 3), c)
+
+    def test_eigenvalues_and_exponents_take_exact_scalars(self):
+        assert EigenSpec.additive([F(1, 2), 1, gaussian(0, 1)]).values == (F(1, 2), F(1), gaussian(0, 1))
+        assert EigenSpec.multiplicative_base([F(-1, 2), 1], [F(3, 2), 0]).phases == (F(1, 2), F(0))
+        y = ScalarSeries.variable(1, 0, 3)
+        assert unit_power(y, F(1, 2)).mul(unit_power(y, F(1, 2))) == y + 1
+        assert unit_power(y, 2) == (y + 1).mul(y + 1)
+
+    def test_trusted_constructor_owns_its_parts(self):
+        parts = [_ZERO, (1, {1: 1}, {}), (3, {2: 1, 8: -2}, {5: 1}), _ZERO]
+        s = ScalarSeries._make(2, 3, parts)
+        assert s.parts is parts and len(parts) == 3  # the trailing zero part dropped
+        assert s.coeffs == {(1, 0): F(1), (2, 0): F(1, 3), (0, 2): F(-2, 3), (1, 1): gaussian(0, F(1, 3))}
 
 
 # -- every result the package builds keeps the invariants ----------------------------
@@ -85,10 +122,22 @@ def series(min_degree=0):
 
 
 def assert_valid(s: ScalarSeries):
+    """Canonical parts: one per degree through trunc, the last nonzero, each
+    with a positive denominator, no zero numerator and content one, keyed
+    with base trunc + 1 by exponents of its own degree."""
+    base = s.trunc + 1
+    assert len(s.parts) <= base
+    assert not s.parts or s.parts[-1][1] or s.parts[-1][2]
+    for d, (den, re, im) in enumerate(s.parts):
+        assert type(den) is int and den > 0
+        assert all(type(v) is int and v != 0 for v in [*re.values(), *im.values()])
+        assert gcd(den, *re.values(), *im.values()) == 1
+        for k in [*re, *im]:
+            m = [k // base**i % base for i in range(s.n - 1)] + [k // base ** (s.n - 1)]
+            assert k >= 0 and sum(m) == d
     for m, c in s.coeffs.items():
-        assert len(m) == s.n and all(isinstance(e, int) and e >= 0 for e in m)
-        assert sum(m) <= s.trunc
-        assert isinstance(c, (F, GaussianRational)) and c != 0
+        assert len(m) == s.n and sum(m) <= s.trunc
+        assert type(c) in (F, GaussianRational) and c != 0
 
 
 def maps(min_degree):
@@ -121,3 +170,52 @@ def test_invert_results_are_valid(h, trunc):
     assert psi.trunc == trunc
     for c in psi:
         assert_valid(c)
+
+
+# -- scalars are built only where a series is read ------------------------------------
+
+
+class _Refused(type):
+    """A stand-in for a scalar type: instances of the real type still pass
+    isinstance, but building one fails."""
+
+    def __instancecheck__(cls, obj):
+        return isinstance(obj, cls.real)
+
+    def __call__(cls, *args, **kwargs):
+        raise AssertionError(f"{cls.real.__name__} built in dulac.series")
+
+
+def _ex2_3d():
+    from pathlib import Path
+
+    from dulac.cli import parse_system
+
+    return parse_system(str(Path(__file__).resolve().parent.parent / "fixtures" / "ex2_3d.json")).system()
+
+
+def _gaussian_field():
+    """A resonant field over Q(i): lambda = (i, -i), so y1 y2 is an integral
+    of the linear part and the normal form has resonant terms."""
+    i = gaussian(0, 1)
+    terms = [(0, (2, 0), gaussian(1, 2)), (0, (2, 1), F(1, 3)), (1, (1, 1), gaussian(F(-1, 2), 1)),
+             (1, (1, 2), i), (0, (0, 3), F(2, 5))]
+    return FieldSystem(EigenSpec.additive([i, -i]), VectorSeries.from_terms(2, 6, terms), 6)
+
+
+@pytest.mark.parametrize("build", [_ex2_3d, _gaussian_field])
+def test_scalars_are_built_only_at_the_boundary(build, monkeypatch):
+    """Normalization, its verification, the integral search, the pullback and
+    the integral residuals run on packed parts: `Fraction` and
+    `GaussianRational` are never built in `series` on the way."""
+    system = build()
+    monkeypatch.setattr(series_module, "Fraction", _Refused("Fraction", (), {"real": F}))
+    monkeypatch.setattr(series_module, "GaussianRational", _Refused("GaussianRational", (), {"real": GaussianRational}))
+    result = normalize(system)
+    assert verify_conjugacy(system, result).is_zero()
+    found = search_integrals(system, system.order)
+    pulled = pullback_integrals(found, result.phi)
+    assert found and all(verify_integral(v, system).is_zero() for v in found)
+    assert len([verify_integral(v, system) for v in pulled]) == len(found)
+    with pytest.raises(AssertionError, match="built in dulac.series"):
+        result.phi.components[0].terms()
