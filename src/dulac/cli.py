@@ -5,6 +5,14 @@ runs the requested pipeline, and emits a deterministic report: identical
 inputs and flags produce byte-identical output.  Exit codes: 0 success,
 2 malformed input, 3 unmet hypothesis, 4 violated internal invariant
 (including tamper detection in `verify`).
+
+Series cross the file boundary as packed integer parts, in both directions.
+`_read_terms` validates a JSON term list (the system's terms, a report's
+phi and g, its integrals and embedding field) and hands the coefficient ints
+to `series.ScalarSeries._from_ints`, which packs them; the writers read
+reduced ints off the parts (`ScalarSeries.int_terms`), and `_json_text`
+writes each term in one step.  No `Fraction` is built for a series
+coefficient between the file read and the report written.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ from .resonance import (
     small_divisor_bound_map,
     verify_bound,
 )
-from .scalars import Scalar, is_int, scalar_from_json, scalar_to_json
+from .scalars import Scalar, check_scalar_json, is_int, scalar_from_json, scalar_to_json
 from .series import ScalarSeries, SeriesError, VectorSeries, gradient, scalar_inner
 
 DEFAULT_LATTICE_BOUND = 10
@@ -135,35 +143,65 @@ def _field(doc: dict, name: str, kinds, where: str):
     return value
 
 
-def _scalar_field(data, where: str, scalars_tag: str) -> Scalar:
+def _checked_scalar(data, where: str, scalars_tag: str) -> list:
+    """data, once it is a scalar as JSON writes one that the file's scalars
+    tag admits."""
     try:
-        value = scalar_from_json(data)
+        check_scalar_json(data)
     except ValueError as exc:
         raise SystemFileError(f"{where}: {exc}") from exc
     if scalars_tag == "rational" and len(data) == 4:
         raise SystemFileError(
             f"{where}: gaussian coefficient in a file declaring scalars=rational"
         )
-    return value
+    return data
 
 
-def _term(term, where: str, n: int, scalars_tag: str, component: bool = True):
-    """(0-based component or None, exponent, coefficient) of one term object."""
+def _scalar_field(data, where: str, scalars_tag: str) -> Scalar:
+    return scalar_from_json(_checked_scalar(data, where, scalars_tag))
+
+
+def _checked_term(term, where: str, n: int, scalars_tag: str, vector: bool) -> tuple:
+    """(1-based component, exponent, coefficient ints) of a term object, or
+    the error that names the first thing wrong with it."""
     if not isinstance(term, dict):
         raise SystemFileError(f"{where}: each term is an object")
-    j = None
-    if component:
+    j = 1
+    if vector:
         j = _field(term, "component", int, where)
         if not 1 <= j <= n:
             raise SystemFileError(f"{where}: component {j} out of range 1..{n}")
-        j -= 1
     expo = _field(term, "exponent", list, where)
     if len(expo) != n or not all(is_int(e) and e >= 0 for e in expo):
         raise SystemFileError(
             f"{where}: exponent must be {n} nonnegative integers"
         )
-    coeff = _scalar_field(_field(term, "coeff", list, where), where, scalars_tag)
-    return j, tuple(expo), coeff
+    return j, expo, _checked_scalar(_field(term, "coeff", list, where), where, scalars_tag)
+
+
+def _read_terms(terms, where: str, n: int, trunc: int, scalars_tag: str = "gaussian",
+                vector: bool = True, low: int = 0) -> list[ScalarSeries]:
+    """The series of a JSON term list: one per component, or one when its
+    terms carry no component, through degree trunc or the list's top degree
+    if that is higher.  Every term is validated (`_checked_term` names the
+    first bad one) and of degree >= low; the coefficient ints go into the
+    packed parts as they are (`ScalarSeries._from_ints`), summed over a
+    repeated exponent, so no scalar is built."""
+    if not isinstance(terms, list):
+        raise SystemFileError(f"{where}: terms must be a list")
+    read: list[list] = [[] for _ in range(n if vector else 1)]
+    top = trunc
+    for i, t in enumerate(terms):
+        j, m, c = _checked_term(t, f"{where}[{i}]", n, scalars_tag, vector)
+        d = sum(m)
+        if d < low:
+            raise SystemFileError(
+                f"{where}[{i}]: exponent degree {d} < {low}; constant and linear "
+                "terms belong to the eigen data"
+            )
+        top = max(top, d)
+        read[j - 1].append((d, m, c))
+    return [ScalarSeries._from_ints(n, top, comp) for comp in read]
 
 
 def _int_field(doc: dict, name: str, low: int, where: str) -> int:
@@ -276,19 +314,7 @@ def _system_from_doc(doc, path: str) -> SystemFile:
     terms = doc.get("terms", [])
     if not isinstance(terms, list):
         raise SystemFileError(f"{path}: terms must be a list")
-    triples = []
-    max_deg = order
-    for i, term in enumerate(terms):
-        where = f"{path}:terms[{i}]"
-        j, expo, coeff = _term(term, where, n, scalars)
-        if sum(expo) < 2:
-            raise SystemFileError(
-                f"{where}: exponent degree {sum(expo)} < 2; constant and linear "
-                "terms belong to the eigen data"
-            )
-        max_deg = max(max_deg, sum(expo))
-        triples.append((j, expo, coeff))
-    nonlinear = VectorSeries.from_terms(n, max_deg, triples).with_trunc(max(order, max_deg))
+    nonlinear = VectorSeries(_read_terms(terms, f"{path}:terms", n, order, scalars, low=2))
     return SystemFile(
         kind=kind, n=n, scalars=scalars, eigen=eigen, nonlinear=nonlinear,
         lattice_bound=lattice_bound, order=order,
@@ -299,21 +325,17 @@ def _system_from_doc(doc, path: str) -> SystemFile:
 
 
 # term keys in sorted order, as reports write them, so that `_same` matches
-# a claimed term list with its recomputation in one marshalled compare
+# a claimed term list with its recomputation in one marshalled compare; the
+# coefficients are read off the packed parts (`ScalarSeries.int_terms`)
 def _scalar_series_json(s: ScalarSeries) -> list:
-    return [
-        {"coeff": scalar_to_json(c), "exponent": list(m)} for m, c in s.terms()
-    ]
+    return [{"coeff": c, "exponent": m} for m, c in s.int_terms()]
 
 
 def _vector_series_json(v: VectorSeries) -> list:
-    out = []
-    for j, comp in enumerate(v.components):
-        for m, c in comp.terms():
-            out.append(
-                {"coeff": scalar_to_json(c), "component": j + 1, "exponent": list(m)}
-            )
-    return out
+    return [
+        {"coeff": c, "component": j, "exponent": m}
+        for j, comp in enumerate(v.components, 1) for m, c in comp.int_terms()
+    ]
 
 
 def _eigen_json(spec: EigenSpec) -> dict:
@@ -406,12 +428,14 @@ def _bound_json(bound: SmallDivisorBound, verification) -> dict:
             "pairs_checked": verification.checked,
             "min_gap": None if verification.min_gap is None
             else _bound_value_json(verification.min_gap),
+            # keys in sorted order, as the JSON report writes them, which
+            # the text format prints
             "witness": None if verification.witness is None
-            else {"exponent": list(verification.witness[0]),
-                  "component": verification.witness[1] + 1},
+            else {"component": verification.witness[1] + 1,
+                  "exponent": list(verification.witness[0])},
             "failure": None if verification.failure is None
-            else {"exponent": list(verification.failure[0]),
-                  "component": verification.failure[1] + 1},
+            else {"component": verification.failure[1] + 1,
+                  "exponent": list(verification.failure[0])},
         }
     return out
 
@@ -621,28 +645,12 @@ def _run_embed(sf: SystemFile, D: int, N: int) -> dict:
 # -- verify (report re-checking) ---------------------------------------------------
 
 
-def _terms_list(terms, where: str) -> list:
-    if not isinstance(terms, list):
-        raise SystemFileError(f"{where}: terms must be a list")
-    return terms
-
-
 def _series_from_json(terms, n: int, trunc: int, where: str) -> ScalarSeries:
-    coeffs = {}
-    for i, t in enumerate(_terms_list(terms, where)):
-        _, m, c = _term(t, f"{where}[{i}]", n, "gaussian", component=False)
-        coeffs[m] = c
-    degs = [sum(m) for m in coeffs]
-    return ScalarSeries(n, max([trunc] + degs), coeffs)
+    return _read_terms(terms, where, n, trunc, vector=False)[0]
 
 
 def _vector_from_json(terms, n: int, trunc: int, where: str) -> VectorSeries:
-    triples = [
-        _term(t, f"{where}[{i}]", n, "gaussian")
-        for i, t in enumerate(_terms_list(terms, where))
-    ]
-    degs = [sum(m) for _, m, _ in triples]
-    return VectorSeries.from_terms(n, max([trunc] + degs), triples)
+    return VectorSeries(_read_terms(terms, where, n, trunc))
 
 
 def _fail(what: str) -> NoReturn:
@@ -775,14 +783,17 @@ def _run_verify(report_path: str) -> dict:
                 generators = [list(g) for g in basis.generators]
                 _require_match(sec.get("generators"), generators, "integrals.pullback.generators")
             where = f"{report_path}:integrals.{name}"
+            claimed = _field(sec, "integrals", list, where)
             vs = [
                 _series_from_json(terms, sf.n, order, f"{where}.integrals[{i}]")
-                for i, terms in enumerate(_field(sec, "integrals", list, where))
+                for i, terms in enumerate(claimed)
             ]
             for i, V in enumerate(vs):
                 _require_order([V], order, f"integral {i + 1} in section '{name}' has a term")
             residual_zero = _residual_zero(system, vs, order)
             _require_match(sec.get("residual_zero"), residual_zero, f"integrals.{name}.residual_zero")
+            # each term list is canonical: what was parsed, written back
+            _require_match(claimed, [_scalar_series_json(V) for V in vs], f"integrals.{name}.integrals")
             checked.append(f"integrals:{name}")
     if "embedding" in doc:
         emb = _field(doc, "embedding", dict, report_path)
@@ -790,10 +801,11 @@ def _run_verify(report_path: str) -> dict:
         if sf.kind != "map":
             raise SystemFileError(f"{where}: an embedding belongs to a map system, not a field")
         order = _series_order(_int_field(emb, "order", 1, where), sf.n, f"{where}.order")
-        X = _vector_from_json(_field(emb, "field", None, where), sf.n, order, f"{where}.field")
+        claimed_field, claimed = _field(emb, "field", None, where), _field(emb, "integrals", list, where)
+        X = _vector_from_json(claimed_field, sf.n, order, f"{where}.field")
         vs = [
             _series_from_json(t, sf.n, order + 1, f"{where}.integrals[{i}]")
-            for i, t in enumerate(_field(emb, "integrals", list, where))
+            for i, t in enumerate(claimed)
         ]
         if len(vs) != sf.n - 1:
             _fail(f"embedding holds {len(vs)} integrals, not n-1 = {sf.n - 1}")
@@ -809,6 +821,8 @@ def _run_verify(report_path: str) -> dict:
         _require_match(emb.get("tangency_zero"), tangency, "embedding.tangency_zero")
         equivariance = verify_equivariance(system, X, order).is_zero()
         _require_match(emb.get("equivariance_zero"), equivariance, "embedding.equivariance_zero")
+        _require_match(claimed_field, _vector_series_json(X), "embedding.field")
+        _require_match(claimed, [_scalar_series_json(V) for V in vs], "embedding.integrals")
         checked.append("embedding")
     if "lattice" in doc:
         lattice = _field(doc, "lattice", dict, report_path)
@@ -974,19 +988,28 @@ def _render_text(report: dict) -> str:
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii
+_TERM_KEYS = ({"coeff", "exponent"}, {"coeff", "component", "exponent"})
 
 
 def _json_text(value, pad: str = "") -> str:
     """json.dumps(value, indent=2, sort_keys=True), byte for byte, for
     values whose objects have string keys.  The standard encoder runs in pure
     Python whenever indent is set; this one joins each container's items in
-    one call and leaves only scalars other than ints and strings to json."""
+    one call, writes a series term in one formatted step, and leaves only
+    scalars other than ints and strings to json."""
     t = type(value)
     if t is int:
         return int.__repr__(value)
     if t is str:
         return _ESCAPE(value)
     inner = pad + "  "
+    if t is dict and value.keys() in _TERM_KEYS:
+        c, m, j = value["coeff"], value["exponent"], value.get("component", 0)
+        if type(c) is type(m) is list and c and m and type(j) is int and all(type(x) is int for x in c + m):
+            sep = ",\n" + inner + "  "
+            comp = f'"component": {int.__repr__(j)},\n{inner}' if "component" in value else ""
+            return (f'{{\n{inner}"coeff": [\n{inner}  {sep.join(map(int.__repr__, c))}\n{inner}],\n{inner}{comp}'
+                    f'"exponent": [\n{inner}  {sep.join(map(int.__repr__, m))}\n{inner}]\n{pad}}}')
     if isinstance(value, (list, tuple)) and value:
         items = [_json_text(v, inner) for v in value]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"

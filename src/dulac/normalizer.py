@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 from .errors import HypothesisError, InternalInvariantError
 from .linalg import primitive_integer_kernel
 from .resonance import EigenSpec, LatticeBasis, enumerate_lattice
-from .scalars import Scalar, sc_abs2, sc_div, sc_im, sc_re
+from .scalars import sc_abs2, sc_div
 from .series import (
     Exponent,
     Powers,
@@ -44,8 +44,11 @@ from .series import (
     _ZERO,
     _derivative_pairs,
     _pairs,
+    _ints,
+    _packed,
     _products,
     _reduced,
+    _rekeyed,
     unit_power,
 )
 
@@ -303,14 +306,17 @@ class ShapeResult:
 def _over_own_coordinate(result: NormalizationResult, j: int) -> tuple[Optional[Exponent], Optional[ScalarSeries]]:
     """g_j / (v_j y_j) through order N - 1, as (None, quotient), or (m, None)
     with m the first monomial of g_j that v_j y_j does not divide (any term
-    when the eigenvalue v_j is zero)."""
-    v = result.spec.values[j]
-    shifted: dict[Exponent, Scalar] = {}
-    for m, c in result.g.components[j].terms():
-        if m[j] == 0 or v == 0:
-            return m, None
-        shifted[m[:j] + (m[j] - 1,) + m[j + 1 :]] = sc_div(c, v)
-    return None, ScalarSeries(result.n, result.order - 1, shifted)
+    when the eigenvalue v_j is zero).  The quotient is taken part by part:
+    each key drops e_j and each part is multiplied by 1 / v_j."""
+    v, N, g = result.spec.values[j], result.order, result.g.components[j]
+    m = next((m for m in g.exponents() if m[j] == 0 or v == 0), None)
+    if m is not None:
+        return m, None
+    inverse = _packed([(0, _ints(sc_div(1, v)))]) if v else _ZERO  # g is zero when v is
+    w = (N + 1) ** j
+    parts = [_products([((den, {k - w: x for k, x in re.items()}, {k - w: x for k, x in im.items()}), inverse)])
+             for den, re, im in g._keyed(N)[1:]]
+    return None, ScalarSeries._make(result.n, N - 1, _rekeyed(parts, result.n, N + 1, N - 1, N))
 
 
 def extract_integrable_shape_map(result: NormalizationResult) -> ShapeResult:
@@ -353,15 +359,15 @@ class ReduceResult:
 
 
 def _lead_key(series: ScalarSeries):
-    m, c = series.terms()[0]
-    re, im = sc_re(c), sc_im(c)
-    positive_real = im == 0 and re > 0
-    return (
-        sum(m),
-        max(re.denominator, im.denominator),
-        max(abs(re.numerator), abs(im.numerator)),
-        0 if positive_real else 1,
-    )
+    """(degree, largest denominator, largest numerator, 0 for a positive real
+    coefficient else 1) of the first term, in lowest terms, read off its part."""
+    m = series.exponents()[0]
+    d = sum(m)
+    den, re, im = series.parts[d]
+    k = sum(e * (series.trunc + 1) ** i for i, e in enumerate(m))
+    a, b = re.get(k, 0), im.get(k, 0)
+    g, h = gcd(a, den), gcd(b, den)
+    return (d, max(den // g, den // h), max(abs(a) // g, abs(b) // h), 0 if b == 0 and a > 0 else 1)
 
 
 def reduce_to_single_function(

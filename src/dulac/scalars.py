@@ -252,7 +252,9 @@ def is_int(x) -> bool:
     return type(x) is int
 
 
-def scalar_from_json(data) -> Scalar:
+def check_scalar_json(data) -> None:
+    """ValueError unless data is a scalar as JSON writes one: [num, den] or
+    [re_num, re_den, im_num, im_den], ints with nonzero denominators."""
     if not isinstance(data, list) or len(data) not in (2, 4) or not all(map(is_int, data)):
         raise ValueError(
             "scalars must be integer pairs [num, den] or quadruples "
@@ -260,6 +262,10 @@ def scalar_from_json(data) -> Scalar:
         )
     if data[1] == 0 or data[-1] == 0:
         raise ValueError("zero denominator in scalar")
+
+
+def scalar_from_json(data) -> Scalar:
+    check_scalar_json(data)
     if len(data) == 2:
         return Fraction(data[0], data[1])
     return gaussian(Fraction(data[0], data[1]), Fraction(data[2], data[3]))

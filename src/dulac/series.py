@@ -19,22 +19,29 @@ large ``trunc`` stays sparse.  The key of m is sum m_i * base^i with base =
 trunc + 1 (Monagan and Pearce, CASC 2007); no exponent of a kept product
 exceeds trunc, so adding two keys multiplies the monomials with no carry.
 Operands of different truncation degrees meet in one base through
-`_rekeyed`, the only code that moves keys.  The public constructor validates
-every exponent and coefficient and packs them; results the package builds
-itself skip that through the trusted ``ScalarSeries._make``.  Fractions and
-Gaussian rationals are built only where a series is read: `coeff`, `terms`
-and `coeffs`.
+`_rekeyed`, the only code that moves keys.  One routine, `_packed`, packs
+coefficients given as ints ([num, den], or [re_num, re_den, im_num, im_den]
+for a Gaussian rational, as JSON writes them): the public constructor
+validates every exponent and scalar and packs through it, and a term list
+already validated by the front end packs through the trusted
+``ScalarSeries._from_ints`` without becoming scalars first.  Results the
+package builds itself skip packing through the trusted
+``ScalarSeries._make``.  `int_terms` reads the terms back as reduced ints,
+and Fractions and Gaussian rationals are built only where a series is read
+as scalars: `coeff`, `terms` and `coeffs`.
 
 One integer kernel, `_kmul`, does every product; a sum of the products of a
 list of pairs of parts is taken over the lcm of their denominators, and its
-content is divided out once (`_products`).  All composition runs through one
-engine, `Powers`: for an inner map P known through degree s - 1 it yields
-the degree-s part of every power P^m with |m| >= 2, each part computed once
-from m = m' + e_i and cached under the key of m.  A table of a fully known P
-composes through any degree up to its own (`Powers.compose`; a map keeps
-one, `System.powers`); `invert` and the normalizer's degree loop feed one a
-degree at a time: the relaxed ("online") evaluation of J. van der Hoeven,
-"Relax, but don't be too lazy", J. Symbolic Comput. 34 (2002).
+content is divided out once (`_products`, which multiplies a one-term real
+factor inline and returns the shared zero part when no pair is live).  All
+composition runs through one engine, `Powers`: for an inner map P known
+through degree s - 1 it yields the degree-s part of every power P^m with
+|m| >= 2, each part computed once from m = m' + e_i and cached under the
+key of m.  A table of a fully known P composes through any degree up to its
+own (`Powers.compose`; a map keeps one, `System.powers`); `invert` and the
+normalizer's degree loop feed one a degree at a time: the relaxed
+("online") evaluation of J. van der Hoeven, "Relax, but don't be too lazy",
+J. Symbolic Comput. 34 (2002).
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from fractions import Fraction
 from itertools import combinations, zip_longest
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DulacError
 from .scalars import GaussianRational, Scalar, format_scalar, is_int
@@ -83,21 +90,24 @@ class ScalarSeries:
             raise SeriesError("dimension must be >= 1")
         if trunc < 0:
             raise SeriesError("truncation degree must be >= 0")
-        w = [(trunc + 1) ** i for i in range(n)]
-        degrees: dict[int, list] = {}
+        terms = []
         for m, c in (coeffs or {}).items():
             m = tuple(m)
             d = _check_exponent(m, n, trunc)
             if not (is_int(c) or isinstance(c, (Fraction, GaussianRational))):
                 raise SeriesError(f"coefficient {c!r} of {m} is not an int, Fraction or GaussianRational")
             if c:
-                degrees.setdefault(d, []).append((sum(map(mul, m, w)), c))
-        parts = [_ZERO] * (max(degrees, default=-1) + 1)
-        for d, terms in degrees.items():
-            parts[d] = _packed(terms)
+                terms.append((d, m, _ints(c)))
         self.n = n
         self.trunc = trunc
-        self.parts = parts
+        self.parts = _graded(n, trunc, terms)
+
+    @classmethod
+    def _from_ints(cls, n: int, trunc: int, terms: Iterable[tuple[int, Sequence[int], Sequence[int]]]) -> "ScalarSeries":
+        """Trusted constructor from validated (degree, exponent, coefficient
+        ints) terms, degrees <= trunc, as `_packed` takes them: no scalar is
+        built, and repeated exponents are summed."""
+        return cls._make(n, trunc, _graded(n, trunc, terms))
 
     @classmethod
     def _make(cls, n: int, trunc: int, parts: list) -> "ScalarSeries":
@@ -160,6 +170,24 @@ class ScalarSeries:
     def terms(self) -> list[tuple[Exponent, Scalar]]:
         """Terms in graded lexicographic order (canonical)."""
         return sorted(self._items(), key=lambda t: grlex_key(t[0]))
+
+    def int_terms(self) -> Iterator[tuple[list[int], list[int]]]:
+        """(exponent, coefficient) lists for every term in graded
+        lexicographic order, each coefficient in lowest terms as
+        `scalars.scalar_to_json` writes it ([num, den], or [re_num, re_den,
+        im_num, im_den] when it is not real), read off the parts without
+        building a scalar."""
+        n, base = self.n, self.trunc + 1
+        for den, re, im in self.parts:
+            for m, k in sorted((_exponent(k, n, base), k) for k in (re.keys() | im.keys() if im else re)):
+                a = re.get(k, 0)
+                g = gcd(a, den)
+                if k in im:
+                    b = im[k]
+                    h = gcd(b, den)
+                    yield list(m), [a // g, den // g, b // h, den // h]
+                else:
+                    yield list(m), [a // g, den // g]
 
     def exponents(self) -> list[Exponent]:
         """The exponents of the terms in graded lexicographic order, read
@@ -230,8 +258,10 @@ class ScalarSeries:
     def scale(self, c) -> "ScalarSeries":
         if not (is_int(c) or isinstance(c, (Fraction, GaussianRational))):
             raise SeriesError(f"scalar {c!r} is not an int, Fraction or GaussianRational")
-        if c == 0:
-            return ScalarSeries.zero(self.n, self.trunc)
+        return self._scaled(_ints(c))
+
+    def _scaled(self, c: Sequence[int]) -> "ScalarSeries":
+        """self times the scalar of coefficient ints c, as `_packed` takes them."""
         f = _packed([(0, c)])
         return ScalarSeries._make(self.n, self.trunc, [_products([(p, f)]) for p in self.parts])
 
@@ -390,25 +420,40 @@ _ZERO = (1, {}, {})  # the packed zero part, shared and never written to
 _ONE = (1, {0: 1}, {})
 
 
-def _packed(terms: Sequence[tuple[int, Scalar]]) -> tuple:
-    """The canonical packed part (den, re, im) of (key, scalar) terms, the
-    scalars nonzero: den is the lcm of their denominators, so the content is
-    one."""
-    den = 1
-    for _, c in terms:
-        if isinstance(c, GaussianRational):
-            den = lcm(den, c.re.denominator, c.im.denominator)
-        else:
-            den = lcm(den, c.denominator)
+def _ints(c: Scalar) -> tuple[int, ...]:
+    """The coefficient ints of an exact scalar, as `_packed` takes them."""
+    if isinstance(c, GaussianRational):
+        return c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator
+    return c.numerator, c.denominator
+
+
+def _packed(terms: Sequence[tuple[int, Sequence[int]]]) -> tuple:
+    """The canonical packed part (den, re, im) of (key, coefficient ints)
+    terms, each coefficient (num, den) or (re_num, re_den, im_num, im_den)
+    with nonzero denominators of either sign: the one packing routine.  The
+    terms of a repeated key are summed and zero sums dropped; the content is
+    divided out once, over the lcm of the denominators."""
+    den = lcm(*(c[1] for _, c in terms), *(c[-1] for _, c in terms))
     re: dict[int, int] = {}
     im: dict[int, int] = {}
     for k, c in terms:
-        if isinstance(c, GaussianRational):
-            im[k] = c.im.numerator * (den // c.im.denominator)
-            c = c.re
-        if c:
-            re[k] = c.numerator * (den // c.denominator)
-    return den, re, im
+        re[k] = re.get(k, 0) + c[0] * (den // c[1])
+        if len(c) == 4 and c[2]:
+            im[k] = im.get(k, 0) + c[2] * (den // c[3])
+    return _reduced(den, re, im)
+
+
+def _graded(n: int, trunc: int, terms: Iterable[tuple[int, Sequence[int], Sequence[int]]]) -> list:
+    """The packed parts, keyed with base trunc + 1, of (degree, exponent,
+    coefficient ints) terms."""
+    w = [(trunc + 1) ** i for i in range(n)]
+    degrees: dict[int, list] = {}
+    for d, m, c in terms:
+        degrees.setdefault(d, []).append((sum(map(mul, m, w)), c))
+    parts = [_ZERO] * (max(degrees, default=-1) + 1)
+    for d, terms in degrees.items():
+        parts[d] = _packed(terms)
+    return parts
 
 
 def _exponent(k: int, n: int, base: int) -> Exponent:
@@ -449,20 +494,35 @@ def _kmul(acc: dict, a: dict, b: dict, f: int) -> None:
 
 def _products(pairs: Sequence[tuple[tuple, tuple]]) -> tuple:
     """The packed sum of a * b over pairs of packed parts, over the lcm of
-    the pairs' denominators and reduced by its content once."""
+    the pairs' denominators and reduced by its content once; the shared
+    `_ZERO` when no pair has two nonzero parts."""
     pairs = [(a, b) for a, b in pairs if (a[1] or a[2]) and (b[1] or b[2])]
-    den = lcm(*(a[0] * b[0] for a, b in pairs))
+    if not pairs:
+        return _ZERO
+    den = pairs[0][0][0] * pairs[0][1][0] if len(pairs) == 1 else lcm(*(a[0] * b[0] for a, b in pairs))
     re: dict[int, int] = {}
     im: dict[int, int] = {}
     for (da, ar, ai), (db, br, bi) in pairs:
         f = den // (da * db)
+        if len(br) + len(bi) > len(ar) + len(ai):
+            ar, ai, br, bi = br, bi, ar, ai
+        if len(br) == 1 and not bi:  # a one-term real factor, inline
+            (kb, vb), = br.items()
+            fb, get = f * vb, re.get
+            for ka, va in ar.items():
+                re[ka + kb] = get(ka + kb, 0) + fb * va
+            if ai:
+                get = im.get
+                for ka, va in ai.items():
+                    im[ka + kb] = get(ka + kb, 0) + fb * va
+            continue
         _kmul(re, ar, br, f)
         if ai:
             _kmul(re, ai, bi, -f)
             _kmul(im, ai, br, f)
         if bi:
             _kmul(im, ar, bi, f)
-    return _reduced(den, {k: v for k, v in re.items() if v}, {k: v for k, v in im.items() if v})
+    return _reduced(den, re, im)
 
 
 def _sum(p: tuple, q: tuple, sign: int) -> tuple:
@@ -475,8 +535,13 @@ def _sum(p: tuple, q: tuple, sign: int) -> tuple:
 
 
 def _reduced(den: int, re: dict, im: dict) -> tuple:
-    """(den, re, im), free of zero numerators, with its content divided out."""
-    g = gcd(den, *re.values(), *im.values())
+    """(den, re, im) with its zero numerators dropped and its content
+    divided out."""
+    if 0 in re.values():
+        re = {k: v for k, v in re.items() if v}
+    if 0 in im.values():
+        im = {k: v for k, v in im.items() if v}
+    g = gcd(den, *re.values(), *im.values()) if den != 1 else 1
     if g == 1:
         return den, re, im
     return den // g, {k: v // g for k, v in re.items()}, {k: v // g for k, v in im.items()}
@@ -733,7 +798,7 @@ def unit_power(u: ScalarSeries, r, trunc: int | None = None) -> ScalarSeries:
         raise SeriesError("unit_power needs a series without constant term")
     if not (is_int(r) or isinstance(r, Fraction)):
         raise SeriesError(f"exponent {r!r} is not an int or Fraction")
-    r = Fraction(r)
+    p, q = r.numerator, r.denominator
     if trunc is None:
         trunc = u.trunc
     u = u.truncate(trunc)
@@ -745,10 +810,9 @@ def unit_power(u: ScalarSeries, r, trunc: int | None = None) -> ScalarSeries:
     k = 0
     while k * low <= trunc:
         k += 1
-        coef = Fraction(r - (k - 1), k)
-        if coef == 0:
+        if p == (k - 1) * q:  # the binomial factor (r - k + 1) / k is zero
             break
-        term = term.mul(u, trunc).scale(coef)
+        term = term.mul(u, trunc)._scaled((p - (k - 1) * q, q * k))
         if term.is_zero():
             break
         result = result + term

@@ -1216,3 +1216,71 @@ def leaf_edits(doc, path=()):
         return
     if json.dumps(edited) != json.dumps(doc):
         yield path, edited
+
+
+# -- the report boundary through scalars ------------------------------------------------
+#
+# The parse and write paths that `cli` replaced by reading and writing packed
+# parts directly: each JSON coefficient became a `Fraction` or a Gaussian
+# rational, and the validating `ScalarSeries` constructor split it back into
+# parts; the writer read `terms()` and wrote each scalar with `scalar_to_json`.
+
+
+def oracle_term(term, where, n, scalars_tag, component=True):
+    """(0-based component or None, exponent, scalar) of one term object."""
+    from dulac.cli import SystemFileError, _field
+    from dulac.scalars import is_int, scalar_from_json
+
+    if not isinstance(term, dict):
+        raise SystemFileError(f"{where}: each term is an object")
+    j = None
+    if component:
+        j = _field(term, "component", int, where)
+        if not 1 <= j <= n:
+            raise SystemFileError(f"{where}: component {j} out of range 1..{n}")
+        j -= 1
+    expo = _field(term, "exponent", list, where)
+    if len(expo) != n or not all(is_int(e) and e >= 0 for e in expo):
+        raise SystemFileError(f"{where}: exponent must be {n} nonnegative integers")
+    data = _field(term, "coeff", list, where)
+    try:
+        coeff = scalar_from_json(data)
+    except ValueError as exc:
+        raise SystemFileError(f"{where}: {exc}") from exc
+    if scalars_tag == "rational" and len(data) == 4:
+        raise SystemFileError(f"{where}: gaussian coefficient in a file declaring scalars=rational")
+    return j, tuple(expo), coeff
+
+
+def oracle_read_terms(terms, where, n, trunc, scalars_tag="gaussian", vector=True, low=0):
+    """The series of a JSON term list through `oracle_term` and
+    `VectorSeries.from_terms`, repeated exponents summed: one per component,
+    or one without components."""
+    from dulac.cli import SystemFileError
+
+    if not isinstance(terms, list):
+        raise SystemFileError(f"{where}: terms must be a list")
+    triples = []
+    for i, t in enumerate(terms):
+        j, m, c = oracle_term(t, f"{where}[{i}]", n, scalars_tag, vector)
+        if sum(m) < low:
+            raise SystemFileError(
+                f"{where}[{i}]: exponent degree {sum(m)} < {low}; constant and linear "
+                "terms belong to the eigen data"
+            )
+        triples.append((j or 0, m, c))
+    top = max([trunc] + [sum(m) for _, m, _ in triples])
+    return list(VectorSeries.from_terms(n, top, triples))[: n if vector else 1]
+
+
+def oracle_scalar_series_json(s):
+    from dulac.scalars import scalar_to_json
+
+    return [{"coeff": scalar_to_json(c), "exponent": list(m)} for m, c in s.terms()]
+
+
+def oracle_vector_series_json(v):
+    from dulac.scalars import scalar_to_json
+
+    return [{"coeff": scalar_to_json(c), "component": j + 1, "exponent": list(m)}
+            for j, comp in enumerate(v.components) for m, c in comp.terms()]

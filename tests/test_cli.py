@@ -25,8 +25,17 @@ JSON_SCALARS = (
     st.none() | st.booleans() | st.sampled_from([0, 1, -1, 10**4299 - 1, -(10**4299 - 1)])
     | st.integers() | st.floats() | JSON_TEXT
 )
+# objects shaped like series terms, which `_json_text` writes in one step
+# when every list is a non-empty list of ints: here with ints, bools, floats,
+# strings and None as leaves, empty lists and non-list values too
+TERM_LEAVES = st.integers() | st.booleans() | st.floats() | JSON_TEXT | st.none()
+TERM_LISTS = (st.lists(st.integers(), max_size=4) | st.lists(st.integers() | st.booleans(), min_size=1, max_size=3)
+              | st.lists(TERM_LEAVES, max_size=4) | TERM_LEAVES)
+TERM_OBJECTS = st.fixed_dictionaries(
+    {"coeff": TERM_LISTS, "exponent": TERM_LISTS}, optional={"component": TERM_LEAVES | TERM_LISTS}
+)
 JSON_VALUES = st.recursive(
-    JSON_SCALARS,
+    JSON_SCALARS | TERM_OBJECTS,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
     max_leaves=30,
 )
@@ -920,6 +929,45 @@ class TestVerifyRederivesIntegralClaims:
         assert run(["verify", "--input", bad]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: verification failed:") and field in err
+
+
+def _times_three(terms):
+    terms[0]["coeff"] = [3 * x for x in terms[0]["coeff"]]
+
+
+class TestVerifyChecksCanonicalTerms:
+    """An integral or embedding term list must be the canonical writing of
+    the series it holds (graded-lex order, lowest terms, no zero or repeated
+    term), as phi and g already must: each edit below keeps the series an
+    integral, or the same series, and exits 4."""
+
+    @pytest.mark.parametrize(
+        "sub,fixture,edit,field",
+        [
+            ("integrals", "ex2_3d.json", lambda d: d["integrals"]["search"]["integrals"][0].reverse(),
+             "integrals.search.integrals"),
+            ("integrals", "ex2_3d.json", lambda d: _times_three(d["integrals"]["pullback"]["integrals"][1]),
+             "integrals.pullback.integrals"),
+            ("integrals", "ex2_3d.json",
+             lambda d: d["integrals"]["search"]["integrals"][3].append(d["integrals"]["search"]["integrals"][3][0]),
+             "integrals.search.integrals"),
+            ("integrals", "ex2_3d.json",
+             lambda d: d["integrals"]["search"]["integrals"][0].append({"coeff": [0, 1], "exponent": [1, 1, 1]}),
+             "integrals.search.integrals"),
+            ("embed", "ex2_2d.json", lambda d: d["embedding"]["field"].reverse(), "embedding.field"),
+            ("embed", "ex2_2d.json", lambda d: _times_three(d["embedding"]["field"]), "embedding.field"),
+            ("embed", "ex2_2d.json", lambda d: d["embedding"]["integrals"][0].reverse(), "embedding.integrals"),
+        ],
+    )
+    def test_edit_is_4(self, tmp_path, capsys, sub, fixture, edit, field):
+        rep = tmp_path / "rep.json"
+        assert run([sub, "--input", FIXTURES / fixture, "--output", rep]) == 0
+        doc = load(rep)
+        edit(doc)
+        bad = write(tmp_path, "bad.json", doc)
+        capsys.readouterr()
+        assert run(["verify", "--input", bad]) == 4
+        assert capsys.readouterr().err == f"error: verification failed: {field} does not match a recomputation\n"
 
 
 EARLY_VERDICT_SYSTEMS = {

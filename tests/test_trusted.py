@@ -2,9 +2,11 @@
 the trusted one the package uses for its own results, and the boundary
 between packed parts and scalars."""
 
+import json
 from decimal import Decimal
 from fractions import Fraction as F
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -187,8 +189,6 @@ class _Refused(type):
 
 
 def _ex2_3d():
-    from pathlib import Path
-
     from dulac.cli import parse_system
 
     return parse_system(str(Path(__file__).resolve().parent.parent / "fixtures" / "ex2_3d.json")).system()
@@ -219,3 +219,45 @@ def test_scalars_are_built_only_at_the_boundary(build, monkeypatch):
     assert len([verify_integral(v, system) for v in pulled]) == len(found)
     with pytest.raises(AssertionError, match="built in dulac.series"):
         result.phi.components[0].terms()
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _refused(name):
+    def read(*args, **kwargs):
+        raise AssertionError(f"{name} read between the report files")
+
+    return read
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_reports_are_read_and_written_without_scalars(fixture, tmp_path, monkeypatch):
+    """From `json.load` to the written report, series coefficients stay
+    packed ints: normalize, classify, integrals and embed, each followed by
+    `verify` of its report, build no `Fraction` or `GaussianRational` in
+    `series`, read no series through `terms`, `coeffs` or `coeff`, and parse
+    only the eigenvalues as scalars."""
+    from dulac import cli
+
+    eigen = json.loads((FIXTURES / fixture).read_text())["eigen"]
+    parsed, scalar_from_json = [], cli.scalar_from_json
+    monkeypatch.setattr(cli, "scalar_from_json", lambda data: parsed.append(data) or scalar_from_json(data))
+    monkeypatch.setattr(series_module, "Fraction", _Refused("Fraction", (), {"real": F}))
+    monkeypatch.setattr(series_module, "GaussianRational", _Refused("GaussianRational", (), {"real": GaussianRational}))
+    monkeypatch.setattr(ScalarSeries, "terms", _refused("ScalarSeries.terms"))
+    monkeypatch.setattr(ScalarSeries, "coeff", _refused("ScalarSeries.coeff"))
+    monkeypatch.setattr(ScalarSeries, "coeffs", property(_refused("ScalarSeries.coeffs")))
+    verified = 0
+    for sub in ("normalize", "classify", "integrals", "embed"):
+        rep = tmp_path / f"{sub}.json"
+        code = cli.main([sub, "--input", str(FIXTURES / fixture), "--output", str(rep)])
+        assert code in (0, 3)
+        if code == 0:
+            assert cli.main(["verify", "--input", str(rep), "--output", str(tmp_path / "verify.json")]) == 0
+            verified += 1
+    assert verified >= 1
+    # each of the 4 runs and each verify parses the system's eigenvalues once
+    assert parsed == eigen.get("values", []) * (4 + verified)
+    with pytest.raises(AssertionError, match="read between the report files"):
+        ScalarSeries.variable(2, 0, 3).terms()
