@@ -24,8 +24,7 @@ from .series import (
     gradient,
     invert,
     jacobian,
-    mat_vec,
-    scalar_inner,
+    lie_derivative,
     unit_power,
 )
 from .resonance import (

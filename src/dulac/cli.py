@@ -60,7 +60,7 @@ from .resonance import (
     verify_bound,
 )
 from .scalars import Scalar, check_scalar_json, is_int, scalar_from_json, scalar_to_json
-from .series import ScalarSeries, SeriesError, VectorSeries, gradient, scalar_inner
+from .series import ScalarSeries, SeriesError, VectorSeries, lie_derivative
 
 DEFAULT_LATTICE_BOUND = 10
 DEFAULT_ORDER = 8
@@ -723,6 +723,8 @@ def _run_verify(report_path: str) -> dict:
     if not isinstance(doc, dict) or "system" not in doc:
         raise SystemFileError(f"{report_path}: not a report file (no system echo)")
     sf = _system_from_doc(doc["system"], f"{report_path}:system")
+    # the echo is canonical: what was parsed, written back
+    _require_match(doc["system"], _system_json(sf), "system")
     system = sf.system()
     checked = []
     params = doc.get("parameters")
@@ -817,7 +819,7 @@ def _run_verify(report_path: str) -> dict:
         _require_order(vs, order + 1, "an embedding integral has a term")
         if not all(_residual_zero(system, vs, order + 1)):
             _fail("an embedding integral is not an integral of the map")
-        tangency = [scalar_inner(gradient(V), X, order).is_zero() for V in vs]
+        tangency = [lie_derivative(V, X, order).is_zero() for V in vs]
         _require_match(emb.get("tangency_zero"), tangency, "embedding.tangency_zero")
         equivariance = verify_equivariance(system, X, order).is_zero()
         _require_match(emb.get("equivariance_zero"), equivariance, "embedding.equivariance_zero")

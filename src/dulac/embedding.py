@@ -4,7 +4,8 @@ Given n-1 first integrals, the generalized cross product of their gradients
 is a field tangent to every common level set.  For a map F the construction
 rescales that field by the Jacobian determinant of F evaluated along F^(-1);
 the output is checked for exact tangency and for the intertwining identity
-DF(y) X(y) = X(F(y)).
+DF(y) X(y) = X(F(y)), whose derivatives along X (and the time-one flow's)
+are `series.lie_derivative`.
 
 The intertwining identity is what the construction certifies; it does not by
 itself make F the time-one map of X.  time_one_map exposes the truncated
@@ -30,8 +31,7 @@ from .series import (
     gradient,
     invert,
     jacobian,
-    mat_vec,
-    scalar_inner,
+    lie_derivative,
 )
 
 
@@ -69,10 +69,7 @@ def cross_field(
         raise HypothesisError(
             f"dimension {n} needs exactly {n - 1} integrals, got {len(vs)}"
         )
-    grads = [gradient(v) for v in vs]
-    if order is None:
-        order = min(g.trunc for g in grads)
-    return cross(grads, order)
+    return cross([gradient(v) for v in vs], order)
 
 
 def embedding_field(
@@ -110,11 +107,9 @@ def embedding_field(
     )
     f_inv = compose(invert(unit, order), VectorSeries.diagonal_linear(b_inv, order), order)
     det_back = compose_scalar(det, f_inv, order)
-    base = cross([gradient(v) for v in vs], order)
+    base = cross_field(vs, order)
     X = VectorSeries([det_back.mul(c, order) for c in base.components])
-    tangency = tuple(
-        scalar_inner(gradient(v), X, order) for v in vs
-    )
+    tangency = tuple(lie_derivative(v, X, order) for v in vs)
     equi = verify_equivariance(F, X, order)
     flags: list[str] = []
     if not equi.is_zero():
@@ -138,13 +133,12 @@ def verify_equivariance(F: MapSystem, X: VectorSeries, order: int | None = None)
     """Exact residual DF(y) X(y) - X(F(y)) through the order."""
     if order is None:
         order = min(F.order, X.trunc)
-    low = X.low_degree()
-    if low == 0 and order > F.order - 1:
+    if X.low_degree() == 0 and order > F.order - 1:
         raise HypothesisError(
             "X has constant terms; the residual is only certified one degree "
             "below the system order"
         )
-    return mat_vec(jacobian(F.full()), X, order) - VectorSeries(F.powers.compose(X.components, order))
+    return lie_derivative(F.full(), X, order) - VectorSeries(F.powers.compose(X.components, order))
 
 
 def time_one_map(X: VectorSeries, lie_order: int, order: int | None = None) -> VectorSeries:
@@ -160,7 +154,7 @@ def time_one_map(X: VectorSeries, lie_order: int, order: int | None = None) -> V
     acc = VectorSeries.identity(X.n, order)
     term = acc
     for k in range(1, lie_order + 1):
-        term = mat_vec(jacobian(term), X.truncate(order), order).scale(Fraction(1, k))
+        term = lie_derivative(term, X.truncate(order), order).scale(Fraction(1, k))
         if term.is_zero():
             break
         acc = acc + term

@@ -11,9 +11,9 @@ residual.
 
 The search, the residuals and the independence check read the packed
 parts of `series` directly: a search column is read from the parts of F's
-power table (maps) or summed from packed derivative pairs over X's table
-(fields), each degree of V o F - V or <grad V, X> is one packed sum that
-becomes that part of the residual, and the gradients are evaluated
+power table (maps) or summed by `series.lie_derivative`'s pairs over X's
+table (fields), each degree of V o F - V or <grad V, X> is one packed sum
+that becomes that part of the residual, and the gradients are evaluated
 homogenised, in integers, at each sample point.  Both eliminations, the
 search's kernel and the sample points' ranks, run in the integer
 `linalg.Echelon`; only the kernel vectors become `Fraction`s."""
@@ -37,6 +37,8 @@ from .series import (
     VectorSeries,
     _ZERO,
     _diff,
+    _gradients,
+    _lie_pairs,
     _pairs,
     _products,
     _rekeyed,
@@ -91,8 +93,8 @@ def verify_integral(V: ScalarSeries, system: System, order: int | None = None) -
     """Exact residual through the order, zero iff V is a first integral:
     V o F - V for a map, <grad V, A x + f(x)> for a field.  Each degree s is
     one packed sum over the system's table, kept as that part of the
-    residual: the pairs of V o F and (V_s, -1) for a map, the pairs
-    (d/dy_i V_e, [X_i]_(s-e+1)) for a field."""
+    residual: the pairs of V o F and (V_s, -1) for a map, for a field those
+    of the derivative along X that `series.lie_derivative` sums."""
     if order is None:
         order = min(V.trunc, system.order)
     if order > system.order:
@@ -114,16 +116,12 @@ def verify_integral(V: ScalarSeries, system: System, order: int | None = None) -
         return ScalarSeries.zero(V.n, order)
     P = system.powers
     packed = V._keyed(order, P.base)
-    is_map = isinstance(system, MapSystem)
-    if not is_map:  # the packed d/dy_i V_e, for each degree e and each i
-        grads = [[(den, _diff(re, w, P.base, 1), _diff(im, w, P.base, 1)) for w in P.weights] for den, re, im in packed]
-    parts = [_ZERO]
-    for s in range(1, order + 1):
-        if is_map:
-            pairs = _pairs(packed, P, s) + [(p, _MINUS_ONE) for p in packed[s : s + 1]]
-        else:
-            pairs = [(g, Xi[s - e + 1]) for e, gs in enumerate(grads[1 : s + 1], 1) for g, Xi in zip(gs, P.parts)]
-        parts.append(_products(pairs))
+    if isinstance(system, MapSystem):
+        sums = (_pairs(packed, P, s) + [(p, _MINUS_ONE) for p in packed[s : s + 1]] for s in range(1, order + 1))
+    else:
+        grads = _gradients(enumerate(packed), P.weights, P.base)
+        sums = (_lie_pairs(grads, P.parts, s) for s in range(1, order + 1))
+    parts = [_ZERO] + [_products(pairs) for pairs in sums]
     return ScalarSeries._make(V.n, order, _rekeyed(parts, V.n, P.base, order, order + 1))
 
 
@@ -157,8 +155,8 @@ def search_integrals(system: System, degree: int) -> tuple[ScalarSeries, ...]:
     lcm.  For a map the column of y^m is y^m o F - y^m, read degree by
     degree from the parts [F^m]_s of F's power table, with y^m subtracted on
     its own row (the degree-|m| part of F^m is mu^m y^m); for a field it is
-    <grad y^m, X>, each degree of it one packed sum of the pairs
-    (d/dy_i y^m, a degree part of X_i)."""
+    <grad y^m, X>, each degree of it one packed sum of the pairs that
+    `series.lie_derivative` sums."""
     n, N = system.n, system.order
     if degree > N:
         raise HypothesisError(
@@ -182,8 +180,8 @@ def search_integrals(system: System, degree: int) -> tuple[ScalarSeries, ...]:
         if is_map:
             parts = [P.part(k, s) for s in range(d, N + 1)]
         else:
-            grad = [(1, _diff({k: 1}, w, P.base, 1), {}) for w in P.weights]
-            parts = [_products([(g, Xi[s - d + 1]) for g, Xi in zip(grad, P.parts)]) for s in range(d, N + 1)]
+            grads = _gradients([(d, (1, {k: 1}, {}))], P.weights, P.base)
+            parts = [_products(_lie_pairs(grads, P.parts, s)) for s in range(d, N + 1)]
         # the parts of degrees d..N merged over their lcm, row s*shift + key
         den = lcm(*(part[0] for part in parts))
         re, im = (

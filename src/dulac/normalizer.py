@@ -4,18 +4,19 @@ A system is a diagonal linear part (given by its exact eigenvalues) plus a
 nonlinear series starting at degree two: a `MapSystem` (multiplicative
 eigenvalues) or a `FieldSystem` (additive ones), the two kinds of one
 `System` type.  Each operation has one entry point for both kinds
-(`normalize`, `verify_conjugacy`, `classify`).  One solver loop serves
-maps and fields: it walks the degrees from two upward, and at degree s the
+(`normalize`, `verify_conjugacy`, `classify`).  One solver loop serves maps
+and fields: it walks the degrees from two upward, and at degree s the
 right-hand side [f(y + phi(y))]_s minus a correction term ([phi(B y +
 g(y))]_s for maps, [Dphi(y) g(y)]_s for fields) needs phi and g only below
-degree s.  The powers of y + phi (and of B y + g) therefore grow online,
-one homogeneous degree per step, in the composition engine of `series`, and
-each degree-s part is computed once.  A term whose exact homological divisor
-(mu^m - mu_j for maps, <m, lambda> - lambda_j for fields) is zero is
-resonant and goes to the normal form; every other term is divided through
-and goes to the normalization.  Each degree's right-hand side, its split
-and its division stay packed, and each finished part becomes a part of the
-result as it is, since a series stores packed parts too.  The
+degree s.  The powers of y + phi (and of B y + g) therefore grow online, one
+homogeneous degree per step, in the composition engine of `series`, and each
+degree-s part is computed once (a field's Dphi g, the derivative of phi
+along g, by the pairs of `series.lie_derivative`).  A term whose exact
+homological divisor (mu^m - mu_j for maps, <m, lambda> - lambda_j for
+fields) is zero is resonant and goes to the normal form; every other term is
+divided through and goes to the normalization.  Each degree's right-hand
+side, its split and its division stay packed, and each finished part becomes
+a part of the result as it is, since a series stores packed parts too.  The
 normalization thus contains only nonresonant monomials, the normal form only
 resonant ones, and the pair is unique; exact conjugacy of the output is
 re-verified, summed afresh through the loop's own power tables, and
@@ -35,16 +36,16 @@ from typing import Optional, Sequence
 from .errors import HypothesisError, InternalInvariantError
 from .linalg import primitive_integer_kernel
 from .resonance import EigenSpec, LatticeBasis, enumerate_lattice
-from .scalars import sc_abs2, sc_div
+from .scalars import sc_abs2, sc_div, scalar_to_json
 from .series import (
     Exponent,
     Powers,
     ScalarSeries,
     VectorSeries,
     _ZERO,
-    _derivative_pairs,
+    _gradients,
+    _lie_pairs,
     _pairs,
-    _ints,
     _packed,
     _products,
     _reduced,
@@ -222,16 +223,18 @@ def _solve(system: System, order: int | None) -> tuple[NormalizationResult, Powe
     P = Powers(VectorSeries.identity(n, N), N, 1)
     Q = Powers(system.linear(N), N, 1)
     f = [c.parts for c in system.nonlinear.truncate(N)]
+    dP: list[dict] = [] if is_map else [{} for _ in range(n)]  # a field's -Dphi, each part of phi differentiated once
     for s in range(2, N + 1):
-        corr = (
-            [_pairs(col, Q, s, 2, -1) for col in P.parts]  # phi(B y + g), phi below degree s
-            if is_map
-            else _derivative_pairs(P, Q, s, 2, -1)  # Dphi(y) g(y), both below degree s
-        )
+        if is_map:  # phi(B y + g), phi below degree s
+            corr = [_pairs(col, Q, s, 2, -1) for col in P.parts]
+        else:  # Dphi(y) g(y), both below degree s
+            corr = [_lie_pairs(grads, Q.parts, s, 2) for grads in dP]
         rhs = [_products(_pairs(comp, P, s, 2) + c) for comp, c in zip(f, corr)]
         g_s, phi_s = _split_degree(spec, rhs, P)
         P.extend(phi_s)
         Q.extend(g_s)
+        for grads, part in zip(dP, phi_s):
+            grads.update(_gradients([(s, part)], P.weights, P.base, -1))
     phi, g = (VectorSeries([ScalarSeries._make(n, N, [_ZERO, _ZERO] + col[2:]) for col in T.parts]) for T in (P, Q))
     return NormalizationResult(spec=spec, phi=phi, g=g, order=N), P, Q
 
@@ -265,12 +268,13 @@ def _residual(system: System, P: Powers, Q: Powers) -> VectorSeries:
     is not filled again."""
     N = P.base - 1
     outer = [c.parts for c in system.full(N)]
+    dP = None if isinstance(system, MapSystem) else [_gradients(enumerate(col), P.weights, P.base) for col in P.parts]
     parts: list[list[tuple]] = [[_ZERO] for _ in outer]
     for s in range(1, N + 1):
-        if isinstance(system, MapSystem):
+        if dP is None:
             sums = [_pairs(o, P, s) + _pairs(col, Q, s, 1, -1) for o, col in zip(outer, P.parts)]
         else:
-            sums = [d + _pairs(o, P, s, 1, -1) for o, d in zip(outer, _derivative_pairs(P, Q, s, 1))]
+            sums = [_lie_pairs(grads, Q.parts, s) + _pairs(o, P, s, 1, -1) for o, grads in zip(outer, dP)]
         for col, pairs in zip(parts, sums):
             col.append(_products(pairs))
     return VectorSeries([ScalarSeries._make(P.n, N, col) for col in parts])
@@ -312,7 +316,7 @@ def _over_own_coordinate(result: NormalizationResult, j: int) -> tuple[Optional[
     m = next((m for m in g.exponents() if m[j] == 0 or v == 0), None)
     if m is not None:
         return m, None
-    inverse = _packed([(0, _ints(sc_div(1, v)))]) if v else _ZERO  # g is zero when v is
+    inverse = _packed([(0, scalar_to_json(sc_div(1, v)))]) if v else _ZERO  # g is zero when v is
     w = (N + 1) ** j
     parts = [_products([((den, {k - w: x for k, x in re.items()}, {k - w: x for k, x in im.items()}), inverse)])
              for den, re, im in g._keyed(N)[1:]]

@@ -42,6 +42,10 @@ own (`Powers.compose`; a map keeps one, `System.powers`); `invert` and the
 normalizer's degree loop feed one a degree at a time: the relaxed
 ("online") evaluation of J. van der Hoeven, "Relax, but don't be too lazy",
 J. Symbolic Comput. 34 (2002).
+
+Every derivative along a field, <grad V, X>, sums the pairs `_lie_pairs`
+lists from V's differentiated parts (`_gradients`): `lie_derivative`, the
+normalizer's field loop and residual, and the field integrals.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DulacError
-from .scalars import GaussianRational, Scalar, format_scalar, is_int
+from .scalars import GaussianRational, Scalar, format_scalar, is_int, scalar_to_json
 
 Exponent = tuple[int, ...]
 
@@ -97,7 +101,7 @@ class ScalarSeries:
             if not (is_int(c) or isinstance(c, (Fraction, GaussianRational))):
                 raise SeriesError(f"coefficient {c!r} of {m} is not an int, Fraction or GaussianRational")
             if c:
-                terms.append((d, m, _ints(c)))
+                terms.append((d, m, scalar_to_json(c)))
         self.n = n
         self.trunc = trunc
         self.parts = _graded(n, trunc, terms)
@@ -256,9 +260,8 @@ class ScalarSeries:
         return self.scale(-1)
 
     def scale(self, c) -> "ScalarSeries":
-        if not (is_int(c) or isinstance(c, (Fraction, GaussianRational))):
-            raise SeriesError(f"scalar {c!r} is not an int, Fraction or GaussianRational")
-        return self._scaled(_ints(c))
+        _check_scalar(c)
+        return self._scaled(scalar_to_json(c))
 
     def _scaled(self, c: Sequence[int]) -> "ScalarSeries":
         """self times the scalar of coefficient ints c, as `_packed` takes them."""
@@ -336,9 +339,12 @@ class VectorSeries:
     @classmethod
     def diagonal_linear(cls, diag: Sequence[Scalar], trunc: int) -> "VectorSeries":
         n = len(diag)
-        return cls(
-            [ScalarSeries.variable(n, i, trunc).scale(diag[i]) for i in range(n)]
-        )
+        if trunc < 1:
+            raise SeriesError(f"a linear map needs truncation degree >= 1, not {trunc}")
+        for c in diag:
+            _check_scalar(c)
+        return cls([ScalarSeries._from_ints(n, trunc, [(1, [int(i == j) for j in range(n)], scalar_to_json(c))])
+                    for i, c in enumerate(diag)])
 
     @classmethod
     def from_terms(
@@ -420,11 +426,9 @@ _ZERO = (1, {}, {})  # the packed zero part, shared and never written to
 _ONE = (1, {0: 1}, {})
 
 
-def _ints(c: Scalar) -> tuple[int, ...]:
-    """The coefficient ints of an exact scalar, as `_packed` takes them."""
-    if isinstance(c, GaussianRational):
-        return c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator
-    return c.numerator, c.denominator
+def _check_scalar(c) -> None:
+    if not (is_int(c) or isinstance(c, (Fraction, GaussianRational))):
+        raise SeriesError(f"scalar {c!r} is not an int, Fraction or GaussianRational")
 
 
 def _packed(terms: Sequence[tuple[int, Sequence[int]]]) -> tuple:
@@ -645,21 +649,19 @@ def _pairs(outer: Sequence[tuple], powers: Powers, s: int, low: int = 1, sign: i
     return out
 
 
-def _derivative_pairs(P: Powers, Q: Powers, s: int, low: int, sign: int = 1) -> list[list]:
-    """For each component j, the packed pairs whose products sum to sign
-    times the degree-s part of DP_j(y) Q(y), over the parts the two tables
-    hold and leaving out the parts of P and of Q below degree low."""
-    w, base = P.weights, P.base
-    out = []
-    for comp in P.parts:
-        pairs = []
-        for k in range(low, min(s + 2 - low, len(comp))):
-            den, re, im = comp[k]
-            for i, col in enumerate(Q.parts):
-                if (re or im) and s - k + 1 < len(col):
-                    pairs.append(((den, _diff(re, w[i], base, sign), _diff(im, w[i], base, sign)), col[s - k + 1]))
-        out.append(pairs)
-    return out
+def _gradients(parts: Iterable[tuple[int, tuple]], weights: Sequence[int], base: int, sign: int = 1) -> dict:
+    """For each (degree e, nonzero packed part of V) in parts, keyed with
+    base (weights[i] = base^i), e -> the packed parts of sign times d/dy_i."""
+    return {e: [(den, _diff(re, w, base, sign), _diff(im, w, base, sign) if im else {}) for w in weights]
+            for e, (den, re, im) in parts if re or im}
+
+
+def _lie_pairs(grads: dict[int, list[tuple]], X: Sequence[Sequence[tuple]], s: int, low: int = 0) -> list:
+    """The packed pairs whose products sum to the degree-s part of <grad V,
+    X>, from the `_gradients` of V and X[i][d] the degree-d part of X_i,
+    keyed alike, without the parts of V and of X below degree low."""
+    return [(g, Xi[s - e + 1]) for e, gs in grads.items() if low <= e <= s + 1 - low
+            for g, Xi in zip(gs, X) if s - e + 1 < len(Xi)]
 
 
 def _diff(nums: dict, w: int, base: int, sign: int) -> dict:
@@ -716,12 +718,27 @@ def gradient(V: ScalarSeries) -> VectorSeries:
     return VectorSeries([V.diff(j) for j in range(V.n)])
 
 
-def mat_vec(
-    M: Sequence[Sequence[ScalarSeries]], X: VectorSeries, trunc: int | None = None
-) -> VectorSeries:
+def lie_derivative(V, X: VectorSeries, trunc: int | None = None):
+    """<grad V, X>, the derivative of V along the field X (DV * X for a
+    VectorSeries V), through trunc (default: that of grad V and X); X may
+    have a constant term, and an explicit trunc takes both as exact."""
+    if V.n != X.n:
+        raise SeriesError(f"dimension mismatch: {V.n} vs {X.n}")
     if trunc is None:
-        trunc = min(min(min(e.trunc for e in row) for row in M), X.trunc)
-    return VectorSeries([_dot(row, X.components, X.n, trunc) for row in M])
+        trunc = min(max(V.trunc - 1, 0), X.trunc)
+    # V's parts through degree trunc + 1 meet a constant term of X; without
+    # one, all keys stay in base trunc + 1 and the result needs no re-keying
+    top = min(V.trunc, trunc + (X.low_degree() == 0))
+    base = max(top, trunc) + 1
+    w = [base**i for i in range(V.n)]
+    xs = [x._keyed(trunc, base) for x in X]
+
+    def along(v: ScalarSeries) -> ScalarSeries:
+        grads = _gradients(enumerate(v._keyed(top, base)), w, base)
+        parts = [_products(_lie_pairs(grads, xs, s)) for s in range(trunc + 1)]
+        return ScalarSeries._make(v.n, trunc, _rekeyed(parts, v.n, base, trunc, trunc + 1))
+
+    return along(V) if isinstance(V, ScalarSeries) else VectorSeries([along(v) for v in V])
 
 
 def _dot(xs: Sequence[ScalarSeries], ys: Sequence[ScalarSeries], n: int, trunc: int) -> ScalarSeries:
@@ -817,12 +834,3 @@ def unit_power(u: ScalarSeries, r, trunc: int | None = None) -> ScalarSeries:
             break
         result = result + term
     return result
-
-
-def scalar_inner(a: VectorSeries, b: VectorSeries, trunc: int | None = None) -> ScalarSeries:
-    """Exact truncated inner product <a, b> = sum a_i * b_i."""
-    if a.n != b.n:
-        raise SeriesError("inner product dimension mismatch")
-    if trunc is None:
-        trunc = min(a.trunc, b.trunc)
-    return _dot(a.components, b.components, a.n, trunc)

@@ -9,7 +9,54 @@ from dulac.linalg import primitive_integer_kernel
 from dulac.normalizer import MapSystem
 from dulac.resonance import EigenSpec, enumerate_lattice, iter_exponents
 from dulac.scalars import gaussian, sc_pow
-from dulac.series import ScalarSeries, VectorSeries, compose, invert, unit_power
+from dulac.series import ScalarSeries, SeriesError, VectorSeries, compose, invert, unit_power
+
+
+# -- derivatives along a field, as they were before `series.lie_derivative` ----------
+#
+# A Jacobian matrix (or a gradient) of series times a vector of series, each
+# entry a separate series and each row summed by `series._dot`, and the packed
+# pairs of DP_j * Q read straight off two power tables.
+
+
+def mat_vec(M, X, trunc=None):
+    """The matrix of series M times the vector X, through trunc (default:
+    the lowest truncation of M and X)."""
+    from dulac.series import _dot
+
+    if trunc is None:
+        trunc = min(min(min(e.trunc for e in row) for row in M), X.trunc)
+    return VectorSeries([_dot(row, X.components, X.n, trunc) for row in M])
+
+
+def scalar_inner(a, b, trunc=None):
+    """The exact truncated inner product <a, b> = sum a_i * b_i."""
+    from dulac.series import _dot
+
+    if a.n != b.n:
+        raise SeriesError("inner product dimension mismatch")
+    if trunc is None:
+        trunc = min(a.trunc, b.trunc)
+    return _dot(a.components, b.components, a.n, trunc)
+
+
+def derivative_pairs(P, Q, s, low, sign=1):
+    """For each component j, the packed pairs whose products sum to sign
+    times the degree-s part of DP_j(y) Q(y), over the parts the two power
+    tables hold and leaving out the parts of P and of Q below degree low."""
+    from dulac.series import _diff
+
+    w, base = P.weights, P.base
+    out = []
+    for comp in P.parts:
+        pairs = []
+        for k in range(low, min(s + 2 - low, len(comp))):
+            den, re, im = comp[k]
+            for i, col in enumerate(Q.parts):
+                if (re or im) and s - k + 1 < len(col):
+                    pairs.append(((den, _diff(re, w[i], base, sign), _diff(im, w[i], base, sign)), col[s - k + 1]))
+        out.append(pairs)
+    return out
 
 
 # -- per-monomial value oracles ------------------------------------------------------
@@ -465,7 +512,7 @@ def oracle_normalize(system, N):
     """(phi, g) of the distinguished normalization, every degree's right-hand
     side rebuilt by full compositions: f o (id + phi) + phi o B - phi o (B + g)
     for maps, f o (id + phi) - Dphi . g for fields."""
-    from dulac.series import jacobian, mat_vec
+    from dulac.series import jacobian
 
     is_map = isinstance(system, MapSystem)
     spec = system.spec
@@ -496,7 +543,7 @@ def oracle_conjugacy_map(F, result):
 
 def oracle_conjugacy_field(X, result):
     """The field's conjugacy residual DPhi * Y - (A + f) o Phi, as before."""
-    from dulac.series import jacobian, mat_vec
+    from dulac.series import jacobian
 
     N = result.order
     Phi, Y = result.normalization(), result.normal_form()
@@ -1039,10 +1086,11 @@ def derivative_part(phi, g, s):
     """The degree-s part of Dphi(y) g(y), for maps phi and g given as
     sequences of series; phi and g without linear terms need only their parts
     below degree s."""
-    from dulac.series import Powers, _derivative_pairs, _products
+    from dulac.series import Powers, _gradients, _lie_pairs, _products
 
     P, Q = (Powers(v, s, s) for v in (phi, g))
-    return [_part_terms(_products(pairs), P.n, s, s) for pairs in _derivative_pairs(P, Q, s, 1)]
+    return [_part_terms(_products(_lie_pairs(_gradients(enumerate(col), P.weights, P.base), Q.parts, s, 1)), P.n, s, s)
+            for col in P.parts]
 
 
 def graded(s, trunc):
@@ -1098,7 +1146,7 @@ def oracle_verify_integral_map(V, Fm, order=None):
 
 def oracle_verify_integral_field(V, X, order=None):
     """<grad V, X> through the order, as a gradient and a series inner product."""
-    from dulac.series import gradient, scalar_inner
+    from dulac.series import gradient
 
     if order is None:
         order = min(V.trunc, X.order)

@@ -17,6 +17,7 @@ from helpers import (
     random_integrable_case,
     random_sparse_series,
     random_tangent_identity,
+    scalar_inner,
     three_dim_fixture,
     two_dim_fixture,
 )
@@ -52,7 +53,6 @@ from dulac.series import (
     compose,
     cross,
     invert,
-    scalar_inner,
     unit_power,
 )
 

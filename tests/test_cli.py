@@ -936,10 +936,10 @@ def _times_three(terms):
 
 
 class TestVerifyChecksCanonicalTerms:
-    """An integral or embedding term list must be the canonical writing of
-    the series it holds (graded-lex order, lowest terms, no zero or repeated
-    term), as phi and g already must: each edit below keeps the series an
-    integral, or the same series, and exits 4."""
+    """An integral or embedding term list, and the system echo, must be the
+    canonical writing of what they hold (graded-lex order, lowest terms, no
+    zero or repeated term), as phi and g already must: each edit below keeps
+    the series an integral, or the same series or system, and exits 4."""
 
     @pytest.mark.parametrize(
         "sub,fixture,edit,field",
@@ -957,6 +957,10 @@ class TestVerifyChecksCanonicalTerms:
             ("embed", "ex2_2d.json", lambda d: d["embedding"]["field"].reverse(), "embedding.field"),
             ("embed", "ex2_2d.json", lambda d: _times_three(d["embedding"]["field"]), "embedding.field"),
             ("embed", "ex2_2d.json", lambda d: d["embedding"]["integrals"][0].reverse(), "embedding.integrals"),
+            ("normalize", "ex2_2d.json", lambda d: d["system"]["terms"].reverse(), "system.terms"),
+            ("normalize", "ex2_2d.json", lambda d: _times_three(d["system"]["terms"]), "system.terms"),
+            ("normalize", "ex2_2d.json", lambda d: d["system"]["eigen"]["values"].__setitem__(0, [2, 4]),
+             "system.eigen.values"),
         ],
     )
     def test_edit_is_4(self, tmp_path, capsys, sub, fixture, edit, field):

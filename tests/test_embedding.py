@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import conjugate_map, normal_form_from_units, two_dim_fixture, three_dim_fixture
+from helpers import conjugate_map, mat_vec, normal_form_from_units, scalar_inner, two_dim_fixture, three_dim_fixture
 
 from dulac.embedding import cross_field, embedding_field, time_one_map, verify_equivariance
 from dulac.errors import HypothesisError
@@ -12,8 +12,9 @@ from dulac.resonance import EigenSpec, enumerate_lattice
 from dulac.series import (
     ScalarSeries,
     VectorSeries,
+    compose,
     gradient,
-    scalar_inner,
+    jacobian,
     unit_power,
 )
 
@@ -110,6 +111,17 @@ class TestEquivariance:
         Fm = MapSystem(HALF_DOUBLE, VectorSeries.zero(2, 8), 8)
         X = VectorSeries([S(2, 8, {(1, 0): 1, (0, 2): 1}), S(2, 8, {(0, 1): -1})])
         assert not verify_equivariance(Fm, X, 8).is_zero()
+
+    def test_field_with_a_constant_term_matches_the_jacobian_oracle(self):
+        """Below the system order a constant term of X is allowed; the
+        residual is DF X - X o F as the Jacobian times X gave it."""
+        system, _, _ = two_dim_fixture(N=8)
+        X = VectorSeries([S(2, 7, {(0, 0): 2, (1, 0): 1, (1, 2): F(1, 3)}), S(2, 7, {(0, 0): -1, (0, 3): 5})])
+        want = mat_vec(jacobian(system.full()), X, 7) - compose(X, system.full(7), 7)
+        got = verify_equivariance(system, X, 7)
+        assert got == want and not got.is_zero()
+        with pytest.raises(HypothesisError, match="constant terms"):
+            verify_equivariance(system, X.with_trunc(8), 8)
 
 
 class TestTimeOne:

@@ -12,6 +12,7 @@ from helpers import (
     _part_terms,
     compose_part,
     derivative_part,
+    mat_vec,
     oracle_compose,
     oracle_compose_scalar,
     oracle_conjugacy_field,
@@ -45,7 +46,6 @@ from dulac.series import (
     compose_scalar,
     invert,
     jacobian,
-    mat_vec,
 )
 
 I = gaussian(0, 1)

@@ -177,7 +177,9 @@ class TestNormalizeField:
         phi = VectorSeries([S(2, N, {(0, 2): F(1, 2)}), ScalarSeries.zero(2, N)])
         # transported field: DPhi(y)^(-1) is implicit; build X by solving the
         # conjugacy the verifier checks: X o Phi given by DPhi * Y
-        from dulac.series import compose, invert, jacobian, mat_vec
+        from dulac.series import compose, invert, jacobian
+
+        from helpers import mat_vec
 
         Phi = VectorSeries.identity(2, N) + phi
         lhs = mat_vec(jacobian(Phi), Y, N)  # (A + f)(Phi(y)) must equal this

@@ -16,6 +16,7 @@ from helpers import (
     FractionPowers,
     _part_terms,
     compose_part,
+    derivative_pairs,
     derivative_part,
     fraction_compose_part,
     fraction_derivative_part,
@@ -31,6 +32,9 @@ from dulac.series import (
     SeriesError,
     VectorSeries,
     _ZERO,
+    _gradients,
+    _lie_pairs,
+    _products,
 )
 
 I = gaussian(0, 1)
@@ -171,3 +175,18 @@ class TestParts:
                 same_terms(got, want)
             for got, want in zip(derivative_part(outer, g, s), fraction_derivative_part(outer_parts, g_parts, s)):
                 same_terms(got, want)
+
+    @pytest.mark.parametrize("n,gq,seed", CASES)
+    def test_lie_pairs_sum_as_the_derivative_pairs_did(self, n, gq, seed):
+        """Each degree's `_gradients`/`_lie_pairs` pairs of DP_j * Q sum to
+        what the old `derivative_pairs` of the two tables summed to, with the
+        parts below degree low left out and either sign: the degree loop's
+        (2, -1), the residual's (1, 1), and with constant terms (0, 1)."""
+        rng = random.Random(f"lie-pairs/{n}/{gq}/{seed}")
+        trunc = 6 if n < 3 else 4
+        P, Q = (Powers([series(rng, n, trunc, 8, gq) for _ in range(n)], trunc, trunc) for _ in range(2))
+        for low, sign in ((2, -1), (1, 1), (0, 1)):
+            grads = [_gradients(enumerate(col), P.weights, P.base, sign) for col in P.parts]
+            for s in range(trunc + 1):
+                want = derivative_pairs(P, Q, s, low, sign)
+                assert [_products(_lie_pairs(g, Q.parts, s, low)) for g in grads] == [_products(p) for p in want]

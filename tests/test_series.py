@@ -15,12 +15,10 @@ from dulac.series import (
     gradient,
     invert,
     jacobian,
-    mat_vec,
-    scalar_inner,
     unit_power,
 )
 
-from helpers import oracle_eval, oracle_mul, random_sparse_series
+from helpers import mat_vec, oracle_eval, oracle_mul, random_sparse_series, scalar_inner
 
 
 def S(n, trunc, terms):

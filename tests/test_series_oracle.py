@@ -5,6 +5,7 @@ packed keys have different bases and every result goes through re-keying."""
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
@@ -18,11 +19,24 @@ from helpers import (
     dict_scale,
     dict_truncate,
     dict_unit_power,
+    mat_vec,
+    scalar_inner,
 )
 
 from dulac.resonance import iter_exponents
 from dulac.scalars import gaussian
-from dulac.series import ScalarSeries, VectorSeries, compose, det_series, invert, mat_vec, unit_power
+from dulac.series import (
+    ScalarSeries,
+    SeriesError,
+    VectorSeries,
+    compose,
+    det_series,
+    gradient,
+    invert,
+    jacobian,
+    lie_derivative,
+    unit_power,
+)
 
 TOP = 5
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -171,6 +185,49 @@ def test_mat_vec(case, data):
     got = mat_vec([[ScalarSeries(n, t, d) for t, d in row] for row in M], vector(n, TOP, X).truncate(tx))
     for comp, want in zip(got, dict_mat_vec([[d for _, d in row] for row in M], X, low)):
         same(comp, low, want)
+
+
+@st.composite
+def fields(draw):
+    """n = 1..4, a series V and a vector W of n series, both through one
+    truncation degree, and a field X, constant terms allowed, through
+    another, all over Q or all over Q(i)."""
+    n = draw(st.integers(1, 4))
+    gaussian_ok = draw(st.booleans())
+    tv, tx = draw(st.integers(0, TOP)), draw(st.integers(0, TOP))
+    V = draw(dicts(n, tv, 0, gaussian_ok, 4))
+    W = [draw(dicts(n, tv, 0, gaussian_ok, 3)) for _ in range(n)]
+    X = [draw(dicts(n, tx, 0, gaussian_ok, 3)) for _ in range(n)]
+    return n, tv, V, W, tx, X
+
+
+@SETTINGS
+@given(fields(), st.integers(0, TOP))
+def test_lie_derivative(case, t):
+    """<grad V, X> and DW * X against the dict oracle and the Jacobian and
+    gradient products they replace, at the default truncation and at an
+    explicit one (a constant term of X, as in the intertwining residual
+    below the system order, included)."""
+    n, tv, V, W, tx, X = case
+    Vs, Ws, Xs = ScalarSeries(n, tv, V), vector(n, tv, W), vector(n, tx, X)
+    for trunc, top in ((None, min(max(tv - 1, 0), tx)), (t, t)):
+        want = dict_mat_vec([[dict_diff(v, i) for i in range(n)] for v in [V] + W], X, top)
+        got = lie_derivative(Vs, Xs, trunc)
+        same(got, top, want[0])
+        oracle = scalar_inner(gradient(Vs), Xs, trunc)
+        assert got == oracle and got.trunc == oracle.trunc
+        got = lie_derivative(Ws, Xs, trunc)
+        for comp, w in zip(got, want[1:]):
+            same(comp, top, w)
+        assert got == mat_vec(jacobian(Ws), Xs, trunc) and got.trunc == top
+
+
+def test_lie_derivative_refuses_a_dimension_mismatch():
+    X = VectorSeries.identity(3, 4)
+    with pytest.raises(SeriesError, match="dimension mismatch"):
+        lie_derivative(ScalarSeries.variable(2, 0, 4), X)
+    with pytest.raises(SeriesError, match="dimension mismatch"):
+        lie_derivative(VectorSeries.identity(2, 4), X)
 
 
 @SETTINGS
