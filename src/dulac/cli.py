@@ -8,7 +8,8 @@ inputs and flags produce byte-identical output.  Exit codes: 0 success,
 
 Series cross the file boundary as packed integer parts, in both directions.
 `_read_terms` validates a JSON term list (the system's terms, a report's
-phi and g, its integrals and embedding field) and hands the coefficient ints
+phi and g, its integrals and embedding field), refuses a term of a degree
+past its order before any part is built, and hands the coefficient ints
 to `series.ScalarSeries._from_ints`, which packs them; the writers read
 reduced ints off the parts (`ScalarSeries.int_terms`), and `_json_text`
 writes each term in one step.  No `Fraction` is built for a series
@@ -180,13 +181,17 @@ def _checked_term(term, where: str, n: int, scalars_tag: str, vector: bool) -> t
 
 
 def _read_terms(terms, where: str, n: int, trunc: int, scalars_tag: str = "gaussian",
-                vector: bool = True, low: int = 0) -> list[ScalarSeries]:
+                vector: bool = True, low: int = 0, claimed: str | None = None) -> list[ScalarSeries]:
     """The series of a JSON term list: one per component, or one when its
     terms carry no component, through degree trunc or the list's top degree
     if that is higher.  Every term is validated (`_checked_term` names the
     first bad one) and of degree >= low; the coefficient ints go into the
     packed parts as they are (`ScalarSeries._from_ints`), summed over a
-    repeated exponent, so no scalar is built."""
+    repeated exponent, so no scalar is built.  A term above trunc is
+    refused before any part is built: in a report's claimed series
+    (`claimed` names it, and trunc is the order `verify` checks it at),
+    where nothing would check it, with exit 4; elsewhere when its degree is
+    past every order `_series_order` admits, with exit 2."""
     if not isinstance(terms, list):
         raise SystemFileError(f"{where}: terms must be a list")
     read: list[list] = [[] for _ in range(n if vector else 1)]
@@ -199,7 +204,10 @@ def _read_terms(terms, where: str, n: int, trunc: int, scalars_tag: str = "gauss
                 f"{where}[{i}]: exponent degree {d} < {low}; constant and linear "
                 "terms belong to the eigen data"
             )
-        top = max(top, d)
+        if d > top:
+            if claimed:
+                _fail(f"{claimed} of degree {_shown(d)}, above the verified order {trunc}")
+            top = _series_order(d, n, f"{where}[{i}]: exponent degree")
         read[j - 1].append((d, m, c))
     return [ScalarSeries._from_ints(n, top, comp) for comp in read]
 
@@ -232,10 +240,16 @@ def _within(value: int, n: int, what: str, work: str, unit: str, limit: int) -> 
     if count is None or count > limit:
         size = f"> {limit}" if count is None else f"= {count}"
         raise SystemFileError(
-            f"{what} = {value} would {work} {size} {unit} for n = {n}, "
+            f"{what} = {_shown(value)} would {work} {size} {unit} for n = {n}, "
             f"over the limit of {limit}"
         )
     return value
+
+
+def _shown(value: int) -> str:
+    """value in decimal, or its size once it has too many digits for
+    Python to print (a sum of exponent entries each at the parse limit)."""
+    return str(value) if value.bit_length() <= 14_000 else f"a {value.bit_length()}-bit integer"
 
 
 def parse_system(path: str) -> SystemFile:
@@ -598,7 +612,7 @@ def _run_integrals(sf: SystemFile, D: int, N: int, seed: int) -> dict:
     basis = enumerate_lattice(sf.eigen, D)
     if _has_pullback(sf.eigen, basis):
         monomials = monomial_integrals(basis, trunc=N)
-        pulled = pullback_integrals(monomials, normalize(system, N).phi, N)
+        pulled = pullback_integrals(monomials, normalize(system, N), N)
         pcert = independence_check(pulled, trials=DEFAULT_TRIALS, seed=seed)
         section["pullback"] = _integral_set_json(pulled, _residual_zero(system, pulled, N), pcert)
         section["pullback"]["generators"] = [list(g) for g in basis.generators]
@@ -618,7 +632,7 @@ def _run_embed(sf: SystemFile, D: int, N: int) -> dict:
         )
     basis = report.lattice
     monomials = monomial_integrals(basis, trunc=N)
-    pulled = pullback_integrals(monomials, report.normalization.phi, N)
+    pulled = pullback_integrals(monomials, report.normalization, N)
     emb = embedding_field(system, pulled, N - 1)
     flags = list(emb.flags)
     phi_one = time_one_map(emb.field, TIME_ONE_TERMS, emb.order)
@@ -645,12 +659,12 @@ def _run_embed(sf: SystemFile, D: int, N: int) -> dict:
 # -- verify (report re-checking) ---------------------------------------------------
 
 
-def _series_from_json(terms, n: int, trunc: int, where: str) -> ScalarSeries:
-    return _read_terms(terms, where, n, trunc, vector=False)[0]
+def _series_from_json(terms, n: int, trunc: int, where: str, claimed: str) -> ScalarSeries:
+    return _read_terms(terms, where, n, trunc, vector=False, claimed=claimed)[0]
 
 
-def _vector_from_json(terms, n: int, trunc: int, where: str) -> VectorSeries:
-    return VectorSeries(_read_terms(terms, where, n, trunc))
+def _vector_from_json(terms, n: int, trunc: int, where: str, claimed: str) -> VectorSeries:
+    return VectorSeries(_read_terms(terms, where, n, trunc, claimed=claimed))
 
 
 def _fail(what: str) -> NoReturn:
@@ -685,14 +699,6 @@ def _require_match(claimed, recomputed, path: str) -> None:
     _fail(f"{path} does not match a recomputation")
 
 
-def _require_order(series: Sequence[ScalarSeries], order: int, what: str) -> None:
-    """Exit 4 on a claimed term above the verified order, which would
-    otherwise go unchecked."""
-    top = max((len(s.parts) - 1 for s in series), default=0)
-    if top > order:
-        _fail(f"{what} of degree {top}, above the verified order {order}")
-
-
 def _claimed_normalization(sf: SystemFile, system, norm_doc, where: str) -> NormalizationResult:
     """The pair a report claims, once it is shown to be the distinguished
     one: its conjugacy residual is zero through its order, which the system
@@ -702,14 +708,15 @@ def _claimed_normalization(sf: SystemFile, system, norm_doc, where: str) -> Norm
     order = _series_order(_int_field(norm_doc, "order", 2, where), sf.n, f"{where}.order")
     if order > system.order:
         raise SystemFileError(f"{where}.order: order = {order} exceeds the system's order_N = {system.order}")
-    phi = _vector_from_json(_field(norm_doc, "phi", None, where), sf.n, order, f"{where}.phi")
-    g = _vector_from_json(_field(norm_doc, "g", None, where), sf.n, order, f"{where}.g")
+    phi, g = (
+        _vector_from_json(_field(norm_doc, name, None, where), sf.n, order, f"{where}.{name}", f"{name} has a term")
+        for name in ("phi", "g")
+    )
     result = NormalizationResult(spec=sf.eigen, phi=phi, g=g, order=order)
     residual = verify_conjugacy(system, result)
     if not residual.is_zero():
         _fail(f"conjugacy residual is nonzero at degree {residual.low_degree()}")
     for name, series, resonant in (("phi", phi, False), ("g", g, True)):
-        _require_order(series.components, order, f"{name} has a term")
         for j, comp in enumerate(series.components):
             for m in comp.exponents():
                 if sf.eigen.resonant(m, j) != resonant:
@@ -787,11 +794,10 @@ def _run_verify(report_path: str) -> dict:
             where = f"{report_path}:integrals.{name}"
             claimed = _field(sec, "integrals", list, where)
             vs = [
-                _series_from_json(terms, sf.n, order, f"{where}.integrals[{i}]")
+                _series_from_json(terms, sf.n, order, f"{where}.integrals[{i}]",
+                                  f"integral {i + 1} in section '{name}' has a term")
                 for i, terms in enumerate(claimed)
             ]
-            for i, V in enumerate(vs):
-                _require_order([V], order, f"integral {i + 1} in section '{name}' has a term")
             residual_zero = _residual_zero(system, vs, order)
             _require_match(sec.get("residual_zero"), residual_zero, f"integrals.{name}.residual_zero")
             # each term list is canonical: what was parsed, written back
@@ -804,9 +810,9 @@ def _run_verify(report_path: str) -> dict:
             raise SystemFileError(f"{where}: an embedding belongs to a map system, not a field")
         order = _series_order(_int_field(emb, "order", 1, where), sf.n, f"{where}.order")
         claimed_field, claimed = _field(emb, "field", None, where), _field(emb, "integrals", list, where)
-        X = _vector_from_json(claimed_field, sf.n, order, f"{where}.field")
+        X = _vector_from_json(claimed_field, sf.n, order, f"{where}.field", "the embedding field has a term")
         vs = [
-            _series_from_json(t, sf.n, order + 1, f"{where}.integrals[{i}]")
+            _series_from_json(t, sf.n, order + 1, f"{where}.integrals[{i}]", "an embedding integral has a term")
             for i, t in enumerate(claimed)
         ]
         if len(vs) != sf.n - 1:
@@ -815,8 +821,6 @@ def _run_verify(report_path: str) -> dict:
         # must certify; each is then an integral of the map through it
         if order + 1 > sf.order:
             raise SystemFileError(f"{where}.order: order + 1 = {order + 1} exceeds the system's order_N = {sf.order}")
-        _require_order(X.components, order, "the embedding field has a term")
-        _require_order(vs, order + 1, "an embedding integral has a term")
         if not all(_residual_zero(system, vs, order + 1)):
             _fail("an embedding integral is not an integral of the map")
         tangency = [lie_derivative(V, X, order).is_zero() for V in vs]

@@ -9,14 +9,17 @@ A set of integrals is a plain tuple of series, each with zero constant term
 and expected to pass its verify_integral check with an exactly zero
 residual.
 
-The search, the residuals and the independence check read the packed
-parts of `series` directly: a search column is read from the parts of F's
-power table (maps) or summed by `series.lie_derivative`'s pairs over X's
-table (fields), each degree of V o F - V or <grad V, X> is one packed sum
-that becomes that part of the residual, and the gradients are evaluated
-homogenised, in integers, at each sample point.  Both eliminations, the
-search's kernel and the sample points' ranks, run in the integer
-`linalg.Echelon`; only the kernel vectors become `Fraction`s."""
+The search, the pullback, the residuals and the independence check read
+the packed parts of `series` directly: a search column is read from the
+parts of F's power table (maps) or summed by `series.lie_derivative`'s pairs
+over X's table (fields); each degree of a pulled-back integral is one packed
+sum over the normalizer's own table of the powers of Phi = y + phi, with no
+inverse of Phi built; each degree of V o F - V or <grad V, X> is one packed
+sum that becomes that part of the residual; and the gradients, the packed
+`series._gradients` of each integral, are evaluated homogenised, in
+integers, at each sample point.  Both eliminations, the search's kernel and
+the sample points' ranks, run in the integer `linalg.Echelon`; only the
+kernel vectors become `Fraction`s."""
 
 from __future__ import annotations
 
@@ -32,19 +35,17 @@ from .linalg import Echelon, kernel_basis
 from .resonance import LatticeBasis, iter_exponents
 from .scalars import Scalar
 from .series import (
-    Powers,
     ScalarSeries,
-    VectorSeries,
+    SeriesError,
+    _ONE,
     _ZERO,
-    _diff,
     _gradients,
     _lie_pairs,
     _pairs,
     _products,
     _rekeyed,
-    invert,
 )
-from .normalizer import MapSystem, System
+from .normalizer import MapSystem, NormalizationResult, System
 
 
 @dataclass(frozen=True)
@@ -74,16 +75,32 @@ def monomial_integrals(basis: LatticeBasis, trunc: int | None = None) -> tuple[S
 
 def pullback_integrals(
     integrals: Sequence[ScalarSeries],
-    phi: VectorSeries,
+    normalization: NormalizationResult,
     order: int | None = None,
 ) -> tuple[ScalarSeries, ...]:
-    """Transport integrals of the normal form back to the original system
-    through the inverse psi of x = y + phi(y), all through one table of psi."""
+    """Transport integrals V of the normal form back to the original system:
+    W = V o Phi^-1 for the normalization x = Phi(y) = y + phi(y), through
+    `order` (default: the least truncation degree of the normalization and
+    the integrals).  W is the series with W o Phi = V, and [Phi^m]_|m| = y^m,
+    so W is solved degree by degree, W_s = V_s - sum_(1 <= |m| < s) w_m
+    [Phi^m]_s, each one packed sum over `normalization.powers`, the table
+    the degree loop filled: no inverse of Phi and no second table is built."""
     vs = tuple(integrals)
     if order is None:
-        order = min([phi.trunc] + [v.trunc for v in vs])
-    psi = invert(VectorSeries.identity(phi.n, order) + phi.truncate(order), order)
-    return tuple(Powers.of(psi, order).compose([v.truncate(order) for v in vs], order))
+        order = min([normalization.order] + [v.trunc for v in vs])
+    if order > normalization.order:
+        raise SeriesError(f"normalization known through degree {normalization.order}; cannot pull back to {order}")
+    if any(v.n != normalization.n for v in vs):
+        raise SeriesError("composition dimension mismatch")
+    P = normalization.powers
+    out = []
+    for v in vs:
+        parts = v.truncate(order)._keyed(order, P.base)
+        w = parts[:1] or [_ZERO]
+        for s in range(1, order + 1):
+            w.append(_products([(p, _ONE) for p in parts[s : s + 1]] + _pairs(w, P, s, 1, -1)))
+        out.append(ScalarSeries._make(v.n, order, _rekeyed(w, v.n, P.base, order, order + 1)))
+    return tuple(out)
 
 
 _MINUS_ONE = (1, {0: -1}, {})  # the packed constant -1
@@ -247,15 +264,14 @@ def independence_check(
     base = T + 1
     w = [base**i for i in range(n)]
     # each gradient component times den(V): the packed numerators of its
-    # real and imaginary parts, keyed with base
+    # real and imaginary parts, keyed with base, merged over V's degrees
     grads = []
     for v in vs:
         parts = v._keyed(T)
         den = lcm(*(p[0] for p in parts))
-        grads.append([
-            [{k: x * (den // p[0]) for p in parts for k, x in _diff(p[i], wj, base, 1).items()} for i in (1, 2)]
-            for wj in w
-        ])
+        gs = _gradients(enumerate(parts), w, base).values()
+        grads.append([[{k: x * (den // g[j][0]) for g in gs for k, x in g[j][i].items()} for i in (1, 2)]
+                      for j in range(n)])
     rng = random.Random(seed)
     best = 0
     for t in range(trials):

@@ -20,8 +20,9 @@ a part of the result as it is, since a series stores packed parts too.  The
 normalization thus contains only nonresonant monomials, the normal form only
 resonant ones, and the pair is unique; exact conjugacy of the output is
 re-verified, summed afresh through the loop's own power tables, and
-recorded, never assumed.  `verify` checks a claimed pair through tables it
-builds from that pair alone.
+recorded, never assumed; the table of Phi's powers stays with the result,
+and the integrals are pulled back through it.  `verify` checks a claimed
+pair through tables it builds from that pair alone.
 """
 
 from __future__ import annotations
@@ -149,6 +150,13 @@ class NormalizationResult:
         """The full change of coordinates x = y + phi(y)."""
         return VectorSeries.identity(self.n, self.order) + self.phi
 
+    @cached_property
+    def powers(self) -> Powers:
+        """The table of powers of `normalization()` through the order, which
+        the integrals pull back through; `normalize` sets its degree loop's
+        own table here, and a claimed pair builds one on first use."""
+        return Powers.of(self.normalization(), self.order)
+
     def normal_form(self) -> VectorSeries:
         """The full normal form, linear part included (exact eigenvalues only)."""
         return VectorSeries.diagonal_linear(self.spec.values, self.order) + self.g
@@ -247,7 +255,8 @@ def normalize(system: System, order: int | None = None) -> NormalizationResult:
     [f(y + phi(y)) - Dphi(y) g(y)]_s, at each degree s (phi holding the lower
     degrees on the right), with g collecting the resonant part and phi the
     nonresonant part.  The conjugacy of the output (F o Phi = Phi o G, or
-    DPhi * G = X o Phi) is verified exactly, through the loop's own tables.
+    DPhi * G = X o Phi) is verified exactly, through the loop's own tables,
+    and the table of Phi's powers stays with the result as its `powers`.
     """
     _require_exact_eigenvalues(system.spec)
     result, P, Q = _solve(system, order)
@@ -256,7 +265,9 @@ def normalize(system: System, order: int | None = None) -> NormalizationResult:
         raise InternalInvariantError(
             f"normalization left a nonzero conjugacy residual at degree {residual.low_degree()}"
         )
-    return replace(result, residual_zero_degrees=tuple(range(2, result.order + 1)))
+    result = replace(result, residual_zero_degrees=tuple(range(2, result.order + 1)))
+    object.__setattr__(result, "powers", P)  # `replace` copies no cached table
+    return result
 
 
 def _residual(system: System, P: Powers, Q: Powers) -> VectorSeries:

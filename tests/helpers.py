@@ -451,6 +451,28 @@ def oracle_invert(phi, trunc=None):
     return psi
 
 
+def oracle_pullback_integrals(integrals, phi, order=None):
+    """The pullback through the inverse psi of x = y + phi(y): `invert`
+    builds psi online, and each integral composes through one table of psi."""
+    from dulac.series import Powers
+
+    vs = tuple(integrals)
+    if order is None:
+        order = min([phi.trunc] + [v.trunc for v in vs])
+    psi = invert(VectorSeries.identity(phi.n, order) + phi.truncate(order), order)
+    return tuple(Powers.of(psi, order).compose([v.truncate(order) for v in vs], order))
+
+
+def normalization_of(phi, spec=None):
+    """A NormalizationResult holding phi (g zero) through phi's degree, to
+    pull integrals back through x = y + phi(y); the pullback reads neither
+    its spec (default: one of phi's dimension) nor its g."""
+    from dulac.normalizer import NormalizationResult
+
+    spec = spec or EigenSpec.multiplicative([2] * phi.n)
+    return NormalizationResult(spec=spec, phi=phi, g=VectorSeries.zero(phi.n, phi.trunc), order=phi.trunc)
+
+
 def _oracle_split(spec, rhs_s, phi_terms, g_terms):
     from dulac.scalars import sc_div
 

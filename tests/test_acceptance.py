@@ -13,6 +13,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 from helpers import (
+    normalization_of,
     oracle_resonant,
     random_integrable_case,
     random_sparse_series,
@@ -196,7 +197,7 @@ def test_criterion_6_embedding_suite(tmp_path):
         # the 2D integrable fixture, certified through degree 8
         system, phi, _ = two_dim_fixture(N=10)
         pulled = pullback_integrals(
-            monomial_integrals(enumerate_lattice(HALF_DOUBLE, 8), trunc=10), phi, 10
+            monomial_integrals(enumerate_lattice(HALF_DOUBLE, 8), trunc=10), normalization_of(phi, system.spec), 10
         )
         emb = embedding_field(system, pulled, 8)
         assert emb.tangent
@@ -218,7 +219,7 @@ def test_criterion_6_embedding_suite(tmp_path):
             N=9, phi_terms={0: {(0, 1, 1): F(1)}}
         )
         basis3 = enumerate_lattice(EigenSpec.multiplicative([F(1, 32), 4, 2]), 8)
-        pulled3 = pullback_integrals(monomial_integrals(basis3, trunc=9), phi3, 9)
+        pulled3 = pullback_integrals(monomial_integrals(basis3, trunc=9), normalization_of(phi3, sys3.spec), 9)
         emb3 = embedding_field(sys3, pulled3, 7)
         assert emb3.tangent
         assert (not emb3.equivariant) and any("cocycle" in f for f in emb3.flags)

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from dulac.cli import MAX_LATTICE_EXPONENTS, MAX_ORDER_MONOMIALS, _emit, _json_text, _same, main, parse_system
 from dulac.errors import SystemFileError
+from dulac.series import ScalarSeries
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -411,36 +413,63 @@ class TestOrderGuard:
 
 
 class TestOnePowerTablePerMap:
-    def test_integrals_and_verify_table_each_inner_map_once(self, tmp_path, monkeypatch):
-        """The search, every V o F residual and the pullback compose through
-        one table per inner map: F's own, and one of psi for all integrals."""
+    @staticmethod
+    def recorded(monkeypatch):
+        """The inner maps of every table `Powers.of` builds, and the number
+        of tables built by any route (the degree loop and `invert` call the
+        constructor), in order."""
         from dulac.series import Powers
 
-        of, tabled = Powers.of.__func__, []
+        of, init, tabled, built = Powers.of.__func__, Powers.__init__, [], []
 
         def recording(cls, inner, trunc):
             tabled.append(inner)
             return of(cls, inner, trunc)
 
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
         monkeypatch.setattr(Powers, "of", classmethod(recording))
+        monkeypatch.setattr(Powers, "__init__", counting)
+        return tabled, built
+
+    def test_integrals_and_verify_table_each_inner_map_once(self, tmp_path, monkeypatch):
+        """The search, every V o F residual and the pullback compose through
+        one table of F; the pullback reads the normalizer's table of Phi, so
+        no table of psi = Phi^-1 is built, by `invert` or otherwise: the
+        integrals run builds F's table and the degree loop's two, verify
+        builds F's alone."""
+        F = parse_system(str(FIXTURES / "ex2_3d.json")).system().full()
+        tabled, built = self.recorded(monkeypatch)
         rep = tmp_path / "rep.json"
-        for args in (["integrals", "--input", FIXTURES / "ex2_3d.json", "--output", rep], ["verify", "--input", rep]):
+        for args, tables in ((["integrals", "--input", FIXTURES / "ex2_3d.json", "--output", rep], 3),
+                             (["verify", "--input", rep], 1)):
             tabled.clear()
+            built.clear()
             assert run(args) == 0
-            assert tabled and len(set(tabled)) == len(tabled)
+            assert tabled == [F] and len(built) == tables
+
+    def test_normalize_keeps_the_loops_table(self, monkeypatch):
+        """normalize(system).powers, and so classify's, is the degree loop's
+        table of Phi = y + phi: reading it builds no table; a pair built
+        directly builds its table once, on first read."""
+        from dulac.normalizer import NormalizationResult, classify, normalize
+
+        system = parse_system(str(FIXTURES / "ex2_3d.json")).system()
+        tabled, built = self.recorded(monkeypatch)
+        for result in (normalize(system), classify(system).normalization):
+            built.clear()
+            P = result.powers
+            assert tabled == [] and built == [] and result.powers is P
+            assert [ScalarSeries._make(P.n, result.order, col[:]) for col in P.parts] == list(result.normalization())
+        claimed = NormalizationResult(result.spec, result.phi, result.g, result.order)
+        assert claimed.powers is claimed.powers and tabled == [claimed.normalization()]
 
     def test_field_integrals_and_verify_table_the_field_once(self, tmp_path, monkeypatch):
         """The field search and every <grad V, X> residual read X's one packed table."""
-        from dulac.series import Powers
-
         field = parse_system(str(FIXTURES / "center.json")).system().full()
-        of, tabled = Powers.of.__func__, []
-
-        def recording(cls, inner, trunc):
-            tabled.append(inner)
-            return of(cls, inner, trunc)
-
-        monkeypatch.setattr(Powers, "of", classmethod(recording))
+        tabled, _ = self.recorded(monkeypatch)
         rep = tmp_path / "rep.json"
         for args in (["integrals", "--input", FIXTURES / "center.json", "--output", rep], ["verify", "--input", rep]):
             tabled.clear()
@@ -753,6 +782,64 @@ class TestTermsAboveTheVerifiedOrder:
         assert run(["verify", "--input", bad]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: verification failed:") and message in err
+
+
+def term_lists(doc, path=()):
+    """The path of every non-empty term list in a report: the system echo's
+    terms, phi, g, p, h, the integrals and the embedding field."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from term_lists(value, path + (key,))
+    elif isinstance(doc, list):
+        if doc and all(isinstance(t, dict) and "exponent" in t for t in doc):
+            yield path
+        else:
+            for i, value in enumerate(doc):
+                yield from term_lists(value, path + (i,))
+
+
+class TestHugeExponentIsRefused:
+    """An exponent entry of 10^40 is refused before any part is built: a
+    system file or a report's system echo exits 2, a report's claimed
+    series exits 4, with an error line and never a traceback."""
+
+    @pytest.mark.parametrize("sub", ["resonance", "normalize", "classify", "integrals", "embed"])
+    def test_system_file(self, tmp_path, capsys, sub):
+        doc = load(FIXTURES / "ex2_2d.json")
+        doc["terms"][-1]["exponent"][0] = 10**40
+        assert run([sub, "--input", write(tmp_path, "sys.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "terms[" in err and "over the limit" in err
+
+    def test_degree_past_the_digit_limit(self, tmp_path, capsys):
+        """Two exponent entries at the parse limit sum to a degree with too
+        many digits to print: the message gives its size instead."""
+        top = int("9" * sys.get_int_max_str_digits())
+        doc = dict(HALF_DOUBLE_DOC, terms=[{"component": 1, "exponent": [top, top], "coeff": [1, 1]}])
+        assert run(["normalize", "--input", write(tmp_path, "sys.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "-bit integer would solve" in err
+
+    @pytest.mark.parametrize("fixture,sub", [
+        (fixture, sub) for fixture in ("ex2_2d.json", "ex2_3d.json", "center.json")
+        for sub in ("resonance", "normalize", "classify", "integrals", "embed")
+        if (fixture, sub) != ("center.json", "embed")  # an embedding belongs to a map
+    ])
+    def test_every_term_list_of_a_report(self, tmp_path, capsys, fixture, sub):
+        rep = tmp_path / "rep.json"
+        assert run([sub, "--input", FIXTURES / fixture, "--output", rep]) == 0
+        doc = load(rep)
+        paths = list(term_lists(doc))
+        assert ("system", "terms") in paths
+        for k, path in enumerate(paths):
+            edited = json.loads(json.dumps(doc))
+            terms = functools.reduce(lambda node, key: node[key], path, edited)
+            term = terms[k % len(terms)]
+            term["exponent"][k % len(term["exponent"])] = 10**40
+            code = run(["verify", "--input", write(tmp_path, "bad.json", edited)])
+            err = capsys.readouterr().err
+            assert code == (2 if path[0] == "system" else 4), path
+            assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestUnreadableInputIs2:

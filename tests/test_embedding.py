@@ -2,7 +2,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import conjugate_map, mat_vec, normal_form_from_units, scalar_inner, two_dim_fixture, three_dim_fixture
+from helpers import (
+    conjugate_map,
+    mat_vec,
+    normal_form_from_units,
+    normalization_of,
+    scalar_inner,
+    three_dim_fixture,
+    two_dim_fixture,
+)
 
 from dulac.embedding import cross_field, embedding_field, time_one_map, verify_equivariance
 from dulac.errors import HypothesisError
@@ -59,7 +67,7 @@ class TestEmbeddingField:
     def test_fixture_with_unimodular_jacobian(self):
         system, phi, _ = two_dim_fixture(N=10)
         pulled = pullback_integrals(
-            monomial_integrals(enumerate_lattice(HALF_DOUBLE, 8), trunc=10), phi, 10
+            monomial_integrals(enumerate_lattice(HALF_DOUBLE, 8), trunc=10), normalization_of(phi, system.spec), 10
         )
         assert verify_integral(pulled[0], system, 10).is_zero()
         emb = embedding_field(system, pulled, 8)
@@ -78,7 +86,7 @@ class TestEmbeddingField:
         G = normal_form_from_units(mu_vals, [p1, u], N)
         phi = VectorSeries([S(2, N, {(1, 2): 1}), ScalarSeries.zero(2, N)])
         system = conjugate_map(mu_vals, G, phi, N)
-        pulled = pullback_integrals([ScalarSeries.monomial(2, N, (1, 1))], phi, N)
+        pulled = pullback_integrals([ScalarSeries.monomial(2, N, (1, 1))], normalization_of(phi, system.spec), N)
         assert verify_integral(pulled[0], system, N).is_zero()
         emb = embedding_field(system, pulled, 8)
         assert emb.tangent
@@ -91,7 +99,7 @@ class TestEmbeddingField:
     def test_three_dim_fixture(self):
         system, phi, _, _ = three_dim_fixture(N=9)
         basis = enumerate_lattice(EigenSpec.multiplicative([F(1, 32), 4, 2]), 8)
-        pulled = pullback_integrals(monomial_integrals(basis, trunc=9), phi, 9)
+        pulled = pullback_integrals(monomial_integrals(basis, trunc=9), normalization_of(phi, system.spec), 9)
         emb = embedding_field(system, pulled, 7)
         assert emb.tangent
 

@@ -1,11 +1,14 @@
 import random
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from helpers import (
+    normalization_of,
     oracle_independence_check,
+    oracle_pullback_integrals,
     oracle_rank,
     oracle_resonant,
     oracle_search_integrals_field,
@@ -27,11 +30,15 @@ from dulac.integrals import (
     verify_integral,
 )
 from dulac.normalizer import FieldSystem, MapSystem, normalize
-from dulac.resonance import EigenSpec, enumerate_lattice
+from dulac.resonance import EigenSpec, enumerate_lattice, iter_exponents
 from dulac.scalars import gaussian
-from dulac.series import ScalarSeries, VectorSeries
+from dulac.series import ScalarSeries, SeriesError, VectorSeries
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+sys.path.insert(0, str(ROOT / "bench"))
+
+import workloads  # noqa: E402
 
 HALF_DOUBLE = EigenSpec.multiplicative([F(1, 2), 2])
 SADDLE = EigenSpec.additive([1, -1])
@@ -119,27 +126,88 @@ class TestVerify:
 class TestPullback:
     def test_identity_transformation(self):
         H = monomial_integrals(enumerate_lattice(HALF_DOUBLE, 8))
-        pulled = pullback_integrals(H, VectorSeries.zero(2, 8), 8)
+        pulled = pullback_integrals(H, normalization_of(VectorSeries.zero(2, 8)), 8)
         assert pulled[0] == H[0].truncate(8)
 
     def test_shift_pullback_closed_form(self):
         phi = VectorSeries([S(2, 8, {(0, 2): 1}), ScalarSeries.zero(2, 8)])
-        pulled = pullback_integrals([ScalarSeries.monomial(2, 8, (1, 1))], phi, 8)
+        pulled = pullback_integrals([ScalarSeries.monomial(2, 8, (1, 1))], normalization_of(phi), 8)
         assert pulled[0] == S(2, 8, {(1, 1): 1, (0, 3): -1})
 
     def test_pullbacks_are_integrals_of_the_fixture(self):
         system, phi, _ = two_dim_fixture(N=8)
         H = monomial_integrals(enumerate_lattice(HALF_DOUBLE, 8), trunc=8)
-        pulled = pullback_integrals(H, phi, 8)
+        pulled = pullback_integrals(H, normalization_of(phi, system.spec), 8)
         for V in pulled:
             assert verify_integral(V, system, 8).is_zero()
 
     def test_three_dim_pullbacks(self):
         system, phi, _, _ = three_dim_fixture(N=8)
         basis = enumerate_lattice(EigenSpec.multiplicative([F(1, 32), 4, 2]), 8)
-        pulled = pullback_integrals(monomial_integrals(basis, trunc=8), phi, 8)
+        pulled = pullback_integrals(monomial_integrals(basis, trunc=8), normalization_of(phi, system.spec), 8)
         for V in pulled:
             assert verify_integral(V, system, 8).is_zero()
+
+
+def _random_integrals(rng, n, N, gauss):
+    """A few integrals around monomials y^g with |g| < N, each with terms of
+    degrees below and above |g| (a constant among them), some of them
+    truncated below N."""
+    out = []
+    for _ in range(rng.randint(1, 3)):
+        g = rng.choice([m for m in iter_exponents(n, 1, N - 1) if max(m) <= 2])
+        below = ScalarSeries(n, N, {(0,) * n: 3, tuple(int(i == 0) for i in range(n)): F(-1, 2)})
+        above = ScalarSeries.monomial(n, N, (g[0] + 1,) + g[1:], gaussian(1, 2) if gauss else F(5, 3))
+        v = ScalarSeries.monomial(n, N, g) + below + above + random_sparse_series(rng, n, N, 6, gauss)
+        out.append(v.truncate(rng.choice([N, N, N - 1])))
+    return out
+
+
+class TestPullbackMatchesTheInverse:
+    """Pulled back over the normalization's own table of Phi = y + phi, an
+    integral equals its composition with psi = Phi^-1, which
+    `oracle_pullback_integrals` builds by `invert`."""
+
+    @pytest.mark.parametrize("gauss", [False, True], ids=["rational", "gaussian"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_phi(self, n, gauss):
+        rng = random.Random(f"pullback/{n}/{gauss}")
+        N = (9, 7, 5, 4)[n - 1]
+        for trial in range(8):
+            phi = VectorSeries([random_sparse_series(rng, n, N, 5, gauss) for _ in range(n)]).strip_low(2)
+            if trial == 0:
+                phi = VectorSeries.zero(n, N)
+            vs = _random_integrals(rng, n, N, gauss)
+            order = None if trial % 2 else rng.randint(1, min(v.trunc for v in vs))
+            got = pullback_integrals(vs, normalization_of(phi), order)
+            assert got == oracle_pullback_integrals(vs, phi, order)
+            assert all(w.trunc == (order or min(v.trunc for v in vs)) for w in got)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_solved_normalizations(self, n):
+        """Through the table the degree loop filled (and its self-check
+        read), on planted integrable maps and a dense Gaussian map."""
+        rng = random.Random(f"pullback/solved/{n}")
+        i = gaussian(0, 1)
+        dense = MapSystem(
+            EigenSpec.multiplicative([F(1, 2) * i, 2 * i, F(1, 3)][:n]),
+            VectorSeries([random_sparse_series(rng, n, 5, 6, True) for _ in range(n)]).strip_low(2), 5,
+        )
+        for system in [random_integrable_case(rng, n)[0] for _ in range(3)] + [dense]:
+            result = normalize(system)
+            for order in (None, system.order - 2):
+                for gauss in (False, True):
+                    vs = [v.with_trunc(system.order) for v in _random_integrals(rng, n, system.order, gauss)]
+                    assert pullback_integrals(vs, result, order) == oracle_pullback_integrals(vs, result.phi, order)
+
+    def test_order_and_dimension_are_checked(self):
+        phi = VectorSeries.zero(2, 4)
+        with pytest.raises(SeriesError, match="through degree 4; cannot pull back to 5"):
+            pullback_integrals([ScalarSeries.monomial(2, 6, (1, 1))], normalization_of(phi), 5)
+        with pytest.raises(SeriesError, match="cannot truncate to degree 4"):
+            pullback_integrals([ScalarSeries.monomial(2, 3, (1, 1))], normalization_of(phi), 4)
+        with pytest.raises(SeriesError, match="dimension mismatch"):
+            pullback_integrals([ScalarSeries.monomial(3, 4, (1, 1, 0))], normalization_of(phi))
 
 
 class TestSearchMap:
@@ -158,7 +226,7 @@ class TestSearchMap:
         got = search_integrals(system, 4)
         assert len(got) == 1
         pulled = pullback_integrals(
-            monomial_integrals(enumerate_lattice(HALF_DOUBLE, 8), trunc=4), phi.truncate(4), 4
+            monomial_integrals(enumerate_lattice(HALF_DOUBLE, 8), trunc=4), normalization_of(phi, system.spec), 4
         )
         V, W = got[0], pulled[0]
         lead = V.terms()[0]
@@ -169,7 +237,7 @@ class TestSearchMap:
         system, phi, _ = two_dim_fixture(N=8)
         got = search_integrals(system, 8)
         pulled = pullback_integrals(
-            monomial_integrals(enumerate_lattice(HALF_DOUBLE, 8), trunc=8), phi, 8
+            monomial_integrals(enumerate_lattice(HALF_DOUBLE, 8), trunc=8), normalization_of(phi, system.spec), 8
         )
         assert _in_span(pulled[0], got)
 
@@ -367,16 +435,13 @@ class TestPackedResidual:
                 assert verify_integral(V, system).is_zero()
 
 
-def _fixture_sets(name):
-    """Every `search` and `pullback` set `dulac integrals` checks for a fixture."""
-    from dulac.cli import parse_system
-
-    sf = parse_system(str(FIXTURES / name))
+def _integral_sets(sf):
+    """Every `search` and `pullback` set `dulac integrals` checks for a
+    parsed system file."""
     system, N = sf.system(), sf.order
     sets = [search_integrals(system, N)]
     basis = enumerate_lattice(sf.eigen, sf.lattice_bound)
-    phi = normalize(system, N).phi
-    sets.append(pullback_integrals(monomial_integrals(basis, trunc=N), phi, N))
+    sets.append(pullback_integrals(monomial_integrals(basis, trunc=N), normalize(system, N), N))
     return [vs for vs in sets if vs]
 
 
@@ -463,5 +528,16 @@ class TestPackedIndependence:
 
     @pytest.mark.parametrize("name", ["ex2_2d.json", "ex2_3d.json"])
     def test_fixture_sets(self, name):
-        for vs in _fixture_sets(name):
+        from dulac.cli import parse_system
+
+        for vs in _integral_sets(parse_system(str(FIXTURES / name))):
             self._check(vs)
+
+    def test_catalogue_sections(self):
+        """Each `search` and `pullback` section of the benchmark's
+        `integrals` catalogue, at the seed `dulac integrals` uses."""
+        from dulac.cli import _system_from_doc
+
+        for op in workloads.catalogue("integrals"):
+            for vs in _integral_sets(_system_from_doc(op.system, op.key)):
+                self._check(vs, seeds=(0,))

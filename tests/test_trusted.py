@@ -214,7 +214,7 @@ def test_scalars_are_built_only_at_the_boundary(build, monkeypatch):
     result = normalize(system)
     assert verify_conjugacy(system, result).is_zero()
     found = search_integrals(system, system.order)
-    pulled = pullback_integrals(found, result.phi)
+    pulled = pullback_integrals(found, result)
     assert found and all(verify_integral(v, system).is_zero() for v in found)
     assert len([verify_integral(v, system) for v in pulled]) == len(found)
     with pytest.raises(AssertionError, match="built in dulac.series"):
