@@ -30,7 +30,7 @@ from typing import NoReturn, Sequence
 
 from . import __version__
 from .errors import HypothesisError, InternalInvariantError, SystemFileError
-from .embedding import embedding_field, time_one_map, verify_equivariance
+from .embedding import EmbeddingField, checked_field, embedding_field, time_one_map
 from .integrals import (
     independence_check,
     monomial_integrals,
@@ -61,11 +61,10 @@ from .resonance import (
     verify_bound,
 )
 from .scalars import Scalar, check_scalar_json, is_int, scalar_from_json, scalar_to_json
-from .series import ScalarSeries, SeriesError, VectorSeries, lie_derivative
+from .series import ScalarSeries, SeriesError, VectorSeries
 
 DEFAULT_LATTICE_BOUND = 10
 DEFAULT_ORDER = 8
-DEFAULT_TRIALS = 8
 TIME_ONE_TERMS = 12
 # lattice work through degree D scans C(D + n, n) exponents: `resonance` at
 # the limit takes 0.6-1.2 s on a 2-vCPU VM, and the cost grows without bound
@@ -182,20 +181,18 @@ def _checked_term(term, where: str, n: int, scalars_tag: str, vector: bool) -> t
 
 def _read_terms(terms, where: str, n: int, trunc: int, scalars_tag: str = "gaussian",
                 vector: bool = True, low: int = 0, claimed: str | None = None) -> list[ScalarSeries]:
-    """The series of a JSON term list: one per component, or one when its
-    terms carry no component, through degree trunc or the list's top degree
-    if that is higher.  Every term is validated (`_checked_term` names the
-    first bad one) and of degree >= low; the coefficient ints go into the
-    packed parts as they are (`ScalarSeries._from_ints`), summed over a
-    repeated exponent, so no scalar is built.  A term above trunc is
-    refused before any part is built: in a report's claimed series
-    (`claimed` names it, and trunc is the order `verify` checks it at),
-    where nothing would check it, with exit 4; elsewhere when its degree is
-    past every order `_series_order` admits, with exit 2."""
+    """The series of a JSON term list through degree trunc: one per
+    component, or one when its terms carry no component.  Every term is
+    validated (`_checked_term` names the first bad one) and of degree >= low;
+    the coefficient ints go into the packed parts as they are
+    (`ScalarSeries._from_ints`), summed over a repeated exponent, so no
+    scalar is built.  A term above trunc is refused before any part is
+    built: in a report's claimed series (`claimed` names it, and trunc is the
+    order `verify` checks it at), where nothing would check it, with exit 4;
+    in a system's terms, which every solver would drop, with exit 2."""
     if not isinstance(terms, list):
         raise SystemFileError(f"{where}: terms must be a list")
     read: list[list] = [[] for _ in range(n if vector else 1)]
-    top = trunc
     for i, t in enumerate(terms):
         j, m, c = _checked_term(t, f"{where}[{i}]", n, scalars_tag, vector)
         d = sum(m)
@@ -204,12 +201,12 @@ def _read_terms(terms, where: str, n: int, trunc: int, scalars_tag: str = "gauss
                 f"{where}[{i}]: exponent degree {d} < {low}; constant and linear "
                 "terms belong to the eigen data"
             )
-        if d > top:
+        if d > trunc:
             if claimed:
                 _fail(f"{claimed} of degree {_shown(d)}, above the verified order {trunc}")
-            top = _series_order(d, n, f"{where}[{i}]: exponent degree")
+            raise SystemFileError(f"{where}[{i}]: exponent degree {_shown(d)} is above order_N = {trunc}")
         read[j - 1].append((d, m, c))
-    return [ScalarSeries._from_ints(n, top, comp) for comp in read]
+    return [ScalarSeries._from_ints(n, trunc, comp) for comp in read]
 
 
 def _int_field(doc: dict, name: str, low: int, where: str) -> int:
@@ -575,22 +572,6 @@ def _run_classify(sf: SystemFile, D: int, N: int) -> dict:
     return {"classification": _classification_json(report)}
 
 
-def _integral_set_json(vs, residual_zero: list[bool], cert=None) -> dict:
-    out = {
-        "integrals": [_scalar_series_json(v) for v in vs],
-        "residual_zero": residual_zero,
-    }
-    if cert is not None:
-        out["independence"] = {
-            "independent": cert.independent,
-            "rank_found": cert.rank_found,
-            "witness_point": None if cert.witness is None
-            else [scalar_to_json(x) for x in cert.witness],
-            "trials": cert.trials,
-        }
-    return out
-
-
 def _residual_zero(system, vs: Sequence[ScalarSeries], order: int) -> list[bool]:
     """Whether each integral's exact residual (V o F - V for a map, <grad V,
     X> for a field) vanishes through the order."""
@@ -602,21 +583,45 @@ def _has_pullback(eigen: EigenSpec, basis: LatticeBasis) -> bool:
     return bool(basis.generators) and eigen.has_exact_values()
 
 
+def _independence_json(vs: Sequence[ScalarSeries], seed: int) -> dict | None:
+    """The independence certificate of a section's integrals; None for an
+    empty section, which holds none."""
+    if not vs:
+        return None
+    cert = independence_check(vs, seed=seed)
+    return {
+        "independent": cert.independent,
+        "rank_found": cert.rank_found,
+        "witness_point": None if cert.witness is None else [scalar_to_json(x) for x in cert.witness],
+        "trials": cert.trials,
+    }
+
+
+def _integrals_body(system, order: int, basis: LatticeBasis, sections: dict) -> dict:
+    """An integrals report's body from each section's integrals and their
+    independence JSON; `verify` rebuilds it from the claimed ones."""
+    body = {}
+    for name, (vs, independence) in sections.items():
+        sec = body[name] = {
+            "integrals": [_scalar_series_json(v) for v in vs],
+            "residual_zero": _residual_zero(system, vs, order),
+        }
+        if vs:
+            sec["independence"] = independence
+        if name == "pullback":
+            sec["generators"] = [list(g) for g in basis.generators]
+    return {"integrals": body}
+
+
 def _run_integrals(sf: SystemFile, D: int, N: int, seed: int) -> dict:
     system = sf.system()
-    found = search_integrals(system, N)
-    cert = (
-        independence_check(found, trials=DEFAULT_TRIALS, seed=seed) if len(found) else None
-    )
-    section = {"search": _integral_set_json(found, _residual_zero(system, found, N), cert)}
     basis = enumerate_lattice(sf.eigen, D)
+    sections = {"search": search_integrals(system, N)}
     if _has_pullback(sf.eigen, basis):
-        monomials = monomial_integrals(basis, trunc=N)
-        pulled = pullback_integrals(monomials, normalize(system, N), N)
-        pcert = independence_check(pulled, trials=DEFAULT_TRIALS, seed=seed)
-        section["pullback"] = _integral_set_json(pulled, _residual_zero(system, pulled, N), pcert)
-        section["pullback"]["generators"] = [list(g) for g in basis.generators]
-    return {"integrals": section}
+        sections["pullback"] = pullback_integrals(monomial_integrals(basis, trunc=N), normalize(system, N), N)
+    return _integrals_body(system, N, basis, {
+        name: (vs, _independence_json(vs, seed)) for name, vs in sections.items()
+    })
 
 
 def _run_embed(sf: SystemFile, D: int, N: int) -> dict:
@@ -630,13 +635,16 @@ def _run_embed(sf: SystemFile, D: int, N: int) -> dict:
             f"'{report.verdict}'"
             + (f" ({report.witness})" if report.witness else "")
         )
-    basis = report.lattice
-    monomials = monomial_integrals(basis, trunc=N)
-    pulled = pullback_integrals(monomials, report.normalization, N)
+    pulled = pullback_integrals(monomial_integrals(report.lattice, trunc=N), report.normalization, N)
     emb = embedding_field(system, pulled, N - 1)
-    flags = list(emb.flags)
     phi_one = time_one_map(emb.field, TIME_ONE_TERMS, emb.order)
-    time_one_matches = phi_one == system.full(emb.order).truncate(emb.order)
+    return _embedding_body(emb, phi_one == system.full(emb.order).truncate(emb.order))
+
+
+def _embedding_body(emb: EmbeddingField, time_one_matches: bool) -> dict:
+    """An embed report's body; `verify` rebuilds it from the claimed field
+    and integrals and the claimed time-one comparison."""
+    flags = list(emb.flags)
     if not time_one_matches:
         flags.append(
             "the truncated time-one map of the field differs from the map: the "
@@ -646,9 +654,9 @@ def _run_embed(sf: SystemFile, D: int, N: int) -> dict:
         "embedding": {
             "field": _vector_series_json(emb.field),
             "order": emb.order,
-            "integrals": [_scalar_series_json(v) for v in pulled],
+            "integrals": [_scalar_series_json(v) for v in emb.integrals],
             "tangency_zero": [r.is_zero() for r in emb.tangency_residuals],
-            "equivariance_zero": emb.equivariance_residual.is_zero(),
+            "equivariance_zero": emb.equivariant,
             "time_one_matches_map": time_one_matches,
             "time_one_terms": TIME_ONE_TERMS,
             "flags": flags,
@@ -673,7 +681,10 @@ def _fail(what: str) -> NoReturn:
 
 def _same(a, b) -> bool:
     """Equal as JSON values, types kept (true is not 1, floats by repr, lists
-    and tuples alike); equal marshal v2 bytes (typed, no refs) settle a list."""
+    and tuples alike); equal marshal v2 bytes (typed, no refs) settle a list,
+    and identity a leaf `verify` copies from the claim, however deep."""
+    if a is b:
+        return True
     t = type(a)
     if t is dict:
         return type(b) is dict and a.keys() == b.keys() and all(map(_same, a.values(), map(b.__getitem__, a)))
@@ -684,9 +695,10 @@ def _same(a, b) -> bool:
 
 
 def _require_match(claimed, recomputed, path: str) -> None:
-    """Exit 4 unless a report entry equals its recomputation as JSON (so
-    true is not 1); names the first differing key of an object, and so on
-    down through nested objects to the deepest one."""
+    """Exit 4 unless a report entry (the whole report when path is empty)
+    equals its recomputation as JSON (so true is not 1); names the first
+    differing key of an object, and so on down through nested objects to
+    the deepest one."""
     if _same(claimed, recomputed):
         return
     while isinstance(claimed, dict) and isinstance(recomputed, dict):
@@ -694,7 +706,7 @@ def _require_match(claimed, recomputed, path: str) -> None:
             k for k in sorted(set(claimed) | set(recomputed))
             if k not in claimed or k not in recomputed or not _same(claimed[k], recomputed[k])
         )
-        path += "." + key
+        path = f"{path}.{key}" if path else key
         claimed, recomputed = claimed.get(key), recomputed.get(key)
     _fail(f"{path} does not match a recomputation")
 
@@ -726,6 +738,14 @@ def _claimed_normalization(sf: SystemFile, system, norm_doc, where: str) -> Norm
 
 
 def _run_verify(report_path: str) -> dict:
+    """Rebuild the report from its claims with the writers of the solver its
+    `subcommand` names, and compare the two whole: a mismatch names the
+    deepest key that differs.  The system echo is compared first.  The
+    informational leaves are copied from the claim, not re-derived: `tool`,
+    `parameters.seed`, the parameters no section holds (`degree_D` of
+    normalize and embed reports, `order_N` of resonance reports), each
+    integrals section's `independence` and `embedding.time_one_matches_map`
+    (which the embedding's flags must agree with)."""
     doc = _load_json(report_path)
     if not isinstance(doc, dict) or "system" not in doc:
         raise SystemFileError(f"{report_path}: not a report file (no system echo)")
@@ -733,87 +753,68 @@ def _run_verify(report_path: str) -> dict:
     # the echo is canonical: what was parsed, written back
     _require_match(doc["system"], _system_json(sf), "system")
     system = sf.system()
-    checked = []
-    params = doc.get("parameters")
-
-    def match_parameter(key: str, value) -> None:
-        # the parameters name the order and degree the sections were built at
-        if isinstance(params, dict):
-            _require_match(params.get(key), value, f"parameters.{key}")
-
-    if doc.get("normalization") is not None:
-        result = _claimed_normalization(sf, system, doc["normalization"], f"{report_path}:normalization")
-        # the whole body is re-derived from the claimed pair
-        for key, value in _normalize_body(result).items():
-            _require_match(doc.get(key), value, key)
-        match_parameter("order_N", result.order)
-        checked.append("normalization")
-    if "classification" in doc:
+    params, at = _field(doc, "parameters", dict, report_path), f"{report_path}:parameters"
+    # a parameter no section holds is copied, once it is one a solver writes
+    D, N = (_int_field(params, key, 2, at) for key in ("degree_D", "order_N"))
+    sub, seed = doc.get("subcommand"), _field(params, "seed", int, at)
+    if sub == "resonance":
+        where = f"{report_path}:lattice"
+        D = _lattice_degree(_int_field(_field(doc, "lattice", dict, report_path), "bound", 2, where), sf.n,
+                            f"{where}.bound")
+        body = _run_resonance(sf, D)
+        checked = ["lattice", "bound"] if "value" in body["bound"] else ["lattice"]
+    elif sub == "normalize":
+        result = _claimed_normalization(sf, system, doc.get("normalization"), f"{report_path}:normalization")
+        body, N, checked = _normalize_body(result), result.order, ["normalization"]
+    elif sub == "classify":
         cls = _field(doc, "classification", dict, report_path)
         where = f"{report_path}:classification"
-        certified = _field(cls, "certified_at", dict, where)
-        at = f"{where}.certified_at"
-        D = _lattice_degree(_int_field(certified, "degree_D", 2, at), sf.n, f"{at}.degree_D")
+        certified, cert_at = _field(cls, "certified_at", dict, where), f"{where}.certified_at"
+        D = _lattice_degree(_int_field(certified, "degree_D", 2, cert_at), sf.n, f"{cert_at}.degree_D")
         claimed = None
         if cls.get("normalization") is not None:
             claimed = _claimed_normalization(sf, system, cls["normalization"], f"{where}.normalization")
-            checked.append("normalization")
-        N = claimed.order if claimed else _series_order(_int_field(certified, "order_N", 2, at), sf.n, f"{at}.order_N")
+        N = claimed.order if claimed else _series_order(
+            _int_field(certified, "order_N", 2, cert_at), sf.n, f"{cert_at}.order_N")
         if cls.get("p") is not None and len(_field(cls, "p", list, where)) != sf.n:
             raise SystemFileError(f"{where}: p must have {sf.n} entries")
-        match_parameter("order_N", certified.get("order_N"))
-        match_parameter("degree_D", D)
         # the distinguished pair is unique, so the whole classification is
         # re-derived from the claimed one
         report = classify(system, D, N, claimed)
-        _require_match(cls, _classification_json(report), "classification")
-        if claimed is None:
-            checked.append("classification")
-        elif report.p is not None and report.verdict == "integrable-consistent":
-            checked.append("functional-equations")
-    if isinstance(doc.get("integrals"), dict):
+        body = {"classification": _classification_json(report)}
+        checked = ["classification"] if claimed is None else ["normalization"] + (
+            ["functional-equations"] if report.p is not None and report.verdict == "integrable-consistent" else [])
+    elif sub == "integrals":
         # integrals are invariant through the order they were solved at, and
         # the sections are the ones the lattice at degree_D gives
-        where = f"{report_path}:parameters"
-        _field(doc, "parameters", dict, report_path)
-        order = _int_field(params, "order_N", 2, where)
-        if order > sf.order:
-            raise SystemFileError(
-                f"{where}: order_N = {order} exceeds the system's order_N = {sf.order}"
-            )
-        D = _lattice_degree(_int_field(params, "degree_D", 2, where), sf.n, f"{where}.degree_D")
+        if N > sf.order:
+            raise SystemFileError(f"{at}: order_N = {N} exceeds the system's order_N = {sf.order}")
+        D = _lattice_degree(D, sf.n, f"{at}.degree_D")
         basis = enumerate_lattice(sf.eigen, D)
-        sections = doc["integrals"]
-        expected = ["pullback", "search"] if _has_pullback(sf.eigen, basis) else ["search"]
-        _require_match(sorted(sections), expected, "integrals (its sections)")
-        for name in sections:
-            sec = _field(sections, name, dict, f"{report_path}:integrals")
-            if name == "pullback":
-                generators = [list(g) for g in basis.generators]
-                _require_match(sec.get("generators"), generators, "integrals.pullback.generators")
-            where = f"{report_path}:integrals.{name}"
-            claimed = _field(sec, "integrals", list, where)
-            vs = [
-                _series_from_json(terms, sf.n, order, f"{where}.integrals[{i}]",
+        sections = _field(doc, "integrals", dict, report_path)
+        names = ["pullback", "search"] if _has_pullback(sf.eigen, basis) else ["search"]
+        _require_match(sorted(sections), names, "integrals (its sections)")
+        claims = {}
+        for name in names:
+            sec, where = _field(sections, name, dict, f"{report_path}:integrals"), f"{report_path}:integrals.{name}"
+            claims[name] = ([
+                _series_from_json(terms, sf.n, N, f"{where}.integrals[{i}]",
                                   f"integral {i + 1} in section '{name}' has a term")
-                for i, terms in enumerate(claimed)
-            ]
-            residual_zero = _residual_zero(system, vs, order)
-            _require_match(sec.get("residual_zero"), residual_zero, f"integrals.{name}.residual_zero")
-            # each term list is canonical: what was parsed, written back
-            _require_match(claimed, [_scalar_series_json(V) for V in vs], f"integrals.{name}.integrals")
-            checked.append(f"integrals:{name}")
-    if "embedding" in doc:
+                for i, terms in enumerate(_field(sec, "integrals", list, where))
+            ], sec.get("independence"))
+        body = _integrals_body(system, N, basis, claims)
+        checked = [f"integrals:{name}" for name in names]
+    elif sub == "embed":
         emb = _field(doc, "embedding", dict, report_path)
         where = f"{report_path}:embedding"
         if sf.kind != "map":
             raise SystemFileError(f"{where}: an embedding belongs to a map system, not a field")
         order = _series_order(_int_field(emb, "order", 1, where), sf.n, f"{where}.order")
-        claimed_field, claimed = _field(emb, "field", None, where), _field(emb, "integrals", list, where)
-        X = _vector_from_json(claimed_field, sf.n, order, f"{where}.field", "the embedding field has a term")
+        X = _vector_from_json(_field(emb, "field", None, where), sf.n, order, f"{where}.field",
+                              "the embedding field has a term")
         vs = [
             _series_from_json(t, sf.n, order + 1, f"{where}.integrals[{i}]", "an embedding integral has a term")
-            for i, t in enumerate(claimed)
+            for i, t in enumerate(_field(emb, "integrals", list, where))
         ]
         if len(vs) != sf.n - 1:
             _fail(f"embedding holds {len(vs)} integrals, not n-1 = {sf.n - 1}")
@@ -823,30 +824,14 @@ def _run_verify(report_path: str) -> dict:
             raise SystemFileError(f"{where}.order: order + 1 = {order + 1} exceeds the system's order_N = {sf.order}")
         if not all(_residual_zero(system, vs, order + 1)):
             _fail("an embedding integral is not an integral of the map")
-        tangency = [lie_derivative(V, X, order).is_zero() for V in vs]
-        _require_match(emb.get("tangency_zero"), tangency, "embedding.tangency_zero")
-        equivariance = verify_equivariance(system, X, order).is_zero()
-        _require_match(emb.get("equivariance_zero"), equivariance, "embedding.equivariance_zero")
-        _require_match(claimed_field, _vector_series_json(X), "embedding.field")
-        _require_match(claimed, [_scalar_series_json(V) for V in vs], "embedding.integrals")
-        checked.append("embedding")
-    if "lattice" in doc:
-        lattice = _field(doc, "lattice", dict, report_path)
-        D = _lattice_degree(
-            _int_field(lattice, "bound", 2, f"{report_path}:lattice"), sf.n, f"{report_path}:lattice.bound"
-        )
-        # the whole resonance body is re-derived: lattice, bound and its
-        # verification (or the reason it does not apply), and the flags
-        for key, value in _run_resonance(sf, D).items():
-            _require_match(doc.get(key), value, key)
-        match_parameter("degree_D", D)
-        checked.append("lattice")
-        if "value" in doc["bound"]:
-            checked.append("bound")
-    if not checked:
-        raise SystemFileError(
-            f"{report_path}: nothing to verify (no recognized sections)"
-        )
+        time_one_matches = _field(emb, "time_one_matches_map", bool, where)
+        body = _embedding_body(checked_field(system, vs, X, order), time_one_matches)
+        N, checked = order + 1, ["embedding"]
+    else:
+        _fail("subcommand names none of resonance, normalize, classify, integrals and embed")
+    params = {"degree_D": D, "order_N": N, "seed": seed}
+    _require_match(doc, {"tool": doc.get("tool"), "subcommand": sub, "parameters": params, "system": doc["system"],
+                         **body}, "")
     return {"verify": {"checked": checked, "all_zero": True}}
 
 

@@ -108,24 +108,30 @@ def embedding_field(
     f_inv = compose(invert(unit, order), VectorSeries.diagonal_linear(b_inv, order), order)
     det_back = compose_scalar(det, f_inv, order)
     base = cross_field(vs, order)
-    X = VectorSeries([det_back.mul(c, order) for c in base.components])
-    tangency = tuple(lie_derivative(v, X, order) for v in vs)
+    return checked_field(F, vs, VectorSeries([det_back.mul(c, order) for c in base.components]), order)
+
+
+def checked_field(
+    F: MapSystem, integrals: Sequence[ScalarSeries], X: VectorSeries, order: int
+) -> EmbeddingField:
+    """X with its verification record through the order: the tangency
+    residual <grad V, X> of each integral V, the intertwining residual
+    DF*X - X(F), and a flag when that is nonzero.  `verify` checks a claimed
+    field with it."""
     equi = verify_equivariance(F, X, order)
-    flags: list[str] = []
-    if not equi.is_zero():
-        flags.append(
-            "intertwining residual DF*X - X(F) is nonzero: det(DF) is not "
-            "identically one, and the determinant-rescaled construction only "
-            "intertwines up to the det(DF) cocycle"
-        )
+    flags = () if equi.is_zero() else (
+        "intertwining residual DF*X - X(F) is nonzero: det(DF) is not "
+        "identically one, and the determinant-rescaled construction only "
+        "intertwines up to the det(DF) cocycle",
+    )
     return EmbeddingField(
         field=X,
         order=order,
         system=F,
-        integrals=vs,
-        tangency_residuals=tangency,
+        integrals=tuple(integrals),
+        tangency_residuals=tuple(lie_derivative(v, X, order) for v in integrals),
         equivariance_residual=equi,
-        flags=tuple(flags),
+        flags=flags,
     )
 
 

@@ -712,7 +712,8 @@ class TestVerifyChecksParametersAndResidualOrder:
             ("classify", "ex2_2d.json", lambda d: d["parameters"].update(order_N=7),
              "parameters.order_N"),
             ("classify", "ex2_3d.json",
-             lambda d: d["classification"]["certified_at"].update(order_N=9), "parameters.order_N"),
+             lambda d: d["classification"]["certified_at"].update(order_N=9),
+             "classification.certified_at.order_N"),
             ("resonance", "halfdouble.json", lambda d: d["parameters"].update(degree_D=11),
              "parameters.degree_D"),
             ("classify", "ex2_2d.json", lambda d: d["parameters"].update(degree_D=11),
@@ -809,7 +810,7 @@ class TestHugeExponentIsRefused:
         doc["terms"][-1]["exponent"][0] = 10**40
         assert run([sub, "--input", write(tmp_path, "sys.json", doc)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "terms[" in err and "over the limit" in err
+        assert err.startswith("error:") and "terms[" in err and "is above order_N = 8" in err
 
     def test_degree_past_the_digit_limit(self, tmp_path, capsys):
         """Two exponent entries at the parse limit sum to a degree with too
@@ -818,7 +819,22 @@ class TestHugeExponentIsRefused:
         doc = dict(HALF_DOUBLE_DOC, terms=[{"component": 1, "exponent": [top, top], "coeff": [1, 1]}])
         assert run(["normalize", "--input", write(tmp_path, "sys.json", doc)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "-bit integer would solve" in err
+        assert err.startswith("error:") and "-bit integer is above order_N = 8" in err
+
+    def test_system_term_above_order_N(self, tmp_path, capsys):
+        """Every solver would drop a system term above order_N, so a system
+        file holding one is refused, and so is a report's echo."""
+        doc = load(FIXTURES / "ex2_2d.json")
+        rep = tmp_path / "rep.json"
+        assert run(["normalize", "--input", FIXTURES / "ex2_2d.json", "--output", rep]) == 0
+        echo = load(rep)
+        for terms in (doc["terms"], echo["system"]["terms"]):
+            terms.append({"component": 1, "exponent": [0, 12], "coeff": [1, 1]})
+        for sub in ("resonance", "normalize", "classify", "integrals", "embed"):
+            assert run([sub, "--input", write(tmp_path, "sys.json", doc)]) == 2
+        assert run(["verify", "--input", write(tmp_path, "bad.json", echo)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 6 and all(line.endswith("exponent degree 12 is above order_N = 8") for line in err)
 
     @pytest.mark.parametrize("fixture,sub", [
         (fixture, sub) for fixture in ("ex2_2d.json", "ex2_3d.json", "center.json")
@@ -987,8 +1003,9 @@ class TestVerifyRederivesIntegralClaims:
              "integrals.search.residual_zero"),
             ("integrals", lambda d: _pop_residual_zero(d["integrals"]["pullback"]),
              "integrals.pullback.residual_zero"),
+            # an empty section holds no independence certificate
             ("integrals", lambda d: d["integrals"]["search"]["integrals"].clear(),
-             "integrals.search.residual_zero"),
+             "integrals.search.independence"),
             ("embed", lambda d: d["embedding"]["integrals"].clear(), "0 integrals, not n-1 = 1"),
             ("embed", lambda d: d["embedding"]["integrals"].append(d["embedding"]["integrals"][0]),
              "2 integrals, not n-1 = 1"),
@@ -1077,26 +1094,6 @@ class TestVerifyRederivesClassification:
     report's `normalization` and `growth` from the claimed pair; a mismatch
     names the deepest key that differs."""
 
-    @pytest.mark.parametrize("sub", ["classify", "normalize"])
-    @pytest.mark.parametrize("fixture", ["ex2_2d.json", "ex2_3d.json", "center.json"])
-    def test_every_leaf_edit_fails(self, tmp_path, capsys, fixture, sub):
-        from helpers import leaf_edits
-
-        rep = tmp_path / "rep.json"
-        assert run([sub, "--input", FIXTURES / fixture, "--output", rep]) == 0
-        doc = load(rep)
-        edits = [
-            (path, edited) for path, edited in leaf_edits(doc)
-            if path[0] in ("classification", "normalization", "growth")
-        ]
-        assert len(edits) > 10
-        passed = []
-        for path, edited in edits:
-            if run(["verify", "--input", write(tmp_path, "bad.json", edited)]) not in (2, 4):
-                passed.append(path)
-        capsys.readouterr()
-        assert passed == []
-
     @pytest.mark.parametrize("name", sorted(EARLY_VERDICT_SYSTEMS))
     def test_verdict_before_normalizing_verifies(self, tmp_path, capsys, name):
         rep, out = tmp_path / "rep.json", tmp_path / "out.json"
@@ -1150,6 +1147,150 @@ class TestVerifyRederivesClassification:
         assert capsys.readouterr().err == f"error: verification failed: {field} does not match a recomputation\n"
 
 
+# every fixture x solver report of the three fixtures; an embedding belongs to a map
+FIXTURE_REPORTS = [(fixture, sub) for fixture in ("ex2_2d.json", "ex2_3d.json", "center.json")
+                   for sub in SOLVERS if (fixture, sub) != ("center.json", "embed")]
+
+
+def informational(sub, path):
+    """Whether `verify` copies the leaf at path from the claim: the set its
+    docstring declares."""
+    return (path[0] == "tool" or path == ("parameters", "seed")
+            or path == ("parameters", "degree_D") and sub in ("normalize", "embed")
+            or path == ("parameters", "order_N") and sub == "resonance"
+            or path[0] == "integrals" and path[2] == "independence")
+
+
+def always_refused(sub, path):
+    """Leaves no section-by-section match covered, which the whole rebuild
+    refuses every edit of: the subcommand, an embed report's order_N, and
+    the embedding's flags, time-one term count and time-one verdict (copied,
+    but the flags must agree with it)."""
+    return (path[0] == "subcommand" or sub == "embed" and path == ("parameters", "order_N")
+            or path[:1] == ("embedding",) and path[1] in ("flags", "time_one_terms", "time_one_matches_map"))
+
+
+def still_a_valid_claim(doc, path, edited):
+    """Whether a leaf edit outside the informational set leaves a claim
+    that the system data does not refute: a coefficient of an integral that
+    is still an integral, a coefficient of an embedding field whose
+    tangency and intertwining residuals are zero exactly as claimed, or an
+    integrals report's degree_D where the lattice's generators are
+    unchanged at degree_D + 1."""
+    from helpers import oracle_read_terms
+    from dulac.cli import _system_from_doc
+    from dulac.embedding import verify_equivariance
+    from dulac.integrals import verify_integral
+    from dulac.resonance import enumerate_lattice
+    from dulac.series import VectorSeries, lie_derivative
+
+    sf = _system_from_doc(doc["system"], "system")
+    system, n = sf.system(), sf.n
+    if path == ("parameters", "degree_D") and doc["subcommand"] == "integrals":
+        D = doc["parameters"]["degree_D"]
+        return enumerate_lattice(sf.eigen, D).generators == enumerate_lattice(sf.eigen, D + 1).generators
+    if path[:1] == ("integrals",) and path[2:3] == ("integrals",) and path[-2] == "coeff":
+        N = doc["parameters"]["order_N"]
+        [V] = oracle_read_terms(edited["integrals"][path[1]]["integrals"][path[3]], "V", n, N, vector=False)
+        return verify_integral(V, system, N).is_zero()
+    if path[:2] == ("embedding", "field") and path[-2] == "coeff":
+        emb = edited["embedding"]
+        order = emb["order"]
+        X = VectorSeries(oracle_read_terms(emb["field"], "X", n, order))
+        vs = [oracle_read_terms(t, "V", n, order + 1, vector=False)[0] for t in emb["integrals"]]
+        return ([lie_derivative(V, X, order).is_zero() for V in vs] == emb["tangency_zero"]
+                and verify_equivariance(system, X, order).is_zero() == emb["equivariance_zero"])
+    return False
+
+
+def nodes(doc, path=()):
+    """The path of every node of a JSON document, containers and the root
+    included."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from nodes(value, path + (key,))
+
+
+class TestVerifyRebuildsTheWholeReport:
+    """`verify` rebuilds the whole report its `subcommand` names from the
+    report's claims, with the solver's writers, and compares it once: a leaf
+    edit passes only on the declared informational leaves or where the
+    edited claim is still valid, and a malformed report of any shape exits
+    2, 3 or 4 without a traceback."""
+
+    @pytest.mark.parametrize("fixture,sub", FIXTURE_REPORTS)
+    def test_every_leaf_edit_outside_the_echo(self, tmp_path, capsys, fixture, sub):
+        from helpers import leaf_edits
+
+        rep = tmp_path / "rep.json"
+        assert run([sub, "--input", FIXTURES / fixture, "--output", rep]) == 0
+        doc = load(rep)
+        edits = [(path, edited) for path, edited in leaf_edits(doc) if path[0] != "system"]
+        assert len(edits) > 10
+        unexplained, passed = [], []
+        for path, edited in edits:
+            code = run(["verify", "--input", write(tmp_path, "bad.json", edited)])
+            assert code in (0, 2, 3, 4), path
+            if always_refused(sub, path):
+                assert code == 4, path
+            if code == 0:
+                passed.append(path)
+                if not (informational(sub, path) or still_a_valid_claim(doc, path, edited)):
+                    unexplained.append(path)
+        capsys.readouterr()
+        assert unexplained == []
+        # the informational leaves the report holds all pass
+        assert {p for p, _ in edits if informational(sub, p)} <= set(passed)
+
+    @pytest.mark.parametrize("fixture,sub", [(f, s) for f, s in FIXTURE_REPORTS if f != "ex2_3d.json"])
+    def test_structural_fuzz(self, tmp_path, capsys, fixture, sub):
+        """Each node deleted, set to null, and set to one value drawn by a
+        fixed seed."""
+        import random
+
+        rep = tmp_path / "rep.json"
+        assert run([sub, "--input", FIXTURES / fixture, "--output", rep]) == 0
+        text = rep.read_text()
+        doc = json.loads(text)
+        rng = random.Random(f"{fixture}/{sub}")
+        values = [[], {}, "x", True, 10**40, -1, 0, [1], [0, 2]]
+        for path in nodes(doc):
+            for mutation in ("delete", None, rng.choice(values)):
+                if mutation == "delete" and not path:
+                    continue
+                edited = json.loads(text)
+                if path:
+                    parent = functools.reduce(lambda node, key: node[key], path[:-1], edited)
+                    if mutation == "delete":
+                        del parent[path[-1]]
+                    else:
+                        parent[path[-1]] = json.loads(json.dumps(mutation))
+                else:
+                    edited = mutation
+                code = run(["verify", "--input", write(tmp_path, "bad.json", edited)])
+                err = capsys.readouterr().err
+                assert code in (0, 2, 3, 4) and "Traceback" not in err, (path, mutation)
+
+    @pytest.mark.parametrize("sub", SOLVERS)
+    def test_dispatch_on_subcommand(self, tmp_path, capsys, sub):
+        """A report verifies only as the solver that wrote it, whole, with
+        its parameters an object."""
+        rep = tmp_path / "rep.json"
+        assert run([sub, "--input", FIXTURES / "ex2_2d.json", "--output", rep]) == 0
+        doc = load(rep)
+        edits = [lambda d, other=other: d.update(subcommand=other)
+                 for other in SOLVERS + ("verify", "frobnicate") if other != sub]
+        edits += [lambda d: d.pop("subcommand"), lambda d: d.update(extra=1),
+                  lambda d: d.update(parameters=[]), lambda d: d.update(parameters="x")]
+        for edit in edits:
+            edited = json.loads(json.dumps(doc))
+            edit(edited)
+            assert run(["verify", "--input", write(tmp_path, "bad.json", edited)]) in (2, 4)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == len(edits) and all(line.startswith("error:") for line in err)
+
+
 def test_python_m_dulac_writes_the_cli_report(tmp_path):
     """`python -m dulac` runs `cli.main`: same exit code, same report bytes."""
     src = Path(__file__).resolve().parent.parent / "src"
@@ -1161,9 +1302,6 @@ def test_python_m_dulac_writes_the_cli_report(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == rep.read_bytes()
-
-
-SOLVERS = ("resonance", "normalize", "classify", "integrals", "embed")
 
 
 class TestReportWriter:

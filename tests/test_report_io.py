@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dulac.cli import _read_terms, _render_text, _scalar_series_json, _vector_series_json, main
-from dulac.errors import SystemFileError
+from dulac.errors import InternalInvariantError, SystemFileError
 from dulac.series import VectorSeries
 from helpers import oracle_read_terms, oracle_scalar_series_json, oracle_vector_series_json
 
@@ -36,16 +36,24 @@ def terms(vector):
     return st.lists(st.fixed_dictionaries(fields), max_size=12)
 
 
+def through(vector):
+    """(term list, trunc) with trunc at or above the list's top degree, up to 5."""
+    return terms(vector).flatmap(lambda doc: st.tuples(
+        st.just(doc), st.integers(max([sum(t["exponent"]) for t in doc], default=0), 5)))
+
+
 class TestReaderMatchesTheScalarPath:
     @SETTINGS
-    @given(terms(vector=True), st.integers(0, 5))
-    def test_vector_terms(self, doc, trunc):
+    @given(through(vector=True))
+    def test_vector_terms(self, case):
+        doc, trunc = case
         new, old = _read_terms(doc, "t", N, trunc), oracle_read_terms(doc, "t", N, trunc)
         assert [(s.trunc, s.parts) for s in new] == [(s.trunc, s.parts) for s in old]
 
     @SETTINGS
-    @given(terms(vector=False), st.integers(0, 5))
-    def test_scalar_terms(self, doc, trunc):
+    @given(through(vector=False))
+    def test_scalar_terms(self, case):
+        doc, trunc = case
         [new] = _read_terms(doc, "t", N, trunc, vector=False)
         [old] = oracle_read_terms(doc, "t", N, trunc, vector=False)
         assert (new.trunc, new.parts) == (old.trunc, old.parts)
@@ -56,19 +64,30 @@ class TestReaderMatchesTheScalarPath:
         [s] = _read_terms(doc, "t", N, 2, vector=False)
         assert _scalar_series_json(s) == [{"coeff": [5, 6], "exponent": [1, 1]}]
 
+    def test_term_above_trunc_is_refused(self):
+        """A system's term above its order exits 2, a report's claimed term
+        above the verified order exits 4, before any part is built."""
+        doc = [{"exponent": [1, 1], "coeff": [1, 2]}, {"exponent": [2, 1], "coeff": [1, 3]}]
+        with pytest.raises(SystemFileError, match=r"^t\[1\]: exponent degree 3 is above order_N = 2$"):
+            _read_terms(doc, "t", N, 2, vector=False)
+        with pytest.raises(InternalInvariantError, match="V has a term of degree 3, above the verified order 2$"):
+            _read_terms(doc, "t", N, 2, vector=False, claimed="V has a term")
+
 
 class TestWriterMatchesTheScalarPath:
     @SETTINGS
-    @given(terms(vector=True), st.integers(0, 5))
-    def test_vector_series(self, doc, trunc):
+    @given(through(vector=True))
+    def test_vector_series(self, case):
+        doc, trunc = case
         v = VectorSeries(_read_terms(doc, "t", N, trunc))
         new, old = _vector_series_json(v), oracle_vector_series_json(v)
         assert json.dumps(new) == json.dumps(old)
         assert all(type(x) is int for t in new for x in t["coeff"] + t["exponent"] + [t["component"]])
 
     @SETTINGS
-    @given(terms(vector=False), st.integers(0, 5))
-    def test_scalar_series(self, doc, trunc):
+    @given(through(vector=False))
+    def test_scalar_series(self, case):
+        doc, trunc = case
         [s] = _read_terms(doc, "t", N, trunc, vector=False)
         assert json.dumps(_scalar_series_json(s)) == json.dumps(oracle_scalar_series_json(s))
 
