@@ -797,11 +797,18 @@ def _run_verify(report_path: str) -> dict:
         claims = {}
         for name in names:
             sec, where = _field(sections, name, dict, f"{report_path}:integrals"), f"{report_path}:integrals.{name}"
-            claims[name] = ([
+            vs = [
                 _series_from_json(terms, sf.n, N, f"{where}.integrals[{i}]",
                                   f"integral {i + 1} in section '{name}' has a term")
                 for i, terms in enumerate(_field(sec, "integrals", list, where))
-            ], sec.get("independence"))
+            ]
+            if any(v.is_zero() for v in vs):
+                _fail(f"section '{name}' claims a zero integral")
+            claims[name] = (vs, sec.get("independence"))
+        # the i-th pullback integral is y^(g_i) pulled back: y^(g_i) plus higher terms
+        if "pullback" in claims and [v.homogeneous_part(v.low_degree()) for v in claims["pullback"][0]] != [
+                ScalarSeries.monomial(sf.n, N, g) for g in basis.generators]:
+            _fail("the pullback integrals are not one y^g plus higher terms per lattice generator g, in order")
         body = _integrals_body(system, N, basis, claims)
         checked = [f"integrals:{name}" for name in names]
     elif sub == "embed":

@@ -20,6 +20,12 @@ exponents grouped by one packed key int in graded-lex order, doing their
 arithmetic once per class.  An exact spectrum's values mu^m or <m, lambda>
 are the int triples of `EigenSpec.table`, which the exhaustive divisor scan
 and the normalizer's homological divisors read.
+
+The small-divisor bounds (sigma for maps, kappa for fields) are evaluated on
+their squares, which are rationals: each candidate term's square is built
+exactly, the least is taken, and `sqrt_value` builds its root once, a
+Fraction or a `RootValue` that only records its square.  `verify_bound`
+compares squares as well.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ from .scalars import (
     coprime_base,
     exact_log,
     exact_sqrt,
-    format_scalar,
     gauss_parts,
     gauss_valuations,
     is_int,
@@ -50,6 +55,7 @@ from .scalars import (
     sc_re,
     scalar_to_json,
 )
+from .series import grlex_key
 
 Exponent = tuple[int, ...]
 
@@ -163,15 +169,6 @@ class EigenSpec:
         rows, t, T = self.keys
         e = [x - (i == j) for i, x in enumerate(m)]
         return not any(sum(map(mul, r, e)) for r in rows) and sum(map(mul, t, e)) % T == 0
-
-    def describe(self) -> str:
-        if self.kind == "mult-base":
-            mus = ", ".join(
-                f"b^({a})" + (f"*e(2*pi*i*{b})" if b else "")
-                for a, b in zip(self.exponents, self.phases)
-            )
-            return f"({mus})  [formal base b > 1]"
-        return "(" + ", ".join(format_scalar(v) for v in self.values) + ")"
 
 
 def _as_scalar(v) -> Scalar:
@@ -358,59 +355,20 @@ def _generator_candidate(spec: EigenSpec, m: Exponent) -> Exponent:
 # -- exact value forms for bounds --------------------------------------------
 
 
+@dataclass(frozen=True)
 class RootValue:
-    """A positive irrational square root of a rational, compared via squares."""
+    """A positive irrational square root of a rational, held as its square:
+    every bound is evaluated and compared on squares, and `sqrt_value`
+    builds each root once, from the least square."""
 
-    __slots__ = ("square",)
+    square: Fraction
 
-    def __init__(self, square: Fraction):
-        if square <= 0:
+    def __post_init__(self):
+        if self.square <= 0:
             raise ValueError("radicand must be positive")
-        self.square = Fraction(square)
-
-    def __mul__(self, other):
-        if isinstance(other, RootValue):
-            return sqrt_value(self.square * other.square)
-        if isinstance(other, (int, Fraction)):
-            if other < 0:
-                raise ValueError("negative factor on a positive root")
-            return sqrt_value(self.square * other * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return sqrt_value(self.square / (Fraction(other) ** 2))
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, RootValue):
-            return self.square == other.square
-        if isinstance(other, (int, Fraction)):
-            return False  # never rational by construction
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("RootValue", self.square))
-
-    def __le__(self, other):
-        return self.square <= _square_of(other)
-
-    def __lt__(self, other):
-        return self.square < _square_of(other)
-
-    def __ge__(self, other):
-        return self.square >= _square_of(other)
-
-    def __gt__(self, other):
-        return self.square > _square_of(other)
 
     def __str__(self):
         return f"sqrt({self.square})"
-
-    def __repr__(self):
-        return f"RootValue({self.square!r})"
 
 
 ExactValue = Union[Fraction, RootValue]
@@ -478,55 +436,42 @@ class SmallDivisorBound:
     value: BoundValue
     certificate: dict = field(default_factory=dict)
 
-    def describe(self) -> str:
-        if isinstance(self.value, SymbolicBound):
-            return self.value.describe()
-        return str(self.value)
+
+def _beta_square(beta: Fraction, q: Fraction) -> Optional[Fraction]:
+    """(beta^q)^2 = beta^(2q) when 2q is an integer: for a base that is no
+    perfect power, exactly when beta^q is a rational or the root of one."""
+    return beta ** int(2 * q) if (2 * q).denominator == 1 else None
 
 
-def _beta_power(beta: Fraction, q: Fraction) -> Optional[ExactValue]:
-    """beta^q exactly, when it is a rational or the root of one: for a base
-    that is no perfect power, exactly when q resp. 2q is an integer."""
-    if q.denominator == 1:
-        return beta ** q.numerator
-    return sqrt_value(beta ** q.numerator) if q.denominator == 2 else None
+# (2 sin(pi d))^2 for the phase gaps d where it is rational
+_PHASE_GAP_SQUARE = {Fraction(1, 2): 4, Fraction(1, 3): 3, Fraction(1, 4): 2, Fraction(1, 6): 1}
 
 
-_PHASE_GAP_EXACT = {
-    Fraction(1, 2): Fraction(2),  # 2 sin(pi/2)
-    Fraction(1, 3): RootValue(Fraction(3)),
-    Fraction(1, 4): RootValue(Fraction(2)),
-    Fraction(1, 6): Fraction(1),
-}
-
-
-def _eval_term(term: BoundTerm, beta: Optional[Fraction]) -> Optional[ExactValue]:
-    if beta is None:
-        return None
-    pre = _beta_power(beta, term.beta_exp)
+def _term_square(term: BoundTerm, beta: Optional[Fraction]) -> Optional[Fraction]:
+    """The term's value squared, when the base is known and the square is
+    rational: beta^(2c) times (1 - beta^(-g))^2 for a unit gap g with
+    beta^(-g) rational (g an integer, for a base that is no perfect power),
+    or times (2 sin(pi d))^2 for an exact phase gap d."""
+    pre = None if beta is None else _beta_square(beta, term.beta_exp)
     if pre is None:
         return None
-    if term.kind == "unit-gap":
-        inner = _beta_power(beta, -term.param)
-        if not isinstance(inner, Fraction):
-            return None
-        return pre * (1 - inner)
-    gamma = _PHASE_GAP_EXACT.get(term.param)
-    if gamma is None:
-        return None
-    return pre * gamma
+    if term.kind == "phase-gap":
+        gamma = _PHASE_GAP_SQUARE.get(term.param)
+        return None if gamma is None else pre * gamma
+    inner = _beta_square(beta, -term.param)
+    root = None if inner is None else exact_sqrt(inner)
+    return None if root is None else pre * (1 - root) ** 2
 
 
 def _finish_bound(
     kind: str, terms: list[BoundTerm], beta: Optional[Fraction], certificate: dict
 ) -> SmallDivisorBound:
-    values = [_eval_term(t, beta) for t in terms]
-    if all(v is not None for v in values):
-        # exact values are canonical (`sqrt_value`): equal squares, equal values
-        best = min(values, key=_square_of)
-        return SmallDivisorBound(kind=kind, value=best, certificate=certificate)
-    sym = SymbolicBound(terms=tuple(terms), beta=beta)
-    return SmallDivisorBound(kind=kind, value=sym, certificate=certificate)
+    squares = [_term_square(t, beta) for t in terms]
+    if None in squares:
+        value: BoundValue = SymbolicBound(terms=tuple(terms), beta=beta)
+    else:
+        value = sqrt_value(min(squares))
+    return SmallDivisorBound(kind=kind, value=value, certificate=certificate)
 
 
 def _phase(mu: Scalar) -> Fraction:
@@ -648,7 +593,7 @@ def small_divisor_bound_field(lam: EigenSpec, basis: LatticeBasis) -> SmallDivis
         r = Fraction(v[j], v[c])
         ratios[j] = (r.numerator, r.denominator)
         den_product *= r.denominator
-    kappa = sqrt_value(sc_abs2(lam.values[c])) / den_product
+    kappa = sqrt_value(sc_abs2(lam.values[c]) / den_product**2)
     certificate = {
         "pivot": c,
         "kernel": tuple(v),
@@ -712,10 +657,6 @@ def verify_bound(spec: EigenSpec, bound: SmallDivisorBound, D: int) -> BoundVeri
     )
 
 
-def _grlex(m: Exponent) -> tuple:
-    return sum(m), m
-
-
 def _verify_certificate(spec: EigenSpec, bound: SmallDivisorBound, D: int) -> BoundVerification:
     cert = bound.certificate
     # in integers: A = a den, E = alpha_exp den and B = b L, so that a.m -
@@ -743,8 +684,8 @@ def _verify_certificate(spec: EigenSpec, bound: SmallDivisorBound, D: int) -> Bo
             if not ok:
                 # the pairs before (m, j) in graded-lex order: the earlier
                 # classes' exponents below m, and m's own js through j
-                key = _grlex(m)
-                checked = count + sum(k * bisect_left(ms, key, key=_grlex) for ms, k in scanned)
+                key = grlex_key(m)
+                checked = count + sum(k * bisect_left(ms, key, key=grlex_key) for ms, k in scanned)
                 return BoundVerification(
                     passed=False, checked=checked, mode="certificate", failure=(m, j)
                 )

@@ -759,6 +759,82 @@ def oracle_beta_power(beta_factors, q):
     return None
 
 
+# -- bound values as they were built before bounds ran on their squares -------------
+#
+# Each term of a bound was once evaluated as an exact value: beta^q as a
+# rational or a root, times its gap factor through `RootValue`'s own product,
+# and the least value picked by its square.  The field's kappa divided a root
+# by an integer the same way.
+
+
+def oracle_root_mul(x, y):
+    """x * y for exact values, as `RootValue.__mul__` computed it: a root
+    times a root or a nonnegative rational is the root of the product of
+    the squares; two rationals multiply as they are."""
+    from dulac.resonance import RootValue, _square_of, sqrt_value
+
+    if not (isinstance(x, RootValue) or isinstance(y, RootValue)):
+        return x * y
+    if any(not isinstance(v, RootValue) and v < 0 for v in (x, y)):
+        raise ValueError("negative factor on a positive root")
+    return sqrt_value(_square_of(x) * _square_of(y))
+
+
+def oracle_root_div(x, k):
+    """x / k for an exact value x and a rational k, as
+    `RootValue.__truediv__` computed it."""
+    from dulac.resonance import RootValue, sqrt_value
+
+    return sqrt_value(x.square / F(k) ** 2) if isinstance(x, RootValue) else x / k
+
+
+def oracle_exact_beta_power(beta, q):
+    """beta^q exactly, when it is a rational or the root of one: for a base
+    that is no perfect power, exactly when q resp. 2q is an integer."""
+    from dulac.resonance import sqrt_value
+
+    if q.denominator == 1:
+        return beta ** q.numerator
+    return sqrt_value(beta ** q.numerator) if q.denominator == 2 else None
+
+
+def oracle_eval_term(term, beta):
+    """The term's exact value, or None when it has none (a formal base, or
+    a power, unit gap or phase gap that is not a rational or its root)."""
+    from dulac.resonance import sqrt_value
+
+    if beta is None:
+        return None
+    pre = oracle_exact_beta_power(beta, term.beta_exp)
+    if pre is None:
+        return None
+    if term.kind == "unit-gap":
+        inner = oracle_exact_beta_power(beta, -term.param)
+        return oracle_root_mul(pre, 1 - inner) if isinstance(inner, F) else None
+    gamma = {F(1, 2): F(2), F(1, 3): sqrt_value(F(3)), F(1, 4): sqrt_value(F(2)), F(1, 6): F(1)}.get(term.param)
+    return None if gamma is None else oracle_root_mul(pre, gamma)
+
+
+def oracle_finish_bound(kind, terms, beta, certificate):
+    """The least term value, when every term has one; else the symbolic
+    minimum."""
+    from dulac.resonance import SmallDivisorBound, SymbolicBound, _square_of
+
+    values = [oracle_eval_term(t, beta) for t in terms]
+    if all(v is not None for v in values):
+        return SmallDivisorBound(kind=kind, value=min(values, key=_square_of), certificate=certificate)
+    return SmallDivisorBound(kind=kind, value=SymbolicBound(terms=tuple(terms), beta=beta), certificate=certificate)
+
+
+def oracle_kappa(spec, certificate):
+    """The field bound |lambda_c| / (product of the ratio denominators)."""
+    from dulac.resonance import sqrt_value
+    from dulac.scalars import sc_abs2
+
+    pivot = spec.values[certificate["pivot"]]
+    return oracle_root_div(sqrt_value(sc_abs2(pivot)), certificate["denominator_product"])
+
+
 # signs of (cos 2*pi*b, sin 2*pi*b) for the eighth-of-a-turn phases
 _EIGHTH_SIGNS = {
     F(0): (1, 0), F(1, 8): (1, 1), F(1, 4): (0, 1), F(3, 8): (-1, 1),

@@ -1,7 +1,7 @@
 """The map bound's base from exact perfect-power roots, against the factoring
 code it replaced (`oracle_rational_to_base`, `oracle_beta_power` and
 `oracle_phases_of_gaussian` in helpers): the same (beta, a, b) or the same
-HypothesisError text on seeded spectra, the same beta^q, and the same bound
+HypothesisError text on seeded spectra, the same beta^(2q), and the same bound
 JSON on every map fixture and map spectrum of the `lattice` catalogue.  Then
 `resonance` on multipliers far past what trial division could factor: it
 exits in bounded time, and in {0, 2, 3, 4} on any generated spectrum, whose
@@ -22,16 +22,17 @@ from dulac import resonance
 from dulac.cli import _bound_json, _system_from_doc, main
 from dulac.errors import HypothesisError
 from dulac.resonance import (
-    _beta_power,
+    _beta_square,
     _phase,
     _rational_to_base,
+    _square_of,
     enumerate_lattice,
     iter_exponents,
     small_divisor_bound_map,
 )
 from dulac.scalars import gaussian, iroot, primitive_root
 
-from test_resonance import map_spectra
+from test_resonance import catalogue_spectra
 
 from helpers import (
     oracle_beta_power,
@@ -75,6 +76,12 @@ def seeded_multipliers(rng, n):
     return tuple(mus)
 
 
+def factoring_beta_square(beta, q):
+    """The square of beta^q from beta's prime exponents, or None."""
+    power = oracle_beta_power(oracle_factor_positive_rational(beta), q)
+    return None if power is None else _square_of(power)
+
+
 class TestAgainstFactoringOracles:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_rational_to_base(self, n):
@@ -105,12 +112,12 @@ class TestAgainstFactoringOracles:
                 oracle_rational_to_base(mus)
 
     @pytest.mark.parametrize("base", BASES)
-    def test_beta_power(self, base):
+    def test_beta_square(self, base):
         beta = oracle_rational_to_base((base,))[0]
-        factors = oracle_factor_positive_rational(beta)
         for q in {F(k, d) for k in range(-12, 13) for d in range(1, 7)}:
-            got, want = _beta_power(beta, q), oracle_beta_power(factors, q)
-            assert type(got) is type(want) and got == want, (beta, q)
+            got = _beta_square(beta, q)
+            assert got == factoring_beta_square(beta, q), (beta, q)
+            assert got is None or type(got) is F
 
     def test_phase_on_every_ray(self):
         for mu in UNITS + [F(3, 7), gaussian(0, F(-5, 2)), gaussian(F(2, 3), F(-2, 3))]:
@@ -118,7 +125,7 @@ class TestAgainstFactoringOracles:
             assert outcome(_phase, mu) == outcome(oracle_phases_of_gaussian, mu, r2)
 
 
-@pytest.mark.parametrize("spec,D", map_spectra())
+@pytest.mark.parametrize("spec,D", catalogue_spectra("map"))
 def test_bound_json_matches_the_factoring_bound(monkeypatch, spec, D):
     basis = enumerate_lattice(spec, D)
 
@@ -130,10 +137,7 @@ def test_bound_json_matches_the_factoring_bound(monkeypatch, spec, D):
 
     got = bound_json()
     monkeypatch.setattr(resonance, "_rational_to_base", oracle_rational_to_base)
-    monkeypatch.setattr(
-        resonance, "_beta_power",
-        lambda beta, q: oracle_beta_power(oracle_factor_positive_rational(beta), q),
-    )
+    monkeypatch.setattr(resonance, "_beta_square", factoring_beta_square)
     assert got == bound_json()
 
 

@@ -1035,6 +1035,55 @@ class TestVerifyRederivesIntegralClaims:
         assert err.startswith("error: verification failed:") and field in err
 
 
+def _delete_pullback(sections, i):
+    del sections["pullback"]["integrals"][i]
+    del sections["pullback"]["residual_zero"][i]
+
+
+def _search_for_pullback(sections, i, k):
+    sections["pullback"]["integrals"][i] = sections["search"]["integrals"][k]
+
+
+class TestVerifyPinsTheClaimedIntegrals:
+    """No section claims a zero integral, and the pullback section holds one
+    integral per lattice generator g, in order, each y^g plus higher terms:
+    its residuals alone would let any integral stand in."""
+
+    @staticmethod
+    def refused(tmp_path, capsys, fixture, edit, message):
+        rep = tmp_path / "rep.json"
+        assert run(["integrals", "--input", FIXTURES / fixture, "--output", rep]) == 0
+        assert run(["verify", "--input", rep]) == 0
+        doc = load(rep)
+        edit(doc["integrals"])
+        capsys.readouterr()
+        assert run(["verify", "--input", write(tmp_path, "bad.json", doc)]) == 4
+        assert capsys.readouterr().err == f"error: verification failed: {message}\n"
+
+    @pytest.mark.parametrize("fixture", ["center.json", "ex2_2d.json"])
+    @pytest.mark.parametrize("section", ["search", "pullback"])
+    def test_zero_integral_is_4(self, tmp_path, capsys, fixture, section):
+        self.refused(tmp_path, capsys, fixture, lambda d: d[section]["integrals"].__setitem__(0, []),
+                     f"section '{section}' claims a zero integral")
+
+    @pytest.mark.parametrize(
+        "fixture,edit",
+        [
+            ("ex2_3d.json", lambda d: _delete_pullback(d, 0)),
+            ("ex2_3d.json", lambda d: _delete_pullback(d, 1)),
+            ("ex2_3d.json", lambda d: d["pullback"]["integrals"].reverse()),
+            ("ex2_3d.json", lambda d: _search_for_pullback(d, 1, 1)),  # -27 y^g + ...
+            ("ex2_2d.json", lambda d: _search_for_pullback(d, 0, 0)),  # -y^g + ...
+            ("center.json", lambda d: _search_for_pullback(d, 0, 1)),  # y^(2g)
+            ("center.json", lambda d: d["pullback"]["integrals"][0][0].update(coeff=[3, 1])),  # 3 y^g
+        ],
+        ids=["delete-first", "delete-second", "reorder", "search-3d", "search-2d", "square", "times-three"],
+    )
+    def test_pullback_list_is_4(self, tmp_path, capsys, fixture, edit):
+        self.refused(tmp_path, capsys, fixture, edit,
+                     "the pullback integrals are not one y^g plus higher terms per lattice generator g, in order")
+
+
 def _times_three(terms):
     terms[0]["coeff"] = [3 * x for x in terms[0]["coeff"]]
 

@@ -20,16 +20,17 @@ from dulac.errors import HypothesisError
 from dulac.linalg import Echelon
 from dulac.resonance import (
     EigenSpec,
-    RootValue,
     SmallDivisorBound,
     SymbolicBound,
     enumerate_lattice,
     iter_exponents,
     small_divisor_bound_field,
     small_divisor_bound_map,
+    sqrt_value,
     verify_bound,
     _phase,
     _rational_to_base,
+    _square_of,
 )
 from dulac.scalars import gaussian, sc_abs2, sc_pow
 
@@ -170,9 +171,9 @@ class TestScansAgainstOracle:
             bounds.append(built.value)
         gap = verify_bound(spec, SmallDivisorBound("map", F(0)), D).min_gap
         if gap is not None:
-            bounds += [gap, gap * 2]  # the exact minimum passes, twice it fails
+            bounds += [gap, sqrt_value(_square_of(gap) * 4)]  # the exact minimum passes, twice it fails
         else:
-            bounds.append(RootValue(F(2)))
+            bounds.append(sqrt_value(F(2)))
         outcomes = set()
         for value in bounds:
             bound = SmallDivisorBound(kind="map", value=value)
@@ -272,7 +273,7 @@ def _order_bounds(spec, basis, D):
         bounds.append(zero)
         gap = verify_bound(spec, zero, D).min_gap
         if gap is not None:
-            bounds.append(SmallDivisorBound("map", gap * 2))
+            bounds.append(SmallDivisorBound("map", sqrt_value(_square_of(gap) * 4)))
     elif built is None:
         cert = {"base_exponents": spec.exponents, "phases": spec.phases, "alpha_exp": F(1, 2),
                 "phase_group_order": 8, "sigma2": "phase-gap"}
@@ -392,7 +393,7 @@ class TestRepeatedValues:
         if got.min_gap is None:  # every divisor vanishes
             assert got.checked == 0 and name == "zero-only"
             return
-        twice = SmallDivisorBound("map", got.min_gap * 2)
+        twice = SmallDivisorBound("map", sqrt_value(_square_of(got.min_gap) * 4))
         failed = verify_bound(spec, twice, D)
         assert failed == oracle_verify_bound(spec, twice, D)
         assert not failed.passed and failed.failure == failed.witness == got.witness
@@ -565,7 +566,7 @@ def _exhaustive_against_oracle(spec, D):
     assert got == oracle_verify_bound(spec, zero, D)
     if got.min_gap is None:
         return
-    for value in (got.min_gap, got.min_gap * F(1001, 1000)):
+    for value in (got.min_gap, sqrt_value(_square_of(got.min_gap) * F(1001, 1000) ** 2)):
         bound = SmallDivisorBound("map", value)
         checked = verify_bound(spec, bound, D)
         assert checked == oracle_verify_bound(spec, bound, D)
@@ -619,7 +620,7 @@ class TestIntegerTable:
         got = verify_bound(spec, SmallDivisorBound("map", F(0)), D)
         gaps = [sc_abs2(oracle_divisor(spec, m, j)) for m in iter_exponents(spec.n, 2, D)
                 for j in range(spec.n)]
-        assert gaps.count(got.min_gap * got.min_gap) > 1
+        assert gaps.count(_square_of(got.min_gap)) > 1
         _exhaustive_against_oracle(spec, D)
 
     @pytest.mark.parametrize("name", ["units-i", "gauss-8", "units-4"])
@@ -627,7 +628,7 @@ class TestIntegerTable:
         spec = REPEATING[name]
         D = DEGREES[spec.n]
         got = verify_bound(spec, SmallDivisorBound("map", F(0)), D)
-        square = got.min_gap.square if isinstance(got.min_gap, RootValue) else got.min_gap ** 2
+        square = _square_of(got.min_gap)
         gaps = [sc_abs2(oracle_divisor(spec, m, j)) for m in iter_exponents(spec.n, 2, D)
                 for j in range(spec.n) if oracle_divisor(spec, m, j) != 0]
         assert gaps.count(square) > 1

@@ -1,3 +1,6 @@
+import ast
+import dataclasses
+import operator
 import random
 import sys
 from fractions import Fraction as F
@@ -5,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from dulac import resonance
 from dulac.cli import _system_from_doc, parse_system
 from dulac.errors import HypothesisError
 from dulac.resonance import (
+    BoundTerm,
     EigenSpec,
     LatticeBasis,
     RootValue,
@@ -18,12 +23,16 @@ from dulac.resonance import (
     small_divisor_bound_map,
     sqrt_value,
     verify_bound,
+    _finish_bound,
+    _square_of,
 )
 from dulac.scalars import gaussian
 
 from helpers import (
     oracle_divisor,
     oracle_enumerate_lattice,
+    oracle_finish_bound,
+    oracle_kappa,
     oracle_pivot_and_deltas,
     oracle_resonant,
     oracle_values,
@@ -259,17 +268,18 @@ def assert_certificate_matches_cramer(bound, K, n):
     assert cert["alpha_exp"] == cert["base_exponents"][c] / Delta
 
 
-def map_spectra():
-    """(spectrum, degree D) of every map fixture and every map spectrum of
-    the benchmark's `lattice` catalogue, one pytest param each."""
+def catalogue_spectra(kind):
+    """(spectrum, degree D) of every fixture and every spectrum of the
+    benchmark's `lattice` catalogue of the kind ("map" or "field"), one
+    pytest param each."""
     out = []
     for path in sorted((ROOT / "fixtures").glob("*.json")):
         sf = parse_system(str(path))
-        if sf.kind == "map":
+        if sf.kind == kind:
             out.append(pytest.param(sf.eigen, sf.lattice_bound, id=path.name))
     for op in workloads.catalogue("lattice"):
         sf = _system_from_doc(op.system, op.key)
-        if sf.kind == "map":
+        if sf.kind == kind:
             out.append(pytest.param(sf.eigen, sf.lattice_bound, id=op.key))
     return out
 
@@ -323,7 +333,7 @@ class TestMapBoundKernelRoute:
             assert_certificate_matches_cramer(small_divisor_bound_map(spec, basis), K, n)
             cases += 1
 
-    @pytest.mark.parametrize("spec,D", map_spectra())
+    @pytest.mark.parametrize("spec,D", catalogue_spectra("map"))
     def test_fixtures_and_lattice_catalogue(self, spec, D):
         basis = enumerate_lattice(spec, D)
         if not basis.rank_ok:
@@ -386,6 +396,126 @@ class TestExactValues:
         assert isinstance(sqrt_value(F(2)), RootValue)
 
     def test_root_value_comparisons(self):
+        """A root is a record of its square: equal squares, equal (and equally
+        hashed) roots; never equal to a rational; no order or arithmetic."""
         r2 = sqrt_value(F(2))
-        assert r2 > 1 and r2 < 2 and r2 > F(7, 5) and r2 < F(3, 2)
-        assert r2 * r2 == 2
+        assert r2 == sqrt_value(F(4, 2)) == RootValue(F(2)) and hash(r2) == hash(RootValue(F(2)))
+        assert r2 != sqrt_value(F(3)) and r2 != 2 and r2 != F(2)
+        assert r2.square == 2 and str(r2) == "sqrt(2)"
+        for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(r2, 2)
+            with pytest.raises(TypeError):
+                op(r2, r2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r2.square = F(3)
+        for square in (F(0), F(-2)):
+            with pytest.raises(ValueError, match="radicand must be positive"):
+                RootValue(square)
+
+
+# -- bound values from their squares, against the value algebra they replaced -------
+
+# bases > 1: perfect powers and primitive ones
+SQUARE_BASES = [F(4), F(9, 4), F(27, 8), F(2), F(3, 2), F(10, 3)]
+# each exact phase gap, and inexact ones
+PHASE_GAPS = [F(1, 2), F(1, 3), F(1, 4), F(1, 6), F(1, 5), F(1, 8)]
+
+
+def random_terms(rng):
+    """One unit-gap term and sometimes a phase-gap term, each with its own
+    integer, half-integer or third exponent; the unit gap is drawn the same
+    way (its absolute value, 1 for 0)."""
+
+    def exponent():
+        return F(rng.randint(-6, 6), rng.choice([1, 1, 2, 2, 3]))
+
+    terms = [BoundTerm(beta_exp=exponent(), kind="unit-gap", param=abs(exponent()) or F(1))]
+    if rng.random() < 0.6:
+        terms.append(BoundTerm(beta_exp=exponent(), kind="phase-gap", param=rng.choice(PHASE_GAPS)))
+    return terms
+
+
+class TestBoundsFromSquares:
+    """`_finish_bound` takes the least term square and builds its root once;
+    the oracle multiplies exact values (helpers.oracle_finish_bound)."""
+
+    @pytest.mark.parametrize("beta", SQUARE_BASES + [None], ids=str)
+    def test_seeded_terms(self, beta):
+        rng = random.Random(f"bound-squares/{beta}")
+        kinds = set()
+        for _ in range(300):
+            terms = random_terms(rng)
+            got, want = _finish_bound("map", terms, beta, {}), oracle_finish_bound("map", terms, beta, {})
+            assert got == want and type(got.value) is type(want.value), terms
+            kinds.add(type(got.value).__name__)
+        assert kinds == ({"SymbolicBound"} if beta is None else {"Fraction", "RootValue", "SymbolicBound"})
+
+    def test_every_exact_phase_gap(self):
+        for beta in SQUARE_BASES:
+            for d, square in [(F(1, 2), 4), (F(1, 3), 3), (F(1, 4), 2), (F(1, 6), 1)]:
+                for c in (F(0), F(1), F(-1, 2), F(3, 2)):
+                    term = BoundTerm(beta_exp=c, kind="phase-gap", param=d)
+                    got = _finish_bound("map", [term], beta, {}).value
+                    assert _square_of(got) == beta ** int(2 * c) * square
+                    assert got == oracle_finish_bound("map", [term], beta, {}).value
+
+    @pytest.mark.parametrize("spec,D", catalogue_spectra("map"))
+    def test_map_spectra(self, monkeypatch, spec, D):
+        basis = enumerate_lattice(spec, D)
+        if not basis.rank_ok:
+            return
+        got = small_divisor_bound_map(spec, basis)
+        monkeypatch.setattr(resonance, "_finish_bound", oracle_finish_bound)
+        assert got == small_divisor_bound_map(spec, basis)
+
+    @pytest.mark.parametrize("spec,D", catalogue_spectra("field"))
+    def test_field_spectra(self, spec, D):
+        basis = enumerate_lattice(spec, D)
+        if not basis.rank_ok or all(v == 0 for v in spec.values):
+            return
+        got = small_divisor_bound_field(spec, basis)
+        want = oracle_kappa(spec, got.certificate)
+        assert got.value == want and type(got.value) is type(want)
+
+
+# -- a root is built once and has no algebra -----------------------------------------
+
+ROOT_ALGEBRA = {
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+    "__rtruediv__", "__pow__", "__neg__", "__lt__", "__le__", "__gt__", "__ge__",
+}
+
+
+def _qualified_nodes(tree, module):
+    """(module.function or module.Class.method, node) for every node of the
+    module, with "module" alone for nodes outside every function."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            yield from ((f"{module}.{top.name}", x) for x in ast.walk(top))
+        elif isinstance(top, ast.ClassDef):
+            for item in top.body:
+                name = f"{module}.{top.name}" + (f".{item.name}" if isinstance(item, ast.FunctionDef) else "")
+                yield from ((name, x) for x in ast.walk(item))
+        else:
+            yield from ((module, x) for x in ast.walk(top))
+
+
+def test_root_values_are_built_only_by_sqrt_value():
+    """In src/dulac only `resonance.sqrt_value` calls RootValue, and
+    RootValue defines no arithmetic or order of its own: every bound is
+    compared on its square."""
+    callers = set()
+    for path in sorted(Path(resonance.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for where, node in _qualified_nodes(tree, path.stem):
+            func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+            if getattr(func, "id", getattr(func, "attr", None)) == "RootValue":
+                callers.add(where)
+    assert callers == {"resonance.sqrt_value"}
+    cls = next(n for n in ast.parse(Path(resonance.__file__).read_text()).body
+               if isinstance(n, ast.ClassDef) and n.name == "RootValue")
+    defined = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+    defined |= {t.id for n in cls.body if isinstance(n, ast.Assign) for t in n.targets if isinstance(t, ast.Name)}
+    assert not defined & ROOT_ALGEBRA
+    assert all(getattr(RootValue, m, None) in (None, getattr(object, m, None)) for m in ROOT_ALGEBRA)
