@@ -11,18 +11,22 @@ g(y))]_s for maps, [Dphi(y) g(y)]_s for fields) needs phi and g only below
 degree s.  The powers of y + phi (and of B y + g) therefore grow online, one
 homogeneous degree per step, in the composition engine of `series`, and each
 degree-s part is computed once (a field's Dphi g, the derivative of phi
-along g, by the pairs of `series.lie_derivative`).  A term whose exact
-homological divisor (mu^m - mu_j for maps, <m, lambda> - lambda_j for
-fields) is zero is resonant and goes to the normal form; every other term is
-divided through and goes to the normalization.  Each degree's right-hand
-side, its split and its division stay packed, and each finished part becomes
-a part of the result as it is, since a series stores packed parts too.  The
-normalization thus contains only nonresonant monomials, the normal form only
-resonant ones, and the pair is unique; exact conjugacy of the output is
-re-verified, summed afresh through the loop's own power tables, and
-recorded, never assumed; the table of Phi's powers stays with the result,
-and the integrals are pulled back through it.  `verify` checks a claimed
-pair through tables it builds from that pair alone.
+along g, by the pairs of `series.lie_derivative`).  The linear parts of the
+tables are diagonal, y and B y, so each first part [Phi^m]_|m| = y^m and
+[(B y + g)^m]_|m| = mu^m y^m is a monomial, and f_s enters [f(y + phi(y))]_s
+as one part.  A term whose exact homological divisor (mu^m - mu_j for maps,
+<m, lambda> - lambda_j for fields) is zero is resonant and goes to the
+normal form; every other term is divided through and goes to the
+normalization.  Each degree's right-hand side, its split and its division
+stay packed, and each finished part becomes a part of the result as it is,
+since a series stores packed parts too.  The normalization thus contains
+only nonresonant monomials, the normal form only resonant ones, and the pair
+is unique; exact conjugacy of the output is re-verified, summed afresh
+through the loop's own power tables (the top degree of each composition one
+part: f_s as it is, a map's phi_s scaled by mu^m), and recorded, never
+assumed; the table of Phi's powers stays with the result, and the integrals
+are pulled back through it.  `verify` checks a claimed pair through tables
+it builds from that pair alone.
 """
 
 from __future__ import annotations
@@ -276,7 +280,10 @@ def _residual(system: System, P: Powers, Q: Powers) -> VectorSeries:
     Phi o G for a map, DPhi * G - (A + f) o Phi for a field.  Each degree of
     each component is one packed sum, kept as that part of the residual; the
     compositions read the tables' caches, so a table the degree loop filled
-    is not filled again."""
+    is not filled again.  On diagonal tables, as the loop's are, the top
+    degree of each composition is one part: the degree-s part of F (or of A
+    + f) as it is through Phi, and a map's phi_s scaled by mu^m through the
+    normal form."""
     N = P.base - 1
     outer = [c.parts for c in system.full(N)]
     dP = None if isinstance(system, MapSystem) else [_gradients(enumerate(col), P.weights, P.base) for col in P.parts]

@@ -41,7 +41,15 @@ key of m.  A table of a fully known P composes through any degree up to its
 own (`Powers.compose`; a map keeps one, `System.powers`); `invert` and the
 normalizer's degree loop feed one a degree at a time: the relaxed
 ("online") evaluation of J. van der Hoeven, "Relax, but don't be too lazy",
-J. Symbolic Comput. 34 (2002).
+J. Symbolic Comput. 34 (2002).  The tables the package builds, of Phi = y +
+phi, of a normal form, of a map and `invert`'s, have a diagonal linear part
+c y, and a table notes once whether its own is one with every c_i nonzero.
+Then each first part [P^m]_|m| is the monomial c^m y^m, the product of two
+one-term parts, and a composition's top degree, the degree-s part o_s of
+the outer series at degree s, is one part: o_s itself when c = 1, else o_s
+scaled term by term by the cached c^m (`Powers.top`).  An inner map whose
+linear part is not diagonal, or has a zero coefficient, takes the general
+path.
 
 Every derivative along a field, <grad V, X>, sums the pairs `_lie_pairs`
 lists from V's differentiated parts (`_gradients`): `lie_derivative`, the
@@ -529,6 +537,16 @@ def _products(pairs: Sequence[tuple[tuple, tuple]]) -> tuple:
     return _reduced(den, re, im)
 
 
+def _term_product(p: tuple, q: tuple) -> tuple:
+    """The one-term part p * q of two one-term parts."""
+    (da, ar, ai), (db, br, bi) = p, q
+    ka, kb = next(iter(ar or ai)), next(iter(br or bi))
+    x, y, u, v = ar.get(ka, 0), ai.get(ka, 0), br.get(kb, 0), bi.get(kb, 0)
+    den, re, im = da * db, x * u - y * v, x * v + y * u
+    g, k = gcd(den, re, im), ka + kb
+    return den // g, {k: re // g} if re else {}, {k: im // g} if im else {}
+
+
 def _sum(p: tuple, q: tuple, sign: int) -> tuple:
     """The packed part p + sign * q."""
     if not (q[1] or q[2]):
@@ -561,9 +579,15 @@ class Powers:
     |m| >= 2 the degree-s part needs P only through degree s - 1.  Each part
     is computed once and cached under the packed key of m; parts below degree
     |m| are empty.  No degree exceeds ``trunc``, the packing base less one.
+
+    ``diagonal`` notes, once, whether the linear part of P known at
+    construction is c y, one term c_i y_i with c_i != 0 in each component
+    (``unit`` when every c_i is 1).  Then the first part [P^m]_|m| is the
+    monomial c^m y^m, the product of two one-term parts, and `_pairs` takes
+    an outer part of degree s at degree s as one scaled part (`top`).
     """
 
-    __slots__ = ("n", "base", "weights", "parts", "cache", "degrees")
+    __slots__ = ("n", "base", "weights", "parts", "cache", "degrees", "diagonal", "unit")
 
     def __init__(self, inner: Iterable[ScalarSeries], trunc: int, known: int):
         """The table of the powers of P = inner through degree trunc, with P
@@ -577,6 +601,9 @@ class Powers:
         self.degrees = dict.fromkeys(self.weights, 1)  # key -> |m|
         for d in range(known + 1):
             self.extend([col[d] if d < len(col) else _ZERO for col in cols])
+        linear = [col[1] if len(col) > 1 else _ZERO for col in self.parts]
+        self.diagonal = all(re.keys() | im.keys() == {w} for (_, re, im), w in zip(linear, self.weights))
+        self.unit = all(p == (1, {w: 1}, {}) for p, w in zip(linear, self.weights))
 
     @classmethod
     def of(cls, inner: VectorSeries, trunc: int) -> "Powers":
@@ -614,10 +641,33 @@ class Powers:
             raise SeriesError(f"degree {s} exceeds the powers' degree {self.base - 1}")
         self.part(prev, s - 1)
         low, low_col, Pi = self.degrees[prev], self.cache[prev], self.parts[i]
+        if len(col) == low + 1 and self.diagonal:  # the first part, c^m y^m
+            col.append((1, {k: 1}, {}) if self.unit else _term_product(low_col[low], Pi[1]))
         while len(col) <= s:
             t = len(col)
             col.append(_products([(low_col[j], Pi[t - j]) for j in range(low, t)]))
         return col[s]
+
+    def top(self, part: tuple, s: int, sign: int = 1) -> tuple:
+        """For a diagonal table (P's linear part c y), the one pair whose
+        product is sign times the degree-s part of o_s o P, o_s = sum_m a_m y^m
+        an outer part of degree s keyed as here: sum_m a_m c^m y^m, o_s itself
+        when c = 1, else o_s scaled term by term by the first parts c^m,
+        whose content the sum in `_products` divides out."""
+        if self.unit:
+            return part, (1, {0: sign}, {})
+        den, re, im = part
+        firsts = [(k, self.part(k, s)) for k in (re.keys() | im.keys() if im else re)]
+        common = lcm(*(first[0] for _, first in firsts))
+        scaled_re, scaled_im = {}, {}
+        for k, (d, x, y) in firsts:
+            f = sign * (common // d)
+            a, b, x, y = re.get(k, 0) * f, im.get(k, 0) * f, x.get(k, 0), y.get(k, 0)
+            if v := a * x - b * y:
+                scaled_re[k] = v
+            if v := a * y + b * x:
+                scaled_im[k] = v
+        return (den * common, scaled_re, scaled_im), _ONE
 
     def compose(self, outers: Sequence[ScalarSeries], trunc: int) -> list[ScalarSeries]:
         """outer o P through degree trunc for each outer series; their constant terms pass through."""
@@ -637,9 +687,14 @@ def _pairs(outer: Sequence[tuple], powers: Powers, s: int, low: int = 1, sign: i
     """The (coefficient, [P^m]_s) pairs whose packed products sum to sign times
     the degree-s part of outer o P, where outer[d] is the packed degree-d part
     of one outer series (keyed as in `powers`) and its parts below degree low
-    are left out."""
+    are left out.  Over a diagonal table, the degree-s part of outer is one
+    pair (`Powers.top`)."""
     part = powers.part
     out = []
+    if powers.diagonal and low <= s < len(outer):
+        if outer[s][1] or outer[s][2]:
+            out.append(powers.top(outer[s], s, sign))
+        outer = outer[:s]
     for den, re, im in outer[low : s + 1]:
         if im:
             out += [((den, {0: sign * re[k]} if k in re else {}, {0: sign * im[k]} if k in im else {}), part(k, s))

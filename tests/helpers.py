@@ -2,6 +2,7 @@
 primitives only, so solver outputs can be checked against exact expectations."""
 
 import json
+from bisect import bisect_right
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -449,6 +450,65 @@ def oracle_invert(phi, trunc=None):
     for _ in range(max(trunc - 1, 0)):
         psi = ident - oracle_compose(h, psi, trunc)
     return psi
+
+
+# -- the composition route before diagonal tables ----------------------------------
+#
+# Before `Powers` noted a diagonal linear part, each first part [P^m]_|m| was
+# one `_products` call, and each term of an outer part of degree s was its own
+# pair at degree s.  `old_route` puts this route back in every module that
+# sums pairs, so the same calls can be compared on both routes.
+
+
+def oracle_pairs(outer, powers, s, low=1, sign=1):
+    """`series._pairs` before diagonal tables: one (coefficient, [P^m]_s)
+    pair per term of every outer part of degree low..s."""
+    part = powers.part
+    out = []
+    for den, re, im in outer[low : s + 1]:
+        if im:
+            out += [((den, {0: sign * re[k]} if k in re else {}, {0: sign * im[k]} if k in im else {}), part(k, s))
+                    for k in re.keys() | im.keys()]
+        else:
+            out += [((den, {0: sign * v}, {}), part(k, s)) for k, v in re.items()]
+    return out
+
+
+def oracle_part(self, k, s):
+    """`Powers.part` before diagonal tables: every part, the first included,
+    one `_products` call over the pairs of m = m' + e_i."""
+    from dulac.series import _ZERO, _products
+
+    if type(k) is not int:
+        k = sum(map(lambda e, w: e * w, k, self.weights))
+    col = self.cache.get(k)
+    if col is None:
+        d = self.degrees[k] = sum(self.exponent(k))
+        col = self.cache[k] = [_ZERO] * d
+    if len(col) > s:
+        return col[s]
+    i = bisect_right(self.weights, k) - 1
+    prev = k - self.weights[i]
+    if not prev:
+        raise SeriesError(f"inner map not known through degree {s}")
+    if s >= self.base:
+        raise SeriesError(f"degree {s} exceeds the powers' degree {self.base - 1}")
+    self.part(prev, s - 1)
+    low, low_col, Pi = self.degrees[prev], self.cache[prev], self.parts[i]
+    while len(col) <= s:
+        t = len(col)
+        col.append(_products([(low_col[j], Pi[t - j]) for j in range(low, t)]))
+    return col[s]
+
+
+def old_route(monkeypatch):
+    """Sum every composition on the route before diagonal tables, in every
+    module that sums pairs (undone with the monkeypatch)."""
+    from dulac import integrals, normalizer, series
+
+    monkeypatch.setattr(series.Powers, "part", oracle_part)
+    for module in (series, normalizer, integrals):
+        monkeypatch.setattr(module, "_pairs", oracle_pairs)
 
 
 def oracle_pullback_integrals(integrals, phi, order=None):
@@ -1333,6 +1393,47 @@ def oracle_independence_check(integrals, trials=8, seed=0):
         if r == k:
             return IndependenceCertificate(True, k, point, t + 1)
     return IndependenceCertificate(False, best, None, trials)
+
+
+def oracle_independence(integrals, spec=None):
+    """The jet-minor certificate of functional independence: (columns,
+    degree) of the first k x k minor of the Jacobian of the k integrals (in
+    lexicographic order of its columns) with a nonzero part that the jets
+    fix, at that part's degree, or None when no minor has one.
+
+    V_i known through degree N_i with lowest degree nu_i makes row i of the
+    Jacobian known below degree N_i, and each product in a minor takes one
+    entry from every row, so a term that an unknown entry of row i reaches
+    has degree at least N_i + sum_(j != i) (nu_j - 1): every part of a minor
+    through degree min_i (N_i - 1 + sum_(j != i) (nu_j - 1)) is fixed.  A
+    nonzero fixed part certifies that any series with these jets are
+    independent.  With `spec`, k above `spec.kernel_rank` is refused first
+    (the gate); the minors refuse those k without it.  The rows are the
+    packed `series._gradients` of the integrals, and each minor is one
+    `det_series`."""
+    from itertools import combinations
+
+    from dulac.series import _ZERO, _gradients, _reduced, det_series
+
+    vs = tuple(integrals)
+    k, n = len(vs), vs[0].n
+    if any(v.is_zero() for v in vs) or k > n or (spec is not None and k > spec.kernel_rank):
+        return None
+    lows = [v.low_degree() for v in vs]
+    top = min(v.trunc - 1 + sum(lows) - low - (k - 1) for v, low in zip(vs, lows))
+    rows = []
+    for v in vs:
+        base = v.trunc + 1
+        grads = _gradients(enumerate(v.parts), [base**i for i in range(n)], base)
+        # d/dy_i of V: its part of degree e - 1 comes from V's part of degree e
+        rows.append([ScalarSeries._make(n, v.trunc, [_reduced(*grads[e][i]) if e in grads else _ZERO
+                                                     for e in range(1, len(v.parts))]).with_trunc(top)
+                     for i in range(n)])
+    for cols in combinations(range(n), k):
+        minor = det_series([[row[j] for j in cols] for row in rows], top)
+        if not minor.is_zero():
+            return cols, minor.low_degree()
+    return None
 
 
 # -- report edits ----------------------------------------------------------------------

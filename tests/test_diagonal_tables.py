@@ -1,0 +1,200 @@
+"""Diagonal power tables against the route they replaced (`helpers.old_route`).
+
+A table whose inner map has the linear part c y builds each first part
+[P^m]_|m| = c^m y^m from two one-term parts, and `_pairs` takes an outer
+part of degree s at degree s as one scaled pair.  Every composition that
+reads such a table is compared, exactly, with the same call on the old
+route, on seeded identity-linear and c-diagonal inner maps over Q and Q(i)
+for n = 1..4, and every part it returns is canonical.  Inner maps whose
+linear part is not diagonal, or has a zero coefficient, take the general
+path and give the same parts as before."""
+
+import random
+from dataclasses import replace
+from fractions import Fraction as F
+
+import pytest
+
+from helpers import old_route, oracle_compose, random_sparse_series
+from test_engine import build_system, perturbed, random_coeff, random_outer, system_cases
+from test_packed_engine import check_part
+
+from dulac.integrals import search_integrals, verify_integral
+from dulac.normalizer import _residual, _solve, normalize, verify_conjugacy
+from dulac.resonance import iter_exponents
+from dulac.scalars import gaussian
+from dulac.series import Powers, VectorSeries, compose, compose_scalar, invert
+
+CASES = [(n, linear, gq, seed) for n in (1, 2, 3, 4) for linear in ("identity", "diagonal")
+         for gq in (False, True) for seed in range(2)]
+
+
+def trunc_for(n):
+    return 6 if n < 3 else 4
+
+
+def unit(n, i):
+    return [int(t == i) for t in range(n)]
+
+
+def nonlinear(rng, n, trunc, gq):
+    pool = [(j, m) for m in iter_exponents(n, 2, trunc) for j in range(n)]
+    picks = rng.sample(pool, min(len(pool), 3 * n + 2))
+    return VectorSeries.from_terms(n, trunc, [(j, m, random_coeff(rng, gq)) for j, m in picks])
+
+
+def diagonal_inner(rng, n, trunc, linear, gq):
+    """y + h, or c y + h with every c_i nonzero and some c_i not 1."""
+    if linear == "identity":
+        c = [1] * n
+    else:
+        c = [random_coeff(rng, gq) for _ in range(n)]
+        c[0] = gaussian(F(1, 2), F(-2, 3)) if gq else F(-3, 2)
+    return VectorSeries.diagonal_linear(c, trunc) + nonlinear(rng, n, trunc, gq)
+
+
+def both_routes(monkeypatch, run):
+    """run() on the old route and then on the new one."""
+    with monkeypatch.context() as mp:
+        old_route(mp)
+        want = run()
+    return want, run()
+
+
+def check_series(*series):
+    for s in series:
+        for part in s.parts:
+            check_part(part)
+
+
+class TestPowers:
+    @pytest.mark.parametrize("n,linear,gq,seed", CASES)
+    def test_every_part(self, n, linear, gq, seed, monkeypatch):
+        rng = random.Random(f"diagonal-parts/{n}/{linear}/{gq}/{seed}")
+        trunc = trunc_for(n)
+        inner = diagonal_inner(rng, n, trunc, linear, gq)
+
+        def parts():
+            table = Powers.of(inner, trunc)
+            return table, {(m, s): table.part(m, s) for m in iter_exponents(n, 1, trunc)
+                           for s in range(sum(m), trunc + 1)}
+
+        (_, want), (table, got) = both_routes(monkeypatch, parts)
+        assert table.diagonal and table.unit == (linear == "identity")
+        assert got == want
+        for part in got.values():
+            check_part(part)
+
+    @pytest.mark.parametrize("n,linear,gq,seed", CASES)
+    def test_compose(self, n, linear, gq, seed, monkeypatch):
+        rng = random.Random(f"diagonal-compose/{n}/{linear}/{gq}/{seed}")
+        trunc = trunc_for(n)
+        inner = diagonal_inner(rng, n, trunc, linear, gq)
+        outer = random_outer(rng, n, trunc, gq)
+        want, got = both_routes(monkeypatch, lambda: (
+            Powers.of(inner, trunc).compose(outer.components, trunc),
+            compose(outer, inner, trunc - 1),
+            compose_scalar(outer[0], inner),
+        ))
+        assert got == want
+        assert got[1] == oracle_compose(outer, inner, trunc - 1)
+        check_series(*got[0], *got[1], got[2])
+
+    @pytest.mark.parametrize("n,gq,seed", [(n, gq, seed) for n in (1, 2, 3, 4) for gq in (False, True)
+                                           for seed in range(2)])
+    def test_invert(self, n, gq, seed, monkeypatch):
+        rng = random.Random(f"diagonal-invert/{n}/{gq}/{seed}")
+        trunc = trunc_for(n) + 1
+        phi = diagonal_inner(rng, n, trunc, "identity", gq)
+        want, got = both_routes(monkeypatch, lambda: invert(phi))
+        assert got == want
+        check_series(*got)
+
+
+class TestGeneralPath:
+    """Linear parts that are not c y with every c_i nonzero: an off-diagonal
+    coefficient, a zero coefficient, no linear term at all."""
+
+    @pytest.mark.parametrize("shape", ["off-diagonal", "zero", "none"])
+    @pytest.mark.parametrize("n,gq", [(n, gq) for n in (1, 2, 3, 4) for gq in (False, True)])
+    def test_same_parts_as_before(self, shape, n, gq, monkeypatch):
+        if shape == "off-diagonal" and n == 1:
+            pytest.skip("one variable has no off-diagonal coefficient")
+        rng = random.Random(f"general/{shape}/{n}/{gq}")
+        trunc = trunc_for(n)
+        linear = [(i, unit(n, i), random_coeff(rng, gq)) for i in range(n)]
+        if shape == "off-diagonal":
+            linear.append((0, unit(n, n - 1), 1))
+        elif shape == "zero":
+            linear.pop()
+        else:
+            linear = []
+        inner = VectorSeries.from_terms(n, trunc, linear) + nonlinear(rng, n, trunc, gq)
+        outer = random_outer(rng, n, trunc, gq)
+
+        def run():
+            table = Powers.of(inner, trunc)
+            parts = {(m, s): table.part(m, s) for m in iter_exponents(n, 1, trunc) for s in range(sum(m), trunc + 1)}
+            return table.diagonal, parts, compose(outer, inner), compose_scalar(outer[0], inner)
+
+        want, got = both_routes(monkeypatch, run)
+        assert not got[0]
+        assert got == want
+        assert got[2] == oracle_compose(outer, inner)
+
+
+class TestNormalizer:
+    @pytest.mark.parametrize("kind,k,N,resonant", system_cases("map") + system_cases("field"))
+    def test_solver_and_residual(self, kind, k, N, resonant, monkeypatch):
+        system = build_system(kind, k, N)
+
+        def run():
+            result, P, Q = _solve(system, None)
+            return result.phi, result.g, _residual(system, P, Q), normalize(system)
+
+        want, got = both_routes(monkeypatch, run)
+        assert got == want and got[2].is_zero()
+        check_series(*got[0], *got[1])
+
+    @pytest.mark.parametrize("which", ["phi", "g", "phi-diagonal", "g-diagonal", "phi-off-diagonal", "g-off-diagonal"])
+    @pytest.mark.parametrize("kind,k,N,resonant", system_cases("map") + system_cases("field"))
+    def test_verify_conjugacy_on_perturbed_pairs(self, kind, k, N, resonant, which, monkeypatch):
+        """Perturbed at any degree from 1 (`test_engine.perturbed`), or in
+        the linear part: on the diagonal, so that the table of Phi or of G is
+        c-diagonal with some c_j != 1 or mu_j, or off it, so that the table
+        takes the general path."""
+        system = build_system(kind, k, N)
+        result = normalize(system)
+        n = system.n
+        name, _, linear = which.partition("-")
+        if linear:
+            rng = random.Random(f"linear-bump/{kind}/{k}/{N}/{which}")
+            j = rng.randrange(n)
+            i = j if linear == "diagonal" else (j + 1) % n
+            if i == j and linear == "off-diagonal":
+                pytest.skip("one variable has no off-diagonal coefficient")
+            bump = VectorSeries.from_terms(n, N, [(j, unit(n, i), F(1, 5))])
+            claimed = replace(result, **{name: getattr(result, name) + bump})
+            table = Powers.of(claimed.normalization() if name == "phi" else claimed.normal_form(), N)
+            assert table.diagonal == (linear == "diagonal") and not table.unit
+        else:
+            claimed = perturbed(system, result, which)
+        want, got = both_routes(monkeypatch, lambda: verify_conjugacy(system, claimed))
+        assert got == want and not got.is_zero()
+        check_series(*got)
+
+
+class TestIntegrals:
+    @pytest.mark.parametrize("kind,k,N,resonant", system_cases("map") + system_cases("field"))
+    def test_verify_integral_and_search(self, kind, k, N, resonant, monkeypatch):
+        system = build_system(kind, k, N)
+        rng = random.Random(f"diagonal-integral/{kind}/{k}/{N}")
+        V = random_sparse_series(rng, system.n, N, 8, True)
+
+        def run():
+            fresh = replace(system)  # a table of its own
+            return verify_integral(V, fresh), verify_integral(V, fresh, N - 1), search_integrals(fresh, N - 1)
+
+        want, got = both_routes(monkeypatch, run)
+        assert got == want
+        check_series(got[0], got[1], *got[2])

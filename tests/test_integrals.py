@@ -1,12 +1,14 @@
 import random
 import sys
 from fractions import Fraction as F
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 from helpers import (
     normalization_of,
+    oracle_independence,
     oracle_independence_check,
     oracle_pullback_integrals,
     oracle_rank,
@@ -541,3 +543,68 @@ class TestPackedIndependence:
         for op in workloads.catalogue("integrals"):
             for vs in _integral_sets(_system_from_doc(op.system, op.key)):
                 self._check(vs, seeds=(0,))
+
+
+@lru_cache(maxsize=None)
+def catalogue_sections():
+    """(entry key, section name, spec, integrals) for every non-empty
+    section of the `integrals` reports of the benchmark's catalogue, built
+    as `dulac integrals` builds them."""
+    from dulac.cli import _has_pullback, _system_from_doc
+
+    out = []
+    for op in workloads.catalogue("integrals"):
+        sf = _system_from_doc(op.system, op.key)
+        system, N = sf.system(), sf.order
+        basis = enumerate_lattice(sf.eigen, sf.lattice_bound)
+        out.append((op.key, "search", sf.eigen, search_integrals(system, N)))
+        if _has_pullback(sf.eigen, basis):
+            pulled = pullback_integrals(monomial_integrals(basis, trunc=N), normalize(system, N), N)
+            out.append((op.key, "pullback", sf.eigen, pulled))
+    return [section for section in out if section[3]]
+
+
+class TestJetMinorCertificate:
+    """`helpers.oracle_independence`, the jet-minor certificate that is to
+    replace the sampled check, on every section of the `integrals`
+    catalogue: what it certifies and what it refuses."""
+
+    # n = 3, k = 2 search sections the sampled check calls independent and
+    # whose jets fix no nonzero minor
+    UNCONFIRMED = {
+        ("integrals/field3-rat-N4/1/integrals", "search"),
+        ("integrals/field3-rat-N4/5/integrals", "search"),
+        ("integrals/field3-gauss-N4/4/integrals", "search"),
+    }
+
+    def test_certifies_every_pullback_section(self):
+        pullbacks = [vs for _, name, spec, vs in catalogue_sections() if name == "pullback"]
+        assert len(pullbacks) == 104
+        for vs in pullbacks:
+            assert oracle_independence(vs) is not None
+
+    @pytest.mark.parametrize("gate", [True, False])
+    def test_refuses_every_section_past_the_kernel_rank(self, gate):
+        over = [(spec, vs) for _, _, spec, vs in catalogue_sections() if len(vs) > spec.kernel_rank]
+        assert all(oracle_independence(vs, spec if gate else None) is None for spec, vs in over)
+        # the sampled check calls 27 of them independent
+        assert sum(independence_check(vs).independent for _, vs in over) == 27
+
+    def test_unconfirmed_sections_within_the_kernel_rank(self):
+        refused = {(key, name) for key, name, spec, vs in catalogue_sections()
+                   if len(vs) <= spec.kernel_rank and oracle_independence(vs, spec) is None}
+        assert refused == self.UNCONFIRMED
+        for key, name, spec, vs in catalogue_sections():
+            if (key, name) in self.UNCONFIRMED:
+                assert (spec.n, len(vs)) == (3, 2) and independence_check(vs).independent
+
+    def test_fixed_degrees(self):
+        """A minor's part certifies only at a degree the jets fix: with V =
+        y1^2 + y2^3, the minor of y1 and V is 3 y2^2, fixed when y1 is known
+        through degree 3, and not when it is known through degree 1 only
+        (y1 + y1 y2 adds 3 y2^3 - 2 y1^2 to it); y1 and y1^2 have no minor."""
+        y1 = ScalarSeries.variable(2, 0, 3)
+        V = ScalarSeries(2, 3, {(2, 0): 1, (0, 3): 1})
+        assert oracle_independence([y1, V]) == ((0, 1), 2)
+        assert oracle_independence([y1.truncate(1), V]) is None
+        assert oracle_independence([y1, y1.mul(y1)]) is None

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,7 @@ from helpers import (
     two_dim_fixture,
 )
 
-from dulac.errors import HypothesisError
+from dulac.errors import HypothesisError, InternalInvariantError
 from dulac.normalizer import (
     FieldSystem,
     MapSystem,
@@ -27,7 +28,8 @@ from dulac.normalizer import (
     reduce_to_single_function,
     verify_conjugacy,
 )
-from dulac.resonance import EigenSpec, enumerate_lattice
+from dulac.resonance import EigenSpec, enumerate_lattice, iter_exponents
+from dulac.scalars import gaussian
 from dulac.series import ScalarSeries, VectorSeries
 
 HALF_DOUBLE = EigenSpec.multiplicative([F(1, 2), 2])
@@ -404,3 +406,86 @@ def test_growth_rows_equal_the_per_degree_rescan():
             if mags:
                 rows.append((s, max(mags)))
         assert growth_diagnostic(phi).rows == tuple(rows)
+
+
+# -- the solver's self-check ---------------------------------------------------------
+
+I = gaussian(0, 1)
+SELF_CHECK_SPECTRA = {
+    "map-rational": EigenSpec.multiplicative([F(1, 2), 2]),
+    "map-gaussian": EigenSpec.multiplicative([2 * I, -I / 2]),
+    "field-rational": EigenSpec.additive([1, -1]),
+    "field-gaussian": EigenSpec.additive([I, -I]),
+}
+
+
+def self_check_system(name, N=6):
+    """A seeded system with every degree-2 term and about half the higher
+    ones, with Gaussian coefficients over a Gaussian spectrum."""
+    spec = SELF_CHECK_SPECTRA[name]
+    rng = random.Random(f"self-check/{name}")
+    terms = []
+    for m in iter_exponents(2, 2, N):
+        for j in range(2):
+            if sum(m) == 2 or rng.random() < 0.5:
+                c = F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+                terms.append((j, m, c + F(rng.randint(-2, 2), 3) * I if "gaussian" in name else c))
+    f = VectorSeries.from_terms(2, N, terms)
+    return MapSystem(spec, f) if spec.is_multiplicative() else FieldSystem(spec, f)
+
+
+class TestSelfCheckCatchesMutations:
+    """`normalize` re-sums the conjugacy residual through the degree loop's
+    own tables; a slip in the loop's split or in its sums' degree ranges
+    must leave that residual nonzero and raise, never return a pair."""
+
+    @pytest.mark.parametrize("name", sorted(SELF_CHECK_SPECTRA))
+    def test_perturbed_split(self, name, monkeypatch):
+        from dulac import normalizer
+        from dulac.series import _reduced
+
+        split, perturbed = normalizer._split_degree, []
+
+        def one_numerator_off(spec, rhs, P):
+            g_s, phi_s = split(spec, rhs, P)
+            for j, (den, re, im) in enumerate(phi_s):
+                if (re or im) and not perturbed:
+                    k = min(re.keys() | im.keys())
+                    phi_s[j] = _reduced(den, {**re, k: re.get(k, 0) + 1}, im)
+                    perturbed.append(len(P.parts[0]))  # the degree being split
+            return g_s, phi_s
+
+        system = self_check_system(name)
+        normalize(system)  # sound as it stands
+        monkeypatch.setattr(normalizer, "_split_degree", one_numerator_off)
+        with pytest.raises(InternalInvariantError, match="nonzero conjugacy residual at degree 2$"):
+            normalize(system)
+        assert perturbed == [2]
+
+    @pytest.mark.parametrize("name", sorted(SELF_CHECK_SPECTRA))
+    def test_loop_sums_from_degree_three(self, name, monkeypatch):
+        from dulac import normalizer
+
+        pairs, shifted = normalizer._pairs, []
+
+        def from_three(outer, powers, s, low=1, sign=1):
+            if low == 2:
+                shifted.append(s)
+                low = 3
+            return pairs(outer, powers, s, low, sign)
+
+        monkeypatch.setattr(normalizer, "_pairs", from_three)
+        with pytest.raises(InternalInvariantError, match="nonzero conjugacy residual at degree 2$"):
+            normalize(self_check_system(name))
+        assert shifted  # the loop's sums, and only those, were shifted
+
+    def test_cli_exits_4(self, monkeypatch, capsys):
+        from dulac import normalizer
+        from dulac.cli import main
+
+        pairs = normalizer._pairs
+        monkeypatch.setattr(normalizer, "_pairs", lambda outer, powers, s, low=1, sign=1:
+                            pairs(outer, powers, s, 3 if low == 2 else low, sign))
+        fixture = Path(__file__).resolve().parent.parent / "fixtures" / "ex2_2d.json"
+        assert main(["normalize", "--input", str(fixture)]) == 4
+        assert "nonzero conjugacy residual" in capsys.readouterr().err

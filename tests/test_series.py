@@ -1,8 +1,11 @@
+import ast
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from dulac import series
 from dulac.scalars import gaussian
 from dulac.series import (
     ScalarSeries,
@@ -356,3 +359,19 @@ class TestSums:
         ])
         assert v[0].is_zero()
         assert v[1].coeffs == {(1, 1): gaussian(3, 1), (0, 2): F(2)}
+
+
+def test_series_imports_only_errors_and_scalars():
+    """`series` sits under every other module of the package: anywhere in
+    it, the only modules of `dulac` it imports are `errors` and `scalars`
+    (so a diagonal table's scaling comes from the table, never from
+    `resonance`)."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(series.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:  # from .x import y, or from . import y
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "dulac":
+            imported |= {node.module.partition(".")[2]} if "." in node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name.partition(".")[2] or a.name for a in node.names if a.name.split(".")[0] == "dulac"}
+    assert imported == {"errors", "scalars"}
