@@ -2,7 +2,8 @@
 
 Given n-1 first integrals, the generalized cross product of their gradients
 is a field tangent to every common level set.  For a map F the construction
-rescales that field by the Jacobian determinant of F evaluated along F^(-1);
+rescales that field by the Jacobian determinant of F evaluated along F^(-1),
+pulled through the map's one table of powers with no inverse of F built;
 the output is checked for exact tangency and for the intertwining identity
 DF(y) X(y) = X(F(y)), whose derivatives along X (and the time-one flow's)
 are `series.lie_derivative`.
@@ -20,16 +21,12 @@ from typing import Sequence
 
 from .errors import HypothesisError
 from .normalizer import MapSystem
-from .scalars import sc_div
 from .series import (
     ScalarSeries,
     VectorSeries,
-    compose,
-    compose_scalar,
     cross,
     det_series,
     gradient,
-    invert,
     jacobian,
     lie_derivative,
 )
@@ -77,14 +74,17 @@ def embedding_field(
     integrals: Sequence[ScalarSeries],
     order: int | None = None,
 ) -> EmbeddingField:
-    """det(DF) o F^(-1) times the cross product of the integral gradients.
+    """det(DF) o F^(-1) times the cross product of the integral gradients,
+    det(DF) pulled through F's own table (`series.Powers.pull`).
 
     The determinant factor is what makes the intertwining identity provable
     from invariance of the integrals; tangency holds for the bare cross
-    product already.  Both residuals are computed exactly and recorded, and
-    a nonzero intertwining residual is flagged rather than hidden: it occurs
+    product already.  Both residuals, <grad V, X> for each integral V and
+    DF*X - X(F), are computed exactly and recorded, and a nonzero
+    intertwining residual is flagged rather than hidden: it occurs
     precisely when det(DF) is not identically one, where rescaling along
-    orbits would be needed and no canonical choice exists.
+    orbits would be needed and no canonical choice exists.  `verify`
+    rebuilds a claimed field with it.
     """
     vs = tuple(integrals)
     n = F.n
@@ -98,26 +98,8 @@ def embedding_field(
         order = min([F.order - 1] + [v.trunc - 1 for v in vs])
     if order < 1:
         raise ValueError("embedding order must be >= 1")
-    DF = jacobian(F.full())
-    det = det_series(DF, order)
-    # F^(-1) = (id + B^(-1) f)^(-1) o B^(-1)
-    b_inv = [sc_div(Fraction(1), v) for v in F.spec.values]
-    unit = VectorSeries.identity(n, order) + VectorSeries(
-        [comp.truncate(order).scale(b_inv[j]) for j, comp in enumerate(F.nonlinear.components)]
-    )
-    f_inv = compose(invert(unit, order), VectorSeries.diagonal_linear(b_inv, order), order)
-    det_back = compose_scalar(det, f_inv, order)
-    base = cross_field(vs, order)
-    return checked_field(F, vs, VectorSeries([det_back.mul(c, order) for c in base.components]), order)
-
-
-def checked_field(
-    F: MapSystem, integrals: Sequence[ScalarSeries], X: VectorSeries, order: int
-) -> EmbeddingField:
-    """X with its verification record through the order: the tangency
-    residual <grad V, X> of each integral V, the intertwining residual
-    DF*X - X(F), and a flag when that is nonzero.  `verify` checks a claimed
-    field with it."""
+    [det_back] = F.powers.pull([det_series(jacobian(F.full()), order)], order)
+    X = VectorSeries([det_back.mul(c, order) for c in cross_field(vs, order)])
     equi = verify_equivariance(F, X, order)
     flags = () if equi.is_zero() else (
         "intertwining residual DF*X - X(F) is nonzero: det(DF) is not "
@@ -128,8 +110,8 @@ def checked_field(
         field=X,
         order=order,
         system=F,
-        integrals=tuple(integrals),
-        tangency_residuals=tuple(lie_derivative(v, X, order) for v in integrals),
+        integrals=vs,
+        tangency_residuals=tuple(lie_derivative(v, X, order) for v in vs),
         equivariance_residual=equi,
         flags=flags,
     )

@@ -12,11 +12,11 @@ residual.
 The search, the pullback, the residuals and the independence check read
 the packed parts of `series` directly: a search column is read from the
 parts of F's power table (maps) or summed by `series.lie_derivative`'s pairs
-over X's table (fields); each degree of a pulled-back integral is one packed
-sum over the normalizer's own table of the powers of Phi = y + phi, with no
-inverse of Phi built; each degree of V o F - V or <grad V, X> is one packed
-sum that becomes that part of the residual; and the gradients, the packed
-`series._gradients` of each integral, are evaluated homogenised, in
+over X's table (fields); an integral is pulled back through the
+normalizer's own table of the powers of Phi = y + phi (`Powers.pull`), with
+no inverse of Phi built; each degree of V o F - V or <grad V, X> is one
+packed sum that becomes that part of the residual; and the gradients, the
+packed `series._gradients` of each integral, are evaluated homogenised, in
 integers, at each sample point.  Both eliminations, the search's kernel and
 the sample points' ranks, run in the integer `linalg.Echelon`; only the
 kernel vectors become `Fraction`s."""
@@ -37,7 +37,6 @@ from .scalars import Scalar
 from .series import (
     ScalarSeries,
     SeriesError,
-    _ONE,
     _ZERO,
     _gradients,
     _lie_pairs,
@@ -81,26 +80,15 @@ def pullback_integrals(
     """Transport integrals V of the normal form back to the original system:
     W = V o Phi^-1 for the normalization x = Phi(y) = y + phi(y), through
     `order` (default: the least truncation degree of the normalization and
-    the integrals).  W is the series with W o Phi = V, and [Phi^m]_|m| = y^m,
-    so W is solved degree by degree, W_s = V_s - sum_(1 <= |m| < s) w_m
-    [Phi^m]_s, each one packed sum over `normalization.powers`, the table
-    the degree loop filled: no inverse of Phi and no second table is built."""
+    the integrals).  W is the series with W o Phi = V, pulled through
+    `normalization.powers`, the table the degree loop filled
+    (`series.Powers.pull`): no inverse of Phi and no second table is built."""
     vs = tuple(integrals)
     if order is None:
         order = min([normalization.order] + [v.trunc for v in vs])
     if order > normalization.order:
         raise SeriesError(f"normalization known through degree {normalization.order}; cannot pull back to {order}")
-    if any(v.n != normalization.n for v in vs):
-        raise SeriesError("composition dimension mismatch")
-    P = normalization.powers
-    out = []
-    for v in vs:
-        parts = v.truncate(order)._keyed(order, P.base)
-        w = parts[:1] or [_ZERO]
-        for s in range(1, order + 1):
-            w.append(_products([(p, _ONE) for p in parts[s : s + 1]] + _pairs(w, P, s, 1, -1)))
-        out.append(ScalarSeries._make(v.n, order, _rekeyed(w, v.n, P.base, order, order + 1)))
-    return tuple(out)
+    return tuple(normalization.powers.pull(vs, order))
 
 
 _MINUS_ONE = (1, {0: -1}, {})  # the packed constant -1

@@ -18,15 +18,18 @@ as one part.  A term whose exact homological divisor (mu^m - mu_j for maps,
 <m, lambda> - lambda_j for fields) is zero is resonant and goes to the
 normal form; every other term is divided through and goes to the
 normalization.  Each degree's right-hand side, its split and its division
-stay packed, and each finished part becomes a part of the result as it is,
-since a series stores packed parts too.  The normalization thus contains
-only nonresonant monomials, the normal form only resonant ones, and the pair
-is unique; exact conjugacy of the output is re-verified, summed afresh
-through the loop's own power tables (the top degree of each composition one
-part: f_s as it is, a map's phi_s scaled by mu^m), and recorded, never
-assumed; the table of Phi's powers stays with the result, and the integrals
-are pulled back through it.  `verify` checks a claimed pair through tables
-it builds from that pair alone.
+stay packed, the division in ints over `EigenSpec.table`'s triples by
+`series._divided` (the one term-wise division, which also divides each g_j
+by v_j for the shape and common-factor extraction), and each finished part
+becomes a part of the result as it is, since a series stores packed parts
+too.  The normalization thus contains only nonresonant monomials, the
+normal form only resonant ones, and the pair is unique; exact conjugacy of
+the output is re-verified, summed afresh through the loop's own power
+tables (the top degree of each composition one part: f_s as it is, a map's
+phi_s scaled by mu^m), and recorded, never assumed; the table of Phi's
+powers stays with the result, and the integrals are pulled back through it
+(`series.Powers.pull`).  `verify` checks a claimed pair through tables it
+builds from that pair alone.
 """
 
 from __future__ import annotations
@@ -35,23 +38,23 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import exp, gcd, inf, lcm, log
+from math import exp, gcd, inf, log
 from typing import Optional, Sequence
 
 from .errors import HypothesisError, InternalInvariantError
 from .linalg import primitive_integer_kernel
 from .resonance import EigenSpec, LatticeBasis, enumerate_lattice
-from .scalars import sc_abs2, sc_div, scalar_to_json
+from .scalars import sc_abs2
 from .series import (
     Exponent,
     Powers,
     ScalarSeries,
     VectorSeries,
     _ZERO,
+    _divided,
     _gradients,
     _lie_pairs,
     _pairs,
-    _packed,
     _products,
     _reduced,
     _rekeyed,
@@ -179,40 +182,23 @@ def _split_degree(spec: EigenSpec, rhs: list[tuple], P: Powers) -> tuple[list[tu
     """Split a degree's packed right-hand side, keyed as in P, into normal-form
     terms (divisor zero, i.e. resonant) and transformation terms (divided by
     the divisor), both packed.  In ints: the divisor of y^m e_j is value(m) -
-    value(e_j) = (u + iv) / w over `EigenSpec.table`'s triples, made coprime,
-    and its inverse w (u - iv) / (u^2 + v^2), or w / u when v = 0."""
+    value(e_j) = (u + iv) / w over `EigenSpec.table`'s triples, and the
+    division is `series._divided`."""
     values = spec.table
     g_s: list[tuple] = []
     phi_s: list[tuple] = []
     for j, (den, re, im) in enumerate(rhs):
         xj, yj, dj = values[tuple(int(i == j) for i in range(P.n))]
-        g_re, g_im, quotients = {}, {}, []
+        resonant, quotients = [], []
         for k in re.keys() | im.keys() if im else re:
-            a, b = re.get(k, 0), im.get(k, 0)
             x, y, d = values[P.exponent(k)]
-            u, v, w = x * dj - xj * d, y * dj - yj * d, d * dj
-            if not (u or v):
-                if a:
-                    g_re[k] = a
-                if b:
-                    g_im[k] = b
-                continue
-            c = gcd(u, v, w)
-            u, v, w = u // c, v // c, w // c
-            if v:
-                quotients.append((k, a, b, u * u + v * v, w * u, -w * v))
+            u, v = x * dj - xj * d, y * dj - yj * d
+            if u or v:
+                quotients.append((k, re.get(k, 0), im.get(k, 0), u, v, d * dj))
             else:
-                quotients.append((k, a, b, abs(u), w if u > 0 else -w, 0))
-        g_s.append(_reduced(den, g_re, g_im))
-        common = lcm(*(q[3] for q in quotients))
-        phi_re, phi_im = {}, {}
-        for k, a, b, d, x, y in quotients:
-            f = common // d
-            if v := (a * x - b * y) * f:
-                phi_re[k] = v
-            if v := (a * y + b * x) * f:
-                phi_im[k] = v
-        phi_s.append(_reduced(den * common, phi_re, phi_im))
+                resonant.append(k)
+        g_s.append(_reduced(den, {k: re[k] for k in resonant if k in re}, {k: im[k] for k in resonant if k in im}))
+        phi_s.append(_divided(den, quotients))
     return g_s, phi_s
 
 
@@ -329,14 +315,15 @@ def _over_own_coordinate(result: NormalizationResult, j: int) -> tuple[Optional[
     """g_j / (v_j y_j) through order N - 1, as (None, quotient), or (m, None)
     with m the first monomial of g_j that v_j y_j does not divide (any term
     when the eigenvalue v_j is zero).  The quotient is taken part by part:
-    each key drops e_j and each part is multiplied by 1 / v_j."""
-    v, N, g = result.spec.values[j], result.order, result.g.components[j]
-    m = next((m for m in g.exponents() if m[j] == 0 or v == 0), None)
+    each key drops e_j and each term is divided by v_j, `EigenSpec.table`'s
+    triple for e_j (`series._divided`)."""
+    N, g = result.order, result.g.components[j]
+    v = result.spec.table[tuple(int(i == j) for i in range(result.n))]
+    m = next((m for m in g.exponents() if m[j] == 0 or not (v[0] or v[1])), None)
     if m is not None:
         return m, None
-    inverse = _packed([(0, scalar_to_json(sc_div(1, v)))]) if v else _ZERO  # g is zero when v is
     w = (N + 1) ** j
-    parts = [_products([((den, {k - w: x for k, x in re.items()}, {k - w: x for k, x in im.items()}), inverse)])
+    parts = [_divided(den, [(k - w, re.get(k, 0), im.get(k, 0), *v) for k in (re.keys() | im.keys() if im else re)])
              for den, re, im in g._keyed(N)[1:]]
     return None, ScalarSeries._make(result.n, N - 1, _rekeyed(parts, result.n, N + 1, N - 1, N))
 

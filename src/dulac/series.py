@@ -38,18 +38,22 @@ composition runs through one engine, `Powers`: for an inner map P known
 through degree s - 1 it yields the degree-s part of every power P^m with
 |m| >= 2, each part computed once from m = m' + e_i and cached under the
 key of m.  A table of a fully known P composes through any degree up to its
-own (`Powers.compose`; a map keeps one, `System.powers`); `invert` and the
-normalizer's degree loop feed one a degree at a time: the relaxed
-("online") evaluation of J. van der Hoeven, "Relax, but don't be too lazy",
-J. Symbolic Comput. 34 (2002).  The tables the package builds, of Phi = y +
-phi, of a normal form, of a map and `invert`'s, have a diagonal linear part
-c y, and a table notes once whether its own is one with every c_i nonzero.
-Then each first part [P^m]_|m| is the monomial c^m y^m, the product of two
-one-term parts, and a composition's top degree, the degree-s part o_s of
-the outer series at degree s, is one part: o_s itself when c = 1, else o_s
-scaled term by term by the cached c^m (`Powers.top`).  An inner map whose
-linear part is not diagonal, or has a zero coefficient, takes the general
-path.
+own (`Powers.compose`; a map keeps one, `System.powers`); the normalizer's
+degree loop feeds one a degree at a time: the relaxed ("online")
+evaluation of J. van der Hoeven, "Relax, but don't be too lazy", J.
+Symbolic Comput. 34 (2002).  The tables the package builds, of Phi = y +
+phi, of a normal form and of a map, have a diagonal linear part c y, and a
+table notes once whether its own is one with every c_i nonzero.  Then each
+first part [P^m]_|m| is the monomial c^m y^m, the product of two one-term
+parts, and a composition's top degree, the degree-s part o_s of the outer
+series at degree s, is one part: o_s itself when c = 1, else o_s scaled
+term by term by the cached c^m (`Powers.top`); and W = V o P^-1 is solved
+from W o P = V degree by degree, with no inverse of P built (`Powers.pull`:
+`invert`, the integrals' pullback, the embedding's det(DF) o F^-1), each
+degree divided by c^m through `_divided`, the one term-wise division (both
+scale term by term in `_termwise`).  An inner map whose linear part is not
+diagonal, or has a zero coefficient, takes the general path and has no
+`pull`.
 
 Every derivative along a field, <grad V, X>, sums the pairs `_lie_pairs`
 lists from V's differentiated parts (`_gradients`): `lie_derivative`, the
@@ -556,6 +560,34 @@ def _sum(p: tuple, q: tuple, sign: int) -> tuple:
     return _products([(p, _ONE), (q, (1, {0: sign}, {}))])
 
 
+def _divided(den: int, terms: Iterable[tuple[int, int, int, int, int, int]]) -> tuple:
+    """The packed part of the terms (a + ib) / den y^k, each divided by its
+    nonzero divisor (x + iy) / d, given as (k, a, b, x, y, d): the one
+    term-wise division, each term times d (x - iy) / (x^2 + y^2), or d / x
+    when y = 0, with (x, y, d) made coprime first."""
+    inverses = []
+    for k, a, b, x, y, d in terms:
+        c = gcd(x, y, d)
+        x, y, d = x // c, y // c, d // c
+        inverses.append((k, a, b, d * x, -d * y, x * x + y * y) if y else (k, a, b, d if x > 0 else -d, 0, abs(x)))
+    return _termwise(den, inverses)
+
+
+def _termwise(den: int, terms: Sequence[tuple[int, int, int, int, int, int]]) -> tuple:
+    """The packed part of the terms (a + ib) / den y^k, each times its
+    factor (x + iy) / d, d > 0, given as (k, a, b, x, y, d), over the lcm
+    of the factors' denominators."""
+    common = lcm(*(t[5] for t in terms))
+    re, im = {}, {}
+    for k, a, b, x, y, d in terms:
+        f = common // d
+        if v := (a * x - b * y) * f:
+            re[k] = v
+        if v := (a * y + b * x) * f:
+            im[k] = v
+    return _reduced(den * common, re, im)
+
+
 def _reduced(den: int, re: dict, im: dict) -> tuple:
     """(den, re, im) with its zero numerators dropped and its content
     divided out."""
@@ -652,22 +684,13 @@ class Powers:
         """For a diagonal table (P's linear part c y), the one pair whose
         product is sign times the degree-s part of o_s o P, o_s = sum_m a_m y^m
         an outer part of degree s keyed as here: sum_m a_m c^m y^m, o_s itself
-        when c = 1, else o_s scaled term by term by the first parts c^m,
-        whose content the sum in `_products` divides out."""
+        when c = 1, else o_s scaled term by term by the first parts c^m."""
         if self.unit:
             return part, (1, {0: sign}, {})
         den, re, im = part
         firsts = [(k, self.part(k, s)) for k in (re.keys() | im.keys() if im else re)]
-        common = lcm(*(first[0] for _, first in firsts))
-        scaled_re, scaled_im = {}, {}
-        for k, (d, x, y) in firsts:
-            f = sign * (common // d)
-            a, b, x, y = re.get(k, 0) * f, im.get(k, 0) * f, x.get(k, 0), y.get(k, 0)
-            if v := a * x - b * y:
-                scaled_re[k] = v
-            if v := a * y + b * x:
-                scaled_im[k] = v
-        return (den * common, scaled_re, scaled_im), _ONE
+        return _termwise(den, [(k, sign * re.get(k, 0), sign * im.get(k, 0), x.get(k, 0), y.get(k, 0), d)
+                               for k, (d, x, y) in firsts]), _ONE
 
     def compose(self, outers: Sequence[ScalarSeries], trunc: int) -> list[ScalarSeries]:
         """outer o P through degree trunc for each outer series; their constant terms pass through."""
@@ -680,6 +703,31 @@ class Powers:
             parts = o._keyed(trunc, self.base)
             new = (parts[:1] or [_ZERO]) + [_products(_pairs(parts, self, s)) for s in range(1, trunc + 1)]
             out.append(ScalarSeries._make(self.n, trunc, _rekeyed(new, self.n, self.base, trunc, trunc + 1)))
+        return out
+
+    def pull(self, values: Sequence[ScalarSeries], trunc: int) -> list[ScalarSeries]:
+        """For each V, the W = V o P^-1 with W o P = V through degree trunc,
+        for a diagonal P known through trunc: as [P^m]_|m| = c^m y^m, W_s is
+        V_s - sum_(1 <= |m| < s) w_m [P^m]_s, one packed sum, divided term by
+        term by the first parts c^m (as it is when c = 1)."""
+        if not self.diagonal:
+            raise SeriesError("pull needs an inner map whose linear part is c y with every c_i nonzero")
+        if trunc >= len(self.parts[0]):
+            raise SeriesError(f"inner map not known through degree {trunc}")
+        if any(v.n != self.n for v in values):
+            raise SeriesError("composition dimension mismatch")
+        out = []
+        for v in values:
+            parts = v.truncate(trunc)._keyed(trunc, self.base)
+            w = parts[:1] or [_ZERO]
+            for s in range(1, trunc + 1):
+                den, re, im = rhs = _products([(p, _ONE) for p in parts[s : s + 1]] + _pairs(w, self, s, 1, -1))
+                if not self.unit:
+                    firsts = [(k, self.part(k, s)) for k in (re.keys() | im.keys() if im else re)]
+                    rhs = _divided(den, [(k, re.get(k, 0), im.get(k, 0), x.get(k, 0), y.get(k, 0), d)
+                                         for k, (d, x, y) in firsts])
+                w.append(rhs)
+            out.append(ScalarSeries._make(self.n, trunc, _rekeyed(w, self.n, self.base, trunc, trunc + 1)))
         return out
 
 
@@ -739,26 +787,19 @@ def compose(outer: VectorSeries, inner: VectorSeries, trunc: int | None = None) 
 
 
 def invert(phi: VectorSeries, trunc: int | None = None) -> VectorSeries:
-    """Compositional inverse of a tangent-to-identity map, in one online pass.
-
-    With phi = id + h, the inverse solves psi = id - h o psi.  h starts at
-    degree two, so the degree-s part of h o psi needs psi only below degree
-    s: each degree of psi is settled once, and its powers grow with it.
-    The result satisfies compose(phi, psi) == compose(psi, phi) == identity
-    through the truncation degree exactly.
+    """Compositional inverse of a tangent-to-identity map: the psi with psi
+    o phi = id, pulled through one table of phi (`Powers.pull`).  The result
+    satisfies compose(phi, psi) == compose(psi, phi) == identity through the
+    truncation degree exactly.
     """
     if trunc is None:
         trunc = phi.trunc
-    n = phi.n
-    h, ident = phi.truncate(trunc), VectorSeries.identity(n, trunc)
+    h, ident = phi.truncate(trunc), VectorSeries.identity(phi.n, trunc)
     if any(c.low_degree() == 0 for c in h):
         raise SeriesError("map to invert has a constant term")
     if any(c.parts[1:2] != e.parts[1:] for c, e in zip(h, ident)):
         raise SeriesError("linear part is not the identity; factor it out first")
-    powers = Powers(ident, trunc, 1)
-    for s in range(2, trunc + 1):
-        powers.extend([_products(_pairs(c.parts, powers, s, 2, -1)) for c in h])
-    return VectorSeries([ScalarSeries._make(n, trunc, col[:]) for col in powers.parts])
+    return VectorSeries(Powers.of(h, trunc).pull(ident.components, trunc))
 
 
 # -- matrices of series ------------------------------------------------------

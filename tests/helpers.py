@@ -511,15 +511,64 @@ def old_route(monkeypatch):
         monkeypatch.setattr(module, "_pairs", oracle_pairs)
 
 
+# -- the solves of W o P = V before `Powers.pull` ---------------------------------
+#
+# `series.invert` ran its own online loop over a growing table of psi, the
+# integrals composed through a table of psi, and the embedding got
+# det(DF) o F^-1 by inverting id + B^-1 f, composing with B^-1 and composing
+# det(DF) through a third table.
+
+
+def online_invert(phi, trunc=None):
+    """`series.invert` before `Powers.pull`: with phi = id + h, psi = id - h
+    o psi in one online pass; h starts at degree two, so the degree-s part
+    of h o psi needs psi only below degree s, and each degree of psi is
+    settled once while its powers grow with it."""
+    from dulac.series import Powers, _pairs, _products
+
+    if trunc is None:
+        trunc = phi.trunc
+    n = phi.n
+    h, ident = phi.truncate(trunc), VectorSeries.identity(n, trunc)
+    if any(c.low_degree() == 0 for c in h):
+        raise SeriesError("map to invert has a constant term")
+    if any(c.parts[1:2] != e.parts[1:] for c, e in zip(h, ident)):
+        raise SeriesError("linear part is not the identity; factor it out first")
+    powers = Powers(ident, trunc, 1)
+    for s in range(2, trunc + 1):
+        powers.extend([_products(_pairs(c.parts, powers, s, 2, -1)) for c in h])
+    return VectorSeries([ScalarSeries._make(n, trunc, col[:]) for col in powers.parts])
+
+
+def oracle_diagonal_inverse(P, trunc):
+    """P^-1 through trunc for P = c y + h with every c_i nonzero: (id + c^-1
+    h)^-1 o c^-1 y, the inverse by `online_invert`."""
+    from dulac.scalars import sc_div
+
+    c_inv = [sc_div(1, P[i].coeff(tuple(int(j == i) for j in range(P.n)))) for i in range(P.n)]
+    unit = VectorSeries.identity(P.n, trunc) + VectorSeries(
+        [comp.truncate(trunc).scale(c_inv[i]) for i, comp in enumerate(P.strip_low(2))])
+    return compose(online_invert(unit, trunc), VectorSeries.diagonal_linear(c_inv, trunc), trunc)
+
+
+def oracle_det_back(F, order):
+    """det(DF) o F^-1 for a map system F on the embedding's route before
+    `Powers.pull`: F^-1 = (id + B^-1 f)^-1 o B^-1, and det(DF) composed
+    through a table of its own."""
+    from dulac.series import compose_scalar, det_series, jacobian
+
+    return compose_scalar(det_series(jacobian(F.full()), order), oracle_diagonal_inverse(F.full(), order), order)
+
+
 def oracle_pullback_integrals(integrals, phi, order=None):
-    """The pullback through the inverse psi of x = y + phi(y): `invert`
-    builds psi online, and each integral composes through one table of psi."""
+    """The pullback through the inverse psi of x = y + phi(y): `online_invert`
+    builds psi, and each integral composes through one table of psi."""
     from dulac.series import Powers
 
     vs = tuple(integrals)
     if order is None:
         order = min([phi.trunc] + [v.trunc for v in vs])
-    psi = invert(VectorSeries.identity(phi.n, order) + phi.truncate(order), order)
+    psi = online_invert(VectorSeries.identity(phi.n, order) + phi.truncate(order), order)
     return tuple(Powers.of(psi, order).compose([v.truncate(order) for v in vs], order))
 
 

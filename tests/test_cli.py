@@ -416,7 +416,7 @@ class TestOnePowerTablePerMap:
     @staticmethod
     def recorded(monkeypatch):
         """The inner maps of every table `Powers.of` builds, and the number
-        of tables built by any route (the degree loop and `invert` call the
+        of tables built by any route (the degree loop calls the
         constructor), in order."""
         from dulac.series import Powers
 
@@ -444,6 +444,22 @@ class TestOnePowerTablePerMap:
         tabled, built = self.recorded(monkeypatch)
         rep = tmp_path / "rep.json"
         for args, tables in ((["integrals", "--input", FIXTURES / "ex2_3d.json", "--output", rep], 3),
+                             (["verify", "--input", rep], 1)):
+            tabled.clear()
+            built.clear()
+            assert run(args) == 0
+            assert tabled == [F] and len(built) == tables
+
+    def test_embed_and_verify_table_the_map_once(self, tmp_path, monkeypatch):
+        """det(DF) o F^-1 is pulled through F's own table, which the
+        intertwining residual reads too, so no table of F^-1, of its
+        unipotent factor or of B^-1 is built: the embed run builds F's table
+        and the degree loop's two, and verify, which rebuilds the field,
+        builds F's alone."""
+        F = parse_system(str(FIXTURES / "ex2_3d.json")).system().full()
+        tabled, built = self.recorded(monkeypatch)
+        rep = tmp_path / "rep.json"
+        for args, tables in ((["embed", "--input", FIXTURES / "ex2_3d.json", "--output", rep], 3),
                              (["verify", "--input", rep], 1)):
             tabled.clear()
             built.clear()
@@ -1035,6 +1051,25 @@ class TestVerifyRederivesIntegralClaims:
         assert err.startswith("error: verification failed:") and field in err
 
 
+class TestVerifyRebuildsTheEmbeddingField:
+    """`verify` rebuilds the field from the claimed integrals and compares
+    it whole, so it refuses an edit the residuals cannot see: on `ex2_3d`
+    (order 7, intertwining residual nonzero) the tangency residuals through
+    order 7 do not see the field's degree-7 terms."""
+
+    @pytest.mark.parametrize("component,exponent", [(1, [2, 2, 3]), (2, [1, 3, 3]), (3, [1, 2, 4])])
+    def test_raised_top_degree_coefficient_is_4(self, tmp_path, capsys, component, exponent):
+        rep = tmp_path / "rep.json"
+        assert run(["embed", "--input", FIXTURES / "ex2_3d.json", "--output", rep]) == 0
+        doc = load(rep)
+        assert doc["embedding"]["order"] == 7 and not doc["embedding"]["equivariance_zero"]
+        [term] = [t for t in doc["embedding"]["field"] if (t["component"], t["exponent"]) == (component, exponent)]
+        term["coeff"][0] += term["coeff"][1]
+        capsys.readouterr()
+        assert run(["verify", "--input", write(tmp_path, "bad.json", doc)]) == 4
+        assert capsys.readouterr().err == "error: verification failed: embedding.field does not match a recomputation\n"
+
+
 def _delete_pullback(sections, i):
     del sections["pullback"]["integrals"][i]
     del sections["pullback"]["residual_zero"][i]
@@ -1212,26 +1247,24 @@ def informational(sub, path):
 
 def always_refused(sub, path):
     """Leaves no section-by-section match covered, which the whole rebuild
-    refuses every edit of: the subcommand, an embed report's order_N, and
-    the embedding's flags, time-one term count and time-one verdict (copied,
-    but the flags must agree with it)."""
+    refuses every edit of: the subcommand, an embed report's order_N, the
+    embedding's flags, time-one term count and time-one verdict (copied,
+    but the flags must agree with it), and the coefficients of the
+    embedding field, which is rebuilt from the claimed integrals."""
     return (path[0] == "subcommand" or sub == "embed" and path == ("parameters", "order_N")
-            or path[:1] == ("embedding",) and path[1] in ("flags", "time_one_terms", "time_one_matches_map"))
+            or path[:1] == ("embedding",) and path[1] in ("flags", "time_one_terms", "time_one_matches_map")
+            or path[:2] == ("embedding", "field") and path[-2] == "coeff")
 
 
 def still_a_valid_claim(doc, path, edited):
     """Whether a leaf edit outside the informational set leaves a claim
     that the system data does not refute: a coefficient of an integral that
-    is still an integral, a coefficient of an embedding field whose
-    tangency and intertwining residuals are zero exactly as claimed, or an
-    integrals report's degree_D where the lattice's generators are
-    unchanged at degree_D + 1."""
+    is still an integral, or an integrals report's degree_D where the
+    lattice's generators are unchanged at degree_D + 1."""
     from helpers import oracle_read_terms
     from dulac.cli import _system_from_doc
-    from dulac.embedding import verify_equivariance
     from dulac.integrals import verify_integral
     from dulac.resonance import enumerate_lattice
-    from dulac.series import VectorSeries, lie_derivative
 
     sf = _system_from_doc(doc["system"], "system")
     system, n = sf.system(), sf.n
@@ -1242,13 +1275,6 @@ def still_a_valid_claim(doc, path, edited):
         N = doc["parameters"]["order_N"]
         [V] = oracle_read_terms(edited["integrals"][path[1]]["integrals"][path[3]], "V", n, N, vector=False)
         return verify_integral(V, system, N).is_zero()
-    if path[:2] == ("embedding", "field") and path[-2] == "coeff":
-        emb = edited["embedding"]
-        order = emb["order"]
-        X = VectorSeries(oracle_read_terms(emb["field"], "X", n, order))
-        vs = [oracle_read_terms(t, "V", n, order + 1, vector=False)[0] for t in emb["integrals"]]
-        return ([lie_derivative(V, X, order).is_zero() for V in vs] == emb["tangency_zero"]
-                and verify_equivariance(system, X, order).is_zero() == emb["equivariance_zero"])
     return False
 
 

@@ -7,7 +7,8 @@ reads such a table is compared, exactly, with the same call on the old
 route, on seeded identity-linear and c-diagonal inner maps over Q and Q(i)
 for n = 1..4, and every part it returns is canonical.  Inner maps whose
 linear part is not diagonal, or has a zero coefficient, take the general
-path and give the same parts as before."""
+path and give the same parts as before.  `Powers.pull`, the solve of W o P
+= V on such a table, is compared with the solves it replaced (`TestPull`)."""
 
 import random
 from dataclasses import replace
@@ -15,15 +16,36 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import old_route, oracle_compose, random_sparse_series
+from helpers import (
+    normalization_of,
+    old_route,
+    online_invert,
+    oracle_compose,
+    oracle_compose_scalar,
+    oracle_det_back,
+    oracle_diagonal_inverse,
+    oracle_pullback_integrals,
+    random_sparse_series,
+)
 from test_engine import build_system, perturbed, random_coeff, random_outer, system_cases
 from test_packed_engine import check_part
 
-from dulac.integrals import search_integrals, verify_integral
-from dulac.normalizer import _residual, _solve, normalize, verify_conjugacy
-from dulac.resonance import iter_exponents
+from dulac.embedding import cross_field, embedding_field
+from dulac.integrals import pullback_integrals, search_integrals, verify_integral
+from dulac.normalizer import MapSystem, _residual, _solve, normalize, verify_conjugacy
+from dulac.resonance import EigenSpec, iter_exponents
 from dulac.scalars import gaussian
-from dulac.series import Powers, VectorSeries, compose, compose_scalar, invert
+from dulac.series import (
+    Powers,
+    ScalarSeries,
+    SeriesError,
+    VectorSeries,
+    compose,
+    compose_scalar,
+    det_series,
+    invert,
+    jacobian,
+)
 
 CASES = [(n, linear, gq, seed) for n in (1, 2, 3, 4) for linear in ("identity", "diagonal")
          for gq in (False, True) for seed in range(2)]
@@ -107,8 +129,21 @@ class TestPowers:
         trunc = trunc_for(n) + 1
         phi = diagonal_inner(rng, n, trunc, "identity", gq)
         want, got = both_routes(monkeypatch, lambda: invert(phi))
-        assert got == want
+        assert got == want == online_invert(phi)
         check_series(*got)
+
+
+def general_inner(rng, n, trunc, shape, gq):
+    """An inner map whose linear part is not c y with every c_i nonzero: an
+    off-diagonal coefficient, a zero coefficient, no linear term at all."""
+    linear = [(i, unit(n, i), random_coeff(rng, gq)) for i in range(n)]
+    if shape == "off-diagonal":
+        linear.append((0, unit(n, n - 1), 1))
+    elif shape == "zero":
+        linear.pop()
+    else:
+        linear = []
+    return VectorSeries.from_terms(n, trunc, linear) + nonlinear(rng, n, trunc, gq)
 
 
 class TestGeneralPath:
@@ -122,14 +157,7 @@ class TestGeneralPath:
             pytest.skip("one variable has no off-diagonal coefficient")
         rng = random.Random(f"general/{shape}/{n}/{gq}")
         trunc = trunc_for(n)
-        linear = [(i, unit(n, i), random_coeff(rng, gq)) for i in range(n)]
-        if shape == "off-diagonal":
-            linear.append((0, unit(n, n - 1), 1))
-        elif shape == "zero":
-            linear.pop()
-        else:
-            linear = []
-        inner = VectorSeries.from_terms(n, trunc, linear) + nonlinear(rng, n, trunc, gq)
+        inner = general_inner(rng, n, trunc, shape, gq)
         outer = random_outer(rng, n, trunc, gq)
 
         def run():
@@ -198,3 +226,93 @@ class TestIntegrals:
         want, got = both_routes(monkeypatch, run)
         assert got == want
         check_series(got[0], got[1], *got[2])
+
+
+def map_system(rng, n, N, gq):
+    """A map with diagonal multipliers, none of them one."""
+    mu = ([gaussian(1, 2), F(1, 3), gaussian(F(1, 2), -1), F(2)] if gq else [F(1, 2), F(3), F(-2, 3), F(5)])[:n]
+    return MapSystem(EigenSpec.multiplicative(mu), nonlinear(rng, n, N, gq), N)
+
+
+class TestPull:
+    """`Powers.pull` solves W o P = V over a diagonal table.  It is compared,
+    exactly, with the solves it replaced (`helpers.online_invert`, the
+    pullback through psi = Phi^-1 and the embedding's det(DF) o F^-1 by
+    inverting id + B^-1 f), at every order through the table's, with V = 0
+    and V with a constant term among the values, and W o P = V is checked
+    through the Fraction oracle; every part it returns is canonical."""
+
+    @pytest.mark.parametrize("n,linear,gq,seed", CASES)
+    def test_pull(self, n, linear, gq, seed):
+        rng = random.Random(f"pull/{n}/{linear}/{gq}/{seed}")
+        trunc = trunc_for(n)
+        inner = diagonal_inner(rng, n, trunc, linear, gq)
+        table = Powers.of(inner, trunc)
+        assert table.diagonal and table.unit == (linear == "identity")
+        values = [*random_outer(rng, n, trunc, gq), ScalarSeries.zero(n, trunc)]
+        assert all(v.low_degree() == 0 for v in values[:-1])
+        for order in range(1, trunc + 1):
+            got = table.pull(values, order)
+            inverse = oracle_diagonal_inverse(inner, order)
+            assert got == [compose_scalar(v, inverse, order) for v in values]
+            assert [oracle_compose_scalar(w, inner, order) for w in got] == [v.truncate(order) for v in values]
+            assert got[-1].is_zero() and all(w.trunc == order for w in got)
+            check_series(*got)
+
+    @pytest.mark.parametrize("n,gq,seed", [(n, gq, seed) for n in (1, 2, 3, 4) for gq in (False, True)
+                                           for seed in range(2)])
+    def test_invert_and_pullback(self, n, gq, seed):
+        rng = random.Random(f"pull-invert/{n}/{gq}/{seed}")
+        trunc = trunc_for(n) + 1
+        phi = diagonal_inner(rng, n, trunc, "identity", gq)
+        values = [*random_outer(rng, n, trunc, gq), ScalarSeries.zero(n, trunc)]
+        for order in range(1, trunc + 1):
+            psi = invert(phi, order)
+            assert psi == online_invert(phi, order)
+            pulled = pullback_integrals(values, normalization_of(phi.strip_low(2)), order)
+            assert pulled == oracle_pullback_integrals(values, phi.strip_low(2), order)
+            check_series(*psi, *pulled)
+
+    @pytest.mark.parametrize("n,gq,seed", [(n, gq, seed) for n in (1, 2, 3, 4) for gq in (False, True)
+                                           for seed in range(2)])
+    def test_det_back_and_embedding_field(self, n, gq, seed):
+        """det(DF) o F^-1 pulled through F's own table, alone and as the
+        embedding field's factor, on maps whose multipliers are not one."""
+        rng = random.Random(f"pull-det/{n}/{gq}/{seed}")
+        N = trunc_for(n)
+        F_ = map_system(rng, n, N, gq)
+        assert F_.powers.diagonal and not F_.powers.unit
+        vs = [random_sparse_series(rng, n, N, 6, gq) for _ in range(n - 1)]
+        for order in range(1, N):
+            [got] = F_.powers.pull([det_series(jacobian(F_.full()), order)], order)
+            want = oracle_det_back(F_, order)
+            assert got == want
+            check_series(got)
+            if n > 1:
+                field = embedding_field(F_, vs, order).field
+                assert field == VectorSeries([want.mul(c, order) for c in cross_field(vs, order)])
+                check_series(*field)
+
+    @pytest.mark.parametrize("shape", ["off-diagonal", "zero", "none"])
+    @pytest.mark.parametrize("n,gq", [(n, gq) for n in (1, 2, 3) for gq in (False, True)])
+    def test_refuses_a_table_that_is_not_diagonal(self, shape, n, gq):
+        if shape == "off-diagonal" and n == 1:
+            pytest.skip("one variable has no off-diagonal coefficient")
+        rng = random.Random(f"pull-general/{shape}/{n}/{gq}")
+        trunc = trunc_for(n)
+        table = Powers.of(general_inner(rng, n, trunc, shape, gq), trunc)
+        with pytest.raises(SeriesError, match="linear part is c y"):
+            table.pull([ScalarSeries.one(n, trunc)], trunc)
+
+    def test_refuses_a_table_not_fully_known(self):
+        """A table fed one degree at a time pulls only through the degree
+        it knows, and no table pulls past its own degree."""
+        V = ScalarSeries(2, 4, {(1, 1): 1, (0, 3): F(1, 2)})
+        table = Powers(VectorSeries.identity(2, 4), 4, 1)
+        assert table.pull([V], 1) == [V.truncate(1)]
+        with pytest.raises(SeriesError, match="not known through degree 2"):
+            table.pull([V], 2)
+        table.extend([(1, {}, {})] * 2)
+        assert table.pull([V], 2) == [V.truncate(2)]
+        with pytest.raises(SeriesError, match="not known through degree 5"):
+            Powers.of(VectorSeries.identity(2, 4), 4).pull([V.with_trunc(5)], 5)

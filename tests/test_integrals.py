@@ -168,7 +168,8 @@ def _random_integrals(rng, n, N, gauss):
 class TestPullbackMatchesTheInverse:
     """Pulled back over the normalization's own table of Phi = y + phi, an
     integral equals its composition with psi = Phi^-1, which
-    `oracle_pullback_integrals` builds by `invert`."""
+    `oracle_pullback_integrals` builds by the online loop that `invert`
+    ran before `Powers.pull` (`helpers.online_invert`)."""
 
     @pytest.mark.parametrize("gauss", [False, True], ids=["rational", "gaussian"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
