@@ -18,7 +18,6 @@ from .series import (
     SeriesError,
     VectorSeries,
     compose,
-    compose_scalar,
     cross,
     det_series,
     gradient,
@@ -63,7 +62,6 @@ from .integrals import (
 )
 from .embedding import (
     EmbeddingField,
-    cross_field,
     embedding_field,
     time_one_map,
     verify_equivariance,

@@ -1,9 +1,10 @@
 """Cross-product vector fields attached to integrable maps.
 
-Given n-1 first integrals, the generalized cross product of their gradients
-is a field tangent to every common level set.  For a map F the construction
-rescales that field by the Jacobian determinant of F evaluated along F^(-1),
-pulled through the map's one table of powers with no inverse of F built;
+Given n-1 first integrals of a map F in dimension n >= 2, the generalized
+cross product of their gradients is a field tangent to every common level
+set.  The construction rescales that field by the Jacobian determinant of F
+evaluated along F^(-1), pulled through the map's one table of powers with no
+inverse of F built; both factors are minors read from `series._minors`, and
 the output is checked for exact tangency and for the intertwining identity
 DF(y) X(y) = X(F(y)), whose derivatives along X (and the time-one flow's)
 are `series.lie_derivative`.
@@ -53,29 +54,15 @@ class EmbeddingField:
         return self.equivariance_residual.is_zero()
 
 
-def cross_field(
-    integrals: Sequence[ScalarSeries], order: int | None = None
-) -> VectorSeries:
-    """Cross product of the integral gradients; each input is a first
-    integral of the output by the repeated-row determinant identity."""
-    vs = tuple(integrals)
-    if not vs:
-        raise ValueError("cross field needs integrals")
-    n = vs[0].n
-    if len(vs) != n - 1:
-        raise HypothesisError(
-            f"dimension {n} needs exactly {n - 1} integrals, got {len(vs)}"
-        )
-    return cross([gradient(v) for v in vs], order)
-
-
 def embedding_field(
     F: MapSystem,
     integrals: Sequence[ScalarSeries],
     order: int | None = None,
 ) -> EmbeddingField:
     """det(DF) o F^(-1) times the cross product of the integral gradients,
-    det(DF) pulled through F's own table (`series.Powers.pull`).
+    det(DF) pulled through F's own table (`series.Powers.pull`), for n >= 2
+    and exactly n - 1 integrals; each integral is a first integral of the
+    cross product by the repeated-row determinant identity.
 
     The determinant factor is what makes the intertwining identity provable
     from invariance of the integrals; tangency holds for the bare cross
@@ -88,6 +75,8 @@ def embedding_field(
     """
     vs = tuple(integrals)
     n = F.n
+    if n < 2:
+        raise HypothesisError(f"an embedding field needs dimension n >= 2, not n = {n}")
     if len(vs) != n - 1:
         raise HypothesisError(
             f"dimension {n} needs exactly {n - 1} integrals, got {len(vs)}"
@@ -99,7 +88,7 @@ def embedding_field(
     if order < 1:
         raise ValueError("embedding order must be >= 1")
     [det_back] = F.powers.pull([det_series(jacobian(F.full()), order)], order)
-    X = VectorSeries([det_back.mul(c, order) for c in cross_field(vs, order)])
+    X = VectorSeries([det_back.mul(c, order) for c in cross([gradient(v) for v in vs], order)])
     equi = verify_equivariance(F, X, order)
     flags = () if equi.is_zero() else (
         "intertwining residual DF*X - X(F) is nonzero: det(DF) is not "

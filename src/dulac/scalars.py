@@ -153,18 +153,6 @@ def sc_abs2(z: Scalar) -> Fraction:
     return z * z
 
 
-def sc_div(a: Scalar, b: Scalar) -> Scalar:
-    if isinstance(a, int):
-        a = Fraction(a)
-    return a / b
-
-
-def sc_pow(z: Scalar, k: int) -> Scalar:
-    if isinstance(z, GaussianRational):
-        return z ** k
-    return Fraction(z) ** k
-
-
 def exact_sqrt(q: Fraction) -> Fraction | None:
     """The exact rational square root of q >= 0, or None if irrational."""
     if q < 0:

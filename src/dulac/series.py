@@ -55,9 +55,11 @@ scale term by term in `_termwise`).  An inner map whose linear part is not
 diagonal, or has a zero coefficient, takes the general path and has no
 `pull`.
 
-Every derivative along a field, <grad V, X>, sums the pairs `_lie_pairs`
-lists from V's differentiated parts (`_gradients`): `lie_derivative`, the
-normalizer's field loop and residual, and the field integrals.
+Every derivative is read off V's differentiated parts (`_gradients`): as
+series by `gradient` and `jacobian`, and along a field, <grad V, X>, as the
+pairs `_lie_pairs` lists (`lie_derivative`, the normalizer's field loop and
+residual, the field integrals).  Every determinant is read from one table of
+minors (`_minors`): `det_series` the full one, `cross` the maximal ones.
 """
 
 from __future__ import annotations
@@ -288,15 +290,6 @@ class ScalarSeries:
         elif self.n != other.n:
             raise SeriesError(f"dimension mismatch: {self.n} vs {other.n}")
         return _dot([self], [other], self.n, trunc)
-
-    # -- calculus ----------------------------------------------------------
-
-    def diff(self, i: int) -> "ScalarSeries":
-        base = self.trunc + 1
-        w = base**i
-        parts = [_reduced(den, _diff(re, w, base, 1), _diff(im, w, base, 1)) for den, re, im in self.parts[1:]]
-        trunc = max(self.trunc - 1, 0)
-        return ScalarSeries._make(self.n, trunc, _rekeyed(parts, self.n, base, trunc, trunc + 1))
 
     # -- identity ----------------------------------------------------------
 
@@ -772,13 +765,6 @@ def _diff(nums: dict, w: int, base: int, sign: int) -> dict:
     return {k - w: sign * v * e for k, v in nums.items() if (e := k // w % base)}
 
 
-def compose_scalar(outer: ScalarSeries, inner: VectorSeries, trunc: int | None = None) -> ScalarSeries:
-    """Exact truncation of outer(inner(y)); inner must have no constant term."""
-    if trunc is None:
-        trunc = min(outer.trunc, inner.trunc)
-    return Powers.of(inner, trunc).compose([outer], trunc)[0]
-
-
 def compose(outer: VectorSeries, inner: VectorSeries, trunc: int | None = None) -> VectorSeries:
     """Componentwise exact truncated composition outer o inner."""
     if trunc is None:
@@ -807,11 +793,15 @@ def invert(phi: VectorSeries, trunc: int | None = None) -> VectorSeries:
 
 def jacobian(F: VectorSeries) -> list[list[ScalarSeries]]:
     """Matrix of partial derivatives, entry (i, j) = dF_i/dy_j."""
-    return [[comp.diff(j) for j in range(F.n)] for comp in F.components]
+    return [list(gradient(comp)) for comp in F.components]
 
 
 def gradient(V: ScalarSeries) -> VectorSeries:
-    return VectorSeries([V.diff(j) for j in range(V.n)])
+    """(dV/dy_i)_i through degree trunc - 1, re-keyed from V's `_gradients`."""
+    n, base, trunc = V.n, V.trunc + 1, max(V.trunc - 1, 0)
+    grads = _gradients(enumerate(V.parts), [base**i for i in range(n)], base)
+    parts = [[_reduced(*grads[e][i]) if e in grads else _ZERO for e in range(1, len(V.parts))] for i in range(n)]
+    return VectorSeries([ScalarSeries._make(n, trunc, _rekeyed(p, n, base, trunc, trunc + 1)) for p in parts])
 
 
 def lie_derivative(V, X: VectorSeries, trunc: int | None = None):
@@ -850,42 +840,40 @@ def _dot(xs: Sequence[ScalarSeries], ys: Sequence[ScalarSeries], n: int, trunc: 
     return ScalarSeries._make(n, trunc, [_products(pairs) for pairs in sums])
 
 
-def det_series(M: Sequence[Sequence[ScalarSeries]], trunc: int | None = None) -> ScalarSeries:
-    """Exact truncated determinant via minor expansion memoized on column sets.
-
-    Division-free: fraction-free elimination would need exact quotients that
-    truncation destroys, so cofactor expansion is used at every size.
+def _minors(rows: Sequence[Sequence[ScalarSeries]], n: int, trunc: int) -> dict[tuple[int, ...], ScalarSeries]:
+    """Every k x k minor of the k x m matrix rows through degree trunc, keyed
+    by its columns: cofactor expansion along the last row, each minor of
+    rows 1..i one `_dot` with the minors of rows 1..i-1.  Division-free:
+    fraction-free elimination needs exact quotients that truncation destroys.
     """
+    minors: dict[tuple[int, ...], ScalarSeries] = {(): ScalarSeries.one(n, trunc)}
+    for size, row in enumerate(rows, 1):
+        nxt: dict[tuple[int, ...], ScalarSeries] = {}
+        for cols in combinations(range(len(row)), size):
+            live = [(pos, j) for pos, j in enumerate(cols) if not row[j].is_zero()]
+            # along row i = size - 1 the entry at pos takes the sign (-1)^(i + pos)
+            nxt[cols] = _dot([-row[j] if (size - 1 + pos) % 2 else row[j] for pos, j in live],
+                             [minors[cols[:pos] + cols[pos + 1 :]] for pos, _ in live], n, trunc)
+        minors = nxt
+    return minors
+
+
+def det_series(M: Sequence[Sequence[ScalarSeries]], trunc: int | None = None) -> ScalarSeries:
+    """Exact truncated determinant, the one full minor of `_minors`."""
     k = len(M)
     if any(len(row) != k for row in M):
         raise SeriesError("determinant of a non-square matrix")
-    n = M[0][0].n
     if trunc is None:
         trunc = min(min(e.trunc for e in row) for row in M)
-    # minors[cols] = det of rows 0..len(cols)-1 restricted to cols
-    minors: dict[tuple[int, ...], ScalarSeries] = {(): ScalarSeries.one(n, trunc)}
-    for size in range(1, k + 1):
-        nxt: dict[tuple[int, ...], ScalarSeries] = {}
-        row = M[size - 1]
-        for cols in combinations(range(k), size):
-            entries, subs = [], []
-            for pos, j in enumerate(cols):
-                entry = row[j]
-                if entry.is_zero():
-                    continue
-                # expansion along the last used row: sign (-1)^(row+pos)
-                entries.append(entry if (size - 1 + pos) % 2 == 0 else -entry)
-                subs.append(minors[cols[:pos] + cols[pos + 1 :]])
-            nxt[cols] = _dot(entries, subs, n, trunc)
-        minors = nxt
-    return minors[tuple(range(k))]
+    return _minors(M, M[0][0].n, trunc)[tuple(range(k))]
 
 
 def cross(vs: Sequence[VectorSeries], trunc: int | None = None) -> VectorSeries:
     """Generalized cross product of n-1 vectors in dimension n.
 
-    Returns the vector c with <c, w> = det(w; v_1; ...; v_{n-1}) for every w;
-    c is exactly orthogonal to each input.
+    Returns the vector c with <c, w> = det(w; v_1; ...; v_{n-1}) for every w,
+    c_j = (-1)^j times the maximal minor without column j, all from one
+    `_minors`; c is exactly orthogonal to each input.
     """
     vs = list(vs)
     if not vs:
@@ -897,12 +885,9 @@ def cross(vs: Sequence[VectorSeries], trunc: int | None = None) -> VectorSeries:
         raise SeriesError("cross product dimension mismatch")
     if trunc is None:
         trunc = min(v.trunc for v in vs)
-    comps = []
-    for j in range(n):
-        minor = [[v.components[c] for c in range(n) if c != j] for v in vs]
-        d = det_series(minor, trunc) if n > 1 else ScalarSeries.one(n, trunc)
-        comps.append(d if j % 2 == 0 else -d)
-    return VectorSeries(comps)
+    minors = _minors([v.components for v in vs], n, trunc)
+    comps = [minors[tuple(c for c in range(n) if c != j)] for j in range(n)]
+    return VectorSeries([d if j % 2 == 0 else -d for j, d in enumerate(comps)])
 
 
 def unit_power(u: ScalarSeries, r, trunc: int | None = None) -> ScalarSeries:

@@ -9,8 +9,111 @@ from math import gcd, lcm
 from dulac.linalg import primitive_integer_kernel
 from dulac.normalizer import MapSystem
 from dulac.resonance import EigenSpec, enumerate_lattice, iter_exponents
-from dulac.scalars import gaussian, sc_pow
+from dulac.scalars import GaussianRational, gaussian
 from dulac.series import ScalarSeries, SeriesError, VectorSeries, compose, invert, unit_power
+
+
+# -- helpers that left `src` with no caller there ----------------------------------
+#
+# Scalar division and powers, the composition of one scalar series, and, as
+# they were before `series._minors` and `series.gradient` read `_gradients`:
+# the derivative of one series in one variable, and determinants and cross
+# products each expanded from scratch.
+
+
+def sc_div(a, b):
+    if isinstance(a, int):
+        a = F(a)
+    return a / b
+
+
+def sc_pow(z, k):
+    if isinstance(z, GaussianRational):
+        return z**k
+    return F(z) ** k
+
+
+def compose_scalar(outer, inner, trunc=None):
+    """Exact truncation of outer(inner(y)); inner must have no constant term."""
+    from dulac.series import Powers
+
+    if trunc is None:
+        trunc = min(outer.trunc, inner.trunc)
+    return Powers.of(inner, trunc).compose([outer], trunc)[0]
+
+
+def oracle_diff(V, i):
+    """dV/dy_i through degree trunc - 1, differentiated part by part."""
+    from dulac.series import _diff, _reduced, _rekeyed
+
+    base = V.trunc + 1
+    w = base**i
+    parts = [_reduced(den, _diff(re, w, base, 1), _diff(im, w, base, 1)) for den, re, im in V.parts[1:]]
+    trunc = max(V.trunc - 1, 0)
+    return ScalarSeries._make(V.n, trunc, _rekeyed(parts, V.n, base, trunc, trunc + 1))
+
+
+def oracle_gradient(V):
+    return VectorSeries([oracle_diff(V, j) for j in range(V.n)])
+
+
+def oracle_jacobian(Fv):
+    """Matrix of partial derivatives, entry (i, j) = dF_i/dy_j."""
+    return [[oracle_diff(comp, j) for j in range(Fv.n)] for comp in Fv.components]
+
+
+def oracle_det_series(M, trunc=None):
+    """Exact truncated determinant via minor expansion memoized on column
+    sets, expanded along the last used row."""
+    from itertools import combinations
+
+    from dulac.series import _dot
+
+    k = len(M)
+    if any(len(row) != k for row in M):
+        raise SeriesError("determinant of a non-square matrix")
+    n = M[0][0].n
+    if trunc is None:
+        trunc = min(min(e.trunc for e in row) for row in M)
+    # minors[cols] = det of rows 0..len(cols)-1 restricted to cols
+    minors = {(): ScalarSeries.one(n, trunc)}
+    for size in range(1, k + 1):
+        nxt = {}
+        row = M[size - 1]
+        for cols in combinations(range(k), size):
+            entries, subs = [], []
+            for pos, j in enumerate(cols):
+                entry = row[j]
+                if entry.is_zero():
+                    continue
+                # expansion along the last used row: sign (-1)^(row+pos)
+                entries.append(entry if (size - 1 + pos) % 2 == 0 else -entry)
+                subs.append(minors[cols[:pos] + cols[pos + 1 :]])
+            nxt[cols] = _dot(entries, subs, n, trunc)
+        minors = nxt
+    return minors[tuple(range(k))]
+
+
+def oracle_cross(vs, trunc=None):
+    """Generalized cross product of n-1 vectors in dimension n, its entry j
+    (-1)^j times the determinant of the v_i without column j, each
+    determinant expanded on its own."""
+    vs = list(vs)
+    if not vs:
+        raise SeriesError("cross product needs at least one vector")
+    n = vs[0].n
+    if len(vs) != n - 1:
+        raise SeriesError(f"cross product in dimension {n} needs {n-1} vectors")
+    if any(v.n != n for v in vs):
+        raise SeriesError("cross product dimension mismatch")
+    if trunc is None:
+        trunc = min(v.trunc for v in vs)
+    comps = []
+    for j in range(n):
+        minor = [[v.components[c] for c in range(n) if c != j] for v in vs]
+        d = oracle_det_series(minor, trunc)
+        comps.append(d if j % 2 == 0 else -d)
+    return VectorSeries(comps)
 
 
 # -- derivatives along a field, as they were before `series.lie_derivative` ----------
@@ -271,8 +374,6 @@ def random_tangent_identity(rng, n, trunc, max_terms=4):
 def dense_rref(rows):
     """Reduced row echelon form by dense Gauss-Jordan over Fraction /
     GaussianRational entries: (rref rows, pivot column indices)."""
-    from dulac.scalars import sc_div
-
     m = [list(r) for r in rows]
     if not m:
         return [], []
@@ -350,8 +451,6 @@ class OracleEchelon:
     def add(self, column):
         """None when the column is independent of the earlier ones, else the
         kernel vector it closes, with 1 at its own index."""
-        from dulac.scalars import sc_div
-
         v = {r: x for r, x in column.items() if x != 0}
         comb = {self.columns: F(1)}
         self.columns += 1
@@ -543,8 +642,6 @@ def online_invert(phi, trunc=None):
 def oracle_diagonal_inverse(P, trunc):
     """P^-1 through trunc for P = c y + h with every c_i nonzero: (id + c^-1
     h)^-1 o c^-1 y, the inverse by `online_invert`."""
-    from dulac.scalars import sc_div
-
     c_inv = [sc_div(1, P[i].coeff(tuple(int(j == i) for j in range(P.n)))) for i in range(P.n)]
     unit = VectorSeries.identity(P.n, trunc) + VectorSeries(
         [comp.truncate(trunc).scale(c_inv[i]) for i, comp in enumerate(P.strip_low(2))])
@@ -554,10 +651,10 @@ def oracle_diagonal_inverse(P, trunc):
 def oracle_det_back(F, order):
     """det(DF) o F^-1 for a map system F on the embedding's route before
     `Powers.pull`: F^-1 = (id + B^-1 f)^-1 o B^-1, and det(DF) composed
-    through a table of its own."""
-    from dulac.series import compose_scalar, det_series, jacobian
-
-    return compose_scalar(det_series(jacobian(F.full()), order), oracle_diagonal_inverse(F.full(), order), order)
+    through a table of its own, the determinant expanded by
+    `oracle_det_series` from the `oracle_jacobian`."""
+    det = oracle_det_series(oracle_jacobian(F.full()), order)
+    return compose_scalar(det, oracle_diagonal_inverse(F.full(), order), order)
 
 
 def oracle_pullback_integrals(integrals, phi, order=None):
@@ -583,8 +680,6 @@ def normalization_of(phi, spec=None):
 
 
 def _oracle_split(spec, rhs_s, phi_terms, g_terms):
-    from dulac.scalars import sc_div
-
     for j, comp in enumerate(rhs_s.components):
         for m, c in comp.terms():
             if oracle_resonant(spec, m, j):
@@ -643,8 +738,6 @@ def oracle_normalize(system, N):
     """(phi, g) of the distinguished normalization, every degree's right-hand
     side rebuilt by full compositions: f o (id + phi) + phi o B - phi o (B + g)
     for maps, f o (id + phi) - Dphi . g for fields."""
-    from dulac.series import jacobian
-
     is_map = isinstance(system, MapSystem)
     spec = system.spec
     n = system.n
@@ -658,7 +751,7 @@ def oracle_normalize(system, N):
             lin = VectorSeries.diagonal_linear(spec.values, s)
             rhs = rhs + oracle_compose(phi_v, lin, s) - oracle_compose(phi_v, lin + g_v, s)
         else:
-            rhs = rhs - mat_vec(jacobian(phi_v), g_v, s)
+            rhs = rhs - mat_vec(oracle_jacobian(phi_v), g_v, s)
         _oracle_split(spec, rhs.homogeneous_part(s), phi_terms, g_terms)
     return VectorSeries.from_terms(n, N, phi_terms), VectorSeries.from_terms(n, N, g_terms)
 
@@ -674,11 +767,9 @@ def oracle_conjugacy_map(F, result):
 
 def oracle_conjugacy_field(X, result):
     """The field's conjugacy residual DPhi * Y - (A + f) o Phi, as before."""
-    from dulac.series import jacobian
-
     N = result.order
     Phi, Y = result.normalization(), result.normal_form()
-    return mat_vec(jacobian(Phi), Y, N) - compose(X.full(N), Phi, N)
+    return mat_vec(oracle_jacobian(Phi), Y, N) - compose(X.full(N), Phi, N)
 
 
 # -- resonance scan oracles ----------------------------------------------------------
@@ -1353,11 +1444,9 @@ def oracle_verify_integral_map(V, Fm, order=None):
 
 def oracle_verify_integral_field(V, X, order=None):
     """<grad V, X> through the order, as a gradient and a series inner product."""
-    from dulac.series import gradient
-
     if order is None:
         order = min(V.trunc, X.order)
-    return scalar_inner(gradient(V), X.full(order), order)
+    return scalar_inner(oracle_gradient(V), X.full(order), order)
 
 
 def _oracle_echelon_kernel_series(columns, monomials, n, degree):
@@ -1428,11 +1517,10 @@ def oracle_independence_check(integrals, trials=8, seed=0):
     import random
 
     from dulac.integrals import IndependenceCertificate
-    from dulac.series import gradient
 
     vs = tuple(integrals)
     n, k = vs[0].n, len(vs)
-    grads = [gradient(v) for v in vs]
+    grads = [oracle_gradient(v) for v in vs]
     rng = random.Random(seed)
     best = 0
     for t in range(trials):
@@ -1458,11 +1546,9 @@ def oracle_independence(integrals, spec=None):
     nonzero fixed part certifies that any series with these jets are
     independent.  With `spec`, k above `spec.kernel_rank` is refused first
     (the gate); the minors refuse those k without it.  The rows are the
-    packed `series._gradients` of the integrals, and each minor is one
-    `det_series`."""
+    `oracle_gradient`s of the integrals, and each minor is one
+    `oracle_det_series`."""
     from itertools import combinations
-
-    from dulac.series import _ZERO, _gradients, _reduced, det_series
 
     vs = tuple(integrals)
     k, n = len(vs), vs[0].n
@@ -1470,16 +1556,9 @@ def oracle_independence(integrals, spec=None):
         return None
     lows = [v.low_degree() for v in vs]
     top = min(v.trunc - 1 + sum(lows) - low - (k - 1) for v, low in zip(vs, lows))
-    rows = []
-    for v in vs:
-        base = v.trunc + 1
-        grads = _gradients(enumerate(v.parts), [base**i for i in range(n)], base)
-        # d/dy_i of V: its part of degree e - 1 comes from V's part of degree e
-        rows.append([ScalarSeries._make(n, v.trunc, [_reduced(*grads[e][i]) if e in grads else _ZERO
-                                                     for e in range(1, len(v.parts))]).with_trunc(top)
-                     for i in range(n)])
+    rows = [[g.with_trunc(top) for g in oracle_gradient(v)] for v in vs]
     for cols in combinations(range(n), k):
-        minor = det_series([[row[j] for j in cols] for row in rows], top)
+        minor = oracle_det_series([[row[j] for j in cols] for row in rows], top)
         if not minor.is_zero():
             return cols, minor.low_degree()
     return None

@@ -608,6 +608,45 @@ class TestSubcommands:
         assert run(["embed", "--input", path]) == 3
 
 
+# integrable-consistent in one dimension: lattice rank 0 = n - 1, no generators
+ONE_DIMENSIONAL_MAP = {
+    "kind": "map", "n": 1, "scalars": "rational",
+    "eigen": {"form": "mult-rational", "values": [[2, 1]]},
+    "terms": [{"component": 1, "exponent": [2], "coeff": [1, 1]}], "degree_D": 4, "order_N": 5,
+}
+
+
+class TestOneDimensionalEmbedding:
+    """A one-dimensional map has n - 1 = 0 integrals and no cross product to
+    embed it with: an unmet hypothesis, exit 3, for `embed` and for `verify`
+    of an embed report."""
+
+    def classify_report(self, tmp_path):
+        path = write(tmp_path, "n1.json", ONE_DIMENSIONAL_MAP)
+        out = tmp_path / "classify.json"
+        assert run(["classify", "--input", path, "--output", out]) == 0
+        doc = load(out)
+        assert doc["classification"]["verdict"] == "integrable-consistent"
+        return path, doc
+
+    def test_embed_is_3(self, tmp_path, capsys):
+        path, _ = self.classify_report(tmp_path)
+        capsys.readouterr()
+        assert run(["embed", "--input", path]) == 3
+        assert "dimension n >= 2, not n = 1" in capsys.readouterr().err
+
+    def test_verify_of_a_hand_built_embed_report_is_3(self, tmp_path, capsys):
+        _, doc = self.classify_report(tmp_path)
+        del doc["classification"]
+        doc.update(subcommand="embed", embedding={
+            "field": [], "order": 4, "integrals": [], "tangency_zero": [],
+            "equivariance_zero": True, "time_one_matches_map": False, "flags": [],
+        })
+        capsys.readouterr()
+        assert run(["verify", "--input", write(tmp_path, "embed.json", doc)]) == 3
+        assert "dimension n >= 2, not n = 1" in capsys.readouterr().err
+
+
 class TestDeterminismAndVerify:
     def test_reports_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -7,12 +7,14 @@ from helpers import (
     mat_vec,
     normal_form_from_units,
     normalization_of,
+    oracle_gradient,
+    oracle_jacobian,
     scalar_inner,
     three_dim_fixture,
     two_dim_fixture,
 )
 
-from dulac.embedding import cross_field, embedding_field, time_one_map, verify_equivariance
+from dulac.embedding import embedding_field, time_one_map, verify_equivariance
 from dulac.errors import HypothesisError
 from dulac.integrals import monomial_integrals, pullback_integrals, verify_integral
 from dulac.normalizer import MapSystem
@@ -21,8 +23,8 @@ from dulac.series import (
     ScalarSeries,
     VectorSeries,
     compose,
+    cross,
     gradient,
-    jacobian,
     unit_power,
 )
 
@@ -33,27 +35,47 @@ def S(n, trunc, terms):
     return ScalarSeries(n, trunc, terms)
 
 
+def cross_of_gradients(vs, order=None):
+    return cross([gradient(v) for v in vs], order)
+
+
 class TestCrossField:
+    """The cross product of the integral gradients, bare and as the
+    embedding field of a linear map with det(DF) = 1."""
+
     def test_planar(self):
-        Z = cross_field([ScalarSeries.monomial(2, 6, (1, 1))])
+        Z = cross_of_gradients([ScalarSeries.monomial(2, 6, (1, 1))])
         assert Z.components[0] == S(2, 5, {(1, 0): 1})
         assert Z.components[1] == S(2, 5, {(0, 1): -1})
+        Fm = MapSystem(HALF_DOUBLE, VectorSeries.zero(2, 6), 6)
+        assert embedding_field(Fm, [ScalarSeries.monomial(2, 6, (1, 1))]).field == Z
 
     def test_three_dim_tangency(self):
         vs = [ScalarSeries.monomial(3, 8, (1, 2, 1)), ScalarSeries.monomial(3, 8, (1, 1, 3))]
-        Z = cross_field(vs)
+        Z = cross_of_gradients(vs)
         for v in vs:
-            assert scalar_inner(gradient(v), Z, Z.trunc).is_zero()
+            assert scalar_inner(oracle_gradient(v), Z, Z.trunc).is_zero()
+        Fm = MapSystem(EigenSpec.multiplicative([F(1, 2), 4, F(1, 2)]), VectorSeries.zero(3, 8), 8)
+        emb = embedding_field(Fm, vs)
+        assert emb.field == Z and emb.tangent and emb.equivariant
 
     def test_degenerate_constant_gradient(self):
-        Z = cross_field([ScalarSeries.variable(2, 0, 4)])
+        Z = cross_of_gradients([ScalarSeries.variable(2, 0, 4)])
         assert Z.components[0].is_zero()
         assert Z.components[1] == ScalarSeries.const(2, 3, -1)
-        assert scalar_inner(gradient(ScalarSeries.variable(2, 0, 4)), Z, 3).is_zero()
+        assert scalar_inner(oracle_gradient(ScalarSeries.variable(2, 0, 4)), Z, 3).is_zero()
 
     def test_wrong_count(self):
-        with pytest.raises(HypothesisError):
-            cross_field([ScalarSeries.monomial(3, 4, (1, 1, 1))])
+        Fm = MapSystem(EigenSpec.multiplicative([F(1, 2), 4, F(1, 2)]), VectorSeries.zero(3, 4), 4)
+        with pytest.raises(HypothesisError, match="exactly 2 integrals, got 1"):
+            embedding_field(Fm, [ScalarSeries.monomial(3, 4, (1, 1, 1))])
+
+    def test_one_dimension_is_refused(self):
+        """n = 1 has n - 1 = 0 integrals and no cross product: an unmet
+        hypothesis, not a series error."""
+        Fm = MapSystem(EigenSpec.multiplicative([2]), VectorSeries([S(1, 5, {(2,): 1})]), 5)
+        with pytest.raises(HypothesisError, match="dimension n >= 2, not n = 1"):
+            embedding_field(Fm, [], 4)
 
 
 class TestEmbeddingField:
@@ -93,7 +115,7 @@ class TestEmbeddingField:
         assert not emb.equivariant
         assert emb.flags and "cocycle" in emb.flags[0]
         # the bare cross product (no determinant factor) is not equivariant either
-        bare = cross_field(pulled, 8)
+        bare = cross_of_gradients(pulled, 8)
         assert not verify_equivariance(system, bare, 8).is_zero()
 
     def test_three_dim_fixture(self):
@@ -125,7 +147,7 @@ class TestEquivariance:
         residual is DF X - X o F as the Jacobian times X gave it."""
         system, _, _ = two_dim_fixture(N=8)
         X = VectorSeries([S(2, 7, {(0, 0): 2, (1, 0): 1, (1, 2): F(1, 3)}), S(2, 7, {(0, 0): -1, (0, 3): 5})])
-        want = mat_vec(jacobian(system.full()), X, 7) - compose(X, system.full(7), 7)
+        want = mat_vec(oracle_jacobian(system.full()), X, 7) - compose(X, system.full(7), 7)
         got = verify_equivariance(system, X, 7)
         assert got == want and not got.is_zero()
         with pytest.raises(HypothesisError, match="constant terms"):

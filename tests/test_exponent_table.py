@@ -32,7 +32,7 @@ from dulac.resonance import (
     _rational_to_base,
     _square_of,
 )
-from dulac.scalars import gaussian, sc_abs2, sc_pow
+from dulac.scalars import gaussian, sc_abs2
 
 from helpers import (
     oracle_algebraic_rank,
@@ -46,6 +46,7 @@ from helpers import (
     oracle_verify_bound,
     oracle_values,
     oracle_verify_certificate,
+    sc_pow,
     triple_value,
 )
 

@@ -112,11 +112,9 @@ class TestVerify:
         # x' = y^(p+1), y' = -x^(q+1) with p = q = 0: H = x^2/2 + y^2/2
         X = VectorSeries([S(2, 6, {(0, 1): 1}), S(2, 6, {(1, 0): -1})])
         H = S(2, 6, {(2, 0): F(1, 2), (0, 2): F(1, 2)})
-        from dulac.series import gradient
+        from helpers import oracle_gradient, scalar_inner
 
-        from helpers import scalar_inner
-
-        assert scalar_inner(gradient(H), X).is_zero()
+        assert scalar_inner(oracle_gradient(H), X).is_zero()
 
     def test_center_field(self):
         f = VectorSeries([S(2, 6, {(2, 1): 1}), S(2, 6, {(1, 2): -1})])

@@ -330,9 +330,11 @@ SCALARS = {"Fraction", "GaussianRational", "sc_div"}
 
 
 def test_scalars_are_built_only_at_the_output():
-    """In linalg.py the scalar types and sc_div are named only by `_quotient`,
-    which only `Echelon.det` and `Echelon.kernel_vector` call; outside the
-    functions only the imports name them."""
+    """In linalg.py the scalar types are named only by `_quotient`, which
+    only `Echelon.det` and `Echelon.kernel_vector` call; outside the
+    functions only the imports name them.  `sc_div`, the scalar division the
+    elimination once ran on, is now the test helper `helpers.sc_div`, and
+    linalg.py names it nowhere."""
     tree = ast.parse(Path(dulac.linalg.__file__).read_text())
     functions = {}
     for node in tree.body:

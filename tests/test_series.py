@@ -1,6 +1,7 @@
 import ast
 import random
 from fractions import Fraction as F
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -8,11 +9,12 @@ import pytest
 from dulac import series
 from dulac.scalars import gaussian
 from dulac.series import (
+    Powers,
     ScalarSeries,
     SeriesError,
     VectorSeries,
+    _minors,
     compose,
-    compose_scalar,
     cross,
     det_series,
     gradient,
@@ -21,7 +23,19 @@ from dulac.series import (
     unit_power,
 )
 
-from helpers import mat_vec, oracle_eval, oracle_mul, random_sparse_series, scalar_inner
+from helpers import (
+    mat_vec,
+    oracle_compose_scalar,
+    oracle_cross,
+    oracle_det_series,
+    oracle_eval,
+    oracle_gradient,
+    oracle_jacobian,
+    oracle_mul,
+    random_sparse_series,
+    scalar_inner,
+)
+from test_diagonal_tables import check_series
 
 
 def S(n, trunc, terms):
@@ -126,7 +140,8 @@ class TestConstants:
     def test_scalar_composition(self):
         V = S(2, 4, {(1, 1): 1})
         inner = VectorSeries([S(2, 4, {(1, 0): 1, (0, 2): 1}), S(2, 4, {(0, 1): 1})])
-        assert compose_scalar(V, inner, 4) == S(2, 4, {(1, 1): 1, (0, 3): 1})
+        want = S(2, 4, {(1, 1): 1, (0, 3): 1})
+        assert Powers.of(inner, 4).compose([V], 4) == [want] == [oracle_compose_scalar(V, inner, 4)]
 
 
 class TestInvert:
@@ -256,6 +271,96 @@ class TestCross:
             cross([g])
 
 
+def entry(rng, n, gq):
+    """A random series of a random truncation degree, zero a quarter of the time."""
+    if rng.random() < 0.25:
+        return ScalarSeries.zero(n, rng.randint(2, 4))
+    return random_sparse_series(rng, n, rng.randint(2, 5 - n // 3), 4, gq)
+
+
+MINOR_CASES = [(n, gq, seed) for n in (1, 2, 3, 4) for gq in (False, True) for seed in range(3)]
+
+
+class TestOneTableOfMinors:
+    """`_minors`, and the `det_series`, `cross`, `gradient` and `jacobian`
+    built on it and on `_gradients`, against the expansions and the
+    one-variable derivative they replaced (helpers), exactly and with
+    canonical parts, on seeded matrices over Q and Q(i) with zero entries,
+    a zero row (seed 1), and an explicit truncation below the entries'."""
+
+    @staticmethod
+    def matrix(rng, n, k, m, gq, seed):
+        M = [[entry(rng, n, gq) for _ in range(m)] for _ in range(k)]
+        if seed == 1:
+            M[rng.randrange(k)] = [ScalarSeries.zero(n, 3)] * m
+        return M
+
+    @pytest.mark.parametrize("n,gq,seed", MINOR_CASES)
+    def test_minors_and_det_series(self, n, gq, seed):
+        rng = random.Random(f"minors/{n}/{gq}/{seed}")
+        for m in range(1, 5):
+            for k in range(1, m + 1):
+                M = self.matrix(rng, n, k, m, gq, seed)
+                low = min(e.trunc for row in M for e in row)
+                for t in {low, max(low - 2, 0)}:
+                    minors = _minors(M, n, t)
+                    assert set(minors) == set(combinations(range(m), k))
+                    for cols, got in minors.items():
+                        want = oracle_det_series([[row[j] for j in cols] for row in M], t)
+                        assert got == want and got.trunc == t
+                        check_series(got)
+                if k == m:
+                    for t in (None, max(low - 2, 0)):
+                        got, want = det_series(M, t), oracle_det_series(M, t)
+                        assert got == want and got.trunc == want.trunc
+                        check_series(got)
+
+    @pytest.mark.parametrize("n,gq,seed", MINOR_CASES)
+    def test_cross(self, n, gq, seed):
+        rng = random.Random(f"cross/{n}/{gq}/{seed}")
+        if n == 1:
+            with pytest.raises(SeriesError):
+                cross([])
+            return
+        for _ in range(3):
+            vs = [VectorSeries(row) for row in self.matrix(rng, n, n - 1, n, gq, seed)]
+            low = min(v.trunc for v in vs)
+            for t in (None, max(low - 2, 0)):
+                got, want = cross(vs, t), oracle_cross(vs, t)
+                assert got == want and got.trunc == want.trunc
+                check_series(*got)
+
+    @pytest.mark.parametrize("n,gq,seed", MINOR_CASES)
+    def test_gradient_and_jacobian(self, n, gq, seed):
+        rng = random.Random(f"gradient/{n}/{gq}/{seed}")
+        for trunc in range(0, 5):
+            V = random_sparse_series(rng, n, trunc, 6, gq)
+            got, want = gradient(V), oracle_gradient(V)
+            assert got == want and [g.trunc for g in got] == [w.trunc for w in want] == [max(trunc - 1, 0)] * n
+            check_series(*got)
+            Fv = VectorSeries([random_sparse_series(rng, n, trunc, 4, gq) for _ in range(n)])
+            J, want = jacobian(Fv), oracle_jacobian(Fv)
+            assert J == want and [e.trunc for row in J for e in row] == [e.trunc for row in want for e in row]
+            check_series(*(e for row in J for e in row))
+
+    @pytest.mark.parametrize("n,want,parent", [(3, 6, 9), (4, 14, 28)])
+    def test_cross_runs_one_expansion(self, n, want, parent, monkeypatch):
+        """n - 1 rows of n generic entries: 2^n - 2 `_dot`s, one per minor
+        of every size, against n (2^(n-1) - 1) for n determinants each
+        expanded on its own."""
+        rng = random.Random(f"count/{n}")
+        vs = [VectorSeries([random_sparse_series(rng, n, 3, 3) + ScalarSeries.one(n, 3) for _ in range(n)])
+              for _ in range(n - 1)]
+        calls = []
+        dot = series._dot
+        monkeypatch.setattr(series, "_dot", lambda *a: calls.append(1) or dot(*a))
+        got = cross(vs)
+        assert len(calls) == want
+        calls.clear()
+        assert oracle_cross(vs) == got
+        assert len(calls) == parent
+
+
 class TestUnitPower:
     def test_square_root(self):
         t = ScalarSeries.variable(1, 0, 3)
@@ -359,6 +464,30 @@ class TestSums:
         ])
         assert v[0].is_zero()
         assert v[1].coeffs == {(1, 1): gaussian(3, 1), (0, 2): F(2)}
+
+
+def test_every_public_function_of_series_and_scalars_has_a_caller():
+    """A module-level public function of `series` or `scalars` is named (an
+    AST name or attribute) somewhere in `src/dulac` outside its own
+    definition and outside the re-exports of `__init__`, or is imported by a
+    benchmark script in `bench/`, which is only read."""
+    root = Path(__file__).resolve().parent.parent
+    src, bench = root / "src" / "dulac", root / "bench"
+    imported = {a.name for path in bench.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dulac"
+                for a in node.names}
+    trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py") if path.name != "__init__.py"}
+    for module in ("series", "scalars"):
+        public = {node.name for node in trees[module].body
+                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+        named = set()
+        for stem, tree in trees.items():
+            for node in tree.body:
+                own = stem == module and isinstance(node, ast.FunctionDef) and node.name in public
+                named |= {x.id if isinstance(x, ast.Name) else x.attr for x in ast.walk(node)
+                          if isinstance(x, (ast.Name, ast.Attribute))} - ({node.name} if own else set())
+        missing = public - named - imported
+        assert not missing, f"{module}: {sorted(missing)}"
 
 
 def test_series_imports_only_errors_and_scalars():

@@ -17,12 +17,14 @@ from dulac.normalizer import FieldSystem, MapSystem, normalize, verify_conjugacy
 from dulac.resonance import EigenSpec
 from dulac.scalars import GaussianRational, gaussian
 from dulac.series import (
+    Powers,
     ScalarSeries,
     SeriesError,
     VectorSeries,
     _ZERO,
     compose,
-    compose_scalar,
+    det_series,
+    gradient,
     invert,
     unit_power,
 )
@@ -153,7 +155,8 @@ SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=N
 @given(series(), series(), scalars, st.integers(0, TRUNC))
 def test_arithmetic_results_are_valid(a, b, c, trunc):
     for result in (a.mul(b), a.mul(b, trunc), a + b, a - b, a - a, -a, a.scale(c), a.scale(0),
-                   a.truncate(trunc), a.with_trunc(trunc), a.homogeneous_part(trunc), a.diff(0)):
+                   a.truncate(trunc), a.with_trunc(trunc), a.homogeneous_part(trunc), *gradient(a),
+                   det_series([[a, b], [b, a]], trunc)):
         assert_valid(result)
 
 
@@ -162,7 +165,7 @@ def test_arithmetic_results_are_valid(a, b, c, trunc):
 def test_compose_results_are_valid(outer, inner, trunc):
     for result in (compose(outer, inner), compose(outer, inner, trunc)):
         assert all(assert_valid(c) is None for c in result)
-    assert_valid(compose_scalar(outer[0], inner, trunc))
+    assert_valid(Powers.of(inner, trunc).compose([outer[0]], trunc)[0])
 
 
 @SETTINGS
