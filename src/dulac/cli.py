@@ -8,12 +8,14 @@ inputs and flags produce byte-identical output.  Exit codes: 0 success,
 
 Series cross the file boundary as packed integer parts, in both directions.
 `_read_terms` validates a JSON term list (the system's terms, a report's
-phi and g, its integrals and embedding field), refuses a term of a degree
+phi and g, its integrals and embedding field), a term of ints in range on a
+fast path and any other through `_checked_term`, refuses a term of a degree
 past its order before any part is built, and hands the coefficient ints
 to `series.ScalarSeries._from_ints`, which packs them; the writers read
 reduced ints off the parts (`ScalarSeries.int_terms`), and `_json_text`
-writes each term in one step.  No `Fraction` is built for a series
-coefficient between the file read and the report written.
+writes a list of terms from one template per term shape.  No `Fraction` is
+built for a series coefficient between the file read and the report
+written.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import NoReturn, Sequence
 
 from . import __version__
@@ -179,12 +182,16 @@ def _checked_term(term, where: str, n: int, scalars_tag: str, vector: bool) -> t
     return j, expo, _checked_scalar(_field(term, "coeff", list, where), where, scalars_tag)
 
 
+_INT = {int}
+
+
 def _read_terms(terms, where: str, n: int, trunc: int, scalars_tag: str = "gaussian",
                 vector: bool = True, low: int = 0, claimed: str | None = None) -> list[ScalarSeries]:
     """The series of a JSON term list through degree trunc: one per
     component, or one when its terms carry no component.  Every term is
-    validated (`_checked_term` names the first bad one) and of degree >= low;
-    the coefficient ints go into the packed parts as they are
+    validated and of degree >= low: one whose entries are all ints in range
+    on a fast path, any other through `_checked_term`, which names the first
+    bad one; the coefficient ints go into the packed parts as they are
     (`ScalarSeries._from_ints`), summed over a repeated exponent, so no
     scalar is built.  A term above trunc is refused before any part is
     built: in a report's claimed series (`claimed` names it, and trunc is the
@@ -193,8 +200,13 @@ def _read_terms(terms, where: str, n: int, trunc: int, scalars_tag: str = "gauss
     if not isinstance(terms, list):
         raise SystemFileError(f"{where}: terms must be a list")
     read: list[list] = [[] for _ in range(n if vector else 1)]
+    widths = (2,) if scalars_tag == "rational" else (2, 4)
     for i, t in enumerate(terms):
-        j, m, c = _checked_term(t, f"{where}[{i}]", n, scalars_tag, vector)
+        if not (type(t) is dict and type(m := t.get("exponent")) is list and len(m) == n
+                and type(c := t.get("coeff")) is list and len(c) in widths
+                and type(j := t.get("component") if vector else 1) is int and 1 <= j <= n
+                and set(map(type, c + m)) == _INT and c[1] and c[-1] and min(m) >= 0):
+            j, m, c = _checked_term(t, f"{where}[{i}]", n, scalars_tag, vector)
         d = sum(m)
         if d < low:
             raise SystemFileError(
@@ -714,7 +726,13 @@ def _require_match(claimed, recomputed, path: str) -> None:
 def _claimed_normalization(sf: SystemFile, system, norm_doc, where: str) -> NormalizationResult:
     """The pair a report claims, once it is shown to be the distinguished
     one: its conjugacy residual is zero through its order, which the system
-    data certifies, phi is nonresonant and g resonant."""
+    data certifies, phi is nonresonant and g resonant.  Resonance is read
+    per component j as one set of packed keys, those of the monomials y^m
+    with y^m e_j resonant: of degree 2 through the order, the class of
+    value(e_j) (`EigenSpec.resonant_class`), and below it, each tested by
+    `EigenSpec.resonant`.  g's keys must lie in the set and phi's miss it;
+    when either does not, the first offending monomial is named, phi before
+    g, components in order, graded-lex within a component."""
     if not isinstance(norm_doc, dict):
         raise SystemFileError(f"{where}: must be an object")
     order = _series_order(_int_field(norm_doc, "order", 2, where), sf.n, f"{where}.order")
@@ -728,12 +746,20 @@ def _claimed_normalization(sf: SystemFile, system, norm_doc, where: str) -> Norm
     residual = verify_conjugacy(system, result)
     if not residual.is_zero():
         _fail(f"conjugacy residual is nonzero at degree {residual.low_degree()}")
-    for name, series, resonant in (("phi", phi, False), ("g", g, True)):
-        for j, comp in enumerate(series.components):
-            for m in comp.exponents():
-                if sf.eigen.resonant(m, j) != resonant:
-                    kind = "nonresonant" if resonant else "resonant"
-                    _fail(f"{name} carries {kind} monomial {m} in component {j + 1}")
+    spec, n = sf.eigen, sf.n
+    w = [(order + 1) ** i for i in range(n)]
+    lows = [(0,) * n] + [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    classes = [{sum(map(mul, m, w)) for m in spec.resonant_class(order, j) + [m for m in lows if spec.resonant(m, j)]}
+               for j in range(n)]
+    if not all(all(keys.isdisjoint(re) and keys.isdisjoint(im) for _, re, im in p.parts)
+               and all(re.keys() <= keys and im.keys() <= keys for _, re, im in q.parts)
+               for keys, p, q in zip(classes, phi, g)):
+        for name, series, resonant in (("phi", phi, False), ("g", g, True)):
+            for j, comp in enumerate(series.components):
+                for m in comp.exponents():
+                    if spec.resonant(m, j) != resonant:
+                        kind = "nonresonant" if resonant else "resonant"
+                        _fail(f"{name} carries {kind} monomial {m} in component {j + 1}")
     return replace(result, residual_zero_degrees=tuple(range(2, order + 1)))
 
 
@@ -995,21 +1021,17 @@ def _json_text(value, pad: str = "") -> str:
     """json.dumps(value, indent=2, sort_keys=True), byte for byte, for
     values whose objects have string keys.  The standard encoder runs in pure
     Python whenever indent is set; this one joins each container's items in
-    one call, writes a series term in one formatted step, and leaves only
-    scalars other than ints and strings to json."""
+    one call, writes a list of series terms from one template per term shape
+    (`_terms_text`), and leaves only scalars other than ints and strings to
+    json."""
     t = type(value)
     if t is int:
         return int.__repr__(value)
     if t is str:
         return _ESCAPE(value)
     inner = pad + "  "
-    if t is dict and value.keys() in _TERM_KEYS:
-        c, m, j = value["coeff"], value["exponent"], value.get("component", 0)
-        if type(c) is type(m) is list and c and m and type(j) is int and all(type(x) is int for x in c + m):
-            sep = ",\n" + inner + "  "
-            comp = f'"component": {int.__repr__(j)},\n{inner}' if "component" in value else ""
-            return (f'{{\n{inner}"coeff": [\n{inner}  {sep.join(map(int.__repr__, c))}\n{inner}],\n{inner}{comp}'
-                    f'"exponent": [\n{inner}  {sep.join(map(int.__repr__, m))}\n{inner}]\n{pad}}}')
+    if t is list and value and type(value[0]) is dict and (text := _terms_text(value, pad)) is not None:
+        return text
     if isinstance(value, (list, tuple)) and value:
         items = [_json_text(v, inner) for v in value]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
@@ -1017,6 +1039,32 @@ def _json_text(value, pad: str = "") -> str:
         items = [_ESCAPE(k) + ": " + _json_text(value[k], inner) for k in sorted(value)]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     return json.dumps(value)  # empty containers, None, bools and floats
+
+
+def _terms_text(terms: list, pad: str) -> str | None:
+    """`_json_text` of a list of series terms, objects of an int `component`
+    and nonempty int lists `coeff` and `exponent`, each written by one `%`
+    template per (exponent length, coefficient length, has a component),
+    built for this list; None when an item is not such a term."""
+    inner, field = pad + "  ", pad + "    "
+    sep = ",\n" + field + "  "
+    templates: dict[tuple, str] = {}
+    items = []
+    for term in terms:
+        if type(term) is not dict or term.keys() not in _TERM_KEYS:
+            return None
+        c, m, j = term["coeff"], term["exponent"], term.get("component", 0)
+        if not (type(c) is type(m) is list and c and m and type(j) is int and set(map(type, c + m)) == _INT):
+            return None
+        shape = (len(m), len(c), len(term) == 3)
+        template = templates.get(shape)
+        if template is None:
+            ints = ["[\n" + field + "  " + sep.join(["%d"] * k) + "\n" + field + "]" for k in shape[:2]]
+            comp = '"component": %d,\n' + field if shape[2] else ""
+            template = templates[shape] = (
+                "{\n" + field + '"coeff": ' + ints[1] + ",\n" + field + comp + '"exponent": ' + ints[0] + "\n" + inner + "}")
+        items.append(template % ((*c, j, *m) if shape[2] else (*c, *m)))
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
 
 
 def _emit(report: dict, args) -> None:

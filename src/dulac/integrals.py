@@ -91,14 +91,11 @@ def pullback_integrals(
     return tuple(normalization.powers.pull(vs, order))
 
 
-_MINUS_ONE = (1, {0: -1}, {})  # the packed constant -1
-
-
 def verify_integral(V: ScalarSeries, system: System, order: int | None = None) -> ScalarSeries:
     """Exact residual through the order, zero iff V is a first integral:
     V o F - V for a map, <grad V, A x + f(x)> for a field.  Each degree s is
     one packed sum over the system's table, kept as that part of the
-    residual: the pairs of V o F and (V_s, -1) for a map, for a field those
+    residual: the pairs of V o F and (-1, V_s) for a map, for a field those
     of the derivative along X that `series.lie_derivative` sums."""
     if order is None:
         order = min(V.trunc, system.order)
@@ -122,7 +119,7 @@ def verify_integral(V: ScalarSeries, system: System, order: int | None = None) -
     P = system.powers
     packed = V._keyed(order, P.base)
     if isinstance(system, MapSystem):
-        sums = (_pairs(packed, P, s) + [(p, _MINUS_ONE) for p in packed[s : s + 1]] for s in range(1, order + 1))
+        sums = (_pairs(packed, P, s) + [((1, -1, 0), p) for p in packed[s : s + 1]] for s in range(1, order + 1))
     else:
         grads = _gradients(enumerate(packed), P.weights, P.base)
         sums = (_lie_pairs(grads, P.parts, s) for s in range(1, order + 1))

@@ -129,13 +129,11 @@ class EigenSpec:
     def _classes(self) -> dict:
         return {}
 
-    def classes(self, D: int) -> dict:
-        """The exponents with 2 <= |m| <= D grouped by value: each class, in
-        order of first arrival, lists its exponents in graded-lex order under
-        an integer key (value(0)'s is 0).  Built once per degree, in one scan
-        that adds and hashes ints only."""
-        groups = self._classes.get(D)
-        if groups is None:
+    def _scan(self, D: int) -> tuple[dict, list[int], int]:
+        """(classes(D), kappa, M): the classes keyed by kappa.m mod M, built
+        once per degree, in one scan that adds and hashes ints only."""
+        scan = self._classes.get(D)
+        if scan is None:
             rows, t, T = self.keys
             # key(m) = sum_r (r.m) M_r + (t.m) M, mod T M: |r.m| <= D max|r|
             # for |m| <= D, so each row is a balanced digit of odd width
@@ -145,11 +143,26 @@ class EigenSpec:
             for r, width in [(r, 2 * D * max(map(abs, r)) + 1) for r in rows] + [(t, T)]:
                 kappa = [k + M * x for k, x in zip(kappa, r)]
                 M *= width
-            groups = self._classes[D] = {}
+            groups: dict = {}
             for level in _graded(kappa, M, D)[2:]:
                 for m, key in level:
                     groups.setdefault(key, []).append(m)
-        return groups
+            scan = self._classes[D] = groups, kappa, M
+        return scan
+
+    def classes(self, D: int) -> dict:
+        """The exponents with 2 <= |m| <= D grouped by value: each class, in
+        order of first arrival, lists its exponents in graded-lex order under
+        an integer key (value(0)'s is 0)."""
+        return self._scan(D)[0]
+
+    def resonant_class(self, D: int, j: Optional[int] = None) -> list[Exponent]:
+        """The exponents m with 2 <= |m| <= D for which y^m e_j is resonant
+        (with j None, y^m is a first-integral monomial), in graded-lex order:
+        the class of value(e_j), or of value(0), in `classes`(D), looked up by
+        its key; empty when the class is."""
+        groups, kappa, M = self._scan(D)
+        return groups.get(0 if j is None else kappa[j] % M, [])
 
     @cached_property
     def kernel_rank(self) -> int:
@@ -294,15 +307,15 @@ class ExponentValues(dict):
 def enumerate_lattice(spec: EigenSpec, bound: int) -> LatticeBasis:
     """All resonant exponents with 2 <= |m| <= bound, their rank, and generators.
 
-    Resonant exponents are the class of value(0) in `EigenSpec.classes`
-    (mu^m = 1, <m, lambda> = 0, or a.m = 0 with b.m = 0 mod 1), in graded-lex
+    Resonant exponents are the class of value(0) (`EigenSpec.resonant_class`:
+    mu^m = 1, <m, lambda> = 0, or a.m = 0 with b.m = 0 mod 1), in graded-lex
     order.  Rank can only be under-reported when the bound is too small; the
     bound is recorded so every downstream claim is certified "at degree D".
     """
     if bound < 2:
         raise ValueError("enumeration bound must be >= 2")
     kind = "field" if spec.kind == "additive" else "map"
-    found = spec.classes(bound).get(0, [])
+    found = spec.resonant_class(bound)
     # m/d spans the ray of m, so the distinct candidates span what found does,
     # and their rank stops at the whole lattice's, `EigenSpec.kernel_rank`
     candidates = list(dict.fromkeys(_generator_candidate(spec, m) for m in found))

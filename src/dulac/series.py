@@ -31,9 +31,12 @@ and Fractions and Gaussian rationals are built only where a series is read
 as scalars: `coeff`, `terms` and `coeffs`.
 
 One integer kernel, `_kmul`, does every product; a sum of the products of a
-list of pairs of parts is taken over the lcm of their denominators, and its
-content is divided out once (`_products`, which multiplies a one-term real
-factor inline and returns the shared zero part when no pair is live).  All
+list of pairs is taken over the lcm of their denominators, and its content
+is divided out once (`_products`, which returns the shared zero part when no
+pair is live).  A pair is (scalar, part) or (part, part), a scalar (den, re,
+im) with two ints for numerators: a constant factor, and each coefficient of
+an outer series in a composition (`_pairs`), is a scalar and builds no
+dicts, and a scalar or a one-term real part multiplies inline.  All
 composition runs through one engine, `Powers`: for an inner map P known
 through degree s - 1 it yields the degree-s part of every power P^m with
 |m| >= 2, each part computed once from m = m' + e_i and cached under the
@@ -46,12 +49,12 @@ phi, of a normal form and of a map, have a diagonal linear part c y, and a
 table notes once whether its own is one with every c_i nonzero.  Then each
 first part [P^m]_|m| is the monomial c^m y^m, the product of two one-term
 parts, and a composition's top degree, the degree-s part o_s of the outer
-series at degree s, is one part: o_s itself when c = 1, else o_s scaled
-term by term by the cached c^m (`Powers.top`); and W = V o P^-1 is solved
-from W o P = V degree by degree, with no inverse of P built (`Powers.pull`:
-`invert`, the integrals' pullback, the embedding's det(DF) o F^-1), each
-degree divided by c^m through `_divided`, the one term-wise division (both
-scale term by term in `_termwise`).  An inner map whose linear part is not
+series at degree s, is one (scalar, part) pair: o_s itself when c = 1, else
+o_s scaled term by term by the cached c^m (`Powers.top`); and W = V o P^-1
+is solved from W o P = V degree by degree, with no inverse of P built
+(`Powers.pull`: `invert`, the integrals' pullback, the embedding's det(DF) o
+F^-1), each degree divided by c^m through `_divided`, the one term-wise
+division (both scale term by term in `_termwise`).  An inner map whose linear part is not
 diagonal, or has a zero coefficient, takes the general path and has no
 `pull`.
 
@@ -428,7 +431,6 @@ class VectorSeries:
 
 
 _ZERO = (1, {}, {})  # the packed zero part, shared and never written to
-_ONE = (1, {0: 1}, {})
 
 
 def _check_scalar(c) -> None:
@@ -502,9 +504,11 @@ def _kmul(acc: dict, a: dict, b: dict, f: int) -> None:
 
 
 def _products(pairs: Sequence[tuple[tuple, tuple]]) -> tuple:
-    """The packed sum of a * b over pairs of packed parts, over the lcm of
-    the pairs' denominators and reduced by its content once; the shared
-    `_ZERO` when no pair has two nonzero parts."""
+    """The packed sum of a * b over pairs, each (scalar, part) or (part,
+    part): a scalar (den, re, im) is (re + i im) / den with int re and im,
+    and a part a packed part.  Taken over the lcm of the pairs' denominators
+    and reduced by its content once; the shared `_ZERO` when no pair has two
+    nonzero factors."""
     pairs = [(a, b) for a, b in pairs if (a[1] or a[2]) and (b[1] or b[2])]
     if not pairs:
         return _ZERO
@@ -513,6 +517,18 @@ def _products(pairs: Sequence[tuple[tuple, tuple]]) -> tuple:
     im: dict[int, int] = {}
     for (da, ar, ai), (db, br, bi) in pairs:
         f = den // (da * db)
+        if type(ar) is int:  # a scalar (ar + i ai) / da, term by term
+            if not (ai or bi):
+                fc, get = f * ar, re.get
+                for k, v in br.items():
+                    re[k] = get(k, 0) + fc * v
+                continue
+            for c, nums, acc in ((ar, br, re), (ar, bi, im), (-ai, bi, re), (ai, br, im)):
+                if c and nums:
+                    fc, get = f * c, acc.get
+                    for k, v in nums.items():
+                        acc[k] = get(k, 0) + fc * v
+            continue
         if len(br) + len(bi) > len(ar) + len(ai):
             ar, ai, br, bi = br, bi, ar, ai
         if len(br) == 1 and not bi:  # a one-term real factor, inline
@@ -550,7 +566,7 @@ def _sum(p: tuple, q: tuple, sign: int) -> tuple:
         return p
     if not (p[1] or p[2]) and sign == 1:
         return q
-    return _products([(p, _ONE), (q, (1, {0: sign}, {}))])
+    return _products([((1, 1, 0), p), ((1, sign, 0), q)])
 
 
 def _divided(den: int, terms: Iterable[tuple[int, int, int, int, int, int]]) -> tuple:
@@ -674,16 +690,17 @@ class Powers:
         return col[s]
 
     def top(self, part: tuple, s: int, sign: int = 1) -> tuple:
-        """For a diagonal table (P's linear part c y), the one pair whose
-        product is sign times the degree-s part of o_s o P, o_s = sum_m a_m y^m
-        an outer part of degree s keyed as here: sum_m a_m c^m y^m, o_s itself
-        when c = 1, else o_s scaled term by term by the first parts c^m."""
+        """For a diagonal table (P's linear part c y), the one (scalar, part)
+        pair whose product is sign times the degree-s part of o_s o P, o_s =
+        sum_m a_m y^m an outer part of degree s keyed as here: sum_m a_m c^m
+        y^m, o_s itself times sign when c = 1, else o_s scaled term by term
+        by the first parts c^m."""
         if self.unit:
-            return part, (1, {0: sign}, {})
+            return (1, sign, 0), part
         den, re, im = part
         firsts = [(k, self.part(k, s)) for k in (re.keys() | im.keys() if im else re)]
-        return _termwise(den, [(k, sign * re.get(k, 0), sign * im.get(k, 0), x.get(k, 0), y.get(k, 0), d)
-                               for k, (d, x, y) in firsts]), _ONE
+        return (1, 1, 0), _termwise(den, [(k, sign * re.get(k, 0), sign * im.get(k, 0), x.get(k, 0), y.get(k, 0), d)
+                                          for k, (d, x, y) in firsts])
 
     def compose(self, outers: Sequence[ScalarSeries], trunc: int) -> list[ScalarSeries]:
         """outer o P through degree trunc for each outer series; their constant terms pass through."""
@@ -714,7 +731,7 @@ class Powers:
             parts = v.truncate(trunc)._keyed(trunc, self.base)
             w = parts[:1] or [_ZERO]
             for s in range(1, trunc + 1):
-                den, re, im = rhs = _products([(p, _ONE) for p in parts[s : s + 1]] + _pairs(w, self, s, 1, -1))
+                den, re, im = rhs = _products([((1, 1, 0), p) for p in parts[s : s + 1]] + _pairs(w, self, s, 1, -1))
                 if not self.unit:
                     firsts = [(k, self.part(k, s)) for k in (re.keys() | im.keys() if im else re)]
                     rhs = _divided(den, [(k, re.get(k, 0), im.get(k, 0), x.get(k, 0), y.get(k, 0), d)
@@ -725,11 +742,12 @@ class Powers:
 
 
 def _pairs(outer: Sequence[tuple], powers: Powers, s: int, low: int = 1, sign: int = 1) -> list:
-    """The (coefficient, [P^m]_s) pairs whose packed products sum to sign times
-    the degree-s part of outer o P, where outer[d] is the packed degree-d part
-    of one outer series (keyed as in `powers`) and its parts below degree low
-    are left out.  Over a diagonal table, the degree-s part of outer is one
-    pair (`Powers.top`)."""
+    """The (scalar, part) pairs whose products sum to sign times the degree-s
+    part of outer o P, where outer[d] is the packed degree-d part of one
+    outer series (keyed as in `powers`) and its parts below degree low are
+    left out: one pair ((den, re, im), [P^m]_s) per term (re + i im) / den
+    y^m, the coefficient three ints.  Over a diagonal table, the degree-s
+    part of outer is one pair (`Powers.top`)."""
     part = powers.part
     out = []
     if powers.diagonal and low <= s < len(outer):
@@ -738,10 +756,9 @@ def _pairs(outer: Sequence[tuple], powers: Powers, s: int, low: int = 1, sign: i
         outer = outer[:s]
     for den, re, im in outer[low : s + 1]:
         if im:
-            out += [((den, {0: sign * re[k]} if k in re else {}, {0: sign * im[k]} if k in im else {}), part(k, s))
-                    for k in re.keys() | im.keys()]
+            out += [((den, sign * re.get(k, 0), sign * im.get(k, 0)), part(k, s)) for k in re.keys() | im.keys()]
         else:
-            out += [((den, {0: sign * v}, {}), part(k, s)) for k, v in re.items()]
+            out += [((den, sign * v, 0), part(k, s)) for k, v in re.items()]
     return out
 
 
@@ -861,6 +878,8 @@ def _minors(rows: Sequence[Sequence[ScalarSeries]], n: int, trunc: int) -> dict[
 def det_series(M: Sequence[Sequence[ScalarSeries]], trunc: int | None = None) -> ScalarSeries:
     """Exact truncated determinant, the one full minor of `_minors`."""
     k = len(M)
+    if not k:
+        raise SeriesError("determinant of an empty matrix: a 0 x 0 matrix has no series dimension")
     if any(len(row) != k for row in M):
         raise SeriesError("determinant of a non-square matrix")
     if trunc is None:

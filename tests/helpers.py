@@ -610,6 +610,48 @@ def old_route(monkeypatch):
         monkeypatch.setattr(module, "_pairs", oracle_pairs)
 
 
+# -- the pairs before scalar coefficients -----------------------------------------
+#
+# Before `_products` took a scalar, `_pairs` wrapped each coefficient of an
+# outer part in a one-term part (den, {0: c}, {}) with two dicts, and
+# `Powers.top` paired its part with the part of the constant sign, or of one.
+# `part_route` puts these pairs back in every module that sums them.
+
+
+def part_top(powers, part, s, sign=1):
+    """`Powers.top` before scalar pairs: the (part, part) pair whose product
+    is sign times the degree-s part of o_s o P, the second part a constant."""
+    from dulac.series import _termwise
+
+    if powers.unit:
+        return part, (1, {0: sign}, {})
+    den, re, im = part
+    firsts = [(k, powers.part(k, s)) for k in (re.keys() | im.keys() if im else re)]
+    return _termwise(den, [(k, sign * re.get(k, 0), sign * im.get(k, 0), x.get(k, 0), y.get(k, 0), d)
+                           for k, (d, x, y) in firsts]), (1, {0: 1}, {})
+
+
+def part_pairs(outer, powers, s, low=1, sign=1):
+    """`series._pairs` before scalar pairs: over a diagonal table the
+    degree-s part of outer is one `part_top` pair, and every other term a
+    one-term coefficient part paired with [P^m]_s (`oracle_pairs`)."""
+    out = []
+    if powers.diagonal and low <= s < len(outer):
+        if outer[s][1] or outer[s][2]:
+            out.append(part_top(powers, outer[s], s, sign))
+        outer = outer[:s]
+    return out + oracle_pairs(outer, powers, s, low, sign)
+
+
+def part_route(monkeypatch):
+    """Sum every composition with the pairs before scalar coefficients, in
+    every module that sums pairs (undone with the monkeypatch)."""
+    from dulac import integrals, normalizer, series
+
+    for module in (series, normalizer, integrals):
+        monkeypatch.setattr(module, "_pairs", part_pairs)
+
+
 # -- the solves of W o P = V before `Powers.pull` ---------------------------------
 #
 # `series.invert` ran its own online loop over a growing table of psi, the
@@ -1593,6 +1635,17 @@ def leaf_edits(doc, path=()):
         yield path, edited
 
 
+def element_deletions(doc, path=()):
+    """(path, index) for each element of each list of a JSON document, the
+    lists inside elements included: deleting doc[path][index] edits it."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        if isinstance(doc, list):
+            yield from ((path, i) for i in range(len(doc)))
+        for key, value in items:
+            yield from element_deletions(value, path + (key,))
+
+
 # -- the report boundary through scalars ------------------------------------------------
 #
 # The parse and write paths that `cli` replaced by reading and writing packed
@@ -1659,3 +1712,68 @@ def oracle_vector_series_json(v):
 
     return [{"coeff": scalar_to_json(c), "component": j + 1, "exponent": list(m)}
             for j, comp in enumerate(v.components) for m, c in comp.terms()]
+
+
+def checked_read_terms(terms, where, n, trunc, scalars_tag="gaussian", vector=True, low=0, claimed=None):
+    """`cli._read_terms` before its fast path: every term through
+    `_checked_term`, which names the first thing wrong with it."""
+    from dulac.cli import SystemFileError, _checked_term, _fail, _shown
+
+    if not isinstance(terms, list):
+        raise SystemFileError(f"{where}: terms must be a list")
+    read = [[] for _ in range(n if vector else 1)]
+    for i, t in enumerate(terms):
+        j, m, c = _checked_term(t, f"{where}[{i}]", n, scalars_tag, vector)
+        d = sum(m)
+        if d < low:
+            raise SystemFileError(
+                f"{where}[{i}]: exponent degree {d} < {low}; constant and linear "
+                "terms belong to the eigen data"
+            )
+        if d > trunc:
+            if claimed:
+                _fail(f"{claimed} of degree {_shown(d)}, above the verified order {trunc}")
+            raise SystemFileError(f"{where}[{i}]: exponent degree {_shown(d)} is above order_N = {trunc}")
+        read[j - 1].append((d, m, c))
+    return [ScalarSeries._from_ints(n, trunc, comp) for comp in read]
+
+
+def oracle_json_text(value, pad=""):
+    """`cli._json_text` before term-list templates: each series term object
+    written in one formatted step of its own."""
+    from dulac.cli import _ESCAPE, _TERM_KEYS
+
+    t = type(value)
+    if t is int:
+        return int.__repr__(value)
+    if t is str:
+        return _ESCAPE(value)
+    inner = pad + "  "
+    if t is dict and value.keys() in _TERM_KEYS:
+        c, m, j = value["coeff"], value["exponent"], value.get("component", 0)
+        if type(c) is type(m) is list and c and m and type(j) is int and all(type(x) is int for x in c + m):
+            sep = ",\n" + inner + "  "
+            comp = f'"component": {int.__repr__(j)},\n{inner}' if "component" in value else ""
+            return (f'{{\n{inner}"coeff": [\n{inner}  {sep.join(map(int.__repr__, c))}\n{inner}],\n{inner}{comp}'
+                    f'"exponent": [\n{inner}  {sep.join(map(int.__repr__, m))}\n{inner}]\n{pad}}}')
+    if isinstance(value, (list, tuple)) and value:
+        items = [oracle_json_text(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(value, dict) and value:
+        items = [_ESCAPE(k) + ": " + oracle_json_text(value[k], inner) for k in sorted(value)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    return json.dumps(value)
+
+
+def oracle_claimed_resonance(spec, phi, g):
+    """`verify`'s resonance check of a claimed pair before class key sets:
+    every monomial tested by `EigenSpec.resonant`, phi before g, components
+    in order, graded-lex within a component; the message of the first that
+    is on the wrong side, or None."""
+    for name, series, resonant in (("phi", phi, False), ("g", g, True)):
+        for j, comp in enumerate(series.components):
+            for m in comp.exponents():
+                if spec.resonant(m, j) != resonant:
+                    kind = "nonresonant" if resonant else "resonant"
+                    return f"{name} carries {kind} monomial {m} in component {j + 1}"
+    return None

@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from dulac.cli import MAX_LATTICE_EXPONENTS, MAX_ORDER_MONOMIALS, _emit, _json_text, _same, main, parse_system
 from dulac.errors import SystemFileError
-from dulac.series import ScalarSeries
+from dulac.resonance import iter_exponents
+from dulac.series import ScalarSeries, VectorSeries
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -35,6 +37,12 @@ TERM_LISTS = (st.lists(st.integers(), max_size=4) | st.lists(st.integers() | st.
               | st.lists(TERM_LEAVES, max_size=4) | TERM_LEAVES)
 TERM_OBJECTS = st.fixed_dictionaries(
     {"coeff": TERM_LISTS, "exponent": TERM_LISTS}, optional={"component": TERM_LEAVES | TERM_LISTS}
+)
+# well-formed series terms of any shape, as the writers build them
+SERIES_TERMS = st.fixed_dictionaries(
+    {"coeff": st.lists(st.integers(), min_size=1, max_size=4),
+     "exponent": st.lists(st.integers(0, 9), min_size=1, max_size=4)},
+    optional={"component": st.integers(-1, 5)},
 )
 JSON_VALUES = st.recursive(
     JSON_SCALARS | TERM_OBJECTS,
@@ -1326,12 +1334,33 @@ def nodes(doc, path=()):
             yield from nodes(value, path + (key,))
 
 
+def known_deletion_exit(path, paired):
+    """The exit code of a list-element deletion `verify` does not refuse
+    with 4, or None:
+    - a search integral deleted with its `residual_zero` entry verifies (0):
+      `verify` does not re-derive the completeness of the search;
+    - `independence.witness_point` is informational (0);
+    - an entry of a term's coeff or exponent leaves a malformed term in a
+      claimed series `verify` reads (the classification's p and h are
+      compared as they stand), and an entry of `classification.p` a p of
+      the wrong length (2)."""
+    if paired and path[:3] == ("integrals", "search", "integrals"):
+        return 0
+    if "witness_point" in path:
+        return 0
+    if path == ("classification", "p") or path[-1] in ("coeff", "exponent") and type(path[-2]) is int and (
+            path[0] != "classification" or path[1] == "normalization"):
+        return 2
+    return None
+
+
 class TestVerifyRebuildsTheWholeReport:
     """`verify` rebuilds the whole report its `subcommand` names from the
     report's claims, with the solver's writers, and compares it once: a leaf
     edit passes only on the declared informational leaves or where the
-    edited claim is still valid, and a malformed report of any shape exits
-    2, 3 or 4 without a traceback."""
+    edited claim is still valid, a list-element deletion exits 4 unless it
+    is a known exit, and a malformed report of any shape exits 2, 3 or 4
+    without a traceback."""
 
     @pytest.mark.parametrize("fixture,sub", FIXTURE_REPORTS)
     def test_every_leaf_edit_outside_the_echo(self, tmp_path, capsys, fixture, sub):
@@ -1356,6 +1385,31 @@ class TestVerifyRebuildsTheWholeReport:
         assert unexplained == []
         # the informational leaves the report holds all pass
         assert {p for p, _ in edits if informational(sub, p)} <= set(passed)
+
+    @pytest.mark.parametrize("fixture,sub", FIXTURE_REPORTS)
+    def test_every_list_element_deletion(self, tmp_path, capsys, fixture, sub):
+        """Each element of each list outside the echo deleted alone, and a
+        deleted integral together with its `residual_zero` entry: exit 4,
+        unless `known_deletion_exit` lists the deletion."""
+        from helpers import element_deletions
+
+        rep = tmp_path / "rep.json"
+        assert run([sub, "--input", FIXTURES / fixture, "--output", rep]) == 0
+        text = rep.read_text()
+        doc = json.loads(text)
+        cases = [(path, i, False) for path, i in element_deletions(doc) if path[0] != "system"]
+        cases += [(path, i, True) for path, i, _ in cases
+                  if path[0] == "integrals" and path[2:] == ("integrals",)]
+        assert len(cases) > 5
+        for path, i, paired in cases:
+            edited = json.loads(text)
+            del functools.reduce(lambda node, key: node[key], path, edited)[i]
+            if paired:
+                del edited["integrals"][path[1]]["residual_zero"][i]
+            code = run(["verify", "--input", write(tmp_path, "bad.json", edited)])
+            known = known_deletion_exit(path, paired)
+            assert code == (4 if known is None else known), (path, i, paired)
+        capsys.readouterr()
 
     @pytest.mark.parametrize("fixture,sub", [(f, s) for f, s in FIXTURE_REPORTS if f != "ex2_3d.json"])
     def test_structural_fuzz(self, tmp_path, capsys, fixture, sub):
@@ -1459,6 +1513,54 @@ class TestReportWriter:
                 "z": [[{}], [[]], 10**4299 - 1, -(10**4299 - 1)], "a": "\ud800 \U0001f600"}
         assert _json_text(edge) == json.dumps(edge, indent=2, sort_keys=True)
 
+    def test_term_lists_cover_the_edge_cases(self):
+        """Term shapes mixed in one list, and lists with one item that is
+        not a series term, which are written item by item."""
+        from helpers import oracle_json_text
+
+        term, gauss = {"coeff": [1, -2], "component": 2, "exponent": [0, 3]}, {"coeff": [0, 1, 5, 3], "exponent": [1]}
+        for terms in ([term, gauss, term, {"coeff": [10**4299 - 1, 1], "exponent": [0, 0, 7]}],
+                      [term, dict(term, coeff=[True, 1])], [term, dict(term, exponent=[])], [gauss, [1, 2]],
+                      [term, dict(term, component=1.5)], [dict(term, extra=0), term], [term, None], [gauss, "x"],
+                      [dict(gauss, component=True)], [term, dict(term, coeff=(1, 2))], [(term,)]):
+            value = {"a": {"t": terms}}
+            assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True) == oracle_json_text(value)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(TERM_OBJECTS | SERIES_TERMS, min_size=1, max_size=6) | st.lists(SERIES_TERMS, min_size=1))
+    def test_term_lists_are_json_dumps(self, terms):
+        """Lists of series terms of any shape, mixed with the term-shaped
+        objects above, against json and against the per-term writer the
+        templates replaced (`helpers.oracle_json_text`)."""
+        from helpers import oracle_json_text
+
+        value = {"terms": terms}
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True) == oracle_json_text(value)
+
+    def test_catalogue_reports_are_json_dumps(self, tmp_path, monkeypatch):
+        """The solver and verify reports of entry 0 of each size class of
+        every benchmark workload."""
+        from helpers import oracle_json_text
+
+        from dulac import cli
+
+        sys.path.insert(0, str(FIXTURES.parent / "bench"))
+        import workloads
+
+        emitted, emit = [], cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda report, args: (emitted.append(report), emit(report, args)))
+        for name, classes in workloads.WORKLOADS.items():
+            for klass in classes:
+                op = workloads.catalogue_entry(name, klass, 0)
+                path, rep = write(tmp_path, "sys.json", op.system), tmp_path / "rep.json"
+                emitted.clear()
+                assert run([op.subcommand, "--input", path, "--output", rep]) == 0, op.key
+                assert run(["verify", "--input", rep, "--output", tmp_path / "ver.json"]) == 0, op.key
+                assert len(emitted) == 2
+                for report in emitted:
+                    text = _json_text(report)
+                    assert text == json.dumps(report, indent=2, sort_keys=True) == oracle_json_text(report), op.key
+
 
 class TestBooleansAreNotIntegers:
     """JSON true and false are refused wherever the input format asks for an
@@ -1527,3 +1629,121 @@ class TestTypeFaithfulMatch:
         assert _same([1, (2, [3])], [1, [2, (3,)]]) and not _same([1], [1, None])
         assert not _same({"a": 1}, {"a": 1, "b": None}) and not _same({"a": [True]}, {"a": [1]})
         assert _same({"a": 1, "b": {"c": "x"}}, {"b": {"c": "x"}, "a": 1})
+
+
+class TestVerifyTestsTermsBelowDegreeTwo:
+    """A claimed phi may carry a term of degree one: y_1 e_1 is a diagonal
+    rescaling, so the pair still conjugates the linear map, and only the
+    resonance test refuses it."""
+
+    @pytest.mark.parametrize("sub,values,where", [
+        ("normalize", [[2, 1], [1, 3]], ["normalization"]),
+        ("classify", [[2, 1], [1, 2]], ["classification", "normalization"]),
+    ])
+    def test_resonant_linear_term_in_phi_is_4(self, tmp_path, capsys, sub, values, where):
+        doc = {"kind": "map", "n": 2, "scalars": "rational", "eigen": {"form": "mult-rational", "values": values},
+               "degree_D": 4, "order_N": 3, "terms": []}
+        rep = tmp_path / "rep.json"
+        assert run([sub, "--input", write(tmp_path, "sys.json", doc), "--output", rep]) == 0
+        report = load(rep)
+        if sub == "classify":
+            assert report["classification"]["verdict"] == "integrable-consistent"
+        functools.reduce(dict.__getitem__, where, report)["phi"] = [{"coeff": [1, 2], "component": 1, "exponent": [1, 0]}]
+        assert run(["verify", "--input", write(tmp_path, "bad.json", report)]) == 4
+        assert capsys.readouterr().err == (
+            "error: verification failed: phi carries resonant monomial (1, 0) in component 1\n")
+
+
+@functools.cache
+def normal_form_reports():
+    """(name, report) of every normalize and classify report `verify`
+    re-derives a normalization from: the fixtures' and those of the
+    `normal-form` catalogue."""
+    sys.path.insert(0, str(FIXTURES.parent / "bench"))
+    import tempfile
+
+    import workloads
+
+    inputs = [(f"{path.name}/{sub}", json.loads(path.read_text()), sub)
+              for path in sorted(FIXTURES.glob("*.json")) for sub in ("normalize", "classify")]
+    inputs += [(op.key, op.system, op.subcommand) for op in workloads.catalogue("normal-form")
+               if op.subcommand in ("normalize", "classify")]
+    out = []
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()):
+        for name, system, sub in inputs:
+            path, rep = Path(tmp) / "sys.json", Path(tmp) / "rep.json"
+            path.write_text(json.dumps(system))
+            if main([sub, "--input", str(path), "--output", str(rep)]) == 0:
+                doc = load(rep)
+                if sub == "normalize" or doc["classification"].get("normalization") is not None:
+                    out.append((name, doc))
+    return out
+
+
+def claimed_pair(doc):
+    """The JSON object of a report's claimed normalization."""
+    return doc["normalization"] if doc["subcommand"] == "normalize" else doc["classification"]["normalization"]
+
+
+def resonance_edits(doc, rng):
+    """Seeded edits of a report's claimed pair: one term moved from phi to g
+    and one from g to phi, a bad term added in each of two components (a
+    resonant monomial in phi or a nonresonant one in g, of any degree from
+    0), and a term of degree 0 or 1 added to phi or to g."""
+    from dulac.cli import _system_from_doc
+
+    sf = _system_from_doc(doc["system"], "system")
+    n, order = sf.n, claimed_pair(doc)["order"]
+    monomials = list(iter_exponents(n, 0, order))
+    edits = []
+    for source, target in (("phi", "g"), ("g", "phi")):
+        pair = json.loads(json.dumps(claimed_pair(doc)))
+        if pair[source]:
+            pair[target].append(pair[source].pop(rng.randrange(len(pair[source]))))
+            edits.append(pair)
+    pair = json.loads(json.dumps(claimed_pair(doc)))
+    for j in rng.sample(range(n), min(n, 2)):
+        name = rng.choice(["phi", "g"])
+        bad = [m for m in monomials if sf.eigen.resonant(m, j) == (name == "phi")]
+        if bad:
+            pair[name].append({"coeff": [rng.choice([-3, 1, 2]), 7], "component": j + 1,
+                               "exponent": list(rng.choice(bad))})
+    edits.append(pair)
+    pair = json.loads(json.dumps(claimed_pair(doc)))
+    pair[rng.choice(["phi", "g"])].append({"coeff": [1, 2], "component": rng.randrange(n) + 1,
+                                           "exponent": list(rng.choice(monomials[: n + 1]))})
+    edits.append(pair)
+    return edits
+
+
+class TestResonanceCheckMatchesThePerTermLoop:
+    """`verify`'s resonance check of a claimed pair, by class key sets,
+    against the per-term loop it replaced (`helpers.oracle_claimed_resonance`):
+    the same verdict and message on every fixture and `normal-form`
+    catalogue report, unedited and under seeded edits.  The conjugacy
+    residual is stubbed to zero, so that every edit reaches the check."""
+
+    def test_reports_and_seeded_edits(self, monkeypatch):
+        from helpers import oracle_claimed_resonance
+
+        from dulac import cli
+        from dulac.errors import InternalInvariantError
+
+        monkeypatch.setattr(cli, "verify_conjugacy", lambda system, result: VectorSeries.zero(system.n, result.order))
+        reports = normal_form_reports()
+        assert len(reports) >= 100
+        failed = 0
+        for name, doc in reports:
+            sf = cli._system_from_doc(doc["system"], "system")
+            rng = random.Random(f"resonance-edits/{name}")
+            for pair in [claimed_pair(doc)] + resonance_edits(doc, rng):
+                phi, g = (cli._vector_from_json(pair[k], sf.n, pair["order"], k, k) for k in ("phi", "g"))
+                want = oracle_claimed_resonance(sf.eigen, phi, g)
+                try:
+                    cli._claimed_normalization(sf, sf.system(), pair, "normalization")
+                    got = None
+                except InternalInvariantError as exc:
+                    got = str(exc).removeprefix("verification failed: ")
+                assert got == want, (name, pair)
+                failed += want is not None
+        assert failed > 3 * len(reports)  # the edits reach the check

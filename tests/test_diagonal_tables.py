@@ -8,7 +8,10 @@ route, on seeded identity-linear and c-diagonal inner maps over Q and Q(i)
 for n = 1..4, and every part it returns is canonical.  Inner maps whose
 linear part is not diagonal, or has a zero coefficient, take the general
 path and give the same parts as before.  `Powers.pull`, the solve of W o P
-= V on such a table, is compared with the solves it replaced (`TestPull`)."""
+= V on such a table, is compared with the solves it replaced (`TestPull`).
+The scalar pairs `_pairs` gives `_products`, one coefficient as three ints
+per outer term, sum exactly as the one-term coefficient parts they replaced
+(`helpers.part_route`, `TestScalarPairs`)."""
 
 import random
 from dataclasses import replace
@@ -28,10 +31,12 @@ from helpers import (
     oracle_diagonal_inverse,
     oracle_gradient,
     oracle_pullback_integrals,
+    part_pairs,
+    part_route,
     random_sparse_series,
 )
 from test_engine import build_system, perturbed, random_coeff, random_outer, system_cases
-from test_packed_engine import check_part
+from test_packed_engine import check_part, series as packed_series
 
 from dulac.embedding import embedding_field
 from dulac.integrals import pullback_integrals, search_integrals, verify_integral
@@ -47,6 +52,8 @@ from dulac.series import (
     det_series,
     invert,
     jacobian,
+    _pairs,
+    _products,
 )
 
 CASES = [(n, linear, gq, seed) for n in (1, 2, 3, 4) for linear in ("identity", "diagonal")
@@ -318,3 +325,110 @@ class TestPull:
         assert table.pull([V], 2) == [V.truncate(2)]
         with pytest.raises(SeriesError, match="not known through degree 5"):
             Powers.of(VectorSeries.identity(2, 4), 4).pull([V.with_trunc(5)], 5)
+
+
+def scalar_as_part(x):
+    """A (scalar, part) pair's scalar as the one-term part it stood for."""
+    den, re, im = x
+    return (den, {0: re} if re else {}, {0: im} if im else {}) if type(re) is int else x
+
+
+def fraction_products(pairs):
+    """The sum of the products of the pairs, key -> (re, im) Fractions, read
+    term by term: the independent oracle of `_products`."""
+    acc = {}
+    for a, b in pairs:
+        (da, ar, ai), (db, br, bi) = scalar_as_part(a), scalar_as_part(b)
+        for ka in ar.keys() | ai.keys():
+            x, y = F(ar.get(ka, 0), da), F(ai.get(ka, 0), da)
+            for kb in br.keys() | bi.keys():
+                u, v = F(br.get(kb, 0), db), F(bi.get(kb, 0), db)
+                re, im = acc.get(ka + kb, (0, 0))
+                acc[ka + kb] = (re + x * u - y * v, im + x * v + y * u)
+    return {k: c for k, c in acc.items() if c != (0, 0)}
+
+
+def part_fractions(part):
+    den, re, im = part
+    return {k: (F(re.get(k, 0), den), F(im.get(k, 0), den)) for k in re.keys() | im.keys()}
+
+
+class TestScalarPairs:
+    """`_pairs` gives one (scalar, part) pair per outer term, its
+    coefficient three ints and no dict, and `Powers.top` pairs its part with
+    a scalar.  Each degree's sum equals, exactly, the sum of the pairs they
+    replaced (`helpers.part_pairs`), on unit-diagonal (Phi), c-diagonal (F,
+    G) and general tables over Q and Q(i), with sign +-1 and low 1..3, and
+    the whole solver, residual and integral routes agree; `_products` takes
+    any list mixing scalar and part pairs."""
+
+    @pytest.mark.parametrize("linear,n,gq,seed", [
+        (linear, n, gq, seed) for linear in ("identity", "diagonal", "off-diagonal") for n in (1, 2, 3, 4)
+        for gq in (False, True) for seed in range(2) if n > 1 or linear != "off-diagonal"])
+    def test_pairs_sum_as_part_pairs(self, linear, n, gq, seed):
+        rng = random.Random(f"scalar-pairs/{linear}/{n}/{gq}/{seed}")
+        trunc = trunc_for(n)
+        inner = (general_inner(rng, n, trunc, linear, gq) if linear == "off-diagonal"
+                 else diagonal_inner(rng, n, trunc, linear, gq))
+        table = Powers.of(inner, trunc)
+        assert table.diagonal == (linear != "off-diagonal") and table.unit == (linear == "identity")
+        outers = list(random_outer(rng, n, trunc, gq))
+        if gq:  # a coefficient with a zero real part in every degree
+            outers.append(ScalarSeries(n, trunc, {m: gaussian(0, F(rng.choice([-3, 1, 5]), rng.choice([1, 7])))
+                                                  for m in iter_exponents(n, 1, trunc) if rng.random() < 0.4}))
+        for outer in outers:
+            parts = outer._keyed(trunc, table.base)
+            for s in range(1, trunc + 1):
+                for low in (1, 2, 3):
+                    for sign in (1, -1):
+                        pairs = _pairs(parts, table, s, low, sign)
+                        assert all(type(a[1]) is int and type(a[2]) is int for a, _ in pairs)
+                        got, want = _products(pairs), _products(part_pairs(parts, table, s, low, sign))
+                        assert got == want
+                        check_part(got)
+
+    @pytest.mark.parametrize("gq", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixed_pair_lists(self, gq, seed):
+        """Scalar pairs, zero scalars among them, and Gaussian scalars with a
+        zero real part or a zero imaginary part, mixed with part pairs whose
+        parts may be zero or one term long."""
+        rng = random.Random(f"mixed-pairs/{gq}/{seed}")
+        n, trunc = rng.choice([(1, 6), (2, 5), (3, 4)])
+
+        def part():
+            p = packed_series(rng, n, trunc, rng.choice([0, 1, 1, 3, 6]), gq).parts
+            return rng.choice(p) if p else (1, {}, {})
+
+        def scalar():
+            den = rng.choice([1, 2, 7, 45, 232])
+            re, im = rng.choice([0, 1, -3, 10**20]), rng.choice([0, 2, -5]) if gq else 0
+            if gq and rng.random() < 0.3:
+                re = 0
+            return den, re, im
+
+        for _ in range(20):
+            pairs = [(scalar(), part()) if rng.random() < 0.6 else (part(), part()) for _ in range(rng.randint(0, 7))]
+            got = _products(pairs)
+            assert got == _products([(scalar_as_part(a), b) for a, b in pairs])
+            assert part_fractions(got) == fraction_products(pairs)
+            check_part(got)
+
+    @pytest.mark.parametrize("kind,k,N,resonant", system_cases("map") + system_cases("field"))
+    def test_solver_residual_and_integrals(self, kind, k, N, resonant, monkeypatch):
+        system = build_system(kind, k, N)
+        V = random_sparse_series(random.Random(f"scalar-pairs-integral/{kind}/{k}/{N}"), system.n, N, 8, True)
+
+        def run():
+            fresh = replace(system)  # a table of its own
+            result = normalize(fresh)
+            return (result.phi, result.g, verify_conjugacy(fresh, result), verify_integral(V, fresh),
+                    result.powers.pull([V], N), search_integrals(fresh, N - 1))
+
+        with monkeypatch.context() as mp:
+            part_route(mp)
+            assert normalize.__globals__["_pairs"] is part_pairs
+            want = run()
+        got = run()
+        assert got == want and got[2].is_zero()
+        check_series(*got[0], *got[1], got[3], *got[4], *got[5])

@@ -5,6 +5,7 @@ malformed terms keep their messages and exit code 2, and the text format
 renders the JSON report."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -179,3 +180,117 @@ def test_text_format_renders_the_json_report(tmp_path, capsys, fixture, sub):
         assert text.read_text(encoding="utf-8") == _render_text(json.loads(rep.read_text(encoding="utf-8")))
     else:
         assert code == 3 and not rep.exists() and not text.exists()
+
+
+def single_edits(term, n, vector, rng):
+    """(rule, edited term, scalars tag) for each malformed-term rule, applied
+    to one seeded entry of a well-formed term; the last edit, an extra key,
+    leaves it well formed."""
+    c, m = term["coeff"], term["exponent"]
+    i, k = rng.randrange(n), rng.randrange(len(c))
+
+    def entry(field, index, value):
+        edited = json.loads(json.dumps(term))
+        edited[field][index] = value
+        return edited
+
+    edits = [
+        ("bool exponent", entry("exponent", i, bool(m[i])), "gaussian"),
+        ("bool coeff", entry("coeff", k, bool(c[k])), "gaussian"),
+        ("negative exponent", entry("exponent", i, -rng.randint(1, 3)), "gaussian"),
+        ("short exponent", dict(term, exponent=m[:-1]), "gaussian"),
+        ("long exponent", dict(term, exponent=m + [0]), "gaussian"),
+        ("coeff of one", dict(term, coeff=c[:1]), "gaussian"),
+        ("coeff of three", dict(term, coeff=c[:2] + [1]), "gaussian"),
+        ("coeff of five", dict(term, coeff=c[:2] + [1, 2, 3]), "gaussian"),
+        ("empty coeff", dict(term, coeff=[]), "gaussian"),
+        ("zero denominator at 1", entry("coeff", 1, 0), "gaussian"),
+        ("zero denominator at -1", dict(term, coeff=c[:2] + [rng.randint(1, 5), 0]), "gaussian"),
+        ("gaussian in a rational file", dict(term, coeff=c[:2] + [1, rng.randint(1, 5)]), "rational"),
+        ("not an object", rng.choice([list(term.values()), 5, None, "term"]), "gaussian"),
+        ("extra key", dict(term, note=rng.choice([0, "x", [1]])), "gaussian"),
+    ]
+    if vector:
+        edits += [
+            ("bool component", dict(term, component=rng.choice([True, False])), "gaussian"),
+            ("component 0", dict(term, component=0), "gaussian"),
+            ("component n + 1", dict(term, component=n + 1), "gaussian"),
+            ("no component", {key: v for key, v in term.items() if key != "component"}, "gaussian"),
+        ]
+    return edits
+
+
+def read_outcome(read, terms, n, trunc, tag, vector, low):
+    """(trunc, parts) of each series read, or the message it is refused with."""
+    try:
+        return [(s.trunc, s.parts) for s in read(terms, "t", n, trunc, tag, vector=vector, low=low)]
+    except SystemFileError as exc:
+        return str(exc)
+
+
+def through_both_readers(monkeypatch, capsys, argv):
+    """(exit code, stderr) of main(argv) with `cli._read_terms` and with
+    the reader before its fast path (`helpers.checked_read_terms`)."""
+    from helpers import checked_read_terms
+
+    from dulac import cli
+
+    got = main(argv), capsys.readouterr().err
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "_read_terms", checked_read_terms)
+        return got, (main(argv), capsys.readouterr().err)
+
+
+class TestMalformedTermFuzz:
+    """Seeded single edits of system terms and of claimed-series terms, one
+    rule at a time: the reader's fast path gives the same series, or the
+    same message, as the scalar reader (`helpers.oracle_read_terms`), and
+    through `main` the same exit code and stderr as the reader before it."""
+
+    @pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.json")
+                                               if json.loads(p.read_text())["terms"]))
+    def test_system_terms(self, tmp_path, capsys, monkeypatch, fixture):
+        doc = json.loads((FIXTURES / fixture).read_text())
+        n, N = doc["n"], doc.get("order_N", 8)
+        rng = random.Random(f"term-fuzz/{fixture}")
+        path = tmp_path / "sys.json"
+        for t in rng.sample(range(len(doc["terms"])), min(2, len(doc["terms"]))):
+            for rule, term, tag in single_edits(doc["terms"][t], n, True, rng):
+                terms = doc["terms"][:t] + [term] + doc["terms"][t + 1:]
+                got = read_outcome(_read_terms, terms, n, N, tag, True, 2)
+                assert got == read_outcome(oracle_read_terms, terms, n, N, tag, True, 2), rule
+                assert (rule == "extra key") != isinstance(got, str), rule
+                path.write_text(json.dumps(dict(doc, scalars=tag if tag == "rational" else doc["scalars"], terms=terms)))
+                new, old = through_both_readers(monkeypatch, capsys, ["normalize", "--input", str(path)])
+                assert new == old and new[0] in (0, 2, 3), rule
+
+    @pytest.mark.parametrize("fixture,sub", [("ex2_2d.json", "normalize"), ("ex2_3d.json", "classify"),
+                                             ("ex2_2d.json", "integrals"), ("center.json", "normalize")])
+    def test_claimed_series_terms(self, tmp_path, capsys, monkeypatch, fixture, sub):
+        rep = tmp_path / "rep.json"
+        assert main([sub, "--input", str(FIXTURES / fixture), "--output", str(rep)]) == 0
+        doc = json.loads(rep.read_text())
+        n, N = doc["system"]["n"], doc["parameters"]["order_N"]
+        if sub == "integrals":
+            lists, vector = doc["integrals"]["search"]["integrals"], False
+        else:
+            pair = doc["normalization"] if sub == "normalize" else doc["classification"]["normalization"]
+            lists, vector = [pair["phi"], pair["g"]], True
+        rng = random.Random(f"claimed-term-fuzz/{fixture}/{sub}")
+        bad = tmp_path / "bad.json"
+        for terms in lists:
+            if not terms:
+                continue
+            t = rng.randrange(len(terms))
+            original = terms[t]
+            for rule, term, tag in single_edits(original, n, vector, rng):
+                if tag == "rational":  # a report is read as gaussian
+                    continue
+                terms[t] = term
+                got = read_outcome(_read_terms, terms, n, N, "gaussian", vector, 0)
+                assert got == read_outcome(oracle_read_terms, terms, n, N, "gaussian", vector, 0), rule
+                assert (rule == "extra key") != isinstance(got, str), rule
+                bad.write_text(json.dumps(doc))
+                new, old = through_both_readers(monkeypatch, capsys, ["verify", "--input", str(bad)])
+                assert new == old and new[0] in (0, 2, 4), rule
+            terms[t] = original

@@ -211,6 +211,13 @@ class TestJacobianDet:
         ]
         assert det_series(M, 2) == S(1, 2, {(0,): 1, (2,): -1})
 
+    @pytest.mark.parametrize("trunc", [None, 3])
+    def test_det_of_an_empty_matrix_is_refused(self, trunc):
+        """A 0 x 0 matrix names no series dimension, so it has no
+        determinant series: a SeriesError, not a ValueError from min()."""
+        with pytest.raises(SeriesError, match="empty matrix"):
+            det_series([], trunc)
+
     def test_det_matches_permutation_expansion(self):
         import itertools
         import random
