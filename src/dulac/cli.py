@@ -15,7 +15,9 @@ to `series.ScalarSeries._from_ints`, which packs them; the writers read
 reduced ints off the parts (`ScalarSeries.int_terms`), and `_json_text`
 writes a list of terms from one template per term shape.  No `Fraction` is
 built for a series coefficient between the file read and the report
-written.
+written.  `verify` has `_read_terms` also decide whether a claimed list is
+in written form, the very list the writers would write for the series read;
+such a list goes into the rebuilt report as it was read.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ import functools
 import json
 import marshal
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import comb
+from itertools import zip_longest
+from math import comb, gcd
 from operator import mul
 from typing import NoReturn, Sequence
 
@@ -96,6 +99,8 @@ class SystemFile:
     nonlinear: VectorSeries
     lattice_bound: int
     order: int
+    # the echo's term list as `verify` read it, when in written form
+    terms: list | None = field(default=None, compare=False, repr=False)
 
     def system(self) -> System:
         return (MapSystem if self.kind == "map" else FieldSystem)(self.eigen, self.nonlinear, self.order)
@@ -186,7 +191,7 @@ _INT = {int}
 
 
 def _read_terms(terms, where: str, n: int, trunc: int, scalars_tag: str = "gaussian",
-                vector: bool = True, low: int = 0, claimed: str | None = None) -> list[ScalarSeries]:
+                vector: bool = True, low: int = 0, claimed: str | None = None, as_read: bool = False):
     """The series of a JSON term list through degree trunc: one per
     component, or one when its terms carry no component.  Every term is
     validated and of degree >= low: one whose entries are all ints in range
@@ -196,17 +201,29 @@ def _read_terms(terms, where: str, n: int, trunc: int, scalars_tag: str = "gauss
     scalar is built.  A term above trunc is refused before any part is
     built: in a report's claimed series (`claimed` names it, and trunc is the
     order `verify` checks it at), where nothing would check it, with exit 4;
-    in a system's terms, which every solver would drop, with exit 2."""
+    in a system's terms, which every solver would drop, with exit 2.
+
+    With as_read, for `verify`, it returns (the series, terms) when terms
+    is in written form, exactly the list `_vector_series_json` (or
+    `_scalar_series_json`, when vector is false) writes for the series
+    read, and (the series, None) otherwise.  A list is in written form when
+    each term has exactly the keys coeff, exponent and (vector) component,
+    all ints, the terms strictly ascend by (component, degree, exponent),
+    and each coefficient is in lowest terms over positive denominators:
+    [num, den] with num nonzero, or [re, re_den, im, im_den] with im
+    nonzero."""
     if not isinstance(terms, list):
         raise SystemFileError(f"{where}: terms must be a list")
     read: list[list] = [[] for _ in range(n if vector else 1)]
     widths = (2,) if scalars_tag == "rational" else (2, 4)
+    keys, written, last = 3 if vector else 2, as_read, ()
     for i, t in enumerate(terms):
         if not (type(t) is dict and type(m := t.get("exponent")) is list and len(m) == n
                 and type(c := t.get("coeff")) is list and len(c) in widths
                 and type(j := t.get("component") if vector else 1) is int and 1 <= j <= n
                 and set(map(type, c + m)) == _INT and c[1] and c[-1] and min(m) >= 0):
             j, m, c = _checked_term(t, f"{where}[{i}]", n, scalars_tag, vector)
+            written = False
         d = sum(m)
         if d < low:
             raise SystemFileError(
@@ -218,7 +235,13 @@ def _read_terms(terms, where: str, n: int, trunc: int, scalars_tag: str = "gauss
                 _fail(f"{claimed} of degree {_shown(d)}, above the verified order {trunc}")
             raise SystemFileError(f"{where}[{i}]: exponent degree {_shown(d)} is above order_N = {trunc}")
         read[j - 1].append((d, m, c))
-    return [ScalarSeries._from_ints(n, trunc, comp) for comp in read]
+        if written:
+            key = (j, d, m)
+            written = (key > last and len(t) == keys and c[-1] > 0 and c[-2] and gcd(c[-2], c[-1]) == 1
+                       and (len(c) == 2 or c[1] > 0 and gcd(c[0], c[1]) == 1))
+            last = key
+    series = [ScalarSeries._from_ints(n, trunc, comp) for comp in read]
+    return (series, terms if written else None) if as_read else series
 
 
 def _int_field(doc: dict, name: str, low: int, where: str) -> int:
@@ -266,8 +289,10 @@ def parse_system(path: str) -> SystemFile:
     return _system_from_doc(_load_json(path), path)
 
 
-def _system_from_doc(doc, path: str) -> SystemFile:
-    """Validate a system description; `path` names it in error messages."""
+def _system_from_doc(doc, path: str, as_read: bool = False) -> SystemFile:
+    """Validate a system description; `path` names it in error messages.
+    With as_read, `verify` reading a report's echo, the file keeps its term
+    list when that is in written form (`_read_terms`)."""
     if not isinstance(doc, dict):
         raise SystemFileError(f"{path}: top level must be a JSON object")
     kind = _field(doc, "kind", str, path)
@@ -337,10 +362,11 @@ def _system_from_doc(doc, path: str) -> SystemFile:
     terms = doc.get("terms", [])
     if not isinstance(terms, list):
         raise SystemFileError(f"{path}: terms must be a list")
-    nonlinear = VectorSeries(_read_terms(terms, f"{path}:terms", n, order, scalars, low=2))
+    read = _read_terms(terms, f"{path}:terms", n, order, scalars, low=2, as_read=as_read)
+    components, written = read if as_read else (read, None)
     return SystemFile(
-        kind=kind, n=n, scalars=scalars, eigen=eigen, nonlinear=nonlinear,
-        lattice_bound=lattice_bound, order=order,
+        kind=kind, n=n, scalars=scalars, eigen=eigen, nonlinear=VectorSeries(components),
+        lattice_bound=lattice_bound, order=order, terms=written,
     )
 
 
@@ -349,12 +375,18 @@ def _system_from_doc(doc, path: str) -> SystemFile:
 
 # term keys in sorted order, as reports write them, so that `_same` matches
 # a claimed term list with its recomputation in one marshalled compare; the
-# coefficients are read off the packed parts (`ScalarSeries.int_terms`)
-def _scalar_series_json(s: ScalarSeries) -> list:
+# coefficients are read off the packed parts (`ScalarSeries.int_terms`).
+# `as_read` is the claimed list `verify` read the series from, when
+# `_read_terms` found it in written form: the very list these would write.
+def _scalar_series_json(s: ScalarSeries, as_read: list | None = None) -> list:
+    if as_read is not None:
+        return as_read
     return [{"coeff": c, "exponent": m} for m, c in s.int_terms()]
 
 
-def _vector_series_json(v: VectorSeries) -> list:
+def _vector_series_json(v: VectorSeries, as_read: list | None = None) -> list:
+    if as_read is not None:
+        return as_read
     return [
         {"coeff": c, "component": j, "exponent": m}
         for j, comp in enumerate(v.components, 1) for m, c in comp.int_terms()
@@ -380,7 +412,7 @@ def _system_json(sf: SystemFile) -> dict:
         "n": sf.n,
         "scalars": sf.scalars,
         "eigen": _eigen_json(sf.eigen),
-        "terms": _vector_series_json(sf.nonlinear),
+        "terms": _vector_series_json(sf.nonlinear, sf.terms),
         "degree_D": sf.lattice_bound,
         "order_N": sf.order,
     }
@@ -463,10 +495,10 @@ def _bound_json(bound: SmallDivisorBound, verification) -> dict:
     return out
 
 
-def _normalization_json(result: NormalizationResult) -> dict:
+def _normalization_json(result: NormalizationResult, as_read: Sequence = (None, None)) -> dict:
     return {
-        "phi": _vector_series_json(result.phi),
-        "g": _vector_series_json(result.g),
+        "phi": _vector_series_json(result.phi, as_read[0]),
+        "g": _vector_series_json(result.g, as_read[1]),
         "order": result.order,
         "residual_zero_through": result.order if result.residual_zero_degrees else None,
     }
@@ -483,7 +515,7 @@ def _growth_json(growth) -> dict:
     }
 
 
-def _classification_json(report: IntegrabilityReport) -> dict:
+def _classification_json(report: IntegrabilityReport, as_read: Sequence = (None, None)) -> dict:
     out = {
         "verdict": report.verdict,
         "certified_at": {"degree_D": report.lattice_bound, "order_N": report.order},
@@ -499,7 +531,7 @@ def _classification_json(report: IntegrabilityReport) -> dict:
     if report.lattice is not None:
         out["lattice"] = _lattice_json(report.lattice)
     if report.normalization is not None:
-        out["normalization"] = _normalization_json(report.normalization)
+        out["normalization"] = _normalization_json(report.normalization, as_read)
     if report.shape is not None:
         out["shape"] = {
             "ok": report.shape.ok,
@@ -566,10 +598,11 @@ def _run_resonance(sf: SystemFile, D: int) -> dict:
     return section
 
 
-def _normalize_body(result: NormalizationResult) -> dict:
-    """A normalize report's body; `verify` re-derives it from the claimed pair."""
+def _normalize_body(result: NormalizationResult, as_read: Sequence = (None, None)) -> dict:
+    """A normalize report's body; `verify` re-derives it from the claimed
+    pair, phi and g as read (`_normalization_json`)."""
     return {
-        "normalization": _normalization_json(result),
+        "normalization": _normalization_json(result, as_read),
         "growth": _growth_json(growth_diagnostic(result.phi)),
     }
 
@@ -610,12 +643,14 @@ def _independence_json(vs: Sequence[ScalarSeries], seed: int) -> dict | None:
 
 
 def _integrals_body(system, order: int, basis: LatticeBasis, sections: dict) -> dict:
-    """An integrals report's body from each section's integrals and their
-    independence JSON; `verify` rebuilds it from the claimed ones."""
+    """An integrals report's body from each section's integrals, their
+    independence JSON and the term lists they were read from (each as
+    `_scalar_series_json` takes it; none from a solver); `verify` rebuilds
+    it from the claimed ones."""
     body = {}
-    for name, (vs, independence) in sections.items():
+    for name, (vs, independence, as_read) in sections.items():
         sec = body[name] = {
-            "integrals": [_scalar_series_json(v) for v in vs],
+            "integrals": [_scalar_series_json(v, t) for v, t in zip_longest(vs, as_read)],
             "residual_zero": _residual_zero(system, vs, order),
         }
         if vs:
@@ -632,7 +667,7 @@ def _run_integrals(sf: SystemFile, D: int, N: int, seed: int) -> dict:
     if _has_pullback(sf.eigen, basis):
         sections["pullback"] = pullback_integrals(monomial_integrals(basis, trunc=N), normalize(system, N), N)
     return _integrals_body(system, N, basis, {
-        name: (vs, _independence_json(vs, seed)) for name, vs in sections.items()
+        name: (vs, _independence_json(vs, seed), ()) for name, vs in sections.items()
     })
 
 
@@ -653,9 +688,10 @@ def _run_embed(sf: SystemFile, D: int, N: int) -> dict:
     return _embedding_body(emb, phi_one == system.full(emb.order).truncate(emb.order))
 
 
-def _embedding_body(emb: EmbeddingField, time_one_matches: bool) -> dict:
+def _embedding_body(emb: EmbeddingField, time_one_matches: bool, as_read: Sequence = ()) -> dict:
     """An embed report's body; `verify` rebuilds it, field included, from
-    the claimed integrals and the claimed time-one comparison."""
+    the claimed integrals, the term lists they were read from (each as
+    `_scalar_series_json` takes it) and the claimed time-one comparison."""
     flags = list(emb.flags)
     if not time_one_matches:
         flags.append(
@@ -666,7 +702,7 @@ def _embedding_body(emb: EmbeddingField, time_one_matches: bool) -> dict:
         "embedding": {
             "field": _vector_series_json(emb.field),
             "order": emb.order,
-            "integrals": [_scalar_series_json(v) for v in emb.integrals],
+            "integrals": [_scalar_series_json(v, t) for v, t in zip_longest(emb.integrals, as_read)],
             "tangency_zero": [r.is_zero() for r in emb.tangency_residuals],
             "equivariance_zero": emb.equivariant,
             "time_one_matches_map": time_one_matches,
@@ -679,12 +715,16 @@ def _embedding_body(emb: EmbeddingField, time_one_matches: bool) -> dict:
 # -- verify (report re-checking) ---------------------------------------------------
 
 
-def _series_from_json(terms, n: int, trunc: int, where: str, claimed: str) -> ScalarSeries:
-    return _read_terms(terms, where, n, trunc, vector=False, claimed=claimed)[0]
+def _series_from_json(terms, n: int, trunc: int, where: str, claimed: str) -> tuple[ScalarSeries, list | None]:
+    """A claimed series, and terms itself when it is in written form."""
+    [s], as_read = _read_terms(terms, where, n, trunc, vector=False, claimed=claimed, as_read=True)
+    return s, as_read
 
 
-def _vector_from_json(terms, n: int, trunc: int, where: str, claimed: str) -> VectorSeries:
-    return VectorSeries(_read_terms(terms, where, n, trunc, claimed=claimed))
+def _vector_from_json(terms, n: int, trunc: int, where: str, claimed: str) -> tuple[VectorSeries, list | None]:
+    """A claimed vector series, and terms itself when it is in written form."""
+    components, as_read = _read_terms(terms, where, n, trunc, claimed=claimed, as_read=True)
+    return VectorSeries(components), as_read
 
 
 def _fail(what: str) -> NoReturn:
@@ -694,7 +734,8 @@ def _fail(what: str) -> NoReturn:
 def _same(a, b) -> bool:
     """Equal as JSON values, types kept (true is not 1, floats by repr, lists
     and tuples alike); equal marshal v2 bytes (typed, no refs) settle a list,
-    and identity a leaf `verify` copies from the claim, however deep."""
+    and identity a leaf or term list `verify` takes from the claim, however
+    deep."""
     if a is b:
         return True
     t = type(a)
@@ -723,9 +764,10 @@ def _require_match(claimed, recomputed, path: str) -> None:
     _fail(f"{path} does not match a recomputation")
 
 
-def _claimed_normalization(sf: SystemFile, system, norm_doc, where: str) -> NormalizationResult:
-    """The pair a report claims, once it is shown to be the distinguished
-    one: its conjugacy residual is zero through its order, which the system
+def _claimed_normalization(sf: SystemFile, system, norm_doc, where: str) -> tuple[NormalizationResult, tuple]:
+    """The pair a report claims, with phi's and g's term lists as read
+    (`_vector_from_json`), once it is shown to be the distinguished one:
+    its conjugacy residual is zero through its order, which the system
     data certifies, phi is nonresonant and g resonant.  Resonance is read
     per component j as one set of packed keys, those of the monomials y^m
     with y^m e_j resonant: of degree 2 through the order, the class of
@@ -738,7 +780,7 @@ def _claimed_normalization(sf: SystemFile, system, norm_doc, where: str) -> Norm
     order = _series_order(_int_field(norm_doc, "order", 2, where), sf.n, f"{where}.order")
     if order > system.order:
         raise SystemFileError(f"{where}.order: order = {order} exceeds the system's order_N = {system.order}")
-    phi, g = (
+    (phi, phi_read), (g, g_read) = (
         _vector_from_json(_field(norm_doc, name, None, where), sf.n, order, f"{where}.{name}", f"{name} has a term")
         for name in ("phi", "g")
     )
@@ -760,7 +802,7 @@ def _claimed_normalization(sf: SystemFile, system, norm_doc, where: str) -> Norm
                     if spec.resonant(m, j) != resonant:
                         kind = "nonresonant" if resonant else "resonant"
                         _fail(f"{name} carries {kind} monomial {m} in component {j + 1}")
-    return replace(result, residual_zero_degrees=tuple(range(2, order + 1)))
+    return replace(result, residual_zero_degrees=tuple(range(2, order + 1))), (phi_read, g_read)
 
 
 def _run_verify(report_path: str) -> dict:
@@ -771,11 +813,15 @@ def _run_verify(report_path: str) -> dict:
     `parameters.seed`, the parameters no section holds (`degree_D` of
     normalize and embed reports, `order_N` of resonance reports), each
     integrals section's `independence` and `embedding.time_one_matches_map`
-    (which the embedding's flags must agree with)."""
+    (which the embedding's flags must agree with).  A term list it reads
+    (the echo's terms, phi and g, each integral, the embedding's integrals)
+    goes into the rebuilt report as read when `_read_terms` finds it in
+    written form, so the compare settles it by identity; any other list is
+    rebuilt from the series read and compared, and exits 4."""
     doc = _load_json(report_path)
     if not isinstance(doc, dict) or "system" not in doc:
         raise SystemFileError(f"{report_path}: not a report file (no system echo)")
-    sf = _system_from_doc(doc["system"], f"{report_path}:system")
+    sf = _system_from_doc(doc["system"], f"{report_path}:system", as_read=True)
     # the echo is canonical: what was parsed, written back
     _require_match(doc["system"], _system_json(sf), "system")
     system = sf.system()
@@ -790,24 +836,24 @@ def _run_verify(report_path: str) -> dict:
         body = _run_resonance(sf, D)
         checked = ["lattice", "bound"] if "value" in body["bound"] else ["lattice"]
     elif sub == "normalize":
-        result = _claimed_normalization(sf, system, doc.get("normalization"), f"{report_path}:normalization")
-        body, N, checked = _normalize_body(result), result.order, ["normalization"]
+        result, as_read = _claimed_normalization(sf, system, doc.get("normalization"), f"{report_path}:normalization")
+        body, N, checked = _normalize_body(result, as_read), result.order, ["normalization"]
     elif sub == "classify":
         cls = _field(doc, "classification", dict, report_path)
         where = f"{report_path}:classification"
         certified, cert_at = _field(cls, "certified_at", dict, where), f"{where}.certified_at"
         D = _lattice_degree(_int_field(certified, "degree_D", 2, cert_at), sf.n, f"{cert_at}.degree_D")
-        claimed = None
+        claimed, as_read = None, (None, None)
         if cls.get("normalization") is not None:
-            claimed = _claimed_normalization(sf, system, cls["normalization"], f"{where}.normalization")
+            claimed, as_read = _claimed_normalization(sf, system, cls["normalization"], f"{where}.normalization")
         N = claimed.order if claimed else _series_order(
             _int_field(certified, "order_N", 2, cert_at), sf.n, f"{cert_at}.order_N")
-        if cls.get("p") is not None and len(_field(cls, "p", list, where)) != sf.n:
-            raise SystemFileError(f"{where}: p must have {sf.n} entries")
+        if cls.get("p") is not None:
+            _field(cls, "p", list, where)
         # the distinguished pair is unique, so the whole classification is
         # re-derived from the claimed one
         report = classify(system, D, N, claimed)
-        body = {"classification": _classification_json(report)}
+        body = {"classification": _classification_json(report, as_read)}
         checked = ["classification"] if claimed is None else ["normalization"] + (
             ["functional-equations"] if report.p is not None and report.verdict == "integrable-consistent" else [])
     elif sub == "integrals":
@@ -823,14 +869,15 @@ def _run_verify(report_path: str) -> dict:
         claims = {}
         for name in names:
             sec, where = _field(sections, name, dict, f"{report_path}:integrals"), f"{report_path}:integrals.{name}"
-            vs = [
+            read = [
                 _series_from_json(terms, sf.n, N, f"{where}.integrals[{i}]",
                                   f"integral {i + 1} in section '{name}' has a term")
                 for i, terms in enumerate(_field(sec, "integrals", list, where))
             ]
+            vs = [v for v, _ in read]
             if any(v.is_zero() for v in vs):
                 _fail(f"section '{name}' claims a zero integral")
-            claims[name] = (vs, sec.get("independence"))
+            claims[name] = (vs, sec.get("independence"), [t for _, t in read])
         # the i-th pullback integral is y^(g_i) pulled back: y^(g_i) plus higher terms
         if "pullback" in claims and [v.homogeneous_part(v.low_degree()) for v in claims["pullback"][0]] != [
                 ScalarSeries.monomial(sf.n, N, g) for g in basis.generators]:
@@ -847,10 +894,11 @@ def _run_verify(report_path: str) -> dict:
         # then compared with the claimed one whole
         _vector_from_json(_field(emb, "field", None, where), sf.n, order, f"{where}.field",
                           "the embedding field has a term")
-        vs = [
+        read = [
             _series_from_json(t, sf.n, order + 1, f"{where}.integrals[{i}]", "an embedding integral has a term")
             for i, t in enumerate(_field(emb, "integrals", list, where))
         ]
+        vs = [v for v, _ in read]
         if len(vs) != sf.n - 1:
             _fail(f"embedding holds {len(vs)} integrals, not n-1 = {sf.n - 1}")
         # the integrals were pulled back at order + 1, which the system data
@@ -860,7 +908,7 @@ def _run_verify(report_path: str) -> dict:
         if not all(_residual_zero(system, vs, order + 1)):
             _fail("an embedding integral is not an integral of the map")
         time_one_matches = _field(emb, "time_one_matches_map", bool, where)
-        body = _embedding_body(embedding_field(system, vs, order), time_one_matches)
+        body = _embedding_body(embedding_field(system, vs, order), time_one_matches, [t for _, t in read])
         N, checked = order + 1, ["embedding"]
     else:
         _fail("subcommand names none of resonance, normalize, classify, integrals and embed")

@@ -1714,9 +1714,12 @@ def oracle_vector_series_json(v):
             for j, comp in enumerate(v.components) for m, c in comp.terms()]
 
 
-def checked_read_terms(terms, where, n, trunc, scalars_tag="gaussian", vector=True, low=0, claimed=None):
+def checked_read_terms(terms, where, n, trunc, scalars_tag="gaussian", vector=True, low=0, claimed=None,
+                       as_read=False):
     """`cli._read_terms` before its fast path: every term through
-    `_checked_term`, which names the first thing wrong with it."""
+    `_checked_term`, which names the first thing wrong with it, and with
+    as_read no list taken as read, so that `verify` rebuilds and compares
+    every one."""
     from dulac.cli import SystemFileError, _checked_term, _fail, _shown
 
     if not isinstance(terms, list):
@@ -1735,7 +1738,30 @@ def checked_read_terms(terms, where, n, trunc, scalars_tag="gaussian", vector=Tr
                 _fail(f"{claimed} of degree {_shown(d)}, above the verified order {trunc}")
             raise SystemFileError(f"{where}[{i}]: exponent degree {_shown(d)} is above order_N = {trunc}")
         read[j - 1].append((d, m, c))
-    return [ScalarSeries._from_ints(n, trunc, comp) for comp in read]
+    series = [ScalarSeries._from_ints(n, trunc, comp) for comp in read]
+    return (series, None) if as_read else series
+
+
+def rebuilding_reader(read):
+    """`read`, a `cli._read_terms`, that takes no claimed term list as read:
+    `verify` then rebuilds every list from the series read and compares it
+    with the claim, as it did before `_read_terms` decided written form."""
+
+    def reader(*args, as_read=False, **kwargs):
+        series = read(*args, **kwargs)
+        return (series, None) if as_read else series
+
+    return reader
+
+
+def oracle_in_written_form(terms, n, trunc, vector=True):
+    """Whether a valid term list is the list dulac writes for the series it
+    holds, decided by rebuilding that list and comparing the two as JSON
+    (`cli._same`: types kept, key order aside)."""
+    from dulac.cli import _read_terms, _same, _scalar_series_json, _vector_series_json
+
+    series = _read_terms(terms, "terms", n, trunc, vector=vector)
+    return _same(terms, _vector_series_json(VectorSeries(series)) if vector else _scalar_series_json(series[0]))
 
 
 def oracle_json_text(value, pad=""):

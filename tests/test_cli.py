@@ -186,8 +186,6 @@ class TestExitCodes:
              lambda d: d["normalization"]["g"][0].update(exponent=[1]), "exponent"),
             ("normalize", "ex2_2d.json",
              lambda d: d["normalization"].update(phi={}), "terms must be a list"),
-            ("classify", "ex2_2d.json",
-             lambda d: d["classification"]["p"].pop(), "p must have 2 entries"),
             ("embed", "ex2_2d.json",
              lambda d: d["embedding"].pop("order"), "'order'"),
             ("resonance", "halfdouble.json",
@@ -1264,6 +1262,8 @@ class TestVerifyRederivesClassification:
              "classification.growth.super_geometric"),
             ("classify", "center.json", lambda c: c.pop("h"), "classification.h"),
             ("classify", "ex2_2d.json", lambda c: c.pop("witness"), "classification.witness"),
+            # a p of the wrong length is compared whole, as every other claim
+            ("classify", "ex2_2d.json", lambda c: c["p"].pop(), "classification.p"),
             ("normalize", "ex2_3d.json", lambda d: d["growth"].update(log_slope="0.000000"),
              "growth.log_slope"),
         ],
@@ -1334,21 +1334,28 @@ def nodes(doc, path=()):
             yield from nodes(value, path + (key,))
 
 
-def known_deletion_exit(path, paired):
-    """The exit code of a list-element deletion `verify` does not refuse
-    with 4, or None:
+def known_deletion_exit(doc, path, i, paired):
+    """The exit code of deleting doc[path][i] (with its `residual_zero`
+    entry when paired) that `verify` does not refuse with 4, or None:
     - a search integral deleted with its `residual_zero` entry verifies (0):
-      `verify` does not re-derive the completeness of the search;
+      `verify` does not re-derive the completeness of the search; but an
+      emptied section drops its `independence`, which the claim still holds
+      (4);
+    - a term above the lowest of a pullback integral whose claimed
+      `residual_zero` is false verifies (0): the pullback is not re-derived,
+      and the edited integral still has a nonzero residual;
     - `independence.witness_point` is informational (0);
     - an entry of a term's coeff or exponent leaves a malformed term in a
-      claimed series `verify` reads (the classification's p and h are
-      compared as they stand), and an entry of `classification.p` a p of
-      the wrong length (2)."""
+      claimed series `verify` reads (2); the classification's p and h are
+      compared as they stand."""
     if paired and path[:3] == ("integrals", "search", "integrals"):
+        return 0 if len(doc["integrals"]["search"]["integrals"]) > 1 else None
+    if (not paired and path[:3] == ("integrals", "pullback", "integrals") and len(path) == 4 and i > 0
+            and doc["integrals"]["pullback"]["residual_zero"][path[3]] is False):
         return 0
     if "witness_point" in path:
         return 0
-    if path == ("classification", "p") or path[-1] in ("coeff", "exponent") and type(path[-2]) is int and (
+    if path[-1] in ("coeff", "exponent") and type(path[-2]) is int and (
             path[0] != "classification" or path[1] == "normalization"):
         return 2
     return None
@@ -1386,29 +1393,51 @@ class TestVerifyRebuildsTheWholeReport:
         # the informational leaves the report holds all pass
         assert {p for p, _ in edits if informational(sub, p)} <= set(passed)
 
-    @pytest.mark.parametrize("fixture,sub", FIXTURE_REPORTS)
-    def test_every_list_element_deletion(self, tmp_path, capsys, fixture, sub):
-        """Each element of each list outside the echo deleted alone, and a
-        deleted integral together with its `residual_zero` entry: exit 4,
-        unless `known_deletion_exit` lists the deletion."""
+    @staticmethod
+    def every_deletion_exits_as_known(tmp_path, text):
+        """Each element of each list outside the echo of the report `text`
+        deleted alone, and a deleted integral together with its
+        `residual_zero` entry: exit 4, unless `known_deletion_exit` lists
+        the deletion.  Returns the number of deletions."""
         from helpers import element_deletions
 
-        rep = tmp_path / "rep.json"
-        assert run([sub, "--input", FIXTURES / fixture, "--output", rep]) == 0
-        text = rep.read_text()
         doc = json.loads(text)
         cases = [(path, i, False) for path, i in element_deletions(doc) if path[0] != "system"]
         cases += [(path, i, True) for path, i, _ in cases
                   if path[0] == "integrals" and path[2:] == ("integrals",)]
-        assert len(cases) > 5
         for path, i, paired in cases:
             edited = json.loads(text)
             del functools.reduce(lambda node, key: node[key], path, edited)[i]
             if paired:
                 del edited["integrals"][path[1]]["residual_zero"][i]
             code = run(["verify", "--input", write(tmp_path, "bad.json", edited)])
-            known = known_deletion_exit(path, paired)
+            known = known_deletion_exit(doc, path, i, paired)
             assert code == (4 if known is None else known), (path, i, paired)
+        return len(cases)
+
+    @pytest.mark.parametrize("fixture,sub", FIXTURE_REPORTS)
+    def test_every_list_element_deletion(self, tmp_path, capsys, fixture, sub):
+        rep = tmp_path / "rep.json"
+        assert run([sub, "--input", FIXTURES / fixture, "--output", rep]) == 0
+        assert self.every_deletion_exits_as_known(tmp_path, rep.read_text()) > 5
+        capsys.readouterr()
+
+    def test_every_list_element_deletion_in_the_integrals_catalogue(self, tmp_path, capsys):
+        """The deletions of the `integrals` report of catalogue entry 0 of
+        each `integrals` class of the benchmark: planted maps and resonant
+        fields, whose pullback integrals on fields have nonzero residuals."""
+        sys.path.insert(0, str(FIXTURES.parent / "bench"))
+        import workloads
+
+        classes = workloads.WORKLOADS["integrals"]
+        assert len(classes) == 13
+        deletions = 0
+        for klass in classes:
+            op = workloads.catalogue_entry("integrals", klass, 0)
+            rep = tmp_path / "rep.json"
+            assert run([op.subcommand, "--input", write(tmp_path, "sys.json", op.system), "--output", rep]) == 0
+            deletions += self.every_deletion_exits_as_known(tmp_path, rep.read_text())
+        assert deletions > 1000
         capsys.readouterr()
 
     @pytest.mark.parametrize("fixture,sub", [(f, s) for f, s in FIXTURE_REPORTS if f != "ex2_3d.json"])
@@ -1470,6 +1499,134 @@ def test_python_m_dulac_writes_the_cli_report(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == rep.read_bytes()
+
+
+def verify_both_ways(monkeypatch, capsys, path):
+    """(exit code, stdout, stderr) of `verify` on the report at path, as it
+    runs and with every claimed term list rebuilt and compared
+    (`helpers.rebuilding_reader`)."""
+    from helpers import rebuilding_reader
+
+    from dulac import cli
+
+    capsys.readouterr()
+    got = (run(["verify", "--input", path]), *capsys.readouterr())
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "_read_terms", rebuilding_reader(cli._read_terms))
+        return got, (run(["verify", "--input", path]), *capsys.readouterr())
+
+
+# (name, subcommand, path, whether its terms carry a component) of one term
+# list of each kind `verify` reads from a report of ex2_3d, each of two or
+# more terms
+CLAIMED_LISTS = [
+    ("echo", "normalize", ("system", "terms"), True),
+    ("phi", "normalize", ("normalization", "phi"), True),
+    ("g", "normalize", ("normalization", "g"), True),
+    ("classify phi", "classify", ("classification", "normalization", "phi"), True),
+    ("search", "integrals", ("integrals", "search", "integrals", 0), False),
+    ("pullback", "integrals", ("integrals", "pullback", "integrals", 0), False),
+    ("embedding", "embed", ("embedding", "integrals", 0), False),
+]
+
+# one edit each that takes a list out of written form, in place
+WRITTEN_FORM_EDITS = {
+    "swap two terms": lambda terms: terms.__setitem__(slice(0, 2), terms[1::-1]),
+    "repeat a term": lambda terms: terms.insert(1, dict(terms[0])),
+    "scale a coefficient by 2/2": lambda terms: terms[0].update(coeff=[2 * x for x in terms[0]["coeff"]]),
+    "negate a denominator": lambda terms: terms[0]["coeff"].__setitem__(1, -terms[0]["coeff"][1]),
+    "zero numerator": lambda terms: terms[0]["coeff"].__setitem__(0, 0),
+    "real as four ints": lambda terms: terms[0]["coeff"].extend([0, 1]),
+    "extra key": lambda terms: terms[0].update(note=0),
+    "true in an exponent": lambda terms: terms[0]["exponent"].__setitem__(0, True),
+    "no component": lambda terms: terms[0].pop("component"),
+}
+
+
+class TestWrittenFormIsTakenAsRead:
+    """`verify` takes a claimed term list in written form as read and
+    rebuilds and compares any other: each way gives the same exit code,
+    stdout and stderr.  An edit that takes a list out of written form exits
+    4, or 2 where the term it leaves is malformed: an exponent entry true,
+    a vector term without a component, or a Gaussian coefficient in the
+    echo of a rational system."""
+
+    @pytest.mark.parametrize("name,sub,path,vector,edit", [
+        (*claimed, edit) for claimed in CLAIMED_LISTS for edit in sorted(WRITTEN_FORM_EDITS)
+        if claimed[3] or edit != "no component"])
+    def test_edit_out_of_written_form(self, tmp_path, capsys, monkeypatch, name, sub, path, vector, edit):
+        from helpers import oracle_in_written_form
+
+        from dulac.cli import _read_terms
+
+        rep = tmp_path / "rep.json"
+        assert run([sub, "--input", FIXTURES / "ex2_3d.json", "--output", rep]) == 0
+        doc = load(rep)
+        terms = functools.reduce(lambda node, key: node[key], path, doc)
+        n, N = doc["system"]["n"], doc["system"]["order_N"]
+        assert len(terms) >= 2 and oracle_in_written_form(terms, n, N, vector)
+        assert _read_terms(terms, name, n, N, vector=vector, as_read=True)[1] is terms
+        WRITTEN_FORM_EDITS[edit](terms)
+        malformed = edit in ("true in an exponent", "no component") or edit == "real as four ints" and name == "echo"
+        if not malformed:
+            assert not oracle_in_written_form(terms, n, N, vector)
+            assert _read_terms(terms, name, n, N, vector=vector, as_read=True)[1] is None
+        new, old = verify_both_ways(monkeypatch, capsys, write(tmp_path, "bad.json", doc))
+        assert new == old and new[0] == (2 if malformed else 4) and new[2].startswith("error: ")
+
+    @pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.json")))
+    def test_unedited_reports_take_every_list_as_read(self, tmp_path, capsys, monkeypatch, fixture):
+        """Every report of every fixture and solver verifies with the same
+        output both ways, and `verify` takes each of its term lists as read."""
+        from dulac import cli
+
+        read, taken = cli._read_terms, []
+
+        def spy(*args, **kwargs):
+            out = read(*args, **kwargs)
+            if kwargs.get("as_read"):
+                taken.append(out[1] is args[0])
+            return out
+
+        reports = 0
+        for sub in SOLVERS:
+            rep = tmp_path / f"{sub}.json"
+            if run([sub, "--input", FIXTURES / fixture, "--output", rep]) != 0:
+                continue
+            reports += 1
+            new, old = verify_both_ways(monkeypatch, capsys, rep)
+            assert new == old and new[0] == 0, sub
+            taken.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(cli, "_read_terms", spy)
+                assert run(["verify", "--input", rep]) == 0
+            assert taken and all(taken), sub
+        assert reports >= 2
+
+    @pytest.mark.parametrize("fixture,sub", FIXTURE_REPORTS)
+    def test_seeded_edits_and_deletions(self, tmp_path, capsys, monkeypatch, fixture, sub):
+        """Seeded leaf edits and list-element deletions of a fixture report,
+        the echo included: the same exit code and output both ways."""
+        from helpers import element_deletions, leaf_edits
+
+        rep = tmp_path / "rep.json"
+        assert run([sub, "--input", FIXTURES / fixture, "--output", rep]) == 0
+        text = rep.read_text()
+        doc = json.loads(text)
+        rng = random.Random(f"as-read/{fixture}/{sub}")
+        edits = list(leaf_edits(doc))
+        cases = [edited for _, edited in rng.sample(edits, min(150, len(edits)))]
+        deletions = list(element_deletions(doc))
+        for path, i in rng.sample(deletions, min(150, len(deletions))):
+            edited = json.loads(text)
+            del functools.reduce(lambda node, key: node[key], path, edited)[i]
+            cases.append(edited)
+        codes = set()
+        for edited in cases:
+            new, old = verify_both_ways(monkeypatch, capsys, write(tmp_path, "bad.json", edited))
+            assert new == old
+            codes.add(new[0])
+        assert 4 in codes
 
 
 class TestReportWriter:
@@ -1737,7 +1894,7 @@ class TestResonanceCheckMatchesThePerTermLoop:
             sf = cli._system_from_doc(doc["system"], "system")
             rng = random.Random(f"resonance-edits/{name}")
             for pair in [claimed_pair(doc)] + resonance_edits(doc, rng):
-                phi, g = (cli._vector_from_json(pair[k], sf.n, pair["order"], k, k) for k in ("phi", "g"))
+                phi, g = (cli._vector_from_json(pair[k], sf.n, pair["order"], k, k)[0] for k in ("phi", "g"))
                 want = oracle_claimed_resonance(sf.eigen, phi, g)
                 try:
                     cli._claimed_normalization(sf, sf.system(), pair, "normalization")

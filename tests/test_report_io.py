@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from dulac.cli import _read_terms, _render_text, _scalar_series_json, _vector_series_json, main
 from dulac.errors import InternalInvariantError, SystemFileError
 from dulac.series import VectorSeries
-from helpers import oracle_read_terms, oracle_scalar_series_json, oracle_vector_series_json
+from helpers import oracle_in_written_form, oracle_read_terms, oracle_scalar_series_json, oracle_vector_series_json
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SOLVERS = ("resonance", "normalize", "classify", "integrals", "embed")
@@ -73,6 +73,66 @@ class TestReaderMatchesTheScalarPath:
             _read_terms(doc, "t", N, 2, vector=False)
         with pytest.raises(InternalInvariantError, match="V has a term of degree 3, above the verified order 2$"):
             _read_terms(doc, "t", N, 2, vector=False, claimed="V has a term")
+
+
+class TestWrittenFormDecision:
+    """`_read_terms` with as_read takes a term list as read exactly when it
+    is the list the writers write for the series read
+    (`helpers.oracle_in_written_form`, which rebuilds the list and compares),
+    and reads the same series either way."""
+
+    @staticmethod
+    def taken_as_read(doc, trunc, vector):
+        series, as_read = _read_terms(doc, "t", N, trunc, vector=vector, as_read=True)
+        assert as_read is None or as_read is doc
+        assert [s.parts for s in series] == [s.parts for s in _read_terms(doc, "t", N, trunc, vector=vector)]
+        assert (as_read is doc) == oracle_in_written_form(doc, N, trunc, vector)
+        return as_read is doc
+
+    @pytest.mark.parametrize("coeff,written", [
+        ([1, 2], True), ([-1, 2], True), ([2, 4], False), ([1, -2], False), ([0, 1], False),
+        ([1, 2, 0, 1], False), ([0, 1, 1, 2], True), ([-1, 2, -1, 2], True), ([0, 2, 1, 2], False),
+        ([1, -2, 1, 2], False), ([2, 4, 1, 2], False), ([1, 2, 2, 4], False), ([1, 2, 1, -2], False)])
+    def test_one_coefficient(self, coeff, written):
+        assert self.taken_as_read([{"coeff": coeff, "exponent": [1, 1]}], 2, False) == written
+
+    @SETTINGS
+    @given(st.data())
+    def test_random_lists(self, data):
+        vector = data.draw(st.booleans())
+        doc, trunc = data.draw(through(vector))
+        self.taken_as_read(doc, trunc, vector)
+
+    @SETTINGS
+    @given(st.data())
+    def test_written_lists_edited_once(self, data):
+        """The writing of a random list is taken as read; one edit of it, a
+        swap, repeat or deletion of a term, a new coefficient, exponent or
+        component, or an extra key, is decided as the oracle decides it."""
+        vector = data.draw(st.booleans())
+        doc, trunc = data.draw(through(vector))
+        series = _read_terms(doc, "t", N, trunc, vector=vector)
+        doc = _vector_series_json(VectorSeries(series)) if vector else _scalar_series_json(series[0])
+        assert self.taken_as_read(doc, trunc, vector)
+        if not doc:
+            return
+        k = data.draw(st.integers(0, len(doc) - 1))
+        edit = data.draw(st.sampled_from(["swap", "repeat", "delete", "coeff", "exponent", "component", "key"]))
+        if edit == "swap":
+            doc[k - 1], doc[k] = doc[k], doc[k - 1]
+        elif edit == "repeat":
+            doc.insert(k, dict(doc[k]))
+        elif edit == "delete":
+            del doc[k]
+        elif edit == "coeff":
+            doc[k]["coeff"] = data.draw(RATIONALS | GAUSSIANS)
+        elif edit == "exponent":
+            doc[k]["exponent"] = data.draw(EXPONENTS.filter(lambda m: sum(m) <= trunc))
+        elif edit == "component" and vector:
+            doc[k]["component"] = data.draw(st.integers(1, N))
+        else:
+            doc[k]["note"] = 0
+        self.taken_as_read(doc, trunc, vector)
 
 
 class TestWriterMatchesTheScalarPath:
