@@ -9,24 +9,27 @@ A set of integrals is a plain tuple of series, each with zero constant term
 and expected to pass its verify_integral check with an exactly zero
 residual.
 
-The search, the pullback, the residuals and the independence check read
-the packed parts of `series` directly: a search column is read from the
-parts of F's power table (maps) or summed by `series.lie_derivative`'s pairs
-over X's table (fields); an integral is pulled back through the
-normalizer's own table of the powers of Phi = y + phi (`Powers.pull`), with
-no inverse of Phi built; each degree of V o F - V or <grad V, X> is one
-packed sum that becomes that part of the residual; and the gradients, the
-packed `series._gradients` of each integral, are evaluated homogenised, in
-integers, at each sample point.  Both eliminations, the search's kernel and
-the sample points' ranks, run in the integer `linalg.Echelon`; only the
-kernel vectors become `Fraction`s."""
+The search runs in the coordinates of the normal form, where only the
+lattice monomials (those with value(m) = value(0)) can carry a first
+integral: its columns are those monomials' images, read from the parts of
+the degree loop's table of the normal form G (maps) or summed by
+`series.lie_derivative`'s pairs over G's parts (fields), and its kernel is
+pulled back to the system's coordinates.  F's own table is not read.  An
+integral is pulled back through the normalizer's own table of the powers of
+Phi = y + phi (`Powers.pull`), with no inverse of Phi built; each degree of
+V o F - V or <grad V, X> is one packed sum over F's table that becomes that
+part of the residual; and the gradients, the packed `series._gradients` of
+each integral, are evaluated homogenised, in integers, at each sample
+point.  Every elimination, the search's kernel, its reduced echelon form
+and the sample points' ranks, runs in the integer `linalg.Echelon`; only
+the vectors it reads off become `Fraction`s."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -44,7 +47,7 @@ from .series import (
     _products,
     _rekeyed,
 )
-from .normalizer import MapSystem, NormalizationResult, System
+from .normalizer import MapSystem, NormalizationResult, System, normalize
 
 
 @dataclass(frozen=True)
@@ -129,18 +132,27 @@ def verify_integral(V: ScalarSeries, system: System, order: int | None = None) -
 
 # -- search -----------------------------------------------------------------------
 #
-# The search solves for the kernel of one linear operator on the monomials
-# y^m with 1 <= |m| <= degree.  Column m holds the operator's image of y^m
-# through the certified order, entered straight from packed parts: the row of
-# the term y^r of degree s is s * base^n + (packed key of r), so the rows go
-# degree by degree.  The operator is block lower triangular with mu^m - 1 (or
-# <m, lambda>) on each column's own monomial, so each nonresonant column is a
-# pivot on its own row and only the resonant columns are ever reduced.  The
-# kernel basis depends on the column order alone (see `linalg`); the row
-# order only sets the cost.
+# The search works in the coordinates of the normal form G = B y + g (or the
+# field lambda y + g), whose g is resonant.  There V -> V o G - V (or <grad V,
+# G>) keeps each value class of monomials in itself: the image of y^m is
+# (mu^m - 1) y^m (or <m, lambda> y^m) plus terms of higher degree and the same
+# value.  So it is invertible on every class but that of value(0), the lattice
+# monomials, and its kernel through the order is the kernel of the lattice
+# columns alone.  W o F - W vanishes through the order exactly when V o G - V
+# does for V = W o Phi, so the first integrals of F through the order are the
+# pullbacks W of those kernel vectors (`Powers.pull`).  The polynomials of
+# degree at most `degree` among them are spanned by the vectors of their
+# reduced echelon form whose pivot, the highest monomial in graded-lex order,
+# has degree at most `degree`; with each vector 1 on its pivot and 0 on the
+# others' pivots, that basis is unique, and it is the kernel basis the
+# operator on every monomial through `degree` gives (`linalg`).  A column is
+# entered straight from packed parts: the row of the term y^r of degree s is
+# s * base^n + (packed key of r).
 
 
-def search_integrals(system: System, degree: int) -> tuple[ScalarSeries, ...]:
+def search_integrals(
+    system: System, degree: int, normal_form: NormalizationResult | None = None
+) -> tuple[ScalarSeries, ...]:
     """Spanning set of polynomial W of degree <= `degree` that are first
     integrals (W o F = W for a map, <grad W, X> = 0 for a field) exactly
     through every degree the system data certifies.
@@ -151,54 +163,73 @@ def search_integrals(system: System, degree: int) -> tuple[ScalarSeries, ...]:
     powers of lower-degree solutions.  The flip side: an integral whose honest
     polynomial degree exceeds `degree` contributes nothing, so searching below
     the certification order can legitimately come back empty even for
-    integrable systems.  Solved as one exact kernel computation over the
-    monomial basis by the integer echelon of `linalg`, in graded-lex column
-    order, each column the packed parts of its degrees merged over their
-    lcm.  For a map the column of y^m is y^m o F - y^m, read degree by
-    degree from the parts [F^m]_s of F's power table, with y^m subtracted on
-    its own row (the degree-|m| part of F^m is mu^m y^m); for a field it is
-    <grad y^m, X>, each degree of it one packed sum of the pairs that
-    `series.lie_derivative` sums."""
+    integrable systems.
+
+    Solved in normal-form coordinates (see the comment above), through
+    `normal_form`, the system's distinguished pair through at least its
+    order (default: `normalize` at the order, run only when the lattice
+    class is not empty).  One column per lattice monomial y^m, degree 1
+    included: y^m o G - y^m, read degree by degree from the parts
+    [G^m]_s of the degree loop's table of G (its degree-|m| part mu^m y^m =
+    y^m cancels), or <grad y^m, G>, each degree one packed sum of the pairs
+    that `series.lie_derivative` sums.  Their kernel, in the integer
+    `linalg.Echelon`, is pulled back through the loop's table of Phi, and
+    the basis is the reduced echelon form of the pullbacks in a second
+    Echelon, with rows numbered downwards in graded-lex order so that each
+    pivot is its vector's highest monomial.  The series go in the order of
+    their first terms' exponents."""
     n, N = system.n, system.order
     if degree > N:
         raise HypothesisError(
             f"system data certified to degree {N}; cannot search to {degree}"
         )
-    if not system.spec.has_exact_values():  # a formal base: maps only
+    spec = system.spec
+    if not spec.has_exact_values() or N < 2:
+        # a system known through degree 1 is its linear part, and a formal
+        # base (maps only) supports linear maps alone: each monomial is an
+        # eigenvector of the diagonal linear part, and the resonant ones span
+        # the integrals
         if not system.nonlinear.is_zero():
             raise HypothesisError("formal-base search supports linear maps only")
-        return tuple(
-            ScalarSeries.monomial(n, degree, m)
-            for m in iter_exponents(n, 1, degree)
-            if system.spec.resonant(m)
-        )
+        return tuple(ScalarSeries.monomial(n, degree, m) for m in iter_exponents(n, 1, degree) if spec.resonant(m))
+    lattice = [m for m in iter_exponents(n, 1, 1) if spec.resonant(m)] + spec.resonant_class(N)
+    if not lattice:
+        return ()
+    if normal_form is None:
+        normal_form = normalize(system)
     is_map = isinstance(system, MapSystem)
-    P = system.powers
-    shift = P.base**n
-    monomials = list(iter_exponents(n, 1, degree))
+    G = normal_form.normal_form_powers
+    shift = G.base**n
     columns = []
-    for m in monomials:
-        k, d = sum(map(mul, m, P.weights)), sum(m)
+    for m in lattice:
+        k, d = sum(map(mul, m, G.weights)), sum(m)
         if is_map:
-            parts = [P.part(k, s) for s in range(d, N + 1)]
+            parts = [G.part(k, s) for s in range(d + 1, N + 1)]
         else:
-            grads = _gradients([(d, (1, {k: 1}, {}))], P.weights, P.base)
-            parts = [_products(_lie_pairs(grads, P.parts, s)) for s in range(d, N + 1)]
-        # the parts of degrees d..N merged over their lcm, row s*shift + key
+            grads = _gradients([(d, (1, {k: 1}, {}))], G.weights, G.base)
+            parts = [_products(_lie_pairs(grads, G.parts, s)) for s in range(d + 1, N + 1)]
+        # the parts of degrees d+1..N merged over their lcm, row s*shift + key
         den = lcm(*(part[0] for part in parts))
-        re, im = (
-            {s * shift + key: den // part[0] * x for s, part in enumerate(parts, d) for key, x in part[i].items()}
+        columns.append((den, *(
+            {s * shift + key: den // part[0] * x for s, part in enumerate(parts, d + 1) for key, x in part[i].items()}
             for i in (1, 2)
-        )
-        if is_map:  # y^m o F - y^m
-            re[d * shift + k] = re.get(d * shift + k, 0) - den
-        columns.append((den, re, im))
-    # each kernel vector is 1 on its own monomial, so no series is zero; the
-    # monomials are in graded-lex order, so its first column is its first
-    # term, and the series go in the order of their first terms' exponents
+        )))
+    vs = [ScalarSeries(n, N, {lattice[c]: x for c, x in vec.items()}) for vec in kernel_basis(columns)]
+    # the pullbacks, keyed with base N + 1, each on rows -(its monomials'
+    # graded-lex indices), and merged over the lcm of its parts
+    monomials = list(iter_exponents(n, 1, N))
+    weights = [(N + 1) ** i for i in range(n)]
+    rows = {sum(map(mul, m, weights)): -i for i, m in enumerate(monomials)}
+    echelon = Echelon()
+    for w in normal_form.powers.pull(vs, N):
+        den = lcm(*(part[0] for part in w.parts))
+        echelon.add(*({rows[key]: den // part[0] * x for part in w.parts for key, x in part[i].items()} for i in (1, 2)))
+    top = comb(n + degree, n) - 1  # the monomials through `degree`
+    # the vectors by pivot, then (a stable sort) by first term
+    basis = echelon.reduced(row for row in sorted(echelon.pivots, reverse=True) if -row < top)
     return tuple(
-        ScalarSeries(n, degree, {monomials[c]: v for c, v in vec.items()})
-        for vec in sorted(kernel_basis(columns), key=lambda vec: monomials[min(vec)])
+        ScalarSeries(n, degree, {monomials[-row]: x for row, x in vec.items()})
+        for vec in sorted(basis.values(), key=lambda vec: monomials[-max(vec)])
     )
 
 

@@ -11,9 +11,12 @@ step, so the numbers stay integers of moderate size (fraction-free in the
 sense of Bareiss, 1968).  A column that reduces to zero closes a kernel
 vector, 1 at its own index and -a_p at the earlier pivot columns.  It
 depends on the column order alone, so it is the kernel basis read off the
-reduced row echelon form; the row numbering only sets the cost.  Scalars
-are built at the output only, by `_quotient`: the kernel vectors and the
-determinant of the pivot columns.
+reduced row echelon form; the row numbering only sets the cost.  The
+reduced echelon form of the inserted columns themselves, each vector 1 on
+its lowest row and 0 on the other pivot rows, is read off the pivots by the
+same cross-multiplication.  Scalars are built at the output only, by
+`_quotient`: the kernel vectors, the reduced vectors and the determinant of
+the pivot columns.
 """
 
 from __future__ import annotations
@@ -106,6 +109,27 @@ class Echelon:
             if g > 1:
                 v, comb = (tuple({k: x // g for k, x in d.items()} for d in pair) for pair in (v, comb))
         return comb
+
+    def reduced(self, rows: Iterable[int]) -> dict[int, dict[int, Scalar]]:
+        """For each of these pivot rows, the vector of the span of the
+        inserted columns that is 1 on it and 0 on every other pivot row, as
+        row -> entry: the reduced echelon form, each vector's pivot its
+        lowest row.  Each is its pivot column with the entries on the later
+        pivot rows cleared in order, by the same cross-multiplication as
+        `add`."""
+        later = sorted(self.pivots)
+        out = {}
+        for low in rows:
+            v = self.pivots[low][0]
+            for row in later:
+                if row > low and (f := _entry(v, row)) != (0, 0):
+                    pv = self.pivots[row][0]
+                    v = _combine(_entry(pv, row), v, (-f[0], -f[1]), pv)
+                    if (g := gcd(*chain(*(d.values() for d in v)))) > 1:
+                        v = tuple({k: x // g for k, x in d.items()} for d in v)
+            p = _entry(v, low)
+            out[low] = {k: _quotient(_entry(v, k), p, 1) for k in dict.fromkeys(chain(*v))}
+        return out
 
     def kernel_vector(self, comb: Column) -> dict[int, Scalar]:
         """The kernel vector of a combination `add` returned: column index ->

@@ -26,10 +26,11 @@ too.  The normalization thus contains only nonresonant monomials, the
 normal form only resonant ones, and the pair is unique; exact conjugacy of
 the output is re-verified, summed afresh through the loop's own power
 tables (the top degree of each composition one part: f_s as it is, a map's
-phi_s scaled by mu^m), and recorded, never assumed; the table of Phi's
-powers stays with the result, and the integrals are pulled back through it
-(`series.Powers.pull`).  `verify` checks a claimed pair through tables it
-builds from that pair alone.
+phi_s scaled by mu^m), and recorded, never assumed; the tables of Phi's
+and of G's powers stay with the result: the integral search reads the
+second and pulls its kernel back through the first, as the integrals are
+pulled back (`series.Powers.pull`).  `verify` checks a claimed pair through
+tables it builds from that pair alone.
 """
 
 from __future__ import annotations
@@ -164,6 +165,13 @@ class NormalizationResult:
         own table here, and a claimed pair builds one on first use."""
         return Powers.of(self.normalization(), self.order)
 
+    @cached_property
+    def normal_form_powers(self) -> Powers:
+        """The table of powers of `normal_form()` through the order, which
+        the integral search reads; `normalize` sets its degree loop's own
+        table here, and a claimed pair builds one on first use."""
+        return Powers.of(self.normal_form(), self.order)
+
     def normal_form(self) -> VectorSeries:
         """The full normal form, linear part included (exact eigenvalues only)."""
         return VectorSeries.diagonal_linear(self.spec.values, self.order) + self.g
@@ -246,7 +254,8 @@ def normalize(system: System, order: int | None = None) -> NormalizationResult:
     degrees on the right), with g collecting the resonant part and phi the
     nonresonant part.  The conjugacy of the output (F o Phi = Phi o G, or
     DPhi * G = X o Phi) is verified exactly, through the loop's own tables,
-    and the table of Phi's powers stays with the result as its `powers`.
+    and the tables of Phi's and of G's powers stay with the result as its
+    `powers` and `normal_form_powers`.
     """
     _require_exact_eigenvalues(system.spec)
     result, P, Q = _solve(system, order)
@@ -257,6 +266,7 @@ def normalize(system: System, order: int | None = None) -> NormalizationResult:
         )
     result = replace(result, residual_zero_degrees=tuple(range(2, result.order + 1)))
     object.__setattr__(result, "powers", P)  # `replace` copies no cached table
+    object.__setattr__(result, "normal_form_powers", Q)
     return result
 
 

@@ -1553,6 +1553,54 @@ def oracle_search_integrals_field(X, degree):
     return _oracle_echelon_kernel_series(columns, monomials, n, degree)
 
 
+def oracle_search_integrals(system, degree):
+    """search_integrals as it was before it moved to normal-form coordinates:
+    one column per monomial y^m with 1 <= |m| <= degree, in graded-lex
+    order, read from F's power table (y^m o F - y^m, y^m subtracted on its
+    own row) or summed by lie_derivative's pairs over X's table (<grad y^m,
+    X>), through the certified order; the kernel in the integer Echelon,
+    each vector 1 on its highest monomial."""
+    from operator import mul
+
+    from dulac.errors import HypothesisError
+    from dulac.linalg import kernel_basis
+    from dulac.series import _gradients, _lie_pairs, _products
+
+    n, N = system.n, system.order
+    if degree > N:
+        raise HypothesisError(f"system data certified to degree {N}; cannot search to {degree}")
+    if not system.spec.has_exact_values():
+        if not system.nonlinear.is_zero():
+            raise HypothesisError("formal-base search supports linear maps only")
+        return tuple(
+            ScalarSeries.monomial(n, degree, m) for m in iter_exponents(n, 1, degree) if system.spec.resonant(m)
+        )
+    is_map = isinstance(system, MapSystem)
+    P = system.powers
+    shift = P.base**n
+    monomials = list(iter_exponents(n, 1, degree))
+    columns = []
+    for m in monomials:
+        k, d = sum(map(mul, m, P.weights)), sum(m)
+        if is_map:
+            parts = [P.part(k, s) for s in range(d, N + 1)]
+        else:
+            grads = _gradients([(d, (1, {k: 1}, {}))], P.weights, P.base)
+            parts = [_products(_lie_pairs(grads, P.parts, s)) for s in range(d, N + 1)]
+        den = lcm(*(part[0] for part in parts))
+        re, im = (
+            {s * shift + key: den // part[0] * x for s, part in enumerate(parts, d) for key, x in part[i].items()}
+            for i in (1, 2)
+        )
+        if is_map:
+            re[d * shift + k] = re.get(d * shift + k, 0) - den
+        columns.append((den, re, im))
+    return tuple(
+        ScalarSeries(n, degree, {monomials[c]: v for c, v in vec.items()})
+        for vec in sorted(kernel_basis(columns), key=lambda vec: monomials[min(vec)])
+    )
+
+
 def oracle_independence_check(integrals, trials=8, seed=0):
     """independence_check with the gradients evaluated in Fractions at each
     sample point."""

@@ -10,9 +10,12 @@ from helpers import (
     normalization_of,
     oracle_independence,
     oracle_independence_check,
+    oracle_inner,
+    oracle_power,
     oracle_pullback_integrals,
     oracle_rank,
     oracle_resonant,
+    oracle_search_integrals,
     oracle_search_integrals_field,
     oracle_search_integrals_map,
     oracle_verify_integral_field,
@@ -403,6 +406,178 @@ class TestPackedSearch:
             got = search_integrals(Fm, degree)
             assert got == oracle_search_integrals_map(Fm, degree)
             assert ScalarSeries.monomial(2, degree, (2, 5)) in got
+
+
+# -- the search in normal-form coordinates against the dense search -------------
+
+
+def _catalogue_systems():
+    """The system of each `integrals` catalogue entry, as `dulac integrals`
+    reads it."""
+    from dulac.cli import _system_from_doc
+
+    return [_system_from_doc(op.system, op.key).system() for op in workloads.catalogue("integrals")]
+
+
+def _exact_fixtures():
+    from dulac.cli import parse_system
+
+    sfs = [parse_system(str(path)) for path in sorted(FIXTURES.glob("*.json"))]
+    return [sf.system() for sf in sfs if sf.eigen.has_exact_values()]
+
+
+def _one_dim(rng, kind, N, gauss):
+    """n = 1 with a resonant spectrum: mu = -1 (or i), lambda = 0."""
+    if kind is FieldSystem:
+        spec = EigenSpec.additive([0])
+    else:
+        spec = EigenSpec.multiplicative([gaussian(0, 1) if gauss else -1])
+    return kind(spec, _nonlinear(rng, 1, N, gauss), N)
+
+
+def _seeded_systems(seed):
+    """Planted maps and resonant fields, n = 1..4, over Q and Q(i)."""
+    from dulac.cli import _system_from_doc
+
+    rng = random.Random(seed)
+    out = []
+    for gauss in (False, True):
+        out += [_one_dim(rng, kind, 7, gauss) for kind in (MapSystem, FieldSystem)]
+        for n, N in ((2, 7), (3, 5), (4, 4)):
+            doc, _ = workloads.planted_map(n, N, gauss)(rng)
+            out += [_system_from_doc(doc, "planted").system(), _dense_field(rng, n, N, gauss)]
+    return out
+
+
+def _edge_systems():
+    """A unit multiplier, mu = -1 at n = 1, (i, -i), zero field eigenvalues
+    and mu = 2 at n = 1 (no lattice monomial at all)."""
+    rng = random.Random(29)
+    i = gaussian(0, 1)
+    maps = [([1, 2], False), ([1], False), ([-1], False), ([i, -i], True), ([2], False)]
+    fields = [([0, 0], False), ([1, 0], False), ([0, i], True)]
+    out = [MapSystem(EigenSpec.multiplicative(mu), _nonlinear(rng, len(mu), 6, g), 6) for mu, g in maps]
+    out += [FieldSystem(EigenSpec.additive(lam), _nonlinear(rng, len(lam), 6, g), 6) for lam, g in fields]
+    return out
+
+
+def _lattice_class(system, order):
+    """The monomials y^m with 1 <= |m| <= order and value(m) = value(0)."""
+    spec = system.spec
+    return [m for m in iter_exponents(system.n, 1, 1) if spec.resonant(m)] + spec.resonant_class(order)
+
+
+class TestSearchInNormalForm:
+    """The search over the lattice monomials of the normal form equals the
+    dense search over every monomial of F through the degree
+    (`helpers.oracle_search_integrals`), byte for byte."""
+
+    @staticmethod
+    def _every_degree(system):
+        normal_form = normalize(system) if _lattice_class(system, system.order) else None
+        for degree in range(1, system.order + 1):
+            _same(search_integrals(system, degree, normal_form), oracle_search_integrals(system, degree))
+
+    def test_integrals_catalogue(self):
+        systems = _catalogue_systems()
+        assert len(systems) == 104
+        for system in systems:
+            _same(search_integrals(system, system.order), oracle_search_integrals(system, system.order))
+
+    def test_exact_fixtures_at_every_degree(self):
+        systems = _exact_fixtures()
+        assert len(systems) == 5
+        for system in systems:
+            self._every_degree(system)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_seeded_planted_maps_and_resonant_fields(self, seed):
+        for system in _seeded_systems(seed):
+            self._every_degree(system)
+
+    def test_edge_spectra(self):
+        for system in _edge_systems():
+            self._every_degree(system)
+
+    def test_order_one(self):
+        """Through degree 1 a system is its linear part, with no normal form
+        to solve for: the resonant degree-1 monomials are the integrals."""
+        for system in (MapSystem(EigenSpec.multiplicative([1, 2]), VectorSeries.zero(2, 1), 1),
+                       FieldSystem(EigenSpec.additive([0, 1, 0]), VectorSeries.zero(3, 1), 1)):
+            got = search_integrals(system, 1)
+            _same(got, oracle_search_integrals(system, 1))
+            assert got and all(len(v.coeffs) == 1 for v in got)
+
+    def test_formal_base_and_order_checks(self):
+        Fm = MapSystem(EigenSpec.multiplicative_base([-5, 2]), VectorSeries.zero(2, 8), 8)
+        _same(search_integrals(Fm, 8), oracle_search_integrals(Fm, 8))
+        with pytest.raises(HypothesisError, match="certified to degree 8; cannot search to 9"):
+            search_integrals(Fm, 9)
+
+
+class TestNormalFormKeepsValueClasses:
+    """The premise of the search: on a normal form, V -> V o G - V (or <grad
+    V, G>) keeps each monomial outside the lattice class in its own value
+    class, with mu^m - 1 (or <m, lambda>), nonzero, on its own term."""
+
+    def test_integrals_catalogue(self):
+        for system in _catalogue_systems():
+            N, spec = system.order, system.spec
+            is_field = isinstance(system, FieldSystem)
+            value, value0 = (oracle_inner, 0) if is_field else (oracle_power, 1)
+            normal = type(system)(spec, normalize(system).g, N)
+            lattice = set(_lattice_class(system, N))
+            for m in iter_exponents(system.n, 1, N):
+                if m in lattice:
+                    continue
+                image = verify_integral(ScalarSeries.monomial(system.n, N, m), normal)
+                assert {value(spec, r) for r in image.exponents()} == {value(spec, m)}
+                assert image.coeff(m) == value(spec, m) - value0 != 0
+
+
+class TestSearchWork:
+    """What the search builds and reads."""
+
+    def test_one_column_per_lattice_monomial(self, monkeypatch):
+        import dulac.integrals
+
+        counted = []
+
+        def counting(columns):
+            columns = list(columns)
+            counted.append(len(columns))
+            return dulac.linalg.kernel_basis(columns)
+
+        monkeypatch.setattr(dulac.integrals, "kernel_basis", counting)
+        for system in _exact_fixtures() + _catalogue_systems()[::8] + _edge_systems():
+            counted.clear()
+            search_integrals(system, system.order)
+            lattice = _lattice_class(system, system.order)
+            assert counted == ([len(lattice)] if lattice else [])
+
+    def test_reads_no_table_of_the_system(self, monkeypatch):
+        from dulac.normalizer import System
+
+        def refused(self):
+            raise AssertionError("the search read System.powers")
+
+        systems = _exact_fixtures() + _catalogue_systems()[::8]
+        normal_forms = [normalize(system) for system in systems]
+        monkeypatch.setattr(System, "powers", property(refused))
+        for system, normal_form in zip(systems, normal_forms):
+            assert search_integrals(system, system.order, normal_form)
+
+    def test_empty_class_makes_no_normalize_call(self, monkeypatch):
+        import dulac.integrals
+
+        def refused(*args):
+            raise AssertionError("the search normalized a system with no lattice monomial")
+
+        monkeypatch.setattr(dulac.integrals, "normalize", refused)
+        for spec in (EigenSpec.multiplicative([2]), EigenSpec.multiplicative([2, 3]), EigenSpec.additive([1, 2])):
+            kind = FieldSystem if spec.kind == "additive" else MapSystem
+            system = kind(spec, _nonlinear(random.Random(3), spec.n, 6, False), 6)
+            assert search_integrals(system, 6) == ()
 
 
 def _candidates(rng, system):

@@ -110,6 +110,16 @@ def test_echelon_matches_dense_rref(field, shape, seed):
     shuffled = [(den, *({perm[r]: x for r, x in d.items()} for d in (re, im))) for den, re, im in columns]
     assert [dense(v, ncols) for v in kernel_basis(shuffled)] == kernel
 
+    # the rows inserted as columns: their span's reduced echelon form, each
+    # vector keyed by its pivot, the lowest index
+    spans = Echelon()
+    for row in rows:
+        den, re, im = packed_column({c: x for c, x in enumerate(row) if x != 0})
+        spans.add(re, im, den)
+    reduced, pivots = dense_rref(rows)
+    want = {p: {c: x for c, x in enumerate(row) if x != 0} for p, row in zip(pivots, reduced)}
+    assert spans.reduced(spans.pivots) == want
+
 
 def test_empty_matrices():
     assert kernel_basis([]) == []
@@ -331,7 +341,8 @@ SCALARS = {"Fraction", "GaussianRational", "sc_div"}
 
 def test_scalars_are_built_only_at_the_output():
     """In linalg.py the scalar types are named only by `_quotient`, which
-    only `Echelon.det` and `Echelon.kernel_vector` call; outside the
+    only the outputs `Echelon.det`, `Echelon.kernel_vector` and
+    `Echelon.reduced` call; outside the
     functions only the imports name them.  `sc_div`, the scalar division the
     elimination once ran on, is now the test helper `helpers.sc_div`, and
     linalg.py names it nowhere."""
@@ -344,6 +355,6 @@ def test_scalars_are_built_only_at_the_output():
             functions[node.name] = node
     names = {q: {x.id for x in ast.walk(f) if isinstance(x, ast.Name)} for q, f in functions.items()}
     assert {q for q, ids in names.items() if ids & SCALARS} == {"_quotient"}
-    assert {q for q, ids in names.items() if "_quotient" in ids} == {"Echelon.det", "Echelon.kernel_vector"}
+    assert {q for q, ids in names.items() if "_quotient" in ids} == {"Echelon.det", "Echelon.kernel_vector", "Echelon.reduced"}
     rest = [n for n in tree.body if not isinstance(n, (ast.ClassDef, ast.FunctionDef, ast.Import, ast.ImportFrom))]
     assert not {x.id for n in rest for x in ast.walk(n) if isinstance(x, ast.Name)} & SCALARS
