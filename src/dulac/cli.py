@@ -663,11 +663,9 @@ def _integrals_body(system, order: int, basis: LatticeBasis, sections: dict) -> 
 def _run_integrals(sf: SystemFile, D: int, N: int, seed: int) -> dict:
     system = sf.system()
     basis = enumerate_lattice(sf.eigen, D)
-    # one normalization at the system's order serves the search and the pullback
-    normal_form = normalize(system) if _has_pullback(sf.eigen, basis) else None
-    sections = {"search": search_integrals(system, N, normal_form)}
-    if normal_form is not None:
-        sections["pullback"] = pullback_integrals(monomial_integrals(basis, trunc=N), normal_form, N)
+    sections = {"search": search_integrals(system, N)}
+    if _has_pullback(sf.eigen, basis):  # the search's own, or made here if it read none
+        sections["pullback"] = pullback_integrals(monomial_integrals(basis, trunc=N), system.normalized, N)
     return _integrals_body(system, N, basis, {
         name: (vs, _independence_json(vs, seed), ()) for name, vs in sections.items()
     })

@@ -47,7 +47,7 @@ from .series import (
     _products,
     _rekeyed,
 )
-from .normalizer import MapSystem, NormalizationResult, System, normalize
+from .normalizer import MapSystem, NormalizationResult, System
 
 
 @dataclass(frozen=True)
@@ -150,9 +150,7 @@ def verify_integral(V: ScalarSeries, system: System, order: int | None = None) -
 # s * base^n + (packed key of r).
 
 
-def search_integrals(
-    system: System, degree: int, normal_form: NormalizationResult | None = None
-) -> tuple[ScalarSeries, ...]:
+def search_integrals(system: System, degree: int) -> tuple[ScalarSeries, ...]:
     """Spanning set of polynomial W of degree <= `degree` that are first
     integrals (W o F = W for a map, <grad W, X> = 0 for a field) exactly
     through every degree the system data certifies.
@@ -166,13 +164,12 @@ def search_integrals(
     integrable systems.
 
     Solved in normal-form coordinates (see the comment above), through
-    `normal_form`, the system's distinguished pair through at least its
-    order (default: `normalize` at the order, run only when the lattice
-    class is not empty).  One column per lattice monomial y^m, degree 1
-    included: y^m o G - y^m, read degree by degree from the parts
-    [G^m]_s of the degree loop's table of G (its degree-|m| part mu^m y^m =
-    y^m cancels), or <grad y^m, G>, each degree one packed sum of the pairs
-    that `series.lie_derivative` sums.  Their kernel, in the integer
+    `system.normalized`, read only when the lattice class is not empty.
+    One column per lattice monomial y^m, degree 1 included: y^m o G - y^m,
+    read degree by degree from the parts [G^m]_s of the degree loop's table
+    of G (its degree-|m| part mu^m y^m = y^m cancels), or <grad y^m, G>,
+    each degree one packed sum of the pairs that `series.lie_derivative`
+    sums.  Their kernel, in the integer
     `linalg.Echelon`, is pulled back through the loop's table of Phi, and
     the basis is the reduced echelon form of the pullbacks in a second
     Echelon, with rows numbered downwards in graded-lex order so that each
@@ -195,8 +192,7 @@ def search_integrals(
     lattice = [m for m in iter_exponents(n, 1, 1) if spec.resonant(m)] + spec.resonant_class(N)
     if not lattice:
         return ()
-    if normal_form is None:
-        normal_form = normalize(system)
+    normal_form = system.normalized
     is_map = isinstance(system, MapSystem)
     G = normal_form.normal_form_powers
     shift = G.base**n

@@ -26,11 +26,12 @@ too.  The normalization thus contains only nonresonant monomials, the
 normal form only resonant ones, and the pair is unique; exact conjugacy of
 the output is re-verified, summed afresh through the loop's own power
 tables (the top degree of each composition one part: f_s as it is, a map's
-phi_s scaled by mu^m), and recorded, never assumed; the tables of Phi's
-and of G's powers stay with the result: the integral search reads the
-second and pulls its kernel back through the first, as the integrals are
-pulled back (`series.Powers.pull`).  `verify` checks a claimed pair through
-tables it builds from that pair alone.
+phi_s scaled by mu^m), and recorded, never assumed; the table of Phi's
+powers stays with the result, and the integrals are pulled back through it
+(`series.Powers.pull`).  A system's own normalization at its order,
+`System.normalized`, also keeps the loop's table of G: the integral search
+reads it and pulls its kernel back through Phi's.  `verify` checks a
+claimed pair through tables it builds from that pair alone.
 """
 
 from __future__ import annotations
@@ -115,6 +116,16 @@ class System:
         the degree-d part of X_i."""
         return Powers.of(self.full(), self.order)
 
+    @cached_property
+    def normalized(self) -> NormalizationResult:
+        """`normalize` at the order, made once for the integral search and
+        the integrals' pullback; unlike `normalize`'s own result, it keeps
+        the degree loop's table of the normal form as its
+        `normal_form_powers`, which the search reads."""
+        result, Q = _normalize(self, None)
+        object.__setattr__(result, "normal_form_powers", Q)
+        return result
+
 
 class MapSystem(System):
     """A local diffeomorphism x -> B x + f(x) with diagonal B = diag(mu)."""
@@ -168,8 +179,9 @@ class NormalizationResult:
     @cached_property
     def normal_form_powers(self) -> Powers:
         """The table of powers of `normal_form()` through the order, which
-        the integral search reads; `normalize` sets its degree loop's own
-        table here, and a claimed pair builds one on first use."""
+        the integral search reads; `System.normalized` sets its degree
+        loop's own table here, and any other result builds one on first
+        use."""
         return Powers.of(self.normal_form(), self.order)
 
     def normal_form(self) -> VectorSeries:
@@ -254,9 +266,13 @@ def normalize(system: System, order: int | None = None) -> NormalizationResult:
     degrees on the right), with g collecting the resonant part and phi the
     nonresonant part.  The conjugacy of the output (F o Phi = Phi o G, or
     DPhi * G = X o Phi) is verified exactly, through the loop's own tables,
-    and the tables of Phi's and of G's powers stay with the result as its
-    `powers` and `normal_form_powers`.
+    and the table of Phi's powers stays with the result as its `powers`.
     """
+    return _normalize(system, order)[0]
+
+
+def _normalize(system: System, order: int | None) -> tuple[NormalizationResult, Powers]:
+    """`normalize`, and the degree loop's table of the normal form."""
     _require_exact_eigenvalues(system.spec)
     result, P, Q = _solve(system, order)
     residual = _residual(system, P, Q)
@@ -266,8 +282,7 @@ def normalize(system: System, order: int | None = None) -> NormalizationResult:
         )
     result = replace(result, residual_zero_degrees=tuple(range(2, result.order + 1)))
     object.__setattr__(result, "powers", P)  # `replace` copies no cached table
-    object.__setattr__(result, "normal_form_powers", Q)
-    return result
+    return result, Q
 
 
 def _residual(system: System, P: Powers, Q: Powers) -> VectorSeries:

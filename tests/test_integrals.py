@@ -474,9 +474,8 @@ class TestSearchInNormalForm:
 
     @staticmethod
     def _every_degree(system):
-        normal_form = normalize(system) if _lattice_class(system, system.order) else None
         for degree in range(1, system.order + 1):
-            _same(search_integrals(system, degree, normal_form), oracle_search_integrals(system, degree))
+            _same(search_integrals(system, degree), oracle_search_integrals(system, degree))
 
     def test_integrals_catalogue(self):
         systems = _catalogue_systems()
@@ -562,18 +561,40 @@ class TestSearchWork:
             raise AssertionError("the search read System.powers")
 
         systems = _exact_fixtures() + _catalogue_systems()[::8]
-        normal_forms = [normalize(system) for system in systems]
+        for system in systems:
+            system.normalized
         monkeypatch.setattr(System, "powers", property(refused))
-        for system, normal_form in zip(systems, normal_forms):
-            assert search_integrals(system, system.order, normal_form)
+        for system in systems:
+            assert search_integrals(system, system.order)
+
+    def test_one_normalization_keeps_the_table_of_the_normal_form(self, monkeypatch):
+        """`System.normalized` is solved once and keeps the degree loop's
+        table of G, so the search builds no table; `normalize`'s own result
+        keeps none."""
+        import dulac.normalizer
+        from dulac.series import Powers
+
+        def refused(*args):
+            raise AssertionError("the search built a power table")
+
+        calls = []
+        solve = dulac.normalizer._solve
+        monkeypatch.setattr(dulac.normalizer, "_solve", lambda *args: calls.append(args) or solve(*args))
+        monkeypatch.setattr(Powers, "of", refused)
+        for system in _exact_fixtures():
+            calls.clear()
+            search_integrals(system, system.order)
+            search_integrals(system, 2)
+            assert len(calls) == 1
+            assert "normal_form_powers" not in normalize(system).__dict__
 
     def test_empty_class_makes_no_normalize_call(self, monkeypatch):
-        import dulac.integrals
+        import dulac.normalizer
 
         def refused(*args):
             raise AssertionError("the search normalized a system with no lattice monomial")
 
-        monkeypatch.setattr(dulac.integrals, "normalize", refused)
+        monkeypatch.setattr(dulac.normalizer, "_normalize", refused)
         for spec in (EigenSpec.multiplicative([2]), EigenSpec.multiplicative([2, 3]), EigenSpec.additive([1, 2])):
             kind = FieldSystem if spec.kind == "additive" else MapSystem
             system = kind(spec, _nonlinear(random.Random(3), spec.n, 6, False), 6)
