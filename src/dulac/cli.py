@@ -40,6 +40,7 @@ from .embedding import EmbeddingField, embedding_field, time_one_map
 from .integrals import (
     independence_check,
     monomial_integrals,
+    normal_form_residual,
     pullback_integrals,
     search_integrals,
     verify_integral,
@@ -617,10 +618,16 @@ def _run_classify(sf: SystemFile, D: int, N: int) -> dict:
     return {"classification": _classification_json(report)}
 
 
-def _residual_zero(system, vs: Sequence[ScalarSeries], order: int) -> list[bool]:
-    """Whether each integral's exact residual (V o F - V for a map, <grad V,
-    X> for a field) vanishes through the order."""
-    return [verify_integral(v, system, order).is_zero() for v in vs]
+def _residual_zero(system, vs: Sequence[ScalarSeries], order: int,
+                   normalized: NormalizationResult | None = None) -> list[bool]:
+    """Whether each integral's exact residual (W o F - W for a map, <grad W,
+    X> for a field) vanishes through the order: carried to the normal form
+    through `normalized` when the caller holds the system's normalization
+    (`normal_form_residual`, zero exactly when that residual is), else
+    summed over the system's own table (`verify_integral`)."""
+    if normalized is None:
+        return [verify_integral(v, system, order).is_zero() for v in vs]
+    return [normal_form_residual(v, normalized, order).is_zero() for v in vs]
 
 
 def _has_pullback(eigen: EigenSpec, basis: LatticeBasis) -> bool:
@@ -642,16 +649,20 @@ def _independence_json(vs: Sequence[ScalarSeries], seed: int) -> dict | None:
     }
 
 
-def _integrals_body(system, order: int, basis: LatticeBasis, sections: dict) -> dict:
+def _integrals_body(system, order: int, basis: LatticeBasis, sections: dict,
+                    normalized: NormalizationResult | None = None) -> dict:
     """An integrals report's body from each section's integrals, their
     independence JSON and the term lists they were read from (each as
     `_scalar_series_json` takes it; none from a solver); `verify` rebuilds
-    it from the claimed ones."""
+    it from the claimed ones.  The `residual_zero` flags are checked through
+    `normalized`, the system's normalization, when the solve holds one, and
+    over the system's own table otherwise, as `verify`, which holds none,
+    always checks them (`_residual_zero`)."""
     body = {}
     for name, (vs, independence, as_read) in sections.items():
         sec = body[name] = {
             "integrals": [_scalar_series_json(v, t) for v, t in zip_longest(vs, as_read)],
-            "residual_zero": _residual_zero(system, vs, order),
+            "residual_zero": _residual_zero(system, vs, order, normalized),
         }
         if vs:
             sec["independence"] = independence
@@ -666,9 +677,12 @@ def _run_integrals(sf: SystemFile, D: int, N: int, seed: int) -> dict:
     sections = {"search": search_integrals(system, N)}
     if _has_pullback(sf.eigen, basis):  # the search's own, or made here if it read none
         sections["pullback"] = pullback_integrals(monomial_integrals(basis, trunc=N), system.normalized, N)
+    # over exact values from order 2, a section holds an integral only if the
+    # search or the pullback read system.normalized, so this makes no new one
+    held = sf.eigen.has_exact_values() and system.order >= 2 and any(sections.values())
     return _integrals_body(system, N, basis, {
         name: (vs, _independence_json(vs, seed), ()) for name, vs in sections.items()
-    })
+    }, system.normalized if held else None)
 
 
 def _run_embed(sf: SystemFile, D: int, N: int) -> dict:

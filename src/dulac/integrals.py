@@ -1,9 +1,9 @@
 """First integrals of maps and fields: construction, search, pullback,
 exact verification, and an exact independence check of the jets at seeded
 sample points (it holds for the jets as polynomials, not for series with
-these jets).  The search and the verification each have one entry point for
-both kinds of system, `search_integrals` and `verify_integral`, with the
-map/field difference in one branch.
+these jets).  The search and each of the two residual checks have one entry
+point for both kinds of system, `search_integrals`, `verify_integral` and
+`normal_form_residual`, with the map/field difference in one branch.
 
 A set of integrals is a plain tuple of series, each with zero constant term
 and expected to pass its verify_integral check with an exactly zero
@@ -16,13 +16,23 @@ the degree loop's table of the normal form G (maps) or summed by
 `series.lie_derivative`'s pairs over G's parts (fields), and its kernel is
 pulled back to the system's coordinates.  F's own table is not read.  An
 integral is pulled back through the normalizer's own table of the powers of
-Phi = y + phi (`Powers.pull`), with no inverse of Phi built; each degree of
-V o F - V or <grad V, X> is one packed sum over F's table that becomes that
-part of the residual; and the gradients, the packed `series._gradients` of
-each integral, are evaluated homogenised, in integers, at each sample
-point.  Every elimination, the search's kernel, its reduced echelon form
-and the sample points' ranks, runs in the integer `linalg.Echelon`; only
-the vectors it reads off become `Fraction`s."""
+Phi = y + phi (`Powers.pull`), with no inverse of Phi built.
+
+The residual of an integral W has two routes, each one packed sum per degree
+that becomes that part of the residual.  `verify_integral` sums W o F - W or
+<grad W, X> over F's own table; it is `verify`'s route, since a report
+claims no normalization.  `normal_form_residual` carries W to the normal
+form, V = W o Phi through the table of Phi, and sums V o G - V or <grad V,
+G> over the table of G.  By F o Phi = Phi o G (or DPhi G = X o Phi) that is
+the first residual composed with Phi, which is tangent to the identity, so
+the two have the same lowest nonzero part; a run that holds the
+normalization, as `dulac integrals` does, builds no table of F for it.
+
+The gradients, the packed `series._gradients` of each integral, are
+evaluated homogenised, in integers, at each sample point.  Every
+elimination, the search's kernel, its reduced echelon form and the sample
+points' ranks, runs in the integer `linalg.Echelon`; only the vectors it
+reads off become `Fraction`s."""
 
 from __future__ import annotations
 
@@ -38,6 +48,7 @@ from .linalg import Echelon, kernel_basis
 from .resonance import LatticeBasis, iter_exponents
 from .scalars import Scalar
 from .series import (
+    Powers,
     ScalarSeries,
     SeriesError,
     _ZERO,
@@ -99,7 +110,9 @@ def verify_integral(V: ScalarSeries, system: System, order: int | None = None) -
     V o F - V for a map, <grad V, A x + f(x)> for a field.  Each degree s is
     one packed sum over the system's table, kept as that part of the
     residual: the pairs of V o F and (-1, V_s) for a map, for a field those
-    of the derivative along X that `series.lie_derivative` sums."""
+    of the derivative along X that `series.lie_derivative` sums.  This is
+    `verify`'s route, and that of a solve that holds no normalization; an
+    `integrals` run that made one takes `normal_form_residual` instead."""
     if order is None:
         order = min(V.trunc, system.order)
     if order > system.order:
@@ -120,14 +133,43 @@ def verify_integral(V: ScalarSeries, system: System, order: int | None = None) -
                 )
         return ScalarSeries.zero(V.n, order)
     P = system.powers
-    packed = V._keyed(order, P.base)
-    if isinstance(system, MapSystem):
-        sums = (_pairs(packed, P, s) + [((1, -1, 0), p) for p in packed[s : s + 1]] for s in range(1, order + 1))
+    return _residual(V.n, order, V._keyed(order, P.base), P, isinstance(system, MapSystem))
+
+
+def normal_form_residual(W: ScalarSeries, normalization: NormalizationResult, order: int | None = None) -> ScalarSeries:
+    """The residual of W carried to the normal form G through the order
+    (default: the least of W's truncation and the normalization's): V o G -
+    V for a map, <grad V, G> for a field, where V = W o Phi.  It is (W o F -
+    W) o Phi, or <grad W, X> o Phi, so, Phi being tangent to the identity,
+    it has the same lowest nonzero degree as `verify_integral`'s residual
+    and the same part there, and is zero iff that one is.  V is composed
+    through `normalization.powers`, whose entries a pullback through it has
+    filled; each degree of the residual is then one packed sum over the
+    table of G, `normalization.normal_form_powers` (a field's reads only
+    its parts), as in `verify_integral`."""
+    if order is None:
+        order = min(W.trunc, normalization.order)
+    if order > normalization.order:
+        raise SeriesError(f"normalization known through degree {normalization.order}; cannot verify to {order}")
+    P, G = normalization.powers, normalization.normal_form_powers
+    packed = W._keyed(order, P.base)
+    V = (packed[:1] or [_ZERO]) + [_products(_pairs(packed, P, s)) for s in range(1, order + 1)]
+    return _residual(W.n, order, V, G, normalization.spec.kind != "additive")
+
+
+def _residual(n: int, order: int, packed: list[tuple], T: Powers, is_map: bool) -> ScalarSeries:
+    """V o T - V for a map, <grad V, T> for a field, through the order, from
+    V's packed parts keyed as in T, the table of the system's powers, of
+    which a field's parts alone are read.  Each degree s is one packed sum:
+    the pairs of V o T and (-1, V_s), or those `series.lie_derivative`
+    sums."""
+    if is_map:
+        sums = (_pairs(packed, T, s) + [((1, -1, 0), p) for p in packed[s : s + 1]] for s in range(1, order + 1))
     else:
-        grads = _gradients(enumerate(packed), P.weights, P.base)
-        sums = (_lie_pairs(grads, P.parts, s) for s in range(1, order + 1))
+        grads = _gradients(enumerate(packed), T.weights, T.base)
+        sums = (_lie_pairs(grads, T.parts, s) for s in range(1, order + 1))
     parts = [_ZERO] + [_products(pairs) for pairs in sums]
-    return ScalarSeries._make(V.n, order, _rekeyed(parts, V.n, P.base, order, order + 1))
+    return ScalarSeries._make(n, order, _rekeyed(parts, n, T.base, order, order + 1))
 
 
 # -- search -----------------------------------------------------------------------

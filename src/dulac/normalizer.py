@@ -30,7 +30,8 @@ phi_s scaled by mu^m), and recorded, never assumed; the table of Phi's
 powers stays with the result, and the integrals are pulled back through it
 (`series.Powers.pull`).  A system's own normalization at its order,
 `System.normalized`, also keeps the loop's table of G: the integral search
-reads it and pulls its kernel back through Phi's.  `verify` checks a
+reads it and pulls its kernel back through Phi's, and the `integrals` run
+checks each integral's residual through both.  `verify` checks a
 claimed pair through tables it builds from that pair alone.
 """
 
@@ -118,10 +119,10 @@ class System:
 
     @cached_property
     def normalized(self) -> NormalizationResult:
-        """`normalize` at the order, made once for the integral search and
-        the integrals' pullback; unlike `normalize`'s own result, it keeps
-        the degree loop's table of the normal form as its
-        `normal_form_powers`, which the search reads."""
+        """`normalize` at the order, made once for the integral search, the
+        integrals' pullback and their residuals; unlike `normalize`'s own
+        result, it keeps the degree loop's table of the normal form as its
+        `normal_form_powers`, which the search and the residuals read."""
         result, Q = _normalize(self, None)
         object.__setattr__(result, "normal_form_powers", Q)
         return result

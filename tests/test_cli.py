@@ -441,20 +441,21 @@ class TestOnePowerTablePerMap:
         return tabled, built
 
     def test_integrals_and_verify_table_each_inner_map_once(self, tmp_path, monkeypatch):
-        """The search, every V o F residual and the pullback compose through
-        one table of F; the pullback reads the normalizer's table of Phi, so
-        no table of psi = Phi^-1 is built, by `invert` or otherwise: the
-        integrals run builds F's table and the degree loop's two, verify
-        builds F's alone."""
+        """The integrals run builds the degree loop's two tables and no
+        other: the search reads the loop's table of G, the pullback pulls
+        through its table of Phi, so no table of psi = Phi^-1 is built, by
+        `invert` or otherwise, and every residual is carried to the normal
+        form through both, so no table of F is built either.  verify, which
+        holds no normalization, sums every W o F - W over F's one table."""
         F = parse_system(str(FIXTURES / "ex2_3d.json")).system().full()
         tabled, built = self.recorded(monkeypatch)
         rep = tmp_path / "rep.json"
-        for args, tables in ((["integrals", "--input", FIXTURES / "ex2_3d.json", "--output", rep], 3),
-                             (["verify", "--input", rep], 1)):
+        for args, of_calls, tables in ((["integrals", "--input", FIXTURES / "ex2_3d.json", "--output", rep], [], 2),
+                                       (["verify", "--input", rep], [F], 1)):
             tabled.clear()
             built.clear()
             assert run(args) == 0
-            assert tabled == [F] and len(built) == tables
+            assert tabled == of_calls and len(built) == tables
 
     def test_embed_and_verify_table_the_map_once(self, tmp_path, monkeypatch):
         """det(DF) o F^-1 is pulled through F's own table, which the
@@ -489,14 +490,18 @@ class TestOnePowerTablePerMap:
         assert claimed.powers is claimed.powers and tabled == [claimed.normalization()]
 
     def test_field_integrals_and_verify_table_the_field_once(self, tmp_path, monkeypatch):
-        """The field search and every <grad V, X> residual read X's one packed table."""
+        """The field's integrals run reads the degree loop's tables alone,
+        its residuals <grad V, G> over G's parts, so it builds no table of
+        X; verify sums every <grad W, X> over X's one packed table."""
         field = parse_system(str(FIXTURES / "center.json")).system().full()
-        tabled, _ = self.recorded(monkeypatch)
+        tabled, built = self.recorded(monkeypatch)
         rep = tmp_path / "rep.json"
-        for args in (["integrals", "--input", FIXTURES / "center.json", "--output", rep], ["verify", "--input", rep]):
+        for args, of_calls, tables in ((["integrals", "--input", FIXTURES / "center.json", "--output", rep], [], 2),
+                                       (["verify", "--input", rep], [field], 1)):
             tabled.clear()
+            built.clear()
             assert run(args) == 0
-            assert tabled.count(field) == 1 and len(set(tabled)) == len(tabled)
+            assert tabled == of_calls and len(built) == tables
 
 
 class TestSubcommands:

@@ -30,6 +30,7 @@ from dulac.errors import HypothesisError
 from dulac.integrals import (
     independence_check,
     monomial_integrals,
+    normal_form_residual,
     pullback_integrals,
     search_integrals,
     verify_integral,
@@ -419,11 +420,15 @@ def _catalogue_systems():
     return [_system_from_doc(op.system, op.key).system() for op in workloads.catalogue("integrals")]
 
 
-def _exact_fixtures():
+def _exact_fixture_files():
     from dulac.cli import parse_system
 
     sfs = [parse_system(str(path)) for path in sorted(FIXTURES.glob("*.json"))]
-    return [sf.system() for sf in sfs if sf.eigen.has_exact_values()]
+    return [sf for sf in sfs if sf.eigen.has_exact_values()]
+
+
+def _exact_fixtures():
+    return [sf.system() for sf in _exact_fixture_files()]
 
 
 def _one_dim(rng, kind, N, gauss):
@@ -600,6 +605,37 @@ class TestSearchWork:
             system = kind(spec, _nonlinear(random.Random(3), spec.n, 6, False), 6)
             assert search_integrals(system, 6) == ()
 
+    def test_integrals_run_solves_the_degree_loop_at_most_once(self, monkeypatch):
+        """The search, the pullback and the `residual_zero` flags of a
+        `dulac integrals` run share one normalization."""
+        import dulac.normalizer
+        from dulac.cli import _run_integrals, _system_from_doc
+
+        calls = []
+        solve = dulac.normalizer._solve
+        monkeypatch.setattr(dulac.normalizer, "_solve", lambda *args: calls.append(args) or solve(*args))
+        sfs = _exact_fixture_files() + [_system_from_doc(op.system, op.key) for op in workloads.catalogue("integrals")]
+        for sf in sfs:
+            calls.clear()
+            _run_integrals(sf, sf.lattice_bound, sf.order, 0)
+            assert len(calls) <= 1
+
+    def test_empty_class_and_no_pullback_run_makes_no_normalize_call(self, monkeypatch):
+        """An `integrals` run whose sections are both empty, with no lattice
+        monomial and no lattice generator, checks no residual and so
+        normalizes nothing."""
+        import dulac.normalizer
+        from dulac.cli import SystemFile, _run_integrals
+
+        def refused(*args):
+            raise AssertionError("the integrals run normalized a system with no lattice monomial")
+
+        monkeypatch.setattr(dulac.normalizer, "_normalize", refused)
+        for spec in (EigenSpec.multiplicative([2]), EigenSpec.multiplicative([2, 3]), EigenSpec.additive([1, 2])):
+            kind = "field" if spec.kind == "additive" else "map"
+            sf = SystemFile(kind, spec.n, "rational", spec, _nonlinear(random.Random(3), spec.n, 6, False), 6, 6)
+            assert _run_integrals(sf, 6, 6, 0) == {"integrals": {"search": {"integrals": [], "residual_zero": []}}}
+
 
 def _candidates(rng, system):
     """Random series to verify: three over the system's own scalars for a
@@ -630,6 +666,125 @@ class TestPackedResidual:
         for system in systems(3):
             for V in search_integrals(system, system.order):
                 assert verify_integral(V, system).is_zero()
+
+
+# -- the residual carried to the normal form against the residual over F ----------
+
+
+def _reported(sf, D, N):
+    """The system `dulac integrals --degree D --order N` reads, and the
+    integrals of its report: the search's, and the pullbacks when the
+    lattice at D has generators, all of degree at most N (the run exits 3
+    otherwise)."""
+    system = sf.system()
+    vs = list(search_integrals(system, N))
+    basis = enumerate_lattice(sf.eigen, D)
+    if basis.generators and max(map(sum, basis.generators)) <= N:
+        vs += pullback_integrals(monomial_integrals(basis, trunc=N), system.normalized, N)
+    return system, vs
+
+
+def _same_lowest_part(W, system, order):
+    """Whether W's residual through the order is zero, after checking that
+    both routes agree on it: both zero, or nonzero with the same lowest
+    degree and the same part there."""
+    want = verify_integral(W, system, order)
+    got = normal_form_residual(W, system.normalized, order)
+    assert got.trunc == want.trunc == order
+    if want.is_zero():
+        assert got.is_zero()
+        return True
+    d = want.low_degree()
+    assert got.low_degree() == d and got.homogeneous_part(d) == want.homogeneous_part(d)
+    return False
+
+
+class TestResidualInNormalForm:
+    """`normal_form_residual`, the `integrals` run's check, against
+    `verify_integral`, verify's: W o F - W is zero exactly when (W o F - W) o
+    Phi is, and Phi, tangent to the identity, keeps its lowest part."""
+
+    @pytest.mark.parametrize("below, reported, nonzero", [(0, 470, 43), (1, 219, 24)])
+    def test_integrals_catalogue(self, below, reported, nonzero):
+        """Every integral of the 104 entries' reports at order_N and one
+        order below; the non-integrable ones' pullbacks have a nonzero
+        residual."""
+        from dulac.cli import _system_from_doc
+
+        zero = []
+        for op in workloads.catalogue("integrals"):
+            sf = _system_from_doc(op.system, op.key)
+            N = sf.order - below
+            system, vs = _reported(sf, sf.lattice_bound, N)
+            zero += [_same_lowest_part(W, system, N) for W in vs]
+        assert len(zero) == reported and zero.count(False) == nonzero
+
+    def test_report_below_the_order_verifies(self, tmp_path):
+        """A report of `dulac integrals --order order_N - 1` with a nonzero
+        residual flag passes `verify`, which re-derives every flag over the
+        system's own table."""
+        import json
+
+        from dulac.cli import main
+
+        op = next(op for op in workloads.catalogue("integrals") if op.key == "integrals/field2-rat-N6/1/integrals")
+        system_path, rep = tmp_path / "system.json", tmp_path / "rep.json"
+        system_path.write_text(json.dumps(op.system))
+        order = op.system["order_N"] - 1
+        assert main(["integrals", "--input", str(system_path), "--order", str(order), "--output", str(rep)]) == 0
+        flags = [x for sec in json.loads(rep.read_text())["integrals"].values() for x in sec["residual_zero"]]
+        assert False in flags
+        assert main(["verify", "--input", str(rep)]) == 0
+
+    def test_exact_fixtures_at_every_order(self):
+        sfs = _exact_fixture_files()
+        assert len(sfs) == 5
+        for sf in sfs:
+            for N in range(2, sf.order + 1):
+                system, vs = _reported(sf, sf.lattice_bound, N)
+                assert all(_same_lowest_part(W, system, N) for W in vs)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_seeded_planted_maps_and_resonant_fields(self, seed):
+        """The search's integrals and the lattice monomials' pullbacks, and
+        random series, which are mostly no integrals, at both routes."""
+        rng = random.Random(seed)
+        for system in _seeded_systems(seed):
+            N = system.order
+            gens = [g for g in enumerate_lattice(system.spec, N).generators if sum(g) <= N]
+            vs = list(search_integrals(system, N))
+            vs += pullback_integrals([ScalarSeries.monomial(system.n, N, g) for g in gens], system.normalized, N)
+            vs += _candidates(rng, system)
+            for W in vs:
+                for order in (N - 1, N):
+                    _same_lowest_part(W, system, order)
+
+    @pytest.mark.parametrize("fixture", ["ex2_3d.json", "center.json"])
+    def test_one_changed_coefficient_shows_at_both_routes(self, fixture):
+        """Adding 1 to the coefficient of y^m in a pulled-back integral, or
+        in a search integral, m the highest exponent through the order
+        outside the lattice class, makes both residuals nonzero from degree
+        |m| on, with the same part there."""
+        from dulac.cli import parse_system
+
+        sf = parse_system(str(FIXTURES / fixture))
+        system, N = sf.system(), sf.order
+        m = next(m for m in reversed(list(iter_exponents(sf.n, 1, N))) if not sf.eigen.resonant(m))
+        basis = enumerate_lattice(sf.eigen, sf.lattice_bound)
+        for vs in (pullback_integrals(monomial_integrals(basis, trunc=N), system.normalized, N),
+                   search_integrals(system, N)):
+            W = vs[0]
+            assert _same_lowest_part(W, system, N)
+            changed = W + ScalarSeries.monomial(W.n, W.trunc, m)
+            assert changed.coeff(m) == W.coeff(m) + 1
+            assert not _same_lowest_part(changed, system, N)
+            assert verify_integral(changed, system, N).low_degree() == sum(m)
+
+    def test_order_above_the_normalization(self):
+        system = _exact_fixtures()[0]
+        W = ScalarSeries.variable(system.n, 0, system.order + 1)
+        with pytest.raises(SeriesError, match="cannot verify to"):
+            normal_form_residual(W, normalize(system), system.order + 1)
 
 
 def _integral_sets(sf):
