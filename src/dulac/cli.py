@@ -18,6 +18,11 @@ built for a series coefficient between the file read and the report
 written.  `verify` has `_read_terms` also decide whether a claimed list is
 in written form, the very list the writers would write for the series read;
 such a list goes into the rebuilt report as it was read.
+
+`SUBCOMMANDS` names each solver once, with its help line, its solve, which
+`main` runs, and its rebuild, which `verify` runs: it rebuilds a report's
+body from the claims with the writers the solve uses.  `_report` puts the
+envelope around either body.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import comb, gcd
 from operator import mul
-from typing import NoReturn, Sequence
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from . import __version__
 from .errors import HypothesisError, InternalInvariantError, SystemFileError
@@ -565,7 +570,7 @@ def _classification_json(report: IntegrabilityReport, as_read: Sequence = (None,
 # -- subcommand runners ---------------------------------------------------------------
 
 
-def _run_resonance(sf: SystemFile, D: int) -> dict:
+def _run_resonance(sf: SystemFile, D: int, N: int | None = None, seed: int | None = None) -> dict:
     basis = enumerate_lattice(sf.eigen, D)
     section = {"lattice": _lattice_json(basis)}
     flags = []
@@ -608,12 +613,11 @@ def _normalize_body(result: NormalizationResult, as_read: Sequence = (None, None
     }
 
 
-def _run_normalize(sf: SystemFile, N: int) -> dict:
-    system = sf.system()
-    return _normalize_body(normalize(system, N))
+def _run_normalize(sf: SystemFile, D: int, N: int, seed: int) -> dict:
+    return _normalize_body(normalize(sf.system(), N))
 
 
-def _run_classify(sf: SystemFile, D: int, N: int) -> dict:
+def _run_classify(sf: SystemFile, D: int, N: int, seed: int) -> dict:
     report = classify(sf.system(), D, N)
     return {"classification": _classification_json(report)}
 
@@ -685,7 +689,7 @@ def _run_integrals(sf: SystemFile, D: int, N: int, seed: int) -> dict:
     }, system.normalized if held else None)
 
 
-def _run_embed(sf: SystemFile, D: int, N: int) -> dict:
+def _run_embed(sf: SystemFile, D: int, N: int, seed: int) -> dict:
     if sf.kind != "map":
         raise HypothesisError("the embedding construction applies to maps")
     system = sf.system()
@@ -819,19 +823,133 @@ def _claimed_normalization(sf: SystemFile, system, norm_doc, where: str) -> tupl
     return replace(result, residual_zero_degrees=tuple(range(2, order + 1))), (phi_read, g_read)
 
 
+def _rebuild_resonance(doc: dict, sf: SystemFile, system, D: int, N: int, report_path: str) -> tuple:
+    where = f"{report_path}:lattice"
+    D = _lattice_degree(_int_field(_field(doc, "lattice", dict, report_path), "bound", 2, where), sf.n,
+                        f"{where}.bound")
+    body = _run_resonance(sf, D)
+    return body, D, N, ["lattice", "bound"] if "value" in body["bound"] else ["lattice"]
+
+
+def _rebuild_normalize(doc: dict, sf: SystemFile, system, D: int, N: int, report_path: str) -> tuple:
+    result, as_read = _claimed_normalization(sf, system, doc.get("normalization"), f"{report_path}:normalization")
+    return _normalize_body(result, as_read), D, result.order, ["normalization"]
+
+
+def _rebuild_classify(doc: dict, sf: SystemFile, system, D: int, N: int, report_path: str) -> tuple:
+    cls, where = _field(doc, "classification", dict, report_path), f"{report_path}:classification"
+    certified, cert_at = _field(cls, "certified_at", dict, where), f"{where}.certified_at"
+    D = _lattice_degree(_int_field(certified, "degree_D", 2, cert_at), sf.n, f"{cert_at}.degree_D")
+    claimed, as_read = None, (None, None)
+    if cls.get("normalization") is not None:
+        claimed, as_read = _claimed_normalization(sf, system, cls["normalization"], f"{where}.normalization")
+    N = claimed.order if claimed else _series_order(
+        _int_field(certified, "order_N", 2, cert_at), sf.n, f"{cert_at}.order_N")
+    if cls.get("p") is not None:
+        _field(cls, "p", list, where)
+    # the distinguished pair is unique, so the whole classification is
+    # re-derived from the claimed one
+    report = classify(system, D, N, claimed)
+    checked = ["classification"] if claimed is None else ["normalization"] + (
+        ["functional-equations"] if report.p is not None and report.verdict == "integrable-consistent" else [])
+    return {"classification": _classification_json(report, as_read)}, D, N, checked
+
+
+def _rebuild_integrals(doc: dict, sf: SystemFile, system, D: int, N: int, report_path: str) -> tuple:
+    # integrals are invariant through the order they were solved at, and
+    # the sections are the ones the lattice at degree_D gives
+    at = f"{report_path}:parameters"
+    if N > sf.order:
+        raise SystemFileError(f"{at}: order_N = {N} exceeds the system's order_N = {sf.order}")
+    D = _lattice_degree(D, sf.n, f"{at}.degree_D")
+    basis = enumerate_lattice(sf.eigen, D)
+    sections = _field(doc, "integrals", dict, report_path)
+    names = ["pullback", "search"] if _has_pullback(sf.eigen, basis) else ["search"]
+    _require_match(sorted(sections), names, "integrals (its sections)")
+    claims = {}
+    for name in names:
+        sec, where = _field(sections, name, dict, f"{report_path}:integrals"), f"{report_path}:integrals.{name}"
+        read = [
+            _series_from_json(terms, sf.n, N, f"{where}.integrals[{i}]",
+                              f"integral {i + 1} in section '{name}' has a term")
+            for i, terms in enumerate(_field(sec, "integrals", list, where))
+        ]
+        vs = [v for v, _ in read]
+        if any(v.is_zero() for v in vs):
+            _fail(f"section '{name}' claims a zero integral")
+        claims[name] = (vs, sec.get("independence"), [t for _, t in read])
+    # the i-th pullback integral is y^(g_i) pulled back: y^(g_i) plus higher terms
+    if "pullback" in claims and [v.homogeneous_part(v.low_degree()) for v in claims["pullback"][0]] != [
+            ScalarSeries.monomial(sf.n, N, g) for g in basis.generators]:
+        _fail("the pullback integrals are not one y^g plus higher terms per lattice generator g, in order")
+    return _integrals_body(system, N, basis, claims), D, N, [f"integrals:{name}" for name in names]
+
+
+def _rebuild_embed(doc: dict, sf: SystemFile, system, D: int, N: int, report_path: str) -> tuple:
+    emb, where = _field(doc, "embedding", dict, report_path), f"{report_path}:embedding"
+    if sf.kind != "map":
+        raise SystemFileError(f"{where}: an embedding belongs to a map system, not a field")
+    order = _series_order(_int_field(emb, "order", 1, where), sf.n, f"{where}.order")
+    # a malformed field term exits as it is read; the rebuilt field is
+    # then compared with the claimed one whole
+    _vector_from_json(_field(emb, "field", None, where), sf.n, order, f"{where}.field",
+                      "the embedding field has a term")
+    read = [
+        _series_from_json(t, sf.n, order + 1, f"{where}.integrals[{i}]", "an embedding integral has a term")
+        for i, t in enumerate(_field(emb, "integrals", list, where))
+    ]
+    vs = [v for v, _ in read]
+    if len(vs) != sf.n - 1:
+        _fail(f"embedding holds {len(vs)} integrals, not n-1 = {sf.n - 1}")
+    # the integrals were pulled back at order + 1, which the system data
+    # must certify; each is then an integral of the map through it
+    if order + 1 > sf.order:
+        raise SystemFileError(f"{where}.order: order + 1 = {order + 1} exceeds the system's order_N = {sf.order}")
+    if not all(_residual_zero(system, vs, order + 1)):
+        _fail("an embedding integral is not an integral of the map")
+    time_one_matches = _field(emb, "time_one_matches_map", bool, where)
+    body = _embedding_body(embedding_field(system, vs, order), time_one_matches, [t for _, t in read])
+    return body, D, order + 1, ["embedding"]
+
+
+class _Subcommand(NamedTuple):
+    help: str
+    solve: Callable  # (sf, D, N, seed) -> body
+    rebuild: Callable  # (doc, sf, system, D, N, report_path) -> (body, D, N, checked)
+
+
+# Each solver: its help line, its solve and its rebuild, which `verify`
+# runs.  A rebuild reads the report's claims and rebuilds the body with the
+# writers the solve uses, and returns the parameters the body holds (the
+# claimed ones where it holds none).  The informational leaves, copied from
+# the claim and not re-derived: `tool`, `parameters.seed`, the parameters no
+# section holds (`degree_D` of normalize and embed reports, `order_N` of
+# resonance reports), each integrals section's `independence` and
+# `embedding.time_one_matches_map` (which the embedding's flags must agree
+# with).  Only private functions go here, so that a public one is still
+# looked up in the module when it runs.
+SUBCOMMANDS = {
+    "resonance": _Subcommand("resonant lattice, rank, and small-divisor bound", _run_resonance, _rebuild_resonance),
+    "normalize": _Subcommand("distinguished normalization and normal form", _run_normalize, _rebuild_normalize),
+    "classify": _Subcommand("integrability verdict certified at (D, N)", _run_classify, _rebuild_classify),
+    "integrals": _Subcommand("search, pull back, and verify first integrals", _run_integrals, _rebuild_integrals),
+    "embed": _Subcommand("cross-product embedding field with verification", _run_embed, _rebuild_embed),
+}
+
+
+def _report(tool, sub: str, params: dict | None, system: dict | None, body: dict) -> dict:
+    """A report: its envelope (a `verify` report has no parameters or system echo), then the body."""
+    report = {"tool": tool, "subcommand": sub, "parameters": params, "system": system, **body}
+    if params is None:
+        del report["parameters"], report["system"]
+    return report
+
+
 def _run_verify(report_path: str) -> dict:
-    """Rebuild the report from its claims with the writers of the solver its
-    `subcommand` names, and compare the two whole: a mismatch names the
-    deepest key that differs.  The system echo is compared first.  The
-    informational leaves are copied from the claim, not re-derived: `tool`,
-    `parameters.seed`, the parameters no section holds (`degree_D` of
-    normalize and embed reports, `order_N` of resonance reports), each
-    integrals section's `independence` and `embedding.time_one_matches_map`
-    (which the embedding's flags must agree with).  A term list it reads
-    (the echo's terms, phi and g, each integral, the embedding's integrals)
-    goes into the rebuilt report as read when `_read_terms` finds it in
-    written form, so the compare settles it by identity; any other list is
-    rebuilt from the series read and compared, and exits 4."""
+    """Rebuild the report with the rebuild in `SUBCOMMANDS` its `subcommand`
+    names, and compare the two whole, the system echo first: a mismatch
+    names the deepest key that differs.  A term list in written form
+    (`_read_terms`) goes into the rebuilt report as read."""
     doc = _load_json(report_path)
     if not isinstance(doc, dict) or "system" not in doc:
         raise SystemFileError(f"{report_path}: not a report file (no system echo)")
@@ -843,92 +961,12 @@ def _run_verify(report_path: str) -> dict:
     # a parameter no section holds is copied, once it is one a solver writes
     D, N = (_int_field(params, key, 2, at) for key in ("degree_D", "order_N"))
     sub, seed = doc.get("subcommand"), _field(params, "seed", int, at)
-    if sub == "resonance":
-        where = f"{report_path}:lattice"
-        D = _lattice_degree(_int_field(_field(doc, "lattice", dict, report_path), "bound", 2, where), sf.n,
-                            f"{where}.bound")
-        body = _run_resonance(sf, D)
-        checked = ["lattice", "bound"] if "value" in body["bound"] else ["lattice"]
-    elif sub == "normalize":
-        result, as_read = _claimed_normalization(sf, system, doc.get("normalization"), f"{report_path}:normalization")
-        body, N, checked = _normalize_body(result, as_read), result.order, ["normalization"]
-    elif sub == "classify":
-        cls = _field(doc, "classification", dict, report_path)
-        where = f"{report_path}:classification"
-        certified, cert_at = _field(cls, "certified_at", dict, where), f"{where}.certified_at"
-        D = _lattice_degree(_int_field(certified, "degree_D", 2, cert_at), sf.n, f"{cert_at}.degree_D")
-        claimed, as_read = None, (None, None)
-        if cls.get("normalization") is not None:
-            claimed, as_read = _claimed_normalization(sf, system, cls["normalization"], f"{where}.normalization")
-        N = claimed.order if claimed else _series_order(
-            _int_field(certified, "order_N", 2, cert_at), sf.n, f"{cert_at}.order_N")
-        if cls.get("p") is not None:
-            _field(cls, "p", list, where)
-        # the distinguished pair is unique, so the whole classification is
-        # re-derived from the claimed one
-        report = classify(system, D, N, claimed)
-        body = {"classification": _classification_json(report, as_read)}
-        checked = ["classification"] if claimed is None else ["normalization"] + (
-            ["functional-equations"] if report.p is not None and report.verdict == "integrable-consistent" else [])
-    elif sub == "integrals":
-        # integrals are invariant through the order they were solved at, and
-        # the sections are the ones the lattice at degree_D gives
-        if N > sf.order:
-            raise SystemFileError(f"{at}: order_N = {N} exceeds the system's order_N = {sf.order}")
-        D = _lattice_degree(D, sf.n, f"{at}.degree_D")
-        basis = enumerate_lattice(sf.eigen, D)
-        sections = _field(doc, "integrals", dict, report_path)
-        names = ["pullback", "search"] if _has_pullback(sf.eigen, basis) else ["search"]
-        _require_match(sorted(sections), names, "integrals (its sections)")
-        claims = {}
-        for name in names:
-            sec, where = _field(sections, name, dict, f"{report_path}:integrals"), f"{report_path}:integrals.{name}"
-            read = [
-                _series_from_json(terms, sf.n, N, f"{where}.integrals[{i}]",
-                                  f"integral {i + 1} in section '{name}' has a term")
-                for i, terms in enumerate(_field(sec, "integrals", list, where))
-            ]
-            vs = [v for v, _ in read]
-            if any(v.is_zero() for v in vs):
-                _fail(f"section '{name}' claims a zero integral")
-            claims[name] = (vs, sec.get("independence"), [t for _, t in read])
-        # the i-th pullback integral is y^(g_i) pulled back: y^(g_i) plus higher terms
-        if "pullback" in claims and [v.homogeneous_part(v.low_degree()) for v in claims["pullback"][0]] != [
-                ScalarSeries.monomial(sf.n, N, g) for g in basis.generators]:
-            _fail("the pullback integrals are not one y^g plus higher terms per lattice generator g, in order")
-        body = _integrals_body(system, N, basis, claims)
-        checked = [f"integrals:{name}" for name in names]
-    elif sub == "embed":
-        emb = _field(doc, "embedding", dict, report_path)
-        where = f"{report_path}:embedding"
-        if sf.kind != "map":
-            raise SystemFileError(f"{where}: an embedding belongs to a map system, not a field")
-        order = _series_order(_int_field(emb, "order", 1, where), sf.n, f"{where}.order")
-        # a malformed field term exits as it is read; the rebuilt field is
-        # then compared with the claimed one whole
-        _vector_from_json(_field(emb, "field", None, where), sf.n, order, f"{where}.field",
-                          "the embedding field has a term")
-        read = [
-            _series_from_json(t, sf.n, order + 1, f"{where}.integrals[{i}]", "an embedding integral has a term")
-            for i, t in enumerate(_field(emb, "integrals", list, where))
-        ]
-        vs = [v for v, _ in read]
-        if len(vs) != sf.n - 1:
-            _fail(f"embedding holds {len(vs)} integrals, not n-1 = {sf.n - 1}")
-        # the integrals were pulled back at order + 1, which the system data
-        # must certify; each is then an integral of the map through it
-        if order + 1 > sf.order:
-            raise SystemFileError(f"{where}.order: order + 1 = {order + 1} exceeds the system's order_N = {sf.order}")
-        if not all(_residual_zero(system, vs, order + 1)):
-            _fail("an embedding integral is not an integral of the map")
-        time_one_matches = _field(emb, "time_one_matches_map", bool, where)
-        body = _embedding_body(embedding_field(system, vs, order), time_one_matches, [t for _, t in read])
-        N, checked = order + 1, ["embedding"]
-    else:
-        _fail("subcommand names none of resonance, normalize, classify, integrals and embed")
+    if type(sub) is not str or sub not in SUBCOMMANDS:
+        *others, last = SUBCOMMANDS
+        _fail(f"subcommand names none of {', '.join(others)} and {last}")
+    body, D, N, checked = SUBCOMMANDS[sub].rebuild(doc, sf, system, D, N, report_path)
     params = {"degree_D": D, "order_N": N, "seed": seed}
-    _require_match(doc, {"tool": doc.get("tool"), "subcommand": sub, "parameters": params, "system": doc["system"],
-                         **body}, "")
+    _require_match(doc, _report(doc.get("tool"), sub, params, doc["system"], body), "")
     return {"verify": {"checked": checked, "all_zero": True}}
 
 
@@ -1144,8 +1182,11 @@ def _emit(report: dict, args) -> None:
             "digits, which cannot be written out; lower --order or scale the input"
         ) from exc
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SystemFileError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -1165,14 +1206,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in (
-        ("resonance", "resonant lattice, rank, and small-divisor bound"),
-        ("normalize", "distinguished normalization and normal form"),
-        ("classify", "integrability verdict certified at (D, N)"),
-        ("integrals", "search, pull back, and verify first integrals"),
-        ("embed", "cross-product embedding field with verification"),
-        ("verify", "re-check the exact claims of an emitted report"),
-    ):
+    helps = {name: entry.help for name, entry in SUBCOMMANDS.items()}
+    for name, help_text in {**helps, "verify": "re-check the exact claims of an emitted report"}.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="system file (or report for verify)")
         p.add_argument("--output", help="write the report here instead of stdout")
@@ -1187,9 +1222,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.subcommand == "verify":
-            body = _run_verify(args.input)
-            sf = None
-            params = {}
+            body, params, system = _run_verify(args.input), None, None
         else:
             sf = parse_system(args.input)
             D = args.degree if args.degree is not None else sf.lattice_bound
@@ -1199,27 +1232,9 @@ def main(argv=None) -> int:
                     raise SystemFileError(f"{flag} must be an integer >= 2, got {value}")
             _lattice_degree(D, sf.n, "--degree")
             _series_order(N, sf.n, "--order")
-            params = {"degree_D": D, "order_N": N, "seed": args.seed}
-            if args.subcommand == "resonance":
-                body = _run_resonance(sf, D)
-            elif args.subcommand == "normalize":
-                body = _run_normalize(sf, N)
-            elif args.subcommand == "classify":
-                body = _run_classify(sf, D, N)
-            elif args.subcommand == "integrals":
-                body = _run_integrals(sf, D, N, args.seed)
-            else:
-                body = _run_embed(sf, D, N)
-        report = {
-            "tool": {"name": "dulac", "version": __version__},
-            "subcommand": args.subcommand,
-        }
-        if params:
-            report["parameters"] = params
-        if sf is not None:
-            report["system"] = _system_json(sf)
-        report.update(body)
-        _emit(report, args)
+            body = SUBCOMMANDS[args.subcommand].solve(sf, D, N, args.seed)
+            params, system = {"degree_D": D, "order_N": N, "seed": args.seed}, _system_json(sf)
+        _emit(_report({"name": "dulac", "version": __version__}, args.subcommand, params, system, body), args)
         return 0
     except SystemFileError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dulac.cli import MAX_LATTICE_EXPONENTS, MAX_ORDER_MONOMIALS, _emit, _json_text, _same, main, parse_system
+from dulac.cli import (
+    MAX_LATTICE_EXPONENTS, MAX_ORDER_MONOMIALS, _build_parser, _emit, _json_text, _same, main, parse_system,
+)
 from dulac.errors import SystemFileError
 from dulac.resonance import iter_exponents
 from dulac.series import ScalarSeries, VectorSeries
@@ -983,6 +985,22 @@ class TestUnreadableInputIs2:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestUnwritableOutputIs2:
+    """An --output that cannot be written exits 2 with one error line and
+    writes nothing."""
+
+    @pytest.mark.parametrize("target", ["directory", "missing parent", "/dev/full"])
+    def test_unwritable_output(self, tmp_path, capsys, target):
+        if target == "/dev/full" and not os.path.exists(target):
+            pytest.skip("no /dev/full here")
+        out = {"directory": tmp_path, "missing parent": tmp_path / "none" / "rep.json"}.get(target, target)
+        assert run(["normalize", "--input", FIXTURES / "ex2_2d.json", "--output", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not (tmp_path / "none").exists()
+
+
 def big_coefficient_map(c, order):
     """mu = (1/2, 2), f = c*y1^2 e1 + (c/3)*y2^2 e2: coefficients of phi grow
     like powers of c."""
@@ -1491,6 +1509,27 @@ class TestVerifyRebuildsTheWholeReport:
             assert run(["verify", "--input", write(tmp_path, "bad.json", edited)]) in (2, 4)
         err = capsys.readouterr().err.splitlines()
         assert len(err) == len(edits) and all(line.startswith("error:") for line in err)
+        # a subcommand that is not a string names no solver either
+        for value in ([], {}, None, 1):
+            assert run(["verify", "--input", write(tmp_path, "bad.json", dict(doc, subcommand=value))]) == 4
+            assert capsys.readouterr().err == ("error: verification failed: subcommand names none of resonance, "
+                                               "normalize, classify, integrals and embed\n"), value
+
+
+def test_parser_lists_the_subcommands_with_their_help():
+    """The parser lists the five solvers, then `verify`, each with its help
+    line (read off the subparsers, not the width-dependent --help text)."""
+    [action] = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    listed = [
+        ("resonance", "resonant lattice, rank, and small-divisor bound"),
+        ("normalize", "distinguished normalization and normal form"),
+        ("classify", "integrability verdict certified at (D, N)"),
+        ("integrals", "search, pull back, and verify first integrals"),
+        ("embed", "cross-product embedding field with verification"),
+        ("verify", "re-check the exact claims of an emitted report"),
+    ]
+    assert list(action.choices) == [name for name, _ in listed]
+    assert [(a.dest, a.help) for a in action._choices_actions] == listed
 
 
 def test_python_m_dulac_writes_the_cli_report(tmp_path):
